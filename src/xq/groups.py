@@ -17,6 +17,17 @@ from .intlinalg import Lattice, solve_left
 from .words import Letter, invert_word, reduce_word, word_from_pairs, word_to_pairs
 
 
+def int_entries(values, what: str) -> tuple[int, ...]:
+    """The entries of a JSON array as a tuple of ints.  Anything that is not
+    an int is rejected, bool included."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be an array of integers")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{what} entries must be integers, found {v!r}")
+    return tuple(values)
+
+
 class Group:
     """Common interface for the supported group classes."""
 
@@ -255,9 +266,9 @@ class FreeNil2Group(Group):
 
     def element_from_json(self, obj):
         if isinstance(obj, dict):
-            base = tuple(obj.get("base", ()))
+            base = int_entries(obj.get("base", ()), "base")
             npairs = len(nil2.pair_list(self.ngens))
-            comm = tuple(obj.get("comm", (0,) * npairs))
+            comm = int_entries(obj.get("comm", (0,) * npairs), "comm")
             if len(base) != self.ngens or len(comm) != npairs:
                 raise ValueError("element dimensions do not match the group rank")
             return nil2.Nil2Element(base, comm)
@@ -347,7 +358,7 @@ class FgAbelianGroup(Group):
         return list(self.canon(x))
 
     def element_from_json(self, obj):
-        return self.canon(tuple(int(a) for a in obj))
+        return self.canon(int_entries(obj, "coordinate"))
 
     def random_element(self, rng, size: int = 6):
         return self.canon(tuple(rng.randint(-size, size) for _ in range(self.ngens)))
@@ -449,6 +460,16 @@ class GroupHom:
         return [[cols[j][k] for j in range(self.source.ngens)]
                 for k in range(self.target.ngens)]
 
+    def relation_images(self):
+        """(row, image) for each relation row of the source abelianization;
+        the images define a homomorphism only if every such image is zero."""
+        for row in self.source.ab_relation_rows():
+            img = self.target.identity()
+            for i, a in enumerate(row):
+                if a:
+                    img = self.target.op(img, self.target.pow(self.images[i], a))
+            yield row, img
+
     def check_hom(self, rng: random.Random | None = None, samples: int = 50
                   ) -> tuple[bool, str | None]:
         """Verify the images define a homomorphism.
@@ -457,11 +478,7 @@ class GroupHom:
         not structurally nil(2), the nil(2) laws are checked on all generator
         triples and on sampled products.
         """
-        for row in self.source.ab_relation_rows():
-            img = self.target.identity()
-            for i, a in enumerate(row):
-                if a:
-                    img = self.target.op(img, self.target.pow(self.images[i], a))
+        for row, img in self.relation_images():
             if not self.target.is_identity(img):
                 return False, f"relation {list(row)} maps to a non-identity element"
         if self.source.is_nil2 and not self.target.is_nil2:

@@ -261,3 +261,21 @@ class ZSystem:
         u0 = u[: self.nvars]
         proj = Lattice(self.nvars, [k[: self.nvars] for k in kernel])
         return u0, proj.basis()
+
+
+def solve_one_unknown(system: ZSystem, bound: int) -> list[int]:
+    """The solutions in [-bound, bound], ascending, of a system in one unknown.
+
+    Over Z the solution set is empty, a single value r0, or a progression
+    r0 + sZ (all of Z when s = 1); the kernel basis of `ZSystem.solve` holds
+    s > 0 as its only row."""
+    if system.nvars != 1:
+        raise ValueError("expected a system in exactly one unknown")
+    sol = system.solve()
+    if sol is None:
+        return []
+    (r0,), kernel = sol
+    if not kernel:
+        return [r0] if -bound <= r0 <= bound else []
+    ((step,),) = kernel
+    return list(range(-bound + (r0 + bound) % step, bound + 1, step))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .crossed import (GroupAction, PreCrossedModule, alpha_variable_order,
                       peiffer_commutator)
@@ -78,11 +78,9 @@ def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
     bad = None
     if not g2.is_nil2:
         gens = g2.generators()
-        for x in gens:
-            for y in gens:
-                for z in gens:
-                    if not g2.is_identity(g2.commutator(g2.commutator(x, y), z)):
-                        bad = "triple commutator of generators does not vanish"
+        if any(not g2.is_identity(g2.commutator(g2.commutator(x, y), z))
+               for x in gens for y in gens for z in gens):
+            bad = "triple commutator of generators does not vanish"
     rep.add("axiom1_q2_nil2", bad is None, bad,
             note="structural" if g2.is_nil2 else "generator triples")
 
@@ -201,6 +199,77 @@ class QCMorphism:
                 "f4": self.f4.element_json()}
 
 
+class MorphismFrame(NamedTuple):
+    """The parts of the morphism equations that do not depend on the maps:
+    d3 and d4 on the source generators, and the images of the under-object's
+    generators on both sides, per degree (empty when no under-condition
+    applies)."""
+
+    d3: tuple
+    d4: tuple
+    under: tuple
+
+
+def morphism_frame(src: ReducedQuadraticComplex4,
+                   tgt: ReducedQuadraticComplex4) -> MorphismFrame:
+    under = ()
+    if (src.under is not None and tgt.under is not None
+            and src.under.base.q2 == tgt.under.base.q2):
+        base = src.under.base
+        under = tuple(
+            (deg, tuple((qs(z), qt(z)) for z in bgrp.generators()))
+            for deg, qs, qt, bgrp in (
+                (2, src.under.q2, tgt.under.q2, base.q2),
+                (3, src.under.q3, tgt.under.q3, base.q3),
+                (4, src.under.q4, tgt.under.q4, base.q4)))
+    return MorphismFrame(tuple(src.d3(h) for h in src.q3.generators()),
+                         tuple(src.d4(k) for k in src.q4.generators()),
+                         under)
+
+
+def qcm_equations(m: QCMorphism, frame: MorphismFrame | None = None):
+    """The conditions on a morphism, in report order, as
+    (check id, map, group, equations).
+
+    Each equation is (lhs, rhs, message): two elements of the group that must
+    be equal, and the message reported when they are not.  The equations are
+    produced lazily.  For the three `*_is_homomorphism` checks the map is
+    given and the equations are its relation rows; `GroupHom.check_hom`
+    decides them, adding the nil(2) laws when the target is not nil(2) by
+    construction.  The under-checks appear only when both sides carry
+    cofibrations from the same base.
+    """
+    src, tgt = m.source, m.target
+    if frame is None:
+        frame = morphism_frame(src, tgt)
+    for name, h in (("f2", m.f2), ("f3", m.f3), ("f4", m.f4)):
+        yield (f"{name}_is_homomorphism", h, h.target,
+               ((img, h.target.identity(),
+                 f"relation {list(row)} maps to a non-identity element")
+                for row, img in h.relation_images()))
+    yield "square_d3", None, tgt.q2, (
+        (m.f2(dh), tgt.d3(m.f3(h)),
+         f"f2 d3 != d3' f3 at generator {src.q3.names[i]}")
+        for i, (h, dh) in enumerate(zip(src.q3.generators(), frame.d3)))
+    yield "square_d4", None, tgt.q3, (
+        (m.f3(dk), tgt.d4(m.f4(k)),
+         f"f3 d4 != d4' f4 at generator {src.q4.names[i]}")
+        for i, (k, dk) in enumerate(zip(src.q4.generators(), frame.d4)))
+    n = src.q2.ngens
+    yield "square_omega", None, tgt.q3, (
+        (m.f3(src.rqm.omega[i][j]),
+         tgt.omega_apply(TensorElement.outer(tgt.braces(m.f2.images[i]),
+                                             tgt.braces(m.f2.images[j]))),
+         f"f3 omega != omega' (f2^ab (x) f2^ab) at basis ({i},{j})")
+        for i in range(n) for j in range(n))
+    maps = {2: (m.f2, tgt.q2), 3: (m.f3, tgt.q3), 4: (m.f4, tgt.q4)}
+    for deg, pairs in frame.under:
+        fh, grp = maps[deg]
+        yield f"under_degree{deg}", None, grp, (
+            (fh(zs), zt, f"f does not commute with the cofibration in degree {deg}")
+            for zs, zt in pairs)
+
+
 def qcm_check(m: QCMorphism, samples: int = 50, seed: int | None = None) -> Report:
     """Boundary squares, omega compatibility, and under-object agreement."""
     if seed is None:
@@ -208,47 +277,14 @@ def qcm_check(m: QCMorphism, samples: int = 50, seed: int | None = None) -> Repo
     rng = random.Random(seed)
     rep = Report("quadratic complex morphism")
     rep.meta.update(seed=seed, samples=samples)
-    src, tgt = m.source, m.target
-    for name, h in (("f2", m.f2), ("f3", m.f3), ("f4", m.f4)):
-        ok, why = h.check_hom(rng)
-        rep.add(f"{name}_is_homomorphism", ok, why)
-    bad = None
-    for i, h in enumerate(src.q3.generators()):
-        if not tgt.q2.eq(m.f2(src.d3(h)), tgt.d3(m.f3(h))):
-            bad = f"f2 d3 != d3' f3 at generator {src.q3.names[i]}"
-            break
-    rep.add("square_d3", bad is None, bad)
-    bad = None
-    for i, k in enumerate(src.q4.generators()):
-        if not tgt.q3.eq(m.f3(src.d4(k)), tgt.d4(m.f4(k))):
-            bad = f"f3 d4 != d4' f4 at generator {src.q4.names[i]}"
-            break
-    rep.add("square_d4", bad is None, bad)
-    bad = None
-    n = src.q2.ngens
-    for i in range(n):
-        for j in range(n):
-            want = tgt.omega_apply(TensorElement.outer(
-                tgt.braces(m.f2.images[i]), tgt.braces(m.f2.images[j])))
-            if not tgt.q3.eq(m.f3(src.rqm.omega[i][j]), want):
-                bad = f"f3 omega != omega' (f2^ab (x) f2^ab) at basis ({i},{j})"
-                break
-        if bad:
-            break
-    rep.add("square_omega", bad is None, bad)
-    if (src.under is not None and tgt.under is not None
-            and src.under.base.q2 == tgt.under.base.q2):
-        base = src.under.base
-        for deg, qs, qt, fh, grp in (
-                (2, src.under.q2, tgt.under.q2, m.f2, tgt.q2),
-                (3, src.under.q3, tgt.under.q3, m.f3, tgt.q3),
-                (4, src.under.q4, tgt.under.q4, m.f4, tgt.q4)):
-            bad = None
-            for z in (base.q2 if deg == 2 else base.q3 if deg == 3 else base.q4).generators():
-                if not grp.eq(fh(qs(z)), qt(z)):
-                    bad = f"f does not commute with the cofibration in degree {deg}"
-                    break
-            rep.add(f"under_degree{deg}", bad is None, bad)
+    for check_id, h, grp, equations in qcm_equations(m):
+        if h is not None:
+            ok, bad = h.check_hom(rng)
+        else:
+            bad = next((msg for lhs, rhs, msg in equations
+                        if not grp.eq(lhs, rhs)), None)
+            ok = bad is None
+        rep.add(check_id, ok, bad)
     return rep
 
 
@@ -259,11 +295,10 @@ def rqc4_check(c: ReducedQuadraticComplex4, samples: int = 200,
     rng = random.Random(seed)
     rep = rqm_check(c.rqm, samples=samples, seed=seed)
     rep.title = c.name
-    bad = None
-    for i, p in enumerate(c.q4.generators()):
-        for r in c.q4.generators():
-            if not c.q4.is_identity(c.q4.commutator(p, r)):
-                bad = f"generators {i} do not commute"
+    gens = c.q4.generators()
+    bad = next((f"generators {c.q4.names[i]} and {c.q4.names[j]} do not commute"
+                for i, p in enumerate(gens) for j, r in enumerate(gens)
+                if not c.q4.is_identity(c.q4.commutator(p, r))), None)
     rep.add("q4_abelian", bad is None, bad,
             note="structural" if c.q4.is_abelian else "generator pairs")
     ok, why = c.d4.check_hom(rng)

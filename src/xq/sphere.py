@@ -11,11 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import (FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, Group,
-                     GroupHom)
+                     GroupHom, abelian_coords_info)
+from .intlinalg import ZSystem, solve_one_unknown, vec_neg, vec_sub
 from .monoid import mbar_elements
 from .quadratic import (QCMorphism, ReducedQuadraticComplex4,
-                        ReducedQuadraticModule, UnderCofibration, qcm_check,
-                        rq_homotopy_decision, rqc4_check)
+                        ReducedQuadraticModule, UnderCofibration, morphism_frame,
+                        qcm_check, qcm_equations, rq_homotopy_decision,
+                        rqc4_check)
 from .report import Report
 from .tensor import TensorElement
 
@@ -164,16 +166,49 @@ def retraction_candidate(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex
 
 def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex4,
                           ab_range: int = 2, r_bound: int = 1) -> list[QCMorphism]:
-    """All morphisms Q -> D under D within the parameter box, i.e. candidates
-    passing every morphism check (boundary squares, omega compatibility, and
-    g q = id on the under-object)."""
+    """All morphisms Q -> D under D within the parameter box |a|, |b| <=
+    ab_range, |r| <= r_bound, i.e. the candidates passing every morphism
+    check (boundary squares, omega compatibility, and g q = id on the
+    under-object), in the order (a, b, r) ascending.
+
+    r is solved for, not scanned.  For fixed (a, b), r enters a candidate only
+    through f3(e3) = r w(e,e).  With abelian coordinates on the target in
+    degrees 2-4 (so the target is nil(2), and the homomorphism checks are
+    exactly the relation-row equations), each side of every equation of
+    `qcm_equations` is affine in r modulo the target's relation rows, so its
+    defect is defect(0) + r (defect(1) - defect(0)).  The candidates at r = 0
+    and r = 1 give one `ZSystem` block per equation in the single unknown r;
+    its solutions in [-r_bound, r_bound] are built and each is re-checked
+    with `qcm_check`.  The cost is 2 (2 ab_range + 1)^2 probe candidates plus one
+    check per morphism kept, independent of r_bound for fixed (a, b).
+
+    Raises ValueError when the target has no abelian coordinates in degrees
+    2, 3 or 4, and RuntimeError if a solved candidate fails `qcm_check`.
+    """
+    coords = {grp: abelian_coords_info(grp) for grp in (d.q2, d.q3, d.q4)}
+    if any(info is None for info in coords.values()):
+        raise ValueError("solving for r needs abelian coordinates on the "
+                         "target in degrees 2, 3 and 4")
+    frame = morphism_frame(q, d)
     out = []
     for a in range(-ab_range, ab_range + 1):
         for b in range(-ab_range, ab_range + 1):
-            for r in range(-r_bound, r_bound + 1):
+            system = ZSystem()
+            (rv,) = system.new_vars(1)
+            probes = [qcm_equations(retraction_candidate(q, d, a, b, r), frame)
+                      for r in (0, 1)]
+            for (_, _, grp, eqs0), (_, _, _, eqs1) in zip(*probes):
+                dim, to_coords, _, rows = coords[grp]
+                for (lhs0, rhs0, _), (lhs1, rhs1, _) in zip(eqs0, eqs1):
+                    at0 = vec_sub(to_coords(lhs0), to_coords(rhs0))
+                    at1 = vec_sub(to_coords(lhs1), to_coords(rhs1))
+                    system.add(dim, [(rv, vec_sub(at1, at0))], vec_neg(at0), rows)
+            for r in solve_one_unknown(system, r_bound):
                 m = retraction_candidate(q, d, a, b, r)
-                if qcm_check(m, samples=5, seed=0).ok:
-                    out.append(m)
+                if not qcm_check(m, samples=5, seed=0).ok:
+                    raise RuntimeError(f"internal error: solved candidate {m.tag} "
+                                       "fails the morphism checks")
+                out.append(m)
     return out
 
 

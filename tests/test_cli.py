@@ -175,3 +175,22 @@ def test_console_script_smoke(structures_dir):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("OK")
+
+
+@pytest.mark.parametrize("bad", [pytest.param(1.5, id="float"),
+                                 pytest.param("1", id="string"),
+                                 pytest.param(True, id="bool")])
+def test_check_non_integer_element_entry_is_exit_2(structures_dir, tmp_path,
+                                                   capsys, bad):
+    with open(shipped(structures_dir, "retraction_pr1.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    f2 = raw["body"]["maps"]["f2"]["images"]
+    assert f2[0]["base"] == [1]
+    f2[0]["base"] = [bad]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code = run(["check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "$.body.maps.f2.images[0]" in err
+    assert "integers" in err

@@ -1,0 +1,142 @@
+"""The r-solver of `enumerate_retractions` against the scan it replaced, and
+the one-unknown integer solve it rests on."""
+
+import pytest
+
+import xq
+from xq import sphere
+from xq.groups import CyclicGroup, FreeAbelianGroup, FreeNil2Group, GroupHom
+from xq.intlinalg import ZSystem, solve_one_unknown
+from xq.quadratic import (ReducedQuadraticComplex4, ReducedQuadraticModule,
+                          qcm_check, rqc4_check)
+
+from scan_oracle import scan_retractions
+
+
+@pytest.mark.parametrize("ab_range,r_bound", [(0, 0), (1, 0), (2, 1), (2, 2), (3, 10)])
+def test_solver_matches_scan(cylinder_q, sphere_d, ab_range, r_bound):
+    solved = sphere.enumerate_retractions(cylinder_q, sphere_d, ab_range, r_bound)
+    scanned = scan_retractions(cylinder_q, sphere_d, ab_range, r_bound)
+    assert [m.tag for m in solved] == [m.tag for m in scanned]
+    for m in solved:
+        assert qcm_check(m, samples=20, seed=0).ok
+
+
+def doubling_target(q2):
+    """A target with D3 = Z<t>, d3(t) = 2x, omega = 0, D4 = Z, no
+    under-object.  Square d3 at e3 reads (a + b - 1) x = 2 r x, so r is a
+    single value when D2 = Z and a progression r0 + 3Z when D2 = Z/6."""
+    q3 = FreeAbelianGroup(1, names=("t",))
+    rqm = ReducedQuadraticModule(q2, q3, ((q3.identity(),),),
+                                 GroupHom(q3, q2, [q2.pow(q2.gen(0), 2)]))
+    q4 = FreeAbelianGroup(1)
+    return ReducedQuadraticComplex4(rqm, q4, GroupHom.zero(q4, q3))
+
+
+@pytest.mark.parametrize("q2,order", [(FreeNil2Group(1), None), (CyclicGroup(6), 6)],
+                         ids=["single", "progression"])
+def test_solver_matches_scan_when_r_is_pinned(cylinder_q, q2, order):
+    target = doubling_target(q2)
+    assert rqc4_check(target, samples=20, seed=0).ok
+    solved = sphere.enumerate_retractions(cylinder_q, target, 3, 2)
+    expected = []
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            for r in range(-2, 3):
+                diff = a + b - 1 - 2 * r
+                if diff == 0 or (order is not None and diff % order == 0):
+                    expected.append((a, b, r))
+    assert [m.tag for m in solved] == expected
+    assert expected == [m.tag for m in scan_retractions(cylinder_q, target, 3, 2)]
+    assert (3, 0, 1) in expected and (3, 0, -1) not in expected
+    # (a, b) = (-3, -2) needs r = -3, outside [-2, 2]; modulo 3 it is r = 0
+    assert ((-3, -2, 0) in expected) == (order is not None)
+
+
+def test_classification_report_matches_scan(monkeypatch):
+    solved = xq.classification_report(3, 10).to_json()
+    monkeypatch.setattr(sphere, "enumerate_retractions", scan_retractions)
+    assert xq.classification_report(3, 10).to_json() == solved
+
+
+def test_solver_builds_two_probes_per_ab_plus_the_kept(monkeypatch, cylinder_q, sphere_d):
+    built = []
+    original = sphere.retraction_candidate
+
+    def counting(q, d, a, b, r):
+        built.append((a, b, r))
+        return original(q, d, a, b, r)
+
+    monkeypatch.setattr(sphere, "retraction_candidate", counting)
+    kept = sphere.enumerate_retractions(cylinder_q, sphere_d, 2, 30)
+    assert len(kept) == 2 * 61
+    assert len(built) == 2 * 5 ** 2 + len(kept)
+
+
+def test_solved_candidate_failing_the_check_is_an_internal_error(
+        monkeypatch, cylinder_q, sphere_d):
+    monkeypatch.setattr(sphere, "qcm_check",
+                        lambda m, samples, seed: xq.Report("always failing",
+                                                           [xq.Check("c", False)]))
+    with pytest.raises(RuntimeError, match=r"\(0, 1, 0\)"):
+        sphere.enumerate_retractions(cylinder_q, sphere_d, 1, 0)
+
+
+def test_target_without_abelian_coordinates_is_rejected(cylinder_q):
+    # Q2 is free nil(2) of rank 3, which is not abelian
+    with pytest.raises(ValueError, match="abelian coordinates"):
+        sphere.enumerate_retractions(cylinder_q, cylinder_q, 0, 0)
+
+
+def _system(*blocks):
+    """A system in one unknown r from blocks (coeff, rhs, mod rows) in Z^dim:
+    r coeff == rhs modulo the rows."""
+    system = ZSystem()
+    (r,) = system.new_vars(1)
+    for coeff, rhs, rows in blocks:
+        system.add(len(coeff), [(r, coeff)], rhs, rows)
+    return system
+
+
+def test_one_unknown_empty():
+    assert solve_one_unknown(_system(([2], [1], [])), 10) == []
+    # two blocks with different single solutions
+    assert solve_one_unknown(_system(([1], [3], []), ([1], [4], [])), 10) == []
+
+
+def test_one_unknown_single_value_inside_and_outside():
+    assert solve_one_unknown(_system(([2, 1], [-6, -3], [])), 5) == [-3]
+    assert solve_one_unknown(_system(([1], [7], [])), 5) == []
+    assert solve_one_unknown(_system(([1], [-5], [])), 5) == [-5]
+
+
+def test_one_unknown_progression_from_torsion_rows():
+    # 2 r == 4 modulo 6: r = 2 + 3 k
+    system = _system(([2], [4], [[6]]))
+    assert solve_one_unknown(system, 7) == [-7, -4, -1, 2, 5]
+    # a torsion row in a second coordinate: r (1, 1) == (1, 0) mod (0, 4)
+    system = _system(([1, 1], [1, 0], [[0, 4]]))
+    assert solve_one_unknown(system, 0) == []
+    system = _system(([1, 4], [1, 0], [[0, 4]]))
+    assert solve_one_unknown(system, 3) == [1]
+
+
+def test_one_unknown_all_of_z():
+    assert solve_one_unknown(_system(([0], [0], [])), 2) == [-2, -1, 0, 1, 2]
+    assert solve_one_unknown(_system(), 1) == [-1, 0, 1]
+    # a coefficient that is zero modulo the relations
+    assert solve_one_unknown(_system(([3], [0], [[3]])), 1) == [-1, 0, 1]
+
+
+def test_one_unknown_zero_bound():
+    assert solve_one_unknown(_system(), 0) == [0]
+    assert solve_one_unknown(_system(([1], [0], [])), 0) == [0]
+    assert solve_one_unknown(_system(([1], [1], [])), 0) == []
+    assert solve_one_unknown(_system(([2], [4], [[6]])), 0) == []
+
+
+def test_one_unknown_needs_exactly_one_unknown():
+    system = ZSystem()
+    system.new_vars(2)
+    with pytest.raises(ValueError):
+        solve_one_unknown(system, 1)

@@ -134,3 +134,23 @@ def test_invert_hom_abelian_and_failure():
     z = FreeAbelianGroup(1)
     with pytest.raises(ValueError):
         invert_hom(GroupHom(z, z, [z.pow(z.gen(0), 2)]))  # doubling on Z
+
+
+NON_INTEGERS = [pytest.param(1.5, id="float"), pytest.param("1", id="string"),
+                pytest.param(True, id="bool")]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_nil2_element_entries_must_be_integers(bad):
+    g = FreeNil2Group(2)
+    with pytest.raises(ValueError, match="base entries must be integers"):
+        g.element_from_json({"base": [bad, 0], "comm": [0]})
+    with pytest.raises(ValueError, match="comm entries must be integers"):
+        g.element_from_json({"base": [1, 0], "comm": [bad]})
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_abelian_element_entries_must_be_integers(bad):
+    for g in (FgAbelianGroup(2, [[2, 0]]), CyclicGroup(3)):
+        with pytest.raises(ValueError, match="coordinate entries must be integers"):
+            g.element_from_json([bad] + [0] * (g.ngens - 1))

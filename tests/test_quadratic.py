@@ -1,7 +1,8 @@
 import random
 
 from xq.crossed import GroupAction, PreCrossedModule
-from xq.groups import FreeAbelianGroup, FreeNil2Group, GroupHom
+from xq.groups import (FgAbelianGroup, FreeAbelianGroup, FreeGroup,
+                       FreeNil2Group, GroupHom)
 from xq.quadratic import (QCHomotopy, QCMorphism, QuadraticModule,
                           ReducedQuadraticComplex4, ReducedQuadraticModule,
                           alpha2_extend, qcm_check, qm_check, rq_homotopic,
@@ -168,3 +169,51 @@ def test_quadratic_module_axiom2_failure():
     rep = qm_check(broken, samples=150, seed=1)
     assert not rep.ok
     assert any("axiom2" in c.check_id for c in rep.failed())
+
+
+def test_qcm_check_report_lists_every_check_in_order():
+    d = build_sphere_D()
+    q = build_cylinder_Q(d)
+    rep = qcm_check(retraction_candidate(q, d, 1, 1, 0), samples=5, seed=0)
+    assert [(c.check_id, c.passed, c.witness) for c in rep.checks] == [
+        ("f2_is_homomorphism", True, None),
+        ("f3_is_homomorphism", False,
+         "relation [0, 1, -1, -1, -1, 1, 1, -1, 1, 1] maps to a non-identity element"),
+        ("f4_is_homomorphism", True, None),
+        ("square_d3", False, "f2 d3 != d3' f3 at generator e3"),
+        ("square_d4", False, "f3 d4 != d4' f4 at generator e4"),
+        ("square_omega", False,
+         "f3 omega != omega' (f2^ab (x) f2^ab) at basis (0,0)"),
+        ("under_degree2", True, None),
+        ("under_degree3", False,
+         "f does not commute with the cofibration in degree 3"),
+        ("under_degree4", True, None),
+    ]
+
+
+def test_rqm_axiom1_stops_at_first_failing_triple():
+    q2 = FreeGroup(2)
+    q3 = FgAbelianGroup(0)
+    rqm = ReducedQuadraticModule(q2, q3, ((q3.identity(),) * 2,) * 2,
+                                 GroupHom.zero(q3, q2))
+    calls = []
+    commutator = q2.commutator
+    q2.commutator = lambda x, y: calls.append(1) or commutator(x, y)
+    at_next_check = []
+    check_hom = rqm.d3.check_hom
+    rqm.d3.check_hom = lambda *a: at_next_check.append(len(calls)) or check_hom(*a)
+    rep = rqm_check(rqm, samples=0, seed=0)
+    failed = {c.check_id: c.witness for c in rep.failed()}
+    assert failed["axiom1_q2_nil2"] == "triple commutator of generators does not vanish"
+    # (x, y, z) = (g0, g0, g0), (g0, g0, g1) vanish; (g0, g1, g0) is the first
+    # failure, two commutators each
+    assert at_next_check == [6]
+
+
+def test_q4_abelian_names_the_first_non_commuting_pair():
+    d = build_sphere_D()
+    q4 = FreeGroup(2, names=("k", "l"))
+    c = ReducedQuadraticComplex4(d.rqm, q4, GroupHom.zero(q4, d.q3))
+    rep = rqc4_check(c, samples=5, seed=0)
+    failed = {c_.check_id: c_.witness for c_ in rep.failed()}
+    assert failed == {"q4_abelian": "generators k and l do not commute"}
