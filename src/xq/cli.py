@@ -1,8 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 all checks passed / homotopy found; 1 a check failed or no
-homotopy exists; 2 usage or file errors.  Sampling seeds default to the
-XQ_SEED environment variable so repeated runs are byte-identical.
+homotopy exists; 2 usage or file errors, or a homotopy question outside the
+linear route (a target whose d3 is not central on generators).  Sampling
+seeds default to the XQ_SEED environment variable so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def _cmd_homotopic(args) -> int:
             sys.stdout.write(chk.text())
             _write_out(args.out, chk.to_json())
             return 1
-    witness, rep = decide(f, g, bound=args.bound)
+    witness, rep = decide(f, g)
     sys.stdout.write(rep.text())
     _write_out(args.out, rep.to_json())
     if witness is None:
@@ -135,8 +137,7 @@ def _cmd_monoid(args) -> int:
 
 def _cmd_classify(args) -> int:
     rep = classification_report(ab_range=args.ab_range, r_bound=args.r_bound,
-                                bound=args.bound, samples=args.samples,
-                                seed=args.seed)
+                                samples=args.samples, seed=args.seed)
     sys.stdout.write(rep.text())
     if args.out:
         obj = rep.to_json_obj()
@@ -177,8 +178,6 @@ def _parser() -> argparse.ArgumentParser:
     h.add_argument("pair", help="structure file of kind 'pair'")
     h.add_argument("--f", required=True, help="morphism file")
     h.add_argument("--g", required=True, help="morphism file")
-    h.add_argument("--bound", type=int, default=10,
-                   help="coordinate bound for the fallback search (default 10)")
     h.add_argument("--samples", type=int, default=50)
     h.add_argument("--seed", type=int, default=None)
     h.add_argument("--witness", help="write the homotopy witness file here")
@@ -192,8 +191,6 @@ def _parser() -> argparse.ArgumentParser:
                                           "of the cylinder model")
     cl.add_argument("--ab-range", type=int, default=3)
     cl.add_argument("--r-bound", type=int, default=10)
-    cl.add_argument("--bound", type=int, default=10,
-                    help="homotopy search bound")
     cl.add_argument("--samples", type=int, default=100)
     cl.add_argument("--seed", type=int, default=None)
     cl.add_argument("--out", help="write the JSON report here")

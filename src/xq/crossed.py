@@ -1,5 +1,7 @@
 """Pre-crossed and crossed modules, 3-dimensional crossed complexes,
-Peiffer commutators, and homotopy of complex morphisms.
+Peiffer commutators, and homotopy of complex morphisms, including the
+integer linear system (`LinearHomotopy`) that decides homotopy here and for
+reduced quadratic complexes.
 
 Group actions are right actions given on generators; conventions:
     x^m        action of m on x,
@@ -11,13 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .groups import (Group, GroupHom, abelian_coords_info, central_coords_info,
                      invert_hom)
 from .intlinalg import ZSystem, reduce_with_order
 from .report import Report, seed_from_env
-from .tensor import TensorElement
 
 
 class GroupAction:
@@ -102,12 +103,10 @@ class GroupAction:
                     break
             rep.add("action_endos_are_homs", bad is None, bad)
             if self.inverse_table is not None:
-                bad = None
-                for i in range(acting.ngens):
-                    for x in acted.generators():
-                        if not acted.eq(self.endo(i, -1)(self.endo(i, 1)(x)), x):
-                            bad = f"inverse table wrong at generator {acting.names[i]}"
-                            break
+                bad = next((f"inverse table wrong at generator {acting.names[i]}"
+                            for i in range(acting.ngens) for x in acted.generators()
+                            if not acted.eq(self.endo(i, -1)(self.endo(i, 1)(x)), x)),
+                           None)
                 rep.add("action_inverse_table", bad is None, bad)
         else:
             rep.add("action_endos_are_homs", True, note=f"{self.kind}: by construction")
@@ -172,17 +171,6 @@ def peiffer_commutator(m: PreCrossedModule, x, y):
     """<x, y> = -x - y + x + y^{d(x)}."""
     g = m.m2
     return g.op_all(g.inv(x), g.inv(y), x, m.action.apply(y, m.d(x)))
-
-
-def peiffer_map(m: PreCrossedModule, t: TensorElement):
-    """w(t) = sum t_ij <g_i, g_j>, folded in row-major order."""
-    g = m.m2
-    if t.n != g.ngens:
-        raise ValueError("tensor rank must match the number of generators")
-    acc = g.identity()
-    for i, j, c in t.entries():
-        acc = g.op(acc, g.pow(peiffer_commutator(m, g.gen(i), g.gen(j)), c))
-    return acc
 
 
 def check_precrossed(m: PreCrossedModule, samples: int = 200,
@@ -281,12 +269,10 @@ def xc3_check(x: CrossedComplex3, samples: int = 200,
     rep.meta.update(seed=seed, samples=samples)
     rep.merge(check_crossed(x.degree2_module(), samples=samples, seed=seed),
               prefix="degree2.")
-    bad = None
-    for i, p in enumerate(x.m3.generators()):
-        for q in x.m3.generators():
-            if not x.m3.is_identity(x.m3.commutator(p, q)):
-                bad = f"generators {i} do not commute"
-                break
+    gens = x.m3.generators()
+    bad = next((f"generators {x.m3.names[i]} and {x.m3.names[j]} do not commute"
+                for i, p in enumerate(gens) for j, q in enumerate(gens)
+                if not x.m3.is_identity(x.m3.commutator(p, q))), None)
     rep.add("m3_abelian", bad is None, bad)
     ok, why = x.d3.check_hom(rng)
     rep.add("d3_is_homomorphism", ok, why)
@@ -353,21 +339,15 @@ def xc3_morphism_check(m: XC3Morphism, samples: int = 50,
             bad = f"f2 d3 != d3' f3 at {src.m3.format_element(t)}"
             break
     rep.add("square_d3", bad is None, bad)
-    bad = None
-    for x in src.m2.generators():
-        for a in src.m1.generators():
-            if not tgt.m2.eq(m.f2(src.action2.apply(x, a)),
-                             tgt.action2.apply(m.f2(x), m.f1(a))):
-                bad = "f2 not equivariant"
-                break
+    bad = next(("f2 not equivariant"
+                for x in src.m2.generators() for a in src.m1.generators()
+                if not tgt.m2.eq(m.f2(src.action2.apply(x, a)),
+                                 tgt.action2.apply(m.f2(x), m.f1(a)))), None)
     rep.add("f2_equivariant", bad is None, bad)
-    bad = None
-    for t in src.m3.generators():
-        for a in src.m1.generators():
-            if not tgt.m3.eq(m.f3(src.action3.apply(t, a)),
-                             tgt.action3.apply(m.f3(t), m.f1(a))):
-                bad = "f3 not equivariant"
-                break
+    bad = next(("f3 not equivariant"
+                for t in src.m3.generators() for a in src.m1.generators()
+                if not tgt.m3.eq(m.f3(src.action3.apply(t, a)),
+                                 tgt.action3.apply(m.f3(t), m.f1(a)))), None)
     rep.add("f3_equivariant", bad is None, bad)
     if src.under2 and len(src.under2) == len(tgt.under2):
         bad = None
@@ -437,168 +417,197 @@ def verify_xc3_homotopy(f: XC3Morphism, g: XC3Morphism, h: XC3Homotopy) -> Repor
             bad = f"alpha does not vanish on {src.m2.format_element(z)}"
             break
     rep.add("alpha_vanishes_on_under", bad is None, bad)
-    bad = None
-    for x in src.m2.generators():
-        for a in src.m1.generators():
-            if not tgt.m3.eq(alpha(src.action2.apply(x, a)),
-                             tgt.action3.apply(alpha(x), f.f1(a))):
-                bad = "alpha not f1-equivariant"
-                break
+    bad = next(("alpha not f1-equivariant"
+                for x in src.m2.generators() for a in src.m1.generators()
+                if not tgt.m3.eq(alpha(src.action2.apply(x, a)),
+                                 tgt.action3.apply(alpha(x), f.f1(a)))), None)
     rep.add("alpha_equivariant", bad is None, bad)
     return rep
 
 
-def xc3_homotopy_decision(f: XC3Morphism, g: XC3Morphism, bound: int = 10
-                          ) -> tuple[XC3Homotopy | None, Report]:
-    """Decide f ~ g for morphisms of 3-complexes agreeing in degree 1.
+class CoordinateBlock(NamedTuple):
+    """Unknowns for a homotopy's values in one target group with abelian
+    coordinates: `dim` coordinates per source generator, numbered from
+    `offset`.  The canonical witness reduces the coordinates of the
+    generators in `killed` first."""
 
-    Linear route (complete) whenever the degree-3 target has abelian
-    coordinates and the boundaries of its generators are central in M2';
-    otherwise a bounded coordinate search (completeness only within the
-    reported bound).  Any returned witness is re-verified.
+    offset: int
+    n: int
+    dim: int
+    coords: Callable
+    from_coords: Callable
+    rows: list
+    killed: Sequence[int]
+
+    def var(self, x: int, k: int) -> int:
+        return self.offset + x * self.dim + k
+
+
+class LinearHomotopy:
+    """The equations of a homotopy f ~ g as one integer linear system, for
+    morphisms of crossed 3-complexes and of reduced quadratic 4-complexes.
+
+    The unknowns are abelian coordinates of the homotopy's values on the
+    source generators, one `CoordinateBlock` per degree.  `degree2` opens
+    the first block with the equations -f2 x + g2 x = d3' alpha(x);
+    `add_sum` adds one equation sum_x w_x alpha(x) + terms = rhs; `solve`
+    returns the canonical solution and `accept` its re-verified witness.
+    Failed checks and obstructions go into `rep`.
+
+    The system decides f ~ g whenever the targets of the homotopy have
+    abelian coordinates and d3' is central on generators; otherwise
+    ValueError is raised.
     """
-    rep = Report("crossed complex homotopy")
-    if f.source is not g.source and f.source != g.source:
-        raise ValueError("morphisms must share a source")
-    if f.target is not g.target and f.target != g.target:
-        raise ValueError("morphisms must share a target")
+
+    def __init__(self, f, g, title: str):
+        if f.source is not g.source and f.source != g.source:
+            raise ValueError("morphisms must share a source")
+        if f.target is not g.target and f.target != g.target:
+            raise ValueError("morphisms must share a target")
+        self.rep = Report(title)
+        self.system = ZSystem()
+        self.blocks: list[CoordinateBlock] = []
+
+    def refute(self, check_id: str, witness: str, reason: str | None = None) -> None:
+        """Record a failed check and its obstruction (the witness text unless
+        a reason is given)."""
+        self.rep.add(check_id, False, witness)
+        self.rep.obstructions.append({"reason": reason or witness})
+
+    def unknowns(self, n: int, group: Group, degree: int,
+                 killed: Sequence[int] = ()) -> CoordinateBlock:
+        """A new block of unknowns for values in `group` on n generators."""
+        info = abelian_coords_info(group)
+        if info is None:
+            raise ValueError("the homotopy equations need abelian coordinates "
+                             f"on the degree-{degree} target")
+        dim, coords, from_coords, rows = info
+        block = CoordinateBlock(self.system.nvars, n, dim, coords, from_coords,
+                                rows, killed)
+        self.system.new_vars(n * dim)
+        self.blocks.append(block)
+        return block
+
+    def degree2(self, d3t: GroupHom, f2: GroupHom, g2: GroupHom
+                ) -> CoordinateBlock | None:
+        """The block of alpha, with values in the source of d3', under the
+        equations -f2 x + g2 x = d3' alpha(x) in coordinates on the centre
+        of the degree-2 target.  None, with the obstruction recorded, when
+        f2 and g2 differ while d3' = 0, or when -f2 x + g2 x is not central.
+        Raises ValueError naming the first generator whose d3' value is not
+        central."""
+        grp, names = d3t.target, f2.source.names
+        diffs = [grp.op(grp.inv(a), b) for a, b in zip(f2.images, g2.images)]
+        zero = d3t.is_zero()
+        if zero:
+            x = next((x for x, c in enumerate(diffs) if not grp.is_identity(c)), None)
+            if x is not None:
+                return self.refute("degree2_solvable",
+                                   "d3 = 0 in the target forces f2 = g2; the "
+                                   f"morphisms differ at generator {names[x]}")
+        killed = [x for x, im in enumerate(f2.images) if grp.is_identity(im)]
+        alpha = self.unknowns(len(diffs), d3t.source, 3, killed)
+        if zero:
+            return alpha
+        chart = central_coords_info(grp)
+        if chart is None:
+            raise ValueError("the degree-2 target has no coordinates on its centre")
+        dimc, embed, _, rowsc = chart
+        boundary = [embed(d3t(h)) for h in d3t.source.generators()]
+        k = next((k for k, row in enumerate(boundary) if row is None), None)
+        if k is not None:
+            raise ValueError(f"d3' is not central at generator {d3t.source.names[k]}, "
+                             "so the homotopy equations are not linear")
+        for x, c in enumerate(diffs):
+            ex = embed(c)
+            if ex is None:
+                return self.refute("degree2_solvable",
+                                   f"-f2 + g2 is not central at generator {names[x]}, "
+                                   "but every d3' value is central")
+            self.system.add(dimc, [(alpha.var(x, k), boundary[k])
+                                   for k in range(alpha.dim)], list(ex), rowsc)
+        return alpha
+
+    def add_sum(self, alpha: CoordinateBlock, weights: Sequence[int],
+                rhs: Sequence[int] | None = None, terms=()) -> None:
+        """sum_x weights[x] alpha(x) + terms = rhs (default 0), in the
+        coordinates of alpha modulo its relation rows."""
+        terms = list(terms)
+        for x, w in enumerate(weights):
+            if w:
+                terms.extend((alpha.var(x, k), [w if j == k else 0
+                                                for j in range(alpha.dim)])
+                             for k in range(alpha.dim))
+        self.system.add(alpha.dim, terms,
+                        [0] * alpha.dim if rhs is None else list(rhs), alpha.rows)
+
+    def solve(self) -> list[tuple] | None:
+        """The canonical solution, as the values on the source generators
+        block by block; None, with the obstruction recorded, when there is
+        no integer solution."""
+        sol = self.system.solve()
+        if sol is None:
+            return self.refute("solvable",
+                               "the homotopy equations have no integer solution",
+                               "no integer solution to the homotopy equations")
+        u0, kernel = sol
+        order = [b.offset + v for b in self.blocks
+                 for v in alpha_variable_order(b.n, b.dim, b.killed)]
+        u = reduce_with_order(u0, kernel, order)
+        return [tuple(b.from_coords(u[b.var(x, 0):b.var(x + 1, 0)])
+                      for x in range(b.n)) for b in self.blocks]
+
+    def accept(self, verification: Report, witness_json: dict) -> None:
+        """Record a witness built from `solve` once it re-verifies."""
+        if not verification.ok:
+            raise RuntimeError("internal error: solver witness failed re-verification")
+        self.rep.meta["method"] = "linear"
+        self.rep.merge(verification)
+        self.rep.witnesses.append(witness_json)
+
+
+def xc3_homotopy_decision(f: XC3Morphism, g: XC3Morphism
+                          ) -> tuple[XC3Homotopy | None, Report]:
+    """Decide f ~ g for morphisms of 3-complexes agreeing in degree 1 by the
+    integer linear system of `LinearHomotopy`; a witness found is canonical
+    and re-verified.
+
+    Complete for crossed complexes whose degree-3 target has abelian
+    coordinates: ker d2 of a crossed module is central, so every d3' value
+    is.  Raises ValueError when M3' has no abelian coordinates or a d3'
+    value on a generator is not central.
+    """
+    lin = LinearHomotopy(f, g, "crossed complex homotopy")
     src, tgt = f.source, f.target
     if not all(tgt.m1.eq(a, b) for a, b in zip(f.f1.images, g.f1.images)):
-        rep.add("f1_equals_g1", False, "homotopy requires f1 = g1")
-        rep.obstructions.append({"reason": "f1 != g1"})
-        return None, rep
-    info3 = abelian_coords_info(tgt.m3)
-    if info3 is None:
-        raise ValueError("homotopy search requires an abelian degree-3 target")
-    r3, coords3, from3, rel3 = info3
-    n2 = src.m2.ngens
-    cinfo = central_coords_info(tgt.m2)
-    boundary_rows = None
-    if cinfo is not None:
-        dimc, embed, _, rowsc = cinfo
-        rows = [embed(tgt.d3(hk)) for hk in tgt.m3.generators()]
-        if all(r is not None for r in rows):
-            boundary_rows = [list(r) for r in rows]
-    if boundary_rows is not None:
-        system = ZSystem()
-        var = [system.new_vars(r3) for _ in range(n2)]
-        feasible = True
-        for x in range(n2):
-            cx = tgt.m2.op(tgt.m2.inv(f.f2.images[x]), g.f2.images[x])
-            ex = embed(cx)
-            if ex is None:
-                rep.obstructions.append({
-                    "reason": "-f2 + g2 is not central at a generator while all "
-                              "boundary values are central",
-                    "generator": src.m2.names[x]})
-                feasible = False
-                break
-            system.add(dimc, [(var[x][k], boundary_rows[k]) for k in range(r3)],
-                       list(ex), rowsc)
-        if not feasible:
-            rep.add("degree2_solvable", False, "no alpha can satisfy degree 2")
-            return None, rep
-        for i, t in enumerate(src.m3.generators()):
-            w = src.m2.ab(src.d3(t))
-            rhs = coords3(tgt.m3.op(tgt.m3.inv(f.f3.images[i]), g.f3.images[i]))
-            terms = []
-            for x in range(n2):
-                if w[x]:
-                    terms.extend((var[x][k],
-                                  [w[x] if j == k else 0 for j in range(r3)])
-                                 for k in range(r3))
-            system.add(r3, terms, list(rhs), rel3)
-        for z in src.under2:
-            w = src.m2.ab(z)
-            terms = []
-            for x in range(n2):
-                if w[x]:
-                    terms.extend((var[x][k],
-                                  [w[x] if j == k else 0 for j in range(r3)])
-                                 for k in range(r3))
-            system.add(r3, terms, [0] * r3, rel3)
-        for row in src.m2.ab_relation_rows():
-            terms = []
-            for x in range(n2):
-                if row[x]:
-                    terms.extend((var[x][k],
-                                  [row[x] if j == k else 0 for j in range(r3)])
-                                 for k in range(r3))
-            system.add(r3, terms, [0] * r3, rel3)
-        for x in range(n2):
-            xm = src.m2.gen(x)
-            for a in range(src.m1.ngens):
-                am = src.m1.gen(a)
-                w = src.m2.ab(src.action2.apply(xm, am))
-                fa = f.f1(am)
-                cols = [coords3(tgt.action3.apply(hk, fa))
-                        for hk in tgt.m3.generators()]
-                terms = []
-                for y in range(n2):
-                    if w[y]:
-                        terms.extend((var[y][k],
-                                      [w[y] if j == k else 0 for j in range(r3)])
-                                     for k in range(r3))
-                terms.extend((var[x][k], [-c for c in cols[k]]) for k in range(r3))
-                system.add(r3, terms, [0] * r3, rel3)
-        sol = system.solve()
-        if sol is None:
-            rep.add("solvable", False, "the linear system has no integer solution")
-            rep.obstructions.append({"reason": "no integer solution to the "
-                                               "homotopy equations"})
-            return None, rep
-        u0, kernel = sol
-        killed = [x for x in range(n2) if tgt.m2.is_identity(f.f2.images[x])]
-        order = alpha_variable_order(n2, r3, killed)
-        u = reduce_with_order(u0, kernel, order)
-        witness = XC3Homotopy(tuple(from3(u[x * r3:(x + 1) * r3])
-                                    for x in range(n2)))
-        rep.meta["method"] = "linear"
-    else:
-        witness = _xc3_bounded_search(f, g, bound, r3, from3)
-        rep.meta["method"] = f"bounded search (bound {bound})"
-        if witness is None:
-            rep.add("solvable", False,
-                    f"no witness within coordinate bound {bound}")
-            rep.obstructions.append({"reason": "bounded search exhausted",
-                                     "bound": bound})
-            return None, rep
-    ver = verify_xc3_homotopy(f, g, witness)
-    if not ver.ok:
-        raise RuntimeError("internal error: solver witness failed re-verification")
-    rep.merge(ver)
-    rep.witnesses.append({
-        "alpha": [f.target.m3.element_to_json(a) for a in witness.alpha]})
-    return witness, rep
+        lin.refute("f1_equals_g1", "homotopy requires f1 = g1", "f1 != g1")
+        return None, lin.rep
+    alpha = lin.degree2(tgt.d3, f.f2, g.f2)
+    if alpha is None:
+        return None, lin.rep
+    for i, t in enumerate(src.m3.generators()):
+        rhs = tgt.m3.op(tgt.m3.inv(f.f3.images[i]), g.f3.images[i])
+        lin.add_sum(alpha, src.m2.ab(src.d3(t)), alpha.coords(rhs))
+    for z in src.under2:
+        lin.add_sum(alpha, src.m2.ab(z))
+    for row in src.m2.ab_relation_rows():
+        lin.add_sum(alpha, row)
+    for a in range(src.m1.ngens):
+        am = src.m1.gen(a)
+        fa = f.f1(am)
+        cols = [alpha.coords(tgt.action3.apply(h, fa)) for h in tgt.m3.generators()]
+        for x in range(src.m2.ngens):
+            w = src.m2.ab(src.action2.apply(src.m2.gen(x), am))
+            lin.add_sum(alpha, w, terms=[(alpha.var(x, k), [-c for c in cols[k]])
+                                         for k in range(alpha.dim)])
+    values = lin.solve()
+    if values is None:
+        return None, lin.rep
+    witness = XC3Homotopy(values[0])
+    lin.accept(verify_xc3_homotopy(f, g, witness),
+               {"alpha": [tgt.m3.element_to_json(a) for a in witness.alpha]})
+    return witness, lin.rep
 
 
-def _xc3_bounded_search(f: XC3Morphism, g: XC3Morphism, bound: int,
-                        r3: int, from3) -> XC3Homotopy | None:
-    n2 = f.source.m2.ngens
-    nvars = n2 * r3
-    width = 2 * bound + 1
-    if width ** nvars > 2_000_000:
-        raise ValueError("bounded homotopy search space too large; "
-                         "lower the bound or use a linear-solvable target")
-    span = list(range(-bound, bound + 1))
-    idx = [0] * nvars
-    while True:
-        values = tuple(from3([span[idx[x * r3 + k]] for k in range(r3)])
-                       for x in range(n2))
-        witness = XC3Homotopy(values)
-        if verify_xc3_homotopy(f, g, witness).ok:
-            return witness
-        pos = 0
-        while pos < nvars:
-            idx[pos] += 1
-            if idx[pos] < width:
-                break
-            idx[pos] = 0
-            pos += 1
-        if pos == nvars:
-            return None
-
-
-def xc3_homotopic(f: XC3Morphism, g: XC3Morphism, bound: int = 10
-                  ) -> XC3Homotopy | None:
-    return xc3_homotopy_decision(f, g, bound)[0]
+def xc3_homotopic(f: XC3Morphism, g: XC3Morphism) -> XC3Homotopy | None:
+    return xc3_homotopy_decision(f, g)[0]

@@ -28,6 +28,21 @@ def int_entries(values, what: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def word_pairs(obj, rank: int):
+    """Word input [[gen, exponent], ...] checked pair by pair: gen an int in
+    [0, rank), exponent an int; bool is rejected for both."""
+    if not isinstance(obj, (list, tuple)):
+        raise ValueError("a word must be an array of [generator, exponent] pairs")
+    for pair in obj:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"word entries must be [generator, exponent] pairs, "
+                             f"found {pair!r}")
+        gen, _ = int_entries(pair, "word pair")
+        if not 0 <= gen < rank:
+            raise ValueError(f"generator index {gen} out of range for rank {rank}")
+    return obj
+
+
 class Group:
     """Common interface for the supported group classes."""
 
@@ -207,7 +222,7 @@ class FreeGroup(Group):
         return word_to_pairs(self.canon(x))
 
     def element_from_json(self, obj):
-        return word_from_pairs(obj)
+        return word_from_pairs(word_pairs(obj, self.ngens))
 
     def random_element(self, rng, size: int = 6):
         length = rng.randint(0, size)
@@ -272,7 +287,7 @@ class FreeNil2Group(Group):
             if len(base) != self.ngens or len(comm) != npairs:
                 raise ValueError("element dimensions do not match the group rank")
             return nil2.Nil2Element(base, comm)
-        return self.normalize_word(word_from_pairs(obj))
+        return self.normalize_word(word_from_pairs(word_pairs(obj, self.ngens)))
 
     def random_element(self, rng, size: int = 6):
         if not self.ngens:

@@ -28,10 +28,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def vec_add(u: Sequence[int], v: Sequence[int]) -> list[int]:
-    return [a + b for a, b in zip(u, v)]
-
-
 def vec_sub(u: Sequence[int], v: Sequence[int]) -> list[int]:
     return [a - b for a, b in zip(u, v)]
 
@@ -40,25 +36,8 @@ def vec_neg(u: Sequence[int]) -> list[int]:
     return [-a for a in u]
 
 
-def vec_scale(k: int, u: Sequence[int]) -> list[int]:
-    return [k * a for a in u]
-
-
 def vec_is_zero(u: Iterable[int]) -> bool:
     return all(a == 0 for a in u)
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]) if b else 0)]
-            for i in range(len(a))]
-
-
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 class Lattice:

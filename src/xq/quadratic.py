@@ -24,11 +24,10 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .crossed import (GroupAction, PreCrossedModule, alpha_variable_order,
+from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule,
                       peiffer_commutator)
-from .groups import (FgAbelianGroup, Group, GroupHom, abelian_coords_info,
-                     central_coords_info)
-from .intlinalg import ZSystem, reduce_with_order, vec_sub
+from .groups import FgAbelianGroup, Group, GroupHom
+from .intlinalg import vec_sub
 from .report import Report, seed_from_env
 from .tensor import TensorElement
 
@@ -52,7 +51,7 @@ class ReducedQuadraticModule:
 
     def omega_apply(self, t: TensorElement):
         """omega of a tensor, folded over entries in row-major order."""
-        if t.n != self.q2.ngens:
+        if t.n != len(self.omega):
             raise ValueError("tensor rank must match rank of C")
         acc = self.q3.identity()
         for i, j, c in t.entries():
@@ -87,15 +86,12 @@ def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
     ok, why = q.d3.check_hom(rng)
     rep.add("d3_is_homomorphism", ok, why)
 
-    bad = None
     rel_rows = g2.ab_relation_rows()
-    for row in rel_rows:
-        for j in range(g2.ngens):
-            left = q.omega_apply(TensorElement.outer(row, q.braces(g2.gen(j))))
-            right = q.omega_apply(TensorElement.outer(q.braces(g2.gen(j)), row))
-            if not (g3.is_identity(left) and g3.is_identity(right)):
-                bad = f"omega does not kill the relation {list(row)}"
-                break
+    bad = next((f"omega does not kill the relation {list(row)}"
+                for row in rel_rows for ej in map(q.braces, g2.generators())
+                if not (g3.is_identity(q.omega_apply(TensorElement.outer(row, ej)))
+                        and g3.is_identity(q.omega_apply(TensorElement.outer(ej, row))))),
+               None)
     rep.add("omega_well_defined_on_C", bad is None, bad,
             note="vacuous: C free" if not rel_rows else "relation rows")
 
@@ -347,11 +343,8 @@ class QuadraticModule:
                 rows.append(list(vec_sub(moved, q2.ab(q2.gen(j)))))
         return FgAbelianGroup(q2.ngens, rows, names=q2.names)
 
-    def omega_apply(self, t: TensorElement):
-        acc = self.q3.identity()
-        for i, j, c in t.entries():
-            acc = self.q3.op(acc, self.q3.pow(self.omega[i][j], c))
-        return acc
+    # the same fold: both classes hold omega on the basis of C (x) C and q3
+    omega_apply = ReducedQuadraticModule.omega_apply
 
     def braces(self, x) -> tuple[int, ...]:
         return self.pre.m2.ab(x)
@@ -382,14 +375,11 @@ def qm_check(q: QuadraticModule, samples: int = 200, seed: int | None = None) ->
     rep.add("axiom1_nil2", bad is None, bad, note=f"{samples} samples")
 
     c = q.c_group()
-    bad = None
-    for row in c.ab_relation_rows():
-        for j in range(g2.ngens):
-            ej = q.braces(g2.gen(j))
-            if not (g3.is_identity(q.omega_apply(TensorElement.outer(row, ej)))
-                    and g3.is_identity(q.omega_apply(TensorElement.outer(ej, row)))):
-                bad = f"omega does not kill the C-relation {list(row)}"
-                break
+    bad = next((f"omega does not kill the C-relation {list(row)}"
+                for row in c.ab_relation_rows() for ej in map(q.braces, g2.generators())
+                if not (g3.is_identity(q.omega_apply(TensorElement.outer(row, ej)))
+                        and g3.is_identity(q.omega_apply(TensorElement.outer(ej, row))))),
+               None)
     rep.add("omega_well_defined_on_C", bad is None, bad)
 
     ok, why = q.d3.check_hom(rng)
@@ -437,27 +427,22 @@ def qm_check(q: QuadraticModule, samples: int = 200, seed: int | None = None) ->
     rep.add("axiom4_q3_commutators", bad is None, bad,
             note=f"all generator pairs + {samples} samples")
 
-    bad = None
-    for p in g3.generators():
-        for a in g1.generators():
-            if not g2.eq(q.d3(q.action3.apply(p, a)),
-                         q.pre.action.apply(q.d3(p), a)):
-                bad = "d3 not equivariant"
-                break
+    bad = next(("d3 not equivariant"
+                for p in g3.generators() for a in g1.generators()
+                if not g2.eq(q.d3(q.action3.apply(p, a)),
+                             q.pre.action.apply(q.d3(p), a))), None)
     rep.add("d3_equivariant", bad is None, bad)
 
-    bad = None
+    n = g2.ngens
+    w_mats = []
     for a in g1.generators():
-        w_cols = [list(g2.ab(q.pre.action.apply(g2.gen(j), a)))
-                  for j in range(g2.ngens)]
-        w_mat = [[w_cols[j][k] for j in range(g2.ngens)] for k in range(g2.ngens)]
-        for i in range(g2.ngens):
-            for j in range(g2.ngens):
-                t = TensorElement.basis(g2.ngens, i, j)
-                lhs = q.action3.apply(q.omega[i][j], a)
-                if not g3.eq(lhs, q.omega_apply(t.induced(w_mat))):
-                    bad = "omega not equivariant"
-                    break
+        w_cols = [g2.ab(q.pre.action.apply(g2.gen(j), a)) for j in range(n)]
+        w_mats.append((a, [[w_cols[j][k] for j in range(n)] for k in range(n)]))
+    bad = next(("omega not equivariant"
+                for a, w_mat in w_mats for i in range(n) for j in range(n)
+                if not g3.eq(q.action3.apply(q.omega[i][j], a),
+                             q.omega_apply(TensorElement.basis(n, i, j).induced(w_mat)))),
+               None)
     rep.add("omega_equivariant", bad is None, bad)
     return rep
 
@@ -588,193 +573,53 @@ def _alpha2_symbolic(word, f: QCMorphism, g: QCMorphism):
     return coeffs, const
 
 
-def _unit_terms(vars_block: Sequence[int], weight: int, dim: int):
-    """Terms contributing weight * u_k to coordinate k, for a variable block."""
-    return [(vars_block[k], [weight if j == k else 0 for j in range(dim)])
-            for k in range(dim)]
-
-
-def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, bound: int = 10
+def rq_homotopy_decision(f: QCMorphism, g: QCMorphism
                          ) -> tuple[QCHomotopy | None, Report]:
-    """Decide f ~ g and produce a canonical verified witness or an obstruction.
+    """Decide f ~ g and produce the canonical verified witness or an
+    obstruction, by the integer linear system of `LinearHomotopy`.
 
-    Complete whenever the target has abelian coordinates in degrees 3 and 4
-    and the degree-3 boundary is zero or lands centrally (in particular for
-    every abelian degree-2 target); otherwise falls back to a bounded
-    coordinate search with the bound reported.
+    alpha2 enters the degree-3 equations through its affine form on the
+    words of d3 (`_alpha2_symbolic`), so the system is linear.  Complete
+    whenever the target has abelian coordinates in degrees 3 and 4 and its
+    d3 is central on generators (zero, or landing in the centre, as on
+    every abelian degree-2 target).  Raises ValueError otherwise, naming
+    the first generator whose d3' value is not central; the cylinder Q is
+    such a target (d3(e3) = -e + e' + e'').
     """
-    rep = Report("quadratic homotopy")
-    if f.source is not g.source and f.source != g.source:
-        raise ValueError("morphisms must share a source")
-    if f.target is not g.target and f.target != g.target:
-        raise ValueError("morphisms must share a target")
+    lin = LinearHomotopy(f, g, "quadratic homotopy")
     src, tgt = f.source, f.target
-    info3 = abelian_coords_info(tgt.q3)
-    info4 = abelian_coords_info(tgt.q4)
-    n2, n3 = src.q2.ngens, src.q3.ngens
+    alpha2 = lin.degree2(tgt.d3, f.f2, g.f2)
+    if alpha2 is None:
+        return None, lin.rep
+    alpha3 = lin.unknowns(src.q3.ngens, tgt.q4, 4)
 
-    d3_zero = f.target.d3.is_zero()
-    if d3_zero:
-        for i in range(n2):
-            cx = tgt.q2.op(tgt.q2.inv(f.f2.images[i]), g.f2.images[i])
-            if not tgt.q2.is_identity(cx):
-                msg = (f"d3 = 0 in the target forces f2 = g2; the morphisms "
-                       f"differ at generator {src.q2.names[i]}")
-                rep.add("degree2_solvable", False, msg)
-                rep.obstructions.append({"reason": msg})
-                return None, rep
+    drow = [list(alpha2.coords(tgt.d4(hk))) for hk in tgt.q4.generators()]
+    for i, t in enumerate(src.q3.generators()):
+        coeffs, const = _alpha2_symbolic(src.q2.word_of(src.d3(t)), f, g)
+        rhs = tgt.q3.op_all(tgt.q3.inv(f.f3.images[i]), g.f3.images[i],
+                            tgt.q3.inv(const))
+        lin.add_sum(alpha2, coeffs, alpha2.coords(rhs),
+                    [(alpha3.var(i, k), drow[k]) for k in range(alpha3.dim)])
+    for i, k4 in enumerate(src.q4.generators()):
+        rhs = tgt.q4.op(tgt.q4.inv(f.f4.images[i]), g.f4.images[i])
+        lin.add_sum(alpha3, src.q3.ab(src.d4(k4)), alpha3.coords(rhs))
+    for row in src.q3.ab_relation_rows():
+        lin.add_sum(alpha3, row)
+    if src.under is not None:
+        base = src.under.base
+        for z in base.q2.generators():
+            coeffs, const = _alpha2_symbolic(src.q2.word_of(src.under.q2(z)), f, g)
+            lin.add_sum(alpha2, coeffs, alpha2.coords(tgt.q3.inv(const)))
+        for z in base.q3.generators():
+            lin.add_sum(alpha3, src.q3.ab(src.under.q3(z)))
 
-    linear = info3 is not None and info4 is not None
-    embed = rowsc = boundary_rows = None
-    dimc = 0
-    if linear and not d3_zero:
-        cinfo = central_coords_info(tgt.q2)
-        if cinfo is None:
-            linear = False
-        else:
-            dimc, embed, _, rowsc = cinfo
-            rows = [embed(tgt.d3(hk)) for hk in tgt.q3.generators()]
-            if any(r is None for r in rows):
-                linear = False
-            else:
-                boundary_rows = [list(r) for r in rows]
-
-    if not linear:
-        if info3 is None or info4 is None:
-            raise ValueError("homotopy search needs abelian coordinates on the "
-                             "target in degrees 3 and 4")
-        witness = _rq_bounded_search(f, g, bound, info3, info4)
-        rep.meta["method"] = f"bounded search (bound {bound})"
-        if witness is None:
-            rep.add("solvable", False, f"no witness within coordinate bound {bound}")
-            rep.obstructions.append({"reason": "bounded search exhausted",
-                                     "bound": bound})
-            return None, rep
-    else:
-        r3, coords3, from3, rel3 = info3
-        r4, coords4, from4, rel4 = info4
-        system = ZSystem()
-        uv2 = [system.new_vars(r3) for _ in range(n2)]
-        uv3 = [system.new_vars(r4) for _ in range(n3)]
-
-        if not d3_zero:
-            feasible = True
-            for i in range(n2):
-                cx = tgt.q2.op(tgt.q2.inv(f.f2.images[i]), g.f2.images[i])
-                ex = embed(cx)
-                if ex is None:
-                    msg = ("-f2 + g2 is not central at generator "
-                           f"{src.q2.names[i]}, but every d3' value is central")
-                    rep.add("degree2_solvable", False, msg)
-                    rep.obstructions.append({"reason": msg})
-                    feasible = False
-                    break
-                system.add(dimc, [(uv2[i][k], boundary_rows[k]) for k in range(r3)],
-                           list(ex), rowsc)
-            if not feasible:
-                return None, rep
-
-        drow = [list(coords3(tgt.d4(hk))) for hk in tgt.q4.generators()]
-        for i, t in enumerate(src.q3.generators()):
-            word = src.q2.word_of(src.d3(t))
-            coeffs, const = _alpha2_symbolic(word, f, g)
-            rhs_elt = tgt.q3.op_all(tgt.q3.inv(f.f3.images[i]), g.f3.images[i],
-                                    tgt.q3.inv(const))
-            terms = [(uv3[i][k], drow[k]) for k in range(r4)]
-            for x in range(n2):
-                if coeffs[x]:
-                    terms.extend(_unit_terms(uv2[x], coeffs[x], r3))
-            system.add(r3, terms, list(coords3(rhs_elt)), rel3)
-
-        for i, k4 in enumerate(src.q4.generators()):
-            w = src.q3.ab(src.d4(k4))
-            rhs = coords4(tgt.q4.op(tgt.q4.inv(f.f4.images[i]), g.f4.images[i]))
-            terms = []
-            for j in range(n3):
-                if w[j]:
-                    terms.extend(_unit_terms(uv3[j], w[j], r4))
-            system.add(r4, terms, list(rhs), rel4)
-
-        for row in src.q3.ab_relation_rows():
-            terms = []
-            for j in range(n3):
-                if row[j]:
-                    terms.extend(_unit_terms(uv3[j], row[j], r4))
-            system.add(r4, terms, [0] * r4, rel4)
-
-        if src.under is not None:
-            base = src.under.base
-            for z in base.q2.generators():
-                word = src.q2.word_of(src.under.q2(z))
-                coeffs, const = _alpha2_symbolic(word, f, g)
-                terms = []
-                for x in range(n2):
-                    if coeffs[x]:
-                        terms.extend(_unit_terms(uv2[x], coeffs[x], r3))
-                system.add(r3, terms, list(coords3(tgt.q3.inv(const))), rel3)
-            for z in base.q3.generators():
-                w = src.q3.ab(src.under.q3(z))
-                terms = []
-                for j in range(n3):
-                    if w[j]:
-                        terms.extend(_unit_terms(uv3[j], w[j], r4))
-                system.add(r4, terms, [0] * r4, rel4)
-
-        sol = system.solve()
-        if sol is None:
-            rep.add("solvable", False, "the homotopy equations have no integer solution")
-            rep.obstructions.append({"reason": "no integer solution to the "
-                                               "homotopy equations"})
-            return None, rep
-        u0, kernel = sol
-        killed = [x for x in range(n2) if tgt.q2.is_identity(f.f2.images[x])]
-        order = alpha_variable_order(n2, r3, killed)
-        order += [n2 * r3 + i * r4 + k
-                  for i in sorted(range(n3), reverse=True) for k in range(r4)]
-        u = reduce_with_order(u0, kernel, order)
-        witness = QCHomotopy(
-            tuple(from3(u[x * r3:(x + 1) * r3]) for x in range(n2)),
-            tuple(from4(u[n2 * r3 + i * r4: n2 * r3 + (i + 1) * r4])
-                  for i in range(n3)))
-        rep.meta["method"] = "linear"
-
-    ver = verify_rq_homotopy(f, g, witness)
-    if not ver.ok:
-        raise RuntimeError("internal error: solver witness failed re-verification")
-    rep.merge(ver)
-    rep.witnesses.append(witness.to_json(tgt))
-    return witness, rep
+    values = lin.solve()
+    if values is None:
+        return None, lin.rep
+    witness = QCHomotopy(*values)
+    lin.accept(verify_rq_homotopy(f, g, witness), witness.to_json(tgt))
+    return witness, lin.rep
 
 
-def _rq_bounded_search(f: QCMorphism, g: QCMorphism, bound: int, info3, info4
-                       ) -> QCHomotopy | None:
-    r3, _, from3, _ = info3
-    r4, _, from4, _ = info4
-    n2, n3 = f.source.q2.ngens, f.source.q3.ngens
-    nvars = n2 * r3 + n3 * r4
-    width = 2 * bound + 1
-    if width ** nvars > 2_000_000:
-        raise ValueError("bounded homotopy search space too large; "
-                         "lower the bound or use a linear-solvable target")
-    idx = [0] * nvars
-    while True:
-        vals = [v - bound for v in idx]
-        witness = QCHomotopy(
-            tuple(from3(vals[x * r3:(x + 1) * r3]) for x in range(n2)),
-            tuple(from4(vals[n2 * r3 + i * r4: n2 * r3 + (i + 1) * r4])
-                  for i in range(n3)))
-        if verify_rq_homotopy(f, g, witness).ok:
-            return witness
-        pos = 0
-        while pos < nvars:
-            idx[pos] += 1
-            if idx[pos] < width:
-                break
-            idx[pos] = 0
-            pos += 1
-        if pos == nvars:
-            return None
-
-
-def rq_homotopic(f: QCMorphism, g: QCMorphism, bound: int = 10) -> QCHomotopy | None:
-    return rq_homotopy_decision(f, g, bound)[0]
+def rq_homotopic(f: QCMorphism, g: QCMorphism) -> QCHomotopy | None:
+    return rq_homotopy_decision(f, g)[0]

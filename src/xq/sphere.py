@@ -219,8 +219,7 @@ class RetractionClass:
     representative: QCMorphism
 
 
-def classify_retractions(morphisms: list[QCMorphism], bound: int = 10
-                         ) -> list[RetractionClass]:
+def classify_retractions(morphisms: list[QCMorphism]) -> list[RetractionClass]:
     """Partition into homotopy classes (greedy against representatives); the
     representative of each class is the member with r = 0 when present."""
     from .quadratic import rq_homotopic
@@ -228,7 +227,7 @@ def classify_retractions(morphisms: list[QCMorphism], bound: int = 10
     classes: list[RetractionClass] = []
     for m in morphisms:
         for c in classes:
-            if rq_homotopic(c.representative, m, bound) is not None:
+            if rq_homotopic(c.representative, m) is not None:
                 c.members.append(m)
                 break
         else:
@@ -243,14 +242,13 @@ def classify_retractions(morphisms: list[QCMorphism], bound: int = 10
 
 
 def classification_report(ab_range: int = 3, r_bound: int = 10,
-                          bound: int = 10, samples: int = 100,
-                          seed: int | None = None) -> Report:
+                          samples: int = 100, seed: int | None = None) -> Report:
     """Full classification run: structures checked, retractions enumerated
     and classified, canonical witnesses and a cross-class obstruction
     recorded, homology route compared."""
     rep = Report("classification of retraction classes under D")
     rep.axioms = list(AXIOMS)
-    rep.meta.update(ab_range=ab_range, r_bound=r_bound, search_bound=bound)
+    rep.meta.update(ab_range=ab_range, r_bound=r_bound)
     d = build_sphere_D()
     q = build_cylinder_Q(d)
     for name, cx in (("D", d), ("Q", q)):
@@ -259,7 +257,7 @@ def classification_report(ab_range: int = 3, r_bound: int = 10,
         rep.add(f"structure_{name}_valid", chk.ok, first_fail)
     morphisms = enumerate_retractions(q, d, ab_range, r_bound)
     rep.meta["retractions"] = len(morphisms)
-    classes = classify_retractions(morphisms, bound)
+    classes = classify_retractions(morphisms)
     rep.add("two_classes", len(classes) == 2, f"found {len(classes)} classes")
     ab_set = sorted(c.ab for c in classes)
     rep.add("classes_are_projection_types", ab_set == [(0, 1), (1, 0)],
@@ -274,7 +272,7 @@ def classification_report(ab_range: int = 3, r_bound: int = 10,
                            for c in classes]
     for c in classes:
         for m in c.members:
-            witness, wrep = rq_homotopy_decision(c.representative, m, bound)
+            witness, wrep = rq_homotopy_decision(c.representative, m)
             if witness is None:
                 rep.add("family_witness", False,
                         f"no homotopy between {c.representative.tag} and {m.tag}")
@@ -283,7 +281,7 @@ def classification_report(ab_range: int = 3, r_bound: int = 10,
                                   **witness.to_json(d)})
     if len(classes) == 2:
         _, crep = rq_homotopy_decision(classes[0].representative,
-                                       classes[1].representative, bound)
+                                       classes[1].representative)
         rep.obstructions.extend(
             {**o, "pair": [list(classes[0].representative.tag),
                            list(classes[1].representative.tag)]}
@@ -297,7 +295,7 @@ def classification_report(ab_range: int = 3, r_bound: int = 10,
     return rep
 
 
-def assemble_selfmap_count(ab_range: int = 2, r_bound: int = 2, bound: int = 10,
+def assemble_selfmap_count(ab_range: int = 2, r_bound: int = 2,
                            orbit_count: int | None = None) -> Report:
     """count = (orbit_count * |pi_4(S^2)|)^2, cross-checked against the
     extended monoid order; unexpected orbit counts flag the derivation."""
@@ -306,8 +304,7 @@ def assemble_selfmap_count(ab_range: int = 2, r_bound: int = 2, bound: int = 10,
     if orbit_count is None:
         d = build_sphere_D()
         q = build_cylinder_Q(d)
-        classes = classify_retractions(
-            enumerate_retractions(q, d, ab_range, r_bound), bound)
+        classes = classify_retractions(enumerate_retractions(q, d, ab_range, r_bound))
         orbit_count = len(classes)
         rep.meta["orbit_count_source"] = (f"classification with ab_range={ab_range}, "
                                           f"r_bound={r_bound}")

@@ -447,11 +447,6 @@ def load_structure(text: str) -> StructureFile:
 
 # -- writers ------------------------------------------------------------------
 
-def group_structure(g: Group) -> dict:
-    return {"version": FORMAT_VERSION, "kind": "group",
-            "body": {"group": g.to_json()}}
-
-
 def rqc4_body(cx: ReducedQuadraticComplex4) -> dict:
     body = {
         "name": cx.name,

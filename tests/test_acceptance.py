@@ -46,7 +46,7 @@ def test_acceptance_2_two_retraction_classes(cylinder_q, sphere_d):
     start = time.perf_counter()
     morphisms = enumerate_retractions(cylinder_q, sphere_d,
                                       ab_range=3, r_bound=10)
-    classes = classify_retractions(morphisms, bound=10)
+    classes = classify_retractions(morphisms)
     elapsed = time.perf_counter() - start
     ab = sorted(c.ab for c in classes)
     ok = (len(classes) == 2 and ab == [(0, 1), (1, 0)] and elapsed < 5.0
@@ -63,7 +63,7 @@ def test_acceptance_3_canonical_witness_family(cylinder_q, sphere_d):
     detail = ""
     for r in range(-10, 11):
         other = retraction_candidate(cylinder_q, sphere_d, 1, 0, r)
-        h, _ = rq_homotopy_decision(base, other, bound=10)
+        h, _ = rq_homotopy_decision(base, other)
         expected = (q3.identity(), q3.pow(q3.gen(0), r), q3.identity())
         if h is None or tuple(h.alpha2) != expected or \
                 not all(sphere_d.q4.is_identity(a) for a in h.alpha3) or \

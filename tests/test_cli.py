@@ -194,3 +194,46 @@ def test_check_non_integer_element_entry_is_exit_2(structures_dir, tmp_path,
     assert code == 2
     assert "$.body.maps.f2.images[0]" in err
     assert "integers" in err
+
+
+def xc3_body(m2_rank, d3_image):
+    """A 3-complex with M2 free of the given rank on x, y, ... and
+    d3(t) = d3_image as word pairs."""
+    return {"m1": {"kind": "free_nil2", "rank": 1, "names": ["a"]},
+            "m2": {"kind": "free", "rank": m2_rank, "names": list("xy"[:m2_rank])},
+            "m3": {"kind": "free_abelian", "rank": 1, "names": ["t"]},
+            "d2": {"images": [{"base": [0], "comm": []}] * m2_rank},
+            "d3": {"images": [d3_image]},
+            "action2": {"kind": "trivial"}, "action3": {"kind": "trivial"},
+            "under2": [], "under3": []}
+
+
+@pytest.mark.parametrize("bad", [pytest.param([[0, True]], id="bool-exponent"),
+                                 pytest.param([[7, 1]], id="generator-out-of-range"),
+                                 pytest.param([["a", 1]], id="string-generator")])
+def test_check_bad_word_pair_is_exit_2(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": "1", "kind": "xc3",
+                                "body": xc3_body(1, bad)}))
+    code = run(["check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "$.body.d3.images[0]" in err
+
+
+def test_homotopic_with_noncentral_d3_is_exit_2(tmp_path, capsys):
+    cx = {"kind": "xc3", "body": xc3_body(2, [[0, 1]])}
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"version": "1", "kind": "pair",
+                                "body": {"source": cx, "target": cx}}))
+    ident = tmp_path / "id.json"
+    ident.write_text(json.dumps({
+        "version": "1", "kind": "morphism",
+        "body": {"source": cx, "target": cx,
+                 "maps": {"f1": {"images": [{"base": [1], "comm": []}]},
+                          "f2": {"images": [[[0, 1]], [[1, 1]]]},
+                          "f3": {"images": [[1]]}}}}))
+    code = run(["homotopic", str(pair), "--f", str(ident), "--g", str(ident)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "not central at generator t" in err

@@ -1,12 +1,14 @@
 import random
 
+import pytest
+
 from xq.crossed import (CrossedComplex3, GroupAction, PreCrossedModule,
                         XC3Homotopy, XC3Morphism, check_crossed,
                         check_precrossed, peiffer_commutator,
                         verify_xc3_homotopy, xc3_check, xc3_homotopic,
                         xc3_homotopy_decision, xc3_morphism_check)
-from xq.groups import (FgAbelianGroup, FreeAbelianGroup, FreeNil2Group,
-                       GroupHom)
+from xq.groups import (FgAbelianGroup, FreeAbelianGroup, FreeGroup,
+                       FreeNil2Group, GroupHom)
 
 
 def conjugation_module():
@@ -156,3 +158,31 @@ def test_verify_rejects_wrong_witness():
     wrong = XC3Homotopy((x.m3.pow(x.m3.gen(0), 2),))
     rep = verify_xc3_homotopy(f, g, wrong)
     assert not rep.ok
+
+
+def free_boundary_xc3(m3=None):
+    """M2 free of rank 2 on x, y with d3 = x on each generator of M3 (Z<t>
+    by default) and trivial actions; d3 is not central, so this is not a
+    crossed complex."""
+    m1 = FreeNil2Group(1, names=("a",))
+    m2 = FreeGroup(2, names=("x", "y"))
+    m3 = m3 or FreeAbelianGroup(1, names=("t",))
+    return CrossedComplex3(m1, m2, m3, GroupHom.zero(m2, m1),
+                           GroupHom(m3, m2, [m2.gen(0)] * m3.ngens),
+                           GroupAction.trivial(m1, m2),
+                           GroupAction.trivial(m1, m3))
+
+
+def test_xc3_homotopy_with_noncentral_d3_is_unsupported():
+    x = free_boundary_xc3()
+    ident = XC3Morphism(x, x, GroupHom.identity(x.m1), GroupHom.identity(x.m2),
+                        GroupHom.identity(x.m3))
+    with pytest.raises(ValueError, match="not central at generator t"):
+        xc3_homotopy_decision(ident, ident)
+
+
+def test_m3_abelian_names_the_first_non_commuting_pair():
+    x = free_boundary_xc3(FreeGroup(2, names=("s", "t")))
+    rep = xc3_check(x, samples=5, seed=0)
+    failed = {c.check_id: c.witness for c in rep.failed()}
+    assert failed["m3_abelian"] == "generators s and t do not commute"

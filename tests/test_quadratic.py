@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from xq.crossed import GroupAction, PreCrossedModule
 from xq.groups import (FgAbelianGroup, FreeAbelianGroup, FreeGroup,
                        FreeNil2Group, GroupHom)
@@ -8,7 +10,9 @@ from xq.quadratic import (QCHomotopy, QCMorphism, QuadraticModule,
                           alpha2_extend, qcm_check, qm_check, rq_homotopic,
                           rq_homotopy_decision, rqc4_check, rqm_check,
                           verify_rq_homotopy)
-from xq.sphere import build_cylinder_Q, build_sphere_D, retraction_candidate
+from xq.quadratic import complex_from_rqm
+from xq.sphere import (build_cylinder_Q, build_sphere_D, derive_reduced_q3,
+                       retraction_candidate)
 from xq.tensor import TensorElement
 
 
@@ -217,3 +221,67 @@ def test_q4_abelian_names_the_first_non_commuting_pair():
     rep = rqc4_check(c, samples=5, seed=0)
     failed = {c_.check_id: c_.witness for c_ in rep.failed()}
     assert failed == {"q4_abelian": "generators k and l do not commute"}
+
+
+def test_omega_well_defined_names_the_first_failing_relation():
+    # omega is injective, so it kills neither relation row of Z/2 + Z/2
+    q2 = FgAbelianGroup(2, [[2, 0], [0, 2]], names=("x", "y"))
+    q3 = FreeAbelianGroup(4)
+    omega = tuple(tuple(q3.gen(2 * i + j) for j in range(2)) for i in range(2))
+    rqm = ReducedQuadraticModule(q2, q3, omega, GroupHom.zero(q3, q2))
+    rep = rqm_check(rqm, samples=0, seed=0)
+    failed = {c.check_id: c.witness for c in rep.failed()}
+    assert failed["omega_well_defined_on_C"] == \
+        "omega does not kill the relation [2, 0]"
+
+
+def central_boundary_complex():
+    """Q2 free nil(2) on x, y; Q3 = Z^4 on the omega symbols with d3 the
+    commutator map, so d3 is non-zero with central values; Q4 = 0."""
+    q2 = FreeNil2Group(2, names=("x", "y"))
+    rels, boundaries = derive_reduced_q3(q2, [])
+    q3 = FgAbelianGroup(4, rels, names=[f"w({a},{b})" for a in "xy" for b in "xy"])
+    omega = tuple(tuple(q3.gen(2 * i + j) for j in range(2)) for i in range(2))
+    return complex_from_rqm(ReducedQuadraticModule(q2, q3, omega,
+                                                   GroupHom(q3, q2, boundaries)))
+
+
+def central_qcm(c, images):
+    """The morphism with f2 given on x, y and f3 forced by omega."""
+    f3 = [c.omega_apply(TensorElement.outer(c.braces(images[i]), c.braces(images[j])))
+          for i in range(2) for j in range(2)]
+    return QCMorphism(c, c, GroupHom(c.q2, c.q2, images),
+                      GroupHom(c.q3, c.q3, f3), GroupHom.identity(c.q4))
+
+
+def test_rq_homotopy_with_central_nonzero_d3():
+    c = central_boundary_complex()
+    assert rqc4_check(c, samples=50, seed=0).ok
+    q2 = c.q2
+    x, y = q2.generators()
+    xy = q2.commutator(x, y)
+    f = central_qcm(c, [x, y])
+    # central shifts in degree 2 are boundaries: a witness exists
+    for images in ([q2.op(x, xy), y], [x, q2.op(y, q2.pow(xy, 3))]):
+        g = central_qcm(c, images)
+        assert qcm_check(g, samples=20, seed=0).ok
+        h, rep = rq_homotopy_decision(f, g)
+        assert h is not None, rep.text()
+        assert rep.meta["method"] == "linear"
+        assert verify_rq_homotopy(f, g, h).ok
+    # x -> x + y differs from the identity by y, which is not central
+    g = central_qcm(c, [q2.op(x, y), y])
+    assert qcm_check(g, samples=20, seed=0).ok
+    h, rep = rq_homotopy_decision(f, g)
+    assert h is None
+    assert [(c_.check_id, c_.witness) for c_ in rep.failed()] == [
+        ("degree2_solvable",
+         "-f2 + g2 is not central at generator x, but every d3' value is central")]
+
+
+def test_rq_homotopy_with_noncentral_d3_is_unsupported():
+    q = build_cylinder_Q(build_sphere_D())
+    ident = QCMorphism(q, q, GroupHom.identity(q.q2), GroupHom.identity(q.q3),
+                       GroupHom.identity(q.q4))
+    with pytest.raises(ValueError, match="not central at generator e3"):
+        rq_homotopy_decision(ident, ident)
