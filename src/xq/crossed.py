@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 from .groups import (Group, GroupHom, abelian_coords_info, central_coords_info,
-                     invert_hom)
+                     generator_pairs, invert_hom)
 from .intlinalg import ZSystem, reduce_with_order
 from .report import Report, seed_from_env
 
@@ -95,36 +96,30 @@ class GroupAction:
         rep = Report("group action")
         acted, acting = self.acted, self.acting
         if self.kind == "table":
-            bad = None
-            for i in range(acting.ngens):
-                ok, why = self.endo(i).check_hom(rng, samples=10)
-                if not ok:
-                    bad = f"generator {acting.names[i]}: {why}"
-                    break
-            rep.add("action_endos_are_homs", bad is None, bad)
+            homs = (self.endo(i).check_hom(rng, samples=10) for i in range(acting.ngens))
+            rep.first_failure("action_endos_are_homs",
+                              (f"generator {acting.names[i]}: {why}"
+                               for i, (ok, why) in enumerate(homs) if not ok))
             if self.inverse_table is not None:
-                bad = next((f"inverse table wrong at generator {acting.names[i]}"
-                            for i in range(acting.ngens) for x in acted.generators()
-                            if not acted.eq(self.endo(i, -1)(self.endo(i, 1)(x)), x)),
-                           None)
-                rep.add("action_inverse_table", bad is None, bad)
+                rep.first_failure("action_inverse_table",
+                                  (f"inverse table wrong at generator {acting.names[i]}"
+                                   for i in range(acting.ngens) for x in acted.generators()
+                                   if not acted.eq(self.endo(i, -1)(self.endo(i, 1)(x)), x)))
         else:
             rep.add("action_endos_are_homs", True, note=f"{self.kind}: by construction")
-        bad = None
-        for _ in range(samples):
-            x = acted.random_element(rng)
-            y = acted.random_element(rng)
-            a = acting.random_element(rng)
-            b = acting.random_element(rng)
-            if not acted.eq(self.apply(acted.op(x, y), a),
-                            acted.op(self.apply(x, a), self.apply(y, a))):
-                bad = f"(x+y)^a != x^a + y^a at x={acted.format_element(x)}"
-                break
-            if not acted.eq(self.apply(self.apply(x, a), b),
-                            self.apply(x, acting.op(a, b))):
-                bad = f"x^(a+b) != (x^a)^b at x={acted.format_element(x)}"
-                break
-        rep.add("action_axioms_sampled", bad is None, bad, note=f"{samples} samples")
+
+        def axiom_failures():
+            for _ in range(samples):
+                x, y = acted.random_element(rng), acted.random_element(rng)
+                a, b = acting.random_element(rng), acting.random_element(rng)
+                if not acted.eq(self.apply(acted.op(x, y), a),
+                                acted.op(self.apply(x, a), self.apply(y, a))):
+                    yield f"(x+y)^a != x^a + y^a at x={acted.format_element(x)}"
+                if not acted.eq(self.apply(self.apply(x, a), b),
+                                self.apply(x, acting.op(a, b))):
+                    yield f"x^(a+b) != (x^a)^b at x={acted.format_element(x)}"
+        rep.first_failure("action_axioms_sampled", axiom_failures(),
+                          note=f"{samples} samples")
         return rep
 
     def to_json(self) -> dict:
@@ -184,19 +179,13 @@ def check_precrossed(m: PreCrossedModule, samples: int = 200,
     ok, why = m.d.check_hom(rng)
     rep.add("d_is_homomorphism", ok, why)
     rep.merge(m.action.check(rng, samples))
-    bad = None
-    pairs = [(x, a) for x in m.m2.generators() for a in m.m1.generators()]
-    extra = [(m.m2.random_element(rng), m.m1.random_element(rng))
-             for _ in range(samples)]
-    for x, a in pairs + extra:
-        lhs = m.d(m.action.apply(x, a))
-        rhs = m.m1.op_all(m.m1.inv(a), m.d(x), a)
-        if not m.m1.eq(lhs, rhs):
-            bad = (f"d(x^m) != -m + d(x) + m at x={m.m2.format_element(x)}, "
-                   f"m={m.m1.format_element(a)}")
-            break
-    rep.add("equivariance", bad is None, bad,
-            note=f"all generator pairs + {samples} samples")
+    rep.first_failure("equivariance",
+                      (f"d(x^m) != -m + d(x) + m at x={m.m2.format_element(x)}, "
+                       f"m={m.m1.format_element(a)}"
+                       for x, a in generator_pairs(m.m2, m.m1, rng, samples)
+                       if not m.m1.eq(m.d(m.action.apply(x, a)),
+                                      m.m1.op_all(m.m1.inv(a), m.d(x), a))),
+                      note=f"all generator pairs + {samples} samples")
     return rep
 
 
@@ -208,25 +197,16 @@ def check_crossed(m: PreCrossedModule, samples: int = 200,
     rep = check_precrossed(m, samples=samples, seed=seed)
     rep.title = "crossed module"
     rng = random.Random(seed + 1)
-    bad = None
-    gens = m.m2.generators()
-    for x in gens:
-        for y in gens:
-            if not m.m2.is_identity(peiffer_commutator(m, x, y)):
-                bad = (f"<{m.m2.format_element(x)}, {m.m2.format_element(y)}> = "
-                       f"{m.m2.format_element(peiffer_commutator(m, x, y))}")
-                break
-        if bad:
-            break
-    if bad is None:
-        for _ in range(samples):
-            x = m.m2.random_element(rng, size=max_len)
-            y = m.m2.random_element(rng, size=max_len)
-            if not m.m2.is_identity(peiffer_commutator(m, x, y)):
-                bad = (f"<{m.m2.format_element(x)}, {m.m2.format_element(y)}> != 0")
-                break
-    rep.add("peiffer_commutators_vanish", bad is None, bad,
-            note=f"all generator pairs + {samples} products of length <= {max_len}")
+    g, fmt = m.m2, m.m2.format_element
+    gens = g.generators()
+    on_generators = (f"<{fmt(x)}, {fmt(y)}> = {fmt(p)}" for x in gens for y in gens
+                     if not g.is_identity(p := peiffer_commutator(m, x, y)))
+    sampled = ((g.random_element(rng, size=max_len), g.random_element(rng, size=max_len))
+               for _ in range(samples))
+    rep.first_failure("peiffer_commutators_vanish", chain(
+        on_generators, (f"<{fmt(x)}, {fmt(y)}> != 0" for x, y in sampled
+                        if not g.is_identity(peiffer_commutator(m, x, y)))),
+        note=f"all generator pairs + {samples} products of length <= {max_len}")
     return rep
 
 
@@ -270,39 +250,25 @@ def xc3_check(x: CrossedComplex3, samples: int = 200,
     rep.merge(check_crossed(x.degree2_module(), samples=samples, seed=seed),
               prefix="degree2.")
     gens = x.m3.generators()
-    bad = next((f"generators {x.m3.names[i]} and {x.m3.names[j]} do not commute"
-                for i, p in enumerate(gens) for j, q in enumerate(gens)
-                if not x.m3.is_identity(x.m3.commutator(p, q))), None)
-    rep.add("m3_abelian", bad is None, bad)
+    rep.first_failure("m3_abelian",
+                      (f"generators {x.m3.names[i]} and {x.m3.names[j]} do not commute"
+                       for i, p in enumerate(gens) for j, q in enumerate(gens)
+                       if not x.m3.is_identity(x.m3.commutator(p, q))))
     ok, why = x.d3.check_hom(rng)
     rep.add("d3_is_homomorphism", ok, why)
-    bad = None
-    for t in x.m3.generators():
-        if not x.m1.is_identity(x.d2(x.d3(t))):
-            bad = f"d2 d3 != 0 at {x.m3.format_element(t)}"
-            break
-    rep.add("d2_d3_zero", bad is None, bad)
-    bad = None
-    pairs = [(t, y) for t in x.m3.generators() for y in x.m2.generators()]
-    extra = [(x.m3.random_element(rng), x.m2.random_element(rng))
-             for _ in range(samples)]
-    for t, y in pairs + extra:
-        if not x.m3.eq(x.action3.apply(t, x.d2(y)), x.m3.canon(t)):
-            bad = f"im(d2) moves {x.m3.format_element(t)}"
-            break
-    rep.add("im_d2_acts_trivially_on_m3", bad is None, bad,
-            note=f"all generator pairs + {samples} samples")
-    bad = None
-    pairs2 = [(t, a) for t in x.m3.generators() for a in x.m1.generators()]
-    extra2 = [(x.m3.random_element(rng), x.m1.random_element(rng))
-              for _ in range(samples)]
-    for t, a in pairs2 + extra2:
-        if not x.m2.eq(x.d3(x.action3.apply(t, a)),
-                       x.action2.apply(x.d3(t), a)):
-            bad = f"d3 not equivariant at {x.m3.format_element(t)}"
-            break
-    rep.add("d3_equivariant", bad is None, bad,
-            note=f"all generator pairs + {samples} samples")
+    rep.first_failure("d2_d3_zero", (f"d2 d3 != 0 at {x.m3.format_element(t)}"
+                                     for t in gens if not x.m1.is_identity(x.d2(x.d3(t)))))
+    rep.first_failure("im_d2_acts_trivially_on_m3",
+                      (f"im(d2) moves {x.m3.format_element(t)}"
+                       for t, y in generator_pairs(x.m3, x.m2, rng, samples)
+                       if not x.m3.eq(x.action3.apply(t, x.d2(y)), x.m3.canon(t))),
+                      note=f"all generator pairs + {samples} samples")
+    rep.first_failure("d3_equivariant",
+                      (f"d3 not equivariant at {x.m3.format_element(t)}"
+                       for t, a in generator_pairs(x.m3, x.m1, rng, samples)
+                       if not x.m2.eq(x.d3(x.action3.apply(t, a)),
+                                      x.action2.apply(x.d3(t), a))),
+                      note=f"all generator pairs + {samples} samples")
     rep.merge(x.action3.check(rng, samples), prefix="degree3.")
     return rep
 
@@ -327,42 +293,32 @@ def xc3_morphism_check(m: XC3Morphism, samples: int = 50,
         ok, why = h.check_hom(rng)
         rep.add(f"{name}_is_homomorphism", ok, why)
     src, tgt = m.source, m.target
-    bad = None
-    for x in src.m2.generators():
-        if not tgt.m1.eq(m.f1(src.d2(x)), tgt.d2(m.f2(x))):
-            bad = f"f1 d2 != d2' f2 at {src.m2.format_element(x)}"
-            break
-    rep.add("square_d2", bad is None, bad)
-    bad = None
-    for t in src.m3.generators():
-        if not tgt.m2.eq(m.f2(src.d3(t)), tgt.d3(m.f3(t))):
-            bad = f"f2 d3 != d3' f3 at {src.m3.format_element(t)}"
-            break
-    rep.add("square_d3", bad is None, bad)
-    bad = next(("f2 not equivariant"
-                for x in src.m2.generators() for a in src.m1.generators()
-                if not tgt.m2.eq(m.f2(src.action2.apply(x, a)),
-                                 tgt.action2.apply(m.f2(x), m.f1(a)))), None)
-    rep.add("f2_equivariant", bad is None, bad)
-    bad = next(("f3 not equivariant"
-                for t in src.m3.generators() for a in src.m1.generators()
-                if not tgt.m3.eq(m.f3(src.action3.apply(t, a)),
-                                 tgt.action3.apply(m.f3(t), m.f1(a)))), None)
-    rep.add("f3_equivariant", bad is None, bad)
+    rep.first_failure("square_d2", (f"f1 d2 != d2' f2 at {src.m2.format_element(x)}"
+                                    for x in src.m2.generators()
+                                    if not tgt.m1.eq(m.f1(src.d2(x)), tgt.d2(m.f2(x)))))
+    rep.first_failure("square_d3", (f"f2 d3 != d3' f3 at {src.m3.format_element(t)}"
+                                    for t in src.m3.generators()
+                                    if not tgt.m2.eq(m.f2(src.d3(t)), tgt.d3(m.f3(t)))))
+    rep.first_failure("f2_equivariant",
+                      ("f2 not equivariant"
+                       for x in src.m2.generators() for a in src.m1.generators()
+                       if not tgt.m2.eq(m.f2(src.action2.apply(x, a)),
+                                        tgt.action2.apply(m.f2(x), m.f1(a)))))
+    rep.first_failure("f3_equivariant",
+                      ("f3 not equivariant"
+                       for t in src.m3.generators() for a in src.m1.generators()
+                       if not tgt.m3.eq(m.f3(src.action3.apply(t, a)),
+                                        tgt.action3.apply(m.f3(t), m.f1(a)))))
     if src.under2 and len(src.under2) == len(tgt.under2):
-        bad = None
-        for z, w in zip(src.under2, tgt.under2):
-            if not tgt.m2.eq(m.f2(z), w):
-                bad = f"f2 moves under generator {src.m2.format_element(z)}"
-                break
-        rep.add("under_degree2", bad is None, bad)
+        rep.first_failure("under_degree2",
+                          (f"f2 moves under generator {src.m2.format_element(z)}"
+                           for z, w in zip(src.under2, tgt.under2)
+                           if not tgt.m2.eq(m.f2(z), w)))
     if src.under3 and len(src.under3) == len(tgt.under3):
-        bad = None
-        for z, w in zip(src.under3, tgt.under3):
-            if not tgt.m3.eq(m.f3(z), w):
-                bad = f"f3 moves under generator {src.m3.format_element(z)}"
-                break
-        rep.add("under_degree3", bad is None, bad)
+        rep.first_failure("under_degree3",
+                          (f"f3 moves under generator {src.m3.format_element(z)}"
+                           for z, w in zip(src.under3, tgt.under3)
+                           if not tgt.m3.eq(m.f3(z), w)))
     return rep
 
 
@@ -397,31 +353,24 @@ def verify_xc3_homotopy(f: XC3Morphism, g: XC3Morphism, h: XC3Homotopy) -> Repor
     alpha = h.hom(src, tgt)
     ok, why = alpha.check_hom()
     rep.add("alpha_additive", ok, why)
-    bad = None
-    for i, x in enumerate(src.m2.generators()):
-        lhs = tgt.m2.op(tgt.m2.inv(f.f2(x)), g.f2(x))
-        if not tgt.m2.eq(lhs, tgt.d3(alpha(x))):
-            bad = f"-f2 + g2 != d3' alpha at generator {src.m2.names[i]}"
-            break
-    rep.add("degree2_equation", bad is None, bad)
-    bad = None
-    for i, t in enumerate(src.m3.generators()):
-        lhs = tgt.m3.op(tgt.m3.inv(f.f3(t)), g.f3(t))
-        if not tgt.m3.eq(lhs, alpha(src.d3(t))):
-            bad = f"-f3 + g3 != alpha d3 at generator {src.m3.names[i]}"
-            break
-    rep.add("degree3_equation", bad is None, bad)
-    bad = None
-    for z in src.under2:
-        if not tgt.m3.is_identity(alpha(z)):
-            bad = f"alpha does not vanish on {src.m2.format_element(z)}"
-            break
-    rep.add("alpha_vanishes_on_under", bad is None, bad)
-    bad = next(("alpha not f1-equivariant"
-                for x in src.m2.generators() for a in src.m1.generators()
-                if not tgt.m3.eq(alpha(src.action2.apply(x, a)),
-                                 tgt.action3.apply(alpha(x), f.f1(a)))), None)
-    rep.add("alpha_equivariant", bad is None, bad)
+    rep.first_failure("degree2_equation",
+                      (f"-f2 + g2 != d3' alpha at generator {src.m2.names[i]}"
+                       for i, x in enumerate(src.m2.generators())
+                       if not tgt.m2.eq(tgt.m2.op(tgt.m2.inv(f.f2(x)), g.f2(x)),
+                                        tgt.d3(alpha(x)))))
+    rep.first_failure("degree3_equation",
+                      (f"-f3 + g3 != alpha d3 at generator {src.m3.names[i]}"
+                       for i, t in enumerate(src.m3.generators())
+                       if not tgt.m3.eq(tgt.m3.op(tgt.m3.inv(f.f3(t)), g.f3(t)),
+                                        alpha(src.d3(t)))))
+    rep.first_failure("alpha_vanishes_on_under",
+                      (f"alpha does not vanish on {src.m2.format_element(z)}"
+                       for z in src.under2 if not tgt.m3.is_identity(alpha(z))))
+    rep.first_failure("alpha_equivariant",
+                      ("alpha not f1-equivariant"
+                       for x in src.m2.generators() for a in src.m1.generators()
+                       if not tgt.m3.eq(alpha(src.action2.apply(x, a)),
+                                        tgt.action3.apply(alpha(x), f.f1(a)))))
     return rep
 
 

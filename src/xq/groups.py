@@ -17,13 +17,19 @@ from .intlinalg import Lattice, solve_left
 from .words import Letter, invert_word, reduce_word, word_from_pairs, word_to_pairs
 
 
+def is_int(v) -> bool:
+    """True for an int that is not a bool (JSON true and false are not
+    integers here)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def int_entries(values, what: str) -> tuple[int, ...]:
     """The entries of a JSON array as a tuple of ints.  Anything that is not
     an int is rejected, bool included."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{what} must be an array of integers")
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not is_int(v):
             raise ValueError(f"{what} entries must be integers, found {v!r}")
     return tuple(values)
 
@@ -433,6 +439,14 @@ def group_from_json(obj: dict) -> Group:
     raise ValueError(f"unknown group kind {kind!r}")
 
 
+def generator_pairs(left: Group, right: Group, rng: random.Random, samples: int) -> list:
+    """Every pair of generators of left x right, then `samples` random pairs,
+    all drawn at the call (left, then right, pair by pair)."""
+    return ([(x, y) for x in left.generators() for y in right.generators()]
+            + [(left.random_element(rng), right.random_element(rng))
+               for _ in range(samples)])
+
+
 class GroupHom:
     """Homomorphism given by generator images; evaluated on canonical words."""
 
@@ -624,21 +638,17 @@ def check_group_laws(g: Group, samples: int = 100, seed: int = 0):
     rng = random.Random(seed)
     rep = Report(f"group laws ({g.kind})")
     rep.meta.update(seed=seed, samples=samples)
-    bad_assoc = bad_unit = bad_inv = bad_canon = None
-    for _ in range(samples):
-        x = g.random_element(rng)
-        y = g.random_element(rng)
-        z = g.random_element(rng)
-        if not g.eq(g.op(g.op(x, y), z), g.op(x, g.op(y, z))):
-            bad_assoc = bad_assoc or g.format_element(x)
-        if not (g.eq(g.op(x, g.identity()), x) and g.eq(g.op(g.identity(), x), x)):
-            bad_unit = bad_unit or g.format_element(x)
-        if not g.is_identity(g.op(x, g.inv(x))):
-            bad_inv = bad_inv or g.format_element(x)
-        if g.canon(x) != g.canon(g.canon(x)):
-            bad_canon = bad_canon or g.format_element(x)
-    rep.add("associativity_sampled", bad_assoc is None, bad_assoc)
-    rep.add("identity_sampled", bad_unit is None, bad_unit)
-    rep.add("inverses_sampled", bad_inv is None, bad_inv)
-    rep.add("canonical_form_idempotent", bad_canon is None, bad_canon)
+    draws = [(g.random_element(rng), g.random_element(rng), g.random_element(rng))
+             for _ in range(samples)]
+    fmt, e = g.format_element, g.identity()
+    rep.first_failure("associativity_sampled",
+                      (fmt(x) for x, y, z in draws
+                       if not g.eq(g.op(g.op(x, y), z), g.op(x, g.op(y, z)))))
+    rep.first_failure("identity_sampled",
+                      (fmt(x) for x, _, _ in draws
+                       if not (g.eq(g.op(x, e), x) and g.eq(g.op(e, x), x))))
+    rep.first_failure("inverses_sampled", (fmt(x) for x, _, _ in draws
+                                           if not g.is_identity(g.op(x, g.inv(x)))))
+    rep.first_failure("canonical_form_idempotent",
+                      (fmt(x) for x, _, _ in draws if g.canon(x) != g.canon(g.canon(x))))
     return rep

@@ -106,20 +106,16 @@ def mbar_check_structure() -> Report:
     elems = mbar_elements()
     rep.meta["order"] = len(elems)
 
-    bad = None
-    for a, b, c in product(elems, repeat=3):
-        if mbar_compose(mbar_compose(a, b), c) != mbar_compose(a, mbar_compose(b, c)):
-            bad = f"({a} o {b}) o {c} != {a} o ({b} o {c})"
-            break
-    rep.add("associativity", bad is None, bad, note=f"{len(elems) ** 3} triples")
+    rep.first_failure("associativity",
+                      (f"({a} o {b}) o {c} != {a} o ({b} o {c})"
+                       for a, b, c in product(elems, repeat=3)
+                       if mbar_compose(mbar_compose(a, b), c)
+                       != mbar_compose(a, mbar_compose(b, c))),
+                      note=f"{len(elems) ** 3} triples")
 
     e = mbar_identity()
-    bad = None
-    for a in elems:
-        if mbar_compose(e, a) != a or mbar_compose(a, e) != a:
-            bad = f"identity fails at {a}"
-            break
-    rep.add("identity", bad is None, bad)
+    rep.first_failure("identity", (f"identity fails at {a}" for a in elems
+                                   if mbar_compose(e, a) != a or mbar_compose(a, e) != a))
 
     units = mbar_units()
     rep.meta["units"] = len(units)
@@ -128,25 +124,17 @@ def mbar_check_structure() -> Report:
     rep.add("units_are_trivial_or_swap",
             all(u.m in ("I", "T") for u in units))
 
-    bad = None
-    for u, w in product(units, repeat=2):
-        if mbar_compose(u, w) not in units:
-            bad = f"{u} o {w} leaves the unit group"
-            break
-    rep.add("units_closed", bad is None, bad)
+    rep.first_failure("units_closed", (f"{u} o {w} leaves the unit group"
+                                       for u, w in product(units, repeat=2)
+                                       if mbar_compose(u, w) not in units))
 
     # explicit isomorphism with the semidirect product: phi(m, v) = (t(m), v)
-    bad = None
-    for u, w in product(units, repeat=2):
-        tu = (0 if u.m == "I" else 1, u.v)
-        tw = (0 if w.m == "I" else 1, w.v)
-        got = mbar_compose(u, w)
-        want = semidirect_compose(tu, tw)
-        if (0 if got.m == "I" else 1, got.v) != want:
-            bad = f"tables differ at {u} o {w}"
-            break
-    rep.add("units_isomorphic_to_semidirect_product", bad is None, bad,
-            note="full table comparison under phi(m, v) = (m == T, v)")
+    def phi(u: ExtMonoidElement) -> tuple[int, tuple[int, int]]:
+        return (0 if u.m == "I" else 1, u.v)
+    rep.first_failure("units_isomorphic_to_semidirect_product",
+                      (f"tables differ at {u} o {w}" for u, w in product(units, repeat=2)
+                       if phi(mbar_compose(u, w)) != semidirect_compose(phi(u), phi(w))),
+                      note="full table comparison under phi(m, v) = (m == T, v)")
 
     rep.add("projection_types_idempotent",
             m_compose("P'", "P'") == "P'" and m_compose("P''", "P''") == "P''")

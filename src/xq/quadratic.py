@@ -26,8 +26,8 @@ from typing import NamedTuple, Sequence
 
 from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule,
                       peiffer_commutator)
-from .groups import FgAbelianGroup, Group, GroupHom
-from .intlinalg import vec_sub
+from .groups import FgAbelianGroup, Group, GroupHom, generator_pairs
+from .intlinalg import vec_neg, vec_sub
 from .report import Report, seed_from_env
 from .tensor import TensorElement
 
@@ -74,63 +74,63 @@ def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
     rep.meta.update(seed=seed, samples=samples)
     g2, g3 = q.q2, q.q3
 
-    bad = None
-    if not g2.is_nil2:
-        gens = g2.generators()
-        if any(not g2.is_identity(g2.commutator(g2.commutator(x, y), z))
-               for x in gens for y in gens for z in gens):
-            bad = "triple commutator of generators does not vanish"
-    rep.add("axiom1_q2_nil2", bad is None, bad,
-            note="structural" if g2.is_nil2 else "generator triples")
+    gens = () if g2.is_nil2 else g2.generators()
+    rep.first_failure("axiom1_q2_nil2",
+                      ("triple commutator of generators does not vanish"
+                       for x in gens for y in gens for z in gens
+                       if not g2.is_identity(g2.commutator(g2.commutator(x, y), z))),
+                      note="structural" if g2.is_nil2 else "generator triples")
 
     ok, why = q.d3.check_hom(rng)
     rep.add("d3_is_homomorphism", ok, why)
 
     rel_rows = g2.ab_relation_rows()
-    bad = next((f"omega does not kill the relation {list(row)}"
-                for row in rel_rows for ej in map(q.braces, g2.generators())
-                if not (g3.is_identity(q.omega_apply(TensorElement.outer(row, ej)))
-                        and g3.is_identity(q.omega_apply(TensorElement.outer(ej, row))))),
-               None)
-    rep.add("omega_well_defined_on_C", bad is None, bad,
-            note="vacuous: C free" if not rel_rows else "relation rows")
+    rep.first_failure("omega_well_defined_on_C",
+                      _omega_kills(q, rel_rows, g2, "omega does not kill the relation"),
+                      note="vacuous: C free" if not rel_rows else "relation rows")
 
-    bad = None
-    pairs = [(x, y) for x in g2.generators() for y in g2.generators()]
-    extra = [(g2.random_element(rng), g2.random_element(rng)) for _ in range(samples)]
-    for x, y in pairs + extra:
-        lhs = q.d3(q.omega_apply(TensorElement.outer(q.braces(x), q.braces(y))))
-        if not g2.eq(lhs, g2.commutator(x, y)):
-            bad = (f"d3 omega({{x}} (x) {{y}}) != (x, y) at "
-                   f"x={g2.format_element(x)}, y={g2.format_element(y)}")
-            break
-    rep.add("axiom2_d3_omega_is_commutator", bad is None, bad,
-            note=f"all generator pairs + {samples} samples")
+    rep.first_failure("axiom2_d3_omega_is_commutator",
+                      (f"d3 omega({{x}} (x) {{y}}) != (x, y) at "
+                       f"x={g2.format_element(x)}, y={g2.format_element(y)}"
+                       for x, y in generator_pairs(g2, g2, rng, samples)
+                       if not g2.eq(q.d3(q.omega_apply(TensorElement.outer(
+                           q.braces(x), q.braces(y)))), g2.commutator(x, y))),
+                      note=f"all generator pairs + {samples} samples")
 
-    bad = None
-    pairs3 = [(p, x) for p in g3.generators() for x in g2.generators()]
-    extra3 = [(g3.random_element(rng), g2.random_element(rng)) for _ in range(samples)]
-    for p, x in pairs3 + extra3:
-        bnd = q.braces(q.d3(p))
-        t = (TensorElement.outer(bnd, q.braces(x))
-             + TensorElement.outer(q.braces(x), bnd))
-        if not g3.is_identity(q.omega_apply(t)):
-            bad = f"omega({{d3 p}} (x) {{x}} + {{x}} (x) {{d3 p}}) != 0"
-            break
-    rep.add("axiom3_boundary_tensors_vanish", bad is None, bad,
-            note=f"all generator pairs + {samples} samples")
-
-    bad = None
-    pairs4 = [(p, r) for p in g3.generators() for r in g3.generators()]
-    extra4 = [(g3.random_element(rng), g3.random_element(rng)) for _ in range(samples)]
-    for p, r in pairs4 + extra4:
-        t = TensorElement.outer(q.braces(q.d3(p)), q.braces(q.d3(r)))
-        if not g3.eq(g3.commutator(p, r), q.omega_apply(t)):
-            bad = "(p, q) != omega({d3 p} (x) {d3 q})"
-            break
-    rep.add("axiom4_q3_commutators", bad is None, bad,
-            note=f"all generator pairs + {samples} samples")
+    rep.first_failure("axiom3_boundary_tensors_vanish",
+                      ("omega({d3 p} (x) {x} + {x} (x) {d3 p}) != 0"
+                       for p, x in generator_pairs(g3, g2, rng, samples)
+                       if not g3.is_identity(q.omega_apply(_boundary_tensor(q, p, x)))),
+                      note=f"all generator pairs + {samples} samples")
+    rep.first_failure("axiom4_q3_commutators", _q3_commutator_failures(q, rng, samples),
+                      note=f"all generator pairs + {samples} samples")
     return rep
+
+
+def _omega_kills(q, rows, q2: Group, what: str):
+    """Failures, as `what` and the row, of omega to kill a relation row of C
+    tensored on either side with the class of a generator of q2."""
+    g3 = q.q3
+    return (f"{what} {list(row)}"
+            for row in rows for ej in map(q.braces, q2.generators())
+            if not (g3.is_identity(q.omega_apply(TensorElement.outer(row, ej)))
+                    and g3.is_identity(q.omega_apply(TensorElement.outer(ej, row)))))
+
+
+def _boundary_tensor(q, p, x) -> TensorElement:
+    """{d3 p} (x) {x} + {x} (x) {d3 p}."""
+    bnd, bx = q.braces(q.d3(p)), q.braces(x)
+    return TensorElement.outer(bnd, bx) + TensorElement.outer(bx, bnd)
+
+
+def _q3_commutator_failures(q, rng: random.Random, samples: int):
+    """Failures of axiom 4, (p, r) = omega({d3 p} (x) {d3 r}), on generator
+    pairs and then on `samples` random pairs, which are drawn at once."""
+    g3 = q.q3
+    return ("(p, q) != omega({d3 p} (x) {d3 q})"
+            for p, r in generator_pairs(g3, g3, rng, samples)
+            if not g3.eq(g3.commutator(p, r), q.omega_apply(
+                TensorElement.outer(q.braces(q.d3(p)), q.braces(q.d3(r))))))
 
 
 @dataclass
@@ -275,12 +275,10 @@ def qcm_check(m: QCMorphism, samples: int = 50, seed: int | None = None) -> Repo
     rep.meta.update(seed=seed, samples=samples)
     for check_id, h, grp, equations in qcm_equations(m):
         if h is not None:
-            ok, bad = h.check_hom(rng)
+            rep.add(check_id, *h.check_hom(rng))
         else:
-            bad = next((msg for lhs, rhs, msg in equations
-                        if not grp.eq(lhs, rhs)), None)
-            ok = bad is None
-        rep.add(check_id, ok, bad)
+            rep.first_failure(check_id, (msg for lhs, rhs, msg in equations
+                                         if not grp.eq(lhs, rhs)))
     return rep
 
 
@@ -292,19 +290,16 @@ def rqc4_check(c: ReducedQuadraticComplex4, samples: int = 200,
     rep = rqm_check(c.rqm, samples=samples, seed=seed)
     rep.title = c.name
     gens = c.q4.generators()
-    bad = next((f"generators {c.q4.names[i]} and {c.q4.names[j]} do not commute"
-                for i, p in enumerate(gens) for j, r in enumerate(gens)
-                if not c.q4.is_identity(c.q4.commutator(p, r))), None)
-    rep.add("q4_abelian", bad is None, bad,
-            note="structural" if c.q4.is_abelian else "generator pairs")
+    rep.first_failure("q4_abelian",
+                      (f"generators {c.q4.names[i]} and {c.q4.names[j]} do not commute"
+                       for i, p in enumerate(gens) for j, r in enumerate(gens)
+                       if not c.q4.is_identity(c.q4.commutator(p, r))),
+                      note="structural" if c.q4.is_abelian else "generator pairs")
     ok, why = c.d4.check_hom(rng)
     rep.add("d4_is_homomorphism", ok, why)
-    bad = None
-    for i, k in enumerate(c.q4.generators()):
-        if not c.q2.is_identity(c.d3(c.d4(k))):
-            bad = f"d3 d4 != 0 at generator {c.q4.names[i]}"
-            break
-    rep.add("d3_d4_zero", bad is None, bad)
+    rep.first_failure("d3_d4_zero", (f"d3 d4 != 0 at generator {c.q4.names[i]}"
+                                     for i, k in enumerate(gens)
+                                     if not c.q2.is_identity(c.d3(c.d4(k)))))
     if c.under is not None:
         cof = QCMorphism(c.under.base, c, c.under.q2, c.under.q3, c.under.q4)
         sub = qcm_check(cof, samples=min(samples, 50), seed=seed)
@@ -361,89 +356,60 @@ def qm_check(q: QuadraticModule, samples: int = 200, seed: int | None = None) ->
     rep.merge(check_precrossed(q.pre, samples=samples, seed=seed), prefix="base.")
     g2, g3, g1 = q.pre.m2, q.q3, q.pre.m1
 
-    bad = None
-    for _ in range(samples):
-        x, y, z = (g2.random_element(rng) for _ in range(3))
-        if not g2.is_identity(peiffer_commutator(
-                q.pre, peiffer_commutator(q.pre, x, y), z)):
-            bad = "<<x,y>,z> does not vanish"
-            break
-        if not g2.is_identity(peiffer_commutator(
-                q.pre, x, peiffer_commutator(q.pre, y, z))):
-            bad = "<x,<y,z>> does not vanish"
-            break
-    rep.add("axiom1_nil2", bad is None, bad, note=f"{samples} samples")
+    def nil2_failures():
+        for _ in range(samples):
+            x, y, z = (g2.random_element(rng) for _ in range(3))
+            if not g2.is_identity(peiffer_commutator(
+                    q.pre, peiffer_commutator(q.pre, x, y), z)):
+                yield "<<x,y>,z> does not vanish"
+            if not g2.is_identity(peiffer_commutator(
+                    q.pre, x, peiffer_commutator(q.pre, y, z))):
+                yield "<x,<y,z>> does not vanish"
+    rep.first_failure("axiom1_nil2", nil2_failures(), note=f"{samples} samples")
 
-    c = q.c_group()
-    bad = next((f"omega does not kill the C-relation {list(row)}"
-                for row in c.ab_relation_rows() for ej in map(q.braces, g2.generators())
-                if not (g3.is_identity(q.omega_apply(TensorElement.outer(row, ej)))
-                        and g3.is_identity(q.omega_apply(TensorElement.outer(ej, row))))),
-               None)
-    rep.add("omega_well_defined_on_C", bad is None, bad)
+    rep.first_failure("omega_well_defined_on_C",
+                      _omega_kills(q, q.c_group().ab_relation_rows(), g2,
+                                   "omega does not kill the C-relation"))
 
     ok, why = q.d3.check_hom(rng)
     rep.add("d3_is_homomorphism", ok, why)
-    bad = None
-    for p in g3.generators():
-        if not g1.is_identity(q.pre.d(q.d3(p))):
-            bad = "d2 d3 != 0"
-            break
-    rep.add("d2_d3_zero", bad is None, bad)
+    rep.first_failure("d2_d3_zero", ("d2 d3 != 0" for p in g3.generators()
+                                     if not g1.is_identity(q.pre.d(q.d3(p)))))
 
-    bad = None
-    pairs = [(x, y) for x in g2.generators() for y in g2.generators()]
-    extra = [(g2.random_element(rng), g2.random_element(rng)) for _ in range(samples)]
-    for x, y in pairs + extra:
-        lhs = q.d3(q.omega_apply(TensorElement.outer(q.braces(x), q.braces(y))))
-        if not g2.eq(lhs, peiffer_commutator(q.pre, x, y)):
-            bad = "d3 omega != w (Peiffer lift)"
-            break
-    rep.add("axiom2_d3_omega_is_w", bad is None, bad,
-            note=f"all generator pairs + {samples} samples")
+    rep.first_failure("axiom2_d3_omega_is_w",
+                      ("d3 omega != w (Peiffer lift)"
+                       for x, y in generator_pairs(g2, g2, rng, samples)
+                       if not g2.eq(q.d3(q.omega_apply(TensorElement.outer(
+                           q.braces(x), q.braces(y)))), peiffer_commutator(q.pre, x, y))),
+                      note=f"all generator pairs + {samples} samples")
 
-    bad = None
-    pairs3 = [(p, x) for p in g3.generators() for x in g2.generators()]
-    extra3 = [(g3.random_element(rng), g2.random_element(rng)) for _ in range(samples)]
-    for p, x in pairs3 + extra3:
-        bnd = q.braces(q.d3(p))
-        t = (TensorElement.outer(bnd, q.braces(x))
-             + TensorElement.outer(q.braces(x), bnd))
-        lhs = q.action3.apply(p, q.pre.d(x))
-        if not g3.eq(lhs, g3.op(g3.canon(p), q.omega_apply(t))):
-            bad = "q^{d2 x} != q + omega({d3 q}(x){x} + {x}(x){d3 q})"
-            break
-    rep.add("axiom3_action_formula", bad is None, bad,
-            note=f"all generator pairs + {samples} samples")
+    rep.first_failure("axiom3_action_formula",
+                      ("q^{d2 x} != q + omega({d3 q}(x){x} + {x}(x){d3 q})"
+                       for p, x in generator_pairs(g3, g2, rng, samples)
+                       if not g3.eq(q.action3.apply(p, q.pre.d(x)),
+                                    g3.op(g3.canon(p),
+                                          q.omega_apply(_boundary_tensor(q, p, x))))),
+                      note=f"all generator pairs + {samples} samples")
+    rep.first_failure("axiom4_q3_commutators", _q3_commutator_failures(q, rng, samples),
+                      note=f"all generator pairs + {samples} samples")
 
-    bad = None
-    pairs4 = [(p, r) for p in g3.generators() for r in g3.generators()]
-    extra4 = [(g3.random_element(rng), g3.random_element(rng)) for _ in range(samples)]
-    for p, r in pairs4 + extra4:
-        t = TensorElement.outer(q.braces(q.d3(p)), q.braces(q.d3(r)))
-        if not g3.eq(g3.commutator(p, r), q.omega_apply(t)):
-            bad = "(p, q) != omega({d3 p} (x) {d3 q})"
-            break
-    rep.add("axiom4_q3_commutators", bad is None, bad,
-            note=f"all generator pairs + {samples} samples")
-
-    bad = next(("d3 not equivariant"
-                for p in g3.generators() for a in g1.generators()
-                if not g2.eq(q.d3(q.action3.apply(p, a)),
-                             q.pre.action.apply(q.d3(p), a))), None)
-    rep.add("d3_equivariant", bad is None, bad)
+    rep.first_failure("d3_equivariant",
+                      ("d3 not equivariant"
+                       for p in g3.generators() for a in g1.generators()
+                       if not g2.eq(q.d3(q.action3.apply(p, a)),
+                                    q.pre.action.apply(q.d3(p), a))))
 
     n = g2.ngens
     w_mats = []
     for a in g1.generators():
         w_cols = [g2.ab(q.pre.action.apply(g2.gen(j), a)) for j in range(n)]
         w_mats.append((a, [[w_cols[j][k] for j in range(n)] for k in range(n)]))
-    bad = next(("omega not equivariant"
-                for a, w_mat in w_mats for i in range(n) for j in range(n)
-                if not g3.eq(q.action3.apply(q.omega[i][j], a),
-                             q.omega_apply(TensorElement.basis(n, i, j).induced(w_mat)))),
-               None)
-    rep.add("omega_equivariant", bad is None, bad)
+    rep.first_failure("omega_equivariant",
+                      ("omega not equivariant"
+                       for a, w_mat in w_mats for i in range(n) for j in range(n)
+                       if not g3.eq(q.action3.apply(q.omega[i][j], a),
+                                    q.omega_apply(TensorElement.basis(n, i, j)
+                                                  .induced(w_mat)))))
     return rep
 
 
@@ -467,31 +433,33 @@ class QCHomotopy:
                 "alpha3": [target.q4.element_to_json(a) for a in self.alpha3]}
 
 
-def alpha2_extend(values: Sequence, f: QCMorphism, g: QCMorphism, x):
-    """Evaluate alpha2 on x by the left-to-right extension rule, given its
-    values on the source degree-2 generators."""
-    src2, tgt = f.source.q2, f.target
-    q3t = tgt.q3
-    n_c = tgt.q2.ngens
+def _alpha2_steps(word, f: QCMorphism, g: QCMorphism):
+    """The left-to-right extension rule on a word of letters (i, s), s = +-1:
+    yields (i, s, c) per letter, meaning alpha2 gains s alpha2(x_i) and then
+    the correction c in the target Q3."""
+    tgt = f.target
     f2ab = [tgt.q2.ab(im) for im in f.f2.images]
     g2ab = [tgt.q2.ab(im) for im in g.f2.images]
+    run = [0] * tgt.q2.ngens  # {g2 w} - {f2 w} on the prefix w read so far
+    for i, s in word:
+        dvec = vec_sub(g2ab[i], f2ab[i])
+        step = f2ab[i] if s > 0 else vec_neg(f2ab[i])
+        corr = tgt.omega_apply(TensorElement.outer(run, step))
+        if s < 0:
+            corr = tgt.q3.op(tgt.omega_apply(TensorElement.outer(dvec, f2ab[i])), corr)
+        yield i, s, corr
+        run = [a + s * b for a, b in zip(run, dvec)]
+
+
+def alpha2_extend(values: Sequence, f: QCMorphism, g: QCMorphism, x):
+    """Evaluate alpha2 on x by the left-to-right extension rule, given its
+    values on the source degree-2 generators; the values are folded in
+    order, as the target Q3 need not be abelian."""
+    src2, q3t = f.source.q2, f.target.q3
     acc = q3t.identity()
-    run_f = [0] * n_c
-    run_g = [0] * n_c
-    for i, s in src2.word_of(src2.canon(x)):
-        if s > 0:
-            val = q3t.canon(values[i])
-            step_f, step_g = list(f2ab[i]), list(g2ab[i])
-        else:
-            dvec = vec_sub(g2ab[i], f2ab[i])
-            corr0 = tgt.omega_apply(TensorElement.outer(dvec, f2ab[i]))
-            val = q3t.op(q3t.inv(q3t.canon(values[i])), corr0)
-            step_f = [-a for a in f2ab[i]]
-            step_g = [-a for a in g2ab[i]]
-        corr = tgt.omega_apply(TensorElement.outer(vec_sub(run_g, run_f), step_f))
-        acc = q3t.op_all(acc, val, corr)
-        run_f = [a + b for a, b in zip(run_f, step_f)]
-        run_g = [a + b for a, b in zip(run_g, step_g)]
+    for i, s, corr in _alpha2_steps(src2.word_of(src2.canon(x)), f, g):
+        val = q3t.canon(values[i])
+        acc = q3t.op_all(acc, val if s > 0 else q3t.inv(val), corr)
     return acc
 
 
@@ -502,74 +470,45 @@ def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy) -> Report:
     alpha3 = h.alpha3_hom(src, tgt)
     ok, why = alpha3.check_hom()
     rep.add("alpha3_is_homomorphism", ok, why)
-    bad = None
-    for i, x in enumerate(src.q2.generators()):
-        lhs = tgt.q2.op(tgt.q2.inv(f.f2(x)), g.f2(x))
-        if not tgt.q2.eq(lhs, tgt.d3(h.alpha2[i])):
-            bad = f"-f2 + g2 != d3' alpha2 at generator {src.q2.names[i]}"
-            break
-    rep.add("homotopy_degree2", bad is None, bad)
-    bad = None
-    for i, t in enumerate(src.q3.generators()):
-        lhs = tgt.q3.op(tgt.q3.inv(f.f3(t)), g.f3(t))
-        rhs = tgt.q3.op(tgt.d4(alpha3(t)),
-                        alpha2_extend(h.alpha2, f, g, src.d3(t)))
-        if not tgt.q3.eq(lhs, rhs):
-            bad = f"-f3 + g3 != d4' alpha3 + alpha2 d3 at generator {src.q3.names[i]}"
-            break
-    rep.add("homotopy_degree3", bad is None, bad)
-    bad = None
-    for i, k in enumerate(src.q4.generators()):
-        lhs = tgt.q4.op(tgt.q4.inv(f.f4(k)), g.f4(k))
-        if not tgt.q4.eq(lhs, alpha3(src.d4(k))):
-            bad = f"-f4 + g4 != alpha3 d4 at generator {src.q4.names[i]}"
-            break
-    rep.add("homotopy_degree4", bad is None, bad)
+    rep.first_failure("homotopy_degree2",
+                      (f"-f2 + g2 != d3' alpha2 at generator {src.q2.names[i]}"
+                       for i, x in enumerate(src.q2.generators())
+                       if not tgt.q2.eq(tgt.q2.op(tgt.q2.inv(f.f2(x)), g.f2(x)),
+                                        tgt.d3(h.alpha2[i]))))
+    rep.first_failure("homotopy_degree3",
+                      (f"-f3 + g3 != d4' alpha3 + alpha2 d3 at generator {src.q3.names[i]}"
+                       for i, t in enumerate(src.q3.generators())
+                       if not tgt.q3.eq(tgt.q3.op(tgt.q3.inv(f.f3(t)), g.f3(t)),
+                                        tgt.q3.op(tgt.d4(alpha3(t)), alpha2_extend(
+                                            h.alpha2, f, g, src.d3(t))))))
+    rep.first_failure("homotopy_degree4",
+                      (f"-f4 + g4 != alpha3 d4 at generator {src.q4.names[i]}"
+                       for i, k in enumerate(src.q4.generators())
+                       if not tgt.q4.eq(tgt.q4.op(tgt.q4.inv(f.f4(k)), g.f4(k)),
+                                        alpha3(src.d4(k)))))
     if src.under is not None:
         base = src.under.base
-        bad = None
-        for z in base.q2.generators():
-            if not tgt.q3.is_identity(alpha2_extend(h.alpha2, f, g, src.under.q2(z))):
-                bad = f"alpha2 does not vanish on {base.q2.format_element(z)}"
-                break
-        rep.add("alpha2_vanishes_on_under", bad is None, bad)
-        bad = None
-        for z in base.q3.generators():
-            if not tgt.q4.is_identity(alpha3(src.under.q3(z))):
-                bad = f"alpha3 does not vanish on {base.q3.format_element(z)}"
-                break
-        rep.add("alpha3_vanishes_on_under", bad is None, bad)
+        rep.first_failure("alpha2_vanishes_on_under",
+                          (f"alpha2 does not vanish on {base.q2.format_element(z)}"
+                           for z in base.q2.generators()
+                           if not tgt.q3.is_identity(
+                               alpha2_extend(h.alpha2, f, g, src.under.q2(z)))))
+        rep.first_failure("alpha3_vanishes_on_under",
+                          (f"alpha3 does not vanish on {base.q3.format_element(z)}"
+                           for z in base.q3.generators()
+                           if not tgt.q4.is_identity(alpha3(src.under.q3(z)))))
     return rep
 
 
 def _alpha2_symbolic(word, f: QCMorphism, g: QCMorphism):
     """Affine form of alpha2 on a word: integer coefficients per source
     degree-2 generator plus a constant element of the (abelian) target Q3."""
-    tgt = f.target
-    q3t = tgt.q3
-    n2 = f.source.q2.ngens
-    n_c = tgt.q2.ngens
-    f2ab = [tgt.q2.ab(im) for im in f.f2.images]
-    g2ab = [tgt.q2.ab(im) for im in g.f2.images]
-    coeffs = [0] * n2
+    q3t = f.target.q3
+    coeffs = [0] * f.source.q2.ngens
     const = q3t.identity()
-    run_f = [0] * n_c
-    run_g = [0] * n_c
-    for i, s in word:
-        if s > 0:
-            coeffs[i] += 1
-            step_f, step_g = list(f2ab[i]), list(g2ab[i])
-        else:
-            coeffs[i] -= 1
-            dvec = vec_sub(g2ab[i], f2ab[i])
-            const = q3t.op(const, tgt.omega_apply(
-                TensorElement.outer(dvec, f2ab[i])))
-            step_f = [-a for a in f2ab[i]]
-            step_g = [-a for a in g2ab[i]]
-        const = q3t.op(const, tgt.omega_apply(
-            TensorElement.outer(vec_sub(run_g, run_f), step_f)))
-        run_f = [a + b for a, b in zip(run_f, step_f)]
-        run_g = [a + b for a, b in zip(run_g, step_g)]
+    for i, s, corr in _alpha2_steps(word, f, g):
+        coeffs[i] += s
+        const = q3t.op(const, corr)
     return coeffs, const
 
 

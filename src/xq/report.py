@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 SAFE_INT = 2 ** 53
 
@@ -71,6 +71,14 @@ class Report:
         check = Check(check_id, bool(passed), witness, note)
         self.checks.append(check)
         return check
+
+    def first_failure(self, check_id: str, failures: Iterable[str],
+                      note: str | None = None) -> Check:
+        """Record `check_id` as passed unless the lazy iterable `failures`
+        yields a message; the first message is the witness, and nothing after
+        it is computed."""
+        witness = next(iter(failures), None)
+        return self.add(check_id, witness is None, witness, note)
 
     def merge(self, other: "Report", prefix: str = "") -> None:
         for c in other.checks:

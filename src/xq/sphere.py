@@ -14,10 +14,10 @@ from .groups import (FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, Group,
                      GroupHom, abelian_coords_info)
 from .intlinalg import ZSystem, solve_one_unknown, vec_neg, vec_sub
 from .monoid import mbar_elements
-from .quadratic import (QCMorphism, ReducedQuadraticComplex4,
+from .quadratic import (QCHomotopy, QCMorphism, ReducedQuadraticComplex4,
                         ReducedQuadraticModule, UnderCofibration, morphism_frame,
-                        qcm_check, qcm_equations, rq_homotopy_decision,
-                        rqc4_check)
+                        qcm_check, qcm_equations, rq_homotopic,
+                        rq_homotopy_decision, rqc4_check)
 from .report import Report
 from .tensor import TensorElement
 
@@ -214,30 +214,42 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
 
 @dataclass
 class RetractionClass:
+    """witnesses[k] is the homotopy from the representative to members[k]
+    (None for the representative itself)."""
+
     ab: tuple[int, int]
     members: list[QCMorphism]
     representative: QCMorphism
+    witnesses: list[QCHomotopy | None]
 
 
 def classify_retractions(morphisms: list[QCMorphism]) -> list[RetractionClass]:
-    """Partition into homotopy classes (greedy against representatives); the
-    representative of each class is the member with r = 0 when present."""
-    from .quadratic import rq_homotopic
+    """Partition into homotopy classes, greedily against representatives.
 
-    classes: list[RetractionClass] = []
-    for m in morphisms:
-        for c in classes:
-            if rq_homotopic(c.representative, m) is not None:
-                c.members.append(m)
+    Candidates with r = 0 are taken first (a stable sort), so the member that
+    opens a class, its representative, is the one with r = 0 when present.
+    Every other member keeps the witness of its homotopy from the
+    representative.  Members and classes are listed in input order."""
+    order = sorted(range(len(morphisms)),
+                   key=lambda k: not (morphisms[k].tag and morphisms[k].tag[2] == 0))
+    opened: list[tuple[QCMorphism, list]] = []  # representative, [(index, witness)]
+    for k in order:
+        for representative, entries in opened:
+            witness = rq_homotopic(representative, morphisms[k])
+            if witness is not None:
+                entries.append((k, witness))
                 break
         else:
-            ab = (m.tag[0], m.tag[1]) if m.tag else (0, 0)
-            classes.append(RetractionClass(ab, [m], m))
-    for c in classes:
-        for m in c.members:
-            if m.tag and m.tag[2] == 0:
-                c.representative = m
-                break
+            opened.append((morphisms[k], [(k, None)]))
+    for _, entries in opened:
+        entries.sort(key=lambda e: e[0])
+    opened.sort(key=lambda o: o[1][0][0])
+    classes = []
+    for representative, entries in opened:
+        first = morphisms[entries[0][0]]
+        classes.append(RetractionClass((first.tag[0], first.tag[1]) if first.tag else (0, 0),
+                                       [morphisms[k] for k, _ in entries], representative,
+                                       [w for _, w in entries]))
     return classes
 
 
@@ -271,12 +283,9 @@ def classification_report(ab_range: int = 3, r_bound: int = 10,
                             "members": [list(m.tag) for m in c.members]}
                            for c in classes]
     for c in classes:
-        for m in c.members:
-            witness, wrep = rq_homotopy_decision(c.representative, m)
-            if witness is None:
-                rep.add("family_witness", False,
-                        f"no homotopy between {c.representative.tag} and {m.tag}")
-                continue
+        for m, witness in zip(c.members, c.witnesses):
+            if witness is None:  # the representative, against itself
+                witness = rq_homotopic(m, m)
             rep.witnesses.append({"pair": [list(c.representative.tag), list(m.tag)],
                                   **witness.to_json(d)})
     if len(classes) == 2:

@@ -18,7 +18,7 @@ from .crossed import (CrossedComplex3, GroupAction, PreCrossedModule,
                       XC3Homotopy, XC3Morphism, check_crossed,
                       check_precrossed, verify_xc3_homotopy,
                       xc3_check, xc3_morphism_check)
-from .groups import Group, GroupHom, check_group_laws, group_from_json
+from .groups import Group, GroupHom, check_group_laws, group_from_json, is_int
 from .quadratic import (QCHomotopy, QCMorphism, QuadraticModule,
                         ReducedQuadraticComplex4, ReducedQuadraticModule,
                         UnderCofibration, qcm_check, qm_check, rqc4_check,
@@ -113,18 +113,18 @@ def _build_group(obj, path) -> Group:
         raise _err("group kind must be a string", kpath)
     if kind == "cyclic":
         order, opath = _get(obj, "order", path)
-        if not isinstance(order, int) or order < 1:
+        if not is_int(order) or order < 1:
             raise _err("cyclic group order must be an integer >= 1", opath)
     else:
         rank, rpath = _get(obj, "rank", path)
-        if not isinstance(rank, int) or rank < 0:
+        if not is_int(rank) or rank < 0:
             raise _err("rank must be a nonnegative integer", rpath)
         rels, relpath = _opt(obj, "relations", path)
         if rels is not None:
             rels = _expect_list(rels, relpath)
             for i, row in enumerate(rels):
                 row = _expect_list(row, f"{relpath}[{i}]")
-                if len(row) != rank or not all(isinstance(a, int) for a in row):
+                if len(row) != rank or not all(map(is_int, row)):
                     raise _err(f"relation rows must have {rank} integer entries",
                                f"{relpath}[{i}]")
     names, npath = _opt(obj, "names", path)

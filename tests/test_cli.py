@@ -77,6 +77,24 @@ def test_check_semantic_error_is_exit_2(tmp_path, capsys):
     assert "$.body.group.rank" in err
 
 
+@pytest.mark.parametrize("group,where", [
+    pytest.param({"kind": "free_abelian", "rank": True}, "$.body.group.rank",
+                 id="bool-rank"),
+    pytest.param({"kind": "cyclic", "order": True}, "$.body.group.order",
+                 id="bool-order"),
+    pytest.param({"kind": "fg_abelian", "rank": 2, "relations": [[0, True]]},
+                 "$.body.group.relations[0]", id="bool-relation-entry"),
+])
+def test_check_boolean_group_header_is_exit_2(tmp_path, capsys, group, where):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"version": "1", "kind": "group",
+                                "body": {"group": group}}))
+    code = run(["check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert where in err
+
+
 def test_usage_error_is_exit_2(capsys):
     assert run([]) == 2
     assert run(["s2xs2"]) == 2

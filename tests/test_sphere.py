@@ -134,3 +134,39 @@ def test_count_assembly():
     assert not rep3.ok
     assert rep3.meta["count"] == 36
     assert any(c.check_id == "orbit_count_is_2" for c in rep3.failed())
+
+
+def test_classification_keeps_each_members_witness(cylinder_q, sphere_d):
+    ms = enumerate_retractions(cylinder_q, sphere_d, ab_range=2, r_bound=2)
+    for c in classify_retractions(ms):
+        assert [m.tag[2] for m in c.members] == [-2, -1, 0, 1, 2]
+        for m, h in zip(c.members, c.witnesses):
+            if m is c.representative:
+                assert h is None
+            else:
+                assert xq.verify_rq_homotopy(c.representative, m, h).ok
+
+
+def test_classification_report_decides_each_pair_once(monkeypatch):
+    import hashlib
+
+    import xq.quadratic
+    import xq.sphere
+
+    calls = []
+    decide = xq.quadratic.rq_homotopy_decision
+
+    def counting(f, g):
+        calls.append((f.tag, g.tag))
+        return decide(f, g)
+
+    monkeypatch.setattr(xq.quadratic, "rq_homotopy_decision", counting)
+    monkeypatch.setattr(xq.sphere, "rq_homotopy_decision", counting)
+    rep = xq.classification_report(ab_range=3, r_bound=10, seed=0)
+    # 61 to classify 42 retractions, one (rep, rep) per class, one cross pair
+    assert len(calls) == 64
+    # the report is byte-identical to the one that decided every pair twice
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == \
+        "863a0947f6e14da4783f58694c84cf3d85ba22fee057cbd34c042e4ee66b2405"
+    assert hashlib.sha256(rep.text().encode()).hexdigest() == \
+        "184579fd57d83b7237ce9dfea7ac62b36ca8bd22dc0eb908a7593c2f83d1000a"

@@ -95,6 +95,19 @@ def test_bad_relation_row_path():
     assert exc.value.path == "$.body.group.relations[1]"
 
 
+@pytest.mark.parametrize("group,path", [
+    ({"kind": "free_abelian", "rank": True}, "$.body.group.rank"),
+    ({"kind": "cyclic", "order": True}, "$.body.group.order"),
+    ({"kind": "fg_abelian", "rank": 1, "relations": [[True]]},
+     "$.body.group.relations[0]"),
+])
+def test_boolean_group_header_entries_are_rejected(group, path):
+    raw = {"version": "1", "kind": "group", "body": {"group": group}}
+    with pytest.raises(sf.StructureError) as exc:
+        sf.build_structure(raw)
+    assert exc.value.path == path
+
+
 def test_wrong_image_count_path():
     d = build_sphere_D()
     raw = sf.rqc4_structure(d)
