@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 from .groups import (Group, GroupHom, abelian_coords_info, central_coords_info,
                      generator_pairs, invert_hom)
 from .intlinalg import ZSystem, reduce_with_order
-from .report import Report, seed_from_env
+from .report import Report, Undefined, seed_from_env
 
 
 class GroupAction:
@@ -77,7 +77,7 @@ class GroupAction:
                 try:
                     self._endos[key] = invert_hom(self.endo(i, 1))
                 except ValueError as exc:
-                    raise ValueError(
+                    raise Undefined(
                         f"action of -{self.acting.names[i]} is not available: {exc}")
         return self._endos[key]
 

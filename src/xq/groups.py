@@ -2,14 +2,17 @@
 
 All groups are written additively (also the non-commutative ones); rendering
 prints +/-.  Every class provides exact arithmetic, unique canonical element
-forms, a canonical word spelling in its generators (which makes homomorphism
-evaluation deterministic), and JSON (de)serialization matching the
-structure-file format.
+forms, a canonical word spelling in its generators, and JSON
+(de)serialization matching the structure-file format.  Homomorphisms are
+evaluated on the source's normal form: abelian coordinates and free nil(2)
+normal forms fold closed-form multiples, and only free-group sources are
+read letter by letter.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from . import nil2
@@ -32,6 +35,21 @@ def int_entries(values, what: str) -> tuple[int, ...]:
         if not is_int(v):
             raise ValueError(f"{what} entries must be integers, found {v!r}")
     return tuple(values)
+
+
+def format_terms(terms: Iterable[tuple[int, str]]) -> str:
+    """Render (coefficient, name) terms, zero coefficients left out, as
+    "x - 3*y + z"; the empty sum is "0"."""
+    bits = []
+    for e, name in terms:
+        if not e:
+            continue
+        body = name if abs(e) == 1 else f"{abs(e)}*{name}"
+        if not bits:
+            bits.append(body if e > 0 else f"-{body}")
+        else:
+            bits.append(f"{'+' if e > 0 else '-'} {body}")
+    return " ".join(bits) if bits else "0"
 
 
 def word_pairs(obj, rank: int):
@@ -155,22 +173,8 @@ class Group:
         return acc
 
     def format_element(self, x) -> str:
-        terms = []
-        for i, e in word_to_pairs(self.word_of(self.canon(x))):
-            name = self.names[i]
-            if e == 1:
-                terms.append(("+", name))
-            elif e == -1:
-                terms.append(("-", name))
-            else:
-                terms.append(("+" if e > 0 else "-", f"{abs(e)}*{name}"))
-        if not terms:
-            return "0"
-        first_sign, first = terms[0]
-        out = (first if first_sign == "+" else f"-{first}")
-        for sign, t in terms[1:]:
-            out += f" {sign} {t}"
-        return out
+        return format_terms((e, self.names[i])
+                            for i, e in word_to_pairs(self.word_of(self.canon(x))))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Group) and self.descriptor() == other.descriptor()
@@ -259,6 +263,9 @@ class FreeNil2Group(Group):
     def inv(self, x):
         return nil2.inv(x)
 
+    def pow(self, x, k: int):
+        return nil2.power(x, k)
+
     def canon(self, x):
         if not isinstance(x, nil2.Nil2Element) or x.n != self.ngens:
             raise ValueError("not an element of this group")
@@ -293,7 +300,10 @@ class FreeNil2Group(Group):
             if len(base) != self.ngens or len(comm) != npairs:
                 raise ValueError("element dimensions do not match the group rank")
             return nil2.Nil2Element(base, comm)
-        return self.normalize_word(word_from_pairs(word_pairs(obj, self.ngens)))
+        acc = self.identity()
+        for i, e in word_pairs(obj, self.ngens):
+            acc = nil2.mul(acc, nil2.power(self.gen(i), e))
+        return acc
 
     def random_element(self, rng, size: int = 6):
         if not self.ngens:
@@ -304,22 +314,11 @@ class FreeNil2Group(Group):
 
     def format_element(self, x) -> str:
         x = self.canon(x)
-        terms = []
-        for i, a in enumerate(x.base):
-            if a:
-                terms.append((a, self.names[i]))
-        for c, (i, j) in zip(x.comm, nil2.pair_list(self.ngens)):
-            if c:
-                terms.append((c, f"({self.names[i]},{self.names[j]})"))
-        if not terms:
-            return "0"
-        bits = []
-        for k, (e, name) in enumerate(terms):
-            sign = "+" if e > 0 else "-"
-            body = name if abs(e) == 1 else f"{abs(e)}*{name}"
-            bits.append(body if (k == 0 and sign == "+") else
-                        (f"-{body}" if k == 0 else f"{sign} {body}"))
-        return " ".join(bits)
+        names = self.names
+        return format_terms(chain(
+            zip(x.base, names),
+            ((c, f"({names[i]},{names[j]})")
+             for c, (i, j) in zip(x.comm, nil2.pair_list(self.ngens)))))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "rank": self.ngens, "names": list(self.names)}
@@ -353,6 +352,9 @@ class FgAbelianGroup(Group):
     def inv(self, x):
         return self.lattice.reduce([-a for a in x])
 
+    def pow(self, x, k: int):
+        return self.lattice.reduce([k * a for a in x])
+
     def canon(self, x):
         if len(x) != self.ngens:
             raise ValueError("element length does not match rank")
@@ -363,6 +365,9 @@ class FgAbelianGroup(Group):
 
     def ab(self, x):
         return self.canon(x)
+
+    def format_element(self, x) -> str:
+        return format_terms(zip(self.canon(x), self.names))
 
     @property
     def is_abelian(self) -> bool:
@@ -448,7 +453,8 @@ def generator_pairs(left: Group, right: Group, rng: random.Random, samples: int)
 
 
 class GroupHom:
-    """Homomorphism given by generator images; evaluated on canonical words."""
+    """Homomorphism given by generator images; evaluated on the source's
+    normal form."""
 
     def __init__(self, source: Group, target: Group, images: Iterable):
         self.source = source
@@ -466,10 +472,25 @@ class GroupHom:
         return GroupHom(source, target, [target.identity()] * source.ngens)
 
     def __call__(self, x):
-        acc = self.target.identity()
-        for i, s in self.source.word_of(self.source.canon(x)):
-            img = self.images[i]
-            acc = self.target.op(acc, img if s > 0 else self.target.inv(img))
+        """The fold of the images over the canonical word of x, computed from
+        the normal form.  A run of k equal letters is pow(image, k), and a
+        basic commutator (g_i, g_j) is spelled -g_i - g_j + g_i + g_j, so by
+        associativity alone the value is the same element in any target,
+        whether or not the images define a homomorphism."""
+        src, t, images = self.source, self.target, self.images
+        x = src.canon(x)
+        acc = t.identity()
+        if isinstance(src, FreeGroup):
+            for i, s in x:
+                acc = t.op(acc, images[i] if s > 0 else t.inv(images[i]))
+            return acc
+        base, comm = (x.base, x.comm) if isinstance(src, FreeNil2Group) else (x, ())
+        for img, a in zip(images, base):
+            if a:
+                acc = t.op(acc, t.pow(img, a))
+        for c, (i, j) in zip(comm, nil2.pair_list(src.ngens)):
+            if c:
+                acc = t.op(acc, t.pow(t.commutator(images[i], images[j]), c))
         return acc
 
     def then(self, other: "GroupHom") -> "GroupHom":

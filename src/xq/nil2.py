@@ -98,6 +98,17 @@ def inv(x: Nil2Element) -> Nil2Element:
     )
 
 
+def power(x: Nil2Element, k: int) -> Nil2Element:
+    """k x for any integer k, in closed form: delta is bilinear, so
+    induction on k gives (k a, k c + C(k, 2) delta(a, a)); k = -1 is inv."""
+    a = x.base
+    binom = k * (k - 1) // 2
+    return Nil2Element(
+        tuple(k * e for e in a),
+        tuple(k * c + binom * d for c, d in zip(x.comm, _delta(a, a, x.n))),
+    )
+
+
 def commutator(x: Nil2Element, y: Nil2Element) -> Nil2Element:
     return mul(mul(inv(x), inv(y)), mul(x, y))
 

@@ -37,6 +37,11 @@ def encode_numbers(obj: Any) -> Any:
     return obj
 
 
+class Undefined(ValueError):
+    """A value a check needs is not defined by the structure, such as the
+    action of -a when the endomorphism of a is not invertible."""
+
+
 @dataclass
 class Check:
     check_id: str
@@ -76,8 +81,12 @@ class Report:
                       note: str | None = None) -> Check:
         """Record `check_id` as passed unless the lazy iterable `failures`
         yields a message; the first message is the witness, and nothing after
-        it is computed."""
-        witness = next(iter(failures), None)
+        it is computed.  A scan that meets a value the structure leaves
+        undefined fails with the `Undefined` message as witness."""
+        try:
+            witness = next(iter(failures), None)
+        except Undefined as exc:
+            witness = str(exc)
         return self.add(check_id, witness is None, witness, note)
 
     def merge(self, other: "Report", prefix: str = "") -> None:

@@ -170,6 +170,17 @@ def test_action_endos_are_homs_fires():
                            "generator a: relation [2, 0] maps to a non-identity element"}
 
 
+def test_action_without_inverse_fails_when_sampled():
+    # the endomorphism of a is not invertible, so -a does not act
+    acting = FreeAbelianGroup(1, names=("a",))
+    acted = FgAbelianGroup(2, [[2, 0]], names=("x0", "x1"))
+    action = GroupAction(acting, acted, table=[[acted.gen(1)], [acted.gen(1)]])
+    rep = action.check(random.Random(0), 5)
+    assert failed(rep) == {
+        "action_endos_are_homs": "generator a: relation [2, 0] maps to a non-identity element",
+        "action_axioms_sampled": "action of -a is not available: endomorphism is not invertible"}
+
+
 # -- crossed 3-complexes, their morphisms and homotopies ---------------------------
 
 def rank1_xc3(d2_to_a=False, d3_double=True, negate2=False, negate3=False,

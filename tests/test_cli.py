@@ -39,6 +39,37 @@ def test_check_fails_with_exit_1(tmp_path, capsys):
     assert "FAIL peiffer_commutators_vanish" in out
 
 
+def test_check_action_without_inverse_is_exit_1(tmp_path, capsys):
+    # x0, x1 -> x1 is not an automorphism of Z/2 + Z, so -a does not act
+    raw = {"version": "1", "kind": "precrossed",
+           "body": {"m1": {"kind": "free_abelian", "rank": 1, "names": ["a"]},
+                    "m2": {"kind": "fg_abelian", "rank": 2, "relations": [[2, 0]],
+                           "names": ["x0", "x1"]},
+                    "d": {"images": [[0], [0]]},
+                    "action": {"table": [[[0, 1]], [[0, 1]]]}}}
+    path = tmp_path / "bad_action.json"
+    path.write_text(serialize_structure(raw))
+    code = run(["check", str(path), "--samples", "5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert ("FAIL action_axioms_sampled (5 samples) -- action of -a is not "
+            "available: endomorphism is not invertible") in out
+
+
+def test_check_nil2_word_image_with_huge_exponent(structures_dir, tmp_path, capsys):
+    # f2(e) = 10^18 e breaks the square with d3, and is parsed and checked
+    # without spelling 10^18 letters
+    with open(shipped(structures_dir, "retraction_pr1.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["body"]["maps"]["f2"]["images"][0] = [[0, 10 ** 18]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    code = run(["check", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL square_d3" in out
+
+
 def test_check_reports_json_out(tmp_path, structures_dir, capsys):
     out_path = tmp_path / "report.json"
     code = run(["check", shipped(structures_dir, "sphere_D.json"),

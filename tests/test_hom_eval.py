@@ -1,0 +1,108 @@
+"""Homomorphisms evaluated on normal forms against the letter-by-letter
+reference, nil(2) multiples in closed form, and the parsing and rendering
+paths that no longer spell elements as letters."""
+
+import random
+
+import pytest
+
+from xq import nil2
+from xq.groups import (CyclicGroup, FgAbelianGroup, FreeAbelianGroup,
+                       FreeGroup, FreeNil2Group, Group, GroupHom)
+from xq.sphere import build_sphere_D
+from xq.words import word_from_pairs
+
+from hom_oracle import letter_eval
+from oracle import oracle_normal_form, random_word
+
+SOURCES = [FreeAbelianGroup(2), FgAbelianGroup(3, [[2, 0, 0], [0, 3, 3]]),
+           CyclicGroup(5), FreeNil2Group(1), FreeNil2Group(2), FreeNil2Group(3)]
+TARGETS = [FreeNil2Group(2), FgAbelianGroup(2, [[4, 2]]), FreeGroup(2)]
+# free-group images that pairwise do not commute
+FREE_IMAGES = [((0, 1),), ((1, 1), (0, -1)), ((0, 1), (1, 1), (0, 1))]
+
+
+def big_element(g, rng, size=12):
+    """A random element with coefficients up to `size`, larger than
+    `random_element` draws, so that runs and commutator powers are long."""
+    if isinstance(g, FreeNil2Group):
+        return nil2.Nil2Element(
+            tuple(rng.randint(-size, size) for _ in range(g.ngens)),
+            tuple(rng.randint(-size, size) for _ in nil2.pair_list(g.ngens)))
+    return g.canon(tuple(rng.randint(-size, size) for _ in range(g.ngens)))
+
+
+@pytest.mark.parametrize("target", TARGETS, ids=lambda g: f"{g.kind}{g.ngens}")
+@pytest.mark.parametrize("source", SOURCES, ids=lambda g: f"{g.kind}{g.ngens}")
+def test_normal_form_eval_matches_letter_oracle(source, target):
+    rng = random.Random(31)
+    for _ in range(10):
+        if isinstance(target, FreeGroup):
+            images = FREE_IMAGES[:source.ngens]
+        else:
+            images = [target.random_element(rng) for _ in range(source.ngens)]
+        hom = GroupHom(source, target, images)
+        for _ in range(10):
+            x = big_element(source, rng)
+            assert hom(x) == letter_eval(hom, x), (images, x)
+
+
+@pytest.mark.parametrize("k", range(-6, 7))
+def test_nil2_power_matches_repeated_mul_and_oracle(k):
+    rng = random.Random(32 + k)
+    for _ in range(50):
+        n = rng.randint(1, 3)
+        w = random_word(rng, n, 6)
+        x = nil2.normalize_word(w, n)
+        step = x if k >= 0 else nil2.inv(x)
+        folded = nil2.identity(n)
+        for _ in range(abs(k)):
+            folded = nil2.mul(folded, step)
+        got = nil2.power(x, k)
+        assert got == folded
+        spelled = w * k if k >= 0 else [(i, -s) for i, s in reversed(w)] * -k
+        assert (got.base, got.comm) == oracle_normal_form(spelled, n)
+
+
+def test_d3_of_sphere_D_at_exponent_10_18():
+    d = build_sphere_D()
+    assert d.d3(d.q3.canon((10 ** 18,))).base == (0,)
+
+
+def test_nil2_word_input_is_folded_per_pair():
+    g = FreeNil2Group(3)
+    # 2 g0 + 3 g1 - g0: moving -g0 back past 3 g1 leaves 3 (g0, g1)
+    assert g.element_from_json([[0, 2], [1, 3], [0, -1]]) == \
+        g.element_from_json({"base": [1, 3, 0], "comm": [3, 0, 0]})
+    rng = random.Random(33)
+    for _ in range(200):
+        pairs = [[rng.randrange(3), rng.randint(-5, 5)] for _ in range(rng.randint(0, 5))]
+        x = g.element_from_json(pairs)
+        assert x == g.normalize_word(word_from_pairs(pairs))
+        assert g.element_from_json(g.element_to_json(x)) == x
+
+
+def test_nil2_word_input_with_exponent_10_18():
+    g = FreeNil2Group(2)
+    e = 10 ** 18
+    x = g.element_from_json([[1, e], [0, e]])
+    assert x == nil2.Nil2Element((e, e), (-e * e,))
+
+
+@pytest.mark.parametrize("coords, text", [
+    ((1, -1), "x - y"), ((-1, 1), "-x + y"), ((3, -3), "3*x - 3*y"),
+    ((-3, 3), "-3*x + 3*y"), ((0, 0), "0"), ((0, -1), "-y"),
+    ((10 ** 12, -10 ** 12), "1000000000000*x - 1000000000000*y")])
+def test_abelian_format_element(coords, text):
+    assert FreeAbelianGroup(2, names=("x", "y")).format_element(coords) == text
+
+
+@pytest.mark.parametrize("g", [FgAbelianGroup(3, [[2, 0, 0], [0, 3, 3]]),
+                               CyclicGroup(5), FreeAbelianGroup(2)],
+                         ids=lambda g: f"{g.kind}{g.ngens}")
+def test_abelian_format_element_matches_word_rendering(g):
+    rng = random.Random(34)
+    for _ in range(200):
+        x = g.random_element(rng)
+        # the base class renders word_to_pairs(word_of(x))
+        assert g.format_element(x) == Group.format_element(g, x)
