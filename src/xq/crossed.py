@@ -12,7 +12,7 @@ Group actions are right actions given on generators; conventions:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
@@ -25,10 +25,12 @@ from .report import Report, Undefined, seed_from_env
 class GroupAction:
     """Right action of `acting` on `acted`, stored as a generator table.
 
-    table[x][a] is the image of acted.gen(x) under acting.gen(a).  The action
-    of a word evaluates letter by letter; negative letters need the inverse
-    endomorphisms, which are derived automatically for abelian and free
-    nil(2) acted groups or supplied as an explicit inverse_table.
+    table[x][a] is the image of acted.gen(x) under acting.gen(a).  An acting
+    element acts run by run along its canonical word (`Group.word_runs`), a
+    block repeated k times as the k-th power of its endomorphism, so no
+    exponent is expanded into letters.  Negative letters need the
+    inverse endomorphisms, which are derived automatically for abelian and
+    free nil(2) acted groups or supplied as an explicit inverse_table.
     """
 
     def __init__(self, acting: Group, acted: Group, kind: str = "table",
@@ -88,8 +90,11 @@ class GroupAction:
         if self.kind == "conjugation":
             return self.acted.op_all(self.acted.inv(a), x, a)
         out = self.acted.canon(x)
-        for i, s in self.acting.word_of(self.acting.canon(a)):
-            out = self.endo(i, s)(out)
+        for block, count in self.acting.word_runs(a):
+            unit = self.endo(*block[0])
+            for i, s in block[1:]:
+                unit = unit.then(self.endo(i, s))
+            out = unit.power(count)(out)
         return out
 
     def check(self, rng: random.Random, samples: int) -> Report:
@@ -99,7 +104,8 @@ class GroupAction:
             homs = (self.endo(i).check_hom(rng, samples=10) for i in range(acting.ngens))
             rep.first_failure("action_endos_are_homs",
                               (f"generator {acting.names[i]}: {why}"
-                               for i, (ok, why) in enumerate(homs) if not ok))
+                               for i, (ok, why) in enumerate(homs) if not ok),
+                              basis="proved")
             if self.inverse_table is not None:
                 rep.first_failure("action_inverse_table",
                                   (f"inverse table wrong at generator {acting.names[i]}"
@@ -119,7 +125,7 @@ class GroupAction:
                                 self.apply(x, acting.op(a, b))):
                     yield f"x^(a+b) != (x^a)^b at x={acted.format_element(x)}"
         rep.first_failure("action_axioms_sampled", axiom_failures(),
-                          note=f"{samples} samples")
+                          note=f"{samples} samples", basis="sampled")
         return rep
 
     def to_json(self) -> dict:
@@ -176,8 +182,7 @@ def check_precrossed(m: PreCrossedModule, samples: int = 200,
     rng = random.Random(seed)
     rep = Report("pre-crossed module")
     rep.meta.update(seed=seed, samples=samples)
-    ok, why = m.d.check_hom(rng)
-    rep.add("d_is_homomorphism", ok, why)
+    rep.add_hom("d_is_homomorphism", m.d, rng, samples)
     rep.merge(m.action.check(rng, samples))
     rep.first_failure("equivariance",
                       (f"d(x^m) != -m + d(x) + m at x={m.m2.format_element(x)}, "
@@ -185,7 +190,7 @@ def check_precrossed(m: PreCrossedModule, samples: int = 200,
                        for x, a in generator_pairs(m.m2, m.m1, rng, samples)
                        if not m.m1.eq(m.d(m.action.apply(x, a)),
                                       m.m1.op_all(m.m1.inv(a), m.d(x), a))),
-                      note=f"all generator pairs + {samples} samples")
+                      note=f"all generator pairs + {samples} samples", basis="sampled")
     return rep
 
 
@@ -206,7 +211,8 @@ def check_crossed(m: PreCrossedModule, samples: int = 200,
     rep.first_failure("peiffer_commutators_vanish", chain(
         on_generators, (f"<{fmt(x)}, {fmt(y)}> != 0" for x, y in sampled
                         if not g.is_identity(peiffer_commutator(m, x, y)))),
-        note=f"all generator pairs + {samples} products of length <= {max_len}")
+        note=f"all generator pairs + {samples} products of length <= {max_len}",
+        basis="sampled")
     return rep
 
 
@@ -254,21 +260,20 @@ def xc3_check(x: CrossedComplex3, samples: int = 200,
                       (f"generators {x.m3.names[i]} and {x.m3.names[j]} do not commute"
                        for i, p in enumerate(gens) for j, q in enumerate(gens)
                        if not x.m3.is_identity(x.m3.commutator(p, q))))
-    ok, why = x.d3.check_hom(rng)
-    rep.add("d3_is_homomorphism", ok, why)
+    rep.add_hom("d3_is_homomorphism", x.d3, rng, samples)
     rep.first_failure("d2_d3_zero", (f"d2 d3 != 0 at {x.m3.format_element(t)}"
                                      for t in gens if not x.m1.is_identity(x.d2(x.d3(t)))))
     rep.first_failure("im_d2_acts_trivially_on_m3",
                       (f"im(d2) moves {x.m3.format_element(t)}"
                        for t, y in generator_pairs(x.m3, x.m2, rng, samples)
                        if not x.m3.eq(x.action3.apply(t, x.d2(y)), x.m3.canon(t))),
-                      note=f"all generator pairs + {samples} samples")
+                      note=f"all generator pairs + {samples} samples", basis="sampled")
     rep.first_failure("d3_equivariant",
                       (f"d3 not equivariant at {x.m3.format_element(t)}"
                        for t, a in generator_pairs(x.m3, x.m1, rng, samples)
                        if not x.m2.eq(x.d3(x.action3.apply(t, a)),
                                       x.action2.apply(x.d3(t), a))),
-                      note=f"all generator pairs + {samples} samples")
+                      note=f"all generator pairs + {samples} samples", basis="sampled")
     rep.merge(x.action3.check(rng, samples), prefix="degree3.")
     return rep
 
@@ -290,8 +295,7 @@ def xc3_morphism_check(m: XC3Morphism, samples: int = 50,
     rep = Report("crossed complex morphism")
     rep.meta.update(seed=seed, samples=samples)
     for name, h in (("f1", m.f1), ("f2", m.f2), ("f3", m.f3)):
-        ok, why = h.check_hom(rng)
-        rep.add(f"{name}_is_homomorphism", ok, why)
+        rep.add_hom(f"{name}_is_homomorphism", h, rng, samples)
     src, tgt = m.source, m.target
     rep.first_failure("square_d2", (f"f1 d2 != d2' f2 at {src.m2.format_element(x)}"
                                     for x in src.m2.generators()
@@ -351,8 +355,7 @@ def verify_xc3_homotopy(f: XC3Morphism, g: XC3Morphism, h: XC3Homotopy) -> Repor
     rep.add("f1_equals_g1", all(tgt.m1.eq(a, b) for a, b in
                                 zip(f.f1.images, g.f1.images)))
     alpha = h.hom(src, tgt)
-    ok, why = alpha.check_hom()
-    rep.add("alpha_additive", ok, why)
+    rep.add_hom("alpha_additive", alpha)
     rep.first_failure("degree2_equation",
                       (f"-f2 + g2 != d3' alpha at generator {src.m2.names[i]}"
                        for i, x in enumerate(src.m2.generators())
@@ -507,11 +510,13 @@ class LinearHomotopy:
                       for x in range(b.n)) for b in self.blocks]
 
     def accept(self, verification: Report, witness_json: dict) -> None:
-        """Record a witness built from `solve` once it re-verifies."""
+        """Record a witness built from `solve` once it re-verifies.  The
+        re-verification's checks are listed without their basis, so decision
+        reports keep their format; the route is in `meta["method"]`."""
         if not verification.ok:
             raise RuntimeError("internal error: solver witness failed re-verification")
         self.rep.meta["method"] = "linear"
-        self.rep.merge(verification)
+        self.rep.checks.extend(replace(c, basis=None) for c in verification.checks)
         self.rep.witnesses.append(witness_json)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .words import Letter
+from .words import Letter, letter_run
 
 
 @lru_cache(maxsize=None)
@@ -124,15 +124,21 @@ def normalize_word(letters: Iterable[Letter], n: int) -> Nil2Element:
     return acc
 
 
+def word_runs(x: Nil2Element) -> list[tuple[tuple[Letter, ...], int]]:
+    """The canonical word of the normal form as runs (block, count), each
+    block repeated count times: the generators in order, then each basic
+    commutator (g_i, g_j) with exponent c as -g_i - g_j + g_i + g_j, c times
+    (or, for c < 0, -g_j - g_i + g_j + g_i, -c times)."""
+    runs = [letter_run(i, a) for i, a in enumerate(x.base) if a]
+    runs += [(((i, -1), (j, -1), (i, 1), (j, 1)) if c > 0
+              else ((j, -1), (i, -1), (j, 1), (i, 1)), abs(c))
+             for c, (i, j) in zip(x.comm, pair_list(x.n)) if c]
+    return runs
+
+
 def to_word(x: Nil2Element) -> tuple[Letter, ...]:
     """Canonical word spelling the normal form; normalize_word inverts it."""
     out: list[Letter] = []
-    for i, a in enumerate(x.base):
-        sign = 1 if a > 0 else -1
-        out.extend((i, sign) for _ in range(abs(a)))
-    for c, (i, j) in zip(x.comm, pair_list(x.n)):
-        if c > 0:
-            out.extend([(i, -1), (j, -1), (i, 1), (j, 1)] * c)
-        elif c < 0:
-            out.extend([(j, -1), (i, -1), (j, 1), (i, 1)] * (-c))
+    for block, count in word_runs(x):
+        out.extend(block * count)
     return tuple(out)

@@ -4,13 +4,18 @@ Reports are deterministic: sampling seeds come from the XQ_SEED environment
 variable (default 0) and are recorded in the report metadata.  JSON output
 uses sorted keys, and integers outside the 53-bit safe range are rendered as
 decimal strings.
+
+A check may carry a basis: "proved" when its verdict holds for every element
+(the check covers a set, such as all generator pairs, that decides it), or
+"sampled" when the verdict rests on random samples.  Checks without a basis
+leave it out of the JSON.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 SAFE_INT = 2 ** 53
@@ -48,6 +53,7 @@ class Check:
     passed: bool
     witness: str | None = None
     note: str | None = None
+    basis: str | None = None
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {"id": self.check_id, "passed": self.passed}
@@ -55,6 +61,8 @@ class Check:
             out["witness"] = self.witness
         if self.note is not None:
             out["note"] = self.note
+        if self.basis is not None:
+            out["basis"] = self.basis
         return out
 
 
@@ -66,19 +74,20 @@ class Report:
     witnesses: list[dict] = field(default_factory=list)
     obstructions: list[dict] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    basis: str | None = None  # the basis of checks added without one
 
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def add(self, check_id: str, passed: bool, witness: str | None = None,
-            note: str | None = None) -> Check:
-        check = Check(check_id, bool(passed), witness, note)
+            note: str | None = None, basis: str | None = None) -> Check:
+        check = Check(check_id, bool(passed), witness, note, basis or self.basis)
         self.checks.append(check)
         return check
 
     def first_failure(self, check_id: str, failures: Iterable[str],
-                      note: str | None = None) -> Check:
+                      note: str | None = None, basis: str | None = None) -> Check:
         """Record `check_id` as passed unless the lazy iterable `failures`
         yields a message; the first message is the witness, and nothing after
         it is computed.  A scan that meets a value the structure leaves
@@ -87,11 +96,16 @@ class Report:
             witness = next(iter(failures), None)
         except Undefined as exc:
             witness = str(exc)
-        return self.add(check_id, witness is None, witness, note)
+        return self.add(check_id, witness is None, witness, note, basis)
+
+    def add_hom(self, check_id: str, hom, rng=None, samples: int = 50) -> Check:
+        """Record `hom.check_hom(rng, samples)` with the basis of that check."""
+        ok, why = hom.check_hom(rng, samples)
+        return self.add(check_id, ok, why, basis=hom.check_basis)
 
     def merge(self, other: "Report", prefix: str = "") -> None:
         for c in other.checks:
-            self.checks.append(Check(prefix + c.check_id, c.passed, c.witness, c.note))
+            self.checks.append(replace(c, check_id=prefix + c.check_id))
         for a in other.axioms:
             if a not in self.axioms:
                 self.axioms.append(a)

@@ -376,7 +376,7 @@ class StructureFile:
         """Run the axiom/validity checks appropriate for this kind."""
         v = self.value
         if self.kind == "group":
-            return check_group_laws(v, samples=samples, seed=seed or 0)
+            return check_group_laws(v, samples=samples, seed=seed)
         if self.kind == "precrossed":
             return check_precrossed(v, samples=samples, seed=seed)
         if self.kind == "crossed":

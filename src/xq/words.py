@@ -45,6 +45,11 @@ def word_from_pairs(pairs: Iterable[Sequence[int]]) -> tuple[Letter, ...]:
     return reduce_word(out)
 
 
+def letter_run(gen: int, exp: int) -> tuple[tuple[Letter, ...], int]:
+    """The run gen^exp, exp != 0, as (block of one letter, count)."""
+    return ((gen, 1 if exp > 0 else -1),), abs(exp)
+
+
 def word_to_pairs(letters: Sequence[Letter]) -> list[list[int]]:
     """Collapse runs of equal letters into [gen, exponent] pairs."""
     out: list[list[int]] = []

@@ -27,6 +27,20 @@ def negate(group):
     return [[group.inv(group.gen(0))]]
 
 
+# -- homomorphisms ----------------------------------------------------------------
+
+def test_check_hom_fires_on_non_commuting_images_of_an_abelian_source():
+    # Z^2 -> free nil(2) by s -> x, t -> y: t + s = s + t in Z^2, but
+    # h(t) + h(s) = y + x != x + y = h(s) + h(t)
+    src = FreeAbelianGroup(2, names=("s", "t"))
+    tgt = FreeNil2Group(2, names=("x", "y"))
+    h = GroupHom(src, tgt, tgt.generators())
+    assert h.check_hom() == (False, "images of s and t do not commute in the target")
+    rqm = ReducedQuadraticModule(tgt, src, ((src.identity(),) * 2,) * 2, h)
+    assert failed(rqm_check(rqm, samples=0, seed=0))["d3_is_homomorphism"] == \
+        "images of s and t do not commute in the target"
+
+
 # -- reduced quadratic modules and complexes ---------------------------------
 
 def doubling(omega_value=False, d4_hits_t=False, under=False):

@@ -286,3 +286,42 @@ def test_homotopic_with_noncentral_d3_is_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "not central at generator t" in err
+
+
+def test_check_group_file_reads_the_seed_from_xq_seed(tmp_path, monkeypatch, capsys):
+    raw = {"version": "1", "kind": "group",
+           "body": {"group": {"kind": "free_nil2", "rank": 2}}}
+    path = tmp_path / "group.json"
+    path.write_text(serialize_structure(raw))
+    monkeypatch.setenv("XQ_SEED", "7")
+    out = tmp_path / "report.json"
+    assert run(["check", str(path), "--samples", "5", "--out", str(out)]) == 0
+    assert "  seed: 7" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["meta"]["seed"] == 7
+    assert {c["basis"] for c in report["checks"]} == {"sampled"}
+
+
+def test_check_samples_0_draws_no_samples(tmp_path, monkeypatch, capsys):
+    # d: free nil(2) -> free group has its nil(2) laws sampled, at the
+    # caller's count
+    import xq.groups
+
+    draws = []
+    element = xq.groups.FreeNil2Group.random_element
+    monkeypatch.setattr(xq.groups.FreeNil2Group, "random_element",
+                        lambda *a, **k: draws.append(1) or element(*a, **k))
+    raw = {"version": "1", "kind": "precrossed",
+           "body": {"m1": {"kind": "free", "rank": 2},
+                    "m2": {"kind": "free_nil2", "rank": 2},
+                    "d": {"images": [[], []]},
+                    "action": {"kind": "trivial"}}}
+    path = tmp_path / "pre.json"
+    path.write_text(serialize_structure(raw))
+    out = tmp_path / "report.json"
+    assert run(["check", str(path), "--samples", "0", "--out", str(out)]) == 0
+    assert draws == []
+    checks = {c["id"]: c.get("basis") for c in json.loads(out.read_text())["checks"]}
+    assert checks["d_is_homomorphism"] == "sampled"
+    assert run(["check", str(path), "--samples", "2"]) == 0
+    assert len(draws) == 3 * 2 + 2 * 2 + 2  # check_hom, action axioms, equivariance

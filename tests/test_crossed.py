@@ -7,8 +7,10 @@ from xq.crossed import (CrossedComplex3, GroupAction, PreCrossedModule,
                         check_precrossed, peiffer_commutator,
                         verify_xc3_homotopy, xc3_check, xc3_homotopic,
                         xc3_homotopy_decision, xc3_morphism_check)
-from xq.groups import (FgAbelianGroup, FreeAbelianGroup, FreeGroup,
+from xq.groups import (CyclicGroup, FgAbelianGroup, FreeAbelianGroup, FreeGroup,
                        FreeNil2Group, GroupHom)
+
+from hom_oracle import letter_act
 
 
 def conjugation_module():
@@ -186,3 +188,66 @@ def test_m3_abelian_names_the_first_non_commuting_pair():
     rep = xc3_check(x, samples=5, seed=0)
     failed = {c.check_id: c.witness for c in rep.failed()}
     assert failed["m3_abelian"] == "generators s and t do not commute"
+
+
+def shear_and_swap(acting):
+    """`acting` (rank 1 or 2) acting on Z^2: the first generator by the shear
+    x -> x, y -> x + y, the second by swapping x and y."""
+    acted = FreeAbelianGroup(2, names=("x", "y"))
+    x, y = acted.generators()
+    images = [[x, acted.op(x, y)], [y, x]]  # per acting generator
+    return GroupAction(acting, acted, table=[[images[a][k] for a in range(acting.ngens)]
+                                             for k in range(2)])
+
+
+@pytest.mark.parametrize("action", [
+    shear_and_swap(FreeAbelianGroup(1)),
+    shear_and_swap(FreeGroup(2)),
+    shear_and_swap(FreeNil2Group(2)),
+    GroupAction(CyclicGroup(2), FreeAbelianGroup(1), table=[[(-1,)]]),
+    GroupAction(FreeNil2Group(2), FreeNil2Group(2),
+                table=[[FreeNil2Group(2).gen(0)] * 2,
+                       [FreeNil2Group(2).op(*FreeNil2Group(2).generators()),
+                        FreeNil2Group(2).inv(FreeNil2Group(2).gen(1))]]),
+], ids=["Z", "free2", "nil2", "Z/2", "nil2-on-nil2"])
+def test_action_by_runs_equals_letter_by_letter(action):
+    rng = random.Random(5)
+    for _ in range(40):
+        x = action.acted.random_element(rng)
+        a = action.acting.random_element(rng, size=10)
+        assert action.apply(x, a) == letter_act(action, x, a)
+
+
+def test_action_with_a_huge_exponent():
+    z = FreeAbelianGroup(1)
+    negate = GroupAction(z, z, table=[[(-1,)]])
+    assert negate.apply((1,), (10 ** 18,)) == (1,)
+    assert negate.apply((1,), (10 ** 18 + 1,)) == (-1,)
+    assert negate.apply((1,), (-10 ** 18 - 1,)) == (-1,)
+    shear = shear_and_swap(z)
+    assert shear.apply((0, 1), (10 ** 18,)) == (10 ** 18, 1)
+    assert shear.apply((0, 1), (-10 ** 18,)) == (-10 ** 18, 1)
+    # the commutator of shear and swap has order 6 and 10^18 = 4 mod 6
+    nil2 = FreeNil2Group(2)
+    act = shear_and_swap(nil2)
+    c = nil2.basic_commutator(0, 1)
+    for x in act.acted.generators():
+        assert act.apply(x, nil2.pow(c, 10 ** 18)) == letter_act(act, x, nil2.pow(c, 4))
+        assert act.apply(x, nil2.pow(c, 6)) == x
+
+
+def test_action_by_runs_of_a_non_homomorphic_endomorphism():
+    # a swaps x and y, but y has order 2 and x does not, so the endomorphism
+    # of a is not a homomorphism.  A run a^2 acts as the composite, which
+    # fixes 2x; letter by letter, (2x)^a = 2y = 0 and 0^a = 0.
+    acting = FreeAbelianGroup(1, names=("a",))
+    acted = FgAbelianGroup(2, [[0, 2]], names=("x", "y"))
+    x, y = acted.generators()
+    action = GroupAction(acting, acted, table=[[y], [x]])
+    two_x = acted.pow(x, 2)
+    assert action.apply(two_x, (2,)) == two_x
+    assert letter_act(action, two_x, (2,)) == acted.identity()
+    rep = action.check(random.Random(0), 20)
+    assert {c.check_id: c.witness for c in rep.failed()} == {
+        "action_endos_are_homs": "generator a: relation [0, 2] maps to a non-identity element",
+        "action_axioms_sampled": "(x+y)^a != x^a + y^a at x=5*x + y"}

@@ -47,6 +47,19 @@ def test_normal_form_eval_matches_letter_oracle(source, target):
             assert hom(x) == letter_eval(hom, x), (images, x)
 
 
+@pytest.mark.parametrize("group", SOURCES + [FreeGroup(2)],
+                         ids=lambda g: f"{g.kind}{g.ngens}")
+def test_word_runs_spell_the_canonical_word(group):
+    rng = random.Random(33)
+    for _ in range(20):
+        x = (group.random_element(rng, size=12) if isinstance(group, FreeGroup)
+             else big_element(group, rng))
+        spelled = tuple(letter for block, count in group.word_runs(x)
+                        for _ in range(count) for letter in block)
+        assert spelled == group.word_of(x)
+    assert group.word_runs(group.identity()) == []
+
+
 @pytest.mark.parametrize("k", range(-6, 7))
 def test_nil2_power_matches_repeated_mul_and_oracle(k):
     rng = random.Random(32 + k)

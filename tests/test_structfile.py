@@ -4,7 +4,8 @@ import os
 import pytest
 
 from xq import structfile as sf
-from xq.quadratic import QCMorphism
+from xq.groups import CyclicGroup, FgAbelianGroup, FreeNil2Group, GroupHom
+from xq.quadratic import QCMorphism, ReducedQuadraticModule, complex_from_rqm
 from xq.shipped import shipped_structures
 from xq.sphere import build_cylinder_Q, build_sphere_D, retraction_candidate
 
@@ -176,3 +177,19 @@ def test_canonical_serialization_is_stable():
     text = sf.serialize_structure(raw)
     assert text == sf.serialize_structure(json.loads(text))
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("q3", [FgAbelianGroup(2, [[0, 3]]), CyclicGroup(2 ** 61)],
+                         ids=["fg_abelian", "cyclic"])
+def test_integers_beyond_2_53_round_trip_as_bare_integers(q3):
+    big = 2 ** 60
+    q2 = FreeNil2Group(2)
+    d3 = GroupHom(q3, q2, [q2.element_from_json({"base": [big, -big], "comm": [big]})]
+                  * q3.ngens)
+    w = q3.canon((big,) + (0,) * (q3.ngens - 1))
+    cx = complex_from_rqm(ReducedQuadraticModule(q2, q3, ((w, w), (w, w)), d3))
+    text = sf.serialize_structure(sf.rqc4_structure(cx))
+    assert str(big) in text and f'"{big}"' not in text
+    back = sf.load_structure(text).value
+    assert back.rqm.omega == cx.rqm.omega and back.d3.images == cx.d3.images
+    assert sf.serialize_structure(sf.rqc4_structure(back)) == text
