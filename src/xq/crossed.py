@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .groups import (Group, GroupHom, abelian_coords_info, central_coords_info,
                      generator_pairs, invert_hom)
-from .intlinalg import ZSystem, reduce_with_order
+from .intlinalg import ZSystem, reduce_with_order, split_lattice
 from .report import Report, Undefined, seed_from_env
 
 
@@ -101,7 +101,7 @@ class GroupAction:
         rep = Report("group action")
         acted, acting = self.acted, self.acting
         if self.kind == "table":
-            homs = (self.endo(i).check_hom(rng, samples=10) for i in range(acting.ngens))
+            homs = (self.endo(i).check_hom() for i in range(acting.ngens))
             rep.first_failure("action_endos_are_homs",
                               (f"generator {acting.names[i]}: {why}"
                                for i, (ok, why) in enumerate(homs) if not ok),
@@ -182,7 +182,7 @@ def check_precrossed(m: PreCrossedModule, samples: int = 200,
     rng = random.Random(seed)
     rep = Report("pre-crossed module")
     rep.meta.update(seed=seed, samples=samples)
-    rep.add_hom("d_is_homomorphism", m.d, rng, samples)
+    rep.add_hom("d_is_homomorphism", m.d)
     rep.merge(m.action.check(rng, samples))
     rep.first_failure("equivariance",
                       (f"d(x^m) != -m + d(x) + m at x={m.m2.format_element(x)}, "
@@ -260,7 +260,7 @@ def xc3_check(x: CrossedComplex3, samples: int = 200,
                       (f"generators {x.m3.names[i]} and {x.m3.names[j]} do not commute"
                        for i, p in enumerate(gens) for j, q in enumerate(gens)
                        if not x.m3.is_identity(x.m3.commutator(p, q))))
-    rep.add_hom("d3_is_homomorphism", x.d3, rng, samples)
+    rep.add_hom("d3_is_homomorphism", x.d3)
     rep.first_failure("d2_d3_zero", (f"d2 d3 != 0 at {x.m3.format_element(t)}"
                                      for t in gens if not x.m1.is_identity(x.d2(x.d3(t)))))
     rep.first_failure("im_d2_acts_trivially_on_m3",
@@ -291,11 +291,10 @@ def xc3_morphism_check(m: XC3Morphism, samples: int = 50,
                        seed: int | None = None) -> Report:
     if seed is None:
         seed = seed_from_env()
-    rng = random.Random(seed)
     rep = Report("crossed complex morphism")
     rep.meta.update(seed=seed, samples=samples)
     for name, h in (("f1", m.f1), ("f2", m.f2), ("f3", m.f3)):
-        rep.add_hom(f"{name}_is_homomorphism", h, rng, samples)
+        rep.add_hom(f"{name}_is_homomorphism", h)
     src, tgt = m.source, m.target
     rep.first_failure("square_d2", (f"f1 d2 != d2' f2 at {src.m2.format_element(x)}"
                                     for x in src.m2.generators()
@@ -419,6 +418,7 @@ class LinearHomotopy:
         self.rep = Report(title)
         self.system = ZSystem()
         self.blocks: list[CoordinateBlock] = []
+        self.shift: int | None = None
 
     def refute(self, check_id: str, witness: str, reason: str | None = None) -> None:
         """Record a failed check and its obstruction (the witness text unless
@@ -493,19 +493,35 @@ class LinearHomotopy:
         self.system.add(alpha.dim, terms,
                         [0] * alpha.dim if rhs is None else list(rhs), alpha.rows)
 
-    def solve(self) -> list[tuple] | None:
+    def shift_unknown(self) -> int:
+        """One more unknown t, the shift of a family g_t of right-hand maps
+        whose equations the caller writes with t; `solve` then decides every
+        member of the family at once."""
+        (self.shift,) = self.system.new_vars(1)
+        return self.shift
+
+    def solve(self):
         """The canonical solution, as the values on the source generators
-        block by block; None, with the obstruction recorded, when there is
-        no integer solution."""
+        block by block, or with a shift unknown the `ShiftedSolutions`; None,
+        with the obstruction recorded, when there is no integer solution."""
         sol = self.system.solve()
         if sol is None:
             return self.refute("solvable",
                                "the homotopy equations have no integer solution",
                                "no integer solution to the homotopy equations")
-        u0, kernel = sol
+        if self.shift is not None:
+            return ShiftedSolutions(self, *sol)
+        return self.values(*sol)
+
+    def values(self, u: Sequence[int], kernel) -> list[tuple]:
+        """The values of the canonical solution u + kernel, block by block:
+        the coordinates of killed generators are reduced first, then the
+        others by descending generator index."""
         order = [b.offset + v for b in self.blocks
                  for v in alpha_variable_order(b.n, b.dim, b.killed)]
-        u = reduce_with_order(u0, kernel, order)
+        if self.shift is not None:
+            order.append(self.shift)
+        u = reduce_with_order(u, kernel, order)
         return [tuple(b.from_coords(u[b.var(x, 0):b.var(x + 1, 0)])
                       for x in range(b.n)) for b in self.blocks]
 
@@ -518,6 +534,36 @@ class LinearHomotopy:
         self.rep.meta["method"] = "linear"
         self.rep.checks.extend(replace(c, basis=None) for c in verification.checks)
         self.rep.witnesses.append(witness_json)
+
+
+class ShiftedSolutions:
+    """The solutions of a `LinearHomotopy` system with a shift unknown t.
+
+    Over Z the values of t that admit a solution are a single t0 (`step` 0)
+    or a progression t0 + step Z.  At an admitted t the solutions are one
+    particular solution plus the t = 0 kernel, and the t = 0 kernel is the
+    kernel of the system with t fixed; so `values_at` reduces a solution at
+    t exactly as `solve` reduces one of that system, and returns the same
+    canonical values."""
+
+    def __init__(self, lin: LinearHomotopy, u0: Sequence[int], kernel):
+        self.lin, self.u0, self.t0 = lin, u0, u0[lin.shift]
+        self.step_row, self.kernel0 = split_lattice(kernel, lin.shift)
+        self.step = self.step_row[lin.shift] if self.step_row else 0
+
+    def admits(self, t: int) -> bool:
+        return (t - self.t0) % self.step == 0 if self.step else t == self.t0
+
+    def values_at(self, t: int) -> list[tuple] | None:
+        """The canonical values at t, block by block; None when t is not
+        admitted."""
+        if not self.admits(t):
+            return None
+        u = self.u0
+        if self.step:
+            q = (t - self.t0) // self.step
+            u = [a + q * b for a, b in zip(u, self.step_row)]
+        return self.lin.values(u, self.kernel0)
 
 
 def xc3_homotopy_decision(f: XC3Morphism, g: XC3Morphism

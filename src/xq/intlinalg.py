@@ -183,6 +183,26 @@ def reduce_with_order(vec: Sequence[int], rows: Iterable[Sequence[int]],
     return tuple(out)
 
 
+def split_lattice(rows: Sequence[Sequence[int]], col: int
+                  ) -> tuple[list[int] | None, list[list[int]]]:
+    """A basis of the row lattice split at coordinate `col`: one row whose
+    value s > 0 there divides the value of every lattice vector there (None
+    when they all vanish there), and a basis of the vectors vanishing there.
+    An echelon basis with `col` as its first column has this shape."""
+    if not rows:
+        return None, []
+    n = len(rows[0])
+    order = [col] + [c for c in range(n) if c != col]
+    echelon = Lattice(n, [[r[c] for c in order] for r in rows])
+    basis = [[0] * n for _ in echelon.rows]
+    for out, row in zip(basis, echelon.rows):
+        for pos, c in enumerate(order):
+            out[c] = row[pos]
+    if echelon.pivots and echelon.pivots[0] == 0:
+        return basis[0], basis[1:]
+    return None, basis
+
+
 class ZSystem:
     """Affine constraint system over integer variables.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule,
-                      peiffer_commutator)
+                      ShiftedSolutions, peiffer_commutator)
 from .groups import FgAbelianGroup, Group, GroupHom, generator_pairs
 from .intlinalg import vec_neg, vec_sub
 from .report import Report, seed_from_env
@@ -101,7 +101,7 @@ def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
                        if not g2.is_identity(g2.commutator(g2.commutator(x, y), z))),
                       note="structural" if g2.is_nil2 else "generator triples")
 
-    d3_hom = rep.add_hom("d3_is_homomorphism", q.d3, rng, samples)
+    d3_hom = rep.add_hom("d3_is_homomorphism", q.d3)
 
     rel_rows = g2.ab_relation_rows()
     omega_on_c = rep.first_failure("omega_well_defined_on_C",
@@ -297,12 +297,11 @@ def qcm_check(m: QCMorphism, samples: int = 50, seed: int | None = None) -> Repo
     """Boundary squares, omega compatibility, and under-object agreement."""
     if seed is None:
         seed = seed_from_env()
-    rng = random.Random(seed)
     rep = Report("quadratic complex morphism", basis="proved")
     rep.meta.update(seed=seed, samples=samples)
     for check_id, h, grp, equations in qcm_equations(m):
         if h is not None:
-            rep.add_hom(check_id, h, rng, samples)
+            rep.add_hom(check_id, h)
         else:
             rep.first_failure(check_id, (msg for lhs, rhs, msg in equations
                                          if not grp.eq(lhs, rhs)))
@@ -313,7 +312,6 @@ def rqc4_check(c: ReducedQuadraticComplex4, samples: int = 200,
                seed: int | None = None) -> Report:
     if seed is None:
         seed = seed_from_env()
-    rng = random.Random(seed)
     rep = rqm_check(c.rqm, samples=samples, seed=seed)
     rep.title = c.name
     gens = c.q4.generators()
@@ -322,7 +320,7 @@ def rqc4_check(c: ReducedQuadraticComplex4, samples: int = 200,
                        for i, p in enumerate(gens) for j, r in enumerate(gens)
                        if not c.q4.is_identity(c.q4.commutator(p, r))),
                       note="structural" if c.q4.is_abelian else "generator pairs")
-    rep.add_hom("d4_is_homomorphism", c.d4, rng, samples)
+    rep.add_hom("d4_is_homomorphism", c.d4)
     rep.first_failure("d3_d4_zero", (f"d3 d4 != 0 at generator {c.q4.names[i]}"
                                      for i, k in enumerate(gens)
                                      if not c.q2.is_identity(c.d3(c.d4(k)))))
@@ -398,7 +396,7 @@ def qm_check(q: QuadraticModule, samples: int = 200, seed: int | None = None) ->
                       _omega_kills(q, q.c_group().ab_relation_rows(), g2,
                                    "omega does not kill the C-relation"))
 
-    rep.add_hom("d3_is_homomorphism", q.d3, rng, samples)
+    rep.add_hom("d3_is_homomorphism", q.d3)
     rep.first_failure("d2_d3_zero", ("d2 d3 != 0" for p in g3.generators()
                                      if not g1.is_identity(q.pre.d(q.d3(p)))))
 
@@ -538,8 +536,8 @@ def _alpha2_symbolic(word, f: QCMorphism, g: QCMorphism):
     return coeffs, const
 
 
-def rq_homotopy_decision(f: QCMorphism, g: QCMorphism
-                         ) -> tuple[QCHomotopy | None, Report]:
+def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = None
+                         ) -> tuple[QCHomotopy | ShiftedSolutions | None, Report]:
     """Decide f ~ g and produce the canonical verified witness or an
     obstruction, by the integer linear system of `LinearHomotopy`.
 
@@ -550,6 +548,15 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism
     every abelian degree-2 target).  Raises ValueError otherwise, naming
     the first generator whose d3' value is not central; the cylinder Q is
     such a target (d3(e3) = -e + e' + e'').
+
+    With `shift`, one element of the target Q3 per source degree-3
+    generator, the decision is about the family g_t that agrees with g
+    except g_t3(h) = g3(h) + t shift(h).  g3 enters only the right-hand side
+    -f3 h + g3 h of the degree-3 equations, which is affine in t as Q3' is
+    abelian, so t is one more unknown of the same system.  The result is
+    its `ShiftedSolutions` (None when no t admits a homotopy): the
+    canonical values of each member's witness, without another decision,
+    for the caller to build and re-verify through `lin.accept`.
     """
     lin = LinearHomotopy(f, g, "quadratic homotopy")
     src, tgt = f.source, f.target
@@ -557,14 +564,17 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism
     if alpha2 is None:
         return None, lin.rep
     alpha3 = lin.unknowns(src.q3.ngens, tgt.q4, 4)
+    t = None if shift is None else lin.shift_unknown()
 
     drow = [list(alpha2.coords(tgt.d4(hk))) for hk in tgt.q4.generators()]
-    for i, t in enumerate(src.q3.generators()):
-        coeffs, const = _alpha2_symbolic(src.q2.word_of(src.d3(t)), f, g)
+    for i, h in enumerate(src.q3.generators()):
+        coeffs, const = _alpha2_symbolic(src.q2.word_of(src.d3(h)), f, g)
         rhs = tgt.q3.op_all(tgt.q3.inv(f.f3.images[i]), g.f3.images[i],
                             tgt.q3.inv(const))
-        lin.add_sum(alpha2, coeffs, alpha2.coords(rhs),
-                    [(alpha3.var(i, k), drow[k]) for k in range(alpha3.dim)])
+        terms = [(alpha3.var(i, k), drow[k]) for k in range(alpha3.dim)]
+        if t is not None:
+            terms.append((t, vec_neg(alpha2.coords(shift[i]))))
+        lin.add_sum(alpha2, coeffs, alpha2.coords(rhs), terms)
     for i, k4 in enumerate(src.q4.generators()):
         rhs = tgt.q4.op(tgt.q4.inv(f.f4.images[i]), g.f4.images[i])
         lin.add_sum(alpha3, src.q3.ab(src.d4(k4)), alpha3.coords(rhs))
@@ -578,10 +588,12 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism
         for z in base.q3.generators():
             lin.add_sum(alpha3, src.q3.ab(src.under.q3(z)))
 
-    values = lin.solve()
-    if values is None:
+    solved = lin.solve()
+    if solved is None:
         return None, lin.rep
-    witness = QCHomotopy(*values)
+    if t is not None:
+        return solved, lin.rep
+    witness = QCHomotopy(*solved)
     lin.accept(verify_rq_homotopy(f, g, witness), witness.to_json(tgt))
     return witness, lin.rep
 

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 from .groups import (FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, Group,
                      GroupHom, abelian_coords_info)
-from .intlinalg import ZSystem, solve_one_unknown, vec_neg, vec_sub
+from .intlinalg import Lattice, ZSystem, solve_one_unknown, vec_neg, vec_sub
 from .monoid import mbar_elements
 from .quadratic import (QCHomotopy, QCMorphism, ReducedQuadraticComplex4,
                         ReducedQuadraticModule, UnderCofibration, morphism_frame,
-                        qcm_check, qcm_equations, rq_homotopic,
-                        rq_homotopy_decision, rqc4_check)
+                        qcm_check, qcm_equations, rq_homotopy_decision,
+                        rqc4_check, verify_rq_homotopy)
 from .report import Report
 from .tensor import TensorElement
 
@@ -164,6 +164,29 @@ def retraction_candidate(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex
     return QCMorphism(q, d, f2, f3, f4, tag=(a, b, r))
 
 
+def retraction_shift(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex4) -> tuple:
+    """What candidate (a, b, r + 1) adds to the f3 images of (a, b, r), per
+    generator of Q3: w(e,e) on e3 and 0 on the omega symbols."""
+    return (d.q3.gen(0),) + (d.q3.identity(),) * (q.q3.ngens - 1)
+
+
+# Six points that determine a polynomial of total degree <= 2 in (a, b),
+# and the point (a, b, r) at which the fit is checked.
+NEWTON_POINTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+GUARD_POINT = (-1, 2, 2)
+
+
+def newton_weights(a: int, b: int) -> tuple[int, ...]:
+    """Integer weights w with p(a, b) = sum_k w[k] p(NEWTON_POINTS[k]) for
+    every polynomial p of total degree <= 2.  In the binomial basis p(a, b)
+    = c00 + a c10 + b c01 + C(a,2) c20 + ab c11 + C(b,2) c02, the
+    coefficients are integer finite differences of the six values (c10 =
+    p(1,0) - p(0,0), c20 = p(2,0) - 2 p(1,0) + p(0,0), c11 = p(1,1) - p(1,0)
+    - p(0,1) + p(0,0), ...); collecting them per value gives w."""
+    ca, cb, ab = a * (a - 1) // 2, b * (b - 1) // 2, a * b
+    return (1 - a - b + ca + ab + cb, a - 2 * ca - ab, b - ab - 2 * cb, ca, ab, cb)
+
+
 def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex4,
                           ab_range: int = 2, r_bound: int = 1) -> list[QCMorphism]:
     """All morphisms Q -> D under D within the parameter box |a|, |b| <=
@@ -171,38 +194,80 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     check (boundary squares, omega compatibility, and g q = id on the
     under-object), in the order (a, b, r) ascending.
 
-    r is solved for, not scanned.  For fixed (a, b), r enters a candidate only
-    through f3(e3) = r w(e,e).  With abelian coordinates on the target in
-    degrees 2-4 (so the target is nil(2), and the homomorphism checks are
-    exactly the relation-row equations), each side of every equation of
-    `qcm_equations` is affine in r modulo the target's relation rows, so its
-    defect is defect(0) + r (defect(1) - defect(0)).  The candidates at r = 0
-    and r = 1 give one `ZSystem` block per equation in the single unknown r;
-    its solutions in [-r_bound, r_bound] are built and each is re-checked
-    with `qcm_check`.  The cost is 2 (2 ab_range + 1)^2 probe candidates plus one
-    check per morphism kept, independent of r_bound for fixed (a, b).
+    The equations are fitted once, not evaluated per box point.  The target
+    needs abelian coordinates in degrees 2-4, so it is nil(2) and the
+    homomorphism checks of `qcm_equations` are exactly its relation-row
+    equations.  Modulo the target's relation rows, every coordinate of the
+    defect lhs - rhs of every equation is then an integer polynomial of
+    total degree <= 2 in (a, b) plus r times a vector that does not depend
+    on (a, b):
+      * f2 sends e, e', e'' to e, a e, b e, all in <e>, so the coordinates
+        of f2 on any fixed source element are linear in (a, b);
+      * f3 sends the omega symbols to omega'({f2 x} (x) {f2 y}), and
+        omega' is bilinear, so those images are of degree <= 2 in (a, b);
+      * r enters only through f3(e3) = r w(e,e), linearly, and f4 = 0;
+      * each side of an equation is one of these images, a constant, or a
+        fixed homomorphism (d3', d4', a relation row) applied to them.
+    So the defects at `NEWTON_POINTS` with r = 0 give the defect at every
+    (a, b, 0) (`newton_weights`), and the defect at (0, 0, 1) minus that at
+    (0, 0, 0) is the coefficient of r.  The candidate at `GUARD_POINT` must
+    match the fit modulo the rows; a mismatch raises ValueError naming the
+    equation.
+
+    Each box point is then one `ZSystem` in the single unknown r; its
+    solutions in [-r_bound, r_bound] are built and each is re-checked with
+    `qcm_check`.  The cost is 8 candidates plus one per morphism kept, at
+    every box.
 
     Raises ValueError when the target has no abelian coordinates in degrees
-    2, 3 or 4, and RuntimeError if a solved candidate fails `qcm_check`.
+    2, 3 or 4 or the fit misses its guard, and RuntimeError if a solved
+    candidate fails `qcm_check`.
     """
     coords = {grp: abelian_coords_info(grp) for grp in (d.q2, d.q3, d.q4)}
     if any(info is None for info in coords.values()):
         raise ValueError("solving for r needs abelian coordinates on the "
                          "target in degrees 2, 3 and 4")
     frame = morphism_frame(q, d)
+
+    def defects(a, b, r):
+        """(check id, message, group, lhs - rhs in coordinates) per equation."""
+        return [(check_id, message, grp, vec_sub(coords[grp][1](lhs), coords[grp][1](rhs)))
+                for check_id, _, grp, eqs in qcm_equations(
+                    retraction_candidate(q, d, a, b, r), frame)
+                for lhs, rhs, message in eqs]
+
+    probes = [defects(a, b, 0) for a, b in NEWTON_POINTS]
+    probes += [defects(0, 0, 1), defects(*GUARD_POINT)]
+    # the coordinates of all equations end to end, each with its 8 probe
+    # values, and each equation's relation rows padded to that length
+    columns = list(zip(*([x for *_, vec in probe for x in vec] for probe in probes)))
+    spans, rows, start = [], [], 0
+    for check_id, message, grp, _ in probes[0]:
+        dim, _, _, grp_rows = coords[grp]
+        rows += [[0] * start + list(row) + [0] * (len(columns) - start - dim)
+                 for row in grp_rows]
+        spans.append((check_id, message, start, start + dim, grp_rows))
+        start += dim
+    slope = [col[6] - col[0] for col in columns]
+
+    def fitted(a, b):
+        w = newton_weights(a, b)
+        return [sum(wk * v for wk, v in zip(w, col)) for col in columns]
+
+    a, b, r = GUARD_POINT
+    miss = [col[7] - x - r * s for col, x, s in zip(columns, fitted(a, b), slope)]
+    for check_id, message, lo, hi, grp_rows in spans:
+        if miss[lo:hi] not in Lattice(hi - lo, grp_rows):
+            raise ValueError(f"the defect of {check_id} ({message}) is not quadratic "
+                             f"in (a, b) and affine in r: the fit misses it at "
+                             f"(a, b, r) = {GUARD_POINT}")
+
     out = []
     for a in range(-ab_range, ab_range + 1):
         for b in range(-ab_range, ab_range + 1):
             system = ZSystem()
             (rv,) = system.new_vars(1)
-            probes = [qcm_equations(retraction_candidate(q, d, a, b, r), frame)
-                      for r in (0, 1)]
-            for (_, _, grp, eqs0), (_, _, _, eqs1) in zip(*probes):
-                dim, to_coords, _, rows = coords[grp]
-                for (lhs0, rhs0, _), (lhs1, rhs1, _) in zip(eqs0, eqs1):
-                    at0 = vec_sub(to_coords(lhs0), to_coords(rhs0))
-                    at1 = vec_sub(to_coords(lhs1), to_coords(rhs1))
-                    system.add(dim, [(rv, vec_sub(at1, at0))], vec_neg(at0), rows)
+            system.add(len(slope), [(rv, slope)], vec_neg(fitted(a, b)), rows)
             for r in solve_one_unknown(system, r_bound):
                 m = retraction_candidate(q, d, a, b, r)
                 if not qcm_check(m, samples=5, seed=0).ok:
@@ -223,34 +288,104 @@ class RetractionClass:
     witnesses: list[QCHomotopy | None]
 
 
-def classify_retractions(morphisms: list[QCMorphism]) -> list[RetractionClass]:
-    """Partition into homotopy classes, greedily against representatives.
+class FamilyDecisions:
+    """Homotopy decisions between r-families of retractions (the candidates
+    that share (a, b)): one per ordered pair of families, made when first
+    needed and kept.
 
-    Candidates with r = 0 are taken first (a stable sort), so the member that
-    opens a class, its representative, is the one with r = 0 when present.
-    Every other member keeps the witness of its homotopy from the
-    representative.  Members and classes are listed in input order."""
-    order = sorted(range(len(morphisms)),
-                   key=lambda k: not (morphisms[k].tag and morphisms[k].tag[2] == 0))
-    opened: list[tuple[QCMorphism, list]] = []  # representative, [(index, witness)]
-    for k in order:
-        for representative, entries in opened:
-            witness = rq_homotopic(representative, morphisms[k])
-            if witness is not None:
-                entries.append((k, witness))
+    For retractions f = (a, b, r) and g = (a', b', r'), r and r' enter the
+    homotopy system of `rq_homotopy_decision` only through -f3(e3) + g3(e3)
+    = (r' - r) w(e,e); the rest is built from f2, g2 and the f3 images of
+    the omega symbols, which (a, b) and (a', b') fix.  So the decision
+    between the first members f0, g0 of two families, with the shift
+    unknown t on g0 (`retraction_shift`), holds the system of every pair of
+    their members: f ~ g exactly when t = (r' - r) - (r(g0) - r(f0)) admits
+    a solution, and the witness at that t is the one the pair's own
+    decision would give."""
+
+    def __init__(self, morphisms: list[QCMorphism]):
+        self.first: dict[tuple, QCMorphism] = {}
+        for m in morphisms:
+            if not (isinstance(m.tag, tuple) and len(m.tag) == 3):
+                raise ValueError(f"not a tagged retraction candidate: tag {m.tag!r}; "
+                                 "classify the output of retraction_candidate")
+            self.first.setdefault(m.tag[:2], m)
+        self.made: dict[tuple, tuple] = {}
+
+    def decide(self, f: QCMorphism, g: QCMorphism) -> tuple:
+        """(`ShiftedSolutions` or None, report) for the families of f and g."""
+        key = (f.tag[:2], g.tag[:2])
+        if key not in self.made:
+            f0, g0 = self.first[key[0]], self.first[key[1]]
+            self.made[key] = rq_homotopy_decision(
+                f0, g0, retraction_shift(f0.source, f0.target))
+        return self.made[key]
+
+    def _shift(self, f: QCMorphism, g: QCMorphism) -> int:
+        f0, g0 = self.first[f.tag[:2]], self.first[g.tag[:2]]
+        return (g.tag[2] - f.tag[2]) - (g0.tag[2] - f0.tag[2])
+
+    def homotopic(self, f: QCMorphism, g: QCMorphism) -> bool:
+        solutions, _ = self.decide(f, g)
+        return solutions is not None and solutions.admits(self._shift(f, g))
+
+    def witness(self, f: QCMorphism, g: QCMorphism) -> QCHomotopy:
+        """The canonical witness of f ~ g, once it re-verifies; RuntimeError
+        if there is none, as callers ask only for pairs they found
+        homotopic."""
+        solutions, _ = self.decide(f, g)
+        values = None if solutions is None else solutions.values_at(self._shift(f, g))
+        if values is None:
+            raise RuntimeError(f"internal error: {f.tag} and {g.tag} are in one "
+                               "class but not homotopic")
+        witness = QCHomotopy(*values)
+        solutions.lin.accept(verify_rq_homotopy(f, g, witness), witness.to_json(f.target))
+        return witness
+
+    def report(self, f: QCMorphism, g: QCMorphism) -> Report:
+        """The report of `rq_homotopy_decision(f, g)`.  When no t admits a
+        homotopy, the family decision's refutation names no t, so its report
+        is that report; otherwise f and g are decided afresh."""
+        solutions, rep = self.decide(f, g)
+        return rep if solutions is None else rq_homotopy_decision(f, g)[1]
+
+
+def classify_retractions(morphisms: list[QCMorphism],
+                         decisions: FamilyDecisions | None = None
+                         ) -> list[RetractionClass]:
+    """Partition into homotopy classes, with one homotopy decision per pair
+    of r-families (`FamilyDecisions`) instead of one per member.
+
+    The morphisms must be `retraction_candidate(q, d, a, b, r)`s of one
+    (q, d), tagged (a, b, r): the family argument needs members that share
+    (a, b) to differ only by r w(e,e) on e3.  An untagged morphism raises
+    ValueError.
+
+    A member joins the class of the first class opener it is homotopic to
+    and otherwise opens a class.  The representative of a class is its
+    first member with r = 0, or its first member when none has r = 0; every
+    other member keeps the canonical witness of its homotopy from the
+    representative.  Members and classes are listed in input order.  As
+    homotopy is an equivalence relation, these are the classes,
+    representatives and witnesses of the greedy loop that decides each
+    member against the representatives, r = 0 members first."""
+    if decisions is None:
+        decisions = FamilyDecisions(morphisms)
+    classes: list[list[QCMorphism]] = []
+    for m in morphisms:
+        for members in classes:
+            if decisions.homotopic(members[0], m):
+                members.append(m)
                 break
         else:
-            opened.append((morphisms[k], [(k, None)]))
-    for _, entries in opened:
-        entries.sort(key=lambda e: e[0])
-    opened.sort(key=lambda o: o[1][0][0])
-    classes = []
-    for representative, entries in opened:
-        first = morphisms[entries[0][0]]
-        classes.append(RetractionClass((first.tag[0], first.tag[1]) if first.tag else (0, 0),
-                                       [morphisms[k] for k, _ in entries], representative,
-                                       [w for _, w in entries]))
-    return classes
+            classes.append([m])
+    out = []
+    for members in classes:
+        rep = next((m for m in members if m.tag[2] == 0), members[0])
+        out.append(RetractionClass(members[0].tag[:2], members, rep,
+                                   [None if m is rep else decisions.witness(rep, m)
+                                    for m in members]))
+    return out
 
 
 def classification_report(ab_range: int = 3, r_bound: int = 10,
@@ -269,7 +404,8 @@ def classification_report(ab_range: int = 3, r_bound: int = 10,
         rep.add(f"structure_{name}_valid", chk.ok, first_fail)
     morphisms = enumerate_retractions(q, d, ab_range, r_bound)
     rep.meta["retractions"] = len(morphisms)
-    classes = classify_retractions(morphisms)
+    decisions = FamilyDecisions(morphisms)
+    classes = classify_retractions(morphisms, decisions)
     rep.add("two_classes", len(classes) == 2, f"found {len(classes)} classes")
     ab_set = sorted(c.ab for c in classes)
     rep.add("classes_are_projection_types", ab_set == [(0, 1), (1, 0)],
@@ -285,12 +421,12 @@ def classification_report(ab_range: int = 3, r_bound: int = 10,
     for c in classes:
         for m, witness in zip(c.members, c.witnesses):
             if witness is None:  # the representative, against itself
-                witness = rq_homotopic(m, m)
+                witness = decisions.witness(m, m)
             rep.witnesses.append({"pair": [list(c.representative.tag), list(m.tag)],
                                   **witness.to_json(d)})
     if len(classes) == 2:
-        _, crep = rq_homotopy_decision(classes[0].representative,
-                                       classes[1].representative)
+        crep = decisions.report(classes[0].representative,
+                                classes[1].representative)
         rep.obstructions.extend(
             {**o, "pair": [list(classes[0].representative.tag),
                            list(classes[1].representative.tag)]}

@@ -1,0 +1,38 @@
+"""The greedy classification that `classify_retractions` replaced, kept as
+an oracle for the family decisions.
+
+Candidates with r = 0 are taken first (a stable sort), and each is decided
+against the representative of every class opened so far, one
+`rq_homotopic` call per pair, so the member that opens a class, its
+representative, is the one with r = 0 when present.  Every other member
+keeps the witness of its homotopy from the representative.  Members and
+classes are listed in input order.  It shares no shift unknown and no
+reasoning about r-families with the solver.
+"""
+
+from xq.quadratic import rq_homotopic
+from xq.sphere import RetractionClass
+
+
+def greedy_classes(morphisms):
+    order = sorted(range(len(morphisms)),
+                   key=lambda k: not (morphisms[k].tag and morphisms[k].tag[2] == 0))
+    opened = []  # representative, [(index, witness)]
+    for k in order:
+        for representative, entries in opened:
+            witness = rq_homotopic(representative, morphisms[k])
+            if witness is not None:
+                entries.append((k, witness))
+                break
+        else:
+            opened.append((morphisms[k], [(k, None)]))
+    for _, entries in opened:
+        entries.sort(key=lambda e: e[0])
+    opened.sort(key=lambda o: o[1][0][0])
+    classes = []
+    for representative, entries in opened:
+        first = morphisms[entries[0][0]]
+        classes.append(RetractionClass((first.tag[0], first.tag[1]) if first.tag else (0, 0),
+                                       [morphisms[k] for k, _ in entries], representative,
+                                       [w for _, w in entries]))
+    return classes

@@ -303,8 +303,8 @@ def test_check_group_file_reads_the_seed_from_xq_seed(tmp_path, monkeypatch, cap
 
 
 def test_check_samples_0_draws_no_samples(tmp_path, monkeypatch, capsys):
-    # d: free nil(2) -> free group has its nil(2) laws sampled, at the
-    # caller's count
+    # d: free nil(2) -> free group has its nil(2) laws decided on generator
+    # triples; the action axioms and equivariance sample at the caller's count
     import xq.groups
 
     draws = []
@@ -322,6 +322,6 @@ def test_check_samples_0_draws_no_samples(tmp_path, monkeypatch, capsys):
     assert run(["check", str(path), "--samples", "0", "--out", str(out)]) == 0
     assert draws == []
     checks = {c["id"]: c.get("basis") for c in json.loads(out.read_text())["checks"]}
-    assert checks["d_is_homomorphism"] == "sampled"
+    assert checks["d_is_homomorphism"] == "proved"
     assert run(["check", str(path), "--samples", "2"]) == 0
-    assert len(draws) == 3 * 2 + 2 * 2 + 2  # check_hom, action axioms, equivariance
+    assert len(draws) == 2 * 2 + 2  # action axioms, equivariance

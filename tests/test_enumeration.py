@@ -1,5 +1,5 @@
-"""The r-solver of `enumerate_retractions` against the scan it replaced, and
-the one-unknown integer solve it rests on."""
+"""The fitted solver of `enumerate_retractions` against the scan it
+replaced, its guard, and the one-unknown integer solve it rests on."""
 
 import pytest
 
@@ -13,7 +13,8 @@ from xq.quadratic import (ReducedQuadraticComplex4, ReducedQuadraticModule,
 from scan_oracle import scan_retractions
 
 
-@pytest.mark.parametrize("ab_range,r_bound", [(0, 0), (1, 0), (2, 1), (2, 2), (3, 10)])
+@pytest.mark.parametrize("ab_range,r_bound", [(0, 0), (1, 0), (2, 1), (2, 2), (3, 10),
+                                              (6, 1), (4, 3)])
 def test_solver_matches_scan(cylinder_q, sphere_d, ab_range, r_bound):
     solved = sphere.enumerate_retractions(cylinder_q, sphere_d, ab_range, r_bound)
     scanned = scan_retractions(cylinder_q, sphere_d, ab_range, r_bound)
@@ -53,13 +54,22 @@ def test_solver_matches_scan_when_r_is_pinned(cylinder_q, q2, order):
     assert ((-3, -2, 0) in expected) == (order is not None)
 
 
+@pytest.mark.parametrize("q2", [FreeNil2Group(1), CyclicGroup(6)],
+                         ids=["single", "progression"])
+def test_solver_matches_scan_on_doubling_targets_at_a_wider_box(cylinder_q, q2):
+    target = doubling_target(q2)
+    solved = sphere.enumerate_retractions(cylinder_q, target, 4, 3)
+    assert [m.tag for m in solved] == [m.tag for m in scan_retractions(cylinder_q, target, 4, 3)]
+    assert solved
+
+
 def test_classification_report_matches_scan(monkeypatch):
     solved = xq.classification_report(3, 10).to_json()
     monkeypatch.setattr(sphere, "enumerate_retractions", scan_retractions)
     assert xq.classification_report(3, 10).to_json() == solved
 
 
-def test_solver_builds_two_probes_per_ab_plus_the_kept(monkeypatch, cylinder_q, sphere_d):
+def test_solver_builds_eight_probes_plus_the_kept(monkeypatch, cylinder_q, sphere_d):
     built = []
     original = sphere.retraction_candidate
 
@@ -68,9 +78,28 @@ def test_solver_builds_two_probes_per_ab_plus_the_kept(monkeypatch, cylinder_q, 
         return original(q, d, a, b, r)
 
     monkeypatch.setattr(sphere, "retraction_candidate", counting)
-    kept = sphere.enumerate_retractions(cylinder_q, sphere_d, 2, 30)
-    assert len(kept) == 2 * 61
-    assert len(built) == 2 * 5 ** 2 + len(kept)
+    for ab_range in (2, 5):
+        built.clear()
+        kept = sphere.enumerate_retractions(cylinder_q, sphere_d, ab_range, 30)
+        assert len(kept) == 2 * 61
+        assert len(built) == 8 + len(kept)
+
+
+def test_fit_guard_fires_on_a_cubic_defect(monkeypatch, cylinder_q, sphere_d):
+    # f2(e') = a^3 e makes square_d3 at e3 read (-1 + a^3 + b) e = 0, which
+    # no quadratic in (a, b) fits at the guard point
+    original = sphere.retraction_candidate
+
+    def cubic(q, d, a, b, r):
+        m = original(q, d, a, b, r)
+        images = list(m.f2.images)
+        images[1] = d.q2.pow(d.q2.gen(0), a ** 3)
+        m.f2 = xq.GroupHom(q.q2, d.q2, images)
+        return m
+
+    monkeypatch.setattr(sphere, "retraction_candidate", cubic)
+    with pytest.raises(ValueError, match=r"square_d3 \(f2 d3 != d3' f3 at generator e3\)"):
+        sphere.enumerate_retractions(cylinder_q, sphere_d, 1, 0)
 
 
 def test_solved_candidate_failing_the_check_is_an_internal_error(

@@ -4,7 +4,8 @@ import itertools
 import random
 
 from xq.intlinalg import (Lattice, ZSystem, hnf_with_transform, left_kernel,
-                          reduce_with_order, solve_left, vec_sub, xgcd)
+                          reduce_with_order, solve_left, split_lattice, vec_sub,
+                          xgcd)
 
 
 def brute_combinations(rows, box):
@@ -166,3 +167,27 @@ def test_zsystem_against_brute_force():
             klat = Lattice(nv, [kv[:nv] for kv in kernel])
             for assign in brute:
                 assert vec_sub(assign, u0[:nv]) in klat
+
+
+def test_split_lattice_against_brute_force():
+    rng = random.Random(3)
+    for _ in range(60):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        col = rng.randrange(n)
+        step_row, rest = split_lattice(rows, col)
+        span = brute_combinations(rows, 3)
+        values = {v[col] for v in span}
+        if step_row is None:
+            assert values <= {0}
+        else:
+            step = step_row[col]
+            assert step > 0 and all(v % step == 0 for v in values)
+            assert tuple(step_row) in Lattice(n, rows)
+        assert all(r[col] == 0 for r in rest)
+        # the rows with the step row span the lattice, and the rest span its
+        # vectors vanishing at col
+        lat = Lattice(n, rest + ([step_row] if step_row else []))
+        assert all(v in lat for v in span)
+        zero_at_col = Lattice(n, rest)
+        assert all(v in zero_at_col for v in span if v[col] == 0)

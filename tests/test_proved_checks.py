@@ -12,9 +12,10 @@ from xq import structfile as sf
 from xq.cli import run
 from xq.groups import FgAbelianGroup, FreeAbelianGroup, FreeGroup, FreeNil2Group, GroupHom
 from xq.quadratic import ReducedQuadraticModule, rqc4_check, rqm_check
-from xq.report import Check
+from xq.report import Check, Report
 
 from axiom_oracle import sampled_axioms
+from hom_oracle import sampled_check_hom
 from test_check_firing import doubling
 
 AXIOMS = ("axiom2_d3_omega_is_commutator", "axiom3_boundary_tensors_vanish",
@@ -126,16 +127,14 @@ def test_axioms_sample_when_the_bilinearity_argument_fails(monkeypatch, broken):
 
 def test_check_hom_basis_and_sample_count(monkeypatch):
     nil2, free, ab = FreeNil2Group(2), FreeGroup(2), FreeAbelianGroup(2)
-    assert GroupHom(ab, nil2, nil2.generators()).check_basis == "proved"
-    assert GroupHom(nil2, ab, ab.generators()).check_basis == "proved"
-    assert GroupHom(free, nil2, nil2.generators()).check_basis == "proved"
     h = GroupHom(nil2, free, [free.gen(0), free.gen(0)])
-    assert h.check_basis == "sampled"
+    for hom in (GroupHom(ab, nil2, nil2.generators()),
+                GroupHom(nil2, ab, ab.generators()),
+                GroupHom(free, nil2, nil2.generators()), h):
+        assert Report("r").add_hom("hom", hom).basis == "proved"
     draws = counting_draws(monkeypatch, nil2)
-    assert h.check_hom(random.Random(0), samples=0) == (True, None)
+    assert h.check_hom() == (True, None)
     assert draws == []
-    assert h.check_hom(random.Random(0), samples=4) == (True, None)
-    assert len(draws) == 3 * 4
 
 
 def test_basis_is_in_the_json_only_when_set():
@@ -151,3 +150,22 @@ def test_every_shipped_check_is_proved(structures_dir, tmp_path, samples):
                     str(samples), "--out", str(out)]) == 0
         checks = json.loads(out.read_text())["checks"]
         assert {c["basis"] for c in checks} == {"proved"}, name
+
+
+def test_nil2_into_free_group_verdict_matches_the_sampled_scan():
+    # images in F_3 that commute pairwise (powers of one word) or need not;
+    # the triples decide exactly when the sampled scan passes
+    rng = random.Random(5)
+    src, free = FreeNil2Group(3), FreeGroup(3)
+    verdicts = set()
+    for _ in range(300):
+        w = free.random_element(rng, 3)
+        images = [free.pow(w, rng.randint(-2, 2)) if rng.random() < 0.5
+                  else free.random_element(rng, 3) for _ in range(3)]
+        h = GroupHom(src, free, images)
+        ok, _ = h.check_hom()
+        commute = all(free.is_identity(free.commutator(x, y))
+                      for x in images for y in images)
+        assert ok == commute == sampled_check_hom(h, random.Random(0), 30)
+        verdicts.add(ok)
+    assert verdicts == {True, False}

@@ -1,10 +1,18 @@
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 import xq
 from xq.quadratic import qcm_check, rq_homotopy_decision, rqc4_check
-from xq.sphere import (classify_retractions, derive_reduced_q3,
+from xq.groups import CyclicGroup, FreeNil2Group
+from xq.quadratic import rq_homotopic
+from xq.sphere import (FamilyDecisions, classify_retractions, derive_reduced_q3,
                        enumerate_retractions, retraction_candidate,
                        solve_homology_constraints)
+
+from classify_oracle import greedy_classes
+from test_enumeration import doubling_target
 
 
 def test_structures_valid(sphere_d, cylinder_q):
@@ -156,17 +164,90 @@ def test_classification_report_decides_each_pair_once(monkeypatch):
     calls = []
     decide = xq.quadratic.rq_homotopy_decision
 
-    def counting(f, g):
+    def counting(f, g, *shift):
         calls.append((f.tag, g.tag))
-        return decide(f, g)
+        return decide(f, g, *shift)
 
     monkeypatch.setattr(xq.quadratic, "rq_homotopy_decision", counting)
     monkeypatch.setattr(xq.sphere, "rq_homotopy_decision", counting)
-    rep = xq.classification_report(ab_range=3, r_bound=10, seed=0)
-    # 61 to classify 42 retractions, one (rep, rep) per class, one cross pair
-    assert len(calls) == 64
+    # one decision per r-family and one for the cross pair, at every box
+    for ab_range, r_bound in ((2, 2), (5, 30), (3, 10)):
+        calls.clear()
+        rep = xq.classification_report(ab_range=ab_range, r_bound=r_bound, seed=0)
+        assert len(calls) == 3
     # the report is byte-identical to the one that decided every pair twice
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == \
         "863a0947f6e14da4783f58694c84cf3d85ba22fee057cbd34c042e4ee66b2405"
     assert hashlib.sha256(rep.text().encode()).hexdigest() == \
         "184579fd57d83b7237ce9dfea7ac62b36ca8bd22dc0eb908a7593c2f83d1000a"
+
+
+PINNED_CLASSIFY = {
+    # sha256 of the text and of the --out JSON of `xq s2xs2 classify`
+    (3, 20): ("9a9cedf57c7a5e6bef210f54e98b9c91160fcb270c24bbfefe1c81b327784c09",
+              "4fb78d6c2f8519030414fbe3b349e86b9d56008b1c5158c6ce1daecc360b7882"),
+    (4, 14): ("6a45bb47f057e8286d5e6056f5fd9431381dd49ace998366c858e0d4ca6af9d0",
+              "f7e4bcd73942d8d393a890721c5045810b480bd34948b55f086939e0a5b0fa5e"),
+    (5, 10): ("f04d0c96f98220f125f206bbd4be2dad4b427d87ad5317c00e8417a465e5827a",
+              "988ef16c4b234aede76d941aa3a9b368333aff5b4947e604c4b068148638303e"),
+}
+
+
+@pytest.mark.parametrize("box", sorted(PINNED_CLASSIFY), ids=lambda box: "%d-%d" % box)
+def test_classify_output_is_pinned_at_the_benchmark_boxes(box, tmp_path, capsys, monkeypatch):
+    import hashlib
+
+    from xq.cli import run
+
+    monkeypatch.delenv("XQ_SEED", raising=False)
+    out = tmp_path / "classify.json"
+    assert run(["s2xs2", "classify", "--ab-range", str(box[0]), "--r-bound", str(box[1]),
+                "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert (hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(out.read_bytes()).hexdigest()) == PINNED_CLASSIFY[box]
+
+
+def same_classes(target, ab_range, r_bound, cylinder_q):
+    """The family classification and the greedy oracle agree on the
+    partition, representatives, member order and every witness; returns the
+    classes."""
+    ms = enumerate_retractions(cylinder_q, target, ab_range, r_bound)
+    decisions = FamilyDecisions(ms)
+    classes = classify_retractions(ms, decisions)
+    expected = greedy_classes(ms)
+    assert [(c.ab, c.representative.tag, [m.tag for m in c.members]) for c in classes] == \
+        [(c.ab, c.representative.tag, [m.tag for m in c.members]) for c in expected]
+    for c, e in zip(classes, expected):
+        assert [w and w.to_json(target) for w in c.witnesses] == \
+            [w and w.to_json(target) for w in e.witnesses]
+        # the representative's witness against itself, as the report shows it
+        assert decisions.witness(c.representative, c.representative).to_json(target) == \
+            rq_homotopic(c.representative, c.representative).to_json(target)
+    return classes
+
+
+@pytest.mark.parametrize("ab_range,r_bound", [(0, 0), (1, 0), (2, 2), (3, 10), (3, 20)])
+def test_family_classification_matches_the_greedy_oracle(cylinder_q, sphere_d,
+                                                        ab_range, r_bound):
+    same_classes(sphere_d, ab_range, r_bound, cylinder_q)
+
+
+@pytest.mark.parametrize("q2,family_sizes", [(FreeNil2Group(1), {1: 22}),
+                                             (CyclicGroup(6), {2: 16, 1: 8})],
+                         ids=["single", "progression"])
+def test_family_classification_matches_the_greedy_oracle_across_families(
+        cylinder_q, q2, family_sizes):
+    # 22 and 24 r-families, Z/6 ones of 2 members (r0 + 3Z in [-2, 2]); both
+    # classes span families
+    classes = same_classes(doubling_target(q2), 3, 2, cylinder_q)
+    by_family = Counter(m.tag[:2] for c in classes for m in c.members)
+    assert Counter(by_family.values()) == family_sizes
+    assert len(classes) == 2
+    assert all(len({m.tag[:2] for m in c.members}) > 1 for c in classes)
+
+
+def test_classification_rejects_an_untagged_morphism(cylinder_q, sphere_d):
+    m = replace(retraction_candidate(cylinder_q, sphere_d, 0, 0, 0), tag=None)
+    with pytest.raises(ValueError, match="not a tagged retraction candidate"):
+        classify_retractions([m])
