@@ -83,6 +83,7 @@ class Group:
         if len(names) != ngens:
             raise ValueError("names length must match the number of generators")
         self.names = names
+        self._generators: tuple | None = None
 
     # -- element interface, provided by subclasses -------------------------
     def identity(self):
@@ -170,7 +171,11 @@ class Group:
         return self.op_all(self.inv(x), self.inv(y), x, y)
 
     def generators(self) -> list:
-        return [self.gen(i) for i in range(self.ngens)]
+        """The canonical generators, built once per group, as groups do not
+        change after construction; a fresh list on each call."""
+        if self._generators is None:
+            self._generators = tuple(self.gen(i) for i in range(self.ngens))
+        return list(self._generators)
 
     def from_ab(self, vec: Sequence[int]):
         """Element with the given exponent vector (commutator part zero)."""
@@ -476,6 +481,7 @@ class GroupHom:
         self.images = tuple(target.canon(x) for x in images)
         if len(self.images) != source.ngens:
             raise ValueError("one image per source generator required")
+        self._at_generator: dict[int, Any] = {}
 
     @staticmethod
     def identity(group: Group) -> "GroupHom":
@@ -506,6 +512,18 @@ class GroupHom:
             if c:
                 acc = t.op(acc, t.pow(t.commutator(images[i], images[j]), c))
         return acc
+
+    def at_generator(self, i: int):
+        """self(source.generators()[i]), computed on first use and kept.
+
+        This is the value at the canonical generator, not `images[i]`: the
+        two differ when the generator's canonical form is not the unit
+        vector (an abelian source with relations) and the images do not
+        define a homomorphism."""
+        value = self._at_generator.get(i)
+        if value is None:
+            value = self._at_generator[i] = self(self.source.generators()[i])
+        return value
 
     def then(self, other: "GroupHom") -> "GroupHom":
         """Composite x |-> other(self(x))."""

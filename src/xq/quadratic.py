@@ -271,13 +271,13 @@ def qcm_equations(m: QCMorphism, frame: MorphismFrame | None = None):
                  f"relation {list(row)} maps to a non-identity element")
                 for row, img in h.relation_images()))
     yield "square_d3", None, tgt.q2, (
-        (m.f2(dh), tgt.d3(m.f3(h)),
+        (m.f2(dh), tgt.d3(m.f3.at_generator(i)),
          f"f2 d3 != d3' f3 at generator {src.q3.names[i]}")
-        for i, (h, dh) in enumerate(zip(src.q3.generators(), frame.d3)))
+        for i, dh in enumerate(frame.d3))
     yield "square_d4", None, tgt.q3, (
-        (m.f3(dk), tgt.d4(m.f4(k)),
+        (m.f3(dk), tgt.d4(m.f4.at_generator(i)),
          f"f3 d4 != d4' f4 at generator {src.q4.names[i]}")
-        for i, (k, dk) in enumerate(zip(src.q4.generators(), frame.d4)))
+        for i, dk in enumerate(frame.d4))
     n = src.q2.ngens
     yield "square_omega", None, tgt.q3, (
         (m.f3(src.rqm.omega[i][j]),
@@ -293,13 +293,24 @@ def qcm_equations(m: QCMorphism, frame: MorphismFrame | None = None):
             for zs, zt in pairs)
 
 
-def qcm_check(m: QCMorphism, samples: int = 50, seed: int | None = None) -> Report:
-    """Boundary squares, omega compatibility, and under-object agreement."""
+def qcm_check(m: QCMorphism, samples: int = 50, seed: int | None = None,
+              frame: MorphismFrame | None = None) -> Report:
+    """Boundary squares, omega compatibility, and under-object agreement.
+
+    `frame` is the `morphism_frame` of (m.source, m.target), passed by a
+    caller that checks many morphisms between the same two complexes: it
+    holds d3 and d4 on the source generators and the under-object's images,
+    which do not depend on the maps, so each check reads them instead of
+    computing them again.  The maps are read at the source generators
+    through `GroupHom.at_generator`, which keeps the value the fold gives
+    at the canonical generator, so the equations, and the report, are the
+    ones that computing each value afresh gives.
+    """
     if seed is None:
         seed = seed_from_env()
     rep = Report("quadratic complex morphism", basis="proved")
     rep.meta.update(seed=seed, samples=samples)
-    for check_id, h, grp, equations in qcm_equations(m):
+    for check_id, h, grp, equations in qcm_equations(m, frame):
         if h is not None:
             rep.add_hom(check_id, h)
         else:
@@ -476,51 +487,95 @@ def _alpha2_steps(word, f: QCMorphism, g: QCMorphism):
         run = [a + s * b for a, b in zip(run, dvec)]
 
 
-def alpha2_extend(values: Sequence, f: QCMorphism, g: QCMorphism, x):
+def alpha2_extend(values: Sequence, f: QCMorphism, g: QCMorphism, x,
+                  steps: dict | None = None):
     """Evaluate alpha2 on x by the left-to-right extension rule, given its
     values on the source degree-2 generators; the values are folded in
-    order, as the target Q3 need not be abelian."""
+    order, as the target Q3 need not be abelian.
+
+    `steps`, when given, is a memo of the `_alpha2_steps` lists of (f, g)
+    by canonical source element, filled as elements are first met.  Those
+    lists depend only on f2, g2 and x, not on the values, so a memo may be
+    shared by every pair of morphisms with the same f2 and g2."""
     src2, q3t = f.source.q2, f.target.q3
+    x = src2.canon(x)
+    if steps is None:
+        walk = _alpha2_steps(src2.word_of(x), f, g)
+    else:
+        walk = steps.get(x)
+        if walk is None:
+            walk = steps[x] = list(_alpha2_steps(src2.word_of(x), f, g))
     acc = q3t.identity()
-    for i, s, corr in _alpha2_steps(src2.word_of(src2.canon(x)), f, g):
+    for i, s, corr in walk:
         val = q3t.canon(values[i])
         acc = q3t.op_all(acc, val if s > 0 else q3t.inv(val), corr)
     return acc
 
 
-def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy) -> Report:
-    """Re-check a homotopy witness equation by equation on generators."""
+def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy,
+                       frame: MorphismFrame | None = None,
+                       steps: dict | None = None) -> Report:
+    """Re-check a homotopy witness equation by equation on generators.
+
+    `frame` is the `morphism_frame` of (f.source, f.target), and `steps` a
+    memo of alpha2 step lists for (f2, g2) (`alpha2_extend`); a caller that
+    verifies many witnesses between the same complexes passes both.  The
+    frame holds d3 and d4 on the source generators and the images of the
+    under-object's generators, which do not depend on f, g or the witness.
+    The maps are read at the source generators through
+    `GroupHom.at_generator`, which keeps the value the fold gives at the
+    canonical generator, so each equation compares the elements that
+    computing every value afresh compares.  Without them, every value is
+    computed here, as each check needs it.
+    """
     rep = Report("quadratic homotopy certificate", basis="proved")
     src, tgt = f.source, f.target
+    if frame is None:
+        d3s = map(src.d3, src.q3.generators())
+        d4s = map(src.d4, src.q4.generators())
+        under = {}
+    else:
+        d3s, d4s, under = frame.d3, frame.d4, dict(frame.under)
     alpha3 = h.alpha3_hom(src, tgt)
     rep.add_hom("alpha3_is_homomorphism", alpha3)
     rep.first_failure("homotopy_degree2",
                       (f"-f2 + g2 != d3' alpha2 at generator {src.q2.names[i]}"
-                       for i, x in enumerate(src.q2.generators())
-                       if not tgt.q2.eq(tgt.q2.op(tgt.q2.inv(f.f2(x)), g.f2(x)),
+                       for i in range(src.q2.ngens)
+                       if not tgt.q2.eq(tgt.q2.op(tgt.q2.inv(f.f2.at_generator(i)),
+                                                  g.f2.at_generator(i)),
                                         tgt.d3(h.alpha2[i]))))
     rep.first_failure("homotopy_degree3",
                       (f"-f3 + g3 != d4' alpha3 + alpha2 d3 at generator {src.q3.names[i]}"
-                       for i, t in enumerate(src.q3.generators())
-                       if not tgt.q3.eq(tgt.q3.op(tgt.q3.inv(f.f3(t)), g.f3(t)),
-                                        tgt.q3.op(tgt.d4(alpha3(t)), alpha2_extend(
-                                            h.alpha2, f, g, src.d3(t))))))
+                       for i, dt in enumerate(d3s)
+                       if not tgt.q3.eq(tgt.q3.op(tgt.q3.inv(f.f3.at_generator(i)),
+                                                  g.f3.at_generator(i)),
+                                        tgt.q3.op(tgt.d4(alpha3.at_generator(i)),
+                                                  alpha2_extend(h.alpha2, f, g, dt,
+                                                                steps)))))
     rep.first_failure("homotopy_degree4",
                       (f"-f4 + g4 != alpha3 d4 at generator {src.q4.names[i]}"
-                       for i, k in enumerate(src.q4.generators())
-                       if not tgt.q4.eq(tgt.q4.op(tgt.q4.inv(f.f4(k)), g.f4(k)),
-                                        alpha3(src.d4(k)))))
+                       for i, dk in enumerate(d4s)
+                       if not tgt.q4.eq(tgt.q4.op(tgt.q4.inv(f.f4.at_generator(i)),
+                                                  g.f4.at_generator(i)),
+                                        alpha3(dk))))
     if src.under is not None:
         base = src.under.base
+
+        def on_under(deg, fh, bgrp):
+            """(z, image of z in the source) per generator z of the base."""
+            if deg in under:
+                return zip(bgrp.generators(), (zs for zs, _ in under[deg]))
+            return ((z, fh(z)) for z in bgrp.generators())
+
         rep.first_failure("alpha2_vanishes_on_under",
                           (f"alpha2 does not vanish on {base.q2.format_element(z)}"
-                           for z in base.q2.generators()
+                           for z, zs in on_under(2, src.under.q2, base.q2)
                            if not tgt.q3.is_identity(
-                               alpha2_extend(h.alpha2, f, g, src.under.q2(z)))))
+                               alpha2_extend(h.alpha2, f, g, zs, steps))))
         rep.first_failure("alpha3_vanishes_on_under",
                           (f"alpha3 does not vanish on {base.q3.format_element(z)}"
-                           for z in base.q3.generators()
-                           if not tgt.q4.is_identity(alpha3(src.under.q3(z)))))
+                           for z, zs in on_under(3, src.under.q3, base.q3)
+                           if not tgt.q4.is_identity(alpha3(zs))))
     return rep
 
 

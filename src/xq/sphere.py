@@ -216,8 +216,8 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
 
     Each box point is then one `ZSystem` in the single unknown r; its
     solutions in [-r_bound, r_bound] are built and each is re-checked with
-    `qcm_check`.  The cost is 8 candidates plus one per morphism kept, at
-    every box.
+    `qcm_check`, which reads the one frame of (q, d).  The cost is 8
+    candidates plus one per morphism kept, at every box.
 
     Raises ValueError when the target has no abelian coordinates in degrees
     2, 3 or 4 or the fit misses its guard, and RuntimeError if a solved
@@ -270,7 +270,7 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
             system.add(len(slope), [(rv, slope)], vec_neg(fitted(a, b)), rows)
             for r in solve_one_unknown(system, r_bound):
                 m = retraction_candidate(q, d, a, b, r)
-                if not qcm_check(m, samples=5, seed=0).ok:
+                if not qcm_check(m, samples=5, seed=0, frame=frame).ok:
                     raise RuntimeError(f"internal error: solved candidate {m.tag} "
                                        "fails the morphism checks")
                 out.append(m)
@@ -301,7 +301,12 @@ class FamilyDecisions:
     unknown t on g0 (`retraction_shift`), holds the system of every pair of
     their members: f ~ g exactly when t = (r' - r) - (r(g0) - r(f0)) admits
     a solution, and the witness at that t is the one the pair's own
-    decision would give."""
+    decision would give.
+
+    Each witness is still re-verified on its own, against the one
+    `morphism_frame` of (q, d) and one memo of alpha2 step lists per
+    ordered pair of families: the steps depend only on f2 and g2, which
+    (a, b) and (a', b') fix."""
 
     def __init__(self, morphisms: list[QCMorphism]):
         self.first: dict[tuple, QCMorphism] = {}
@@ -311,6 +316,9 @@ class FamilyDecisions:
                                  "classify the output of retraction_candidate")
             self.first.setdefault(m.tag[:2], m)
         self.made: dict[tuple, tuple] = {}
+        self.frame = morphism_frame(morphisms[0].source, morphisms[0].target) \
+            if morphisms else None
+        self.steps: dict[tuple, dict] = {}
 
     def decide(self, f: QCMorphism, g: QCMorphism) -> tuple:
         """(`ShiftedSolutions` or None, report) for the families of f and g."""
@@ -339,7 +347,9 @@ class FamilyDecisions:
             raise RuntimeError(f"internal error: {f.tag} and {g.tag} are in one "
                                "class but not homotopic")
         witness = QCHomotopy(*values)
-        solutions.lin.accept(verify_rq_homotopy(f, g, witness), witness.to_json(f.target))
+        steps = self.steps.setdefault((f.tag[:2], g.tag[:2]), {})
+        solutions.lin.accept(verify_rq_homotopy(f, g, witness, self.frame, steps),
+                             witness.to_json(f.target))
         return witness
 
     def report(self, f: QCMorphism, g: QCMorphism) -> Report:
