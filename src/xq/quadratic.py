@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule,
                       ShiftedSolutions, peiffer_commutator)
@@ -222,35 +222,7 @@ class QCMorphism:
                 "f4": self.f4.element_json()}
 
 
-class MorphismFrame(NamedTuple):
-    """The parts of the morphism equations that do not depend on the maps:
-    d3 and d4 on the source generators, and the images of the under-object's
-    generators on both sides, per degree (empty when no under-condition
-    applies)."""
-
-    d3: tuple
-    d4: tuple
-    under: tuple
-
-
-def morphism_frame(src: ReducedQuadraticComplex4,
-                   tgt: ReducedQuadraticComplex4) -> MorphismFrame:
-    under = ()
-    if (src.under is not None and tgt.under is not None
-            and src.under.base.q2 == tgt.under.base.q2):
-        base = src.under.base
-        under = tuple(
-            (deg, tuple((qs(z), qt(z)) for z in bgrp.generators()))
-            for deg, qs, qt, bgrp in (
-                (2, src.under.q2, tgt.under.q2, base.q2),
-                (3, src.under.q3, tgt.under.q3, base.q3),
-                (4, src.under.q4, tgt.under.q4, base.q4)))
-    return MorphismFrame(tuple(src.d3(h) for h in src.q3.generators()),
-                         tuple(src.d4(k) for k in src.q4.generators()),
-                         under)
-
-
-def qcm_equations(m: QCMorphism, frame: MorphismFrame | None = None):
+def qcm_equations(m: QCMorphism):
     """The conditions on a morphism, in report order, as
     (check id, map, group, equations).
 
@@ -261,23 +233,25 @@ def qcm_equations(m: QCMorphism, frame: MorphismFrame | None = None):
     decides them, adding the nil(2) laws when the target is not nil(2) by
     construction.  The under-checks appear only when both sides carry
     cofibrations from the same base.
+
+    Every map is read at generators through `GroupHom.at_generator`: the
+    boundary maps and the under-object's maps belong to the two complexes,
+    so checking many morphisms between them evaluates those once.
     """
     src, tgt = m.source, m.target
-    if frame is None:
-        frame = morphism_frame(src, tgt)
     for name, h in (("f2", m.f2), ("f3", m.f3), ("f4", m.f4)):
         yield (f"{name}_is_homomorphism", h, h.target,
                ((img, h.target.identity(),
                  f"relation {list(row)} maps to a non-identity element")
                 for row, img in h.relation_images()))
     yield "square_d3", None, tgt.q2, (
-        (m.f2(dh), tgt.d3(m.f3.at_generator(i)),
+        (m.f2(src.d3.at_generator(i)), tgt.d3(m.f3.at_generator(i)),
          f"f2 d3 != d3' f3 at generator {src.q3.names[i]}")
-        for i, dh in enumerate(frame.d3))
+        for i in range(src.q3.ngens))
     yield "square_d4", None, tgt.q3, (
-        (m.f3(dk), tgt.d4(m.f4.at_generator(i)),
+        (m.f3(src.d4.at_generator(i)), tgt.d4(m.f4.at_generator(i)),
          f"f3 d4 != d4' f4 at generator {src.q4.names[i]}")
-        for i, dk in enumerate(frame.d4))
+        for i in range(src.q4.ngens))
     n = src.q2.ngens
     yield "square_omega", None, tgt.q3, (
         (m.f3(src.rqm.omega[i][j]),
@@ -285,32 +259,33 @@ def qcm_equations(m: QCMorphism, frame: MorphismFrame | None = None):
                                              tgt.braces(m.f2.images[j]))),
          f"f3 omega != omega' (f2^ab (x) f2^ab) at basis ({i},{j})")
         for i in range(n) for j in range(n))
-    maps = {2: (m.f2, tgt.q2), 3: (m.f3, tgt.q3), 4: (m.f4, tgt.q4)}
-    for deg, pairs in frame.under:
-        fh, grp = maps[deg]
+    if (src.under is None or tgt.under is None
+            or src.under.base.q2 != tgt.under.base.q2):
+        return
+    for deg, fh, grp, qs, qt in ((2, m.f2, tgt.q2, src.under.q2, tgt.under.q2),
+                                 (3, m.f3, tgt.q3, src.under.q3, tgt.under.q3),
+                                 (4, m.f4, tgt.q4, src.under.q4, tgt.under.q4)):
         yield f"under_degree{deg}", None, grp, (
-            (fh(zs), zt, f"f does not commute with the cofibration in degree {deg}")
-            for zs, zt in pairs)
+            (fh(qs.at_generator(j)), qt.at_generator(j),
+             f"f does not commute with the cofibration in degree {deg}")
+            for j in range(qs.source.ngens))
 
 
-def qcm_check(m: QCMorphism, samples: int = 50, seed: int | None = None,
-              frame: MorphismFrame | None = None) -> Report:
+def qcm_check(m: QCMorphism, samples: int = 50, seed: int | None = None) -> Report:
     """Boundary squares, omega compatibility, and under-object agreement.
 
-    `frame` is the `morphism_frame` of (m.source, m.target), passed by a
-    caller that checks many morphisms between the same two complexes: it
-    holds d3 and d4 on the source generators and the under-object's images,
-    which do not depend on the maps, so each check reads them instead of
-    computing them again.  The maps are read at the source generators
-    through `GroupHom.at_generator`, which keeps the value the fold gives
-    at the canonical generator, so the equations, and the report, are the
-    ones that computing each value afresh gives.
+    The equations read each map at the canonical source generators through
+    `GroupHom.at_generator`, which keeps on the hom the value the map gives
+    there.  So they compare the elements that evaluating every map afresh
+    compares, and the boundary and under-object maps, which belong to the
+    complexes, are evaluated once however many morphisms between the same
+    two complexes are checked.
     """
     if seed is None:
         seed = seed_from_env()
     rep = Report("quadratic complex morphism", basis="proved")
     rep.meta.update(seed=seed, samples=samples)
-    for check_id, h, grp, equations in qcm_equations(m, frame):
+    for check_id, h, grp, equations in qcm_equations(m):
         if h is not None:
             rep.add_hom(check_id, h)
         else:
@@ -513,29 +488,20 @@ def alpha2_extend(values: Sequence, f: QCMorphism, g: QCMorphism, x,
 
 
 def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy,
-                       frame: MorphismFrame | None = None,
                        steps: dict | None = None) -> Report:
     """Re-check a homotopy witness equation by equation on generators.
 
-    `frame` is the `morphism_frame` of (f.source, f.target), and `steps` a
-    memo of alpha2 step lists for (f2, g2) (`alpha2_extend`); a caller that
-    verifies many witnesses between the same complexes passes both.  The
-    frame holds d3 and d4 on the source generators and the images of the
-    under-object's generators, which do not depend on f, g or the witness.
-    The maps are read at the source generators through
-    `GroupHom.at_generator`, which keeps the value the fold gives at the
-    canonical generator, so each equation compares the elements that
-    computing every value afresh compares.  Without them, every value is
-    computed here, as each check needs it.
+    Every map is read at the canonical source generators through
+    `GroupHom.at_generator`, which keeps on the hom the value the map gives
+    there, so each equation compares the elements that evaluating every map
+    afresh compares.  d3, d4 and the under-object's maps belong to the
+    source complex, so verifying many witnesses from one source evaluates
+    them once.  `steps` is a memo of alpha2 step lists for (f2, g2)
+    (`alpha2_extend`), which a caller that verifies many witnesses between
+    morphisms with the same f2 and g2 may share.
     """
     rep = Report("quadratic homotopy certificate", basis="proved")
     src, tgt = f.source, f.target
-    if frame is None:
-        d3s = map(src.d3, src.q3.generators())
-        d4s = map(src.d4, src.q4.generators())
-        under = {}
-    else:
-        d3s, d4s, under = frame.d3, frame.d4, dict(frame.under)
     alpha3 = h.alpha3_hom(src, tgt)
     rep.add_hom("alpha3_is_homomorphism", alpha3)
     rep.first_failure("homotopy_degree2",
@@ -546,36 +512,30 @@ def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy,
                                         tgt.d3(h.alpha2[i]))))
     rep.first_failure("homotopy_degree3",
                       (f"-f3 + g3 != d4' alpha3 + alpha2 d3 at generator {src.q3.names[i]}"
-                       for i, dt in enumerate(d3s)
+                       for i in range(src.q3.ngens)
                        if not tgt.q3.eq(tgt.q3.op(tgt.q3.inv(f.f3.at_generator(i)),
                                                   g.f3.at_generator(i)),
                                         tgt.q3.op(tgt.d4(alpha3.at_generator(i)),
-                                                  alpha2_extend(h.alpha2, f, g, dt,
+                                                  alpha2_extend(h.alpha2, f, g,
+                                                                src.d3.at_generator(i),
                                                                 steps)))))
     rep.first_failure("homotopy_degree4",
                       (f"-f4 + g4 != alpha3 d4 at generator {src.q4.names[i]}"
-                       for i, dk in enumerate(d4s)
+                       for i in range(src.q4.ngens)
                        if not tgt.q4.eq(tgt.q4.op(tgt.q4.inv(f.f4.at_generator(i)),
                                                   g.f4.at_generator(i)),
-                                        alpha3(dk))))
+                                        alpha3(src.d4.at_generator(i)))))
     if src.under is not None:
-        base = src.under.base
-
-        def on_under(deg, fh, bgrp):
-            """(z, image of z in the source) per generator z of the base."""
-            if deg in under:
-                return zip(bgrp.generators(), (zs for zs, _ in under[deg]))
-            return ((z, fh(z)) for z in bgrp.generators())
-
+        base, under = src.under.base, src.under
         rep.first_failure("alpha2_vanishes_on_under",
                           (f"alpha2 does not vanish on {base.q2.format_element(z)}"
-                           for z, zs in on_under(2, src.under.q2, base.q2)
-                           if not tgt.q3.is_identity(
-                               alpha2_extend(h.alpha2, f, g, zs, steps))))
+                           for j, z in enumerate(base.q2.generators())
+                           if not tgt.q3.is_identity(alpha2_extend(
+                               h.alpha2, f, g, under.q2.at_generator(j), steps))))
         rep.first_failure("alpha3_vanishes_on_under",
                           (f"alpha3 does not vanish on {base.q3.format_element(z)}"
-                           for z, zs in on_under(3, src.under.q3, base.q3)
-                           if not tgt.q4.is_identity(alpha3(zs))))
+                           for j, z in enumerate(base.q3.generators())
+                           if not tgt.q4.is_identity(alpha3(under.q3.at_generator(j)))))
     return rep
 
 
@@ -621,27 +581,27 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = 
     alpha3 = lin.unknowns(src.q3.ngens, tgt.q4, 4)
     t = None if shift is None else lin.shift_unknown()
 
-    drow = [list(alpha2.coords(tgt.d4(hk))) for hk in tgt.q4.generators()]
-    for i, h in enumerate(src.q3.generators()):
-        coeffs, const = _alpha2_symbolic(src.q2.word_of(src.d3(h)), f, g)
+    drow = [list(alpha2.coords(tgt.d4.at_generator(k))) for k in range(tgt.q4.ngens)]
+    for i in range(src.q3.ngens):
+        coeffs, const = _alpha2_symbolic(src.q2.word_of(src.d3.at_generator(i)), f, g)
         rhs = tgt.q3.op_all(tgt.q3.inv(f.f3.images[i]), g.f3.images[i],
                             tgt.q3.inv(const))
         terms = [(alpha3.var(i, k), drow[k]) for k in range(alpha3.dim)]
         if t is not None:
             terms.append((t, vec_neg(alpha2.coords(shift[i]))))
         lin.add_sum(alpha2, coeffs, alpha2.coords(rhs), terms)
-    for i, k4 in enumerate(src.q4.generators()):
+    for i in range(src.q4.ngens):
         rhs = tgt.q4.op(tgt.q4.inv(f.f4.images[i]), g.f4.images[i])
-        lin.add_sum(alpha3, src.q3.ab(src.d4(k4)), alpha3.coords(rhs))
+        lin.add_sum(alpha3, src.q3.ab(src.d4.at_generator(i)), alpha3.coords(rhs))
     for row in src.q3.ab_relation_rows():
         lin.add_sum(alpha3, row)
     if src.under is not None:
-        base = src.under.base
-        for z in base.q2.generators():
-            coeffs, const = _alpha2_symbolic(src.q2.word_of(src.under.q2(z)), f, g)
+        under = src.under
+        for j in range(under.base.q2.ngens):
+            coeffs, const = _alpha2_symbolic(src.q2.word_of(under.q2.at_generator(j)), f, g)
             lin.add_sum(alpha2, coeffs, alpha2.coords(tgt.q3.inv(const)))
-        for z in base.q3.generators():
-            lin.add_sum(alpha3, src.q3.ab(src.under.q3(z)))
+        for j in range(under.base.q3.ngens):
+            lin.add_sum(alpha3, src.q3.ab(under.q3.at_generator(j)))
 
     solved = lin.solve()
     if solved is None:

@@ -15,9 +15,9 @@ from .groups import (FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, Group,
 from .intlinalg import Lattice, ZSystem, solve_one_unknown, vec_neg, vec_sub
 from .monoid import mbar_elements
 from .quadratic import (QCHomotopy, QCMorphism, ReducedQuadraticComplex4,
-                        ReducedQuadraticModule, UnderCofibration, morphism_frame,
-                        qcm_check, qcm_equations, rq_homotopy_decision,
-                        rqc4_check, verify_rq_homotopy)
+                        ReducedQuadraticModule, UnderCofibration, qcm_check,
+                        qcm_equations, rq_homotopy_decision, rqc4_check,
+                        verify_rq_homotopy)
 from .report import Report
 from .tensor import TensorElement
 
@@ -216,8 +216,8 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
 
     Each box point is then one `ZSystem` in the single unknown r; its
     solutions in [-r_bound, r_bound] are built and each is re-checked with
-    `qcm_check`, which reads the one frame of (q, d).  The cost is 8
-    candidates plus one per morphism kept, at every box.
+    `qcm_check`.  The cost is 8 candidates plus one per morphism kept, at
+    every box.
 
     Raises ValueError when the target has no abelian coordinates in degrees
     2, 3 or 4 or the fit misses its guard, and RuntimeError if a solved
@@ -227,13 +227,12 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     if any(info is None for info in coords.values()):
         raise ValueError("solving for r needs abelian coordinates on the "
                          "target in degrees 2, 3 and 4")
-    frame = morphism_frame(q, d)
 
     def defects(a, b, r):
         """(check id, message, group, lhs - rhs in coordinates) per equation."""
         return [(check_id, message, grp, vec_sub(coords[grp][1](lhs), coords[grp][1](rhs)))
                 for check_id, _, grp, eqs in qcm_equations(
-                    retraction_candidate(q, d, a, b, r), frame)
+                    retraction_candidate(q, d, a, b, r))
                 for lhs, rhs, message in eqs]
 
     probes = [defects(a, b, 0) for a, b in NEWTON_POINTS]
@@ -270,7 +269,7 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
             system.add(len(slope), [(rv, slope)], vec_neg(fitted(a, b)), rows)
             for r in solve_one_unknown(system, r_bound):
                 m = retraction_candidate(q, d, a, b, r)
-                if not qcm_check(m, samples=5, seed=0, frame=frame).ok:
+                if not qcm_check(m, samples=5, seed=0).ok:
                     raise RuntimeError(f"internal error: solved candidate {m.tag} "
                                        "fails the morphism checks")
                 out.append(m)
@@ -303,10 +302,8 @@ class FamilyDecisions:
     a solution, and the witness at that t is the one the pair's own
     decision would give.
 
-    Each witness is still re-verified on its own, against the one
-    `morphism_frame` of (q, d) and one memo of alpha2 step lists per
-    ordered pair of families: the steps depend only on f2 and g2, which
-    (a, b) and (a', b') fix."""
+    Each witness is still re-verified on its own, sharing one memo of
+    alpha2 step lists per pair (f2, g2) (`steps_for`)."""
 
     def __init__(self, morphisms: list[QCMorphism]):
         self.first: dict[tuple, QCMorphism] = {}
@@ -316,8 +313,6 @@ class FamilyDecisions:
                                  "classify the output of retraction_candidate")
             self.first.setdefault(m.tag[:2], m)
         self.made: dict[tuple, tuple] = {}
-        self.frame = morphism_frame(morphisms[0].source, morphisms[0].target) \
-            if morphisms else None
         self.steps: dict[tuple, dict] = {}
 
     def decide(self, f: QCMorphism, g: QCMorphism) -> tuple:
@@ -328,6 +323,12 @@ class FamilyDecisions:
             self.made[key] = rq_homotopy_decision(
                 f0, g0, retraction_shift(f0.source, f0.target))
         return self.made[key]
+
+    def steps_for(self, f: QCMorphism, g: QCMorphism) -> dict:
+        """The memo of alpha2 step lists of (f, g) (`alpha2_extend`), keyed
+        by what the lists depend on besides the one target: the images of f2
+        and g2."""
+        return self.steps.setdefault((f.f2.images, g.f2.images), {})
 
     def _shift(self, f: QCMorphism, g: QCMorphism) -> int:
         f0, g0 = self.first[f.tag[:2]], self.first[g.tag[:2]]
@@ -347,8 +348,7 @@ class FamilyDecisions:
             raise RuntimeError(f"internal error: {f.tag} and {g.tag} are in one "
                                "class but not homotopic")
         witness = QCHomotopy(*values)
-        steps = self.steps.setdefault((f.tag[:2], g.tag[:2]), {})
-        solutions.lin.accept(verify_rq_homotopy(f, g, witness, self.frame, steps),
+        solutions.lin.accept(verify_rq_homotopy(f, g, witness, self.steps_for(f, g)),
                              witness.to_json(f.target))
         return witness
 

@@ -105,8 +105,8 @@ def test_fit_guard_fires_on_a_cubic_defect(monkeypatch, cylinder_q, sphere_d):
 def test_solved_candidate_failing_the_check_is_an_internal_error(
         monkeypatch, cylinder_q, sphere_d):
     monkeypatch.setattr(sphere, "qcm_check",
-                        lambda m, samples, seed, frame: xq.Report("always failing",
-                                                                  [xq.Check("c", False)]))
+                        lambda m, samples, seed: xq.Report("always failing",
+                                                           [xq.Check("c", False)]))
     with pytest.raises(RuntimeError, match=r"\(0, 1, 0\)"):
         sphere.enumerate_retractions(cylinder_q, sphere_d, 1, 0)
 

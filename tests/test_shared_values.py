@@ -1,8 +1,8 @@
-"""A shared morphism frame, values kept at generators and a shared memo of
-alpha2 steps change no report: `qcm_check` and `verify_rq_homotopy` give
-the JSON that fresh calls on freshly built morphisms give, on passing and on
-corrupted witnesses, and classification builds them a constant number of
-times."""
+"""Values kept at generators and a shared memo of alpha2 steps change no
+report: `qcm_check` and `verify_rq_homotopy` give the JSON that fresh calls
+on freshly built morphisms give, on passing and on corrupted witnesses, and
+classification evaluates the maps of the source complex a constant number
+of times."""
 
 import os
 import random
@@ -15,9 +15,10 @@ import xq.quadratic
 import xq.sphere
 from xq import structfile as sf
 from xq.groups import GroupHom
-from xq.quadratic import (QCHomotopy, QCMorphism, alpha2_extend, morphism_frame,
+from xq.quadratic import (QCHomotopy, QCMorphism, _alpha2_steps, alpha2_extend,
                           qcm_check, rq_homotopy_decision, verify_rq_homotopy)
-from xq.sphere import retraction_candidate
+from xq.sphere import (FamilyDecisions, classify_retractions, enumerate_retractions,
+                       retraction_candidate)
 
 MORPHISM_FILES = ("retraction_pr1.json", "retraction_pr1_twisted.json",
                   "retraction_pr2.json")
@@ -83,24 +84,15 @@ def shifted(values, i, by, group):
 
 
 class Shared:
-    """One frame per (source, target) and one alpha2 step memo per (f2, g2),
-    as classification keeps them, reused by every call."""
+    """The alpha2 step memo of classification (`FamilyDecisions.steps_for`),
+    one per target, reused by every call."""
 
     def __init__(self):
-        self.frames, self.steps = {}, {}
-
-    def frame(self, m):
-        key = (id(m.source), id(m.target))
-        if key not in self.frames:
-            self.frames[key] = morphism_frame(m.source, m.target)
-        return self.frames[key]
+        self.decisions = {}
 
     def verify(self, f, g, h):
-        steps = self.steps.setdefault((id(f.target), f.f2.images, g.f2.images), {})
-        return verify_rq_homotopy(f, g, h, self.frame(f), steps)
-
-    def check(self, m):
-        return qcm_check(m, samples=5, seed=0, frame=self.frame(m))
+        decisions = self.decisions.setdefault(id(f.target), FamilyDecisions([]))
+        return verify_rq_homotopy(f, g, h, decisions.steps_for(f, g))
 
 
 def cases(shipped, cylinder_q, sphere_d):
@@ -165,19 +157,19 @@ def test_shared_verification_matches_fresh_calls(shipped, cylinder_q, sphere_d):
             fired.add(must_fail)
     assert fired == {"homotopy_degree2", "homotopy_degree3", "homotopy_degree4",
                      "alpha2_vanishes_on_under", "alpha3_vanishes_on_under"}
-    # the shipped pair, Q -> Q, and Q -> D as the fixtures build it
-    assert len(shared.frames) == 3
+    # the shipped target, Q and D
+    assert len(shared.decisions) == 3
 
 
-def test_shared_check_matches_fresh_calls(shipped, cylinder_q, sphere_d):
+def test_kept_values_check_as_fresh_calls(shipped, cylinder_q, sphere_d):
     _, _, bind = shipped
-    shared = Shared()
     ms = [bind(name) for name in MORPHISM_FILES]
     ms += [identity_morphism(cylinder_q), broken_f3(cylinder_q, sphere_d)]
     for m in ms + ms:
-        got = shared.check(m)
-        assert got.to_json() == qcm_check(fresh_copy(m), samples=5, seed=0).to_json()
-    assert [c.check_id for c in shared.check(ms[-1]).failed()] == ["f3_is_homomorphism"]
+        assert qcm_check(m, samples=5, seed=0).to_json() == \
+            qcm_check(fresh_copy(m), samples=5, seed=0).to_json()
+    assert [c.check_id for c in qcm_check(ms[-1], samples=5, seed=0).failed()] == \
+        ["f3_is_homomorphism"]
 
 
 def test_alpha2_step_memo_matches_the_fold(cylinder_q):
@@ -185,16 +177,24 @@ def test_alpha2_step_memo_matches_the_fold(cylinder_q):
     rng = random.Random(0)
     ident, twist = identity_morphism(q), twisted_identity(q)
     pool = q.q2.generators() + [q.q2.random_element(rng) for _ in range(6)]
-    for f, g in ((ident, twist), (twist, ident), (ident, ident)):
-        steps = {}
+    decisions = FamilyDecisions([])
+    # a new identity shares the memo of the first: the key is f2 and g2
+    pairs = ((ident, twist), (twist, ident), (ident, ident), (identity_morphism(q), ident))
+    for f, g in pairs:
         for _ in range(40):
             x = rng.choice(pool)
             values = [q.q3.random_element(rng) for _ in range(q.q2.ngens)]
-            assert alpha2_extend(values, f, g, x, steps) == alpha2_extend(values, f, g, x)
-        assert len(steps) <= len(pool)
+            assert alpha2_extend(values, f, g, x, decisions.steps_for(f, g)) == \
+                alpha2_extend(values, f, g, x)
+    assert len(decisions.steps) == 3
+    for f, g in pairs:
+        steps = decisions.steps_for(f, g)
+        assert 0 < len(steps) <= len(pool)
+        for x, walk in steps.items():
+            assert walk == list(_alpha2_steps(q.q2.word_of(x), f, g))
         # corrections vanish exactly when f2 = g2
         corrections = {corr for walk in steps.values() for *_, corr in walk}
-        assert (corrections == {q.q3.identity()}) == (f is g)
+        assert (corrections == {q.q3.identity()}) == (f.f2.images == g.f2.images)
 
 
 def test_values_are_read_at_the_canonical_generator(cylinder_q, sphere_d):
@@ -208,6 +208,11 @@ def test_values_are_read_at_the_canonical_generator(cylinder_q, sphere_d):
     w, _ = rq_homotopy_decision(good, good)
     assert verify_rq_homotopy(m, good, w).to_json() == \
         verify_rq_homotopy(good, good, w).to_json()
+    # the maps of the complex are kept the same way
+    q = cylinder_q
+    for hom in (q.d3, q.d4, q.under.q2, q.under.q3, q.under.q4):
+        gens = hom.source.generators()
+        assert [hom.at_generator(i) for i in range(len(gens))] == list(map(hom, gens))
 
 
 def test_generators_are_built_once_and_returned_as_fresh_lists(cylinder_q):
@@ -218,7 +223,21 @@ def test_generators_are_built_once_and_returned_as_fresh_lists(cylinder_q):
     assert again[1] is cylinder_q.q3.generators()[1]
 
 
-def test_classification_builds_frames_and_step_lists_a_constant_number_of_times(
+def test_classification_memo_holds_each_pairs_own_steps(cylinder_q, sphere_d):
+    morphisms = enumerate_retractions(cylinder_q, sphere_d, 2, 4)
+    decisions = FamilyDecisions(morphisms)
+    classes = classify_retractions(morphisms, decisions)
+    pairs = [(c.representative, m) for c in classes for m in c.members
+             if m is not c.representative]
+    assert pairs
+    for f, g in pairs:
+        steps = decisions.steps_for(f, g)
+        assert steps
+        for x, walk in steps.items():
+            assert walk == list(_alpha2_steps(cylinder_q.q2.word_of(x), f, g))
+
+
+def test_classification_evaluates_the_source_maps_a_constant_number_of_times(
         monkeypatch):
     counts = {}
 
@@ -228,9 +247,21 @@ def test_classification_builds_frames_and_step_lists_a_constant_number_of_times(
             return fn(*args, **kwargs)
         return wrapped
 
-    frame = counting("frame", xq.quadratic.morphism_frame)
-    monkeypatch.setattr(xq.quadratic, "morphism_frame", frame)
-    monkeypatch.setattr(xq.sphere, "morphism_frame", frame)
+    built = {}
+
+    def build_q(d):
+        built["q"] = q = build_cylinder_q(d)
+        return q
+
+    build_cylinder_q = xq.sphere.build_cylinder_Q
+    monkeypatch.setattr(xq.sphere, "build_cylinder_Q", build_q)
+    call = GroupHom.__call__
+
+    def counting_call(hom, x):
+        counts[id(hom)] = counts.get(id(hom), 0) + 1
+        return call(hom, x)
+
+    monkeypatch.setattr(GroupHom, "__call__", counting_call)
     monkeypatch.setattr(xq.quadratic, "_alpha2_steps",
                         counting("steps", xq.quadratic._alpha2_steps))
     monkeypatch.setattr(xq.sphere, "qcm_check", counting("check", xq.sphere.qcm_check))
@@ -244,9 +275,11 @@ def test_classification_builds_frames_and_step_lists_a_constant_number_of_times(
         # still one re-check per kept morphism and one verification per member
         assert counts["check"] == rep.meta["retractions"]
         assert counts["verify"] == members == rep.meta["retractions"]
-        seen.append((counts["frame"], counts["steps"]))
-    # frames: the under-cofibrations of D and Q, the enumeration, the
-    # classification; step lists: the three family decisions and one memo
-    # per pair of families, the same at both boxes
+        q = built["q"]
+        source_maps = (q.d3, q.d4, q.under.q2, q.under.q3, q.under.q4)
+        seen.append((counts["steps"], [counts.get(id(h), 0) for h in source_maps]))
+        for hom in source_maps:
+            assert len(hom._at_generator) <= hom.source.ngens
+    # the checks of Q and the fit evaluate the maps of Q, and the step lists
+    # are one per pair (f2, g2) and element: neither grows with the members
     assert seen[0] == seen[1]
-    assert seen[0][0] == 4
