@@ -10,6 +10,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import structfile as sf
@@ -26,14 +27,39 @@ def _write_out(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _load(path: str) -> tuple[dict, sf.StructureFile]:
+_SIDES = ("source", "target")
+
+
+def _read(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise sf.StructureError(f"cannot read {path}: {e.strerror or e}")
-    raw = sf.parse_structure(text)
+    return sf.parse_structure(text)
+
+
+def _load(path: str) -> tuple[dict, sf.StructureFile]:
+    raw = _read(path)
     return raw, sf.build_structure(raw)
+
+
+def _bind_to_pair(raw: dict, pair_keys: list, pair_value):
+    """The morphism file `raw` bound to the pair's built complexes, or None
+    when it is not a morphism between them.
+
+    Sides that agree with the pair's are its complexes byte for byte, so
+    only the maps are built.  Any other file is built whole, so that a
+    malformed file reports its own positioned error before the caller
+    refuses it."""
+    body = raw["body"]
+    if raw["kind"] == "morphism" and all(
+            sf.structure_key(body.get(side)) == key
+            for side, key in zip(_SIDES, pair_keys)):
+        (kind, source), (_, target) = pair_value
+        return sf.bind_morphism(body, "$.body", kind, source, target)
+    sf.build_structure(raw)
+    return None
 
 
 def _cmd_check(args) -> int:
@@ -48,32 +74,30 @@ def _cmd_homotopic(args) -> int:
     pair_raw, pair = _load(args.pair)
     if pair.kind != "pair":
         raise sf.StructureError("expected a pair of complexes", path="$.kind")
-    (src_kind, source), (_, target) = pair.value
-    f_raw, _ = _load(args.f)
-    g_raw, _ = _load(args.g)
-    for label, mraw in (("--f", f_raw), ("--g", g_raw)):
-        if mraw.get("kind") != "morphism":
+    pair_keys = [sf.structure_key(pair_raw["body"][side]) for side in _SIDES]
+    f_raw = _read(args.f)
+    f = _bind_to_pair(f_raw, pair_keys, pair.value)
+    g_raw = _read(args.g)
+    g = _bind_to_pair(g_raw, pair_keys, pair.value)
+    # a file is refused only once both are read and built, so that a fault
+    # in reading or building either one is reported first
+    for label, mraw, m in (("--f", f_raw, f), ("--g", g_raw, g)):
+        if m is not None:
+            continue
+        if mraw["kind"] != "morphism":
             raise sf.StructureError(f"{label} must be a morphism file",
                                     path="$.kind")
-        for side in ("source", "target"):
-            if not sf.structures_agree(mraw["body"][side],
-                                       pair_raw["body"][side]):
-                raise sf.StructureError(
-                    f"{label}: morphism {side} differs from the pair's {side}",
-                    path=f"$.body.{side}")
+        side = next(side for side, key in zip(_SIDES, pair_keys)
+                    if sf.structure_key(mraw["body"][side]) != key)
+        raise sf.StructureError(
+            f"{label}: morphism {side} differs from the pair's {side}",
+            path=f"$.body.{side}")
+    (src_kind, _), (_, target) = pair.value
     if src_kind == "rqc4":
-        f = sf.bind_rqc4_morphism(f_raw["body"]["maps"], "$.body.maps",
-                                  source, target)
-        g = sf.bind_rqc4_morphism(g_raw["body"]["maps"], "$.body.maps",
-                                  source, target)
         decide = rq_homotopy_decision
         valid = qcm_check
         witness_key = lambda h: h.to_json(target)
     else:
-        f = sf.bind_xc3_morphism(f_raw["body"]["maps"], "$.body.maps",
-                                 source, target)
-        g = sf.bind_xc3_morphism(g_raw["body"]["maps"], "$.body.maps",
-                                 source, target)
         decide = xc3_homotopy_decision
         valid = xc3_morphism_check
         witness_key = lambda h: {"alpha": [target.m3.element_to_json(a)
@@ -156,7 +180,11 @@ def _cmd_count(args) -> int:
     return 0 if rep.ok else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process.  Each subcommand names its handler,
+    which `run` looks up when it dispatches, so a replaced `_cmd_*` function
+    is the one called."""
     p = argparse.ArgumentParser(
         prog="xq",
         description="exact checks and homotopy classification for algebraic "
@@ -171,7 +199,7 @@ def _parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=None,
                    help="override the XQ_SEED environment variable")
     c.add_argument("--out", help="write the JSON report here")
-    c.set_defaults(func=_cmd_check)
+    c.set_defaults(command_name="check")
 
     h = sub.add_parser("homotopic", help="decide whether two morphisms bound "
                                          "to a pair of complexes are homotopic")
@@ -182,7 +210,7 @@ def _parser() -> argparse.ArgumentParser:
     h.add_argument("--seed", type=int, default=None)
     h.add_argument("--witness", help="write the homotopy witness file here")
     h.add_argument("--out", help="write the JSON report here")
-    h.set_defaults(func=_cmd_homotopic)
+    h.set_defaults(command_name="homotopic")
 
     s = sub.add_parser("s2xs2", help="the S^2 x S^2 case study")
     ssub = s.add_subparsers(dest="s2xs2_command", required=True)
@@ -194,20 +222,20 @@ def _parser() -> argparse.ArgumentParser:
     cl.add_argument("--samples", type=int, default=100)
     cl.add_argument("--seed", type=int, default=None)
     cl.add_argument("--out", help="write the JSON report here")
-    cl.set_defaults(func=_cmd_classify)
+    cl.set_defaults(command_name="classify")
 
     mo = ssub.add_parser("monoid", help="check the extended composition monoid")
     mo.add_argument("--table", action="store_true",
                     help="print the composition tables")
     mo.add_argument("--out", help="write the JSON report here")
-    mo.set_defaults(func=_cmd_monoid)
+    mo.set_defaults(command_name="monoid")
 
     co = ssub.add_parser("count", help="derive the diagonal-fixing self-map "
                                        "count")
     co.add_argument("--ab-range", type=int, default=2)
     co.add_argument("--r-bound", type=int, default=2)
     co.add_argument("--out", help="write the JSON report here")
-    co.set_defaults(func=_cmd_count)
+    co.set_defaults(command_name="count")
     return p
 
 
@@ -218,7 +246,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command_name}"](args)
     except sf.StructureError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

@@ -314,16 +314,22 @@ def bind_xc3_morphism(maps, path, source: CrossedComplex3,
     return XC3Morphism(source, target, f1, f2, f3)
 
 
+def bind_morphism(body, path, kind: str, source, target):
+    """The morphism whose maps are `body["maps"]`, bound to the built
+    complexes `source` and `target` of the given kind."""
+    maps, mpath = _get(body, "maps", path)
+    if kind == "rqc4":
+        return bind_rqc4_morphism(maps, mpath, source, target)
+    return bind_xc3_morphism(maps, mpath, source, target)
+
+
 def _build_morphism(body, path):
     src_kind, source = _build_complex_structure(*_get(body, "source", path))
     tgt_kind, target = _build_complex_structure(*_get(body, "target", path))
     if src_kind != tgt_kind:
         raise _err(f"source is {src_kind} but target is {tgt_kind}",
                    f"{path}.target.kind")
-    maps, mpath = _get(body, "maps", path)
-    if src_kind == "rqc4":
-        return bind_rqc4_morphism(maps, mpath, source, target)
-    return bind_xc3_morphism(maps, mpath, source, target)
+    return bind_morphism(body, path, src_kind, source, target)
 
 
 def _build_homotopy(body, path):
@@ -493,7 +499,22 @@ def homotopy_structure(f: QCMorphism, g: QCMorphism, h: QCHomotopy) -> dict:
                      "witness": h.to_json(f.target)}}
 
 
+def structure_key(obj) -> str | None:
+    """Canonical compact text of a nested {"kind","body"} structure, or None
+    when obj is not an object holding both keys.
+
+    Sorted keys and no whitespace: the text has the same tokens as the
+    indented canonical text, so two structures share a key exactly when
+    they serialize to the same bytes; it is written by the C encoder, which
+    `json.dumps` uses only without an indent."""
+    if not (isinstance(obj, dict) and "kind" in obj and "body" in obj):
+        return None
+    return json.dumps({"kind": obj["kind"], "body": obj["body"]},
+                      sort_keys=True, separators=(",", ":"))
+
+
 def structures_agree(a: dict, b: dict) -> bool:
-    """Byte-level agreement of two nested {"kind","body"} structures."""
-    key = lambda obj: serialize_structure({"kind": obj["kind"], "body": obj["body"]})
-    return key(a) == key(b)
+    """Byte-level, type-exact agreement of two nested {"kind","body"}
+    structures (1, 1.0 and true all differ; key order does not matter)."""
+    key = structure_key(a)
+    return key is not None and key == structure_key(b)
