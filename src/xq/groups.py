@@ -2,11 +2,11 @@
 
 All groups are written additively (also the non-commutative ones); rendering
 prints +/-.  Every class provides exact arithmetic, unique canonical element
-forms, a canonical word spelling in its generators, and JSON
-(de)serialization matching the structure-file format.  Homomorphisms are
-evaluated on the source's normal form: abelian coordinates and free nil(2)
-normal forms fold closed-form multiples, and only free-group sources are
-read letter by letter.
+forms, the canonical word of an element read off its normal form as runs
+(`Group.word_runs`), and JSON (de)serialization matching the structure-file
+format.  Homomorphisms are evaluated on the source's normal form: abelian
+coordinates, free nil(2) normal forms and free-group syllables fold
+closed-form multiples, so no exponent is ever spelled out letter by letter.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from typing import Any, Iterable, Sequence
 
 from . import nil2
 from .intlinalg import Lattice, solve_left
-from .words import (Letter, invert_word, letter_run, reduce_word, word_from_pairs,
-                    word_to_pairs)
+from .words import invert_word, join_words, word_from_pairs
 
 
 def is_int(v) -> bool:
@@ -102,16 +101,11 @@ class Group:
         """Canonical form of x (idempotent); equal elements get equal forms."""
         raise NotImplementedError
 
-    def word_of(self, x) -> tuple[Letter, ...]:
-        """Canonical word spelling x in the generators."""
+    def word_runs(self, x) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+        """The canonical word of x as runs (block, count), read off the
+        normal form: each block, a few (generator, sign) pairs, stands
+        repeated count times, in order.  No exponent is expanded."""
         raise NotImplementedError
-
-    def word_runs(self, x) -> list[tuple[tuple[Letter, ...], int]]:
-        """The canonical word of x as runs (block, count): `word_of(x)` is
-        each block of letters repeated count times, in order.  The classes
-        with exponents in their normal form read the runs off it, without
-        expanding an exponent into letters."""
-        return [letter_run(i, k) for i, k in word_to_pairs(self.word_of(self.canon(x)))]
 
     def ab(self, x) -> tuple[int, ...]:
         """Exponent vector of x in Z^ngens (image in the abelianization)."""
@@ -159,12 +153,12 @@ class Group:
         if k < 0:
             return self.pow(self.inv(x), -k)
         acc = self.identity()
-        sq = x
         while k:
             if k & 1:
-                acc = self.op(acc, sq)
-            sq = self.op(sq, sq)
+                acc = self.op(acc, x)
             k >>= 1
+            if k:
+                x = self.op(x, x)
         return acc
 
     def commutator(self, x, y):
@@ -186,8 +180,7 @@ class Group:
         return acc
 
     def format_element(self, x) -> str:
-        return format_terms((e, self.names[i])
-                            for i, e in word_to_pairs(self.word_of(self.canon(x))))
+        raise NotImplementedError
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Group) and self.descriptor() == other.descriptor()
@@ -202,8 +195,14 @@ class Group:
         return f"<{type(self).__name__} ngens={self.ngens}>"
 
 
+def _run(i: int, a: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The run a g_i, a != 0: one signed generator repeated |a| times."""
+    return ((i, 1 if a > 0 else -1),), abs(a)
+
+
 class FreeGroup(Group):
-    """Free group; elements are freely reduced words."""
+    """Free group; elements are freely reduced words of syllables
+    (generator, exponent), as in `words`."""
 
     kind = "free"
 
@@ -216,22 +215,25 @@ class FreeGroup(Group):
         return ((i, 1),)
 
     def op(self, x, y):
-        return reduce_word(tuple(x) + tuple(y))
+        return join_words(x, y)
 
     def inv(self, x):
-        return invert_word(tuple(x))
+        return invert_word(x)
 
     def canon(self, x):
-        return reduce_word(tuple(x))
+        return word_from_pairs(x)
 
-    def word_of(self, x):
-        return reduce_word(tuple(x))
+    def word_runs(self, x):
+        return [_run(i, a) for i, a in self.canon(x)]
 
     def ab(self, x):
         out = [0] * self.ngens
-        for i, s in x:
-            out[i] += s
+        for i, a in x:
+            out[i] += a
         return tuple(out)
+
+    def format_element(self, x) -> str:
+        return format_terms((a, self.names[i]) for i, a in self.canon(x))
 
     @property
     def is_abelian(self) -> bool:
@@ -242,15 +244,15 @@ class FreeGroup(Group):
         return self.ngens <= 1
 
     def element_to_json(self, x):
-        return word_to_pairs(self.canon(x))
+        return [list(s) for s in self.canon(x)]
 
     def element_from_json(self, obj):
         return word_from_pairs(word_pairs(obj, self.ngens))
 
     def random_element(self, rng, size: int = 6):
         length = rng.randint(0, size)
-        return reduce_word((rng.randrange(self.ngens), rng.choice((1, -1)))
-                           for _ in range(length)) if self.ngens else ()
+        return word_from_pairs((rng.randrange(self.ngens), rng.choice((1, -1)))
+                               for _ in range(length)) if self.ngens else ()
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "rank": self.ngens, "names": list(self.names)}
@@ -284,9 +286,6 @@ class FreeNil2Group(Group):
             raise ValueError("not an element of this group")
         return x
 
-    def word_of(self, x):
-        return nil2.to_word(self.canon(x))
-
     def word_runs(self, x):
         return nil2.word_runs(self.canon(x))
 
@@ -300,9 +299,6 @@ class FreeNil2Group(Group):
     @property
     def is_nil2(self) -> bool:
         return True
-
-    def normalize_word(self, letters: Iterable[Letter]):
-        return nil2.normalize_word(letters, self.ngens)
 
     def element_to_json(self, x):
         x = self.canon(x)
@@ -324,9 +320,11 @@ class FreeNil2Group(Group):
     def random_element(self, rng, size: int = 6):
         if not self.ngens:
             return self.identity()
-        length = rng.randint(0, size)
-        return self.normalize_word((rng.randrange(self.ngens), rng.choice((1, -1)))
-                                   for _ in range(length))
+        acc = self.identity()
+        for _ in range(rng.randint(0, size)):
+            g = self.gen(rng.randrange(self.ngens))
+            acc = nil2.mul(acc, g if rng.choice((1, -1)) > 0 else nil2.inv(g))
+        return acc
 
     def format_element(self, x) -> str:
         x = self.canon(x)
@@ -376,11 +374,8 @@ class FgAbelianGroup(Group):
             raise ValueError("element length does not match rank")
         return self.lattice.reduce(list(x))
 
-    def word_of(self, x):
-        return word_from_pairs((i, a) for i, a in enumerate(self.canon(x)) if a)
-
     def word_runs(self, x):
-        return [letter_run(i, a) for i, a in enumerate(self.canon(x)) if a]
+        return [_run(i, a) for i, a in enumerate(self.canon(x)) if a]
 
     def ab(self, x):
         return self.canon(x)
@@ -493,21 +488,22 @@ class GroupHom:
 
     def __call__(self, x):
         """The fold of the images over the canonical word of x, computed from
-        the normal form.  A run of k equal letters is pow(image, k), and a
-        basic commutator (g_i, g_j) is spelled -g_i - g_j + g_i + g_j, so by
-        associativity alone the value is the same element in any target,
-        whether or not the images define a homomorphism."""
+        the normal form.  A run of k equal letters, a free-group syllable or
+        an abelian coordinate, is pow(image, k), and a basic commutator
+        (g_i, g_j) is spelled -g_i - g_j + g_i + g_j, so by associativity
+        alone the value is the same element in any target, whether or not
+        the images define a homomorphism.  In a target that is abelian as
+        presented those commutators are 0 and are skipped."""
         src, t, images = self.source, self.target, self.images
         x = src.canon(x)
         acc = t.identity()
-        if isinstance(src, FreeGroup):
-            for i, s in x:
-                acc = t.op(acc, images[i] if s > 0 else t.inv(images[i]))
-            return acc
-        base, comm = (x.base, x.comm) if isinstance(src, FreeNil2Group) else (x, ())
-        for img, a in zip(images, base):
+        if isinstance(src, FreeNil2Group):
+            runs, comm = enumerate(x.base), (() if t.is_abelian else x.comm)
+        else:
+            runs, comm = (x if isinstance(src, FreeGroup) else enumerate(x)), ()
+        for i, a in runs:
             if a:
-                acc = t.op(acc, t.pow(img, a))
+                acc = t.op(acc, t.pow(images[i], a))
         for c, (i, j) in zip(comm, nil2.pair_list(src.ngens)):
             if c:
                 acc = t.op(acc, t.pow(t.commutator(images[i], images[j]), c))
@@ -671,7 +667,7 @@ def invert_hom(h: GroupHom) -> GroupHom:
         images = []
         for j in range(g.ngens):
             target = [1 if k == j else 0 for k in range(g.ngens)]
-            sol = solve_left(rows, target)
+            sol, _ = solve_left(rows, target)
             if sol is None:
                 raise ValueError("endomorphism is not invertible")
             images.append(g.from_ab(sol[:g.ngens]))
@@ -683,13 +679,13 @@ def invert_hom(h: GroupHom) -> GroupHom:
         images = []
         for j in range(g.ngens):
             target = [1 if k == j else 0 for k in range(g.ngens)]
-            sol = solve_left(base_rows, target)
+            sol, _ = solve_left(base_rows, target)
             if sol is None:
                 raise ValueError("endomorphism is not invertible on the abelianization")
             cand = g.from_ab(sol)
             resid = g.op(g.inv(h(cand)), g.gen(j))  # central by construction
             # need central z with h(z) = resid, i.e. fix . comm_rows = resid.comm
-            fix = solve_left(comm_rows, list(resid.comm))
+            fix, _ = solve_left(comm_rows, list(resid.comm))
             if fix is None:
                 raise ValueError("endomorphism is not invertible on the centre")
             z = nil2.Nil2Element((0,) * g.ngens, tuple(fix))

@@ -134,12 +134,16 @@ def hnf_with_transform(rows: Sequence[Sequence[int]], n: int) -> tuple[list[list
     return [row[:n] for row in aug], [row[n:] for row in aug]
 
 
-def solve_left(rows: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
-    """Find u with sum_i u[i] * rows[i] == target, or None if unsolvable."""
+def solve_left(rows: Sequence[Sequence[int]], target: Sequence[int]
+               ) -> tuple[list[int] | None, list[tuple[int, ...]]]:
+    """(u with sum_i u[i] * rows[i] == target, or None if unsolvable, and a
+    basis of the left kernel {u : sum_i u[i] * rows[i] == 0}), both read off
+    one Hermite reduction."""
     n = len(target)
     if not rows:
-        return [] if vec_is_zero(target) else None
+        return ([] if vec_is_zero(target) else None), []
     h, u_rows = hnf_with_transform(rows, n)
+    kernel = [tuple(u_rows[k]) for k in range(len(h)) if vec_is_zero(h[k])]
     t = list(target)
     coeff = [0] * len(rows)
     for k, hrow in enumerate(h):
@@ -151,20 +155,12 @@ def solve_left(rows: Sequence[Sequence[int]], target: Sequence[int]) -> list[int
             t = [a - q * b for a, b in zip(t, hrow)]
             coeff[k] = q
     if not vec_is_zero(t):
-        return None
+        return None, kernel
     out = [0] * len(rows)
     for k, c in enumerate(coeff):
         if c:
             out = [a + c * b for a, b in zip(out, u_rows[k])]
-    return out
-
-
-def left_kernel(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    """Basis of the lattice {u : sum_i u[i] * rows[i] == 0}."""
-    if not rows:
-        return []
-    h, u_rows = hnf_with_transform(rows, n)
-    return [tuple(u_rows[k]) for k in range(len(h)) if vec_is_zero(h[k])]
+    return out, kernel
 
 
 def reduce_with_order(vec: Sequence[int], rows: Iterable[Sequence[int]],
@@ -253,10 +249,9 @@ class ZSystem:
                 srow += 1
             b.extend(rhs)
             col += dim
-        u = solve_left(a, b)
+        u, kernel = solve_left(a, b)
         if u is None:
             return None
-        kernel = left_kernel(a, total)
         u0 = u[: self.nvars]
         proj = Lattice(self.nvars, [k[: self.nvars] for k in kernel])
         return u0, proj.basis()

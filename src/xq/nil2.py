@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
-
-from .words import Letter, letter_run
+from typing import Sequence
 
 
 @lru_cache(maxsize=None)
@@ -113,32 +111,14 @@ def commutator(x: Nil2Element, y: Nil2Element) -> Nil2Element:
     return mul(mul(inv(x), inv(y)), mul(x, y))
 
 
-def normalize_word(letters: Iterable[Letter], n: int) -> Nil2Element:
-    """Normal form of a word in the generators (letters (i, +-1))."""
-    acc = identity(n)
-    for i, s in letters:
-        if not 0 <= i < n:
-            raise ValueError(f"generator index {i} out of range for rank {n}")
-        g = generator(n, i)
-        acc = mul(acc, g if s > 0 else inv(g))
-    return acc
-
-
-def word_runs(x: Nil2Element) -> list[tuple[tuple[Letter, ...], int]]:
+def word_runs(x: Nil2Element) -> list[tuple[tuple[tuple[int, int], ...], int]]:
     """The canonical word of the normal form as runs (block, count), each
-    block repeated count times: the generators in order, then each basic
-    commutator (g_i, g_j) with exponent c as -g_i - g_j + g_i + g_j, c times
-    (or, for c < 0, -g_j - g_i + g_j + g_i, -c times)."""
-    runs = [letter_run(i, a) for i, a in enumerate(x.base) if a]
+    block of (generator, sign) pairs repeated count times: the generators
+    in order, then each basic commutator (g_i, g_j) with exponent c as
+    -g_i - g_j + g_i + g_j, c times (or, for c < 0, -g_j - g_i + g_j + g_i,
+    -c times)."""
+    runs = [(((i, 1 if a > 0 else -1),), abs(a)) for i, a in enumerate(x.base) if a]
     runs += [(((i, -1), (j, -1), (i, 1), (j, 1)) if c > 0
               else ((j, -1), (i, -1), (j, 1), (i, 1)), abs(c))
              for c, (i, j) in zip(x.comm, pair_list(x.n)) if c]
     return runs
-
-
-def to_word(x: Nil2Element) -> tuple[Letter, ...]:
-    """Canonical word spelling the normal form; normalize_word inverts it."""
-    out: list[Letter] = []
-    for block, count in word_runs(x):
-        out.extend(block * count)
-    return tuple(out)

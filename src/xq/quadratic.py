@@ -14,8 +14,9 @@ Homotopies (f2, f3, f4) ~ (g2, g3, g4) are witnessed by (alpha2, alpha3):
     -f4 k + g4 k = alpha3(d4 k),
 with alpha3 a homomorphism, alpha2 the quadratic derivation extended by
     alpha2(x + y) = alpha2 x + alpha2 y + omega'({-f2 x + g2 x} (x) {f2 y})
-(left-to-right over canonical words), and both vanishing on the under-object.
-Equations are imposed and verified generator by generator.
+(left to right over canonical words, in closed form: `Alpha2`), and both
+vanishing on the under-object.  Equations are imposed and verified
+generator by generator.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule,
                       ShiftedSolutions, peiffer_commutator)
 from .groups import FgAbelianGroup, Group, GroupHom, generator_pairs
 from .intlinalg import vec_neg, vec_sub
-from .report import Report, seed_from_env
+from .report import Report, Undefined, seed_from_env
 from .tensor import TensorElement
 
 
@@ -444,51 +445,87 @@ class QCHomotopy:
                 "alpha3": [target.q4.element_to_json(a) for a in self.alpha3]}
 
 
-def _alpha2_steps(word, f: QCMorphism, g: QCMorphism):
-    """The left-to-right extension rule on a word of letters (i, s), s = +-1:
-    yields (i, s, c) per letter, meaning alpha2 gains s alpha2(x_i) and then
-    the correction c in the target Q3."""
-    tgt = f.target
-    f2ab = [tgt.q2.ab(im) for im in f.f2.images]
-    g2ab = [tgt.q2.ab(im) for im in g.f2.images]
-    run = [0] * tgt.q2.ngens  # {g2 w} - {f2 w} on the prefix w read so far
-    for i, s in word:
-        dvec = vec_sub(g2ab[i], f2ab[i])
-        step = f2ab[i] if s > 0 else vec_neg(f2ab[i])
-        corr = tgt.omega_apply(TensorElement.outer(run, step))
-        if s < 0:
-            corr = tgt.q3.op(tgt.omega_apply(TensorElement.outer(dvec, f2ab[i])), corr)
-        yield i, s, corr
-        run = [a + s * b for a, b in zip(run, dvec)]
+class Alpha2:
+    """alpha2 of a homotopy from f to g, in closed form on normal forms.
+
+    Let f_i = {f2 g_i} and d_i = {g2 g_i} - {f2 g_i} in C'.  The extension
+    rule reads the canonical word of x left to right: a letter s g_i, s =
+    +-1, met while the running class {-f2 w + g2 w} of the prefix w is R,
+    adds s alpha2(g_i) and then the correction omega'((s R + [s < 0] d_i)
+    (x) f_i), and R becomes R + s d_i.  Summed over a run of `count`
+    repeats of a block (`Group.word_runs`), R grows by count times the
+    block's class, so the corrections of a run are one closed form and
+    alpha2(x) = V(x) + omega'(T(x)) with T(x) = sum_i u_i (x) f_i:
+    V(x) = `GroupHom(q2, Q3', values)(x)` is the fold of the values over
+    the canonical word, and the u_i cost O(runs n').  A run of a letters
+    of g_i, sign included, adds a R + C(a, 2) d_i to u_i; a commutator
+    block leaves R unchanged.
+
+    This is the fold of the letters exactly when the corrections commute
+    with the values: always when Q3' is abelian or every d_i is 0 (then
+    every correction is 0), and whenever the omega' values are central in
+    Q3', as axioms 2 and 4 make them (d3' omega' is a commutator, so
+    (omega'_ij, r) = omega'(0 (x) {d3' r}) = 0).  Otherwise Q3' is checked
+    for this once; an omega' value that is not central makes alpha2 raise
+    `Undefined`, naming it.
+    """
+
+    def __init__(self, f: QCMorphism, g: QCMorphism):
+        tgt = f.target
+        self.src2, self.q3, self.omega_apply = f.source.q2, tgt.q3, tgt.omega_apply
+        self.n = tgt.q2.ngens
+        self.fv = [tgt.q2.ab(im) for im in f.f2.images]
+        self.dv = [vec_sub(tgt.q2.ab(b), a) for a, b in zip(self.fv, g.f2.images)]
+        self.zero = not any(map(any, self.dv))
+        q3 = tgt.q3
+        self.not_central = None if q3.is_abelian or self.zero else next(
+            (f"omega' at basis ({i},{j}) is {q3.format_element(w)}, which is not "
+             "central in the target degree-3 group, so alpha2 has no closed form"
+             for i, row in enumerate(tgt.rqm.omega) for j, w in enumerate(row)
+             if any(not q3.is_identity(q3.commutator(w, z)) for z in q3.generators())),
+            None)
+
+    def tensor(self, x) -> TensorElement:
+        """T(x) in C' (x) C'.  Over `count` repeats of a block whose class
+        is `shift`, a letter s g_i met at R + k shift, k < count, adds s
+        times count R + C(count, 2) shift to u_i, with R read before the
+        letter when s > 0 and after it when s < 0."""
+        n = self.n
+        run, u = [0] * n, [[0] * n for _ in self.fv]
+        for block, count in self.src2.word_runs(x):
+            shift = [sum(s * self.dv[i][k] for i, s in block) for k in range(n)]
+            pairs, at = count * (count - 1) // 2, run
+            for i, s in block:
+                di = self.dv[i]
+                if s < 0:
+                    at = [a - d for a, d in zip(at, di)]
+                u[i] = [w + s * (count * a + pairs * c) for w, a, c in zip(u[i], at, shift)]
+                if s > 0:
+                    at = [a + d for a, d in zip(at, di)]
+            run = [r + count * c for r, c in zip(run, shift)]
+        return TensorElement(n, tuple(
+            tuple(sum(ui[p] * fi[q] for ui, fi in zip(u, self.fv)) for q in range(n))
+            for p in range(n)))
+
+    def correction(self, x):
+        """omega'(T(x)): what alpha2(x) adds to the fold of the values."""
+        if self.not_central is not None:
+            raise Undefined(self.not_central)
+        return self.q3.identity() if self.zero else self.omega_apply(self.tensor(x))
+
+    def __call__(self, values: GroupHom, x):
+        """alpha2(x) for the values on the source degree-2 generators given
+        as a hom, V."""
+        return self.q3.op(values(x), self.correction(x))
 
 
-def alpha2_extend(values: Sequence, f: QCMorphism, g: QCMorphism, x,
-                  steps: dict | None = None):
-    """Evaluate alpha2 on x by the left-to-right extension rule, given its
-    values on the source degree-2 generators; the values are folded in
-    order, as the target Q3 need not be abelian.
-
-    `steps`, when given, is a memo of the `_alpha2_steps` lists of (f, g)
-    by canonical source element, filled as elements are first met.  Those
-    lists depend only on f2, g2 and x, not on the values, so a memo may be
-    shared by every pair of morphisms with the same f2 and g2."""
-    src2, q3t = f.source.q2, f.target.q3
-    x = src2.canon(x)
-    if steps is None:
-        walk = _alpha2_steps(src2.word_of(x), f, g)
-    else:
-        walk = steps.get(x)
-        if walk is None:
-            walk = steps[x] = list(_alpha2_steps(src2.word_of(x), f, g))
-    acc = q3t.identity()
-    for i, s, corr in walk:
-        val = q3t.canon(values[i])
-        acc = q3t.op_all(acc, val if s > 0 else q3t.inv(val), corr)
-    return acc
+def alpha2_extend(values: Sequence, f: QCMorphism, g: QCMorphism, x):
+    """Evaluate alpha2 on x by the extension rule, given its values on the
+    source degree-2 generators (`Alpha2`)."""
+    return Alpha2(f, g)(GroupHom(f.source.q2, f.target.q3, values), x)
 
 
-def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy,
-                       steps: dict | None = None) -> Report:
+def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy) -> Report:
     """Re-check a homotopy witness equation by equation on generators.
 
     Every map is read at the canonical source generators through
@@ -496,13 +533,13 @@ def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy,
     there, so each equation compares the elements that evaluating every map
     afresh compares.  d3, d4 and the under-object's maps belong to the
     source complex, so verifying many witnesses from one source evaluates
-    them once.  `steps` is a memo of alpha2 step lists for (f2, g2)
-    (`alpha2_extend`), which a caller that verifies many witnesses between
-    morphisms with the same f2 and g2 may share.
+    them once.  alpha2 is evaluated in closed form (`Alpha2`), built once
+    per call.
     """
     rep = Report("quadratic homotopy certificate", basis="proved")
     src, tgt = f.source, f.target
     alpha3 = h.alpha3_hom(src, tgt)
+    alpha2, values = Alpha2(f, g), GroupHom(src.q2, tgt.q3, h.alpha2)
     rep.add_hom("alpha3_is_homomorphism", alpha3)
     rep.first_failure("homotopy_degree2",
                       (f"-f2 + g2 != d3' alpha2 at generator {src.q2.names[i]}"
@@ -516,9 +553,7 @@ def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy,
                        if not tgt.q3.eq(tgt.q3.op(tgt.q3.inv(f.f3.at_generator(i)),
                                                   g.f3.at_generator(i)),
                                         tgt.q3.op(tgt.d4(alpha3.at_generator(i)),
-                                                  alpha2_extend(h.alpha2, f, g,
-                                                                src.d3.at_generator(i),
-                                                                steps)))))
+                                                  alpha2(values, src.d3.at_generator(i))))))
     rep.first_failure("homotopy_degree4",
                       (f"-f4 + g4 != alpha3 d4 at generator {src.q4.names[i]}"
                        for i in range(src.q4.ngens)
@@ -530,8 +565,8 @@ def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy,
         rep.first_failure("alpha2_vanishes_on_under",
                           (f"alpha2 does not vanish on {base.q2.format_element(z)}"
                            for j, z in enumerate(base.q2.generators())
-                           if not tgt.q3.is_identity(alpha2_extend(
-                               h.alpha2, f, g, under.q2.at_generator(j), steps))))
+                           if not tgt.q3.is_identity(
+                               alpha2(values, under.q2.at_generator(j)))))
         rep.first_failure("alpha3_vanishes_on_under",
                           (f"alpha3 does not vanish on {base.q3.format_element(z)}"
                            for j, z in enumerate(base.q3.generators())
@@ -539,28 +574,16 @@ def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy,
     return rep
 
 
-def _alpha2_symbolic(word, f: QCMorphism, g: QCMorphism):
-    """Affine form of alpha2 on a word: integer coefficients per source
-    degree-2 generator plus a constant element of the (abelian) target Q3."""
-    q3t = f.target.q3
-    coeffs = [0] * f.source.q2.ngens
-    const = q3t.identity()
-    for i, s, corr in _alpha2_steps(word, f, g):
-        coeffs[i] += s
-        const = q3t.op(const, corr)
-    return coeffs, const
-
-
 def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = None
                          ) -> tuple[QCHomotopy | ShiftedSolutions | None, Report]:
     """Decide f ~ g and produce the canonical verified witness or an
     obstruction, by the integer linear system of `LinearHomotopy`.
 
-    alpha2 enters the degree-3 equations through its affine form on the
-    words of d3 (`_alpha2_symbolic`), so the system is linear.  Complete
-    whenever the target has abelian coordinates in degrees 3 and 4 and its
-    d3 is central on generators (zero, or landing in the centre, as on
-    every abelian degree-2 target).  Raises ValueError otherwise, naming
+    alpha2 enters the degree-3 equations through its affine form
+    alpha2(x) = sum_i {x}_i alpha2(g_i) + omega'(T(x)) (`Alpha2`), so the
+    system is linear.  Complete whenever the target has abelian coordinates
+    in degrees 3 and 4 and its d3 is central on generators (zero, or
+    landing in the centre, as on every abelian degree-2 target).  Raises ValueError otherwise, naming
     the first generator whose d3' value is not central; the cylinder Q is
     such a target (d3(e3) = -e + e' + e'').
 
@@ -581,15 +604,16 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = 
     alpha3 = lin.unknowns(src.q3.ngens, tgt.q4, 4)
     t = None if shift is None else lin.shift_unknown()
 
+    form = Alpha2(f, g)
     drow = [list(alpha2.coords(tgt.d4.at_generator(k))) for k in range(tgt.q4.ngens)]
     for i in range(src.q3.ngens):
-        coeffs, const = _alpha2_symbolic(src.q2.word_of(src.d3.at_generator(i)), f, g)
+        x = src.d3.at_generator(i)
         rhs = tgt.q3.op_all(tgt.q3.inv(f.f3.images[i]), g.f3.images[i],
-                            tgt.q3.inv(const))
+                            tgt.q3.inv(form.correction(x)))
         terms = [(alpha3.var(i, k), drow[k]) for k in range(alpha3.dim)]
         if t is not None:
             terms.append((t, vec_neg(alpha2.coords(shift[i]))))
-        lin.add_sum(alpha2, coeffs, alpha2.coords(rhs), terms)
+        lin.add_sum(alpha2, src.q2.ab(x), alpha2.coords(rhs), terms)
     for i in range(src.q4.ngens):
         rhs = tgt.q4.op(tgt.q4.inv(f.f4.images[i]), g.f4.images[i])
         lin.add_sum(alpha3, src.q3.ab(src.d4.at_generator(i)), alpha3.coords(rhs))
@@ -598,8 +622,8 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = 
     if src.under is not None:
         under = src.under
         for j in range(under.base.q2.ngens):
-            coeffs, const = _alpha2_symbolic(src.q2.word_of(under.q2.at_generator(j)), f, g)
-            lin.add_sum(alpha2, coeffs, alpha2.coords(tgt.q3.inv(const)))
+            x = under.q2.at_generator(j)
+            lin.add_sum(alpha2, src.q2.ab(x), alpha2.coords(tgt.q3.inv(form.correction(x))))
         for j in range(under.base.q3.ngens):
             lin.add_sum(alpha3, src.q3.ab(under.q3.at_generator(j)))
 

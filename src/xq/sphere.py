@@ -300,10 +300,7 @@ class FamilyDecisions:
     unknown t on g0 (`retraction_shift`), holds the system of every pair of
     their members: f ~ g exactly when t = (r' - r) - (r(g0) - r(f0)) admits
     a solution, and the witness at that t is the one the pair's own
-    decision would give.
-
-    Each witness is still re-verified on its own, sharing one memo of
-    alpha2 step lists per pair (f2, g2) (`steps_for`)."""
+    decision would give.  Each witness is still re-verified on its own."""
 
     def __init__(self, morphisms: list[QCMorphism]):
         self.first: dict[tuple, QCMorphism] = {}
@@ -313,7 +310,6 @@ class FamilyDecisions:
                                  "classify the output of retraction_candidate")
             self.first.setdefault(m.tag[:2], m)
         self.made: dict[tuple, tuple] = {}
-        self.steps: dict[tuple, dict] = {}
 
     def decide(self, f: QCMorphism, g: QCMorphism) -> tuple:
         """(`ShiftedSolutions` or None, report) for the families of f and g."""
@@ -323,12 +319,6 @@ class FamilyDecisions:
             self.made[key] = rq_homotopy_decision(
                 f0, g0, retraction_shift(f0.source, f0.target))
         return self.made[key]
-
-    def steps_for(self, f: QCMorphism, g: QCMorphism) -> dict:
-        """The memo of alpha2 step lists of (f, g) (`alpha2_extend`), keyed
-        by what the lists depend on besides the one target: the images of f2
-        and g2."""
-        return self.steps.setdefault((f.f2.images, g.f2.images), {})
 
     def _shift(self, f: QCMorphism, g: QCMorphism) -> int:
         f0, g0 = self.first[f.tag[:2]], self.first[g.tag[:2]]
@@ -348,7 +338,7 @@ class FamilyDecisions:
             raise RuntimeError(f"internal error: {f.tag} and {g.tag} are in one "
                                "class but not homotopic")
         witness = QCHomotopy(*values)
-        solutions.lin.accept(verify_rq_homotopy(f, g, witness, self.steps_for(f, g)),
+        solutions.lin.accept(verify_rq_homotopy(f, g, witness),
                              witness.to_json(f.target))
         return witness
 

@@ -1,61 +1,44 @@
-"""Words over free generators: signed letters with free reduction.
+"""Words over free generators as freely reduced syllables.
 
-A letter is (generator index, sign) with sign +1 or -1; a word is a tuple of
-letters.  Input may carry arbitrary exponents, which are split into signed
-letters before reduction.
+A syllable is (generator index, exponent) with a non-zero exponent; a word
+is a tuple of syllables in which adjacent syllables have different
+generators.  Exponents may be of any size: nothing here spells a syllable
+out letter by letter.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-Letter = tuple[int, int]
+Syllable = tuple[int, int]
 
 
-def reduce_word(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """Unique freely reduced form: cancel adjacent (i, s)(i, -s) pairs."""
-    out: list[Letter] = []
-    for i, s in letters:
-        if s not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {s}")
-        if out and out[-1][0] == i and out[-1][1] == -s:
-            out.pop()
-        else:
-            out.append((i, s))
+def word_from_pairs(pairs: Iterable[Sequence[int]]) -> tuple[Syllable, ...]:
+    """The freely reduced word of [(gen, exponent), ...]: adjacent pairs of
+    one generator merge, and zero exponents, given or left by a merge,
+    drop out, after which the neighbours may merge in turn."""
+    out: list[Syllable] = []
+    for gen, exp in pairs:
+        if out and out[-1][0] == gen:
+            exp += out.pop()[1]
+        if exp:
+            out.append((gen, exp))
     return tuple(out)
 
 
-def invert_word(letters: Sequence[Letter]) -> tuple[Letter, ...]:
-    return tuple((i, -s) for i, s in reversed(letters))
+def invert_word(word: Sequence[Syllable]) -> tuple[Syllable, ...]:
+    return tuple((i, -e) for i, e in reversed(word))
 
 
-def concat_words(*words: Sequence[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for w in words:
-        out.extend(w)
-    return reduce_word(out)
-
-
-def word_from_pairs(pairs: Iterable[Sequence[int]]) -> tuple[Letter, ...]:
-    """Expand [(gen, exponent), ...] with arbitrary exponents into letters."""
-    out: list[Letter] = []
-    for gen, exp in pairs:
-        sign = 1 if exp > 0 else -1
-        out.extend((gen, sign) for _ in range(abs(exp)))
-    return reduce_word(out)
-
-
-def letter_run(gen: int, exp: int) -> tuple[tuple[Letter, ...], int]:
-    """The run gen^exp, exp != 0, as (block of one letter, count)."""
-    return ((gen, 1 if exp > 0 else -1),), abs(exp)
-
-
-def word_to_pairs(letters: Sequence[Letter]) -> list[list[int]]:
-    """Collapse runs of equal letters into [gen, exponent] pairs."""
-    out: list[list[int]] = []
-    for i, s in letters:
-        if out and out[-1][0] == i and (out[-1][1] > 0) == (s > 0):
-            out[-1][1] += s
-        else:
-            out.append([i, s])
-    return out
+def join_words(x: Sequence[Syllable], y: Sequence[Syllable]) -> tuple[Syllable, ...]:
+    """The product of reduced words x and y: only syllables at the seam can
+    merge or cancel."""
+    x, k = list(x), 0
+    while x and k < len(y) and x[-1][0] == y[k][0]:
+        gen, exp = y[k]
+        exp += x.pop()[1]
+        k += 1
+        if exp:
+            x.append((gen, exp))
+            break
+    return tuple(x) + tuple(y[k:])

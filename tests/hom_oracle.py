@@ -6,11 +6,13 @@ the exponents, so tests feed them small elements.  Also the sampled scan of
 the nil(2) laws that `GroupHom.check_hom` ran before generator triples were
 shown to decide them."""
 
+from letter_oracle import word_of
+
 
 def letter_eval(hom, x):
     t = hom.target
     acc = t.identity()
-    for i, s in hom.source.word_of(hom.source.canon(x)):
+    for i, s in word_of(hom.source, x):
         img = hom.images[i]
         acc = t.op(acc, img if s > 0 else t.inv(img))
     return acc
@@ -19,7 +21,7 @@ def letter_eval(hom, x):
 def letter_act(action, x, a):
     """x^a, applying the endomorphism of each letter of a's canonical word."""
     out = action.acted.canon(x)
-    for i, s in action.acting.word_of(action.acting.canon(a)):
+    for i, s in word_of(action.acting, a):
         out = action.endo(i, s)(out)
     return out
 

@@ -60,13 +60,20 @@ def test_fg_abelian_cosets_against_brute_force():
                     assert same == ((a - c, b - d) in span)
 
 
+def rebuild(g, x):
+    """x rebuilt from its runs (`Group.word_runs`), one block at a time."""
+    acc = g.identity()
+    for block, count in g.word_runs(x):
+        for _ in range(count):
+            for i, s in block:
+                acc = g.op(acc, g.pow(g.gen(i), s))
+    return acc
+
+
 def test_fg_abelian_word_of_and_from_ab():
     g = FgAbelianGroup(2, [[4, 0]])
     x = g.canon((7, -2))
-    rebuilt = g.identity()
-    for i, e in g.word_of(x):
-        rebuilt = g.op(rebuilt, g.pow(g.gen(i), e))
-    assert g.eq(rebuilt, x)
+    assert g.eq(rebuild(g, x), x)
     assert g.eq(g.from_ab(g.ab(x)), x)
 
 
@@ -76,11 +83,8 @@ def test_nil2_group_ops_and_word_of():
     for _ in range(100):
         x = g.random_element(rng)
         y = g.random_element(rng)
-        # word_of reconstructs the element letter by letter
-        rebuilt = g.identity()
-        for i, e in g.word_of(x):
-            rebuilt = g.op(rebuilt, g.pow(g.gen(i), e))
-        assert g.eq(rebuilt, x)
+        # the runs of the canonical word reconstruct the element
+        assert g.eq(rebuild(g, x), x)
         # ab is a homomorphism onto Z^3
         assert g.ab(g.op(x, y)) == tuple(a + b for a, b in zip(g.ab(x), g.ab(y)))
 

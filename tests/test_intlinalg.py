@@ -3,9 +3,8 @@
 import itertools
 import random
 
-from xq.intlinalg import (Lattice, ZSystem, hnf_with_transform, left_kernel,
-                          reduce_with_order, solve_left, split_lattice, vec_sub,
-                          xgcd)
+from xq.intlinalg import (Lattice, ZSystem, hnf_with_transform, reduce_with_order,
+                          solve_left, split_lattice, vec_sub, xgcd)
 
 
 def brute_combinations(rows, box):
@@ -46,7 +45,7 @@ def test_lattice_membership_against_brute_force():
         for v in itertools.product(range(-3, 4), repeat=n):
             if list(v) in lat:
                 # membership certificate: solve for the combination
-                assert solve_left(rows, list(v)) is not None
+                assert solve_left(rows, list(v))[0] is not None
             elif v in span:
                 raise AssertionError(f"{v} in span but rejected")
 
@@ -94,13 +93,12 @@ def test_solve_left_and_kernel():
         coeffs = [rng.randint(-3, 3) for _ in range(m)]
         target = [sum(c * rows[k][j] for k, c in enumerate(coeffs))
                   for j in range(n)]
-        sol = solve_left(rows, target)
+        sol, ker = solve_left(rows, target)
         assert sol is not None
         assert [sum(s * rows[k][j] for k, s in enumerate(sol))
                 for j in range(n)] == target
         # kernel rows annihilate, and brute-force kernel vectors lie in the
         # kernel lattice
-        ker = left_kernel(rows, n)
         for kv in ker:
             assert all(sum(kv[k] * rows[k][j] for k in range(m)) == 0
                        for j in range(n))
@@ -113,10 +111,14 @@ def test_solve_left_and_kernel():
 
 
 def test_solve_left_detects_unsolvable():
-    assert solve_left([[2, 0], [0, 2]], [1, 0]) is None
-    assert solve_left([[2, 4]], [1, 2]) is None
-    assert solve_left([], [0, 0]) == []
-    assert solve_left([], [1]) is None
+    assert solve_left([[2, 0], [0, 2]], [1, 0]) == (None, [])
+    assert solve_left([[2, 4]], [1, 2]) == (None, [])
+    assert solve_left([], [0, 0]) == ([], [])
+    assert solve_left([], [1]) == (None, [])
+    # the kernel comes with an unsolvable system too
+    sol, ker = solve_left([[2, 4], [1, 2]], [1, 0])
+    assert sol is None and len(ker) == 1
+    assert ker[0][0] * 2 + ker[0][1] == 0 and ker[0] != (0, 0)
 
 
 def test_reduce_with_order_prefers_leading_coordinates():

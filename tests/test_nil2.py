@@ -3,8 +3,10 @@
 import random
 
 from xq import nil2
+from xq.groups import FreeNil2Group
 from xq.nil2 import Nil2Element, basic_commutator, generator, identity
 
+from letter_oracle import normalize_word, word_of
 from oracle import oracle_normal_form, random_word
 
 
@@ -13,7 +15,7 @@ def test_normal_form_matches_oracle_on_random_words():
     for _ in range(3000):
         n = rng.randint(1, 3)
         w = random_word(rng, n, 8)
-        got = nil2.normalize_word(w, n)
+        got = normalize_word(w, n)
         base, comm = oracle_normal_form(w, n)
         assert (got.base, got.comm) == (base, comm), f"word {w}"
 
@@ -24,8 +26,8 @@ def test_product_matches_oracle_concatenation():
         n = rng.randint(2, 3)
         w1 = random_word(rng, n, 6)
         w2 = random_word(rng, n, 6)
-        x = nil2.normalize_word(w1, n)
-        y = nil2.normalize_word(w2, n)
+        x = normalize_word(w1, n)
+        y = normalize_word(w2, n)
         base, comm = oracle_normal_form(w1 + w2, n)
         got = nil2.mul(x, y)
         assert (got.base, got.comm) == (base, comm)
@@ -35,7 +37,7 @@ def test_inverse_and_identity_laws():
     rng = random.Random(13)
     n = 3
     for _ in range(1000):
-        x = nil2.normalize_word(random_word(rng, n, 8), n)
+        x = normalize_word(random_word(rng, n, 8), n)
         assert nil2.mul(x, nil2.inv(x)) == identity(n)
         assert nil2.mul(nil2.inv(x), x) == identity(n)
         assert nil2.mul(x, identity(n)) == x
@@ -56,9 +58,9 @@ def test_commutators_are_central_and_bilinear():
     rng = random.Random(14)
     n = 3
     for _ in range(500):
-        x = nil2.normalize_word(random_word(rng, n, 6), n)
-        y = nil2.normalize_word(random_word(rng, n, 6), n)
-        z = nil2.normalize_word(random_word(rng, n, 6), n)
+        x = normalize_word(random_word(rng, n, 6), n)
+        y = normalize_word(random_word(rng, n, 6), n)
+        z = normalize_word(random_word(rng, n, 6), n)
         c = nil2.commutator(x, y)
         assert c.base == (0,) * n and c.is_central()
         # (x, y z) = (x, y)(x, z) in class 2
@@ -71,5 +73,5 @@ def test_word_round_trip():
     rng = random.Random(15)
     n = 3
     for _ in range(500):
-        x = nil2.normalize_word(random_word(rng, n, 8), n)
-        assert nil2.normalize_word(nil2.to_word(x), n) == x
+        x = normalize_word(random_word(rng, n, 8), n)
+        assert normalize_word(word_of(FreeNil2Group(n), x), n) == x

@@ -1,24 +1,20 @@
-"""Values kept at generators and a shared memo of alpha2 steps change no
-report: `qcm_check` and `verify_rq_homotopy` give the JSON that fresh calls
-on freshly built morphisms give, on passing and on corrupted witnesses, and
-classification evaluates the maps of the source complex a constant number
-of times."""
+"""Values kept at generators change no report: `qcm_check` and
+`verify_rq_homotopy` give the JSON that fresh calls on freshly built
+morphisms give, on passing and on corrupted witnesses, and classification
+evaluates the maps of the source complex a constant number of times."""
 
 import os
-import random
 from dataclasses import replace
 
 import pytest
 
 import xq
-import xq.quadratic
 import xq.sphere
 from xq import structfile as sf
 from xq.groups import GroupHom
-from xq.quadratic import (QCHomotopy, QCMorphism, _alpha2_steps, alpha2_extend,
-                          qcm_check, rq_homotopy_decision, verify_rq_homotopy)
-from xq.sphere import (FamilyDecisions, classify_retractions, enumerate_retractions,
-                       retraction_candidate)
+from xq.quadratic import (QCHomotopy, QCMorphism, qcm_check, rq_homotopy_decision,
+                          verify_rq_homotopy)
+from xq.sphere import retraction_candidate
 
 MORPHISM_FILES = ("retraction_pr1.json", "retraction_pr1_twisted.json",
                   "retraction_pr2.json")
@@ -50,7 +46,7 @@ def identity_morphism(q):
 
 def twisted_identity(q):
     """The identity Q -> Q but for e'' |-> e'' + e in degree 2: against the
-    identity, g2 != f2 and omega' != 0, so the alpha2 steps carry non-zero
+    identity, g2 != f2 and omega' != 0, so alpha2 carries non-zero
     corrections."""
     q2 = q.q2
     return replace(identity_morphism(q), f2=GroupHom(
@@ -81,18 +77,6 @@ def shifted(values, i, by, group):
     values = list(values)
     values[i] = group.op(values[i], by)
     return tuple(values)
-
-
-class Shared:
-    """The alpha2 step memo of classification (`FamilyDecisions.steps_for`),
-    one per target, reused by every call."""
-
-    def __init__(self):
-        self.decisions = {}
-
-    def verify(self, f, g, h):
-        decisions = self.decisions.setdefault(id(f.target), FamilyDecisions([]))
-        return verify_rq_homotopy(f, g, h, decisions.steps_for(f, g))
 
 
 def cases(shipped, cylinder_q, sphere_d):
@@ -142,12 +126,11 @@ def cases(shipped, cylinder_q, sphere_d):
 
 
 def test_shared_verification_matches_fresh_calls(shipped, cylinder_q, sphere_d):
-    shared = Shared()
     fired = set()
     all_cases = cases(shipped, cylinder_q, sphere_d)
     # twice over, so the second round reads only what the first one kept
     for f, g, h, must_fail in all_cases + all_cases:
-        got = shared.verify(f, g, h)
+        got = verify_rq_homotopy(f, g, h)
         assert got.to_json() == \
             verify_rq_homotopy(fresh_copy(f), fresh_copy(g), h).to_json()
         if must_fail is None:
@@ -157,8 +140,6 @@ def test_shared_verification_matches_fresh_calls(shipped, cylinder_q, sphere_d):
             fired.add(must_fail)
     assert fired == {"homotopy_degree2", "homotopy_degree3", "homotopy_degree4",
                      "alpha2_vanishes_on_under", "alpha3_vanishes_on_under"}
-    # the shipped target, Q and D
-    assert len(shared.decisions) == 3
 
 
 def test_kept_values_check_as_fresh_calls(shipped, cylinder_q, sphere_d):
@@ -170,31 +151,6 @@ def test_kept_values_check_as_fresh_calls(shipped, cylinder_q, sphere_d):
             qcm_check(fresh_copy(m), samples=5, seed=0).to_json()
     assert [c.check_id for c in qcm_check(ms[-1], samples=5, seed=0).failed()] == \
         ["f3_is_homomorphism"]
-
-
-def test_alpha2_step_memo_matches_the_fold(cylinder_q):
-    q = cylinder_q
-    rng = random.Random(0)
-    ident, twist = identity_morphism(q), twisted_identity(q)
-    pool = q.q2.generators() + [q.q2.random_element(rng) for _ in range(6)]
-    decisions = FamilyDecisions([])
-    # a new identity shares the memo of the first: the key is f2 and g2
-    pairs = ((ident, twist), (twist, ident), (ident, ident), (identity_morphism(q), ident))
-    for f, g in pairs:
-        for _ in range(40):
-            x = rng.choice(pool)
-            values = [q.q3.random_element(rng) for _ in range(q.q2.ngens)]
-            assert alpha2_extend(values, f, g, x, decisions.steps_for(f, g)) == \
-                alpha2_extend(values, f, g, x)
-    assert len(decisions.steps) == 3
-    for f, g in pairs:
-        steps = decisions.steps_for(f, g)
-        assert 0 < len(steps) <= len(pool)
-        for x, walk in steps.items():
-            assert walk == list(_alpha2_steps(q.q2.word_of(x), f, g))
-        # corrections vanish exactly when f2 = g2
-        corrections = {corr for walk in steps.values() for *_, corr in walk}
-        assert (corrections == {q.q3.identity()}) == (f.f2.images == g.f2.images)
 
 
 def test_values_are_read_at_the_canonical_generator(cylinder_q, sphere_d):
@@ -223,20 +179,6 @@ def test_generators_are_built_once_and_returned_as_fresh_lists(cylinder_q):
     assert again[1] is cylinder_q.q3.generators()[1]
 
 
-def test_classification_memo_holds_each_pairs_own_steps(cylinder_q, sphere_d):
-    morphisms = enumerate_retractions(cylinder_q, sphere_d, 2, 4)
-    decisions = FamilyDecisions(morphisms)
-    classes = classify_retractions(morphisms, decisions)
-    pairs = [(c.representative, m) for c in classes for m in c.members
-             if m is not c.representative]
-    assert pairs
-    for f, g in pairs:
-        steps = decisions.steps_for(f, g)
-        assert steps
-        for x, walk in steps.items():
-            assert walk == list(_alpha2_steps(cylinder_q.q2.word_of(x), f, g))
-
-
 def test_classification_evaluates_the_source_maps_a_constant_number_of_times(
         monkeypatch):
     counts = {}
@@ -262,8 +204,6 @@ def test_classification_evaluates_the_source_maps_a_constant_number_of_times(
         return call(hom, x)
 
     monkeypatch.setattr(GroupHom, "__call__", counting_call)
-    monkeypatch.setattr(xq.quadratic, "_alpha2_steps",
-                        counting("steps", xq.quadratic._alpha2_steps))
     monkeypatch.setattr(xq.sphere, "qcm_check", counting("check", xq.sphere.qcm_check))
     monkeypatch.setattr(xq.sphere, "verify_rq_homotopy",
                         counting("verify", xq.sphere.verify_rq_homotopy))
@@ -277,9 +217,9 @@ def test_classification_evaluates_the_source_maps_a_constant_number_of_times(
         assert counts["verify"] == members == rep.meta["retractions"]
         q = built["q"]
         source_maps = (q.d3, q.d4, q.under.q2, q.under.q3, q.under.q4)
-        seen.append((counts["steps"], [counts.get(id(h), 0) for h in source_maps]))
+        seen.append([counts.get(id(h), 0) for h in source_maps])
         for hom in source_maps:
             assert len(hom._at_generator) <= hom.source.ngens
-    # the checks of Q and the fit evaluate the maps of Q, and the step lists
-    # are one per pair (f2, g2) and element: neither grows with the members
+    # the checks of Q and the fit evaluate the maps of Q: that does not grow
+    # with the members
     assert seen[0] == seen[1]
