@@ -15,8 +15,8 @@ import sys
 
 from . import structfile as sf
 from .crossed import xc3_homotopy_decision, xc3_morphism_check
-from .monoid import (ExtMonoidElement, M_NAMES, M_TABLE, mbar_check_structure,
-                     mbar_compose, mbar_elements)
+from .monoid import (M_NAMES, mbar_check_structure, mbar_compose,
+                     mbar_elements, monoid_M_table)
 from .quadratic import qcm_check, rq_homotopy_decision
 from .sphere import assemble_selfmap_count, classification_report
 
@@ -25,9 +25,6 @@ def _write_out(path: str | None, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-_SIDES = ("source", "target")
 
 
 def _read(path: str) -> dict:
@@ -49,15 +46,15 @@ def _bind_to_pair(raw: dict, pair_keys: list, pair_value):
     when it is not a morphism between them.
 
     Sides that agree with the pair's are its complexes byte for byte, so
-    only the maps are built.  Any other file is built whole, so that a
-    malformed file reports its own positioned error before the caller
-    refuses it."""
+    only the maps are built.  Any other file, or one without maps, is built
+    whole, so that a malformed file reports its own positioned error before
+    the caller refuses it."""
     body = raw["body"]
-    if raw["kind"] == "morphism" and all(
+    if raw["kind"] == "morphism" and "maps" in body and all(
             sf.structure_key(body.get(side)) == key
-            for side, key in zip(_SIDES, pair_keys)):
+            for side, key in zip(sf.SIDES, pair_keys)):
         (kind, source), (_, target) = pair_value
-        return sf.bind_morphism(body, "$.body", kind, source, target)
+        return sf.bind_maps(body["maps"], "$.body.maps", kind, source, target)
     sf.build_structure(raw)
     return None
 
@@ -74,7 +71,7 @@ def _cmd_homotopic(args) -> int:
     pair_raw, pair = _load(args.pair)
     if pair.kind != "pair":
         raise sf.StructureError("expected a pair of complexes", path="$.kind")
-    pair_keys = [sf.structure_key(pair_raw["body"][side]) for side in _SIDES]
+    pair_keys = [sf.structure_key(pair_raw["body"][side]) for side in sf.SIDES]
     f_raw = _read(args.f)
     f = _bind_to_pair(f_raw, pair_keys, pair.value)
     g_raw = _read(args.g)
@@ -87,21 +84,16 @@ def _cmd_homotopic(args) -> int:
         if mraw["kind"] != "morphism":
             raise sf.StructureError(f"{label} must be a morphism file",
                                     path="$.kind")
-        side = next(side for side, key in zip(_SIDES, pair_keys)
+        side = next(side for side, key in zip(sf.SIDES, pair_keys)
                     if sf.structure_key(mraw["body"][side]) != key)
         raise sf.StructureError(
             f"{label}: morphism {side} differs from the pair's {side}",
             path=f"$.body.{side}")
-    (src_kind, _), (_, target) = pair.value
-    if src_kind == "rqc4":
-        decide = rq_homotopy_decision
-        valid = qcm_check
-        witness_key = lambda h: h.to_json(target)
+    (kind, _), (_, target) = pair.value
+    if kind == "rqc4":
+        decide, valid = rq_homotopy_decision, qcm_check
     else:
-        decide = xc3_homotopy_decision
-        valid = xc3_morphism_check
-        witness_key = lambda h: {"alpha": [target.m3.element_to_json(a)
-                                           for a in h.alpha]}
+        decide, valid = xc3_homotopy_decision, xc3_morphism_check
     for label, m in (("f", f), ("g", g)):
         chk = valid(m, samples=args.samples, seed=args.seed)
         if not chk.ok:
@@ -120,41 +112,34 @@ def _cmd_homotopic(args) -> int:
                         "target": pair_raw["body"]["target"],
                         "f": f_raw["body"]["maps"],
                         "g": g_raw["body"]["maps"],
-                        "witness": witness_key(witness)}}
+                        "witness": witness.to_json(target)}}
         _write_out(args.witness, sf.serialize_structure(obj))
     return 0
-
-
-def _monoid_label(x: ExtMonoidElement) -> str:
-    return f"({x.m},({x.v[0]},{x.v[1]}))"
 
 
 def _cmd_monoid(args) -> int:
     rep = mbar_check_structure()
     sys.stdout.write(rep.text())
-    table_lines = []
-    if args.table:
-        table_lines.append("composition table of M (rows m, columns m'):")
-        table_lines.append("      " + "  ".join(f"{n:3}" for n in M_NAMES))
-        for m in M_NAMES:
-            row = [M_TABLE[m][j] for j in range(4)]
-            table_lines.append(f"  {m:3} " + "  ".join(f"{v:3}" for v in row))
+    if args.table or args.out:
+        m_table = monoid_M_table()
         elements = mbar_elements()
-        table_lines.append("")
-        table_lines.append("composition table of the extended monoid "
-                           "(16 elements, row o column):")
-        for x in elements:
-            cells = [_monoid_label(mbar_compose(x, y)) for y in elements]
-            table_lines.append(f"  {_monoid_label(x):12} " + " ".join(
-                f"{c:12}" for c in cells))
-        sys.stdout.write("\n".join(table_lines) + "\n")
+        labels = [str(x) for x in elements]
+        table = [[str(mbar_compose(x, y)) for y in elements] for x in elements]
+    if args.table:
+        lines = ["composition table of M (rows m, columns m'):",
+                 "      " + "  ".join(f"{n:3}" for n in M_NAMES)]
+        lines += [f"  {m:3} " + "  ".join(f"{v:3}" for v in row)
+                  for m, row in zip(M_NAMES, m_table)]
+        lines += ["", "composition table of the extended monoid "
+                      "(16 elements, row o column):"]
+        lines += [f"  {label:12} " + " ".join(f"{c:12}" for c in row)
+                  for label, row in zip(labels, table)]
+        sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
         obj = rep.to_json_obj()
-        elements = mbar_elements()
-        obj["m_table"] = {m: list(M_TABLE[m]) for m in M_NAMES}
-        obj["elements"] = [_monoid_label(x) for x in elements]
-        obj["table"] = [[_monoid_label(mbar_compose(x, y)) for y in elements]
-                        for x in elements]
+        obj["m_table"] = dict(zip(M_NAMES, m_table))
+        obj["elements"] = labels
+        obj["table"] = table
         _write_out(args.out, sf.serialize_structure(obj))
     return 0 if rep.ok else 1
 

@@ -128,29 +128,6 @@ class GroupAction:
                           note=f"{samples} samples", basis="sampled")
         return rep
 
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.table is not None:
-            out["table"] = [[self.acted.element_to_json(e) for e in row]
-                            for row in self.table]
-        if self.inverse_table is not None:
-            out["inverse_table"] = [[self.acted.element_to_json(e) for e in row]
-                                    for row in self.inverse_table]
-        return out
-
-    @staticmethod
-    def from_json(acting: Group, acted: Group, obj: dict) -> "GroupAction":
-        kind = obj.get("kind", "table")
-        if kind in ("trivial", "conjugation"):
-            return GroupAction(acting, acted, kind=kind)
-        table = [[acted.element_from_json(e) for e in row] for row in obj["table"]]
-        inverse = None
-        if obj.get("inverse_table") is not None:
-            inverse = [[acted.element_from_json(e) for e in row]
-                       for row in obj["inverse_table"]]
-        return GroupAction(acting, acted, kind="table", table=table,
-                           inverse_table=inverse)
-
 
 @dataclass
 class PreCrossedModule:
@@ -333,6 +310,9 @@ class XC3Homotopy:
 
     def hom(self, source: CrossedComplex3, target: CrossedComplex3) -> GroupHom:
         return GroupHom(source.m2, target.m3, self.alpha)
+
+    def to_json(self, target: CrossedComplex3) -> dict:
+        return {"alpha": [target.m3.element_to_json(a) for a in self.alpha]}
 
 
 def alpha_variable_order(n2: int, r3: int, killed: Sequence[int]) -> list[int]:
@@ -604,8 +584,7 @@ def xc3_homotopy_decision(f: XC3Morphism, g: XC3Morphism
     if values is None:
         return None, lin.rep
     witness = XC3Homotopy(values[0])
-    lin.accept(verify_xc3_homotopy(f, g, witness),
-               {"alpha": [tgt.m3.element_to_json(a) for a in witness.alpha]})
+    lin.accept(verify_xc3_homotopy(f, g, witness), witness.to_json(tgt))
     return witness, lin.rep
 
 

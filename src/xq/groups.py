@@ -544,12 +544,6 @@ class GroupHom:
         return (self.source == other.source and self.target == other.target
                 and self.images == other.images)
 
-    def ab_matrix(self) -> list[list[int]]:
-        """Matrix of the abelianized map, columns indexed by source generators."""
-        cols = [self.target.ab(im) for im in self.images]
-        return [[cols[j][k] for j in range(self.source.ngens)]
-                for k in range(self.target.ngens)]
-
     def relation_images(self):
         """(row, image) for each relation row of the source abelianization;
         the images define a homomorphism only if every such image is zero."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .crossed import (CrossedComplex3, GroupAction, PreCrossedModule,
                       XC3Homotopy, XC3Morphism, check_crossed,
@@ -29,6 +29,8 @@ FORMAT_VERSION = "1"
 
 STRUCTURE_KINDS = ("group", "precrossed", "crossed", "xc3", "rqm", "qm",
                    "rqc4", "pair", "morphism", "homotopy")
+
+SIDES = ("source", "target")
 
 
 class StructureError(ValueError):
@@ -283,89 +285,86 @@ def _build_rqc4(body, path) -> ReducedQuadraticComplex4:
     return cx
 
 
+class ComplexKind(NamedTuple):
+    """How files of one kind of complex are read.
+
+    `build` reads a complex's body.  `maps` lists (key, degree) for each
+    map of a morphism, a hom between the two complexes' groups of that
+    degree, and `morphism(source, target, *homs)` builds it.  `witness`
+    lists (key, source degree, target degree) for each value list of a
+    homotopy: one value in the target's group per generator of the
+    source's group.  `homotopy(*lists)` builds it."""
+
+    build: Callable
+    maps: tuple
+    morphism: type
+    witness: tuple
+    homotopy: type
+
+
+COMPLEX_KINDS = {
+    "rqc4": ComplexKind(_build_rqc4, (("f2", "q2"), ("f3", "q3"), ("f4", "q4")),
+                        QCMorphism, (("alpha2", "q2", "q3"), ("alpha3", "q3", "q4")),
+                        QCHomotopy),
+    "xc3": ComplexKind(_build_xc3, (("f1", "m1"), ("f2", "m2"), ("f3", "m3")),
+                       XC3Morphism, (("alpha", "m2", "m3"),), XC3Homotopy),
+}
+
+
 def _build_complex_structure(obj, path):
     """A nested {"kind","body"} structure that must be rqc4 or xc3."""
     obj = _expect_dict(obj, path)
     kind, kpath = _get(obj, "kind", path)
     body, bpath = _get(obj, "body", path)
     _expect_dict(body, bpath)
-    if kind == "rqc4":
-        return "rqc4", _build_rqc4(body, bpath)
-    if kind == "xc3":
-        return "xc3", _build_xc3(body, bpath)
-    raise _err(f"expected an rqc4 or xc3 structure here, found {kind!r}", kpath)
+    if not (isinstance(kind, str) and kind in COMPLEX_KINDS):
+        raise _err(f"expected an rqc4 or xc3 structure here, found {kind!r}",
+                   kpath)
+    return kind, COMPLEX_KINDS[kind].build(body, bpath)
 
 
-def bind_rqc4_morphism(maps, path, source: ReducedQuadraticComplex4,
-                       target: ReducedQuadraticComplex4) -> QCMorphism:
-    maps = _expect_dict(maps, path)
-    f2 = _build_hom(*_get(maps, "f2", path), source=source.q2, target=target.q2)
-    f3 = _build_hom(*_get(maps, "f3", path), source=source.q3, target=target.q3)
-    f4 = _build_hom(*_get(maps, "f4", path), source=source.q4, target=target.q4)
-    return QCMorphism(source, target, f2, f3, f4)
-
-
-def bind_xc3_morphism(maps, path, source: CrossedComplex3,
-                      target: CrossedComplex3) -> XC3Morphism:
-    maps = _expect_dict(maps, path)
-    f1 = _build_hom(*_get(maps, "f1", path), source=source.m1, target=target.m1)
-    f2 = _build_hom(*_get(maps, "f2", path), source=source.m2, target=target.m2)
-    f3 = _build_hom(*_get(maps, "f3", path), source=source.m3, target=target.m3)
-    return XC3Morphism(source, target, f1, f2, f3)
-
-
-def bind_morphism(body, path, kind: str, source, target):
-    """The morphism whose maps are `body["maps"]`, bound to the built
-    complexes `source` and `target` of the given kind."""
-    maps, mpath = _get(body, "maps", path)
-    if kind == "rqc4":
-        return bind_rqc4_morphism(maps, mpath, source, target)
-    return bind_xc3_morphism(maps, mpath, source, target)
-
-
-def _build_morphism(body, path):
+def _build_sides(body, path):
+    """(kind, source, target) of a pair, morphism or homotopy body, whose
+    sides must be complexes of one kind."""
     src_kind, source = _build_complex_structure(*_get(body, "source", path))
     tgt_kind, target = _build_complex_structure(*_get(body, "target", path))
     if src_kind != tgt_kind:
         raise _err(f"source is {src_kind} but target is {tgt_kind}",
                    f"{path}.target.kind")
-    return bind_morphism(body, path, src_kind, source, target)
+    return src_kind, source, target
+
+
+def bind_maps(maps, path, kind: str, source, target):
+    """The morphism of complexes of the given kind whose maps are `maps`,
+    bound to the built complexes `source` and `target`."""
+    maps = _expect_dict(maps, path)
+    spec = COMPLEX_KINDS[kind]
+    return spec.morphism(source, target, *(
+        _build_hom(*_get(maps, name, path), source=getattr(source, degree),
+                   target=getattr(target, degree))
+        for name, degree in spec.maps))
 
 
 def _build_homotopy(body, path):
-    src_kind, source = _build_complex_structure(*_get(body, "source", path))
-    tgt_kind, target = _build_complex_structure(*_get(body, "target", path))
-    if src_kind != tgt_kind:
-        raise _err(f"source is {src_kind} but target is {tgt_kind}",
-                   f"{path}.target.kind")
+    kind, source, target = _build_sides(body, path)
     fmaps, fpath = _get(body, "f", path)
     gmaps, gpath = _get(body, "g", path)
     witness, wpath = _get(body, "witness", path)
     witness = _expect_dict(witness, wpath)
-    if src_kind == "rqc4":
-        f = bind_rqc4_morphism(fmaps, fpath, source, target)
-        g = bind_rqc4_morphism(gmaps, gpath, source, target)
-        a2, a2path = _get(witness, "alpha2", wpath)
-        a2 = _expect_list(a2, a2path)
-        if len(a2) != source.q2.ngens:
-            raise _err(f"alpha2 needs {source.q2.ngens} values", a2path)
-        a3, a3path = _get(witness, "alpha3", wpath)
-        a3 = _expect_list(a3, a3path)
-        if len(a3) != source.q3.ngens:
-            raise _err(f"alpha3 needs {source.q3.ngens} values", a3path)
-        h = QCHomotopy(tuple(_build_element(target.q3, e, f"{a2path}[{i}]")
-                             for i, e in enumerate(a2)),
-                       tuple(_build_element(target.q4, e, f"{a3path}[{i}]")
-                             for i, e in enumerate(a3)))
-        return (f, g, h)
-    f = bind_xc3_morphism(fmaps, fpath, source, target)
-    g = bind_xc3_morphism(gmaps, gpath, source, target)
-    alpha, apath = _get(witness, "alpha", wpath)
-    alpha = _expect_list(alpha, apath)
-    if len(alpha) != source.m2.ngens:
-        raise _err(f"alpha needs {source.m2.ngens} values", apath)
-    h = XC3Homotopy(tuple(_build_element(target.m3, e, f"{apath}[{i}]")
-                          for i, e in enumerate(alpha)))
+    f = bind_maps(fmaps, fpath, kind, source, target)
+    g = bind_maps(gmaps, gpath, kind, source, target)
+    # every length is checked before any value is built
+    spec, fields = COMPLEX_KINDS[kind], []
+    for name, src_degree, tgt_degree in spec.witness:
+        values, vpath = _get(witness, name, wpath)
+        values = _expect_list(values, vpath)
+        n = getattr(source, src_degree).ngens
+        if len(values) != n:
+            raise _err(f"{name} needs {n} values", vpath)
+        fields.append((getattr(target, tgt_degree), values, vpath))
+    h = spec.homotopy(*(tuple(_build_element(group, e, f"{vpath}[{i}]")
+                              for i, e in enumerate(values))
+                        for group, values, vpath in fields))
     return (f, g, h)
 
 
@@ -373,9 +372,7 @@ def _build_homotopy(body, path):
 class StructureFile:
     """A parsed and semantically validated structure file."""
 
-    version: str
     kind: str
-    body: dict
     value: Any = field(repr=False, default=None)
 
     def check(self, samples: int = 200, seed: int | None = None) -> Report:
@@ -397,8 +394,7 @@ class StructureFile:
             return rqc4_check(v, samples=samples, seed=seed)
         if self.kind == "pair":
             rep = Report("pair of complexes")
-            names = ("source", "target")
-            for name, (ckind, cx) in zip(names, v):
+            for name, (ckind, cx) in zip(SIDES, v):
                 sub = (rqc4_check if ckind == "rqc4" else xc3_check)(
                     cx, samples=samples, seed=seed)
                 rep.merge(sub, prefix=f"{name}.")
@@ -433,18 +429,16 @@ def build_structure(raw: dict) -> StructureFile:
     elif kind == "rqc4":
         value = _build_rqc4(body, path)
     elif kind == "pair":
-        value = (_build_complex_structure(*_get(body, "source", path)),
-                 _build_complex_structure(*_get(body, "target", path)))
-        if value[0][0] != value[1][0]:
-            raise _err(f"source is {value[0][0]} but target is {value[1][0]}",
-                       f"{path}.target.kind")
+        ckind, source, target = _build_sides(body, path)
+        value = ((ckind, source), (ckind, target))
     elif kind == "morphism":
-        value = _build_morphism(body, path)
+        ckind, source, target = _build_sides(body, path)
+        value = bind_maps(*_get(body, "maps", path), ckind, source, target)
     elif kind == "homotopy":
         value = _build_homotopy(body, path)
     else:
         raise _err(f"unknown structure kind {kind!r}", "$.kind")
-    return StructureFile(raw["version"], kind, body, value)
+    return StructureFile(kind, value)
 
 
 def load_structure(text: str) -> StructureFile:
@@ -477,26 +471,21 @@ def rqc4_structure(cx: ReducedQuadraticComplex4) -> dict:
     return {"version": FORMAT_VERSION, "kind": "rqc4", "body": rqc4_body(cx)}
 
 
+def _sides_json(source: ReducedQuadraticComplex4,
+                target: ReducedQuadraticComplex4) -> dict:
+    return {side: {"kind": "rqc4", "body": rqc4_body(cx)}
+            for side, cx in zip(SIDES, (source, target))}
+
+
 def pair_structure(source: ReducedQuadraticComplex4,
                    target: ReducedQuadraticComplex4) -> dict:
     return {"version": FORMAT_VERSION, "kind": "pair",
-            "body": {"source": {"kind": "rqc4", "body": rqc4_body(source)},
-                     "target": {"kind": "rqc4", "body": rqc4_body(target)}}}
+            "body": _sides_json(source, target)}
 
 
 def morphism_structure(m: QCMorphism) -> dict:
     return {"version": FORMAT_VERSION, "kind": "morphism",
-            "body": {"source": {"kind": "rqc4", "body": rqc4_body(m.source)},
-                     "target": {"kind": "rqc4", "body": rqc4_body(m.target)},
-                     "maps": m.maps_json()}}
-
-
-def homotopy_structure(f: QCMorphism, g: QCMorphism, h: QCHomotopy) -> dict:
-    return {"version": FORMAT_VERSION, "kind": "homotopy",
-            "body": {"source": {"kind": "rqc4", "body": rqc4_body(f.source)},
-                     "target": {"kind": "rqc4", "body": rqc4_body(f.target)},
-                     "f": f.maps_json(), "g": g.maps_json(),
-                     "witness": h.to_json(f.target)}}
+            "body": {**_sides_json(m.source, m.target), "maps": m.maps_json()}}
 
 
 def structure_key(obj) -> str | None:
@@ -512,9 +501,3 @@ def structure_key(obj) -> str | None:
     return json.dumps({"kind": obj["kind"], "body": obj["body"]},
                       sort_keys=True, separators=(",", ":"))
 
-
-def structures_agree(a: dict, b: dict) -> bool:
-    """Byte-level, type-exact agreement of two nested {"kind","body"}
-    structures (1, 1.0 and true all differ; key order does not matter)."""
-    key = structure_key(a)
-    return key is not None and key == structure_key(b)

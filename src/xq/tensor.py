@@ -48,10 +48,6 @@ class TensorElement:
     def scale(self, k: int) -> "TensorElement":
         return TensorElement(self.n, tuple(tuple(k * x for x in r) for r in self.coeffs))
 
-    def transpose(self) -> "TensorElement":
-        return TensorElement(self.n, tuple(
-            tuple(self.coeffs[j][i] for j in range(self.n)) for i in range(self.n)))
-
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.coeffs for x in r)
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from xq.crossed import (CrossedComplex3, GroupAction, PreCrossedModule,
                         xc3_homotopy_decision, xc3_morphism_check)
 from xq.groups import (CyclicGroup, FgAbelianGroup, FreeAbelianGroup, FreeGroup,
                        FreeNil2Group, GroupHom)
+from xq.structfile import load_structure
 
 from hom_oracle import letter_act
 
@@ -65,9 +67,23 @@ def test_action_table_round_trip():
     # inverse letters derived automatically for abelian acted groups
     assert acted.eq(swap.apply(acted.gen(0), acting.inv(acting.gen(0))),
                     acted.gen(1))
-    rebuilt = GroupAction.from_json(acting, acted, swap.to_json())
-    assert acted.eq(rebuilt.apply(acted.gen(1), acting.gen(0)), acted.gen(0))
+    # read back from an xc3 structure file, with an explicit inverse table
+    swap_json = {"kind": "table", "table": [[[0, 1]], [[1, 0]]],
+                 "inverse_table": [[[0, 1]], [[1, 0]]]}
+    raw = {"version": "1", "kind": "xc3",
+           "body": {"m1": {"kind": "free_abelian", "rank": 1},
+                    "m2": {"kind": "free_abelian", "rank": 2},
+                    "m3": {"kind": "free_abelian", "rank": 1},
+                    "d2": {"images": [[0], [0]]}, "d3": {"images": [[0, 0]]},
+                    "action2": swap_json, "action3": {"kind": "trivial"}}}
+    structure = load_structure(json.dumps(raw))
+    rebuilt = structure.value.action2
+    assert rebuilt.inverse_table == [[acted.gen(1)], [acted.gen(0)]]
+    for sign in (1, -1):
+        a = acting.pow(acting.gen(0), sign)
+        assert acted.eq(rebuilt.apply(acted.gen(1), a), acted.gen(0))
     assert rebuilt.check(random.Random(4), 100).ok
+    assert structure.check(samples=20, seed=4).ok
 
 
 def small_xc3(under2=()):

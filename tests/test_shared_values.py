@@ -33,8 +33,8 @@ def shipped(structures_dir):
         _read(structures_dir, "retraction_pair.json")).value
     maps = {name: sf.parse_structure(_read(structures_dir, name))["body"]["maps"]
             for name in MORPHISM_FILES}
-    return source, target, lambda name: sf.bind_rqc4_morphism(
-        maps[name], "$.body.maps", source, target)
+    return source, target, lambda name: sf.bind_maps(
+        maps[name], "$.body.maps", "rqc4", source, target)
 
 
 def identity_morphism(q):

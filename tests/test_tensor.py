@@ -20,7 +20,6 @@ def test_module_laws():
         assert s + t == t + s
         assert s - s == TensorElement.zero(n)
         assert s.scale(3) == s + s + s
-        assert s.transpose().transpose() == s
 
 
 def test_outer_is_bilinear():
