@@ -95,7 +95,7 @@ def _cmd_homotopic(args) -> int:
     else:
         decide, valid = xc3_homotopy_decision, xc3_morphism_check
     for label, m in (("f", f), ("g", g)):
-        chk = valid(m, samples=args.samples, seed=args.seed)
+        chk = valid(m)
         if not chk.ok:
             sys.stdout.write(f"morphism {label} is not valid:\n")
             sys.stdout.write(chk.text())
@@ -145,8 +145,7 @@ def _cmd_monoid(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    rep = classification_report(ab_range=args.ab_range, r_bound=args.r_bound,
-                                samples=args.samples, seed=args.seed)
+    rep = classification_report(ab_range=args.ab_range, r_bound=args.r_bound)
     sys.stdout.write(rep.text())
     if args.out:
         obj = rep.to_json_obj()
@@ -191,8 +190,6 @@ def _parser() -> argparse.ArgumentParser:
     h.add_argument("pair", help="structure file of kind 'pair'")
     h.add_argument("--f", required=True, help="morphism file")
     h.add_argument("--g", required=True, help="morphism file")
-    h.add_argument("--samples", type=int, default=50)
-    h.add_argument("--seed", type=int, default=None)
     h.add_argument("--witness", help="write the homotopy witness file here")
     h.add_argument("--out", help="write the JSON report here")
     h.set_defaults(command_name="homotopic")
@@ -204,8 +201,6 @@ def _parser() -> argparse.ArgumentParser:
                                           "of the cylinder model")
     cl.add_argument("--ab-range", type=int, default=3)
     cl.add_argument("--r-bound", type=int, default=10)
-    cl.add_argument("--samples", type=int, default=100)
-    cl.add_argument("--seed", type=int, default=None)
     cl.add_argument("--out", help="write the JSON report here")
     cl.set_defaults(command_name="classify")
 

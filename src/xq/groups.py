@@ -452,7 +452,7 @@ def group_from_json(obj: dict) -> Group:
     if kind == "free_abelian":
         return FreeAbelianGroup(obj["rank"], names)
     if kind == "fg_abelian":
-        return FgAbelianGroup(obj["rank"], obj.get("relations", ()), names)
+        return FgAbelianGroup(obj["rank"], obj.get("relations") or (), names)
     if kind == "cyclic":
         return CyclicGroup(obj["order"], names)
     raise ValueError(f"unknown group kind {kind!r}")

@@ -1,10 +1,12 @@
 """Exact linear algebra over the integers.
 
 Everything works on plain Python ints (arbitrary precision) and lists/tuples
-of them; no floating point, no modular shortcuts.  The workhorse is the
-row-style Hermite form: it decides lattice membership, solves u * A = b over
-Z together with the kernel lattice, and reduces vectors to canonical coset
-representatives.
+of them; no floating point, no modular shortcuts.  There is one integer
+elimination, `Lattice.add`, which keeps a row lattice in echelon form: it
+decides lattice membership and reduces vectors to canonical coset
+representatives.  `hnf_with_transform` runs it on a matrix augmented by the
+identity to get the Hermite form with its transform, from which
+`solve_left` solves u * A = b over Z together with the kernel lattice.
 """
 
 from __future__ import annotations
@@ -103,35 +105,26 @@ class Lattice:
 
 
 def hnf_with_transform(rows: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Row echelon form with transform: returns (H, U) with U * rows == H.
+    """Row Hermite form with transform: returns (H, U) with U * rows == H.
 
-    U is unimodular, H has positive pivots with reduced entries above them,
-    and zero rows of H sit at the bottom (their U rows span the left kernel).
+    (H, U) is the echelon basis `Lattice` builds for the rows (rows[i], e_i)
+    of Z^(n+m), split after column n, with the entries above each pivot
+    reduced into [0, pivot) after every row is added (left unreduced, the
+    entries of U grow with every pivot).  U is unimodular, H has positive
+    pivots with reduced entries above them, and zero rows of H sit at the
+    bottom (their U rows span the left kernel).
     """
     m = len(rows)
-    aug = [list(rows[i]) + [1 if k == i else 0 for k in range(m)] for i in range(m)]
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, m) if aug[i][j] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(r + 1, m):
-            if aug[i][j]:
-                g, x, y = xgcd(aug[r][j], aug[i][j])
-                ar, ai = aug[r][j] // g, aug[i][j] // g
-                aug[r], aug[i] = (
-                    [x * u + y * v for u, v in zip(aug[r], aug[i])],
-                    [ar * v - ai * u for u, v in zip(aug[r], aug[i])],
-                )
-        if aug[r][j] < 0:
-            aug[r] = vec_neg(aug[r])
-        for i in range(r):
-            q = aug[i][j] // aug[r][j]
-            if q:
-                aug[i] = [u - q * v for u, v in zip(aug[i], aug[r])]
-        r += 1
-    return [row[:n] for row in aug], [row[n:] for row in aug]
+    echelon = Lattice(n + m)
+    basis = echelon.rows
+    for i, row in enumerate(rows):
+        echelon.add(list(row) + [int(k == i) for k in range(m)])
+        for k, p in enumerate(echelon.pivots):
+            for j in range(k):
+                q = basis[j][p] // basis[k][p]
+                if q:
+                    basis[j] = [u - q * v for u, v in zip(basis[j], basis[k])]
+    return [row[:n] for row in basis], [row[n:] for row in basis]
 
 
 def solve_left(rows: Sequence[Sequence[int]], target: Sequence[int]
@@ -255,21 +248,3 @@ class ZSystem:
         u0 = u[: self.nvars]
         proj = Lattice(self.nvars, [k[: self.nvars] for k in kernel])
         return u0, proj.basis()
-
-
-def solve_one_unknown(system: ZSystem, bound: int) -> list[int]:
-    """The solutions in [-bound, bound], ascending, of a system in one unknown.
-
-    Over Z the solution set is empty, a single value r0, or a progression
-    r0 + sZ (all of Z when s = 1); the kernel basis of `ZSystem.solve` holds
-    s > 0 as its only row."""
-    if system.nvars != 1:
-        raise ValueError("expected a system in exactly one unknown")
-    sol = system.solve()
-    if sol is None:
-        return []
-    (r0,), kernel = sol
-    if not kernel:
-        return [r0] if -bound <= r0 <= bound else []
-    ((step,),) = kernel
-    return list(range(-bound + (r0 + bound) % step, bound + 1, step))

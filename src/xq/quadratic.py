@@ -313,7 +313,7 @@ def rqc4_check(c: ReducedQuadraticComplex4, samples: int = 200,
                                      if not c.q2.is_identity(c.d3(c.d4(k)))))
     if c.under is not None:
         cof = QCMorphism(c.under.base, c, c.under.q2, c.under.q3, c.under.q4)
-        sub = qcm_check(cof, samples=min(samples, 50), seed=seed)
+        sub = qcm_check(cof)
         rep.merge(sub, prefix="under.")
     return rep
 

@@ -9,10 +9,11 @@ manifest attached to every report produced here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .groups import (FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, Group,
                      GroupHom, abelian_coords_info)
-from .intlinalg import Lattice, ZSystem, solve_one_unknown, vec_neg, vec_sub
+from .intlinalg import Lattice, vec_sub
 from .monoid import mbar_elements
 from .quadratic import (QCHomotopy, QCMorphism, ReducedQuadraticComplex4,
                         ReducedQuadraticModule, UnderCofibration, qcm_check,
@@ -187,6 +188,32 @@ def newton_weights(a: int, b: int) -> tuple[int, ...]:
     return (1 - a - b + ca + ab + cb, a - 2 * ca - ab, b - ab - 2 * cb, ca, ab, cb)
 
 
+def r_solver(slope: list[int], rows: list[list[int]]
+             ) -> Callable[[list[int], int], list[int]]:
+    """solutions(defect, bound): the r in [-bound, bound], ascending, with
+    defect + r slope == 0 modulo the rows.
+
+    One lattice L of (slope, 1) and the (row, 0) serves every defect: r
+    solves it exactly when (0, r) lies in (defect, 0) + L.  The vectors of
+    L that vanish before the last coordinate are the multiples of (0, s),
+    its basis row with the pivot there, or only 0 when there is none.  So
+    `Lattice.reduce` sends (defect, 0) to some (0, r0) when there is a
+    solution, and the solutions are then r0 + sZ, or r0 alone."""
+    n = len(slope)
+    lattice = Lattice(n + 1, [slope + [1]] + [row + [0] for row in rows])
+    step = lattice.rows[-1][n] if lattice.pivots[-1] == n else 0
+
+    def solutions(defect: list[int], bound: int) -> list[int]:
+        *rest, r0 = lattice.reduce(defect + [0])
+        if any(rest):
+            return []
+        if not step:
+            return [r0] if -bound <= r0 <= bound else []
+        return list(range(-bound + (r0 + bound) % step, bound + 1, step))
+
+    return solutions
+
+
 def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex4,
                           ab_range: int = 2, r_bound: int = 1) -> list[QCMorphism]:
     """All morphisms Q -> D under D within the parameter box |a|, |b| <=
@@ -214,10 +241,11 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     match the fit modulo the rows; a mismatch raises ValueError naming the
     equation.
 
-    Each box point is then one `ZSystem` in the single unknown r; its
-    solutions in [-r_bound, r_bound] are built and each is re-checked with
-    `qcm_check`.  The cost is 8 candidates plus one per morphism kept, at
-    every box.
+    Every box point then solves fitted(a, b) + r slope == 0 modulo the
+    same rows, so one lattice serves the whole box and each point's
+    solutions are read off one reduction (`r_solver`); those in [-r_bound,
+    r_bound] are built and each is re-checked with `qcm_check`.  The cost
+    is 8 candidates plus one per morphism kept, at every box.
 
     Raises ValueError when the target has no abelian coordinates in degrees
     2, 3 or 4 or the fit misses its guard, and RuntimeError if a solved
@@ -261,15 +289,13 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
                              f"in (a, b) and affine in r: the fit misses it at "
                              f"(a, b, r) = {GUARD_POINT}")
 
+    solutions = r_solver(slope, rows)
     out = []
     for a in range(-ab_range, ab_range + 1):
         for b in range(-ab_range, ab_range + 1):
-            system = ZSystem()
-            (rv,) = system.new_vars(1)
-            system.add(len(slope), [(rv, slope)], vec_neg(fitted(a, b)), rows)
-            for r in solve_one_unknown(system, r_bound):
+            for r in solutions(fitted(a, b), r_bound):
                 m = retraction_candidate(q, d, a, b, r)
-                if not qcm_check(m, samples=5, seed=0).ok:
+                if not qcm_check(m).ok:
                     raise RuntimeError(f"internal error: solved candidate {m.tag} "
                                        "fails the morphism checks")
                 out.append(m)
@@ -388,8 +414,7 @@ def classify_retractions(morphisms: list[QCMorphism],
     return out
 
 
-def classification_report(ab_range: int = 3, r_bound: int = 10,
-                          samples: int = 100, seed: int | None = None) -> Report:
+def classification_report(ab_range: int = 3, r_bound: int = 10) -> Report:
     """Full classification run: structures checked, retractions enumerated
     and classified, canonical witnesses and a cross-class obstruction
     recorded, homology route compared."""
@@ -399,7 +424,7 @@ def classification_report(ab_range: int = 3, r_bound: int = 10,
     d = build_sphere_D()
     q = build_cylinder_Q(d)
     for name, cx in (("D", d), ("Q", q)):
-        chk = rqc4_check(cx, samples=samples, seed=seed)
+        chk = rqc4_check(cx)
         first_fail = None if chk.ok else chk.failed()[0].check_id
         rep.add(f"structure_{name}_valid", chk.ok, first_fail)
     morphisms = enumerate_retractions(q, d, ab_range, r_bound)

@@ -268,7 +268,9 @@ def _build_rqc4(body, path) -> ReducedQuadraticComplex4:
     rqm = _build_rqm(body, path)
     q4 = _build_group(*_get(body, "q4", path))
     d4 = _build_hom(*_get(body, "d4", path), source=q4, target=rqm.q3)
-    name, _ = _opt(body, "name", path, "reduced quadratic 4-complex")
+    name, npath = _opt(body, "name", path, "reduced quadratic 4-complex")
+    if not isinstance(name, str):
+        raise _err("name must be a string", npath)
     cx = ReducedQuadraticComplex4(rqm, q4, d4, name=name)
     under, upath = _opt(body, "under", path)
     if under is not None:

@@ -126,6 +126,31 @@ def test_check_boolean_group_header_is_exit_2(tmp_path, capsys, group, where):
     assert where in err
 
 
+def test_check_null_relations_read_as_absent(tmp_path, capsys):
+    texts = []
+    for extra in ({}, {"relations": None}):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"version": "1", "kind": "group", "body": {
+            "group": {"kind": "fg_abelian", "rank": 2, **extra}}}))
+        assert run(["check", str(path), "--samples", "5"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("name", [None, 5])
+def test_check_rqc4_name_that_is_not_a_string_is_exit_2(structures_dir, tmp_path,
+                                                        capsys, name):
+    with open(shipped(structures_dir, "sphere_D.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["body"]["name"] = name
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(raw))
+    code = run(["check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "$.body.name: name must be a string" in err
+
+
 def test_usage_error_is_exit_2(capsys):
     assert run([]) == 2
     assert run(["s2xs2"]) == 2

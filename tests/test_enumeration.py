@@ -6,7 +6,6 @@ import pytest
 import xq
 from xq import sphere
 from xq.groups import CyclicGroup, FreeAbelianGroup, FreeNil2Group, GroupHom
-from xq.intlinalg import ZSystem, solve_one_unknown
 from xq.quadratic import (ReducedQuadraticComplex4, ReducedQuadraticModule,
                           qcm_check, rqc4_check)
 
@@ -105,8 +104,8 @@ def test_fit_guard_fires_on_a_cubic_defect(monkeypatch, cylinder_q, sphere_d):
 def test_solved_candidate_failing_the_check_is_an_internal_error(
         monkeypatch, cylinder_q, sphere_d):
     monkeypatch.setattr(sphere, "qcm_check",
-                        lambda m, samples, seed: xq.Report("always failing",
-                                                           [xq.Check("c", False)]))
+                        lambda m, **_: xq.Report("always failing",
+                                                 [xq.Check("c", False)]))
     with pytest.raises(RuntimeError, match=r"\(0, 1, 0\)"):
         sphere.enumerate_retractions(cylinder_q, sphere_d, 1, 0)
 
@@ -117,55 +116,47 @@ def test_target_without_abelian_coordinates_is_rejected(cylinder_q):
         sphere.enumerate_retractions(cylinder_q, cylinder_q, 0, 0)
 
 
-def _system(*blocks):
-    """A system in one unknown r from blocks (coeff, rhs, mod rows) in Z^dim:
-    r coeff == rhs modulo the rows."""
-    system = ZSystem()
-    (r,) = system.new_vars(1)
-    for coeff, rhs, rows in blocks:
-        system.add(len(coeff), [(r, coeff)], rhs, rows)
-    return system
+def _solve(bound, *blocks):
+    """The solutions in [-bound, bound] of one unknown r from blocks (coeff,
+    rhs, mod rows) in Z^dim: r coeff == rhs modulo the rows."""
+    slope, defect, rows = [], [], []
+    for coeff, rhs, mod in blocks:
+        rows = [row + [0] * len(coeff) for row in rows]
+        rows += [[0] * len(slope) + list(row) for row in mod]
+        slope += coeff
+        defect += [-x for x in rhs]
+    return sphere.r_solver(slope, rows)(defect, bound)
 
 
 def test_one_unknown_empty():
-    assert solve_one_unknown(_system(([2], [1], [])), 10) == []
+    assert _solve(10, ([2], [1], [])) == []
     # two blocks with different single solutions
-    assert solve_one_unknown(_system(([1], [3], []), ([1], [4], [])), 10) == []
+    assert _solve(10, ([1], [3], []), ([1], [4], [])) == []
 
 
 def test_one_unknown_single_value_inside_and_outside():
-    assert solve_one_unknown(_system(([2, 1], [-6, -3], [])), 5) == [-3]
-    assert solve_one_unknown(_system(([1], [7], [])), 5) == []
-    assert solve_one_unknown(_system(([1], [-5], [])), 5) == [-5]
+    assert _solve(5, ([2, 1], [-6, -3], [])) == [-3]
+    assert _solve(5, ([1], [7], [])) == []
+    assert _solve(5, ([1], [-5], [])) == [-5]
 
 
 def test_one_unknown_progression_from_torsion_rows():
     # 2 r == 4 modulo 6: r = 2 + 3 k
-    system = _system(([2], [4], [[6]]))
-    assert solve_one_unknown(system, 7) == [-7, -4, -1, 2, 5]
+    assert _solve(7, ([2], [4], [[6]])) == [-7, -4, -1, 2, 5]
     # a torsion row in a second coordinate: r (1, 1) == (1, 0) mod (0, 4)
-    system = _system(([1, 1], [1, 0], [[0, 4]]))
-    assert solve_one_unknown(system, 0) == []
-    system = _system(([1, 4], [1, 0], [[0, 4]]))
-    assert solve_one_unknown(system, 3) == [1]
+    assert _solve(0, ([1, 1], [1, 0], [[0, 4]])) == []
+    assert _solve(3, ([1, 4], [1, 0], [[0, 4]])) == [1]
 
 
 def test_one_unknown_all_of_z():
-    assert solve_one_unknown(_system(([0], [0], [])), 2) == [-2, -1, 0, 1, 2]
-    assert solve_one_unknown(_system(), 1) == [-1, 0, 1]
+    assert _solve(2, ([0], [0], [])) == [-2, -1, 0, 1, 2]
+    assert _solve(1) == [-1, 0, 1]
     # a coefficient that is zero modulo the relations
-    assert solve_one_unknown(_system(([3], [0], [[3]])), 1) == [-1, 0, 1]
+    assert _solve(1, ([3], [0], [[3]])) == [-1, 0, 1]
 
 
 def test_one_unknown_zero_bound():
-    assert solve_one_unknown(_system(), 0) == [0]
-    assert solve_one_unknown(_system(([1], [0], [])), 0) == [0]
-    assert solve_one_unknown(_system(([1], [1], [])), 0) == []
-    assert solve_one_unknown(_system(([2], [4], [[6]])), 0) == []
-
-
-def test_one_unknown_needs_exactly_one_unknown():
-    system = ZSystem()
-    system.new_vars(2)
-    with pytest.raises(ValueError):
-        solve_one_unknown(system, 1)
+    assert _solve(0) == [0]
+    assert _solve(0, ([1], [0], [])) == [0]
+    assert _solve(0, ([1], [1], [])) == []
+    assert _solve(0, ([2], [4], [[6]])) == []
