@@ -540,10 +540,6 @@ class GroupHom:
     def is_zero(self) -> bool:
         return all(self.target.is_identity(im) for im in self.images)
 
-    def eq(self, other: "GroupHom") -> bool:
-        return (self.source == other.source and self.target == other.target
-                and self.images == other.images)
-
     def relation_images(self):
         """(row, image) for each relation row of the source abelianization;
         the images define a homomorphism only if every such image is zero."""
@@ -593,11 +589,6 @@ class GroupHom:
 
     def element_json(self) -> dict:
         return {"images": [self.target.element_to_json(im) for im in self.images]}
-
-    @staticmethod
-    def from_json(source: Group, target: Group, obj: dict) -> "GroupHom":
-        return GroupHom(source, target,
-                        [target.element_from_json(e) for e in obj["images"]])
 
 
 def abelian_coords_info(group: Group):

@@ -99,10 +99,6 @@ class Lattice:
     def basis(self) -> list[tuple[int, ...]]:
         return [tuple(r) for r in self.rows]
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
 
 def hnf_with_transform(rows: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
     """Row Hermite form with transform: returns (H, U) with U * rows == H.

@@ -2,10 +2,12 @@
 
 A file holds one object: {"version": "1", "kind": <kind>, "body": {...}}.
 Kinds: group, precrossed, crossed, xc3, rqm, qm, rqc4, pair, morphism,
-homotopy.  Parsing reports syntax errors with line/column and semantic
-errors with a JSON path such as $.body.group.rank.  Serialization is
-canonical (sorted keys, two-space indent, trailing newline) so that equal
-structures produce byte-identical files.
+homotopy, listed with their readers and checks in `FILE_KINDS`; the
+kinds of complex (rqc4, xc3) are in `COMPLEX_KINDS`.  Parsing reports
+syntax errors with line/column and semantic errors with a JSON path such
+as $.body.group.rank.  Serialization is canonical (sorted keys, two-space
+indent, trailing newline) so that equal structures produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -16,19 +18,17 @@ from typing import Any, Callable, NamedTuple
 
 from .crossed import (CrossedComplex3, GroupAction, PreCrossedModule,
                       XC3Homotopy, XC3Morphism, check_crossed,
-                      check_precrossed, verify_xc3_homotopy,
-                      xc3_check, xc3_morphism_check)
+                      check_precrossed, verify_xc3_homotopy, xc3_check,
+                      xc3_homotopy_decision, xc3_morphism_check)
 from .groups import Group, GroupHom, check_group_laws, group_from_json, is_int
 from .quadratic import (QCHomotopy, QCMorphism, QuadraticModule,
                         ReducedQuadraticComplex4, ReducedQuadraticModule,
-                        UnderCofibration, qcm_check, qm_check, rqc4_check,
-                        rqm_check, verify_rq_homotopy)
+                        UnderCofibration, qcm_check, qm_check,
+                        rq_homotopy_decision, rqc4_check, rqm_check,
+                        verify_rq_homotopy)
 from .report import Report
 
 FORMAT_VERSION = "1"
-
-STRUCTURE_KINDS = ("group", "precrossed", "crossed", "xc3", "rqm", "qm",
-                   "rqc4", "pair", "morphism", "homotopy")
 
 SIDES = ("source", "target")
 
@@ -87,6 +87,8 @@ def parse_structure(text: str) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise StructureError(e.msg, line=e.lineno, col=e.colno) from None
+    except RecursionError:
+        raise _err("nesting too deep to read", "$") from None
     raw = _expect_dict(raw, "$")
     version, vpath = _get(raw, "version", "$")
     if version != FORMAT_VERSION:
@@ -288,28 +290,42 @@ def _build_rqc4(body, path) -> ReducedQuadraticComplex4:
 
 
 class ComplexKind(NamedTuple):
-    """How files of one kind of complex are read.
+    """How files of one kind of complex are read and checked.
 
-    `build` reads a complex's body.  `maps` lists (key, degree) for each
-    map of a morphism, a hom between the two complexes' groups of that
-    degree, and `morphism(source, target, *homs)` builds it.  `witness`
-    lists (key, source degree, target degree) for each value list of a
-    homotopy: one value in the target's group per generator of the
-    source's group.  `homotopy(*lists)` builds it."""
+    `build` reads a complex's body and `check` checks it.  `maps` lists
+    (key, degree) for each map of a morphism, a hom between the complexes'
+    groups of that degree; `morphism(source, target, *homs)` builds it and
+    `morphism_check` checks it.  `witness` lists (key, source degree, target
+    degree) for each value list of a homotopy, one value in the target's
+    group per source generator; `homotopy(*lists)` builds it, `verify(f, g,
+    h)` re-checks it and `decide(f, g)` finds one."""
 
     build: Callable
+    check: Callable
     maps: tuple
     morphism: type
+    morphism_check: Callable
     witness: tuple
     homotopy: type
+    verify: Callable
+    decide: Callable
 
 
+# checks are looked up by name when called, so that a replaced module
+# binding (the benchmark's tracer, a test's spy) is the one called
 COMPLEX_KINDS = {
-    "rqc4": ComplexKind(_build_rqc4, (("f2", "q2"), ("f3", "q3"), ("f4", "q4")),
-                        QCMorphism, (("alpha2", "q2", "q3"), ("alpha3", "q3", "q4")),
-                        QCHomotopy),
-    "xc3": ComplexKind(_build_xc3, (("f1", "m1"), ("f2", "m2"), ("f3", "m3")),
-                       XC3Morphism, (("alpha", "m2", "m3"),), XC3Homotopy),
+    "rqc4": ComplexKind(
+        _build_rqc4, lambda cx, **kw: rqc4_check(cx, **kw),
+        (("f2", "q2"), ("f3", "q3"), ("f4", "q4")), QCMorphism,
+        lambda m, **kw: qcm_check(m, **kw),
+        (("alpha2", "q2", "q3"), ("alpha3", "q3", "q4")), QCHomotopy,
+        lambda *fgh: verify_rq_homotopy(*fgh), lambda *fg: rq_homotopy_decision(*fg)),
+    "xc3": ComplexKind(
+        _build_xc3, lambda cx, **kw: xc3_check(cx, **kw),
+        (("f1", "m1"), ("f2", "m2"), ("f3", "m3")), XC3Morphism,
+        lambda m, **kw: xc3_morphism_check(m, **kw),
+        (("alpha", "m2", "m3"),), XC3Homotopy,
+        lambda *fgh: verify_xc3_homotopy(*fgh), lambda *fg: xc3_homotopy_decision(*fg)),
 }
 
 
@@ -347,6 +363,16 @@ def bind_maps(maps, path, kind: str, source, target):
         for name, degree in spec.maps))
 
 
+def _build_pair(body, path):
+    kind, source, target = _build_sides(body, path)
+    return COMPLEX_KINDS[kind], ((kind, source), (kind, target))
+
+
+def _build_morphism(body, path):
+    sides = _build_sides(body, path)
+    return COMPLEX_KINDS[sides[0]], bind_maps(*_get(body, "maps", path), *sides)
+
+
 def _build_homotopy(body, path):
     kind, source, target = _build_sides(body, path)
     fmaps, fpath = _get(body, "f", path)
@@ -367,80 +393,63 @@ def _build_homotopy(body, path):
     h = spec.homotopy(*(tuple(_build_element(group, e, f"{vpath}[{i}]")
                               for i, e in enumerate(values))
                         for group, values, vpath in fields))
-    return (f, g, h)
+    return spec, (f, g, h)
+
+
+def _check_pair(pair, spec, **kw) -> Report:
+    rep = Report("pair of complexes")
+    for name, (_, cx) in zip(SIDES, pair):
+        rep.merge(spec.check(cx, **kw), prefix=f"{name}.")
+    return rep
+
+
+# kind -> (read, check): read(body, path) gives (sides, value) and
+# check(value, sides, samples=, seed=) its Report, as in StructureFile
+FILE_KINDS = {
+    "group": (lambda body, path: (None, _build_group(*_get(body, "group", path))),
+              lambda g, _, **kw: check_group_laws(g, **kw)),
+    "precrossed": (lambda body, path: (None, _build_precrossed(body, path)),
+                   lambda m, _, **kw: check_precrossed(m, **kw)),
+    "crossed": (lambda body, path: (None, _build_precrossed(body, path)),
+                lambda m, _, **kw: check_crossed(m, **kw)),
+    "xc3": (lambda body, path: (None, _build_xc3(body, path)),
+            lambda cx, _, **kw: COMPLEX_KINDS["xc3"].check(cx, **kw)),
+    "rqm": (lambda body, path: (None, _build_rqm(body, path)),
+            lambda q, _, **kw: rqm_check(q, **kw)),
+    "qm": (lambda body, path: (None, _build_qm(body, path)),
+           lambda q, _, **kw: qm_check(q, **kw)),
+    "rqc4": (lambda body, path: (None, _build_rqc4(body, path)),
+             lambda cx, _, **kw: COMPLEX_KINDS["rqc4"].check(cx, **kw)),
+    "pair": (_build_pair, _check_pair),
+    "morphism": (_build_morphism, lambda m, spec, **kw: spec.morphism_check(m, **kw)),
+    "homotopy": (_build_homotopy, lambda fgh, spec, **_: spec.verify(*fgh)),
+}
+
+STRUCTURE_KINDS = tuple(FILE_KINDS)
 
 
 @dataclass
 class StructureFile:
-    """A parsed and semantically validated structure file."""
+    """A parsed and semantically validated structure file; `sides` is the
+    ComplexKind of a pair's, morphism's or homotopy's sides, else None."""
 
     kind: str
-    value: Any = field(repr=False, default=None)
+    value: Any = field(repr=False)
+    sides: ComplexKind | None = field(repr=False)
 
     def check(self, samples: int = 200, seed: int | None = None) -> Report:
         """Run the axiom/validity checks appropriate for this kind."""
-        v = self.value
-        if self.kind == "group":
-            return check_group_laws(v, samples=samples, seed=seed)
-        if self.kind == "precrossed":
-            return check_precrossed(v, samples=samples, seed=seed)
-        if self.kind == "crossed":
-            return check_crossed(v, samples=samples, seed=seed)
-        if self.kind == "xc3":
-            return xc3_check(v, samples=samples, seed=seed)
-        if self.kind == "rqm":
-            return rqm_check(v, samples=samples, seed=seed)
-        if self.kind == "qm":
-            return qm_check(v, samples=samples, seed=seed)
-        if self.kind == "rqc4":
-            return rqc4_check(v, samples=samples, seed=seed)
-        if self.kind == "pair":
-            rep = Report("pair of complexes")
-            for name, (ckind, cx) in zip(SIDES, v):
-                sub = (rqc4_check if ckind == "rqc4" else xc3_check)(
-                    cx, samples=samples, seed=seed)
-                rep.merge(sub, prefix=f"{name}.")
-            return rep
-        if self.kind == "morphism":
-            if isinstance(v, QCMorphism):
-                return qcm_check(v, samples=samples, seed=seed)
-            return xc3_morphism_check(v, samples=samples, seed=seed)
-        if self.kind == "homotopy":
-            f, g, h = v
-            if isinstance(f, QCMorphism):
-                return verify_rq_homotopy(f, g, h)
-            return verify_xc3_homotopy(f, g, h)
-        raise AssertionError(f"unhandled kind {self.kind}")
+        return FILE_KINDS[self.kind][1](self.value, self.sides,
+                                        samples=samples, seed=seed)
 
 
 def build_structure(raw: dict) -> StructureFile:
     """Validated StructureFile from a raw parsed object."""
     kind = raw["kind"]
-    body = raw["body"]
-    path = "$.body"
-    if kind == "group":
-        value = _build_group(*_get(body, "group", path))
-    elif kind in ("precrossed", "crossed"):
-        value = _build_precrossed(body, path)
-    elif kind == "xc3":
-        value = _build_xc3(body, path)
-    elif kind == "rqm":
-        value = _build_rqm(body, path)
-    elif kind == "qm":
-        value = _build_qm(body, path)
-    elif kind == "rqc4":
-        value = _build_rqc4(body, path)
-    elif kind == "pair":
-        ckind, source, target = _build_sides(body, path)
-        value = ((ckind, source), (ckind, target))
-    elif kind == "morphism":
-        ckind, source, target = _build_sides(body, path)
-        value = bind_maps(*_get(body, "maps", path), ckind, source, target)
-    elif kind == "homotopy":
-        value = _build_homotopy(body, path)
-    else:
+    if not (isinstance(kind, str) and kind in FILE_KINDS):
         raise _err(f"unknown structure kind {kind!r}", "$.kind")
-    return StructureFile(kind, value)
+    sides, value = FILE_KINDS[kind][0](raw["body"], "$.body")
+    return StructureFile(kind, value, sides)
 
 
 def load_structure(text: str) -> StructureFile:

@@ -68,6 +68,3 @@ class TensorElement:
             for j, c in enumerate(row):
                 if c:
                     yield i, j, c
-
-    def to_json(self) -> list[list[int]]:
-        return [list(r) for r in self.coeffs]

@@ -185,8 +185,8 @@ def test_checks_are_looked_up_when_called(files, monkeypatch, capsys):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, replacement)
 
-    spy(xq.cli, "qcm_check")
-    spy(xq.cli, "xc3_morphism_check")
+    spy(xq.structfile, "qcm_check")
+    spy(xq.structfile, "xc3_morphism_check")
     spy(xq.structfile, "verify_xc3_homotopy")
     for kind, check in (("rqc4", "qcm_check"), ("xc3", "xc3_morphism_check")):
         morphism = files[f"{kind}-morphism"]
