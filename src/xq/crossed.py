@@ -14,11 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .groups import (Group, GroupHom, abelian_coords_info, central_coords_info,
-                     generator_pairs, invert_hom)
-from .intlinalg import ZSystem, reduce_with_order, split_lattice
+from .groups import Group, GroupHom, generator_pairs, invert_hom
+from .intlinalg import Lattice, ZSystem
 from .report import Report, Undefined, seed_from_env
 
 
@@ -315,19 +314,6 @@ class XC3Homotopy:
         return {"alpha": [target.m3.element_to_json(a) for a in self.alpha]}
 
 
-def alpha_variable_order(n2: int, r3: int, killed: Sequence[int]) -> list[int]:
-    """Variable priority for witness canonicalization: coordinates of
-    generators killed by f2 first, then the rest by descending generator
-    index; coordinates of one generator stay together."""
-    killed = set(killed)
-    order: list[int] = []
-    for x in sorted(killed, reverse=True):
-        order.extend(x * r3 + k for k in range(r3))
-    for x in sorted(set(range(n2)) - killed, reverse=True):
-        order.extend(x * r3 + k for k in range(r3))
-    return order
-
-
 def verify_xc3_homotopy(f: XC3Morphism, g: XC3Morphism, h: XC3Homotopy) -> Report:
     rep = Report("crossed complex homotopy certificate")
     src, tgt = f.source, f.target
@@ -357,21 +343,21 @@ def verify_xc3_homotopy(f: XC3Morphism, g: XC3Morphism, h: XC3Homotopy) -> Repor
 
 
 class CoordinateBlock(NamedTuple):
-    """Unknowns for a homotopy's values in one target group with abelian
-    coordinates: `dim` coordinates per source generator, numbered from
-    `offset`.  The canonical witness reduces the coordinates of the
-    generators in `killed` first."""
+    """Unknowns for a homotopy's values on source generators in one abelian
+    target `group`: the `group.ngens` coordinates (`Group.ab`) of the value
+    on generator x are the unknowns from offset + slots[x] * group.ngens.
+    The canonical witness reduces the unknowns in this numbering order."""
 
     offset: int
-    n: int
-    dim: int
-    coords: Callable
-    from_coords: Callable
-    rows: list
-    killed: Sequence[int]
+    group: Group
+    slots: tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.group.ngens
 
     def var(self, x: int, k: int) -> int:
-        return self.offset + x * self.dim + k
+        return self.offset + self.slots[x] * self.group.ngens + k
 
 
 class LinearHomotopy:
@@ -385,9 +371,17 @@ class LinearHomotopy:
     returns the canonical solution and `accept` its re-verified witness.
     Failed checks and obstructions go into `rep`.
 
-    The system decides f ~ g whenever the targets of the homotopy have
-    abelian coordinates and d3' is central on generators; otherwise
-    ValueError is raised.
+    The canonical solution is the unique one that `Lattice.reduce` leaves
+    in the numbering order of the unknowns, and the unknowns are numbered
+    in the order it should reduce them: the shift t of `shift_unknown`
+    first, then block by block, in each block the generators that f2 kills
+    (degree 2) first and then the others, each by descending generator
+    index, the coordinates of one generator together.  So the one reduction
+    in `ZSystem.solve` gives the canonical witness.
+
+    The system decides f ~ g whenever the targets of the homotopy are
+    abelian and d3' is central on generators; otherwise ValueError is
+    raised.
     """
 
     def __init__(self, f, g, title: str):
@@ -398,7 +392,7 @@ class LinearHomotopy:
         self.rep = Report(title)
         self.system = ZSystem()
         self.blocks: list[CoordinateBlock] = []
-        self.shift: int | None = None
+        self.shifted = False
 
     def refute(self, check_id: str, witness: str, reason: str | None = None) -> None:
         """Record a failed check and its obstruction (the witness text unless
@@ -408,15 +402,15 @@ class LinearHomotopy:
 
     def unknowns(self, n: int, group: Group, degree: int,
                  killed: Sequence[int] = ()) -> CoordinateBlock:
-        """A new block of unknowns for values in `group` on n generators."""
-        info = abelian_coords_info(group)
-        if info is None:
+        """A new block of unknowns for values in `group` on n generators,
+        those in `killed` first."""
+        if not group.is_abelian:
             raise ValueError("the homotopy equations need abelian coordinates "
                              f"on the degree-{degree} target")
-        dim, coords, from_coords, rows = info
-        block = CoordinateBlock(self.system.nvars, n, dim, coords, from_coords,
-                                rows, killed)
-        self.system.new_vars(n * dim)
+        order = sorted(range(n), key=lambda x: (x not in killed, -x))
+        slot = {x: s for s, x in enumerate(order)}
+        block = CoordinateBlock(self.system.nvars, group, tuple(slot[x] for x in range(n)))
+        self.system.new_vars(n * group.ngens)
         self.blocks.append(block)
         return block
 
@@ -424,10 +418,10 @@ class LinearHomotopy:
                 ) -> CoordinateBlock | None:
         """The block of alpha, with values in the source of d3', under the
         equations -f2 x + g2 x = d3' alpha(x) in coordinates on the centre
-        of the degree-2 target.  None, with the obstruction recorded, when
-        f2 and g2 differ while d3' = 0, or when -f2 x + g2 x is not central.
-        Raises ValueError naming the first generator whose d3' value is not
-        central."""
+        of the degree-2 target (`Group.central_coords`).  None, with the
+        obstruction recorded, when f2 and g2 differ while d3' = 0, or when
+        -f2 x + g2 x is not central.  Raises ValueError naming the first
+        generator whose d3' value is not central."""
         grp, names = d3t.target, f2.source.names
         diffs = [grp.op(grp.inv(a), b) for a, b in zip(f2.images, g2.images)]
         zero = d3t.is_zero()
@@ -441,17 +435,14 @@ class LinearHomotopy:
         alpha = self.unknowns(len(diffs), d3t.source, 3, killed)
         if zero:
             return alpha
-        chart = central_coords_info(grp)
-        if chart is None:
-            raise ValueError("the degree-2 target has no coordinates on its centre")
-        dimc, embed, _, rowsc = chart
-        boundary = [embed(d3t(h)) for h in d3t.source.generators()]
+        dimc, rowsc = len(grp.central_coords(grp.identity())), grp.ab_relation_rows()
+        boundary = [grp.central_coords(d3t(h)) for h in d3t.source.generators()]
         k = next((k for k, row in enumerate(boundary) if row is None), None)
         if k is not None:
             raise ValueError(f"d3' is not central at generator {d3t.source.names[k]}, "
                              "so the homotopy equations are not linear")
         for x, c in enumerate(diffs):
-            ex = embed(c)
+            ex = grp.central_coords(c)
             if ex is None:
                 return self.refute("degree2_solvable",
                                    f"-f2 + g2 is not central at generator {names[x]}, "
@@ -463,22 +454,21 @@ class LinearHomotopy:
     def add_sum(self, alpha: CoordinateBlock, weights: Sequence[int],
                 rhs: Sequence[int] | None = None, terms=()) -> None:
         """sum_x weights[x] alpha(x) + terms = rhs (default 0), in the
-        coordinates of alpha modulo its relation rows."""
-        terms = list(terms)
+        coordinates of alpha modulo its group's relation rows."""
+        terms, dim = list(terms), alpha.dim
         for x, w in enumerate(weights):
             if w:
-                terms.extend((alpha.var(x, k), [w if j == k else 0
-                                                for j in range(alpha.dim)])
-                             for k in range(alpha.dim))
-        self.system.add(alpha.dim, terms,
-                        [0] * alpha.dim if rhs is None else list(rhs), alpha.rows)
+                terms.extend((alpha.var(x, k), [w if j == k else 0 for j in range(dim)])
+                             for k in range(dim))
+        self.system.add(dim, terms, [0] * dim if rhs is None else list(rhs),
+                        alpha.group.ab_relation_rows())
 
     def shift_unknown(self) -> int:
-        """One more unknown t, the shift of a family g_t of right-hand maps
-        whose equations the caller writes with t; `solve` then decides every
-        member of the family at once."""
-        (self.shift,) = self.system.new_vars(1)
-        return self.shift
+        """The unknown t, numbered 0, the shift of a family g_t of right-hand
+        maps whose equations the caller writes with t; `solve` then decides
+        every member of the family at once.  Ask for it before any block."""
+        self.shifted = True
+        return self.system.new_vars(1)[0]
 
     def solve(self):
         """The canonical solution, as the values on the source generators
@@ -489,21 +479,15 @@ class LinearHomotopy:
             return self.refute("solvable",
                                "the homotopy equations have no integer solution",
                                "no integer solution to the homotopy equations")
-        if self.shift is not None:
+        if self.shifted:
             return ShiftedSolutions(self, *sol)
-        return self.values(*sol)
+        return self.values(sol[0])
 
-    def values(self, u: Sequence[int], kernel) -> list[tuple]:
-        """The values of the canonical solution u + kernel, block by block:
-        the coordinates of killed generators are reduced first, then the
-        others by descending generator index."""
-        order = [b.offset + v for b in self.blocks
-                 for v in alpha_variable_order(b.n, b.dim, b.killed)]
-        if self.shift is not None:
-            order.append(self.shift)
-        u = reduce_with_order(u, kernel, order)
-        return [tuple(b.from_coords(u[b.var(x, 0):b.var(x + 1, 0)])
-                      for x in range(b.n)) for b in self.blocks]
+    def values(self, u: Sequence[int]) -> list[tuple]:
+        """The values that the reduced solution u gives on the source
+        generators, block by block."""
+        return [tuple(b.group.from_ab(u[b.var(x, 0):b.var(x, b.dim)])
+                      for x in range(len(b.slots))) for b in self.blocks]
 
     def accept(self, verification: Report, witness_json: dict) -> None:
         """Record a witness built from `solve` once it re-verifies.  The
@@ -517,19 +501,22 @@ class LinearHomotopy:
 
 
 class ShiftedSolutions:
-    """The solutions of a `LinearHomotopy` system with a shift unknown t.
+    """The solutions of a `LinearHomotopy` system with the shift unknown t.
 
     Over Z the values of t that admit a solution are a single t0 (`step` 0)
-    or a progression t0 + step Z.  At an admitted t the solutions are one
-    particular solution plus the t = 0 kernel, and the t = 0 kernel is the
-    kernel of the system with t fixed; so `values_at` reduces a solution at
-    t exactly as `solve` reduces one of that system, and returns the same
-    canonical values."""
+    or a progression t0 + step Z.  t is unknown 0, so the kernel's echelon
+    basis has the step as the leading entry of its first row when step is
+    not 0, and its other rows span the t = 0 kernel, which is the kernel
+    of the system with t fixed.  At an admitted t the solutions are one
+    particular solution plus that kernel; so `values_at` reduces a solution
+    at t exactly as `solve` reduces one of that system, and returns the
+    same canonical values."""
 
     def __init__(self, lin: LinearHomotopy, u0: Sequence[int], kernel):
-        self.lin, self.u0, self.t0 = lin, u0, u0[lin.shift]
-        self.step_row, self.kernel0 = split_lattice(kernel, lin.shift)
-        self.step = self.step_row[lin.shift] if self.step_row else 0
+        self.lin, self.u0, self.t0 = lin, u0, u0[0]
+        self.step = kernel[0][0] if kernel else 0
+        self.step_row = kernel[0] if self.step else None
+        self.kernel0 = Lattice(len(u0), kernel[1:] if self.step else kernel)
 
     def admits(self, t: int) -> bool:
         return (t - self.t0) % self.step == 0 if self.step else t == self.t0
@@ -543,7 +530,7 @@ class ShiftedSolutions:
         if self.step:
             q = (t - self.t0) // self.step
             u = [a + q * b for a, b in zip(u, self.step_row)]
-        return self.lin.values(u, self.kernel0)
+        return self.lin.values(self.kernel0.reduce(u))
 
 
 def xc3_homotopy_decision(f: XC3Morphism, g: XC3Morphism
@@ -567,7 +554,7 @@ def xc3_homotopy_decision(f: XC3Morphism, g: XC3Morphism
         return None, lin.rep
     for i, t in enumerate(src.m3.generators()):
         rhs = tgt.m3.op(tgt.m3.inv(f.f3.images[i]), g.f3.images[i])
-        lin.add_sum(alpha, src.m2.ab(src.d3(t)), alpha.coords(rhs))
+        lin.add_sum(alpha, src.m2.ab(src.d3(t)), tgt.m3.ab(rhs))
     for z in src.under2:
         lin.add_sum(alpha, src.m2.ab(z))
     for row in src.m2.ab_relation_rows():
@@ -575,7 +562,7 @@ def xc3_homotopy_decision(f: XC3Morphism, g: XC3Morphism
     for a in range(src.m1.ngens):
         am = src.m1.gen(a)
         fa = f.f1(am)
-        cols = [alpha.coords(tgt.action3.apply(h, fa)) for h in tgt.m3.generators()]
+        cols = [tgt.m3.ab(tgt.action3.apply(h, fa)) for h in tgt.m3.generators()]
         for x in range(src.m2.ngens):
             w = src.m2.ab(src.action2.apply(src.m2.gen(x), am))
             lin.add_sum(alpha, w, terms=[(alpha.var(x, k), [-c for c in cols[k]])

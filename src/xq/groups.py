@@ -179,6 +179,14 @@ class Group:
                 acc = self.op(acc, self.pow(self.gen(i), a))
         return acc
 
+    def central_coords(self, x) -> tuple[int, ...] | None:
+        """The coordinates of x in the centre, for linear boundary equations,
+        or None when x is not central.  They lie in Z^k modulo
+        `ab_relation_rows`, k their length at the identity: an abelian group
+        is its own centre in the coordinates of `ab`, and the other classes
+        have no relations."""
+        return self.ab(x)
+
     def format_element(self, x) -> str:
         raise NotImplementedError
 
@@ -243,6 +251,12 @@ class FreeGroup(Group):
     def is_nil2(self) -> bool:
         return self.ngens <= 1
 
+    def central_coords(self, x):
+        if self.is_abelian:
+            return self.ab(x)
+        # the centre of a free group of rank >= 2 is trivial
+        return () if self.is_identity(x) else None
+
     def element_to_json(self, x):
         return [list(s) for s in self.canon(x)]
 
@@ -295,6 +309,12 @@ class FreeNil2Group(Group):
     @property
     def is_abelian(self) -> bool:
         return self.ngens <= 1
+
+    def central_coords(self, x):
+        x = self.canon(x)
+        if self.is_abelian:
+            return x.base
+        return x.comm if x.is_central() else None
 
     @property
     def is_nil2(self) -> bool:
@@ -379,6 +399,9 @@ class FgAbelianGroup(Group):
 
     def ab(self, x):
         return self.canon(x)
+
+    def from_ab(self, vec):
+        return self.canon(tuple(vec))
 
     def format_element(self, x) -> str:
         return format_terms(zip(self.canon(x), self.names))
@@ -589,51 +612,6 @@ class GroupHom:
 
     def element_json(self) -> dict:
         return {"images": [self.target.element_to_json(im) for im in self.images]}
-
-
-def abelian_coords_info(group: Group):
-    """Coordinates for groups that are abelian as presented.
-
-    Returns (dim, to_coords, from_coords, relation_rows) or None when the
-    group has no global abelian coordinate system.
-    """
-    if isinstance(group, FgAbelianGroup):
-        return (group.ngens, group.ab, lambda v: group.canon(tuple(v)),
-                group.ab_relation_rows())
-    if group.is_abelian:  # free / free nil(2) of rank <= 1
-        return (group.ngens, group.ab, group.from_ab, [])
-    return None
-
-
-def central_coords_info(group: Group):
-    """Coordinates on the centre of the group, for linear boundary equations.
-
-    Returns (dim, embed, from_coords, relation_rows) where embed(x) is the
-    coordinate vector of a central x and None for non-central x; or None when
-    no such chart is available.
-    """
-    info = abelian_coords_info(group)
-    if info is not None:
-        dim, to_coords, from_coords, rows = info
-        return dim, (lambda x: to_coords(x)), from_coords, rows
-    if isinstance(group, FreeNil2Group):
-        npairs = len(nil2.pair_list(group.ngens))
-
-        def embed(x):
-            x = group.canon(x)
-            return x.comm if x.is_central() else None
-
-        def from_coords(v):
-            return nil2.Nil2Element((0,) * group.ngens, tuple(v))
-
-        return npairs, embed, from_coords, []
-    if isinstance(group, FreeGroup):
-        # centre of a free group of rank >= 2 is trivial
-        def embed(x):
-            return () if group.is_identity(x) else None
-
-        return 0, embed, lambda v: group.identity(), []
-    return None
 
 
 def invert_hom(h: GroupHom) -> GroupHom:

@@ -7,6 +7,9 @@ decides lattice membership and reduces vectors to canonical coset
 representatives.  `hnf_with_transform` runs it on a matrix augmented by the
 identity to get the Hermite form with its transform, from which
 `solve_left` solves u * A = b over Z together with the kernel lattice.
+`ZSystem.solve` reduces its solution by that kernel, so a caller that
+numbers its unknowns in the order they should be reduced gets the
+canonical solution from that one reduction.
 """
 
 from __future__ import annotations
@@ -152,50 +155,14 @@ def solve_left(rows: Sequence[Sequence[int]], target: Sequence[int]
     return out, kernel
 
 
-def reduce_with_order(vec: Sequence[int], rows: Iterable[Sequence[int]],
-                      order: Sequence[int] | None = None) -> tuple[int, ...]:
-    """Canonical representative of vec modulo the row lattice, reducing
-    coordinates in the given priority order (earlier entries reduced first)."""
-    n = len(vec)
-    if order is None:
-        order = list(range(n))
-    pvec = [vec[c] for c in order]
-    prows = [[r[c] for c in order] for r in rows]
-    red = Lattice(n, prows).reduce(pvec)
-    out = [0] * n
-    for pos, c in enumerate(order):
-        out[c] = red[pos]
-    return tuple(out)
-
-
-def split_lattice(rows: Sequence[Sequence[int]], col: int
-                  ) -> tuple[list[int] | None, list[list[int]]]:
-    """A basis of the row lattice split at coordinate `col`: one row whose
-    value s > 0 there divides the value of every lattice vector there (None
-    when they all vanish there), and a basis of the vectors vanishing there.
-    An echelon basis with `col` as its first column has this shape."""
-    if not rows:
-        return None, []
-    n = len(rows[0])
-    order = [col] + [c for c in range(n) if c != col]
-    echelon = Lattice(n, [[r[c] for c in order] for r in rows])
-    basis = [[0] * n for _ in echelon.rows]
-    for out, row in zip(basis, echelon.rows):
-        for pos, c in enumerate(order):
-            out[c] = row[pos]
-    if echelon.pivots and echelon.pivots[0] == 0:
-        return basis[0], basis[1:]
-    return None, basis
-
-
 class ZSystem:
     """Affine constraint system over integer variables.
 
     Each equation block lives in Z^dim and reads
         sum_v u_v * coeff_v == rhs   (mod the lattice spanned by mod_rows).
     Mod lattices are folded in as slack variables; one Hermite reduction then
-    yields a particular solution and the kernel lattice projected onto the
-    real variables.
+    yields the kernel lattice projected onto the real variables and the
+    solution it reduces to.
     """
 
     def __init__(self) -> None:
@@ -218,8 +185,13 @@ class ZSystem:
             raise ValueError("rhs dimension mismatch")
         self._eqs.append((dim, terms, list(rhs), mod_rows))
 
-    def solve(self) -> tuple[list[int], list[tuple[int, ...]]] | None:
-        """Return (particular solution, kernel basis) on the real variables."""
+    def solve(self) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
+        """(u0, kernel) on the real variables, or None when there is no
+        integer solution.  kernel is the echelon basis (`Lattice.basis`:
+        leading indices strictly increasing, leading entries positive) of
+        the solutions' kernel projected onto the real variables, and u0 the
+        solution that lattice reduces to (`Lattice.reduce`): the canonical
+        representative of the solutions in the variables' numbering order."""
         total = sum(dim for dim, _, _, _ in self._eqs)
         nslack = sum(len(mod) for _, _, _, mod in self._eqs)
         nrows = self.nvars + nslack
@@ -243,4 +215,4 @@ class ZSystem:
             return None
         u0 = u[: self.nvars]
         proj = Lattice(self.nvars, [k[: self.nvars] for k in kernel])
-        return u0, proj.basis()
+        return proj.reduce(u0), proj.basis()

@@ -598,32 +598,32 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = 
     """
     lin = LinearHomotopy(f, g, "quadratic homotopy")
     src, tgt = f.source, f.target
+    t = None if shift is None else lin.shift_unknown()
     alpha2 = lin.degree2(tgt.d3, f.f2, g.f2)
     if alpha2 is None:
         return None, lin.rep
     alpha3 = lin.unknowns(src.q3.ngens, tgt.q4, 4)
-    t = None if shift is None else lin.shift_unknown()
 
     form = Alpha2(f, g)
-    drow = [list(alpha2.coords(tgt.d4.at_generator(k))) for k in range(tgt.q4.ngens)]
+    drow = [list(tgt.q3.ab(tgt.d4.at_generator(k))) for k in range(tgt.q4.ngens)]
     for i in range(src.q3.ngens):
         x = src.d3.at_generator(i)
         rhs = tgt.q3.op_all(tgt.q3.inv(f.f3.images[i]), g.f3.images[i],
                             tgt.q3.inv(form.correction(x)))
         terms = [(alpha3.var(i, k), drow[k]) for k in range(alpha3.dim)]
         if t is not None:
-            terms.append((t, vec_neg(alpha2.coords(shift[i]))))
-        lin.add_sum(alpha2, src.q2.ab(x), alpha2.coords(rhs), terms)
+            terms.append((t, vec_neg(tgt.q3.ab(shift[i]))))
+        lin.add_sum(alpha2, src.q2.ab(x), tgt.q3.ab(rhs), terms)
     for i in range(src.q4.ngens):
         rhs = tgt.q4.op(tgt.q4.inv(f.f4.images[i]), g.f4.images[i])
-        lin.add_sum(alpha3, src.q3.ab(src.d4.at_generator(i)), alpha3.coords(rhs))
+        lin.add_sum(alpha3, src.q3.ab(src.d4.at_generator(i)), tgt.q4.ab(rhs))
     for row in src.q3.ab_relation_rows():
         lin.add_sum(alpha3, row)
     if src.under is not None:
         under = src.under
         for j in range(under.base.q2.ngens):
             x = under.q2.at_generator(j)
-            lin.add_sum(alpha2, src.q2.ab(x), alpha2.coords(tgt.q3.inv(form.correction(x))))
+            lin.add_sum(alpha2, src.q2.ab(x), tgt.q3.ab(tgt.q3.inv(form.correction(x))))
         for j in range(under.base.q3.ngens):
             lin.add_sum(alpha3, src.q3.ab(under.q3.at_generator(j)))
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .groups import (FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, Group,
-                     GroupHom, abelian_coords_info)
+from .groups import FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, Group, GroupHom
 from .intlinalg import Lattice, vec_sub
 from .monoid import mbar_elements
 from .quadratic import (QCHomotopy, QCMorphism, ReducedQuadraticComplex4,
@@ -251,14 +250,13 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     2, 3 or 4 or the fit misses its guard, and RuntimeError if a solved
     candidate fails `qcm_check`.
     """
-    coords = {grp: abelian_coords_info(grp) for grp in (d.q2, d.q3, d.q4)}
-    if any(info is None for info in coords.values()):
+    if not all(grp.is_abelian for grp in (d.q2, d.q3, d.q4)):
         raise ValueError("solving for r needs abelian coordinates on the "
                          "target in degrees 2, 3 and 4")
 
     def defects(a, b, r):
         """(check id, message, group, lhs - rhs in coordinates) per equation."""
-        return [(check_id, message, grp, vec_sub(coords[grp][1](lhs), coords[grp][1](rhs)))
+        return [(check_id, message, grp, vec_sub(grp.ab(lhs), grp.ab(rhs)))
                 for check_id, _, grp, eqs in qcm_equations(
                     retraction_candidate(q, d, a, b, r))
                 for lhs, rhs, message in eqs]
@@ -270,7 +268,7 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     columns = list(zip(*([x for *_, vec in probe for x in vec] for probe in probes)))
     spans, rows, start = [], [], 0
     for check_id, message, grp, _ in probes[0]:
-        dim, _, _, grp_rows = coords[grp]
+        dim, grp_rows = grp.ngens, grp.ab_relation_rows()
         rows += [[0] * start + list(row) + [0] * (len(columns) - start - dim)
                  for row in grp_rows]
         spans.append((check_id, message, start, start + dim, grp_rows))
@@ -465,21 +463,17 @@ def classification_report(ab_range: int = 3, r_bound: int = 10) -> Report:
     return rep
 
 
-def assemble_selfmap_count(ab_range: int = 2, r_bound: int = 2,
-                           orbit_count: int | None = None) -> Report:
-    """count = (orbit_count * |pi_4(S^2)|)^2, cross-checked against the
-    extended monoid order; unexpected orbit counts flag the derivation."""
+def assemble_selfmap_count(ab_range: int = 2, r_bound: int = 2) -> Report:
+    """count = (orbit_count * |pi_4(S^2)|)^2, orbit_count the number of
+    retraction classes in the box, cross-checked against the extended
+    monoid order; unexpected orbit counts flag the derivation."""
     rep = Report("count of diagonal-fixing self-map classes")
     rep.axioms = list(AXIOMS)
-    if orbit_count is None:
-        d = build_sphere_D()
-        q = build_cylinder_Q(d)
-        classes = classify_retractions(enumerate_retractions(q, d, ab_range, r_bound))
-        orbit_count = len(classes)
-        rep.meta["orbit_count_source"] = (f"classification with ab_range={ab_range}, "
-                                          f"r_bound={r_bound}")
-    else:
-        rep.meta["orbit_count_source"] = "supplied"
+    d = build_sphere_D()
+    q = build_cylinder_Q(d)
+    orbit_count = len(classify_retractions(enumerate_retractions(q, d, ab_range, r_bound)))
+    rep.meta["orbit_count_source"] = (f"classification with ab_range={ab_range}, "
+                                      f"r_bound={r_bound}")
     per_factor = orbit_count * PI4_S2_ORDER
     count = per_factor ** 2
     rep.meta.update(orbit_count=orbit_count, pi4_s2_order=PI4_S2_ORDER,

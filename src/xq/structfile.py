@@ -172,27 +172,27 @@ def _build_action(obj, path, acting: Group, acted: Group) -> GroupAction:
         return GroupAction.conjugation(acting)
     if kind != "table":
         raise _err(f"unknown action kind {kind!r}", kpath)
-    table, tpath = _get(obj, "table", path)
-    table = _expect_list(table, tpath)
-    if len(table) != acted.ngens:
-        raise _err(f"action table needs one row per acted generator "
-                   f"({acted.ngens}), found {len(table)}", tpath)
-    rows = []
-    for x, row in enumerate(table):
-        row = _expect_list(row, f"{tpath}[{x}]")
-        if len(row) != acting.ngens:
-            raise _err(f"row must have {acting.ngens} entries", f"{tpath}[{x}]")
-        rows.append([_build_element(acted, e, f"{tpath}[{x}][{a}]")
-                     for a, e in enumerate(row)])
+
+    def rows(table, tpath):
+        """The acted.ngens x acting.ngens elements of a table at tpath."""
+        table = _expect_list(table, tpath)
+        if len(table) != acted.ngens:
+            raise _err(f"action table needs one row per acted generator "
+                       f"({acted.ngens}), found {len(table)}", tpath)
+        out = []
+        for x, row in enumerate(table):
+            row = _expect_list(row, f"{tpath}[{x}]")
+            if len(row) != acting.ngens:
+                raise _err(f"row must have {acting.ngens} entries", f"{tpath}[{x}]")
+            out.append([_build_element(acted, e, f"{tpath}[{x}][{a}]")
+                        for a, e in enumerate(row)])
+        return out
+
+    table = rows(*_get(obj, "table", path))
     inv, invpath = _opt(obj, "inverse_table", path)
-    inv_rows = None
-    if inv is not None:
-        inv = _expect_list(inv, invpath)
-        inv_rows = [[_build_element(acted, e, f"{invpath}[{x}][{a}]")
-                     for a, e in enumerate(_expect_list(row, f"{invpath}[{x}]"))]
-                    for x, row in enumerate(inv)]
+    inv_rows = None if inv is None else rows(inv, invpath)
     try:
-        return GroupAction(acting, acted, kind="table", table=rows,
+        return GroupAction(acting, acted, kind="table", table=table,
                            inverse_table=inv_rows)
     except ValueError as e:
         raise _err(str(e), path) from None

@@ -178,6 +178,31 @@ def test_verify_rejects_wrong_witness():
     assert not rep.ok
 
 
+def test_xc3_witness_reduces_killed_generators_first_then_by_descending_index():
+    # d3(t) = x0 + x1 + x2 into a target with d3' = 0, and f2 kills x0 only:
+    # the witnesses of -f3 + g3 = c s are the alpha with alpha(x0) +
+    # alpha(x1) + alpha(x2) = c s, and the canonical one reduces alpha(x0),
+    # then alpha(x2), then alpha(x1)
+    m1 = FreeNil2Group(1, names=("a",))
+    m2 = FreeAbelianGroup(3, names=("x0", "x1", "x2"))
+
+    def complex3(m3, d3):
+        return CrossedComplex3(m1, m2, m3, GroupHom.zero(m2, m1), d3,
+                               GroupAction.trivial(m1, m2), GroupAction.trivial(m1, m3))
+
+    t, s = FreeAbelianGroup(1, names=("t",)), FreeAbelianGroup(1, names=("s",))
+    src = complex3(t, GroupHom(t, m2, [(1, 1, 1)]))
+    tgt = complex3(s, GroupHom.zero(s, m2))
+    f2 = GroupHom(m2, m2, [(0, 0, 0), (1, 0, 0), (-1, 0, 0)])
+    for c in (-3, 1, 5):
+        f, g = (XC3Morphism(src, tgt, GroupHom.identity(m1), f2, GroupHom(t, s, [(k,)]))
+                for k in (0, c))
+        assert xc3_check(src, samples=5, seed=0).ok and xc3_morphism_check(g).ok
+        h, rep = xc3_homotopy_decision(f, g)
+        assert h is not None, rep.text()
+        assert h.alpha == ((0,), (c,), (0,))
+
+
 def free_boundary_xc3(m3=None):
     """M2 free of rank 2 on x, y with d3 = x on each generator of M3 (Z<t>
     by default) and trivial actions; d3 is not central, so this is not a

@@ -2,9 +2,10 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
-from xq.intlinalg import (Lattice, ZSystem, hnf_with_transform, reduce_with_order,
-                          solve_left, split_lattice, vec_sub, xgcd)
+from xq.crossed import ShiftedSolutions
+from xq.intlinalg import Lattice, ZSystem, hnf_with_transform, solve_left, vec_sub, xgcd
 
 
 def brute_combinations(rows, box):
@@ -146,39 +147,38 @@ def test_solve_left_detects_unsolvable():
     assert ker[0][0] * 2 + ker[0][1] == 0 and ker[0] != (0, 0)
 
 
-def test_reduce_with_order_prefers_leading_coordinates():
-    # killing the first coordinate is preferred under order (0, 1)
-    rows = [(1, 1)]
-    assert reduce_with_order((3, 0), rows, order=[0, 1]) == (0, -3)
-    assert reduce_with_order((3, 0), rows, order=[1, 0]) == (3, 0)
+def random_zsystem(rng, nv):
+    """A random ZSystem on nv unknowns and its `satisfies(assign)` test."""
+    sys_ = ZSystem()
+    xs = sys_.new_vars(nv)
+    eqs = []
+    for _ in range(rng.randint(1, 3)):
+        dim = rng.randint(1, 2)
+        cols = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(nv)]
+        rhs = [rng.randint(-2, 2) for _ in range(dim)]
+        mod_rows = []
+        if rng.random() < 0.5:
+            mod_rows = [[rng.randint(-2, 2) for _ in range(dim)]]
+        sys_.add(dim, [(xs[i], cols[i]) for i in range(nv)], rhs,
+                 mod_rows=mod_rows)
+        eqs.append((dim, cols, rhs, mod_rows))
+
+    def satisfies(assign):
+        for dim, cols, rhs, mod_rows in eqs:
+            val = [sum(assign[i] * cols[i][d] for i in range(nv)) - rhs[d]
+                   for d in range(dim)]
+            if list(val) not in Lattice(dim, mod_rows):
+                return False
+        return True
+
+    return sys_, satisfies
 
 
 def test_zsystem_against_brute_force():
     rng = random.Random(6)
     for _ in range(40):
         nv = rng.randint(1, 3)
-        sys_ = ZSystem()
-        xs = sys_.new_vars(nv)
-        eqs = []
-        for _ in range(rng.randint(1, 3)):
-            dim = rng.randint(1, 2)
-            cols = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(nv)]
-            rhs = [rng.randint(-2, 2) for _ in range(dim)]
-            mod_rows = []
-            if rng.random() < 0.5:
-                mod_rows = [[rng.randint(-2, 2) for _ in range(dim)]]
-            sys_.add(dim, [(xs[i], cols[i]) for i in range(nv)], rhs,
-                     mod_rows=mod_rows)
-            eqs.append((dim, cols, rhs, mod_rows))
-
-        def satisfies(assign):
-            for dim, cols, rhs, mod_rows in eqs:
-                val = [sum(assign[i] * cols[i][d] for i in range(nv)) - rhs[d]
-                       for d in range(dim)]
-                if list(val) not in Lattice(dim, mod_rows):
-                    return False
-            return True
-
+        sys_, satisfies = random_zsystem(rng, nv)
         got = sys_.solve()
         brute = [assign for assign in
                  itertools.product(range(-4, 5), repeat=nv)
@@ -188,6 +188,10 @@ def test_zsystem_against_brute_force():
         else:
             u0, kernel = got
             assert satisfies(u0[:nv])
+            # the solution comes reduced, by a kernel basis in echelon form
+            assert Lattice(nv, kernel).reduce(u0) == tuple(u0)
+            leads = [next(i for i, a in enumerate(kv) if a) for kv in kernel]
+            assert leads == sorted(set(leads))
             for kv in kernel:
                 assert satisfies([u0[i] + kv[i] for i in range(nv)])
             # every small brute solution is u0 + kernel combination
@@ -196,25 +200,28 @@ def test_zsystem_against_brute_force():
                 assert vec_sub(assign, u0[:nv]) in klat
 
 
-def test_split_lattice_against_brute_force():
-    rng = random.Random(3)
+def test_shifted_solutions_admit_exactly_the_solvable_shifts():
+    # unknown 0 is the shift t; a t is admitted exactly when the system with
+    # t fixed has an integer solution, and values_at gives one
+    rng = random.Random(8)
     for _ in range(60):
-        n, m = rng.randint(1, 3), rng.randint(1, 3)
-        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        col = rng.randrange(n)
-        step_row, rest = split_lattice(rows, col)
-        span = brute_combinations(rows, 3)
-        values = {v[col] for v in span}
-        if step_row is None:
-            assert values <= {0}
-        else:
-            step = step_row[col]
-            assert step > 0 and all(v % step == 0 for v in values)
-            assert tuple(step_row) in Lattice(n, rows)
-        assert all(r[col] == 0 for r in rest)
-        # the rows with the step row span the lattice, and the rest span its
-        # vectors vanishing at col
-        lat = Lattice(n, rest + ([step_row] if step_row else []))
-        assert all(v in lat for v in span)
-        zero_at_col = Lattice(n, rest)
-        assert all(v in zero_at_col for v in span if v[col] == 0)
+        nv = rng.randint(1, 3)
+        sys_, satisfies = random_zsystem(rng, nv)
+        got = sys_.solve()
+        brute = [assign for assign in
+                 itertools.product(range(-4, 5), repeat=nv)
+                 if satisfies(assign)]
+        if got is None:
+            assert not brute
+            continue
+        sols = ShiftedSolutions(SimpleNamespace(values=tuple), *got)
+        for t in range(-6, 7):
+            u = sols.values_at(t)
+            assert (u is not None) == sols.admits(t)
+            if sols.admits(t):
+                assert u[0] == t and satisfies(u)
+                if sols.step:
+                    assert sols.admits(t + sols.step) and not any(
+                        sols.admits(t + k) for k in range(1, sols.step))
+            else:
+                assert not any(a[0] == t for a in brute)

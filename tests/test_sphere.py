@@ -132,13 +132,14 @@ def test_classification_report_passes():
     assert rep.obstructions  # the cross-class obstruction is recorded
 
 
-def test_count_assembly():
+def test_count_assembly(monkeypatch):
     rep = xq.assemble_selfmap_count()
     assert rep.ok, rep.text()
     assert rep.meta["count"] == 16
     assert rep.meta["per_factor"] == 4
     # unexpected class counts flag the derivation but still report a number
-    rep3 = xq.assemble_selfmap_count(orbit_count=3)
+    monkeypatch.setattr("xq.sphere.classify_retractions", lambda morphisms: [None] * 3)
+    rep3 = xq.assemble_selfmap_count()
     assert not rep3.ok
     assert rep3.meta["count"] == 36
     assert any(c.check_id == "orbit_count_is_2" for c in rep3.failed())

@@ -163,3 +163,63 @@ def test_deep_nesting_is_a_positioned_error(structures_dir, tmp_path, capsys,
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", "error: $: nesting too deep to read\n")
+
+
+def _precrossed(action, m2_rank=1):
+    """nil(2)<x> --(x -> a)--> nil(2)<a> with the given action on M2; a
+    rank-2 M2 (d = a, 1) makes acting and acted groups differ."""
+    return {"m1": {"kind": "free_nil2", "rank": 1, "names": ["a"]},
+            "m2": {"kind": "free_nil2", "rank": m2_rank},
+            "d": {"images": [_nil2(1)] + [_nil2(0)] * (m2_rank - 1)},
+            "action": action}
+
+
+def _qm_short_inverse_table():
+    """The qm above over nil(2)<a, b>, with x -> a, whose action on Q3 has
+    an inverse table with no rows: the sampled axioms act by -a, so an
+    unchecked inverse table ends in an IndexError."""
+    return {**_qm(), "m1": {"kind": "free_nil2", "rank": 2, "names": ["a", "b"]},
+            "d": {"images": [{"base": [1, 0], "comm": [0]}]},
+            "action3": {"kind": "table", "table": [[[1], [1]]], "inverse_table": []}}
+
+
+ONE = _nil2(1)
+
+# name -> (kind, body, path of the error)
+ACTION_ERRORS = {
+    "conjugation-between-different-groups": (
+        "precrossed", lambda: _precrossed({"kind": "conjugation"}, 2),
+        "$.body.action.kind"),
+    "unknown-kind": ("precrossed", lambda: _precrossed({"kind": "twist"}),
+                     "$.body.action.kind"),
+    "table-row-count": ("precrossed", lambda: _precrossed({"table": [[ONE], [ONE]]}),
+                        "$.body.action.table"),
+    "table-row-length": ("precrossed", lambda: _precrossed({"table": [[ONE, ONE]]}),
+                         "$.body.action.table[0]"),
+    "inverse-table-row-count": ("qm", _qm_short_inverse_table,
+                                "$.body.action3.inverse_table"),
+    "inverse-table-row-length": (
+        "precrossed", lambda: _precrossed({"table": [[ONE]], "inverse_table": [[]]}),
+        "$.body.action.inverse_table[0]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_ERRORS))
+def test_action_reader_errors_are_positioned(tmp_path, capsys, name):
+    kind, body, where = ACTION_ERRORS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"version": "1", "kind": kind, "body": body()}))
+    assert run(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {where}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_conjugation_action_is_read_from_a_file(tmp_path, capsys):
+    path = tmp_path / "conjugation.json"
+    path.write_text(json.dumps({"version": "1", "kind": "precrossed",
+                                "body": _precrossed({"kind": "conjugation"})}))
+    assert run(["check", str(path), "--samples", "5"]) == 0
+    assert "PASS action_endos_are_homs (conjugation: by construction)" in (
+        capsys.readouterr().out)
