@@ -48,12 +48,13 @@ class GroupAction:
             if table is None:
                 raise ValueError("table action needs a table")
             self.table = [[acted.canon(e) for e in row] for row in table]
-            if len(self.table) != acted.ngens or any(
-                    len(row) != acting.ngens for row in self.table):
-                raise ValueError("action table must be acted.ngens x acting.ngens")
             if inverse_table is not None:
                 self.inverse_table = [[acted.canon(e) for e in row]
                                       for row in inverse_table]
+            for what, rows in (("action", self.table), ("inverse", self.inverse_table)):
+                if rows is not None and (len(rows) != acted.ngens or any(
+                        len(row) != acting.ngens for row in rows)):
+                    raise ValueError(f"{what} table must be acted.ngens x acting.ngens")
         self._endos: dict[tuple[int, int], GroupHom] = {}
 
     @staticmethod

@@ -84,19 +84,10 @@ class Group:
         self.names = names
         self._generators: tuple | None = None
 
-    # -- element interface, provided by subclasses -------------------------
-    def identity(self):
-        raise NotImplementedError
-
-    def gen(self, i: int):
-        raise NotImplementedError
-
-    def op(self, x, y):
-        raise NotImplementedError
-
-    def inv(self, x):
-        raise NotImplementedError
-
+    # -- element interface: every subclass provides identity(), gen(i),
+    # op(x, y), inv(x), format_element(x), element_to_json(x),
+    # element_from_json(obj), random_element(rng, size=6), to_json(), and
+    # the three below
     def canon(self, x):
         """Canonical form of x (idempotent); equal elements get equal forms."""
         raise NotImplementedError
@@ -109,18 +100,6 @@ class Group:
 
     def ab(self, x) -> tuple[int, ...]:
         """Exponent vector of x in Z^ngens (image in the abelianization)."""
-        raise NotImplementedError
-
-    def element_to_json(self, x) -> Any:
-        raise NotImplementedError
-
-    def element_from_json(self, obj) -> Any:
-        raise NotImplementedError
-
-    def random_element(self, rng: random.Random, size: int = 6):
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
         raise NotImplementedError
 
     # -- shared helpers -----------------------------------------------------
@@ -186,9 +165,6 @@ class Group:
         is its own centre in the coordinates of `ab`, and the other classes
         have no relations."""
         return self.ab(x)
-
-    def format_element(self, x) -> str:
-        raise NotImplementedError
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Group) and self.descriptor() == other.descriptor()

@@ -594,7 +594,7 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = 
     abelian, so t is one more unknown of the same system.  The result is
     its `ShiftedSolutions` (None when no t admits a homotopy): the
     canonical values of each member's witness, without another decision,
-    for the caller to build and re-verify through `lin.accept`.
+    for the caller to build and certify (`sphere.FamilyDecisions`).
     """
     lin = LinearHomotopy(f, g, "quadratic homotopy")
     src, tgt = f.source, f.target

@@ -8,7 +8,7 @@ manifest attached to every report produced here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .groups import FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, Group, GroupHom
@@ -243,12 +243,20 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     Every box point then solves fitted(a, b) + r slope == 0 modulo the
     same rows, so one lattice serves the whole box and each point's
     solutions are read off one reduction (`r_solver`); those in [-r_bound,
-    r_bound] are built and each is re-checked with `qcm_check`.  The cost
-    is 8 candidates plus one per morphism kept, at every box.
+    r_bound] are built, one r-family (the members sharing (a, b)) at a time.
+
+    A family is certified by `qcm_check` on its first three members (all,
+    when it has fewer), independently of the fit.  At fixed (a, b) each
+    defect is D + r S modulo the rows.  If it vanishes at consecutive
+    members r1 and r1 + s, then s S vanishes, and so does the defect at
+    every member r1 + k s.  Only at members: torsion in the rows can kill
+    s S but not S (the Z/6 doubling target of the tests has s = 3).  The
+    third member guards the claim that the defect is affine in r.  Cost: 8
+    probes, one candidate per morphism kept, 3 `qcm_check`s per family.
 
     Raises ValueError when the target has no abelian coordinates in degrees
-    2, 3 or 4 or the fit misses its guard, and RuntimeError if a solved
-    candidate fails `qcm_check`.
+    2, 3 or 4 or the fit misses its guard, and RuntimeError, naming the
+    member, if a family's certificate fails.
     """
     if not all(grp.is_abelian for grp in (d.q2, d.q3, d.q4)):
         raise ValueError("solving for r needs abelian coordinates on the "
@@ -291,12 +299,13 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     out = []
     for a in range(-ab_range, ab_range + 1):
         for b in range(-ab_range, ab_range + 1):
-            for r in solutions(fitted(a, b), r_bound):
-                m = retraction_candidate(q, d, a, b, r)
+            family = [retraction_candidate(q, d, a, b, r)
+                      for r in solutions(fitted(a, b), r_bound)]
+            for m in family[:3]:
                 if not qcm_check(m).ok:
                     raise RuntimeError(f"internal error: solved candidate {m.tag} "
                                        "fails the morphism checks")
-                out.append(m)
+            out += family
     return out
 
 
@@ -324,7 +333,19 @@ class FamilyDecisions:
     unknown t on g0 (`retraction_shift`), holds the system of every pair of
     their members: f ~ g exactly when t = (r' - r) - (r(g0) - r(f0)) admits
     a solution, and the witness at that t is the one the pair's own
-    decision would give.  Each witness is still re-verified on its own."""
+    decision would give.
+
+    A decision that admits some t is verified once for all its members
+    (`_certify`), not per witness: the canonical values at t0 and, when
+    step is not 0, at t0 + step, as homotopies from f0 to g0 shifted by t,
+    and each t = 0 kernel row as a homotopy of f0 with itself (all pairs
+    share the equations' linear part; for f0 with itself c = 0 below).  Q3'
+    and Q4' are abelian, so each equation the verifier checks reads phi(t,
+    u) = c, phi a homomorphism of t and the values' coordinates u: it holds
+    at integer affine combinations of points where it holds, plus kernel
+    rows.  `values_at(t)` is u0 + q step_row minus kernel rows, such a
+    point, though the floor in `Lattice.reduce` is not affine in q.  A
+    failing certificate raises RuntimeError."""
 
     def __init__(self, morphisms: list[QCMorphism]):
         self.first: dict[tuple, QCMorphism] = {}
@@ -340,9 +361,31 @@ class FamilyDecisions:
         key = (f.tag[:2], g.tag[:2])
         if key not in self.made:
             f0, g0 = self.first[key[0]], self.first[key[1]]
-            self.made[key] = rq_homotopy_decision(
-                f0, g0, retraction_shift(f0.source, f0.target))
+            shift = retraction_shift(f0.source, f0.target)
+            decided = rq_homotopy_decision(f0, g0, shift)
+            if decided[0] is not None:
+                self._certify(f0, g0, shift, decided[0])
+            self.made[key] = decided
         return self.made[key]
+
+    @staticmethod
+    def _certify(f0: QCMorphism, g0: QCMorphism, shift: tuple, solutions) -> None:
+        """Verify a decision's certificate; RuntimeError names a failing point."""
+        q3, t0 = g0.target.q3, solutions.t0
+
+        def shifted(t: int) -> QCMorphism:
+            """g0 with t shift added to its f3 images, as the unknown t reads it."""
+            return replace(g0, f3=GroupHom(g0.source.q3, q3, [
+                q3.op(im, q3.pow(s, t)) for im, s in zip(g0.f3.images, shift)]))
+
+        points = [(f"t = {t}", shifted(t), solutions.values_at(t))
+                  for t in dict.fromkeys((t0, t0 + solutions.step))]
+        points += [(f"t = 0 kernel row {list(row)}", f0, solutions.lin.values(row))
+                   for row in solutions.kernel0.basis()]
+        for where, g, values in points:
+            if not verify_rq_homotopy(f0, g, QCHomotopy(*values)).ok:
+                raise RuntimeError("internal error: the homotopy certificate of r-families "
+                                   f"{f0.tag[:2]} and {g0.tag[:2]} fails at {where}")
 
     def _shift(self, f: QCMorphism, g: QCMorphism) -> int:
         f0, g0 = self.first[f.tag[:2]], self.first[g.tag[:2]]
@@ -353,18 +396,14 @@ class FamilyDecisions:
         return solutions is not None and solutions.admits(self._shift(f, g))
 
     def witness(self, f: QCMorphism, g: QCMorphism) -> QCHomotopy:
-        """The canonical witness of f ~ g, once it re-verifies; RuntimeError
-        if there is none, as callers ask only for pairs they found
-        homotopic."""
+        """The canonical witness of f ~ g; RuntimeError if there is none, as
+        callers ask only for pairs they found homotopic."""
         solutions, _ = self.decide(f, g)
         values = None if solutions is None else solutions.values_at(self._shift(f, g))
         if values is None:
             raise RuntimeError(f"internal error: {f.tag} and {g.tag} are in one "
                                "class but not homotopic")
-        witness = QCHomotopy(*values)
-        solutions.lin.accept(verify_rq_homotopy(f, g, witness),
-                             witness.to_json(f.target))
-        return witness
+        return QCHomotopy(*values)
 
     def report(self, f: QCMorphism, g: QCMorphism) -> Report:
         """The report of `rq_homotopy_decision(f, g)`.  When no t admits a

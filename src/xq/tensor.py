@@ -18,10 +18,6 @@ class TensorElement:
             raise ValueError("coefficient matrix must be n x n")
 
     @staticmethod
-    def zero(n: int) -> "TensorElement":
-        return TensorElement(n, tuple((0,) * n for _ in range(n)))
-
-    @staticmethod
     def basis(n: int, i: int, j: int) -> "TensorElement":
         return TensorElement(n, tuple(
             tuple(1 if (r, c) == (i, j) else 0 for c in range(n)) for r in range(n)))
@@ -38,18 +34,6 @@ class TensorElement:
             raise ValueError("rank mismatch")
         return TensorElement(self.n, tuple(
             tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "TensorElement":
-        return self.scale(-1)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def scale(self, k: int) -> "TensorElement":
-        return TensorElement(self.n, tuple(tuple(k * x for x in r) for r in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.coeffs for x in r)
 
     def induced(self, f: Sequence[Sequence[int]]) -> "TensorElement":
         """Image under f (x) f for a matrix f acting on coordinate columns.

@@ -86,6 +86,19 @@ def test_action_table_round_trip():
     assert structure.check(samples=20, seed=4).ok
 
 
+@pytest.mark.parametrize("inverse_table", [[], [[(1,)]], [[(1,), (1,), (1,)]]],
+                         ids=["no-rows", "short-row", "long-row"])
+def test_action_rejects_a_misshapen_inverse_table(inverse_table):
+    # the shape of the inverse table is checked like that of the table, so a
+    # negative letter cannot index past it
+    acting, acted = FreeNil2Group(2), FreeAbelianGroup(1)
+    with pytest.raises(ValueError, match="inverse table must be acted.ngens x acting.ngens"):
+        GroupAction(acting, acted, table=[[(1,), (1,)]], inverse_table=inverse_table)
+    action = GroupAction(acting, acted, table=[[(1,), (1,)]],
+                         inverse_table=[[(1,), (1,)]])
+    assert action.apply((1,), acting.inv(acting.gen(0))) == (1,)
+
+
 def small_xc3(under2=()):
     """M3 = Z --x2--> M2 = Z --0--> M1 = Z with trivial actions."""
     m1 = FreeNil2Group(1, names=("a",))

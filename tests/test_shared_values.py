@@ -207,19 +207,17 @@ def test_classification_evaluates_the_source_maps_a_constant_number_of_times(
     monkeypatch.setattr(xq.sphere, "qcm_check", counting("check", xq.sphere.qcm_check))
     monkeypatch.setattr(xq.sphere, "verify_rq_homotopy",
                         counting("verify", xq.sphere.verify_rq_homotopy))
-    seen = []
+    seen, checked = [], []
     for ab_range, r_bound in ((3, 10), (3, 20)):
         counts.clear()
-        rep = xq.classification_report(ab_range=ab_range, r_bound=r_bound)
-        members = sum(len(c["members"]) for c in rep.meta["classes"])
-        # still one re-check per kept morphism and one verification per member
-        assert counts["check"] == rep.meta["retractions"]
-        assert counts["verify"] == members == rep.meta["retractions"]
+        xq.classification_report(ab_range=ab_range, r_bound=r_bound)
+        checked.append((counts["check"], counts["verify"]))
         q = built["q"]
         source_maps = (q.d3, q.d4, q.under.q2, q.under.q3, q.under.q4)
         seen.append([counts.get(id(h), 0) for h in source_maps])
         for hom in source_maps:
             assert len(hom._at_generator) <= hom.source.ngens
-    # the checks of Q and the fit evaluate the maps of Q: that does not grow
-    # with the members
+    # the checks of Q and the fit evaluate the maps of Q, and each r-family is
+    # certified by a fixed number of checks: neither grows with the members
     assert seen[0] == seen[1]
+    assert checked[0] == checked[1]

@@ -6,6 +6,7 @@ import pytest
 import xq
 from xq.quadratic import qcm_check, rq_homotopy_decision, rqc4_check
 from xq.groups import CyclicGroup, FreeNil2Group
+from xq.intlinalg import Lattice
 from xq.quadratic import rq_homotopic
 from xq.sphere import (FamilyDecisions, classify_retractions, derive_reduced_q3,
                        enumerate_retractions, retraction_candidate,
@@ -252,3 +253,96 @@ def test_classification_rejects_an_untagged_morphism(cylinder_q, sphere_d):
     m = replace(retraction_candidate(cylinder_q, sphere_d, 0, 0, 0), tag=None)
     with pytest.raises(ValueError, match="not a tagged retraction candidate"):
         classify_retractions([m])
+
+
+def test_classification_checks_a_constant_number_of_times(monkeypatch):
+    counts = Counter()
+
+    def counting(name):
+        fn = getattr(xq.sphere, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("qcm_check", "verify_rq_homotopy", "rq_homotopy_decision"):
+        monkeypatch.setattr(xq.sphere, name, counting(name))
+    seen = []
+    for ab_range, r_bound in ((3, 10), (8, 60), (20, 200)):
+        counts.clear()
+        rep = xq.classification_report(ab_range=ab_range, r_bound=r_bound)
+        assert rep.ok and rep.meta["count"] == 16
+        assert [len(c["members"]) for c in rep.meta["classes"]] == [2 * r_bound + 1] * 2
+        assert counts["rq_homotopy_decision"] == 3
+        seen.append((counts["qcm_check"], counts["verify_rq_homotopy"]))
+    # three checked members per r-family and three verified points per family
+    # decision that admits a shift, however many members the box holds
+    assert seen == [(6, 6)] * 3
+
+
+def corrupt_family_decisions(monkeypatch, corrupt):
+    """Make every family decision that admits a shift pass through corrupt."""
+    decide = xq.sphere.rq_homotopy_decision
+
+    def corrupted(f, g, *shift):
+        solutions, rep = decide(f, g, *shift)
+        if solutions is not None:
+            corrupt(solutions)
+        return solutions, rep
+
+    monkeypatch.setattr(xq.sphere, "rq_homotopy_decision", corrupted)
+
+
+def wrong_witness_slope(solutions):
+    solutions.step_row = tuple(x + (k == 2) for k, x in enumerate(solutions.step_row))
+
+
+def wrong_step(solutions):
+    solutions.step *= 2
+
+
+@pytest.mark.parametrize("corrupt", [wrong_witness_slope, wrong_step])
+def test_a_family_decision_with_a_wrong_slope_is_rejected(
+        monkeypatch, cylinder_q, sphere_d, corrupt):
+    ms = enumerate_retractions(cylinder_q, sphere_d, 2, 2)
+    solutions, _ = FamilyDecisions(ms).decide(ms[0], ms[0])
+    assert (solutions.t0, solutions.step, solutions.step_row) == (0, 1, (1, 0, 1, 0))
+    corrupt_family_decisions(monkeypatch, corrupt)
+    with pytest.raises(RuntimeError, match=r"r-families \(0, 1\) and \(0, 1\) fails at t = "):
+        classify_retractions(ms)
+
+
+def test_a_family_decision_with_a_wrong_kernel_row_is_rejected(
+        monkeypatch, cylinder_q, sphere_d):
+    ms = enumerate_retractions(cylinder_q, sphere_d, 2, 2)
+    solutions, _ = FamilyDecisions(ms).decide(ms[0], ms[0])
+    assert solutions.kernel0.basis() == [(0, 1, -1, 0)]
+
+    def wrong_kernel_row(solutions):
+        solutions.kernel0 = Lattice(4, [(0, 1, 0, 0)])
+
+    corrupt_family_decisions(monkeypatch, wrong_kernel_row)
+    with pytest.raises(RuntimeError, match=r"fails at t = 0 kernel row \[0, 1, 0, 0\]"):
+        classify_retractions(ms)
+
+
+def test_a_family_whose_third_member_fails_its_check_is_rejected(
+        monkeypatch, cylinder_q, sphere_d):
+    check = xq.sphere.qcm_check
+
+    def failing_at(tag):
+        def checked(m):
+            rep = check(m)
+            if m.tag == tag:
+                rep.add("square_d3", False, "corrupted")
+            return rep
+        return checked
+
+    # members -10, -9 and -8 are checked; -8 guards that the defect is affine
+    monkeypatch.setattr(xq.sphere, "qcm_check", failing_at((1, 0, -8)))
+    with pytest.raises(RuntimeError, match=r"solved candidate \(1, 0, -8\) fails"):
+        enumerate_retractions(cylinder_q, sphere_d, 3, 10)
+    # the members after the third are covered by the argument, not checked
+    monkeypatch.setattr(xq.sphere, "qcm_check", failing_at((1, 0, -7)))
+    assert len(enumerate_retractions(cylinder_q, sphere_d, 3, 10)) == 42
