@@ -162,6 +162,17 @@ def _cmd_count(args) -> int:
     return 0 if rep.ok else 1
 
 
+def _non_negative(text: str) -> int:
+    """An integer option that bounds a box, so that it may not be negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one parser of this process.  Each subcommand names its handler,
@@ -197,8 +208,8 @@ def _parser() -> argparse.ArgumentParser:
 
     cl = ssub.add_parser("classify", help="enumerate and classify retractions "
                                           "of the cylinder model")
-    cl.add_argument("--ab-range", type=int, default=3)
-    cl.add_argument("--r-bound", type=int, default=10)
+    cl.add_argument("--ab-range", type=_non_negative, default=3)
+    cl.add_argument("--r-bound", type=_non_negative, default=10)
     cl.add_argument("--out", help="write the JSON report here")
     cl.set_defaults(command_name="classify")
 
@@ -210,8 +221,8 @@ def _parser() -> argparse.ArgumentParser:
 
     co = ssub.add_parser("count", help="derive the diagonal-fixing self-map "
                                        "count")
-    co.add_argument("--ab-range", type=int, default=2)
-    co.add_argument("--r-bound", type=int, default=2)
+    co.add_argument("--ab-range", type=_non_negative, default=2)
+    co.add_argument("--r-bound", type=_non_negative, default=2)
     co.add_argument("--out", help="write the JSON report here")
     co.set_defaults(command_name="count")
     return p

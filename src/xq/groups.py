@@ -271,6 +271,9 @@ class FreeNil2Group(Group):
     def pow(self, x, k: int):
         return nil2.power(x, k)
 
+    def commutator(self, x, y):
+        return nil2.commutator(x, y)
+
     def canon(self, x):
         if not isinstance(x, nil2.Nil2Element) or x.n != self.ngens:
             raise ValueError("not an element of this group")

@@ -15,7 +15,7 @@ canonical solution from that one reduction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -101,6 +101,26 @@ class Lattice:
 
     def basis(self) -> list[tuple[int, ...]]:
         return [tuple(r) for r in self.rows]
+
+    def coset_points(self, offset: Sequence[int], bound: int) -> Iterator[tuple[int, ...]]:
+        """The points of offset + L in [-bound, bound]^n, ascending, listed
+        from the echelon basis without a pass over the box.  A basis row is
+        0 before its pivot, so coordinate j is fixed by the rows with
+        earlier pivots: it is stepped through its range by the row with
+        pivot j when there is one, and otherwise only checked."""
+        rows = dict(zip(self.pivots, self.rows))
+
+        def walk(point: list[int], j: int) -> Iterator[tuple[int, ...]]:
+            if j == self.n:
+                yield tuple(point)
+            elif j in rows:
+                row, x = rows[j], point[j]
+                for k in range(-((x + bound) // row[j]), (bound - x) // row[j] + 1):
+                    yield from walk([a + k * b for a, b in zip(point, row)], j + 1)
+            elif -bound <= point[j] <= bound:
+                yield from walk(point, j + 1)
+
+        return walk(list(offset), 0)
 
 
 def hnf_with_transform(rows: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:

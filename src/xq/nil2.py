@@ -16,6 +16,18 @@ collection correction
 
 The formula was derived against the independent letter-rewriting oracle in
 tests/oracle.py and is validated there on random words.
+
+Commutators are read off in closed form,
+
+    (x, y) = sum_{i<j} (x_i y_j - x_j y_i) (g_i, g_j),
+
+x_i and y_i the base exponents.  By `mul`, y + x and x + y share the base
+s = a + b and have commutator parts c + c' + delta(b, a) and c + c' +
+delta(a, b); -(y + x) has commutator part -(c + c' + delta(b, a)) - s_i s_j
+(see `inv`), and adding x + y to it crosses -s past s, which emits
+delta(-s, s)[i, j] = s_i s_j.  So -x - y + x + y = -(y + x) + (x + y) has
+base 0 and commutator part delta(a, b) - delta(b, a), that is a_i b_j -
+a_j b_i at (i, j).
 """
 
 from __future__ import annotations
@@ -108,7 +120,12 @@ def power(x: Nil2Element, k: int) -> Nil2Element:
 
 
 def commutator(x: Nil2Element, y: Nil2Element) -> Nil2Element:
-    return mul(mul(inv(x), inv(y)), mul(x, y))
+    """(x, y) = -x - y + x + y, in the closed form of the module docstring."""
+    n = x.n
+    if y.n != n:
+        raise ValueError("rank mismatch")
+    a, b = x.base, y.base
+    return Nil2Element((0,) * n, tuple(a[i] * b[j] - a[j] * b[i] for i, j in pair_list(n)))
 
 
 def word_runs(x: Nil2Element) -> list[tuple[tuple[tuple[int, int], ...], int]]:

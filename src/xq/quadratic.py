@@ -21,6 +21,7 @@ generator by generator.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -118,6 +119,7 @@ def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
                 dict(note=f"all generator pairs + {samples} samples", basis="sampled"))
 
     bilinear = g3.is_abelian and d3_hom.passed and omega_on_c.passed
+    boundary = _boundary_classes(q)
     pairs, how = scope(g2, g2, bilinear and g2.is_nil2)
     rep.first_failure("axiom2_d3_omega_is_commutator",
                       (f"d3 omega({{x}} (x) {{y}}) != (x, y) at "
@@ -129,10 +131,12 @@ def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
     rep.first_failure("axiom3_boundary_tensors_vanish",
                       ("omega({d3 p} (x) {x} + {x} (x) {d3 p}) != 0"
                        for p, x in pairs
-                       if not g3.is_identity(q.omega_apply(_boundary_tensor(q, p, x)))),
+                       if not g3.is_identity(q.omega_apply(
+                           _boundary_tensor(boundary(p), q.braces(x))))),
                       **how)
     pairs, how = scope(g3, g3, bilinear)
-    rep.first_failure("axiom4_q3_commutators", _q3_commutator_failures(q, pairs), **how)
+    rep.first_failure("axiom4_q3_commutators",
+                      _q3_commutator_failures(q, boundary, pairs), **how)
     return rep
 
 
@@ -146,19 +150,25 @@ def _omega_kills(q, rows, q2: Group, what: str):
                     and g3.is_identity(q.omega_apply(TensorElement.outer(ej, row)))))
 
 
-def _boundary_tensor(q, p, x) -> TensorElement:
-    """{d3 p} (x) {x} + {x} (x) {d3 p}."""
-    bnd, bx = q.braces(q.d3(p)), q.braces(x)
+def _boundary_classes(q):
+    """p |-> {d3 p}, computed once for each distinct p: axioms 3 and 4 meet
+    every generator of Q3 once per generator of Q2 or Q3."""
+    return functools.cache(lambda p: q.braces(q.d3(p)))
+
+
+def _boundary_tensor(bnd, bx) -> TensorElement:
+    """{d3 p} (x) {x} + {x} (x) {d3 p}, given bnd = {d3 p} and bx = {x}."""
     return TensorElement.outer(bnd, bx) + TensorElement.outer(bx, bnd)
 
 
-def _q3_commutator_failures(q, pairs):
-    """Failures of axiom 4, (p, r) = omega({d3 p} (x) {d3 r}), on `pairs`."""
+def _q3_commutator_failures(q, boundary, pairs):
+    """Failures of axiom 4, (p, r) = omega({d3 p} (x) {d3 r}), on `pairs`;
+    `boundary` is `_boundary_classes(q)`."""
     g3 = q.q3
     return ("(p, q) != omega({d3 p} (x) {d3 q})"
             for p, r in pairs
             if not g3.eq(g3.commutator(p, r), q.omega_apply(
-                TensorElement.outer(q.braces(q.d3(p)), q.braces(q.d3(r))))))
+                TensorElement.outer(boundary(p), boundary(r)))))
 
 
 @dataclass
@@ -366,6 +376,7 @@ def qm_check(q: QuadraticModule, samples: int = 200, seed: int | None = None) ->
     rep.meta.update(seed=seed, samples=samples)
     rep.merge(check_precrossed(q.pre, samples=samples, seed=seed), prefix="base.")
     g2, g3, g1 = q.pre.m2, q.q3, q.pre.m1
+    boundary = _boundary_classes(q)
 
     def nil2_failures():
         for _ in range(samples):
@@ -399,10 +410,12 @@ def qm_check(q: QuadraticModule, samples: int = 200, seed: int | None = None) ->
                        for p, x in generator_pairs(g3, g2, rng, samples)
                        if not g3.eq(q.action3.apply(p, q.pre.d(x)),
                                     g3.op(g3.canon(p),
-                                          q.omega_apply(_boundary_tensor(q, p, x))))),
+                                          q.omega_apply(_boundary_tensor(
+                                              boundary(p), q.braces(x)))))),
                       note=f"all generator pairs + {samples} samples", basis="sampled")
     rep.first_failure("axiom4_q3_commutators",
-                      _q3_commutator_failures(q, generator_pairs(g3, g3, rng, samples)),
+                      _q3_commutator_failures(q, boundary,
+                                              generator_pairs(g3, g3, rng, samples)),
                       note=f"all generator pairs + {samples} samples", basis="sampled")
 
     rep.first_failure("d3_equivariant",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .groups import FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, Group, GroupHom
-from .intlinalg import Lattice, vec_sub
+from .intlinalg import Lattice, ZSystem, vec_neg, vec_sub
 from .monoid import mbar_elements
 from .quadratic import (QCHomotopy, QCMorphism, ReducedQuadraticComplex4,
                         ReducedQuadraticModule, UnderCofibration, qcm_check,
@@ -164,6 +164,15 @@ def retraction_candidate(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex
     return QCMorphism(q, d, f2, f3, f4, tag=(a, b, r))
 
 
+def family_member(base: QCMorphism, r: int) -> QCMorphism:
+    """The candidate (a, b, r), given base, the candidate (a, b, 0) of its
+    r-family: base with f3(e3) = r w(e,e), sharing its f2, f4 and forced
+    omega-symbol images."""
+    q3 = base.target.q3
+    f3 = GroupHom(base.source.q3, q3, (q3.pow(q3.gen(0), r),) + base.f3.images[1:])
+    return replace(base, f3=f3, tag=base.tag[:2] + (r,))
+
+
 def retraction_shift(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex4) -> tuple:
     """What candidate (a, b, r + 1) adds to the f3 images of (a, b, r), per
     generator of Q3: w(e,e) on e3 and 0 on the omega symbols."""
@@ -175,16 +184,22 @@ def retraction_shift(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex4) -
 NEWTON_POINTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 GUARD_POINT = (-1, 2, 2)
 
+# In the binomial basis p(a, b) = c00 + a c10 + b c01 + C(a,2) c20 + ab c11
+# + C(b,2) c02, the coefficients are integer finite differences of the
+# values at NEWTON_POINTS (c10 = p(1,0) - p(0,0), c20 = p(2,0) - 2 p(1,0) +
+# p(0,0), ...); row k gives the k-th coefficient.
+FINITE_DIFFERENCES = ((1, 0, 0, 0, 0, 0),
+                      (-1, 1, 0, 0, 0, 0),
+                      (-1, 0, 1, 0, 0, 0),
+                      (1, -2, 0, 1, 0, 0),
+                      (1, -1, -1, 0, 1, 0),
+                      (1, 0, -2, 0, 0, 1))
 
-def newton_weights(a: int, b: int) -> tuple[int, ...]:
-    """Integer weights w with p(a, b) = sum_k w[k] p(NEWTON_POINTS[k]) for
-    every polynomial p of total degree <= 2.  In the binomial basis p(a, b)
-    = c00 + a c10 + b c01 + C(a,2) c20 + ab c11 + C(b,2) c02, the
-    coefficients are integer finite differences of the six values (c10 =
-    p(1,0) - p(0,0), c20 = p(2,0) - 2 p(1,0) + p(0,0), c11 = p(1,1) - p(1,0)
-    - p(0,1) + p(0,0), ...); collecting them per value gives w."""
-    ca, cb, ab = a * (a - 1) // 2, b * (b - 1) // 2, a * b
-    return (1 - a - b + ca + ab + cb, a - 2 * ca - ab, b - ab - 2 * cb, ca, ab, cb)
+
+def monomials(a: int, b: int) -> tuple[int, ...]:
+    """The non-constant monomials of the binomial basis: a, b, C(a,2), ab,
+    C(b,2)."""
+    return (a, b, a * (a - 1) // 2, a * b, b * (b - 1) // 2)
 
 
 def r_solver(slope: list[int], rows: list[list[int]]
@@ -234,16 +249,25 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
       * r enters only through f3(e3) = r w(e,e), linearly, and f4 = 0;
       * each side of an equation is one of these images, a constant, or a
         fixed homomorphism (d3', d4', a relation row) applied to them.
-    So the defects at `NEWTON_POINTS` with r = 0 give the defect at every
-    (a, b, 0) (`newton_weights`), and the defect at (0, 0, 1) minus that at
-    (0, 0, 0) is the coefficient of r.  The candidate at `GUARD_POINT` must
+    So the defects at `NEWTON_POINTS` with r = 0 give the coefficients c00,
+    c10, ..., c02 of the defect at every (a, b, 0) in the binomial basis
+    (`FINITE_DIFFERENCES`), and the defect at (0, 0, 1) minus that at (0,
+    0, 0) is the coefficient S of r.  The candidate at `GUARD_POINT` must
     match the fit modulo the rows; a mismatch raises ValueError naming the
     equation.
 
-    Every box point then solves fitted(a, b) + r slope == 0 modulo the
-    same rows, so one lattice serves the whole box and each point's
-    solutions are read off one reduction (`r_solver`); those in [-r_bound,
-    r_bound] are built, one r-family (the members sharing (a, b)) at a time.
+    The fit is then solved.  Some r solves (a, b) exactly when the
+    monomial vector u = `monomials(a, b)` solves c00 + sum_k u_k c_k == 0
+    modulo the rows and S, a linear system in u whose solutions are a coset
+    u0 + K (one `ZSystem`).  Only the box points of its projection onto
+    (a, b) are visited, listed from the projection's echelon basis
+    (`Lattice.coset_points`); a point is kept when its monomial vector lies
+    in u0 + K.  On Q -> D the coset is (0, 1, 0, 0, 0) + Z(1, -1, 0, 0, 0):
+    the visited points are the (a, 1 - a) in the box and the kept ones
+    (0, 1) and (1, 0).  Each kept point solves fitted(a, b) + r S == 0
+    modulo the rows with one reduction of one lattice (`r_solver`), and its
+    solutions in [-r_bound, r_bound] are its r-family: one base, the
+    candidate (a, b, 0), and the members built from it (`family_member`).
 
     A family is certified by `qcm_check` on its first three members (all,
     when it has fewer), independently of the fit.  At fixed (a, b) each
@@ -252,7 +276,9 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     every member r1 + k s.  Only at members: torsion in the rows can kill
     s S but not S (the Z/6 doubling target of the tests has s = 3).  The
     third member guards the claim that the defect is affine in r.  Cost: 8
-    probes, one candidate per morphism kept, 3 `qcm_check`s per family.
+    probes, one `ZSystem` solve, one `retraction_candidate` per r-family,
+    and 3 `qcm_check`s per family; the visited points and the members kept
+    grow with the box.
 
     Raises ValueError when the target has no abelian coordinates in degrees
     2, 3 or 4 or the fit misses its guard, and RuntimeError, naming the
@@ -282,10 +308,12 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
         spans.append((check_id, message, start, start + dim, grp_rows))
         start += dim
     slope = [col[6] - col[0] for col in columns]
+    constant, *coefficients = ([sum(w * v for w, v in zip(row, col)) for col in columns]
+                               for row in FINITE_DIFFERENCES)
 
     def fitted(a, b):
-        w = newton_weights(a, b)
-        return [sum(wk * v for wk, v in zip(w, col)) for col in columns]
+        return [c + sum(u * x for u, x in zip(monomials(a, b), xs))
+                for c, *xs in zip(constant, *coefficients)]
 
     a, b, r = GUARD_POINT
     miss = [col[7] - x - r * s for col, x, s in zip(columns, fitted(a, b), slope)]
@@ -295,17 +323,30 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
                              f"in (a, b) and affine in r: the fit misses it at "
                              f"(a, b, r) = {GUARD_POINT}")
 
+    system = ZSystem()
+    system.add(len(columns), zip(system.new_vars(len(coefficients)), coefficients),
+               vec_neg(constant), rows + [slope])
+    solved = system.solve()
+    if solved is None:
+        return []
+    u0, kernel = solved
+    coset = Lattice(len(u0), kernel)
+    plane = Lattice(2, [row[:2] for row in kernel])
     solutions = r_solver(slope, rows)
     out = []
-    for a in range(-ab_range, ab_range + 1):
-        for b in range(-ab_range, ab_range + 1):
-            family = [retraction_candidate(q, d, a, b, r)
-                      for r in solutions(fitted(a, b), r_bound)]
-            for m in family[:3]:
-                if not qcm_check(m).ok:
-                    raise RuntimeError(f"internal error: solved candidate {m.tag} "
-                                       "fails the morphism checks")
-            out += family
+    for a, b in plane.coset_points(u0[:2], ab_range):
+        if coset.reduce(monomials(a, b)) != u0:
+            continue
+        rs = solutions(fitted(a, b), r_bound)
+        if not rs:
+            continue
+        base = retraction_candidate(q, d, a, b, 0)
+        family = [family_member(base, r) for r in rs]
+        for m in family[:3]:
+            if not qcm_check(m).ok:
+                raise RuntimeError(f"internal error: solved candidate {m.tag} "
+                                   "fails the morphism checks")
+        out += family
     return out
 
 

@@ -158,6 +158,20 @@ def test_usage_error_is_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["classify", "count"])
+@pytest.mark.parametrize("flag", ["--ab-range", "--r-bound"])
+def test_negative_box_is_a_usage_error(capsys, command, flag):
+    assert run(["s2xs2", command, flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"xq s2xs2 {command}: error: argument {flag}: must be >= 0, got -1" in captured.err
+    assert run(["s2xs2", command, flag, "x"]) == 2
+    assert f"argument {flag}: invalid int value: 'x'" in capsys.readouterr().err
+    # a box of width 0 is not a usage error
+    assert run(["s2xs2", command, flag, "0"]) != 2
+    capsys.readouterr()
+
+
 def test_homotopic_pair_with_witness(structures_dir, tmp_path, capsys):
     witness_path = tmp_path / "witness.json"
     code = run(["homotopic", shipped(structures_dir, "retraction_pair.json"),

@@ -68,7 +68,7 @@ def test_classification_report_matches_scan(monkeypatch):
     assert xq.classification_report(3, 10).to_json() == solved
 
 
-def test_solver_builds_eight_probes_plus_the_kept(monkeypatch, cylinder_q, sphere_d):
+def test_solver_builds_eight_probes_plus_one_base_per_family(monkeypatch, cylinder_q, sphere_d):
     built = []
     original = sphere.retraction_candidate
 
@@ -81,7 +81,47 @@ def test_solver_builds_eight_probes_plus_the_kept(monkeypatch, cylinder_q, spher
         built.clear()
         kept = sphere.enumerate_retractions(cylinder_q, sphere_d, ab_range, 30)
         assert len(kept) == 2 * 61
-        assert len(built) == 8 + len(kept)
+        # the members are built from their family's base, the candidate at r = 0
+        assert len(built) == 8 + 2
+        assert built[8:] == [(0, 1, 0), (1, 0, 0)]
+
+
+@pytest.mark.parametrize("ab_range,r_bound", [(3, 10), (8, 60), (20, 200)])
+def test_r_is_solved_only_at_admissible_points(monkeypatch, cylinder_q, sphere_d,
+                                               ab_range, r_bound):
+    found, built = [], []
+    make_solver, candidate = sphere.r_solver, sphere.retraction_candidate
+
+    def counting_solver(slope, rows):
+        solutions = make_solver(slope, rows)
+
+        def counted(defect, bound):
+            found.append(solutions(defect, bound))
+            return found[-1]
+        return counted
+
+    def counting_candidate(*args):
+        built.append(args[2:])
+        return candidate(*args)
+
+    monkeypatch.setattr(sphere, "r_solver", counting_solver)
+    monkeypatch.setattr(sphere, "retraction_candidate", counting_candidate)
+    kept = sphere.enumerate_retractions(cylinder_q, sphere_d, ab_range, r_bound)
+    # one solve at each of (0, 1) and (1, 0), the only (a, b) some r solves
+    assert found == [list(range(-r_bound, r_bound + 1))] * 2
+    assert sorted({m.tag[:2] for m in kept}) == [(0, 1), (1, 0)]
+    # eight probes and one base per r-family, at every box
+    assert len(built) == 10
+
+
+def test_family_members_are_the_candidates_they_stand_for(cylinder_q, sphere_d):
+    base = sphere.retraction_candidate(cylinder_q, sphere_d, 1, 0, 0)
+    for r in (-3, 0, 7):
+        member = sphere.family_member(base, r)
+        fresh = sphere.retraction_candidate(cylinder_q, sphere_d, 1, 0, r)
+        assert member.tag == fresh.tag == (1, 0, r)
+        assert member.maps_json() == fresh.maps_json()
+        assert member.f2 is base.f2
 
 
 def test_fit_guard_fires_on_a_cubic_defect(monkeypatch, cylinder_q, sphere_d):

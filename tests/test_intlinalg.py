@@ -225,3 +225,15 @@ def test_shifted_solutions_admit_exactly_the_solvable_shifts():
                         sols.admits(t + k) for k in range(1, sols.step))
             else:
                 assert not any(a[0] == t for a in brute)
+
+
+def test_coset_points_against_the_box():
+    rng = random.Random(21)
+    for _ in range(1500):
+        n, bound = rng.randint(1, 3), rng.randint(0, 4)
+        lattice = Lattice(n, [[rng.randint(-3, 3) for _ in range(n)]
+                              for _ in range(rng.randint(0, 3))])
+        offset = [rng.randint(-6, 6) for _ in range(n)]
+        box = [p for p in itertools.product(range(-bound, bound + 1), repeat=n)
+               if vec_sub(p, offset) in lattice]
+        assert list(lattice.coset_points(offset, bound)) == box

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+from xq import monoid
 from xq.monoid import (ExtMonoidElement, LEFT_ACTION, M_NAMES, M_TABLE,
                        RIGHT_ACTION, m_compose, mbar_check_structure,
                        mbar_compose, mbar_elements, mbar_identity, mbar_units,
@@ -98,3 +99,14 @@ def test_structure_report():
     ids = {c.check_id for c in rep.checks}
     assert "associativity" in ids
     assert "units_isomorphic_to_semidirect_product" in ids
+
+
+def test_associativity_fires_on_a_non_associative_product(monkeypatch):
+    compose = monoid.mbar_compose
+    monkeypatch.setattr(monoid, "mbar_compose",
+                        lambda u, w: compose(u, compose(w, u)))
+    check = mbar_check_structure().checks[0]
+    assert (check.check_id, check.passed) == ("associativity", False)
+    # the first failing triple in (a, b, c) order of mbar_elements()
+    assert check.witness == ("((I,(0,1)) o (I,(0,0))) o (T,(0,0)) != "
+                             "(I,(0,1)) o ((I,(0,0)) o (T,(0,0)))")

@@ -75,3 +75,17 @@ def test_word_round_trip():
     for _ in range(500):
         x = normalize_word(random_word(rng, n, 8), n)
         assert normalize_word(word_of(FreeNil2Group(n), x), n) == x
+
+
+def test_commutator_closed_form_matches_the_oracle_word():
+    """(x, y) against the oracle's normal form of the word -x -y +x +y."""
+    rng = random.Random(16)
+    for _ in range(1200):
+        n = rng.randint(1, 4)
+        wx, wy = random_word(rng, n, 8), random_word(rng, n, 8)
+        x, y = normalize_word(wx, n), normalize_word(wy, n)
+        minus_x, minus_y = ([(g, -s) for g, s in reversed(w)] for w in (wx, wy))
+        base, comm = oracle_normal_form(minus_x + minus_y + wx + wy, n)
+        got = nil2.commutator(x, y)
+        assert (got.base, got.comm) == (base, comm), f"words {wx}, {wy}"
+        assert FreeNil2Group(n).commutator(x, y) == got
