@@ -26,10 +26,10 @@ from .quadratic import (QCHomotopy, QCMorphism, QuadraticModule,
 from .monoid import (ExtMonoidElement, M_NAMES, M_TABLE, mbar_check_structure,
                      mbar_compose, mbar_elements, mbar_identity, mbar_units,
                      monoid_M_table)
-from .sphere import (AXIOMS, assemble_selfmap_count, build_cylinder_Q,
-                     build_sphere_D, classification_report,
-                     classify_retractions, enumerate_retractions,
-                     retraction_candidate, solve_homology_constraints)
+from .sphere import (AXIOMS, build_cylinder_Q, build_sphere_D,
+                     classification_report, classify_retractions,
+                     enumerate_retractions, retraction_candidate,
+                     solve_homology_constraints)
 from .structfile import (FORMAT_VERSION, StructureError, StructureFile,
                          build_structure, load_structure, morphism_structure,
                          pair_structure, parse_structure, rqc4_structure,
@@ -45,7 +45,7 @@ __all__ = [
     "QuadraticModule", "ReducedQuadraticComplex4", "ReducedQuadraticModule",
     "Report", "StructureError", "StructureFile", "TensorElement",
     "UnderCofibration", "XC3Homotopy", "XC3Morphism", "alpha2_extend",
-    "assemble_selfmap_count", "build_cylinder_Q", "build_sphere_D",
+    "build_cylinder_Q", "build_sphere_D",
     "build_structure", "check_crossed", "check_group_laws", "check_precrossed",
     "classification_report", "classify_retractions", "complex_from_rqm",
     "enumerate_retractions", "group_from_json", "invert_hom", "load_structure",

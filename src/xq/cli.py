@@ -19,7 +19,7 @@ from .monoid import (M_NAMES, mbar_check_structure, mbar_elements,
 # bound but not called here: bench/test_bench.py checks that the
 # benchmark's tracer wraps it at every site that binds it, this one included
 from .quadratic import qcm_check
-from .sphere import assemble_selfmap_count, classification_report
+from .sphere import classification_report
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -154,7 +154,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    rep = assemble_selfmap_count(ab_range=args.ab_range, r_bound=args.r_bound)
+    rep = classification_report(ab_range=args.ab_range, r_bound=args.r_bound)
     sys.stdout.write(rep.text())
     sys.stdout.write("diagonal-fixing self-map classes of S^2 x S^2: "
                      f"{rep.meta['count']}\n")

@@ -523,6 +523,14 @@ class GroupHom:
             value = self._at_generator[i] = self(self.source.generators()[i])
         return value
 
+    def with_image(self, i: int, x) -> "GroupHom":
+        """This map with generator i sent to x; only x is canonicalized, the
+        other images are shared."""
+        out = object.__new__(GroupHom)
+        out.source, out.target, out._at_generator = self.source, self.target, {}
+        out.images = self.images[:i] + (self.target.canon(x),) + self.images[i + 1:]
+        return out
+
     def then(self, other: "GroupHom") -> "GroupHom":
         """Composite x |-> other(self(x))."""
         return GroupHom(self.source, other.target, [other(im) for im in self.images])

@@ -103,7 +103,7 @@ def test_acceptance_4_extended_monoid():
 
 def test_acceptance_5_homology_constraints():
     start = time.perf_counter()
-    sols, rep = solve_homology_constraints(5)
+    sols, rep = solve_homology_constraints()
     elapsed = time.perf_counter() - start
     ok = rep.ok and sols == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
     assert announce(5, "homology constraint solutions", ok, elapsed,

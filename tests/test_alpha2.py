@@ -15,7 +15,7 @@ from xq.quadratic import (Alpha2, QCHomotopy, QCMorphism, ReducedQuadraticModule
                           UnderCofibration, alpha2_extend, complex_from_rqm,
                           rq_homotopy_decision, verify_rq_homotopy)
 from xq.report import Undefined
-from xq.sphere import classify_retractions, enumerate_retractions
+from xq.sphere import FamilyDecisions, classify_retractions, enumerate_retractions
 
 from letter_oracle import alpha2_affine, alpha2_fold
 from test_shared_values import cases, identity_morphism, shipped, twisted_identity  # noqa: F401
@@ -116,8 +116,10 @@ def test_classification_witnesses_match_the_letter_fold(cylinder_q, sphere_d):
     """Every witness classification builds, from a class representative to
     a member, at the points its verification reads."""
     morphisms = enumerate_retractions(cylinder_q, sphere_d, 2, 4)
-    pairs = [(c.representative, m, w) for c in classify_retractions(morphisms)
-             for m, w in zip(c.members, c.witnesses) if w is not None]
+    decisions = FamilyDecisions(morphisms)
+    pairs = [(c.representative, m, decisions.witness(c.representative, m))
+             for c in classify_retractions(morphisms, decisions)
+             for m in c.members if m is not c.representative]
     assert len(pairs) > 10
     rng = random.Random(44)
     for f, g, w in pairs:

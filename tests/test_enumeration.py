@@ -6,6 +6,7 @@ import pytest
 import xq
 from xq import sphere
 from xq.groups import CyclicGroup, FreeAbelianGroup, FreeNil2Group, GroupHom
+from xq.intlinalg import Lattice, ZSystem
 from xq.quadratic import (ReducedQuadraticComplex4, ReducedQuadraticModule,
                           qcm_check, rqc4_check)
 
@@ -89,29 +90,20 @@ def test_solver_builds_eight_probes_plus_one_base_per_family(monkeypatch, cylind
 @pytest.mark.parametrize("ab_range,r_bound", [(3, 10), (8, 60), (20, 200)])
 def test_r_is_solved_only_at_admissible_points(monkeypatch, cylinder_q, sphere_d,
                                                ab_range, r_bound):
-    found, built = [], []
-    make_solver, candidate = sphere.r_solver, sphere.retraction_candidate
-
-    def counting_solver(slope, rows):
-        solutions = make_solver(slope, rows)
-
-        def counted(defect, bound):
-            found.append(solutions(defect, bound))
-            return found[-1]
-        return counted
+    built, candidate = [], sphere.retraction_candidate
 
     def counting_candidate(*args):
         built.append(args[2:])
         return candidate(*args)
 
-    monkeypatch.setattr(sphere, "r_solver", counting_solver)
     monkeypatch.setattr(sphere, "retraction_candidate", counting_candidate)
     kept = sphere.enumerate_retractions(cylinder_q, sphere_d, ab_range, r_bound)
-    # one solve at each of (0, 1) and (1, 0), the only (a, b) some r solves
-    assert found == [list(range(-r_bound, r_bound + 1))] * 2
-    assert sorted({m.tag[:2] for m in kept}) == [(0, 1), (1, 0)]
+    # every r at each of (0, 1) and (1, 0), the only (a, b) some r solves
+    assert [m.tag for m in kept] == [(a, b, r) for a, b in ((0, 1), (1, 0))
+                                     for r in range(-r_bound, r_bound + 1)]
     # eight probes and one base per r-family, at every box
     assert len(built) == 10
+    assert built[8:] == [(0, 1, 0), (1, 0, 0)]
 
 
 def test_family_members_are_the_candidates_they_stand_for(cylinder_q, sphere_d):
@@ -122,6 +114,7 @@ def test_family_members_are_the_candidates_they_stand_for(cylinder_q, sphere_d):
         assert member.tag == fresh.tag == (1, 0, r)
         assert member.maps_json() == fresh.maps_json()
         assert member.f2 is base.f2
+        assert all(x is y for x, y in zip(member.f3.images[1:], base.f3.images[1:]))
 
 
 def test_fit_guard_fires_on_a_cubic_defect(monkeypatch, cylinder_q, sphere_d):
@@ -158,14 +151,18 @@ def test_target_without_abelian_coordinates_is_rejected(cylinder_q):
 
 def _solve(bound, *blocks):
     """The solutions in [-bound, bound] of one unknown r from blocks (coeff,
-    rhs, mod rows) in Z^dim: r coeff == rhs modulo the rows."""
-    slope, defect, rows = [], [], []
+    rhs, mod rows) in Z^dim: r coeff == rhs modulo the rows, solved as
+    `enumerate_retractions` solves r: one `ZSystem`, its solutions listed
+    by `Lattice.coset_points`."""
+    system = ZSystem()
+    r = system.new_vars(1)[0]
     for coeff, rhs, mod in blocks:
-        rows = [row + [0] * len(coeff) for row in rows]
-        rows += [[0] * len(slope) + list(row) for row in mod]
-        slope += coeff
-        defect += [-x for x in rhs]
-    return sphere.r_solver(slope, rows)(defect, bound)
+        system.add(len(coeff), [(r, coeff)], rhs, mod)
+    solved = system.solve()
+    if solved is None:
+        return []
+    r0, kernel = solved
+    return [x for x, in Lattice(1, kernel).coset_points(r0, bound)]
 
 
 def test_one_unknown_empty():

@@ -156,3 +156,18 @@ def test_abelian_element_entries_must_be_integers(bad):
     for g in (FgAbelianGroup(2, [[2, 0]]), CyclicGroup(3)):
         with pytest.raises(ValueError, match="coordinate entries must be integers"):
             g.element_from_json([bad] + [0] * (g.ngens - 1))
+
+
+def test_with_image_replaces_one_image():
+    src, tgt = FreeAbelianGroup(2), CyclicGroup(5)
+    f = GroupHom(src, tgt, [tgt.gen(0), tgt.pow(tgt.gen(0), 2)])
+    assert tgt.eq(f.at_generator(1), tgt.pow(tgt.gen(0), 2))
+    g = f.with_image(1, tgt.pow(tgt.gen(0), 8))
+    fresh = GroupHom(src, tgt, [tgt.gen(0), tgt.pow(tgt.gen(0), 8)])
+    # only the new image is canonicalized; the others are shared, and f and
+    # its values at generators are unchanged
+    assert g.images == fresh.images and g.images[0] is f.images[0]
+    assert tgt.eq(f.at_generator(1), tgt.pow(tgt.gen(0), 2))
+    assert tgt.eq(g.at_generator(1), tgt.pow(tgt.gen(0), 3))
+    x = src.canon((4, -7))
+    assert tgt.eq(g(x), fresh(x))

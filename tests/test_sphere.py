@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -7,7 +8,6 @@ import xq
 from xq.quadratic import qcm_check, rq_homotopy_decision, rqc4_check
 from xq.groups import CyclicGroup, FreeNil2Group
 from xq.intlinalg import Lattice
-from xq.quadratic import rq_homotopic
 from xq.sphere import (FamilyDecisions, classify_retractions, derive_reduced_q3,
                        enumerate_retractions, retraction_candidate,
                        solve_homology_constraints)
@@ -79,7 +79,7 @@ def test_non_projection_candidates_are_rejected(cylinder_q, sphere_d, a, b):
 
 
 def test_homology_constraints():
-    sols, rep = solve_homology_constraints(5)
+    sols, rep = solve_homology_constraints()
     assert rep.ok, rep.text()
     assert sols == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
     # degree-4 obstruction k = 1 singles out the projection types
@@ -133,28 +133,61 @@ def test_classification_report_passes():
     assert rep.obstructions  # the cross-class obstruction is recorded
 
 
-def test_count_assembly(monkeypatch):
-    rep = xq.assemble_selfmap_count()
-    assert rep.ok, rep.text()
-    assert rep.meta["count"] == 16
-    assert rep.meta["per_factor"] == 4
+def test_count_assembly(monkeypatch, tmp_path, capsys):
+    from xq.cli import run
+
+    assert run(["s2xs2", "count"]) == 0
+    text = capsys.readouterr().out
+    # the count is the classification report's, with its structure checks
+    assert text == xq.classification_report(2, 2).text() + \
+        "diagonal-fixing self-map classes of S^2 x S^2: 16\n"
+    assert "PASS structure_Q_valid" in text
     # unexpected class counts flag the derivation but still report a number
-    monkeypatch.setattr("xq.sphere.classify_retractions", lambda morphisms: [None] * 3)
-    rep3 = xq.assemble_selfmap_count()
-    assert not rep3.ok
-    assert rep3.meta["count"] == 36
-    assert any(c.check_id == "orbit_count_is_2" for c in rep3.failed())
+    classify = xq.sphere.classify_retractions
+
+    def three_classes(*args):
+        classes = classify(*args)
+        return classes + classes[:1]
+
+    monkeypatch.setattr(xq.sphere, "classify_retractions", three_classes)
+    out = tmp_path / "count.json"
+    assert run(["s2xs2", "count", "--out", str(out)]) == 1
+    assert capsys.readouterr().out.endswith(
+        "diagonal-fixing self-map classes of S^2 x S^2: 36\n")
+    rep3 = json.loads(out.read_text())
+    assert not rep3["ok"] and rep3["meta"]["count"] == 36
+    assert any(c["id"] == "two_classes" and not c["passed"] for c in rep3["checks"])
+
+
+def test_a_relation_q3_needs_fails_structure_q_not_the_build(monkeypatch, capsys):
+    """Without the last derived relation row Q3 is not commutative.  Q is
+    still built, and the report's structure check says so."""
+    from xq.cli import run
+
+    derive = xq.sphere.derive_reduced_q3
+
+    def without_last_row(q2, cells):
+        rows, boundaries = derive(q2, cells)
+        return rows[:-1], boundaries
+
+    monkeypatch.setattr(xq.sphere, "derive_reduced_q3", without_last_row)
+    rep = xq.classification_report(2, 2)
+    assert [(c.check_id, c.witness) for c in rep.failed()] == \
+        [("structure_Q_valid", "axiom4_q3_commutators")]
+    assert run(["s2xs2", "count"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL structure_Q_valid" in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_classification_keeps_each_members_witness(cylinder_q, sphere_d):
     ms = enumerate_retractions(cylinder_q, sphere_d, ab_range=2, r_bound=2)
-    for c in classify_retractions(ms):
+    decisions = FamilyDecisions(ms)
+    for c in classify_retractions(ms, decisions):
         assert [m.tag[2] for m in c.members] == [-2, -1, 0, 1, 2]
-        for m, h in zip(c.members, c.witnesses):
-            if m is c.representative:
-                assert h is None
-            else:
-                assert xq.verify_rq_homotopy(c.representative, m, h).ok
+        for m in c.members:
+            h = decisions.witness(c.representative, m)
+            assert xq.verify_rq_homotopy(c.representative, m, h).ok
 
 
 def test_classification_report_decides_each_pair_once(monkeypatch):
@@ -220,12 +253,11 @@ def same_classes(target, ab_range, r_bound, cylinder_q):
     expected = greedy_classes(ms)
     assert [(c.ab, c.representative.tag, [m.tag for m in c.members]) for c in classes] == \
         [(c.ab, c.representative.tag, [m.tag for m in c.members]) for c in expected]
+    # the witness of every member, the representative included, as the
+    # report shows it
     for c, e in zip(classes, expected):
-        assert [w and w.to_json(target) for w in c.witnesses] == \
-            [w and w.to_json(target) for w in e.witnesses]
-        # the representative's witness against itself, as the report shows it
-        assert decisions.witness(c.representative, c.representative).to_json(target) == \
-            rq_homotopic(c.representative, c.representative).to_json(target)
+        assert [decisions.witness(c.representative, m).to_json(target) for m in c.members] == \
+            [w.to_json(target) for w in e.witnesses]
     return classes
 
 
