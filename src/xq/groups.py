@@ -12,7 +12,7 @@ closed-form multiples, so no exponent is ever spelled out letter by letter.
 from __future__ import annotations
 
 import random
-from itertools import chain
+from itertools import chain, product
 from typing import Any, Iterable, Sequence
 
 from . import nil2
@@ -122,11 +122,17 @@ class Group:
     def is_identity(self, x) -> bool:
         return self.eq(x, self.identity())
 
-    def op_all(self, *xs):
+    def fold(self, terms: Iterable[tuple[Any, int]]):
+        """k_1 x_1 + ... + k_m x_m for the (x, k) pairs of terms, in order;
+        a term with k = 1 adds x itself, and one with k = 0 is skipped."""
         acc = self.identity()
-        for x in xs:
-            acc = self.op(acc, x)
+        for x, k in terms:
+            if k:
+                acc = self.op(acc, x if k == 1 else self.pow(x, k))
         return acc
+
+    def op_all(self, *xs):
+        return self.fold((x, 1) for x in xs)
 
     def pow(self, x, k: int):
         if k < 0:
@@ -152,11 +158,7 @@ class Group:
 
     def from_ab(self, vec: Sequence[int]):
         """Element with the given exponent vector (commutator part zero)."""
-        acc = self.identity()
-        for i, a in enumerate(vec):
-            if a:
-                acc = self.op(acc, self.pow(self.gen(i), a))
-        return acc
+        return self.fold(zip(self.generators(), vec, strict=True))
 
     def central_coords(self, x) -> tuple[int, ...] | None:
         """The coordinates of x in the centre, for linear boundary equations,
@@ -271,6 +273,9 @@ class FreeNil2Group(Group):
     def pow(self, x, k: int):
         return nil2.power(x, k)
 
+    def fold(self, terms):
+        return nil2.fold(self.ngens, terms)
+
     def commutator(self, x, y):
         return nil2.commutator(x, y)
 
@@ -311,19 +316,13 @@ class FreeNil2Group(Group):
             if len(base) != self.ngens or len(comm) != npairs:
                 raise ValueError("element dimensions do not match the group rank")
             return nil2.Nil2Element(base, comm)
-        acc = self.identity()
-        for i, e in word_pairs(obj, self.ngens):
-            acc = nil2.mul(acc, nil2.power(self.gen(i), e))
-        return acc
+        return self.fold((self.gen(i), e) for i, e in word_pairs(obj, self.ngens))
 
     def random_element(self, rng, size: int = 6):
         if not self.ngens:
             return self.identity()
-        acc = self.identity()
-        for _ in range(rng.randint(0, size)):
-            g = self.gen(rng.randrange(self.ngens))
-            acc = nil2.mul(acc, g if rng.choice((1, -1)) > 0 else nil2.inv(g))
-        return acc
+        return self.fold((self.gen(rng.randrange(self.ngens)), rng.choice((1, -1)))
+                         for _ in range(rng.randint(0, size)))
 
     def format_element(self, x) -> str:
         x = self.canon(x)
@@ -368,6 +367,14 @@ class FgAbelianGroup(Group):
     def pow(self, x, k: int):
         return self.lattice.reduce([k * a for a in x])
 
+    def fold(self, terms):
+        """The integer sum of the k x, reduced once."""
+        acc = [0] * self.ngens
+        for x, k in terms:
+            if k:
+                acc = [s + k * a for s, a in zip(acc, x)]
+        return self.lattice.reduce(acc)
+
     def canon(self, x):
         if len(x) != self.ngens:
             raise ValueError("element length does not match rank")
@@ -378,9 +385,6 @@ class FgAbelianGroup(Group):
 
     def ab(self, x):
         return self.canon(x)
-
-    def from_ab(self, vec):
-        return self.canon(tuple(vec))
 
     def format_element(self, x) -> str:
         return format_terms(zip(self.canon(x), self.names))
@@ -489,27 +493,22 @@ class GroupHom:
         return GroupHom(source, target, [target.identity()] * source.ngens)
 
     def __call__(self, x):
-        """The fold of the images over the canonical word of x, computed from
-        the normal form.  A run of k equal letters, a free-group syllable or
-        an abelian coordinate, is pow(image, k), and a basic commutator
-        (g_i, g_j) is spelled -g_i - g_j + g_i + g_j, so by associativity
-        alone the value is the same element in any target, whether or not
-        the images define a homomorphism.  In a target that is abelian as
-        presented those commutators are 0 and are skipped."""
+        """The fold of the images over the canonical word of x, in one pass of
+        `target.fold` over the normal form: a run of k equal letters, a
+        free-group syllable or an abelian coordinate, is the term (image, k),
+        and c basic commutators -g_i - g_j + g_i + g_j are ((image_i,
+        image_j), c).  By associativity the value is the same element in any
+        target, whether or not the images define a homomorphism.  Commutators
+        are skipped in a target that is abelian as presented."""
         src, t, images = self.source, self.target, self.images
         x = src.canon(x)
-        acc = t.identity()
         if isinstance(src, FreeNil2Group):
             runs, comm = enumerate(x.base), (() if t.is_abelian else x.comm)
         else:
             runs, comm = (x if isinstance(src, FreeGroup) else enumerate(x)), ()
-        for i, a in runs:
-            if a:
-                acc = t.op(acc, t.pow(images[i], a))
-        for c, (i, j) in zip(comm, nil2.pair_list(src.ngens)):
-            if c:
-                acc = t.op(acc, t.pow(t.commutator(images[i], images[j]), c))
-        return acc
+        return t.fold(chain(((images[i], a) for i, a in runs if a),
+                            ((t.commutator(images[i], images[j]), c)
+                             for c, (i, j) in zip(comm, nil2.pair_list(src.ngens)) if c)))
 
     def at_generator(self, i: int):
         """self(source.generators()[i]), computed on first use and kept.
@@ -554,11 +553,7 @@ class GroupHom:
         """(row, image) for each relation row of the source abelianization;
         the images define a homomorphism only if every such image is zero."""
         for row in self.source.ab_relation_rows():
-            img = self.target.identity()
-            for i, a in enumerate(row):
-                if a:
-                    img = self.target.op(img, self.target.pow(self.images[i], a))
-            yield row, img
+            yield row, self.target.fold(zip(self.images, row))
 
     def check_hom(self) -> tuple[bool, str | None]:
         """Decide whether the images define a homomorphism; exact, no samples.
@@ -587,14 +582,11 @@ class GroupHom:
                     return False, (f"images of {names[i]} and {names[j]} do not "
                                    "commute in the target")
         elif src.is_nil2 and not t.is_nil2:
-            n = src.ngens
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        inner = t.commutator(images[a], images[b])
-                        if not t.is_identity(t.commutator(inner, images[c])):
-                            return False, (f"triple commutator ((g{a},g{b}),g{c}) "
-                                           "does not vanish in the target")
+            for a, b, c in product(range(src.ngens), repeat=3):
+                if not t.is_identity(t.commutator(t.commutator(images[a], images[b]),
+                                                  images[c])):
+                    return False, (f"triple commutator ((g{a},g{b}),g{c}) "
+                                   "does not vanish in the target")
         return True, None
 
     def element_json(self) -> dict:

@@ -28,13 +28,18 @@ delta(a, b); -(y + x) has commutator part -(c + c' + delta(b, a)) - s_i s_j
 delta(-s, s)[i, j] = s_i s_j.  So -x - y + x + y = -(y + x) + (x + y) has
 base 0 and commutator part delta(a, b) - delta(b, a), that is a_i b_j -
 a_j b_i at (i, j).
+
+A sum k_1 x_1 + ... + k_m x_m is collected in one pass (`fold`): by `power`,
+k x = (k a, k c + C(k, 2) delta(a, a)) for x = (a, c), and by `mul` adding
+it to a running (B, C) gives (B + k a, C + k c + C(k, 2) delta(a, a) +
+delta(B, k a)), with delta(B, k a)[i, j] = -k B_j a_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable
 
 
 @lru_cache(maxsize=None)
@@ -85,38 +90,43 @@ def basic_commutator(n: int, i: int, j: int) -> Nil2Element:
                        tuple(sign if m == k else 0 for m in range(len(pair_list(n)))))
 
 
-def _delta(a: Sequence[int], b: Sequence[int], n: int) -> tuple[int, ...]:
-    return tuple(-a[j] * b[i] for i, j in pair_list(n))
-
-
 def mul(x: Nil2Element, y: Nil2Element) -> Nil2Element:
-    n = x.n
-    if y.n != n:
+    """x + y = (a + a', c + c' + delta(a, a'))."""
+    a, b = x.base, y.base
+    if len(b) != len(a):
         raise ValueError("rank mismatch")
-    return Nil2Element(
-        tuple(p + q for p, q in zip(x.base, y.base)),
-        tuple(c + d + e for c, d, e in zip(x.comm, y.comm, _delta(x.base, y.base, n))),
-    )
+    return Nil2Element(tuple(p + q for p, q in zip(a, b)),
+                       tuple(c + d - a[j] * b[i] for c, d, (i, j)
+                             in zip(x.comm, y.comm, pair_list(len(a)))))
+
+
+def fold(n: int, terms: Iterable[tuple[Nil2Element, int]]) -> Nil2Element:
+    """k_1 x_1 + ... + k_m x_m in rank n for the (x, k) pairs of terms, in
+    order, by the one-pass collection of the module docstring."""
+    pairs = pair_list(n)
+    base, comm = [0] * n, [0] * len(pairs)
+    for x, k in terms:
+        if not k:
+            continue
+        a = x.base
+        if len(a) != n:
+            raise ValueError("rank mismatch")
+        binom = k * (k - 1) // 2
+        comm = [s + k * c - (binom * a[j] + k * base[j]) * a[i]
+                for s, c, (i, j) in zip(comm, x.comm, pairs)]
+        base = [s + k * e for s, e in zip(base, a)]
+    return Nil2Element(tuple(base), tuple(comm))
 
 
 def inv(x: Nil2Element) -> Nil2Element:
-    # solve x * y = 0: base negates, and delta(a, -a)[i,j] = a[i]*a[j]
-    n = x.n
-    return Nil2Element(
-        tuple(-a for a in x.base),
-        tuple(-c - x.base[i] * x.base[j] for c, (i, j) in zip(x.comm, pair_list(n))),
-    )
+    """-x = (-a, -c + delta(a, a)), as `power` gives for k = -1."""
+    return power(x, -1)
 
 
 def power(x: Nil2Element, k: int) -> Nil2Element:
     """k x for any integer k, in closed form: delta is bilinear, so
-    induction on k gives (k a, k c + C(k, 2) delta(a, a)); k = -1 is inv."""
-    a = x.base
-    binom = k * (k - 1) // 2
-    return Nil2Element(
-        tuple(k * e for e in a),
-        tuple(k * c + binom * d for c, d in zip(x.comm, _delta(a, a, x.n))),
-    )
+    induction on k gives (k a, k c + C(k, 2) delta(a, a))."""
+    return fold(x.n, ((x, k),))
 
 
 def commutator(x: Nil2Element, y: Nil2Element) -> Nil2Element:

@@ -55,10 +55,7 @@ class ReducedQuadraticModule:
         """omega of a tensor, folded over entries in row-major order."""
         if t.n != len(self.omega):
             raise ValueError("tensor rank must match rank of C")
-        acc = self.q3.identity()
-        for i, j, c in t.entries():
-            acc = self.q3.op(acc, self.q3.pow(self.omega[i][j], c))
-        return acc
+        return self.q3.fold((self.omega[i][j], c) for i, j, c in t.entries())
 
     def braces(self, x) -> tuple[int, ...]:
         """{x}: coordinates of x in C = Q2^ab."""

@@ -2,8 +2,8 @@
 
 Reports are deterministic: sampling seeds come from the XQ_SEED environment
 variable (default 0) and are recorded in the report metadata.  JSON output
-uses sorted keys, and integers outside the 53-bit safe range are rendered as
-decimal strings.
+is the canonical text of `canonical_json`, and integers outside the 53-bit
+safe range are rendered as decimal strings.
 
 A check may carry a basis: "proved" when its verdict holds for every element
 (the check covers a set, such as all generator pairs, that decides it), or
@@ -16,9 +16,53 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable
 
 SAFE_INT = 2 ** 53
+
+
+def canonical_json(obj: Any) -> str:
+    """The text of `json.dumps` with `sort_keys=True, indent=2`, plus a
+    newline, written in one pass.  Dict keys must be str, lists and tuples
+    are arrays, and a key or value of any other type raises TypeError."""
+    out: list[str] = []
+    _write(obj, out, "\n")
+    return "".join(out) + "\n"
+
+
+def _write(obj: Any, out: list[str], newline: str) -> None:
+    """Append the text of obj to out, `newline` being a line break and the
+    indent of the line obj starts on.  One call per nesting level, so that
+    any nesting `json.loads` reads can be written back."""
+    inner = newline + "  "
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
+    elif obj is True or obj is False or obj is None:
+        out.append("true" if obj else "false" if obj is False else "null")
+    elif isinstance(obj, dict):
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(newline + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)) and all(type(v) is int for v in obj):
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]"
+                   if obj else "[]")
+    elif isinstance(obj, (list, tuple)):
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:  # floats and int subclasses as json writes them, or TypeError
+        out.append(json.dumps(obj))
 
 
 def seed_from_env() -> int:
@@ -57,12 +101,8 @@ class Check:
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {"id": self.check_id, "passed": self.passed}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.note is not None:
-            out["note"] = self.note
-        if self.basis is not None:
-            out["basis"] = self.basis
+        optional = {"witness": self.witness, "note": self.note, "basis": self.basis}
+        out.update((k, v) for k, v in optional.items() if v is not None)
         return out
 
 
@@ -132,7 +172,7 @@ class Report:
         return encode_numbers(out)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.to_json_obj())
 
     def text(self) -> str:
         lines = [self.title]

@@ -26,7 +26,7 @@ from .quadratic import (QCHomotopy, QCMorphism, QuadraticModule,
                         UnderCofibration, qcm_check, qm_check,
                         rq_homotopy_decision, rqc4_check, rqm_check,
                         verify_rq_homotopy)
-from .report import Report
+from .report import Report, canonical_json
 
 FORMAT_VERSION = "1"
 
@@ -105,7 +105,7 @@ def parse_structure(text: str) -> dict:
 
 def serialize_structure(obj: dict) -> str:
     """Canonical text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return canonical_json(obj)
 
 
 # -- element / map level ------------------------------------------------------

@@ -171,3 +171,66 @@ def test_with_image_replaces_one_image():
     assert tgt.eq(g.at_generator(1), tgt.pow(tgt.gen(0), 3))
     x = src.canon((4, -7))
     assert tgt.eq(g(x), fresh(x))
+
+
+FOLD_EXPONENTS = (0, 1, -1, 7, -7, 2 ** 60, -2 ** 60)
+FOLD_GROUPS = ([FreeGroup(n) for n in range(4)] + [FreeNil2Group(n) for n in range(5)]
+               + [CyclicGroup(6), FgAbelianGroup(3, [[2, 0, 0], [0, 3, 3]])])
+
+
+def sequential_fold(g, terms):
+    """k_1 x_1 + ... + k_m x_m by one op and one pow per term."""
+    acc = g.identity()
+    for x, k in terms:
+        acc = g.op(acc, g.pow(x, k))
+    return acc
+
+
+def fold_terms(g, rng, length):
+    """`length` seeded (x, k) terms.  In a free group of rank >= 2, a huge k
+    multiplies a conjugate of a syllable, u (i, e) u^-1, so that its powers
+    stay short words; every other k multiplies a random element."""
+    terms = []
+    for _ in range(length):
+        k = rng.choice(FOLD_EXPONENTS)
+        if isinstance(g, FreeGroup) and g.ngens >= 2 and abs(k) > 7:
+            u = g.random_element(rng)
+            x = g.op_all(u, g.pow(g.gen(rng.randrange(g.ngens)), rng.randint(1, 3)), g.inv(u))
+        else:
+            x = g.random_element(rng)
+        terms.append((x, k))
+    return terms
+
+
+def assert_fold_is_sequential(g, rng, rounds=60):
+    assert g.fold([]) == g.identity()
+    for _ in range(rounds):
+        terms = fold_terms(g, rng, rng.randint(1, 6))
+        assert g.fold(terms) == g.canon(sequential_fold(g, terms))
+        # any iterable of terms, read once
+        assert g.fold(iter(terms)) == g.fold(terms)
+
+
+@pytest.mark.parametrize("g", FOLD_GROUPS, ids=lambda g: f"{g.kind}{g.ngens}")
+def test_fold_equals_the_sequential_op_pow_loop(g):
+    assert_fold_is_sequential(g, random.Random(f"fold:{g.kind}:{g.ngens}"))
+
+
+def test_fold_in_the_degree_3_group_of_the_cylinder():
+    from xq.sphere import build_cylinder_Q
+
+    q3 = build_cylinder_Q().q3
+    assert q3.ab_relation_rows()  # relations, so the single reduction matters
+    assert_fold_is_sequential(q3, random.Random(22))
+
+
+def test_nil2_fold_rejects_a_rank_mismatch():
+    from xq import nil2
+
+    with pytest.raises(ValueError, match="rank mismatch") as folded:
+        nil2.fold(2, [(nil2.generator(2, 0), 1), (nil2.generator(3, 0), 7)])
+    with pytest.raises(ValueError) as multiplied:
+        nil2.mul(nil2.generator(2, 0), nil2.generator(3, 0))
+    assert str(folded.value) == str(multiplied.value)
+    # a term with k = 0 adds nothing and is not read
+    assert nil2.fold(2, [(nil2.generator(3, 0), 0)]) == nil2.identity(2)
