@@ -380,6 +380,14 @@ class FgAbelianGroup(Group):
             raise ValueError("element length does not match rank")
         return self.lattice.reduce(list(x))
 
+    def eq(self, x, y) -> bool:
+        """canon(x) == canon(y), by one reduction of x - y, and none when x
+        and y are the same tuple; an element of the wrong length raises
+        ValueError as in `canon`."""
+        if len(x) != self.ngens or len(y) != self.ngens:
+            raise ValueError("element length does not match rank")
+        return x == y or not any(self.lattice.reduce([a - b for a, b in zip(x, y)]))
+
     def word_runs(self, x):
         return [_run(i, a) for i, a in enumerate(self.canon(x)) if a]
 
@@ -500,8 +508,11 @@ class GroupHom:
         image_j), c).  By associativity the value is the same element in any
         target, whether or not the images define a homomorphism.  Commutators
         are skipped in a target that is abelian as presented."""
+        return self._fold_canonical(self.source.canon(x))
+
+    def _fold_canonical(self, x):
+        """The fold of `__call__` over x, already in the source's normal form."""
         src, t, images = self.source, self.target, self.images
-        x = src.canon(x)
         if isinstance(src, FreeNil2Group):
             runs, comm = enumerate(x.base), (() if t.is_abelian else x.comm)
         else:
@@ -516,10 +527,12 @@ class GroupHom:
         This is the value at the canonical generator, not `images[i]`: the
         two differ when the generator's canonical form is not the unit
         vector (an abelian source with relations) and the images do not
-        define a homomorphism."""
+        define a homomorphism.  The generator is canonical already, so it
+        is folded without passing through `source.canon` again."""
         value = self._at_generator.get(i)
         if value is None:
-            value = self._at_generator[i] = self(self.source.generators()[i])
+            value = self._at_generator[i] = self._fold_canonical(
+                self.source.generators()[i])
         return value
 
     def with_image(self, i: int, x) -> "GroupHom":

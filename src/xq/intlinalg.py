@@ -89,6 +89,8 @@ class Lattice:
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.n:
             raise ValueError(f"expected vector of length {self.n}, got {len(vec)}")
+        if not self.pivots:
+            return tuple(vec)
         out = list(vec)
         for pos, j in enumerate(self.pivots):
             q = out[j] // self.rows[pos][j]

@@ -85,6 +85,15 @@ def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
         they agree everywhere once they agree on the generators; the same
         holds in y for fixed x.
     Such checks have basis "proved"; the others sample and are "sampled".
+
+    Axioms 3 and 4 scan the same pairs in the same order either way, but
+    decide each distinct pair of classes once, in a memo that lives for this
+    call only.  Axiom 3's verdict at (p, x) is omega of a tensor built from
+    ({d3 p}, {x}) alone, so pairs with the same two classes share it.  When
+    Q3 is abelian as presented, (p, r) is 0 and axiom 4's verdict at (p, r)
+    depends only on ({d3 p}, {d3 r}); otherwise it is tested pair by pair.
+    On Q, {d3 p} takes 2 values over the 10 generators of Q3, so axiom 3
+    evaluates omega 6 times instead of 30 and axiom 4 4 times instead of 100.
     """
     if seed is None:
         seed = seed_from_env()
@@ -125,11 +134,11 @@ def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
                        if not g2.eq(q.d3(q.omega_apply(TensorElement.outer(
                            q.braces(x), q.braces(y)))), g2.commutator(x, y))), **how)
     pairs, how = scope(g3, g2, bilinear)
+    vanishes = functools.cache(
+        lambda bnd, bx: g3.is_identity(q.omega_apply(_boundary_tensor(bnd, bx))))
     rep.first_failure("axiom3_boundary_tensors_vanish",
                       ("omega({d3 p} (x) {x} + {x} (x) {d3 p}) != 0"
-                       for p, x in pairs
-                       if not g3.is_identity(q.omega_apply(
-                           _boundary_tensor(boundary(p), q.braces(x))))),
+                       for p, x in pairs if not vanishes(boundary(p), q.braces(x))),
                       **how)
     pairs, how = scope(g3, g3, bilinear)
     rep.first_failure("axiom4_q3_commutators",
@@ -160,12 +169,18 @@ def _boundary_tensor(bnd, bx) -> TensorElement:
 
 def _q3_commutator_failures(q, boundary, pairs):
     """Failures of axiom 4, (p, r) = omega({d3 p} (x) {d3 r}), on `pairs`;
-    `boundary` is `_boundary_classes(q)`."""
+    `boundary` is `_boundary_classes(q)`.  In a Q3 abelian as presented,
+    (p, r) is 0, and the verdict is decided once per ({d3 p}, {d3 r})."""
     g3 = q.q3
-    return ("(p, q) != omega({d3 p} (x) {d3 q})"
-            for p, r in pairs
-            if not g3.eq(g3.commutator(p, r), q.omega_apply(
-                TensorElement.outer(boundary(p), boundary(r)))))
+    vanishes = functools.cache(
+        lambda bp, br: g3.is_identity(q.omega_apply(TensorElement.outer(bp, br))))
+
+    def holds(p, r):
+        if g3.is_abelian:
+            return vanishes(boundary(p), boundary(r))
+        return g3.eq(g3.commutator(p, r), q.omega_apply(
+            TensorElement.outer(boundary(p), boundary(r))))
+    return ("(p, q) != omega({d3 p} (x) {d3 q})" for p, r in pairs if not holds(p, r))
 
 
 @dataclass

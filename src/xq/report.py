@@ -34,7 +34,8 @@ def canonical_json(obj: Any) -> str:
 def _write(obj: Any, out: list[str], newline: str) -> None:
     """Append the text of obj to out, `newline` being a line break and the
     indent of the line obj starts on.  One call per nesting level, so that
-    any nesting `json.loads` reads can be written back."""
+    any nesting a structure file may have (`structfile.MAX_NESTING`) can be
+    written back."""
     inner = newline + "  "
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))

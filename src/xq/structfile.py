@@ -13,6 +13,7 @@ files.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
@@ -29,6 +30,12 @@ from .quadratic import (QCHomotopy, QCMorphism, QuadraticModule,
 from .report import Report, canonical_json
 
 FORMAT_VERSION = "1"
+
+# The deepest nesting of arrays and objects a structure file may have.  The
+# reader of some interpreters goes deeper than a recursive writer or check
+# can follow; one fixed bound makes every interpreter refuse the same files.
+MAX_NESTING = 512
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
 
 SIDES = ("source", "target")
 
@@ -89,6 +96,8 @@ def parse_structure(text: str) -> dict:
         raise StructureError(e.msg, line=e.lineno, col=e.colno) from None
     except RecursionError:
         raise _err("nesting too deep to read", "$") from None
+    if text.count("[") + text.count("{") > MAX_NESTING and _nesting(text) > MAX_NESTING:
+        raise _err("nesting too deep to read", "$")
     raw = _expect_dict(raw, "$")
     version, vpath = _get(raw, "version", "$")
     if version != FORMAT_VERSION:
@@ -101,6 +110,16 @@ def parse_structure(text: str) -> dict:
     body, bpath = _get(raw, "body", "$")
     _expect_dict(body, bpath)
     return raw
+
+
+def _nesting(text: str) -> int:
+    """The deepest nesting of arrays and objects in valid JSON text; the
+    brackets inside strings are dropped with the strings."""
+    depth = deepest = 0
+    for b in re.findall(r"[][{}]", _JSON_STRING.sub("", text)):
+        depth += 1 if b in "[{" else -1
+        deepest = max(deepest, depth)
+    return deepest
 
 
 def serialize_structure(obj: dict) -> str:

@@ -234,3 +234,66 @@ def test_nil2_fold_rejects_a_rank_mismatch():
     assert str(folded.value) == str(multiplied.value)
     # a term with k = 0 adds nothing and is not read
     assert nil2.fold(2, [(nil2.generator(3, 0), 0)]) == nil2.identity(2)
+
+
+def abelian_representatives(g, rng, x):
+    """x and a few seeded non-canonical representatives of its class: x plus
+    integer combinations of the relation rows."""
+    rows = g.ab_relation_rows()
+    reps = [tuple(x)]
+    for _ in range(3):
+        y = list(x)
+        for row in rows:
+            k = rng.randint(-3, 3)
+            y = [a + k * b for a, b in zip(y, row)]
+        reps.append(tuple(y))
+    return reps
+
+
+EQ_GROUPS = [CyclicGroup(6), FgAbelianGroup(3, [[2, 0, 0], [0, 3, 3]]),
+             FreeAbelianGroup(2), trivial_group()]
+
+
+def assert_eq_is_equality_of_canonical_forms(g, rng, rounds=80):
+    for _ in range(rounds):
+        x = tuple(rng.randint(-9, 9) for _ in range(g.ngens))
+        # y is x's class half the time, another random class otherwise
+        y = x if rng.random() < 0.5 else tuple(rng.randint(-9, 9) for _ in range(g.ngens))
+        for u in abelian_representatives(g, rng, x):
+            for v in abelian_representatives(g, rng, y):
+                assert g.eq(u, v) == (g.canon(u) == g.canon(v))
+                assert g.is_identity(u) == (g.canon(u) == g.identity())
+
+
+@pytest.mark.parametrize("g", EQ_GROUPS, ids=lambda g: f"{g.kind}{g.ngens}")
+def test_fg_abelian_eq_is_equality_of_canonical_forms(g):
+    assert_eq_is_equality_of_canonical_forms(g, random.Random(f"eq:{g.kind}:{g.ngens}"))
+
+
+def test_fg_abelian_eq_in_the_degree_3_group_of_the_cylinder():
+    from xq.sphere import build_cylinder_Q
+
+    q3 = build_cylinder_Q().q3
+    assert q3.ab_relation_rows()
+    assert_eq_is_equality_of_canonical_forms(q3, random.Random(23))
+
+
+@pytest.mark.parametrize("g", EQ_GROUPS, ids=lambda g: f"{g.kind}{g.ngens}")
+def test_fg_abelian_eq_rejects_an_element_of_the_wrong_length(g):
+    short, x = (0,) * (g.ngens + 1), g.identity()
+    for args in ((short, x), (x, short), (short, short)):
+        with pytest.raises(ValueError, match="element length does not match rank"):
+            g.eq(*args)
+
+
+def test_at_generator_is_the_value_at_the_canonical_generator():
+    # Z^2 / <(1, 2)>: the canonical form of the first generator is (0, -2),
+    # not the unit vector, and the images below do not kill the relation,
+    # so at_generator(0) is not images[0]
+    src, tgt = FgAbelianGroup(2, [[1, 2]]), FreeAbelianGroup(2)
+    h = GroupHom(src, tgt, [tgt.gen(0), tgt.gen(1)])
+    assert not h.check_hom()[0]
+    assert src.generators() == [(0, -2), (0, 1)]
+    for i, g in enumerate(src.generators()):
+        assert h.at_generator(i) == h(g) == h(list(g))
+    assert [h.at_generator(i) for i in range(2)] != list(h.images)

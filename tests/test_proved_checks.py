@@ -1,6 +1,7 @@
 """Checks decided exactly carry basis "proved" and draw no samples; the
 reduced quadratic module axioms 2 to 4 proved on generator pairs agree with
-the sampled scans they replaced (`axiom_oracle.py`)."""
+the sampled scans they replaced, and deciding axioms 3 and 4 once per pair
+of classes agrees with the pair-by-pair scan (`axiom_oracle.py`)."""
 
 import json
 import os
@@ -14,7 +15,7 @@ from xq.groups import FgAbelianGroup, FreeAbelianGroup, FreeGroup, FreeNil2Group
 from xq.quadratic import ReducedQuadraticModule, rqc4_check, rqm_check
 from xq.report import Check, Report
 
-from axiom_oracle import sampled_axioms
+from axiom_oracle import per_pair_axioms, sampled_axioms
 from hom_oracle import sampled_check_hom
 from test_check_firing import doubling
 
@@ -106,18 +107,23 @@ def test_axioms_sample_where_the_classes_are_not_bilinear(monkeypatch):
         ["sampled", "proved", "proved"]
 
 
+def nonhom_d3():
+    """d3: Z/2<t> -> Z<x>, t |-> x does not kill 2t."""
+    q2, q3 = FreeAbelianGroup(1), FgAbelianGroup(1, [[2]])
+    return ReducedQuadraticModule(q2, q3, ((q3.identity(),),), GroupHom(q3, q2, [q2.gen(0)]))
+
+
+def omega_not_on_c():
+    """omega(x (x) x) = t on Z/2<x> does not kill 2x (x) x."""
+    q2, q3 = FgAbelianGroup(1, [[2]]), FreeAbelianGroup(1)
+    return ReducedQuadraticModule(q2, q3, ((q3.gen(0),),), GroupHom.zero(q3, q2))
+
+
 @pytest.mark.parametrize("broken", ["d3_is_homomorphism", "omega_well_defined_on_C"])
 def test_axioms_sample_when_the_bilinearity_argument_fails(monkeypatch, broken):
-    # d3: Z/2<t> -> Z<x>, t |-> x does not kill 2t; omega(x (x) x) = t on
-    # Z/2<x> -> Z<t> does not kill 2x (x) x.  Both leave Q3 abelian.
-    if broken == "d3_is_homomorphism":
-        q2, q3 = FreeAbelianGroup(1), FgAbelianGroup(1, [[2]])
-        rqm = ReducedQuadraticModule(q2, q3, ((q3.identity(),),),
-                                     GroupHom(q3, q2, [q2.gen(0)]))
-    else:
-        q2, q3 = FgAbelianGroup(1, [[2]]), FreeAbelianGroup(1)
-        rqm = ReducedQuadraticModule(q2, q3, ((q3.gen(0),),), GroupHom.zero(q3, q2))
-    draws = counting_draws(monkeypatch, q2, q3)
+    # both leave Q3 abelian
+    rqm = nonhom_d3() if broken == "d3_is_homomorphism" else omega_not_on_c()
+    draws = counting_draws(monkeypatch, rqm.q2, rqm.q3)
     rep = rqm_check(rqm, samples=7, seed=0)
     assert [c.check_id for c in rep.checks if not c.passed] == [broken]
     basis = {c.check_id: (c.basis, c.note) for c in rep.checks if c.check_id in AXIOMS}
@@ -169,3 +175,87 @@ def test_nil2_into_free_group_verdict_matches_the_sampled_scan():
         assert ok == commute == sampled_check_hom(h, random.Random(0), 30)
         verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+# -- axioms 3 and 4 decided once per distinct pair of classes ------------------
+
+def omega_calls_by_check(q, monkeypatch, **kwargs):
+    """rqm_check(q, **kwargs), and the number of omega evaluations made
+    while each check was scanned."""
+    calls = []
+    omega_apply = q.omega_apply
+    monkeypatch.setattr(q, "omega_apply", lambda t: calls.append(t) or omega_apply(t))
+    per_check = {}
+    first_failure = Report.first_failure
+
+    def counted(rep, check_id, *args, **kw):
+        before = len(calls)
+        out = first_failure(rep, check_id, *args, **kw)
+        per_check[check_id] = len(calls) - before
+        return out
+    monkeypatch.setattr(Report, "first_failure", counted)
+    rep = rqm_check(q, **kwargs)
+    monkeypatch.undo()
+    return rep, per_check
+
+
+def test_axioms_3_and_4_evaluate_omega_once_per_pair_of_classes(cylinder_q, monkeypatch):
+    q = cylinder_q.rqm
+    boundaries = {q.braces(q.d3(p)) for p in q.q3.generators()}
+    assert (q.q2.ngens, q.q3.ngens, len(boundaries)) == (3, 10, 2)
+    for _ in range(2):  # the memo lives for one call: the second pays the same
+        rep, calls = omega_calls_by_check(q, monkeypatch, samples=1000, seed=0)
+        assert rep.ok
+        # 2 x 3 pairs of classes for axiom 3 (not 10 x 3 generator pairs),
+        # 2 x 2 for axiom 4 (not 10 x 10); axiom 2 is unchanged, 3 x 3
+        assert {k: calls[k] for k in AXIOMS} == {
+            "axiom2_d3_omega_is_commutator": 9,
+            "axiom3_boundary_tensors_vanish": 6,
+            "axiom4_q3_commutators": 4}
+
+
+def nonabelian_q3(commuting=False):
+    """Q2 = Z<x>, Q3 = free nil(2) on t, u, d3 = 0 and omega = 0: (t, u) is
+    not 0, so axiom 4 fails at (t, u), although {d3 t} = {d3 u}.  With
+    `commuting`, Q3 = Z^2 instead, and every axiom holds."""
+    q2 = FreeNil2Group(1, names=("x",))
+    q3 = FreeAbelianGroup(2) if commuting else FreeNil2Group(2, names=("t", "u"))
+    return ReducedQuadraticModule(q2, q3, ((q3.identity(),),), GroupHom.zero(q3, q2))
+
+
+def noncommuting_d3():
+    """d3: Z^2 -> free nil(2), s -> x, t -> y, whose images do not commute."""
+    src, tgt = FreeAbelianGroup(2, names=("s", "t")), FreeNil2Group(2, names=("x", "y"))
+    return ReducedQuadraticModule(tgt, src, ((src.identity(),) * 2,) * 2,
+                                  GroupHom(src, tgt, tgt.generators()))
+
+
+def test_rqm_check_agrees_with_the_pair_by_pair_scan(sphere_d, cylinder_q):
+    modules = {"D": sphere_d.rqm, "Q": cylinder_q.rqm,
+               **{f"firing-{i}": c.rqm for i, c in enumerate(FIRING)},
+               "nonabelian_q3": nonabelian_q3(), "abelian_q3": nonabelian_q3(True),
+               "nonhom_d3": nonhom_d3(), "omega_not_on_c": omega_not_on_c(),
+               "noncommuting_d3": noncommuting_d3()}
+    verdicts = set()
+    for name, q in modules.items():
+        for samples, seed in ((0, 0), (7, 0), (7, 3)):
+            rep = rqm_check(q, samples=samples, seed=seed)
+            got = {c.check_id: (c.passed, c.witness, c.note, c.basis)
+                   for c in rep.checks if c.check_id in AXIOMS}
+            assert [c.check_id for c in rep.checks][-3:] == list(AXIOMS)
+            assert got == per_pair_axioms(q, samples, seed), (name, samples, seed)
+            verdicts.update((k, v[0], v[3]) for k, v in got.items())
+    # the modules reach a pass and a failure of each axiom, proved and sampled
+    assert {(k, ok) for k, ok, _ in verdicts} == {(k, ok) for k in AXIOMS
+                                                  for ok in (True, False)}
+    assert {basis for _, _, basis in verdicts} == {"proved", "sampled"}
+
+
+def test_axiom_4_in_a_nonabelian_q3_is_tested_pair_by_pair(monkeypatch):
+    q = nonabelian_q3()
+    rep, calls = omega_calls_by_check(q, monkeypatch, samples=0, seed=0)
+    axiom4 = next(c for c in rep.checks if c.check_id == "axiom4_q3_commutators")
+    assert (axiom4.passed, axiom4.basis) == (False, "sampled")
+    # (t, t) passes and (t, u) fails: both evaluate omega, although the two
+    # pairs have the same classes ({d3 t}, {d3 u}) = (0, 0)
+    assert calls["axiom4_q3_commutators"] == 2

@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from xq import structfile as sf
 from xq.cli import run
 
 from test_homotopic_files import PAIR, PR1, TWISTED, _nil2, _xc3_files
@@ -163,6 +164,33 @@ def test_deep_nesting_is_a_positioned_error(structures_dir, tmp_path, capsys,
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", "error: $: nesting too deep to read\n")
+
+
+def nested_body(depth, leaf="0"):
+    """A group file whose body holds `depth` more levels of arrays, so that
+    the whole text nests 2 + depth deep."""
+    return ('{"version": "1", "kind": "group", "body": {"deep": '
+            + "[" * depth + leaf + "]" * depth + "}}")
+
+
+def test_nesting_is_read_up_to_a_fixed_bound(tmp_path, capsys):
+    assert sf.MAX_NESTING == 512
+    raw = sf.parse_structure(nested_body(sf.MAX_NESTING - 2))
+    assert raw["body"]["deep"] == json.loads("[" * (sf.MAX_NESTING - 2) + "0" + "]" * (sf.MAX_NESTING - 2))
+    with pytest.raises(sf.StructureError) as deeper:
+        sf.parse_structure(nested_body(sf.MAX_NESTING - 1))
+    assert str(deeper.value) == "$: nesting too deep to read"
+    # brackets inside strings, escaped quotes among them, are not nesting
+    leaf = json.dumps('\\"' + "[{" * 2000)
+    assert sf.parse_structure(nested_body(sf.MAX_NESTING - 2, leaf))
+    # a syntax error the reader meets first is still a syntax error
+    with pytest.raises(sf.StructureError) as syntax:
+        sf.parse_structure("[" * (sf.MAX_NESTING + 10) + "x")
+    assert syntax.value.line == 1 and syntax.value.col == sf.MAX_NESTING + 11
+    deep = tmp_path / "deep.json"
+    deep.write_text(nested_body(sf.MAX_NESTING - 1))
+    assert run(["check", str(deep)]) == 2
+    assert capsys.readouterr().err == "error: $: nesting too deep to read\n"
 
 
 def _precrossed(action, m2_rank=1):
