@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from itertools import chain, product
+from operator import mul
 from typing import Any, Iterable, Sequence
 
 from . import nil2
@@ -290,6 +291,15 @@ class FreeNil2Group(Group):
     def ab(self, x):
         return self.canon(x).base
 
+    def from_ab(self, vec: Sequence[int]):
+        """The element with base vec and commutator part zero.  The fold of
+        the generators in ascending order, which `Group.from_ab` takes,
+        moves no letter past a later generator, so it collects no
+        commutator."""
+        if len(vec) != self.ngens:
+            raise ValueError("element length does not match rank")
+        return nil2.Nil2Element(tuple(vec), (0,) * len(nil2.pair_list(self.ngens)))
+
     @property
     def is_abelian(self) -> bool:
         return self.ngens <= 1
@@ -354,9 +364,14 @@ class FgAbelianGroup(Group):
         return (0,) * self.ngens
 
     def gen(self, i: int):
+        """The canonical generator i: the unit vector reduced, once per group."""
         if not 0 <= i < self.ngens:
             raise ValueError(f"generator index {i} out of range")
-        return self.canon(tuple(1 if k == i else 0 for k in range(self.ngens)))
+        if self._generators is None:
+            n = self.ngens
+            self._generators = tuple(self.lattice.reduce([int(k == j) for k in range(n)])
+                                     for j in range(n))
+        return self._generators[i]
 
     def op(self, x, y):
         return self.lattice.reduce([a + b for a, b in zip(x, y)])
@@ -379,6 +394,10 @@ class FgAbelianGroup(Group):
         if len(x) != self.ngens:
             raise ValueError("element length does not match rank")
         return self.lattice.reduce(list(x))
+
+    def from_ab(self, vec: Sequence[int]):
+        """The element with coordinates vec: one reduction."""
+        return self.canon(vec)
 
     def eq(self, x, y) -> bool:
         """canon(x) == canon(y), by one reduction of x - y, and none when x
@@ -480,17 +499,43 @@ def generator_pairs(left: Group, right: Group, rng: random.Random, samples: int)
                for _ in range(samples)])
 
 
+def _coords(g: Group, x) -> Sequence[int]:
+    """g.ab(x) for x in g's normal form, without reducing an abelian x again."""
+    if isinstance(g, FreeNil2Group):
+        return x.base
+    return g.ab(x) if isinstance(g, FreeGroup) else x
+
+
 class GroupHom:
     """Homomorphism given by generator images; evaluated on the source's
-    normal form."""
+    normal form.
+
+    Into a target that is abelian as presented, a value is one integer
+    matrix product: the image-coordinate matrix, built on first use and
+    kept on the map, times the coordinates of the argument, read back by
+    `target.from_ab`.  Into any other target it is a fold over the normal
+    form.  Each map keeps one cache of the values it has computed, keyed
+    by element and shared by `__call__` and `at_generator`; a map derived
+    from it (`with_image`, `then`, `power`) starts with an empty one."""
 
     def __init__(self, source: Group, target: Group, images: Iterable):
-        self.source = source
-        self.target = target
-        self.images = tuple(target.canon(x) for x in images)
-        if len(self.images) != source.ngens:
+        self._set(source, target, tuple(target.canon(x) for x in images))
+
+    @staticmethod
+    def of_canonical(source: Group, target: Group, images: Iterable) -> "GroupHom":
+        """The map with these images, which must be canonical in target
+        already, such as values of `element_from_json` or of another map;
+        they are not canonicalized again."""
+        out = object.__new__(GroupHom)
+        out._set(source, target, tuple(images))
+        return out
+
+    def _set(self, source: Group, target: Group, images: tuple) -> None:
+        if len(images) != source.ngens:
             raise ValueError("one image per source generator required")
-        self._at_generator: dict[int, Any] = {}
+        self.source, self.target, self.images = source, target, images
+        self._values: dict = {}
+        self._rows: list[tuple[int, ...]] | None = None
 
     @staticmethod
     def identity(group: Group) -> "GroupHom":
@@ -501,51 +546,73 @@ class GroupHom:
         return GroupHom(source, target, [target.identity()] * source.ngens)
 
     def __call__(self, x):
-        """The fold of the images over the canonical word of x, in one pass of
+        """The value at x, kept in the map's cache unless x is unhashable
+        (a list, say).
+
+        Into an abelian target it is `target.from_ab` of the images'
+        coordinate matrix times the coordinates of x.  Otherwise it is the
+        fold of the images over the canonical word of x, in one pass of
         `target.fold` over the normal form: a run of k equal letters, a
         free-group syllable or an abelian coordinate, is the term (image, k),
         and c basic commutators -g_i - g_j + g_i + g_j are ((image_i,
         image_j), c).  By associativity the value is the same element in any
-        target, whether or not the images define a homomorphism.  Commutators
-        are skipped in a target that is abelian as presented."""
-        return self._fold_canonical(self.source.canon(x))
+        target, whether or not the images define a homomorphism, and in an
+        abelian target the fold is the matrix product."""
+        try:
+            value = self._values.get(x)
+        except TypeError:
+            return self._fold_canonical(self.source.canon(x))
+        if value is None:
+            value = self._values[x] = self._fold_canonical(self.source.canon(x))
+        return value
 
     def _fold_canonical(self, x):
-        """The fold of `__call__` over x, already in the source's normal form."""
+        """The value of `__call__` at x, already in the source's normal form,
+        not cached."""
         src, t, images = self.source, self.target, self.images
+        if t.is_abelian:
+            return t.from_ab(self._image_product(_coords(src, x)))
         if isinstance(src, FreeNil2Group):
-            runs, comm = enumerate(x.base), (() if t.is_abelian else x.comm)
+            runs, comm = enumerate(x.base), x.comm
         else:
             runs, comm = (x if isinstance(src, FreeGroup) else enumerate(x)), ()
         return t.fold(chain(((images[i], a) for i, a in runs if a),
                             ((t.commutator(images[i], images[j]), c)
                              for c, (i, j) in zip(comm, nil2.pair_list(src.ngens)) if c)))
 
+    def _image_product(self, coords: Sequence[int]) -> list[int]:
+        """M coords, M the matrix whose column i holds the coordinates of
+        images[i] in an abelian target."""
+        rows = self._rows
+        if rows is None:
+            cols = [_coords(self.target, im) for im in self.images]
+            rows = self._rows = list(zip(*cols)) if cols else [()] * self.target.ngens
+        return [sum(map(mul, row, coords)) for row in rows]
+
     def at_generator(self, i: int):
-        """self(source.generators()[i]), computed on first use and kept.
+        """self(source.generators()[i]), from the same cache as `__call__`.
 
         This is the value at the canonical generator, not `images[i]`: the
         two differ when the generator's canonical form is not the unit
         vector (an abelian source with relations) and the images do not
         define a homomorphism.  The generator is canonical already, so it
-        is folded without passing through `source.canon` again."""
-        value = self._at_generator.get(i)
+        is evaluated without passing through `source.canon` again."""
+        x = self.source.generators()[i]
+        value = self._values.get(x)
         if value is None:
-            value = self._at_generator[i] = self._fold_canonical(
-                self.source.generators()[i])
+            value = self._values[x] = self._fold_canonical(x)
         return value
 
     def with_image(self, i: int, x) -> "GroupHom":
         """This map with generator i sent to x; only x is canonicalized, the
         other images are shared."""
-        out = object.__new__(GroupHom)
-        out.source, out.target, out._at_generator = self.source, self.target, {}
-        out.images = self.images[:i] + (self.target.canon(x),) + self.images[i + 1:]
-        return out
+        return GroupHom.of_canonical(self.source, self.target, self.images[:i]
+                                     + (self.target.canon(x),) + self.images[i + 1:])
 
     def then(self, other: "GroupHom") -> "GroupHom":
         """Composite x |-> other(self(x))."""
-        return GroupHom(self.source, other.target, [other(im) for im in self.images])
+        return GroupHom.of_canonical(self.source, other.target,
+                                     [other(im) for im in self.images])
 
     def power(self, k: int) -> "GroupHom":
         """The k-fold composite of an endomorphism, k >= 1, by repeated
@@ -564,9 +631,11 @@ class GroupHom:
 
     def relation_images(self):
         """(row, image) for each relation row of the source abelianization;
-        the images define a homomorphism only if every such image is zero."""
+        the images define a homomorphism only if every such image is zero.
+        Only an abelian source has relation rows, and its evaluation reads
+        coordinates as they are, so a row is evaluated like an element."""
         for row in self.source.ab_relation_rows():
-            yield row, self.target.fold(zip(self.images, row))
+            yield row, self._fold_canonical(row)
 
     def check_hom(self) -> tuple[bool, str | None]:
         """Decide whether the images define a homomorphism; exact, no samples.

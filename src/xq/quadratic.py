@@ -57,6 +57,19 @@ class ReducedQuadraticModule:
             raise ValueError("tensor rank must match rank of C")
         return self.q3.fold((self.omega[i][j], c) for i, j, c in t.entries())
 
+    def omega_outer(self, u: Sequence[int], v: Sequence[int]):
+        """omega({u} (x) {v}) for coordinate vectors u, v of C, without
+        building the tensor: one fold over the nonzero u_i v_j in row-major
+        order, so the same element as `omega_apply(TensorElement.outer(u,
+        v))` in any Q3, with the same ValueErrors on bad lengths."""
+        if len(u) != len(v):
+            raise ValueError("outer product needs vectors of equal length")
+        if len(u) != len(self.omega):
+            raise ValueError("tensor rank must match rank of C")
+        omega = self.omega
+        return self.q3.fold((omega[i][j], a * b) for i, a in enumerate(u) if a
+                            for j, b in enumerate(v) if b)
+
     def braces(self, x) -> tuple[int, ...]:
         """{x}: coordinates of x in C = Q2^ab."""
         return self.q2.ab(x)
@@ -152,8 +165,8 @@ def _omega_kills(q, rows, q2: Group, what: str):
     g3 = q.q3
     return (f"{what} {list(row)}"
             for row in rows for ej in map(q.braces, q2.generators())
-            if not (g3.is_identity(q.omega_apply(TensorElement.outer(row, ej)))
-                    and g3.is_identity(q.omega_apply(TensorElement.outer(ej, row)))))
+            if not (g3.is_identity(q.omega_outer(row, ej))
+                    and g3.is_identity(q.omega_outer(ej, row))))
 
 
 def _boundary_classes(q):
@@ -218,6 +231,9 @@ class ReducedQuadraticComplex4:
     def omega_apply(self, t: TensorElement):
         return self.rqm.omega_apply(t)
 
+    def omega_outer(self, u: Sequence[int], v: Sequence[int]):
+        return self.rqm.omega_outer(u, v)
+
     def braces(self, x) -> tuple[int, ...]:
         return self.rqm.braces(x)
 
@@ -278,8 +294,7 @@ def qcm_equations(m: QCMorphism):
     n = src.q2.ngens
     yield "square_omega", None, tgt.q3, (
         (m.f3(src.rqm.omega[i][j]),
-         tgt.omega_apply(TensorElement.outer(tgt.braces(m.f2.images[i]),
-                                             tgt.braces(m.f2.images[j]))),
+         tgt.omega_outer(tgt.braces(m.f2.images[i]), tgt.braces(m.f2.images[j])),
          f"f3 omega != omega' (f2^ab (x) f2^ab) at basis ({i},{j})")
         for i in range(n) for j in range(n))
     if (src.under is None or tgt.under is None
@@ -373,6 +388,7 @@ class QuadraticModule:
 
     # the same fold: both classes hold omega on the basis of C (x) C and q3
     omega_apply = ReducedQuadraticModule.omega_apply
+    omega_outer = ReducedQuadraticModule.omega_outer
 
     def braces(self, x) -> tuple[int, ...]:
         return self.pre.m2.ab(x)
@@ -413,8 +429,8 @@ def qm_check(q: QuadraticModule, samples: int = 200, seed: int | None = None) ->
     rep.first_failure("axiom2_d3_omega_is_w",
                       ("d3 omega != w (Peiffer lift)"
                        for x, y in generator_pairs(g2, g2, rng, samples)
-                       if not g2.eq(q.d3(q.omega_apply(TensorElement.outer(
-                           q.braces(x), q.braces(y)))), peiffer_commutator(q.pre, x, y))),
+                       if not g2.eq(q.d3(q.omega_outer(q.braces(x), q.braces(y))),
+                                    peiffer_commutator(q.pre, x, y))),
                       note=f"all generator pairs + {samples} samples", basis="sampled")
 
     rep.first_failure("axiom3_action_formula",

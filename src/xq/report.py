@@ -75,16 +75,28 @@ def seed_from_env() -> int:
 
 
 def encode_numbers(obj: Any) -> Any:
-    """Recursively stringify integers that exceed 53-bit safety."""
+    """obj with every integer outside the 53-bit safe range as its decimal
+    string.  Only the lists, tuples and dicts that hold such an integer,
+    at any depth, are rebuilt (a tuple as a list); everything else is
+    returned as it is, so a report without one is not copied."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
         return obj if -SAFE_INT < obj < SAFE_INT else str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [encode_numbers(x) for x in obj]
     if isinstance(obj, dict):
-        return {k: encode_numbers(v) for k, v in obj.items()}
-    return obj
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return obj
+    out = None
+    for k, v in items:
+        e = encode_numbers(v)
+        if e is not v:
+            if out is None:
+                out = dict(obj) if isinstance(obj, dict) else list(obj)
+            out[k] = e
+    return obj if out is None else out
 
 
 class Undefined(ValueError):

@@ -142,8 +142,7 @@ def retraction_candidate(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex
     f3_images = [d.q3.pow(d.q3.gen(0), r)]
     for i in range(3):
         for j in range(3):
-            forced = d.omega_apply(TensorElement.outer(
-                d.braces(f2_images[i]), d.braces(f2_images[j])))
+            forced = d.omega_outer(d.braces(f2_images[i]), d.braces(f2_images[j]))
             f3_images.append(forced)
     f3 = GroupHom(q.q3, d.q3, f3_images)
     f4 = GroupHom.zero(q.q4, d.q4)

@@ -177,7 +177,7 @@ def _build_hom(obj, path, source: Group, target: Group) -> GroupHom:
                    f"found {len(images)}", ipath)
     built = [_build_element(target, e, f"{ipath}[{i}]")
              for i, e in enumerate(images)]
-    return GroupHom(source, target, built)
+    return GroupHom.of_canonical(source, target, built)
 
 
 def _build_action(obj, path, acting: Group, acted: Group) -> GroupAction:

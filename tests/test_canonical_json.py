@@ -10,7 +10,7 @@ import random
 import pytest
 
 from xq.cli import run
-from xq.report import canonical_json
+from xq.report import SAFE_INT, Report, canonical_json
 
 # sha256 of the files written by `xq homotopic structures/retraction_pair.json
 # --f .../retraction_pr1.json --g .../retraction_pr1_twisted.json --witness`
@@ -136,3 +136,41 @@ def test_g_file_nested_as_deep_as_it_can_be_read_is_echoed(structures_dir, tmp_p
     indent = len(line) - len(line.lstrip())
     assert witness.read_text() == shallow.replace('"deep": 0', '"deep": ' + nested_text(lo, indent))
     assert lo > 100
+
+
+def stringify_all(obj):
+    """The unsafe-integer encoding as a full copy: every list, tuple and
+    dict rebuilt, integers outside the 53-bit safe range as strings."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return obj if -SAFE_INT < obj < SAFE_INT else str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [stringify_all(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: stringify_all(v) for k, v in obj.items()}
+    return obj
+
+
+def test_report_json_stringifies_unsafe_integers_and_copies_only_their_containers():
+    edge = (SAFE_INT - 1, SAFE_INT, -SAFE_INT)
+    rep = Report("unsafe integers")
+    rep.add("c", True)
+    rep.meta.update(edge=list(edge), small=[1, (2, 3)], deep={"x": [[0, edge[1]]]})
+    rep.witnesses = [{"r": edge[0], "v": (edge[2], 5)}, {"plain": [1, 2]}]
+    rep.obstructions = [{"n": edge[1]}, {"t": (True, False, None, 1.5, "s")}]
+    before = stringify_all(rep.to_json_obj())
+    obj = rep.to_json_obj()
+    assert canonical_json(obj) == stdlib(before)
+    assert obj["meta"]["edge"] == [SAFE_INT - 1, str(SAFE_INT), str(-SAFE_INT)]
+    assert obj["witnesses"][0]["v"] == [str(-SAFE_INT), 5]
+    # what holds no unsafe integer is the report's own object, and the
+    # report itself is unchanged
+    assert obj["meta"]["small"] is rep.meta["small"]
+    assert obj["witnesses"][1] is rep.witnesses[1]
+    assert obj["obstructions"][1] is rep.obstructions[1]
+    assert rep.meta["edge"] == list(edge) and rep.obstructions[0]["n"] == SAFE_INT
+    safe = Report("safe")
+    safe.witnesses, safe.meta = [{"r": [1, 2]}], {"n": SAFE_INT - 1}
+    out = safe.to_json_obj()
+    assert out["witnesses"] is safe.witnesses and out["meta"] is safe.meta

@@ -297,3 +297,40 @@ def test_at_generator_is_the_value_at_the_canonical_generator():
     for i, g in enumerate(src.generators()):
         assert h.at_generator(i) == h(g) == h(list(g))
     assert [h.at_generator(i) for i in range(2)] != list(h.images)
+
+
+def test_fg_abelian_gen_is_the_kept_canonical_generator(monkeypatch):
+    g = FgAbelianGroup(2, [[1, 2]])
+    reduced = []
+    reduce = g.lattice.reduce
+    monkeypatch.setattr(g.lattice, "reduce", lambda v: reduced.append(v) or reduce(v))
+    assert g.gen(0) == (0, -2) and g.gen(1) == (0, 1)
+    assert len(reduced) == 2
+    assert g.gen(0) is g.gen(0) is g.generators()[0]
+    assert len(reduced) == 2
+    with pytest.raises(ValueError, match="out of range"):
+        g.gen(2)
+
+
+@pytest.mark.parametrize("g", ALL_GROUPS, ids=lambda g: f"{g.kind}{g.ngens}")
+def test_from_ab_is_the_fold_of_the_generators(g):
+    rng = random.Random(43)
+    for _ in range(20):
+        vec = [rng.randint(-9, 9) for _ in range(g.ngens)]
+        assert g.from_ab(vec) == g.fold(zip(g.generators(), vec))
+    with pytest.raises(ValueError):
+        g.from_ab([0] * (g.ngens + 1))
+
+
+def test_maps_from_canonical_values_are_not_canonicalized_again(monkeypatch):
+    mid, tgt = FreeAbelianGroup(2), FreeNil2Group(2)
+    h = GroupHom(mid, mid, [(1, 1), (0, 1)])
+    k = GroupHom(mid, tgt, tgt.generators())
+    canon = []
+    monkeypatch.setattr(tgt, "canon", lambda x: canon.append(x) or x)
+    composite = h.then(k)
+    direct = GroupHom.of_canonical(mid, tgt, [tgt.op(tgt.gen(0), tgt.gen(1)), tgt.gen(1)])
+    assert canon == []
+    assert composite.images == direct.images
+    with pytest.raises(ValueError, match="one image per source generator"):
+        GroupHom.of_canonical(mid, tgt, [tgt.gen(0)])

@@ -17,8 +17,12 @@ from letter_oracle import normalize_word, spell, word_of
 from oracle import oracle_normal_form, random_word
 
 SOURCES = [FreeAbelianGroup(2), FgAbelianGroup(3, [[2, 0, 0], [0, 3, 3]]),
-           CyclicGroup(5), FreeNil2Group(1), FreeNil2Group(2), FreeNil2Group(3)]
-TARGETS = [FreeNil2Group(2), FgAbelianGroup(2, [[4, 2]]), FreeGroup(2)]
+           CyclicGroup(5), FreeNil2Group(1), FreeNil2Group(2), FreeNil2Group(3),
+           FreeGroup(2)]
+# the targets abelian as presented take the matrix path, the others the fold
+TARGETS = [FreeNil2Group(2), FgAbelianGroup(2, [[4, 2]]), FreeGroup(2),
+           FreeNil2Group(1), FreeAbelianGroup(1), CyclicGroup(6), FgAbelianGroup(0),
+           FreeGroup(1)]
 # free-group images that pairwise do not commute
 FREE_IMAGES = [((0, 1),), ((1, 1), (0, -1)), ((0, 1), (1, 1), (0, 1))]
 
@@ -26,6 +30,9 @@ FREE_IMAGES = [((0, 1),), ((1, 1), (0, -1)), ((0, 1), (1, 1), (0, 1))]
 def big_element(g, rng, size=12):
     """A random element with coefficients up to `size`, larger than
     `random_element` draws, so that runs and commutator powers are long."""
+    if isinstance(g, FreeGroup):
+        return g.canon([(rng.randrange(g.ngens), rng.randint(-size, size))
+                        for _ in range(6)])
     if isinstance(g, FreeNil2Group):
         return nil2.Nil2Element(
             tuple(rng.randint(-size, size) for _ in range(g.ngens)),
@@ -38,7 +45,7 @@ def big_element(g, rng, size=12):
 def test_normal_form_eval_matches_letter_oracle(source, target):
     rng = random.Random(31)
     for _ in range(10):
-        if isinstance(target, FreeGroup):
+        if isinstance(target, FreeGroup) and target.ngens > 1:
             images = FREE_IMAGES[:source.ngens]
         else:
             images = [target.random_element(rng) for _ in range(source.ngens)]
@@ -46,10 +53,13 @@ def test_normal_form_eval_matches_letter_oracle(source, target):
         for _ in range(10):
             x = big_element(source, rng)
             assert hom(x) == letter_eval(hom, x), (images, x)
+        assert (hom._rows is not None) == target.is_abelian
+        assert list(hom.relation_images()) == [
+            (row, target.fold(zip(hom.images, row)))
+            for row in source.ab_relation_rows()]
 
 
-@pytest.mark.parametrize("group", SOURCES + [FreeGroup(2)],
-                         ids=lambda g: f"{g.kind}{g.ngens}")
+@pytest.mark.parametrize("group", SOURCES, ids=lambda g: f"{g.kind}{g.ngens}")
 def test_word_runs_spell_the_canonical_word(group):
     rng = random.Random(33)
     for _ in range(20):
@@ -122,3 +132,49 @@ def test_abelian_format_element_matches_word_rendering(g):
         runs = groupby(word_of(g, x), key=lambda letter: letter[0])
         assert g.format_element(x) == format_terms(
             (sum(s for _, s in run), g.names[i]) for i, run in runs)
+
+
+# -- the value cache -------------------------------------------------------------
+
+def test_value_cache_is_keyed_by_element_and_skips_unhashable_input(monkeypatch):
+    src, tgt = FgAbelianGroup(2, [[0, 4]]), FreeNil2Group(2)
+    h = GroupHom(src, tgt, [tgt.gen(0), tgt.gen(1)])
+    folds = []
+    fold = GroupHom._fold_canonical
+    monkeypatch.setattr(GroupHom, "_fold_canonical",
+                        lambda hom, x: folds.append(x) or fold(hom, x))
+    x = (3, 5)
+    value = h(x)
+    assert h(x) is value and len(folds) == 1
+    assert h(list(x)) == value and len(folds) == 2
+    assert list(h._values) == [x]
+    # (3, 5) and (3, 1) are the same element: a second key, the same value
+    assert h((3, 1)) == value
+
+
+def test_derived_maps_start_with_an_empty_cache():
+    g = FreeAbelianGroup(2)
+    h = GroupHom(g, g, [(1, 1), (0, 1)])  # the shear (a, b) -> (a, a + b)
+    x = (2, 3)
+    assert h(x) == (2, 5) and h.at_generator(0) == (1, 1)
+    swapped = h.with_image(0, (0, 5))
+    assert swapped(x) == GroupHom(g, g, [(0, 5), (0, 1)])(x) == (0, 13)
+    assert swapped.at_generator(0) == (0, 5)
+    assert h.then(h)(x) == h.power(2)(x) == h(h(x)) == (2, 7)
+    assert h.power(3).at_generator(0) == (1, 3)
+    assert h(x) == (2, 5) and h.at_generator(0) == (1, 1)
+
+
+def test_at_generator_and_call_share_the_value_at_the_canonical_generator():
+    # Z^2 / <(1, 2)> with images that kill no relation: the value at the
+    # canonical generator (0, -2) is not images[0], in whichever order the
+    # two entry points are called
+    src, tgt = FgAbelianGroup(2, [[1, 2]]), FreeNil2Group(2)
+    for at_first in (True, False):
+        h = GroupHom(src, tgt, [tgt.gen(0), tgt.gen(1)])
+        g0 = src.generators()[0]
+        first, second = ((h.at_generator(0), h(g0)) if at_first
+                         else (h(g0), h.at_generator(0)))
+        assert first is second
+        assert first == letter_eval(h, g0) == tgt.pow(tgt.gen(1), -2)
+        assert first != h.images[0]

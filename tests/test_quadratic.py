@@ -285,3 +285,30 @@ def test_rq_homotopy_with_noncentral_d3_is_unsupported():
                        GroupHom.identity(q.q4))
     with pytest.raises(ValueError, match="not central at generator e3"):
         rq_homotopy_decision(ident, ident)
+
+
+def nonabelian_omega_module():
+    """Q2 free nil(2) on x, y and Q3 free nil(2) of rank 3, omega sending
+    the four basis tensors to elements that do not commute, d3 = 0: sums of
+    omega values then depend on their order."""
+    q2, q3 = FreeNil2Group(2, names=("x", "y")), FreeNil2Group(3)
+    g = q3.generators()
+    omega = ((g[0], q3.op(g[1], g[2])), (q3.op(g[2], g[0]), q3.inv(g[1])))
+    return ReducedQuadraticModule(q2, q3, omega, GroupHom.zero(q3, q2))
+
+
+@pytest.mark.parametrize("name", ["D", "Q", "nonabelian"])
+def test_omega_outer_is_omega_of_the_outer_tensor(sphere_d, cylinder_q, name):
+    q = {"D": sphere_d.rqm, "Q": cylinder_q.rqm,
+         "nonabelian": nonabelian_omega_module()}[name]
+    assert q.q3.is_abelian == (name != "nonabelian")
+    n, rng = q.q2.ngens, random.Random(41)
+    for _ in range(100):
+        u, v = ([rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
+                for _ in range(2))
+        assert q.omega_outer(u, v) == q.omega_apply(TensorElement.outer(u, v)), (u, v)
+    for u, v in (((1,) * n, (1,) * (n + 1)), ((1,) * (n + 1), (1,) * (n + 1))):
+        with pytest.raises(ValueError) as want:
+            q.omega_apply(TensorElement.outer(u, v))
+        with pytest.raises(ValueError, match=str(want.value)):
+            q.omega_outer(u, v)
