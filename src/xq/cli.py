@@ -1,10 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 all checks passed / homotopy found; 1 a check failed or no
-homotopy exists; 2 usage or file errors, or a homotopy question outside the
-linear route (a target whose d3 is not central on generators).  Sampling
-seeds default to the XQ_SEED environment variable so repeated runs are
-byte-identical.
+homotopy exists; 2 a usage error, an input file that cannot be read or is
+malformed, an output path that cannot be written, or a homotopy question
+outside the linear route (a target whose d3 is not central on generators).
+Sampling seeds default to the XQ_SEED environment variable so repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,12 +21,6 @@ from .monoid import (M_NAMES, mbar_check_structure, mbar_elements,
 # benchmark's tracer wraps it at every site that binds it, this one included
 from .quadratic import qcm_check
 from .sphere import classification_report
-
-
-def _write_out(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _read(path: str) -> dict:
@@ -64,7 +59,8 @@ def _cmd_check(args) -> int:
     raw, structure = _load(args.file)
     rep = structure.check(samples=args.samples, seed=args.seed)
     sys.stdout.write(rep.text())
-    _write_out(args.out, rep.to_json())
+    if args.out:
+        sf.write_text(args.out, rep.to_json())
     return 0 if rep.ok else 1
 
 
@@ -96,11 +92,13 @@ def _cmd_homotopic(args) -> int:
         if not chk.ok:
             sys.stdout.write(f"morphism {label} is not valid:\n")
             sys.stdout.write(chk.text())
-            _write_out(args.out, chk.to_json())
+            if args.out:
+                sf.write_text(args.out, chk.to_json())
             return 1
     witness, rep = spec.decide(f, g)
     sys.stdout.write(rep.text())
-    _write_out(args.out, rep.to_json())
+    if args.out:
+        sf.write_text(args.out, rep.to_json())
     if witness is None:
         return 1
     if args.witness:
@@ -110,7 +108,7 @@ def _cmd_homotopic(args) -> int:
                         "f": f_raw["body"]["maps"],
                         "g": g_raw["body"]["maps"],
                         "witness": witness.to_json(target)}}
-        _write_out(args.witness, sf.serialize_structure(obj))
+        sf.write_text(args.witness, sf.serialize_structure(obj))
     return 0
 
 
@@ -134,11 +132,8 @@ def _cmd_monoid(args) -> int:
                   for label, row in zip(labels, table)]
         sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
-        obj = rep.to_json_obj()
-        obj["m_table"] = dict(zip(M_NAMES, m_table))
-        obj["elements"] = labels
-        obj["table"] = table
-        _write_out(args.out, sf.serialize_structure(obj))
+        sf.write_text(args.out, rep.to_json(m_table=dict(zip(M_NAMES, m_table)),
+                                            elements=labels, table=table))
     return 0 if rep.ok else 1
 
 
@@ -146,10 +141,8 @@ def _cmd_classify(args) -> int:
     rep = classification_report(ab_range=args.ab_range, r_bound=args.r_bound)
     sys.stdout.write(rep.text())
     if args.out:
-        obj = rep.to_json_obj()
-        obj["classes"] = rep.meta["classes"]
-        obj["count"] = rep.meta["count"]
-        _write_out(args.out, sf.serialize_structure(obj))
+        sf.write_text(args.out, rep.to_json(classes=rep.meta["classes"],
+                                            count=rep.meta["count"]))
     return 0 if rep.ok else 1
 
 
@@ -158,7 +151,8 @@ def _cmd_count(args) -> int:
     sys.stdout.write(rep.text())
     sys.stdout.write("diagonal-fixing self-map classes of S^2 x S^2: "
                      f"{rep.meta['count']}\n")
-    _write_out(args.out, rep.to_json())
+    if args.out:
+        sf.write_text(args.out, rep.to_json())
     return 0 if rep.ok else 1
 
 

@@ -22,16 +22,19 @@ from typing import Any, Iterable
 SAFE_INT = 2 ** 53
 
 
-def canonical_json(obj: Any) -> str:
+def canonical_json(obj: Any, quote_unsafe: bool = False) -> str:
     """The text of `json.dumps` with `sort_keys=True, indent=2`, plus a
     newline, written in one pass.  Dict keys must be str, lists and tuples
-    are arrays, and a key or value of any other type raises TypeError."""
+    are arrays, and a key or value of any other type raises TypeError.
+    With `quote_unsafe`, as for reports, an integer outside the 53-bit safe
+    range is written as its decimal string; structure files keep it a
+    number."""
     out: list[str] = []
-    _write(obj, out, "\n")
+    _write(obj, out, "\n", quote_unsafe)
     return "".join(out) + "\n"
 
 
-def _write(obj: Any, out: list[str], newline: str) -> None:
+def _write(obj: Any, out: list[str], newline: str, quote_unsafe: bool) -> None:
     """Append the text of obj to out, `newline` being a line break and the
     indent of the line obj starts on.  One call per nesting level, so that
     any nesting a structure file may have (`structfile.MAX_NESTING`) can be
@@ -40,7 +43,9 @@ def _write(obj: Any, out: list[str], newline: str) -> None:
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif type(obj) is int:
-        out.append(int.__repr__(obj))
+        text = int.__repr__(obj)
+        out.append('"' + text + '"' if quote_unsafe and not -SAFE_INT < obj < SAFE_INT
+                   else text)
     elif obj is True or obj is False or obj is None:
         out.append("true" if obj else "false" if obj is False else "null")
     elif isinstance(obj, dict):
@@ -49,17 +54,18 @@ def _write(obj: Any, out: list[str], newline: str) -> None:
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             out.append(sep + encode_basestring_ascii(k) + ": ")
-            _write(v, out, inner)
+            _write(v, out, inner, quote_unsafe)
             sep = "," + inner
         out.append(newline + "}" if obj else "{}")
-    elif isinstance(obj, (list, tuple)) and all(type(v) is int for v in obj):
+    elif isinstance(obj, (list, tuple)) and all(type(v) is int for v in obj) and not (
+            quote_unsafe and obj and (min(obj) <= -SAFE_INT or max(obj) >= SAFE_INT)):
         out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]"
                    if obj else "[]")
     elif isinstance(obj, (list, tuple)):
         sep = "[" + inner
         for v in obj:
             out.append(sep)
-            _write(v, out, inner)
+            _write(v, out, inner, quote_unsafe)
             sep = "," + inner
         out.append(newline + "]")
     else:  # floats and int subclasses as json writes them, or TypeError
@@ -72,31 +78,6 @@ def seed_from_env() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"XQ_SEED must be an integer, got {raw!r}")
-
-
-def encode_numbers(obj: Any) -> Any:
-    """obj with every integer outside the 53-bit safe range as its decimal
-    string.  Only the lists, tuples and dicts that hold such an integer,
-    at any depth, are rebuilt (a tuple as a list); everything else is
-    returned as it is, so a report without one is not copied."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return obj if -SAFE_INT < obj < SAFE_INT else str(obj)
-    if isinstance(obj, dict):
-        items = obj.items()
-    elif isinstance(obj, (list, tuple)):
-        items = enumerate(obj)
-    else:
-        return obj
-    out = None
-    for k, v in items:
-        e = encode_numbers(v)
-        if e is not v:
-            if out is None:
-                out = dict(obj) if isinstance(obj, dict) else list(obj)
-            out[k] = e
-    return obj if out is None else out
 
 
 class Undefined(ValueError):
@@ -169,6 +150,9 @@ class Report:
         return [c for c in self.checks if not c.passed]
 
     def to_json_obj(self) -> dict:
+        """The report as a JSON object.  Its lists and dicts below the top
+        level are the report's own, not copies, and its integers are not
+        encoded: `to_json` quotes the unsafe ones as it writes."""
         out: dict[str, Any] = {
             "title": self.title,
             "ok": self.ok,
@@ -182,10 +166,13 @@ class Report:
             out["obstructions"] = self.obstructions
         if self.meta:
             out["meta"] = self.meta
-        return encode_numbers(out)
+        return out
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_obj())
+    def to_json(self, **extra: Any) -> str:
+        """The canonical text of `to_json_obj()` with the entries of
+        `extra` added, integers outside the 53-bit safe range as decimal
+        strings."""
+        return canonical_json({**self.to_json_obj(), **extra}, quote_unsafe=True)
 
     def text(self) -> str:
         lines = [self.title]

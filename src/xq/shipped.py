@@ -11,7 +11,7 @@ import sys
 
 from .sphere import build_cylinder_Q, build_sphere_D, retraction_candidate
 from .structfile import (morphism_structure, pair_structure, rqc4_structure,
-                         serialize_structure)
+                         serialize_structure, write_text)
 
 
 def shipped_structures() -> dict[str, dict]:
@@ -32,8 +32,7 @@ def write_shipped(dirpath: str) -> list[str]:
     written = []
     for name, obj in sorted(shipped_structures().items()):
         path = os.path.join(dirpath, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_structure(obj))
+        write_text(path, serialize_structure(obj))
         written.append(path)
     return written
 

@@ -13,7 +13,9 @@ files.
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
@@ -125,6 +127,35 @@ def _nesting(text: str) -> int:
 def serialize_structure(obj: dict) -> str:
     """Canonical text: sorted keys, two-space indent, trailing newline."""
     return canonical_json(obj)
+
+
+def write_text(path: str, text: str) -> None:
+    """Leave the file at path holding exactly `text`, in UTF-8.
+
+    The file is opened without O_TRUNC and overwritten in place, and a
+    regular file is then cut at the end of what was written.  Emptying it
+    first frees its blocks, and on ext4 the close after that starts
+    writeback: on an ext4 root mounted with `discard`, rewriting a 900-byte
+    file cost 115-155 us that way against 6-18 us in place.  A pipe or
+    device, such as /dev/stdout, is written and not truncated.  A symlink
+    is followed, and a new file gets mode 0o666 less the umask, as a
+    text-mode open for writing gives.  Any OSError is a StructureError
+    naming the path; the descriptor is closed either way.  A write cut
+    short leaves the new text's prefix over the old file's tail; the
+    README says when that can still read as JSON."""
+    data = text.encode("utf-8")
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+    except OSError as e:
+        raise StructureError(f"cannot write {path}: {e.strerror or e}")
 
 
 # -- element / map level ------------------------------------------------------

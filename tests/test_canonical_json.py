@@ -1,6 +1,7 @@
 """`report.canonical_json` against the standard library's indented text, and
 the pinned bytes of the files `xq` writes through it."""
 
+import copy
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import random
 
 import pytest
 
+from xq import cli
 from xq.cli import run
 from xq.report import SAFE_INT, Report, canonical_json
 
@@ -152,25 +154,82 @@ def stringify_all(obj):
     return obj
 
 
-def test_report_json_stringifies_unsafe_integers_and_copies_only_their_containers():
+def unsafe_report(title: str = "unsafe integers") -> Report:
+    """A report holding 2^53 - 1, 2^53 and -2^53 in meta, witnesses and
+    obstructions, in lists, tuples and nested dicts."""
     edge = (SAFE_INT - 1, SAFE_INT, -SAFE_INT)
-    rep = Report("unsafe integers")
+    rep = Report(title)
     rep.add("c", True)
-    rep.meta.update(edge=list(edge), small=[1, (2, 3)], deep={"x": [[0, edge[1]]]})
+    rep.meta.update(edge=list(edge), small=[1, (2, 3)], deep={"x": [[0, edge[1]]]},
+                    mixed=[edge[2], "s", edge[0]], tup=edge, lo=[0, -SAFE_INT],
+                    hi=[SAFE_INT, 0], near=[1 - SAFE_INT, SAFE_INT - 1])
     rep.witnesses = [{"r": edge[0], "v": (edge[2], 5)}, {"plain": [1, 2]}]
     rep.obstructions = [{"n": edge[1]}, {"t": (True, False, None, 1.5, "s")}]
-    before = stringify_all(rep.to_json_obj())
-    obj = rep.to_json_obj()
-    assert canonical_json(obj) == stdlib(before)
+    return rep
+
+
+def test_report_json_stringifies_unsafe_integers_and_leaves_the_report_as_it_is():
+    rep = unsafe_report()
+    before = copy.deepcopy(rep)
+    text = rep.to_json()
+    assert text == stdlib(stringify_all(rep.to_json_obj()))
+    obj = json.loads(text)
     assert obj["meta"]["edge"] == [SAFE_INT - 1, str(SAFE_INT), str(-SAFE_INT)]
-    assert obj["witnesses"][0]["v"] == [str(-SAFE_INT), 5]
-    # what holds no unsafe integer is the report's own object, and the
-    # report itself is unchanged
-    assert obj["meta"]["small"] is rep.meta["small"]
-    assert obj["witnesses"][1] is rep.witnesses[1]
-    assert obj["obstructions"][1] is rep.obstructions[1]
-    assert rep.meta["edge"] == list(edge) and rep.obstructions[0]["n"] == SAFE_INT
+    assert obj["meta"]["tup"] == obj["meta"]["edge"]
+    assert obj["meta"]["lo"] == [0, str(-SAFE_INT)] and obj["meta"]["hi"] == [str(SAFE_INT), 0]
+    assert obj["meta"]["near"] == [1 - SAFE_INT, SAFE_INT - 1]
+    assert obj["meta"]["deep"] == {"x": [[0, str(SAFE_INT)]]}
+    assert obj["witnesses"][0] == {"r": SAFE_INT - 1, "v": [str(-SAFE_INT), 5]}
+    assert obj["obstructions"][0] == {"n": str(SAFE_INT)}
+    assert rep == before
+    # nothing is encoded or copied before the writer
+    raw = rep.to_json_obj()
+    assert raw["meta"] is rep.meta and raw["witnesses"] is rep.witnesses
+    assert raw["obstructions"] is rep.obstructions
+    # the structure-file writer keeps every integer a number
+    assert canonical_json(raw) == stdlib(raw)
+    assert rep.to_json(extra=[SAFE_INT]) == stdlib(stringify_all({**raw, "extra": [SAFE_INT]}))
     safe = Report("safe")
-    safe.witnesses, safe.meta = [{"r": [1, 2]}], {"n": SAFE_INT - 1}
-    out = safe.to_json_obj()
-    assert out["witnesses"] is safe.witnesses and out["meta"] is safe.meta
+    safe.witnesses, safe.meta = [{"r": [1, 2]}], {"n": SAFE_INT - 1, "e": []}
+    assert safe.to_json() == stdlib(safe.to_json_obj())
+
+
+def test_classify_and_monoid_out_stringify_unsafe_integers(tmp_path, capsys, monkeypatch):
+    """`classify --out` and `monoid --out` add their entries to the report
+    and write the whole object through the report writer."""
+    rep = unsafe_report("classify")
+    rep.meta.update(classes=[{"members": [[SAFE_INT, -SAFE_INT, 0]]}], count=SAFE_INT)
+    monkeypatch.setattr(cli, "classification_report", lambda **kw: rep)
+    out = tmp_path / "c.json"
+    assert run(["s2xs2", "classify", "--out", str(out)]) == 0
+    assert out.read_text() == stdlib(stringify_all(
+        {**rep.to_json_obj(), "classes": rep.meta["classes"], "count": SAFE_INT}))
+    assert json.loads(out.read_text())["count"] == str(SAFE_INT)
+
+    mon = unsafe_report("monoid")
+    monkeypatch.setattr(cli, "mbar_check_structure", lambda: mon)
+    assert run(["s2xs2", "monoid", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    assert len(written["elements"]) == 16 and len(written["m_table"]) == 4
+    assert out.read_text() == stdlib(stringify_all(
+        {**mon.to_json_obj(), **{k: written[k] for k in ("m_table", "elements", "table")}}))
+    capsys.readouterr()
+
+
+def test_witness_file_keeps_unsafe_integers_as_numbers(structures_dir, tmp_path, capsys):
+    """r = 2^60 is a number in the witness, a structure file, and a string in
+    the report."""
+    with open(os.path.join(structures_dir, "retraction_pr1.json")) as fh:
+        g = json.load(fh)
+    g["body"]["maps"]["f3"]["images"][0] = [2 ** 60]
+    g_file, witness, report = tmp_path / "g.json", tmp_path / "w.json", tmp_path / "r.json"
+    g_file.write_text(json.dumps(g))
+    assert run(homotopic_pr1(structures_dir, str(g_file), witness)
+               + ["--out", str(report)]) == 0
+    capsys.readouterr()
+    text = witness.read_text()
+    assert str(2 ** 60) in text and f'"{2 ** 60}"' not in text
+    assert text == stdlib(json.loads(text))
+    assert json.loads(text)["body"]["g"]["f3"]["images"][0] == [2 ** 60]
+    assert f'"{2 ** 60}"' in report.read_text()
+    assert report.read_text() == stdlib(stringify_all(json.loads(report.read_text())))
