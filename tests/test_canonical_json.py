@@ -168,7 +168,7 @@ def unsafe_report(title: str = "unsafe integers") -> Report:
     return rep
 
 
-def test_report_json_stringifies_unsafe_integers_and_leaves_the_report_as_it_is():
+def test_report_json_stringifies_unsafe_integers_and_leaves_the_report_alone():
     rep = unsafe_report()
     before = copy.deepcopy(rep)
     text = rep.to_json()
