@@ -499,11 +499,17 @@ def generator_pairs(left: Group, right: Group, rng: random.Random, samples: int)
                for _ in range(samples)])
 
 
-def _coords(g: Group, x) -> Sequence[int]:
+def coords_of(g: Group, x) -> Sequence[int]:
     """g.ab(x) for x in g's normal form, without reducing an abelian x again."""
     if isinstance(g, FreeNil2Group):
         return x.base
     return g.ab(x) if isinstance(g, FreeGroup) else x
+
+
+def relation_lattice(g: Group) -> Lattice:
+    """The lattice of `ab_relation_rows`, modulo which coordinates are equal
+    in a group abelian as presented."""
+    return g.lattice if isinstance(g, FgAbelianGroup) else Lattice(g.ngens, g.ab_relation_rows())
 
 
 class GroupHom:
@@ -571,7 +577,8 @@ class GroupHom:
         not cached."""
         src, t, images = self.source, self.target, self.images
         if t.is_abelian:
-            return t.from_ab(self._image_product(_coords(src, x)))
+            c = coords_of(src, x)
+            return t.from_ab([sum(map(mul, row, c)) for row in self.matrix()])
         if isinstance(src, FreeNil2Group):
             runs, comm = enumerate(x.base), x.comm
         else:
@@ -580,28 +587,26 @@ class GroupHom:
                             ((t.commutator(images[i], images[j]), c)
                              for c, (i, j) in zip(comm, nil2.pair_list(src.ngens)) if c)))
 
-    def _image_product(self, coords: Sequence[int]) -> list[int]:
-        """M coords, M the matrix whose column i holds the coordinates of
-        images[i] in an abelian target."""
+    def matrix(self) -> list[tuple[int, ...]]:
+        """The rows of M, the matrix whose column i holds the coordinates of
+        images[i] (`coords_of`), built on first use and kept."""
         rows = self._rows
         if rows is None:
-            cols = [_coords(self.target, im) for im in self.images]
+            cols = [coords_of(self.target, im) for im in self.images]
             rows = self._rows = list(zip(*cols)) if cols else [()] * self.target.ngens
-        return [sum(map(mul, row, coords)) for row in rows]
+        return rows
+
+    def image_products(self, cols: Sequence[Sequence[int]]) -> list[list[int]]:
+        """M times the coordinate vectors cols, by rows: entry [k][j] is
+        coordinate k of M cols[j]."""
+        return [[sum(map(mul, row, c)) for c in cols] for row in self.matrix()]
 
     def at_generator(self, i: int):
-        """self(source.generators()[i]), from the same cache as `__call__`.
-
-        This is the value at the canonical generator, not `images[i]`: the
-        two differ when the generator's canonical form is not the unit
-        vector (an abelian source with relations) and the images do not
-        define a homomorphism.  The generator is canonical already, so it
-        is evaluated without passing through `source.canon` again."""
-        x = self.source.generators()[i]
-        value = self._values.get(x)
-        if value is None:
-            value = self._values[x] = self._fold_canonical(x)
-        return value
+        """self(source.generators()[i]), the value at the canonical generator.
+        It is not `images[i]` when the generator's canonical form is not the
+        unit vector (an abelian source with relations) and the images do not
+        define a homomorphism."""
+        return self(self.source.generators()[i])
 
     def with_image(self, i: int, x) -> "GroupHom":
         """This map with generator i sent to x; only x is canonicalized, the

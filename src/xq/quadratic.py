@@ -24,11 +24,13 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Sequence
 
 from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule,
                       ShiftedSolutions, peiffer_commutator)
-from .groups import FgAbelianGroup, Group, GroupHom, generator_pairs
+from .groups import (FgAbelianGroup, Group, GroupHom, coords_of, generator_pairs,
+                     relation_lattice)
 from .intlinalg import vec_neg, vec_sub
 from .report import Report, Undefined, seed_from_env
 from .tensor import TensorElement
@@ -231,11 +233,80 @@ class ReducedQuadraticComplex4:
     def omega_apply(self, t: TensorElement):
         return self.rqm.omega_apply(t)
 
-    def omega_outer(self, u: Sequence[int], v: Sequence[int]):
-        return self.rqm.omega_outer(u, v)
-
     def braces(self, x) -> tuple[int, ...]:
         return self.rqm.braces(x)
+
+    @functools.cached_property
+    def coords(self) -> "Coordinates":
+        """This complex's coordinate tables, built block by block on first
+        use and kept for as long as the complex."""
+        return Coordinates(self)
+
+
+class Coordinates:
+    """A complex's fixed data in coordinates (`coords_of`) for the equations
+    of `qcm_equations` and `rq_homotopy_equations`, each block built on
+    first use and kept for every morphism and witness from or into the
+    complex.  As a source: its generators, its maps at generators and its
+    omega symbols, which a morphism's image matrix multiplies; as a target:
+    its omega forms and under-map values (d3 and d4 keep their matrices on
+    the maps).  It holds the complex's parts, not the complex, so that the
+    two form no reference cycle and are freed by reference counting."""
+
+    def __init__(self, c: ReducedQuadraticComplex4):
+        self._groups = {2: c.q2, 3: c.q3, 4: c.q4}
+        self._d3, self._d4, self._omega, self._under = c.d3, c.d4, c.rqm.omega, c.under
+
+    @functools.cached_property
+    def generators(self) -> dict[int, list]:
+        return {k: [coords_of(grp, x) for x in grp.generators()]
+                for k, grp in self._groups.items()}
+
+    @functools.cached_property
+    def boundaries(self) -> list:
+        """d3 at the generators of Q3, as elements (for `Alpha2`)."""
+        return [self._d3.at_generator(i) for i in range(self._d3.source.ngens)]
+
+    @functools.cached_property
+    def d3(self) -> list:
+        return [coords_of(self._groups[2], x) for x in self.boundaries]
+
+    @functools.cached_property
+    def d4(self) -> list:
+        return list(_at_generators(self._d4))
+
+    @functools.cached_property
+    def under(self) -> dict[int, list]:
+        """Degree -> the under-object's map at the base's generators."""
+        u = self._under
+        return {k: list(_at_generators(h)) for k, h in ((2, u.q2), (3, u.q3), (4, u.q4))}
+
+    @functools.cached_property
+    def under_rows(self) -> dict[int, list]:
+        return {k: _as_rows(cols, self._groups[k].ngens) for k, cols in self.under.items()}
+
+    @functools.cached_property
+    def omega(self) -> list:
+        """omega on c_i (x) c_j, in row-major order."""
+        return [coords_of(self._groups[3], w) for row in self._omega for w in row]
+
+    @functools.cached_property
+    def omega_forms(self) -> list:
+        """For each coordinate k of Q3, the matrix of omega_ij's k-th one."""
+        n = len(self._omega)
+        return [[[w[k] for w in self.omega[i * n:(i + 1) * n]] for i in range(n)]
+                for k in range(self._groups[3].ngens)]
+
+    def omega_outer(self, vectors: list) -> list:
+        """omega({u} (x) {v}) for all pairs of vectors, in row-major order,
+        as the rows of a matrix with one column per pair: coordinate k is
+        u B_k v, B_k the k-th of `omega_forms`, as the fold of u_i v_j
+        omega_ij (`ReducedQuadraticModule.omega_outer`) before reduction."""
+        out = []
+        for form in self.omega_forms:
+            images = [[sum(map(mul, row, v)) for row in form] for v in vectors]
+            out.append([sum(map(mul, u, bv)) for u in vectors for bv in images])
+        return out
 
 
 def complex_from_rqm(rqm: ReducedQuadraticModule, name: str = "reduced quadratic 4-complex"
@@ -262,74 +333,146 @@ class QCMorphism:
 
 
 def qcm_equations(m: QCMorphism):
-    """The conditions on a morphism, in report order, as
-    (check id, map, group, equations).
+    """The conditions on a morphism, in report order, as (check id, map,
+    group, equations), the under-checks only when both sides carry
+    cofibrations from the same base.  The sides read the maps as evaluating
+    them on elements does, at the canonical generators.
 
-    Each equation is (lhs, rhs, message): two elements of the group that must
-    be equal, and the message reported when they are not.  The equations are
-    produced lazily.  For the three `*_is_homomorphism` checks the map is
-    given and the equations are its relation rows; `GroupHom.check_hom`
-    decides them, adding the nil(2) laws when the target is not nil(2) by
-    construction.  The under-checks appear only when both sides carry
-    cofibrations from the same base.
-
-    Every map is read at generators through `GroupHom.at_generator`: the
-    boundary maps and the under-object's maps belong to the two complexes,
-    so checking many morphisms between them evaluates those once.
+    In a group abelian as presented the equations of a check are one
+    `CoordinateEquations`: the maps' image matrices times the blocks of
+    the complexes' `Coordinates`, which are tabled once per complex, so per
+    morphism an equation costs a few integer products.  A
+    `*_is_homomorphism` check there has the relation rows as equations,
+    which is all `GroupHom.check_hom` tests into such a target.  In any
+    other group the equations are lazy (lhs, rhs, message) triples of
+    elements, and a `*_is_homomorphism` check gives the map, for
+    `check_hom`.
     """
     src, tgt = m.source, m.target
     for name, h in (("f2", m.f2), ("f3", m.f3), ("f4", m.f4)):
-        yield (f"{name}_is_homomorphism", h, h.target,
-               ((img, h.target.identity(),
-                 f"relation {list(row)} maps to a non-identity element")
-                for row, img in h.relation_images()))
-    yield "square_d3", None, tgt.q2, (
-        (m.f2(src.d3.at_generator(i)), tgt.d3(m.f3.at_generator(i)),
-         f"f2 d3 != d3' f3 at generator {src.q3.names[i]}")
-        for i in range(src.q3.ngens))
-    yield "square_d4", None, tgt.q3, (
-        (m.f3(src.d4.at_generator(i)), tgt.d4(m.f4.at_generator(i)),
-         f"f3 d4 != d4' f4 at generator {src.q4.names[i]}")
-        for i in range(src.q4.ngens))
-    n = src.q2.ngens
-    yield "square_omega", None, tgt.q3, (
-        (m.f3(src.rqm.omega[i][j]),
-         tgt.omega_outer(tgt.braces(m.f2.images[i]), tgt.braces(m.f2.images[j])),
-         f"f3 omega != omega' (f2^ab (x) f2^ab) at basis ({i},{j})")
-        for i in range(n) for j in range(n))
+        yield _hom_equations(f"{name}_is_homomorphism", h)
+    s, t, n = src.coords, tgt.coords, src.q2.ngens
+    yield _check(
+        "square_d3", tgt.q2, src.q3.ngens,
+        lambda i: f"f2 d3 != d3' f3 at generator {src.q3.names[i]}",
+        lambda: (m.f2.image_products(s.d3), _image(tgt.d3, _at_generators(m.f3))),
+        lambda i: (m.f2(src.d3.at_generator(i)), tgt.d3(m.f3.at_generator(i))))
+    yield _check(
+        "square_d4", tgt.q3, src.q4.ngens,
+        lambda i: f"f3 d4 != d4' f4 at generator {src.q4.names[i]}",
+        lambda: (m.f3.image_products(s.d4), _image(tgt.d4, _at_generators(m.f4))),
+        lambda i: (m.f3(src.d4.at_generator(i)), tgt.d4(m.f4.at_generator(i))))
+    yield _check(
+        "square_omega", tgt.q3, n * n,
+        lambda k: f"f3 omega != omega' (f2^ab (x) f2^ab) at basis ({k // n},{k % n})",
+        lambda: (m.f3.image_products(s.omega),
+                 t.omega_outer([coords_of(tgt.q2, im) for im in m.f2.images])),
+        lambda k: (m.f3(src.rqm.omega[k // n][k % n]),
+                   tgt.rqm.omega_outer(*(tgt.braces(m.f2.images[i]) for i in divmod(k, n)))))
     if (src.under is None or tgt.under is None
             or src.under.base.q2 != tgt.under.base.q2):
         return
     for deg, fh, grp, qs, qt in ((2, m.f2, tgt.q2, src.under.q2, tgt.under.q2),
                                  (3, m.f3, tgt.q3, src.under.q3, tgt.under.q3),
                                  (4, m.f4, tgt.q4, src.under.q4, tgt.under.q4)):
-        yield f"under_degree{deg}", None, grp, (
-            (fh(qs.at_generator(j)), qt.at_generator(j),
-             f"f does not commute with the cofibration in degree {deg}")
-            for j in range(qs.source.ngens))
+        yield _check(
+            f"under_degree{deg}", grp, qs.source.ngens,
+            lambda _, deg=deg: f"f does not commute with the cofibration in degree {deg}",
+            lambda deg=deg, fh=fh: (fh.image_products(s.under[deg]), t.under_rows[deg]),
+            lambda j, fh=fh, qs=qs, qt=qt: (fh(qs.at_generator(j)), qt.at_generator(j)))
 
 
-def qcm_check(m: QCMorphism, samples: int = 50, seed: int | None = None) -> Report:
-    """Boundary squares, omega compatibility, and under-object agreement.
+class CoordinateEquations:
+    """The equations of one check in a group abelian as presented: lhs and
+    rhs are matrices by rows, one row per coordinate and one column per
+    equation, rhs None for 0.  Equation j holds when column j of lhs - rhs
+    lies in the relation lattice; `message(j)` reports it when not."""
 
-    The equations read each map at the canonical source generators through
-    `GroupHom.at_generator`, which keeps on the hom the value the map gives
-    there.  So they compare the elements that evaluating every map afresh
-    compares, and the boundary and under-object maps, which belong to the
-    complexes, are evaluated once however many morphisms between the same
-    two complexes are checked.
-    """
-    if seed is None:
-        seed = seed_from_env()
-    rep = Report("quadratic complex morphism", basis="proved")
-    rep.meta.update(seed=seed, samples=samples)
-    for check_id, h, grp, equations in qcm_equations(m):
+    def __init__(self, grp: Group, lhs: list, rhs: list | None, message):
+        self.grp, self.lhs, self.rhs, self.message = grp, lhs, rhs, message
+
+    def columns(self) -> list:
+        """lhs - rhs of each equation (none in a group of rank 0)."""
+        if self.rhs is None:
+            return list(zip(*self.lhs))
+        return list(zip(*(map(sub, a, b) for a, b in zip(self.lhs, self.rhs))))
+
+    def failures(self):
+        """The messages of the failing equations, lazily, in order; nothing
+        is reduced when the sides are equal."""
+        if self.lhs != self.rhs if self.rhs is not None else any(map(any, self.lhs)):
+            lattice = relation_lattice(self.grp)
+            yield from (self.message(j) for j, d in enumerate(self.columns())
+                        if any(d) and any(lattice.reduce(d)))
+
+
+def _check(check_id: str, grp: Group, count: int, message, coords, elements) -> tuple:
+    """A check of `count` equations in grp: `CoordinateEquations` of the
+    matrices coords() when grp is abelian as presented, else lazy triples
+    of the elements elements(i)."""
+    if grp.is_abelian:
+        return check_id, None, grp, CoordinateEquations(grp, *coords(), message)
+    return check_id, None, grp, ((*elements(i), message(i)) for i in range(count))
+
+
+def _hom_equations(check_id: str, h: GroupHom) -> tuple:
+    """The check that h is a homomorphism: its relation rows in coordinates
+    into an abelian target (where `GroupHom.check_hom` tests nothing more),
+    else the map itself."""
+    rows, t = h.source.ab_relation_rows(), h.target
+    if not t.is_abelian:
+        return check_id, h, t, ()
+    return check_id, None, t, CoordinateEquations(
+        t, h.image_products(rows), None,
+        lambda j: f"relation {list(rows[j])} maps to a non-identity element")
+
+
+def _as_rows(columns: list, dim: int) -> list:
+    """The matrix with these columns of `dim` coordinates, by rows."""
+    return [list(r) for r in zip(*columns)] if columns else [[] for _ in range(dim)]
+
+
+def _plus(a: list, b: list | None) -> list:
+    """a + b for matrices by rows, b None for 0."""
+    return a if b is None else [list(map(add, x, y)) for x, y in zip(a, b)]
+
+
+def _image(h: GroupHom, cols) -> list | None:
+    """h's image matrix times the coordinate vectors cols, by rows; None,
+    for 0 and without reading cols, when the matrix is 0."""
+    return h.image_products(list(cols)) if any(map(any, h.matrix())) else None
+
+
+def _at_generators(h: GroupHom):
+    """The coordinates of h at the canonical generators, lazily."""
+    return (coords_of(h.target, h.at_generator(i)) for i in range(h.source.ngens))
+
+
+def decide(rep: Report, checks) -> Report:
+    """Record (check id, map, group, equations) checks in order: a given
+    map by `Report.add_hom`, equations by their first failure."""
+    for check_id, h, grp, equations in checks:
         if h is not None:
             rep.add_hom(check_id, h)
+        elif isinstance(equations, CoordinateEquations):
+            witness = next(equations.failures(), None)
+            rep.add(check_id, witness is None, witness)
         else:
             rep.first_failure(check_id, (msg for lhs, rhs, msg in equations
                                          if not grp.eq(lhs, rhs)))
     return rep
+
+
+def qcm_check(m: QCMorphism, samples: int = 50, seed: int | None = None) -> Report:
+    """Boundary squares, omega compatibility, and under-object agreement:
+    the equations of `qcm_equations`, decided in order (`decide`).  Per
+    morphism a check in an abelian group costs its image products over the
+    complexes' tables and one comparison of its sides."""
+    if seed is None:
+        seed = seed_from_env()
+    rep = Report("quadratic complex morphism", basis="proved")
+    rep.meta.update(seed=seed, samples=samples)
+    return decide(rep, qcm_equations(m))
 
 
 def rqc4_check(c: ReducedQuadraticComplex4, samples: int = 200,
@@ -566,53 +709,72 @@ def alpha2_extend(values: Sequence, f: QCMorphism, g: QCMorphism, x):
     return Alpha2(f, g)(GroupHom(f.source.q2, f.target.q3, values), x)
 
 
-def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy) -> Report:
-    """Re-check a homotopy witness equation by equation on generators.
-
-    Every map is read at the canonical source generators through
-    `GroupHom.at_generator`, which keeps on the hom the value the map gives
-    there, so each equation compares the elements that evaluating every map
-    afresh compares.  d3, d4 and the under-object's maps belong to the
-    source complex, so verifying many witnesses from one source evaluates
-    them once.  alpha2 is evaluated in closed form (`Alpha2`), built once
-    per call.
-    """
-    rep = Report("quadratic homotopy certificate", basis="proved")
+def rq_homotopy_equations(f: QCMorphism, g: QCMorphism, h: QCHomotopy):
+    """The equations of a homotopy witness on generators, in report order,
+    listed as `qcm_equations` lists a morphism's; in coordinates -f x + g x
+    = y reads g x = f x + y.  alpha2 is `Alpha2`, built once per call."""
     src, tgt = f.source, f.target
+    q2, q3, q4 = tgt.q2, tgt.q3, tgt.q4
     alpha3 = h.alpha3_hom(src, tgt)
-    alpha2, values = Alpha2(f, g), GroupHom(src.q2, tgt.q3, h.alpha2)
-    rep.add_hom("alpha3_is_homomorphism", alpha3)
-    rep.first_failure("homotopy_degree2",
-                      (f"-f2 + g2 != d3' alpha2 at generator {src.q2.names[i]}"
-                       for i in range(src.q2.ngens)
-                       if not tgt.q2.eq(tgt.q2.op(tgt.q2.inv(f.f2.at_generator(i)),
-                                                  g.f2.at_generator(i)),
-                                        tgt.d3(h.alpha2[i]))))
-    rep.first_failure("homotopy_degree3",
-                      (f"-f3 + g3 != d4' alpha3 + alpha2 d3 at generator {src.q3.names[i]}"
-                       for i in range(src.q3.ngens)
-                       if not tgt.q3.eq(tgt.q3.op(tgt.q3.inv(f.f3.at_generator(i)),
-                                                  g.f3.at_generator(i)),
-                                        tgt.q3.op(tgt.d4(alpha3.at_generator(i)),
-                                                  alpha2(values, src.d3.at_generator(i))))))
-    rep.first_failure("homotopy_degree4",
-                      (f"-f4 + g4 != alpha3 d4 at generator {src.q4.names[i]}"
-                       for i in range(src.q4.ngens)
-                       if not tgt.q4.eq(tgt.q4.op(tgt.q4.inv(f.f4.at_generator(i)),
-                                                  g.f4.at_generator(i)),
-                                        alpha3(src.d4.at_generator(i)))))
-    if src.under is not None:
-        base, under = src.under.base, src.under
-        rep.first_failure("alpha2_vanishes_on_under",
-                          (f"alpha2 does not vanish on {base.q2.format_element(z)}"
-                           for j, z in enumerate(base.q2.generators())
-                           if not tgt.q3.is_identity(
-                               alpha2(values, under.q2.at_generator(j)))))
-        rep.first_failure("alpha3_vanishes_on_under",
-                          (f"alpha3 does not vanish on {base.q3.format_element(z)}"
-                           for j, z in enumerate(base.q3.generators())
-                           if not tgt.q4.is_identity(alpha3(under.q3.at_generator(j)))))
-    return rep
+    alpha2, values = Alpha2(f, g), GroupHom(src.q2, q3, h.alpha2)
+    s = src.coords
+    yield _hom_equations("alpha3_is_homomorphism", alpha3)
+
+    def alpha2_at(xs: list, columns: list) -> list:
+        """alpha2 at xs, of coordinates columns, by rows (`Alpha2`)."""
+        corrections = [coords_of(q3, alpha2.correction(x)) for x in xs]
+        return _plus(values.image_products(columns), _as_rows(corrections, q3.ngens)
+                     if any(map(any, corrections)) else None)
+
+    def moved(k: int, fk: GroupHom, gk: GroupHom, by) -> tuple:
+        """(gk, fk + by) at the generators of degree k, by rows."""
+        x = s.generators[k]
+        return gk.image_products(x), _plus(fk.image_products(x), by)
+
+    yield _check(
+        "homotopy_degree2", q2, src.q2.ngens,
+        lambda i: f"-f2 + g2 != d3' alpha2 at generator {src.q2.names[i]}",
+        lambda: moved(2, f.f2, g.f2,
+                      _image(tgt.d3, (coords_of(q3, a) for a in values.images))),
+        lambda i: (q2.op(q2.inv(f.f2.at_generator(i)), g.f2.at_generator(i)),
+                   tgt.d3(values.images[i])))
+    yield _check(
+        "homotopy_degree3", q3, src.q3.ngens,
+        lambda i: f"-f3 + g3 != d4' alpha3 + alpha2 d3 at generator {src.q3.names[i]}",
+        lambda: moved(3, f.f3, g.f3, _plus(
+            alpha2_at(s.boundaries, s.d3), _image(tgt.d4, _at_generators(alpha3)))),
+        lambda i: (q3.op(q3.inv(f.f3.at_generator(i)), g.f3.at_generator(i)),
+                   q3.op(tgt.d4(alpha3.at_generator(i)), alpha2(values, src.d3.at_generator(i)))))
+    yield _check(
+        "homotopy_degree4", q4, src.q4.ngens,
+        lambda i: f"-f4 + g4 != alpha3 d4 at generator {src.q4.names[i]}",
+        lambda: moved(4, f.f4, g.f4, alpha3.image_products(s.d4)),
+        lambda i: (q4.op(q4.inv(f.f4.at_generator(i)), g.f4.at_generator(i)),
+                   alpha3(src.d4.at_generator(i))))
+    if src.under is None:
+        return
+    base, under = src.under.base, src.under
+    yield _check(
+        "alpha2_vanishes_on_under", q3, base.q2.ngens,
+        lambda j: f"alpha2 does not vanish on {base.q2.format_element(base.q2.generators()[j])}",
+        lambda: (alpha2_at([under.q2.at_generator(j) for j in range(base.q2.ngens)],
+                           s.under[2]), None),
+        lambda j: (alpha2(values, under.q2.at_generator(j)), q3.identity()))
+    yield _check(
+        "alpha3_vanishes_on_under", q4, base.q3.ngens,
+        lambda j: f"alpha3 does not vanish on {base.q3.format_element(base.q3.generators()[j])}",
+        lambda: (alpha3.image_products(s.under[3]), None),
+        lambda j: (alpha3(under.q3.at_generator(j)), q4.identity()))
+
+
+def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy) -> Report:
+    """Re-check a homotopy witness equation by equation on generators: the
+    equations of `rq_homotopy_equations`, decided as `qcm_check` decides a
+    morphism's.  The source's tables are built once for every witness from
+    it; per call the values are canonicalized into alpha2 and alpha3,
+    `Alpha2` is built, and each check costs as in `qcm_check`."""
+    return decide(Report("quadratic homotopy certificate", basis="proved"),
+                  rq_homotopy_equations(f, g, h))
 
 
 def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from .groups import FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, Group, GroupHom
-from .intlinalg import Lattice, ZSystem, vec_neg, vec_sub
+from .intlinalg import Lattice, ZSystem, vec_neg
 from .monoid import mbar_elements
 from .quadratic import (QCHomotopy, QCMorphism, ReducedQuadraticComplex4,
                         ReducedQuadraticModule, UnderCofibration, qcm_check,
@@ -136,15 +136,11 @@ def solve_homology_constraints() -> tuple[list[tuple[int, int, int]], Report]:
 def retraction_candidate(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex4,
                          a: int, b: int, r: int) -> QCMorphism:
     """The candidate retraction with f2 = (e, a e, b e) and f3(e3) = r w(e,e);
-    the omega-symbol images are forced by omega compatibility."""
-    f2_images = [d.q2.gen(0), d.q2.pow(d.q2.gen(0), a), d.q2.pow(d.q2.gen(0), b)]
-    f2 = GroupHom(q.q2, d.q2, f2_images)
-    f3_images = [d.q3.pow(d.q3.gen(0), r)]
-    for i in range(3):
-        for j in range(3):
-            forced = d.omega_outer(d.braces(f2_images[i]), d.braces(f2_images[j]))
-            f3_images.append(forced)
-    f3 = GroupHom(q.q3, d.q3, f3_images)
+    the omega-symbol images are forced by omega compatibility, read from D's
+    omega table (`Coordinates.omega_outer`), so D3 must be abelian."""
+    f2 = GroupHom(q.q2, d.q2, [d.q2.pow(d.q2.gen(0), k) for k in (1, a, b)])
+    forced = zip(*d.coords.omega_outer([d.braces(x) for x in f2.images]))
+    f3 = GroupHom(q.q3, d.q3, [d.q3.pow(d.q3.gen(0), r)] + list(map(d.q3.from_ab, forced)))
     f4 = GroupHom.zero(q.q4, d.q4)
     return QCMorphism(q, d, f2, f3, f4, tag=(a, b, r))
 
@@ -239,10 +235,11 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     members r1 and r1 + s, then s S vanishes, and so does the defect at
     every member r1 + k s.  Only at members: torsion in the rows can kill
     s S but not S (the Z/6 doubling target of the tests has s = 3).  The
-    third member guards the claim that the defect is affine in r.  Cost: 8
-    probes, one `ZSystem` solve, one `reduce` per visited point, one
-    `retraction_candidate` per r-family, and 3 `qcm_check`s per family; the
-    visited points and the members kept grow with the box.
+    third member guards the claim that the defect is affine in r.  Cost:
+    Q's and D's coordinate tables once; per probe, a candidate and image
+    products over them (`CoordinateEquations`); one `ZSystem` solve, one
+    `reduce` per visited point, and per r-family one `retraction_candidate`
+    and 3 `qcm_check`s; the visited points and members grow with the box.
 
     Raises ValueError when the target has no abelian coordinates in degrees
     2, 3 or 4 or the fit misses its guard, and RuntimeError, naming the
@@ -253,11 +250,12 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
                          "target in degrees 2, 3 and 4")
 
     def defects(a, b, r):
-        """(check id, message, group, lhs - rhs in coordinates) per equation."""
-        return [(check_id, message, grp, vec_sub(grp.ab(lhs), grp.ab(rhs)))
-                for check_id, _, grp, eqs in qcm_equations(
-                    retraction_candidate(q, d, a, b, r))
-                for lhs, rhs, message in eqs]
+        """(check id, equations, index, lhs - rhs) per equation: every
+        target group is abelian, so every check's equations are
+        `CoordinateEquations`, read by column."""
+        return [(check_id, eqs, j, vec)
+                for check_id, _, _, eqs in qcm_equations(retraction_candidate(q, d, a, b, r))
+                for j, vec in enumerate(eqs.columns())]
 
     probes = [defects(a, b, 0) for a, b in NEWTON_POINTS]
     probes += [defects(0, 0, 1), defects(*GUARD_POINT)]
@@ -265,11 +263,11 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     # values, and each equation's relation rows padded to that length
     columns = list(zip(*([x for *_, vec in probe for x in vec] for probe in probes)))
     spans, rows, start = [], [], 0
-    for check_id, message, grp, _ in probes[0]:
-        dim, grp_rows = grp.ngens, grp.ab_relation_rows()
+    for check_id, eqs, j, _ in probes[0]:
+        dim, grp_rows = eqs.grp.ngens, eqs.grp.ab_relation_rows()
         rows += [[0] * start + list(row) + [0] * (len(columns) - start - dim)
                  for row in grp_rows]
-        spans.append((check_id, message, start, start + dim, grp_rows))
+        spans.append((check_id, eqs, j, start, start + dim, grp_rows))
         start += dim
     slope = [col[6] - col[0] for col in columns]
     constant, *coefficients = ([sum(w * v for w, v in zip(row, col)) for col in columns]
@@ -281,9 +279,9 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
 
     a, b, r = GUARD_POINT
     miss = [col[7] - x - r * s for col, x, s in zip(columns, fitted(a, b), slope)]
-    for check_id, message, lo, hi, grp_rows in spans:
+    for check_id, eqs, j, lo, hi, grp_rows in spans:
         if miss[lo:hi] not in Lattice(hi - lo, grp_rows):
-            raise ValueError(f"the defect of {check_id} ({message}) is not quadratic "
+            raise ValueError(f"the defect of {check_id} ({eqs.message(j)}) is not quadratic "
                              f"in (a, b) and affine in r: the fit misses it at "
                              f"(a, b, r) = {GUARD_POINT}")
 

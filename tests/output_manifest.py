@@ -108,7 +108,8 @@ def first_difference(got: list[str], want: list[str]) -> str | None:
     """A message naming the first op whose line differs, or None."""
     for new, old in zip(got, want):
         if new != old:
-            return f"first differing op: {old.split('  ', 1)[1]} (now {new})"
+            digest, op = old.split("  ", 1)
+            return f"first differing op: {op} (digest {new.split()[0]}, manifest {digest})"
     if len(got) != len(want):
         return f"{len(got)} ops now, {len(want)} in the manifest"
     return None
