@@ -37,18 +37,20 @@ def _load(path: str) -> tuple[dict, sf.StructureFile]:
     return raw, sf.build_structure(raw)
 
 
-def _bind_to_pair(raw: dict, pair_keys: list, pair_value):
+def _bind_to_pair(raw: dict, pair_sides: list, pair_value):
     """The morphism file `raw` bound to the pair's built complexes, or None
     when it is not a morphism between them.
 
-    Sides that agree with the pair's are its complexes byte for byte, so
-    only the maps are built.  Any other file, or one without maps, is built
-    whole, so that a malformed file reports its own positioned error before
-    the caller refuses it."""
+    `pair_sides` holds (side, its `structure_bytes`) for the pair's source
+    and target.  Sides that agree with the pair's (`same_structure`: equal
+    bytes, or else equal `structure_key`) are its complexes, so only the
+    maps are built.  Any other file, or one without maps, is built whole,
+    so that a malformed file reports its own positioned error before the
+    caller refuses it."""
     body = raw["body"]
     if raw["kind"] == "morphism" and "maps" in body and all(
-            sf.structure_key(body.get(side)) == key
-            for side, key in zip(sf.SIDES, pair_keys)):
+            sf.same_structure(body.get(side), *known)
+            for side, known in zip(sf.SIDES, pair_sides)):
         (kind, source), (_, target) = pair_value
         return sf.bind_maps(body["maps"], "$.body.maps", kind, source, target)
     sf.build_structure(raw)
@@ -68,11 +70,12 @@ def _cmd_homotopic(args) -> int:
     pair_raw, pair = _load(args.pair)
     if pair.kind != "pair":
         raise sf.StructureError("expected a pair of complexes", path="$.kind")
-    pair_keys = [sf.structure_key(pair_raw["body"][side]) for side in sf.SIDES]
+    pair_sides = [(side, sf.structure_bytes(side))
+                  for side in map(pair_raw["body"].get, sf.SIDES)]
     f_raw = _read(args.f)
-    f = _bind_to_pair(f_raw, pair_keys, pair.value)
+    f = _bind_to_pair(f_raw, pair_sides, pair.value)
     g_raw = _read(args.g)
-    g = _bind_to_pair(g_raw, pair_keys, pair.value)
+    g = _bind_to_pair(g_raw, pair_sides, pair.value)
     # a file is refused only once both are read and built, so that a fault
     # in reading or building either one is reported first
     for label, mraw, m in (("--f", f_raw, f), ("--g", g_raw, g)):
@@ -81,8 +84,8 @@ def _cmd_homotopic(args) -> int:
         if mraw["kind"] != "morphism":
             raise sf.StructureError(f"{label} must be a morphism file",
                                     path="$.kind")
-        side = next(side for side, key in zip(sf.SIDES, pair_keys)
-                    if sf.structure_key(mraw["body"][side]) != key)
+        side = next(side for side, known in zip(sf.SIDES, pair_sides)
+                    if not sf.same_structure(mraw["body"][side], *known))
         raise sf.StructureError(
             f"{label}: morphism {side} differs from the pair's {side}",
             path=f"$.body.{side}")

@@ -375,8 +375,9 @@ class FamilyDecisions:
         q3, t0 = g0.target.q3, solutions.t0
 
         def shifted(t: int) -> QCMorphism:
-            """g0 with t shift added to its f3 images, as the unknown t reads it."""
-            return replace(g0, f3=GroupHom(g0.source.q3, q3, [
+            """g0 with t shift added to its f3 images, as the unknown t reads
+            it; `op` and `pow` give canonical values, so they are kept."""
+            return replace(g0, f3=GroupHom.of_canonical(g0.source.q3, q3, [
                 q3.op(im, q3.pow(s, t)) for im, s in zip(g0.f3.images, shift)]))
 
         points = [(f"t = {t}", shifted(t), solutions.values_at(t))

@@ -13,6 +13,7 @@ files.
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import re
 import stat
@@ -315,7 +316,7 @@ def _build_qm(body, path) -> QuadraticModule:
         raise _err(str(e), path) from None
 
 
-def _build_rqc4(body, path) -> ReducedQuadraticComplex4:
+def _build_rqc4(body, path, built: dict) -> ReducedQuadraticComplex4:
     body = _expect_dict(body, path)
     rqm = _build_rqm(body, path)
     q4 = _build_group(*_get(body, "q4", path))
@@ -331,7 +332,7 @@ def _build_rqc4(body, path) -> ReducedQuadraticComplex4:
         if base_raw == "self":
             base = cx
         else:
-            base = _build_rqc4(base_raw, basepath)
+            base = _build_complex("rqc4", base_raw, basepath, built)
         uq2 = _build_hom(*_get(under, "q2", upath), source=base.q2, target=cx.q2)
         uq3 = _build_hom(*_get(under, "q3", upath), source=base.q3, target=cx.q3)
         uq4 = _build_hom(*_get(under, "q4", upath), source=base.q4, target=cx.q4)
@@ -342,13 +343,14 @@ def _build_rqc4(body, path) -> ReducedQuadraticComplex4:
 class ComplexKind(NamedTuple):
     """How files of one kind of complex are read and checked.
 
-    `build` reads a complex's body and `check` checks it.  `maps` lists
-    (key, degree) for each map of a morphism, a hom between the complexes'
-    groups of that degree; `morphism(source, target, *homs)` builds it and
-    `morphism_check` checks it.  `witness` lists (key, source degree, target
-    degree) for each value list of a homotopy, one value in the target's
-    group per source generator; `homotopy(*lists)` builds it, `verify(f, g,
-    h)` re-checks it and `decide(f, g)` finds one."""
+    `build(body, path, built)` reads a complex's body, `built` being the
+    file's complexes as `_build_complex` keeps them, and `check` checks it.
+    `maps` lists (key, degree) for each map of a morphism, a hom between the
+    complexes' groups of that degree; `morphism(source, target, *homs)`
+    builds it and `morphism_check` checks it.  `witness` lists (key, source
+    degree, target degree) for each value list of a homotopy, one value in
+    the target's group per source generator; `homotopy(*lists)` builds it,
+    `verify(f, g, h)` re-checks it and `decide(f, g)` finds one."""
 
     build: Callable
     check: Callable
@@ -371,7 +373,7 @@ COMPLEX_KINDS = {
         (("alpha2", "q2", "q3"), ("alpha3", "q3", "q4")), QCHomotopy,
         lambda *fgh: verify_rq_homotopy(*fgh), lambda *fg: rq_homotopy_decision(*fg)),
     "xc3": ComplexKind(
-        _build_xc3, lambda cx, **kw: xc3_check(cx, **kw),
+        lambda body, path, _: _build_xc3(body, path), lambda cx, **kw: xc3_check(cx, **kw),
         (("f1", "m1"), ("f2", "m2"), ("f3", "m3")), XC3Morphism,
         lambda m, **kw: xc3_morphism_check(m, **kw),
         (("alpha", "m2", "m3"),), XC3Homotopy,
@@ -379,7 +381,21 @@ COMPLEX_KINDS = {
 }
 
 
-def _build_complex_structure(obj, path):
+def _build_complex(kind: str, body, path, built: dict):
+    """The complex of `kind` with this body, built once per file.
+
+    `built` maps the `structure_bytes` of each complex the file has built
+    to it, so a body that recurs, such as D as a pair's target and as Q's
+    under.base, is one object and its tables fill once.  A body that fails
+    to build is not kept: its first occurrence raises, at its own path."""
+    data = structure_bytes({"kind": kind, "body": body})
+    cx = built.get(data)
+    if cx is None:
+        cx = built[data] = COMPLEX_KINDS[kind].build(body, path, built)
+    return cx
+
+
+def _build_complex_structure(obj, path, built: dict):
     """A nested {"kind","body"} structure that must be rqc4 or xc3."""
     obj = _expect_dict(obj, path)
     kind, kpath = _get(obj, "kind", path)
@@ -388,14 +404,15 @@ def _build_complex_structure(obj, path):
     if not (isinstance(kind, str) and kind in COMPLEX_KINDS):
         raise _err(f"expected an rqc4 or xc3 structure here, found {kind!r}",
                    kpath)
-    return kind, COMPLEX_KINDS[kind].build(body, bpath)
+    return kind, _build_complex(kind, body, bpath, built)
 
 
 def _build_sides(body, path):
     """(kind, source, target) of a pair, morphism or homotopy body, whose
-    sides must be complexes of one kind."""
-    src_kind, source = _build_complex_structure(*_get(body, "source", path))
-    tgt_kind, target = _build_complex_structure(*_get(body, "target", path))
+    sides must be complexes of one kind; equal sides are one object."""
+    built: dict = {}
+    src_kind, source = _build_complex_structure(*_get(body, "source", path), built)
+    tgt_kind, target = _build_complex_structure(*_get(body, "target", path), built)
     if src_kind != tgt_kind:
         raise _err(f"source is {src_kind} but target is {tgt_kind}",
                    f"{path}.target.kind")
@@ -468,7 +485,7 @@ FILE_KINDS = {
             lambda q, _, **kw: rqm_check(q, **kw)),
     "qm": (lambda body, path: (None, _build_qm(body, path)),
            lambda q, _, **kw: qm_check(q, **kw)),
-    "rqc4": (lambda body, path: (None, _build_rqc4(body, path)),
+    "rqc4": (lambda body, path: (None, _build_rqc4(body, path, {})),
              lambda cx, _, **kw: COMPLEX_KINDS["rqc4"].check(cx, **kw)),
     "pair": (_build_pair, _check_pair),
     "morphism": (_build_morphism, lambda m, spec, **kw: spec.morphism_check(m, **kw)),
@@ -549,6 +566,20 @@ def morphism_structure(m: QCMorphism) -> dict:
             "body": {**_sides_json(m.source, m.target), "maps": m.maps_json()}}
 
 
+def structure_bytes(obj) -> bytes | None:
+    """The identity of a parsed nested {"kind","body"} structure: the
+    `marshal` bytes (format 2) of its (kind, body), or None when obj is not
+    an object holding both keys.
+
+    Format 2 writes no back-references, so equal bytes are the same JSON
+    values, of the same types, with keys in the same order; structures
+    with equal bytes have equal `structure_key`.  Bytes that differ decide
+    nothing, since keys may come in another order."""
+    if not (isinstance(obj, dict) and "kind" in obj and "body" in obj):
+        return None
+    return marshal.dumps((obj["kind"], obj["body"]), 2)
+
+
 def structure_key(obj) -> str | None:
     """Canonical compact text of a nested {"kind","body"} structure, or None
     when obj is not an object holding both keys.
@@ -556,9 +587,18 @@ def structure_key(obj) -> str | None:
     Sorted keys and no whitespace: the text has the same tokens as the
     indented canonical text, so two structures share a key exactly when
     they serialize to the same bytes; it is written by the C encoder, which
-    `json.dumps` uses only without an indent."""
+    `json.dumps` uses only without an indent.  This is what agreement of
+    two structures means; `same_structure` computes it only when their
+    `structure_bytes` differ."""
     if not (isinstance(obj, dict) and "kind" in obj and "body" in obj):
         return None
     return json.dumps({"kind": obj["kind"], "body": obj["body"]},
                       sort_keys=True, separators=(",", ":"))
 
+
+def same_structure(obj, known, known_bytes: bytes) -> bool:
+    """Whether obj and `known`, whose `structure_bytes` are known_bytes,
+    have the same `structure_key`: equal bytes decide it without the keys."""
+    data = structure_bytes(obj)
+    return data is not None and (data == known_bytes
+                                 or structure_key(obj) == structure_key(known))

@@ -147,6 +147,7 @@ def test_agreement_matches_the_indented_comparison_on_shipped_sides(
         for b in everything:
             expected = indent_agree(a, b)
             assert agree(a, b) == expected
+            assert sf.same_structure(a, b, sf.structure_bytes(b)) == expected
             agreeing += expected
     # the pair's sides recur in every morphism file, D in every target
     assert agreeing > len(everything)
@@ -248,8 +249,8 @@ def test_only_the_pair_is_built_when_the_files_agree(structures_dir, tmp_path,
     built = []
     complex_structure = sf._build_complex_structure
     monkeypatch.setattr(sf, "_build_complex_structure",
-                        lambda obj, path: built.append(path)
-                        or complex_structure(obj, path))
+                        lambda obj, path, complexes: built.append(path)
+                        or complex_structure(obj, path, complexes))
     code, _ = _homotopic(structures_dir, tmp_path,
                          shipped(structures_dir, PR1),
                          shipped(structures_dir, TWISTED))
@@ -319,6 +320,24 @@ PINS = {
 }
 
 
+def _outputs(tmp_path, capsys, pair, f, g):
+    """(exit code, stdout, --out, --witness or None) of one homotopic run,
+    as bytes."""
+    out, witness = tmp_path / "report.json", tmp_path / "witness.json"
+    for path in (out, witness):
+        if path.exists():
+            path.unlink()
+    code = run(["homotopic", pair, "--f", f, "--g", g, "--out", str(out),
+                "--witness", str(witness)])
+    return (code, capsys.readouterr().out.encode(), out.read_bytes(),
+            witness.read_bytes() if witness.exists() else None)
+
+
+def _pinned(outputs):
+    sha = lambda data: None if data is None else hashlib.sha256(data).hexdigest()
+    return (outputs[0], *map(sha, outputs[1:]))
+
+
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_homotopic_output_is_byte_identical(structures_dir, tmp_path, capsys,
                                             name):
@@ -329,11 +348,87 @@ def test_homotopic_output_is_byte_identical(structures_dir, tmp_path, capsys,
         pair = shipped(structures_dir, PAIR)
         f = shipped(structures_dir, PR1)
         g = shipped(structures_dir, TWISTED if name.endswith("twisted") else PR2)
-    out, witness = tmp_path / "report.json", tmp_path / "witness.json"
-    code = run(["homotopic", pair, "--f", f, "--g", g, "--out", str(out),
-                "--witness", str(witness)])
-    sha = lambda data: hashlib.sha256(data).hexdigest()
-    text = capsys.readouterr().out.encode()
-    got = (code, sha(text), sha(out.read_bytes()),
-           sha(witness.read_bytes()) if witness.exists() else None)
-    assert got == PINS[name]
+    assert _pinned(_outputs(tmp_path, capsys, pair, f, g)) == PINS[name]
+
+
+# -- binding by typed bytes ---------------------------------------------------
+
+def test_agreeing_files_compute_no_structure_key(structures_dir, tmp_path,
+                                                 capsys, monkeypatch):
+    """Sides equal to the pair's bind on their bytes alone: with the key
+    comparison made to fail, the shipped run keeps its pinned bytes."""
+    def no_key(obj):
+        raise AssertionError("structure_key computed")
+    monkeypatch.setattr(sf, "structure_key", no_key)
+    got = _outputs(tmp_path, capsys, shipped(structures_dir, PAIR),
+                   shipped(structures_dir, PR1), shipped(structures_dir, TWISTED))
+    assert _pinned(got) == PINS["pr1-twisted"]
+
+
+def _write_as_is(tmp_path, name, raw):
+    """raw as JSON text in its own key order, unlike `_write`."""
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_sides_in_another_key_order_bind(structures_dir, tmp_path, capsys):
+    """Bytes that differ fall back to the key comparison, which ignores key
+    order: the run writes what the canonical run writes."""
+    raw = read(structures_dir, PR1)
+    for side in sf.SIDES:
+        raw["body"][side] = reverse_keys(raw["body"][side])
+        assert sf.structure_bytes(raw["body"][side]) != sf.structure_bytes(
+            read(structures_dir, PR1)["body"][side])
+    flipped = _write_as_is(tmp_path, "flipped-pr1.json", raw)
+    pair, twisted = shipped(structures_dir, PAIR), shipped(structures_dir, TWISTED)
+    canonical = _outputs(tmp_path, capsys, pair, shipped(structures_dir, PR1), twisted)
+    got = _outputs(tmp_path, capsys, pair, flipped, twisted)
+    assert got[0] == 0 and got[3] is not None
+    assert got == canonical
+
+
+@pytest.mark.parametrize("value,code", [
+    pytest.param(True, 2, id="true"),
+    pytest.param(1.0, 2, id="float"),
+    pytest.param(1, 0, id="equal"),
+])
+def test_a_retyped_value_differs(structures_dir, tmp_path, capsys, value, code):
+    """A body key the builder ignores holds 1 in the pair's source; f holds
+    `value` there.  Both build, so only agreement tells them apart."""
+    pair = read(structures_dir, PAIR)
+    pair["body"]["source"]["body"]["note"] = 1
+    f = read(structures_dir, PR1)
+    f["body"]["source"]["body"]["note"] = value
+    pair_path = _write_as_is(tmp_path, "noted-pair.json", pair)
+    f_path = _write_as_is(tmp_path, "noted-f.json", f)
+    got = run(["homotopic", pair_path, "--f", f_path, "--g", f_path])
+    out, err = capsys.readouterr()
+    assert got == code
+    if code:
+        assert (out, err) == ("", "error: $.body.source: --f: morphism source "
+                                  "differs from the pair's source\n")
+
+
+@pytest.mark.parametrize("in_pair", [False, True], ids=["f-only", "both"])
+def test_an_ignored_key_at_the_nesting_bound(structures_dir, tmp_path, capsys,
+                                             in_pair):
+    """The text nests 4 levels down to f's source body, and the ignored key
+    fills the rest of `MAX_NESTING`."""
+    depth = sf.MAX_NESTING - 4
+    deep = json.loads("[" * depth + "0" + "]" * depth)
+    f = read(structures_dir, PR1)
+    f["body"]["source"]["body"]["note"] = deep
+    f_path = _write_as_is(tmp_path, "deep-f.json", f)
+    pair = read(structures_dir, PAIR)
+    if in_pair:
+        pair["body"]["source"]["body"]["note"] = deep
+    pair_path = _write_as_is(tmp_path, "deep-pair.json", pair)
+    code = run(["homotopic", pair_path, "--f", f_path, "--g", f_path])
+    out, err = capsys.readouterr()
+    if in_pair:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out, err) == (
+            2, "", "error: $.body.source: --f: morphism source differs from "
+                   "the pair's source\n")

@@ -128,24 +128,62 @@ def test_omega_shape_path():
     assert exc.value.path == "$.body.omega"
 
 
+XC3_BODY = {
+    "m1": {"kind": "free_nil2", "rank": 1, "names": ["a"]},
+    "m2": {"kind": "free_nil2", "rank": 1, "names": ["x"]},
+    "m3": {"kind": "free_abelian", "rank": 1, "names": ["t"]},
+    "d2": {"images": [{"base": [0], "comm": []}]},
+    "d3": {"images": [{"base": [0], "comm": []}]},
+    "action2": {"kind": "trivial"},
+    "action3": {"kind": "trivial"},
+}
+
+
 def test_mixed_pair_kinds_rejected():
     d = build_sphere_D()
-    xc3_body = {
-        "m1": {"kind": "free_nil2", "rank": 1, "names": ["a"]},
-        "m2": {"kind": "free_nil2", "rank": 1, "names": ["x"]},
-        "m3": {"kind": "free_abelian", "rank": 1, "names": ["t"]},
-        "d2": {"images": [{"base": [0], "comm": []}]},
-        "d3": {"images": [{"base": [0], "comm": []}]},
-        "action2": {"kind": "trivial"},
-        "action3": {"kind": "trivial"},
-    }
     raw = {"version": "1", "kind": "pair",
            "body": {"source": {"kind": "rqc4", "body": sf.rqc4_body(d)},
-                    "target": {"kind": "xc3", "body": xc3_body}}}
+                    "target": {"kind": "xc3", "body": XC3_BODY}}}
     with pytest.raises(sf.StructureError) as exc:
         sf.build_structure(raw)
     assert "xc3" in str(exc.value)
     assert exc.value.path.endswith(".kind")
+
+
+def _pair_file(structures_dir):
+    with open(os.path.join(structures_dir, "retraction_pair.json"),
+              encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_a_recurring_body_is_built_once(structures_dir):
+    (_, source), (_, target) = sf.build_structure(_pair_file(structures_dir)).value
+    assert source.under.base is target
+    assert target.under.base is target
+    xc3 = {"kind": "xc3", "body": XC3_BODY}
+    (_, source), (_, target) = sf.build_structure(
+        {"version": "1", "kind": "pair",
+         "body": {"source": xc3, "target": xc3}}).value
+    assert source is target
+
+
+def test_a_renamed_body_is_built_apart(structures_dir):
+    raw = _pair_file(structures_dir)
+    raw["body"]["target"]["body"]["name"] = "D again"
+    (_, source), (_, target) = sf.build_structure(raw).value
+    assert source.under.base is not target
+    assert sf.rqc4_body(source.under.base) == dict(sf.rqc4_body(target),
+                                                   name=source.under.base.name)
+
+
+def test_a_recurring_malformed_body_fails_where_it_first_occurs(structures_dir):
+    raw = _pair_file(structures_dir)
+    raw["body"]["source"]["body"]["under"]["base"]["omega"] = [[]]
+    raw["body"]["target"]["body"]["omega"] = [[]]
+    with pytest.raises(sf.StructureError) as exc:
+        sf.build_structure(raw)
+    assert str(exc.value) == ("$.body.source.body.under.base.omega[0]: "
+                              "omega row must have 1 entries")
 
 
 def test_homotopy_witness_length_checked():
