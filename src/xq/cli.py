@@ -160,7 +160,8 @@ def _cmd_count(args) -> int:
 
 
 def _non_negative(text: str) -> int:
-    """An integer option that bounds a box, so that it may not be negative."""
+    """An integer option that bounds a box or counts samples, so that it
+    may not be negative."""
     try:
         value = int(text)
     except ValueError:
@@ -184,7 +185,7 @@ def _parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="validate a structure file and run its "
                                      "axiom checks")
     c.add_argument("file")
-    c.add_argument("--samples", type=int, default=200,
+    c.add_argument("--samples", type=_non_negative, default=200,
                    help="sample count for randomized law checks (default 200)")
     c.add_argument("--seed", type=int, default=None,
                    help="override the XQ_SEED environment variable")

@@ -18,7 +18,9 @@ from typing import NamedTuple, Sequence
 
 from .groups import Group, GroupHom, generator_pairs, invert_hom
 from .intlinalg import Lattice, ZSystem
-from .report import Report, Undefined, seed_from_env
+from .report import Report, Undefined, sampled_report
+
+PRODUCT_LENGTH = 6  # check_crossed samples products of at most this many generators
 
 
 class GroupAction:
@@ -154,17 +156,13 @@ def peiffer_commutator(m: PreCrossedModule, x, y):
 def check_precrossed(m: PreCrossedModule, samples: int = 200,
                      seed: int | None = None) -> Report:
     """Action axioms plus equivariance d(x^m) = -m + d(x) + m."""
-    if seed is None:
-        seed = seed_from_env()
-    rng = random.Random(seed)
-    rep = Report("pre-crossed module")
-    rep.meta.update(seed=seed, samples=samples)
+    rep = sampled_report("pre-crossed module", samples, seed)
     rep.add_hom("d_is_homomorphism", m.d)
-    rep.merge(m.action.check(rng, samples))
+    rep.merge(m.action.check(rep.rng, samples))
     rep.first_failure("equivariance",
                       (f"d(x^m) != -m + d(x) + m at x={m.m2.format_element(x)}, "
                        f"m={m.m1.format_element(a)}"
-                       for x, a in generator_pairs(m.m2, m.m1, rng, samples)
+                       for x, a in generator_pairs(m.m2, m.m1, rep.rng, samples)
                        if not m.m1.eq(m.d(m.action.apply(x, a)),
                                       m.m1.op_all(m.m1.inv(a), m.d(x), a))),
                       note=f"all generator pairs + {samples} samples", basis="sampled")
@@ -172,23 +170,21 @@ def check_precrossed(m: PreCrossedModule, samples: int = 200,
 
 
 def check_crossed(m: PreCrossedModule, samples: int = 200,
-                  seed: int | None = None, max_len: int = 6) -> Report:
+                  seed: int | None = None) -> Report:
     """Pre-crossed checks plus vanishing of all Peiffer commutators."""
-    if seed is None:
-        seed = seed_from_env()
     rep = check_precrossed(m, samples=samples, seed=seed)
     rep.title = "crossed module"
-    rng = random.Random(seed + 1)
+    rng = random.Random(rep.meta["seed"] + 1)
     g, fmt = m.m2, m.m2.format_element
     gens = g.generators()
     on_generators = (f"<{fmt(x)}, {fmt(y)}> = {fmt(p)}" for x in gens for y in gens
                      if not g.is_identity(p := peiffer_commutator(m, x, y)))
-    sampled = ((g.random_element(rng, size=max_len), g.random_element(rng, size=max_len))
-               for _ in range(samples))
+    sampled = ((g.random_element(rng, size=PRODUCT_LENGTH),
+                g.random_element(rng, size=PRODUCT_LENGTH)) for _ in range(samples))
     rep.first_failure("peiffer_commutators_vanish", chain(
         on_generators, (f"<{fmt(x)}, {fmt(y)}> != 0" for x, y in sampled
                         if not g.is_identity(peiffer_commutator(m, x, y)))),
-        note=f"all generator pairs + {samples} products of length <= {max_len}",
+        note=f"all generator pairs + {samples} products of length <= {PRODUCT_LENGTH}",
         basis="sampled")
     return rep
 
@@ -225,12 +221,8 @@ def xc3_check(x: CrossedComplex3, samples: int = 200,
               seed: int | None = None) -> Report:
     """Crossed module in degree 2; M3 abelian; d2 d3 = 0; im d2 acts
     trivially on M3; d3 equivariant."""
-    if seed is None:
-        seed = seed_from_env()
-    rng = random.Random(seed)
-    rep = Report("3-dimensional crossed complex")
-    rep.meta.update(seed=seed, samples=samples)
-    rep.merge(check_crossed(x.degree2_module(), samples=samples, seed=seed),
+    rep = sampled_report("3-dimensional crossed complex", samples, seed)
+    rep.merge(check_crossed(x.degree2_module(), samples=samples, seed=rep.meta["seed"]),
               prefix="degree2.")
     gens = x.m3.generators()
     rep.first_failure("m3_abelian",
@@ -242,16 +234,16 @@ def xc3_check(x: CrossedComplex3, samples: int = 200,
                                      for t in gens if not x.m1.is_identity(x.d2(x.d3(t)))))
     rep.first_failure("im_d2_acts_trivially_on_m3",
                       (f"im(d2) moves {x.m3.format_element(t)}"
-                       for t, y in generator_pairs(x.m3, x.m2, rng, samples)
+                       for t, y in generator_pairs(x.m3, x.m2, rep.rng, samples)
                        if not x.m3.eq(x.action3.apply(t, x.d2(y)), x.m3.canon(t))),
                       note=f"all generator pairs + {samples} samples", basis="sampled")
     rep.first_failure("d3_equivariant",
                       (f"d3 not equivariant at {x.m3.format_element(t)}"
-                       for t, a in generator_pairs(x.m3, x.m1, rng, samples)
+                       for t, a in generator_pairs(x.m3, x.m1, rep.rng, samples)
                        if not x.m2.eq(x.d3(x.action3.apply(t, a)),
                                       x.action2.apply(x.d3(t), a))),
                       note=f"all generator pairs + {samples} samples", basis="sampled")
-    rep.merge(x.action3.check(rng, samples), prefix="degree3.")
+    rep.merge(x.action3.check(rep.rng, samples), prefix="degree3.")
     return rep
 
 
@@ -266,10 +258,7 @@ class XC3Morphism:
 
 def xc3_morphism_check(m: XC3Morphism, samples: int = 50,
                        seed: int | None = None) -> Report:
-    if seed is None:
-        seed = seed_from_env()
-    rep = Report("crossed complex morphism")
-    rep.meta.update(seed=seed, samples=samples)
+    rep = sampled_report("crossed complex morphism", samples, seed)
     for name, h in (("f1", m.f1), ("f2", m.f2), ("f3", m.f3)):
         rep.add_hom(f"{name}_is_homomorphism", h)
     src, tgt = m.source, m.target
@@ -289,16 +278,12 @@ def xc3_morphism_check(m: XC3Morphism, samples: int = 50,
                        for t in src.m3.generators() for a in src.m1.generators()
                        if not tgt.m3.eq(m.f3(src.action3.apply(t, a)),
                                         tgt.action3.apply(m.f3(t), m.f1(a)))))
-    if src.under2 and len(src.under2) == len(tgt.under2):
-        rep.first_failure("under_degree2",
-                          (f"f2 moves under generator {src.m2.format_element(z)}"
-                           for z, w in zip(src.under2, tgt.under2)
-                           if not tgt.m2.eq(m.f2(z), w)))
-    if src.under3 and len(src.under3) == len(tgt.under3):
-        rep.first_failure("under_degree3",
-                          (f"f3 moves under generator {src.m3.format_element(z)}"
-                           for z, w in zip(src.under3, tgt.under3)
-                           if not tgt.m3.eq(m.f3(z), w)))
+    for deg, fk, s, zs, t, ws in ((2, m.f2, src.m2, src.under2, tgt.m2, tgt.under2),
+                                  (3, m.f3, src.m3, src.under3, tgt.m3, tgt.under3)):
+        if zs and len(zs) == len(ws):
+            rep.first_failure(f"under_degree{deg}",
+                              (f"f{deg} moves under generator {s.format_element(z)}"
+                               for z, w in zip(zs, ws) if not t.eq(fk(z), w)))
     return rep
 
 

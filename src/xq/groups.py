@@ -731,15 +731,10 @@ def invert_hom(h: GroupHom) -> GroupHom:
 def check_group_laws(g: Group, samples: int = 100, seed: int | None = None):
     """Sampled sanity report: associativity, identity, inverses, and
     idempotence of the canonical form."""
-    from .report import Report, seed_from_env
+    from .report import sampled_report
 
-    if seed is None:
-        seed = seed_from_env()
-    rng = random.Random(seed)
-    rep = Report(f"group laws ({g.kind})", basis="sampled")
-    rep.meta.update(seed=seed, samples=samples)
-    draws = [(g.random_element(rng), g.random_element(rng), g.random_element(rng))
-             for _ in range(samples)]
+    rep = sampled_report(f"group laws ({g.kind})", samples, seed, basis="sampled")
+    draws = [tuple(g.random_element(rep.rng) for _ in range(3)) for _ in range(samples)]
     fmt, e = g.format_element, g.identity()
     rep.first_failure("associativity_sampled",
                       (fmt(x) for x, y, z in draws

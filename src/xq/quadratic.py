@@ -22,17 +22,16 @@ generator by generator.
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import Sequence
 
 from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule,
-                      ShiftedSolutions, peiffer_commutator)
+                      ShiftedSolutions, check_precrossed, peiffer_commutator)
 from .groups import (FgAbelianGroup, Group, GroupHom, coords_of, generator_pairs,
                      relation_lattice)
 from .intlinalg import vec_neg, vec_sub
-from .report import Report, Undefined, seed_from_env
+from .report import Report, Undefined, sampled_report
 from .tensor import TensorElement
 
 
@@ -46,15 +45,13 @@ class ReducedQuadraticModule:
     d3: GroupHom
 
     def __post_init__(self):
-        n = self.q2.ngens
-        self.omega = tuple(tuple(self.q3.canon(e) for e in row) for row in self.omega)
-        if len(self.omega) != n or any(len(r) != n for r in self.omega):
-            raise ValueError("omega must be given on the n x n basis of C (x) C")
+        self.omega = _omega_table(self.omega, self.q3, self.q2.ngens)
         if self.d3.source != self.q3 or self.d3.target != self.q2:
             raise ValueError("d3 must map q3 to q2")
 
     def omega_apply(self, t: TensorElement):
-        """omega of a tensor, folded over entries in row-major order."""
+        """omega of a tensor, folded over entries in row-major order;
+        omega of an outer product is `omega_outer`."""
         if t.n != len(self.omega):
             raise ValueError("tensor rank must match rank of C")
         return self.q3.fold((self.omega[i][j], c) for i, j, c in t.entries())
@@ -75,6 +72,14 @@ class ReducedQuadraticModule:
     def braces(self, x) -> tuple[int, ...]:
         """{x}: coordinates of x in C = Q2^ab."""
         return self.q2.ab(x)
+
+
+def _omega_table(omega, q3: Group, n: int) -> tuple:
+    """omega's values on the n x n basis of C (x) C, canonical in q3."""
+    omega = tuple(tuple(q3.canon(e) for e in row) for row in omega)
+    if len(omega) != n or any(len(r) != n for r in omega):
+        raise ValueError("omega must be given on the n x n basis of C (x) C")
+    return omega
 
 
 def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
@@ -110,11 +115,7 @@ def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
     On Q, {d3 p} takes 2 values over the 10 generators of Q3, so axiom 3
     evaluates omega 6 times instead of 30 and axiom 4 4 times instead of 100.
     """
-    if seed is None:
-        seed = seed_from_env()
-    rng = random.Random(seed)
-    rep = Report("reduced quadratic module", basis="proved")
-    rep.meta.update(seed=seed, samples=samples)
+    rep = sampled_report("reduced quadratic module", samples, seed, basis="proved")
     g2, g3 = q.q2, q.q3
 
     gens = () if g2.is_nil2 else g2.generators()
@@ -134,9 +135,9 @@ def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
     def scope(left: Group, right: Group, proved: bool):
         """The pairs an axiom is checked on, and the note and basis to match."""
         if proved:
-            return (generator_pairs(left, right, rng, 0),
+            return (generator_pairs(left, right, rep.rng, 0),
                     dict(note="all generator pairs; bilinear", basis="proved"))
-        return (generator_pairs(left, right, rng, samples),
+        return (generator_pairs(left, right, rep.rng, samples),
                 dict(note=f"all generator pairs + {samples} samples", basis="sampled"))
 
     bilinear = g3.is_abelian and d3_hom.passed and omega_on_c.passed
@@ -146,8 +147,8 @@ def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
                       (f"d3 omega({{x}} (x) {{y}}) != (x, y) at "
                        f"x={g2.format_element(x)}, y={g2.format_element(y)}"
                        for x, y in pairs
-                       if not g2.eq(q.d3(q.omega_apply(TensorElement.outer(
-                           q.braces(x), q.braces(y)))), g2.commutator(x, y))), **how)
+                       if not g2.eq(q.d3(q.omega_outer(q.braces(x), q.braces(y))),
+                                    g2.commutator(x, y))), **how)
     pairs, how = scope(g3, g2, bilinear)
     vanishes = functools.cache(
         lambda bnd, bx: g3.is_identity(q.omega_apply(_boundary_tensor(bnd, bx))))
@@ -187,14 +188,12 @@ def _q3_commutator_failures(q, boundary, pairs):
     `boundary` is `_boundary_classes(q)`.  In a Q3 abelian as presented,
     (p, r) is 0, and the verdict is decided once per ({d3 p}, {d3 r})."""
     g3 = q.q3
-    vanishes = functools.cache(
-        lambda bp, br: g3.is_identity(q.omega_apply(TensorElement.outer(bp, br))))
+    vanishes = functools.cache(lambda bp, br: g3.is_identity(q.omega_outer(bp, br)))
 
     def holds(p, r):
         if g3.is_abelian:
             return vanishes(boundary(p), boundary(r))
-        return g3.eq(g3.commutator(p, r), q.omega_apply(
-            TensorElement.outer(boundary(p), boundary(r))))
+        return g3.eq(g3.commutator(p, r), q.omega_outer(boundary(p), boundary(r)))
     return ("(p, q) != omega({d3 p} (x) {d3 q})" for p, r in pairs if not holds(p, r))
 
 
@@ -455,8 +454,7 @@ def decide(rep: Report, checks) -> Report:
         if h is not None:
             rep.add_hom(check_id, h)
         elif isinstance(equations, CoordinateEquations):
-            witness = next(equations.failures(), None)
-            rep.add(check_id, witness is None, witness)
+            rep.first_failure(check_id, equations.failures())
         else:
             rep.first_failure(check_id, (msg for lhs, rhs, msg in equations
                                          if not grp.eq(lhs, rhs)))
@@ -468,17 +466,12 @@ def qcm_check(m: QCMorphism, samples: int = 50, seed: int | None = None) -> Repo
     the equations of `qcm_equations`, decided in order (`decide`).  Per
     morphism a check in an abelian group costs its image products over the
     complexes' tables and one comparison of its sides."""
-    if seed is None:
-        seed = seed_from_env()
-    rep = Report("quadratic complex morphism", basis="proved")
-    rep.meta.update(seed=seed, samples=samples)
+    rep = sampled_report("quadratic complex morphism", samples, seed, basis="proved")
     return decide(rep, qcm_equations(m))
 
 
 def rqc4_check(c: ReducedQuadraticComplex4, samples: int = 200,
                seed: int | None = None) -> Report:
-    if seed is None:
-        seed = seed_from_env()
     rep = rqm_check(c.rqm, samples=samples, seed=seed)
     rep.title = c.name
     gens = c.q4.generators()
@@ -513,10 +506,7 @@ class QuadraticModule:
     action3: GroupAction
 
     def __post_init__(self):
-        n = self.pre.m2.ngens
-        self.omega = tuple(tuple(self.q3.canon(e) for e in row) for row in self.omega)
-        if len(self.omega) != n or any(len(r) != n for r in self.omega):
-            raise ValueError("omega must be given on the n x n basis of C (x) C")
+        self.omega = _omega_table(self.omega, self.q3, self.pre.m2.ngens)
 
     def c_group(self) -> FgAbelianGroup:
         """C = (Q2^cr)^ab, derived mechanically: abelianize, then divide by
@@ -538,20 +528,14 @@ class QuadraticModule:
 
 
 def qm_check(q: QuadraticModule, samples: int = 200, seed: int | None = None) -> Report:
-    from .crossed import check_precrossed
-
-    if seed is None:
-        seed = seed_from_env()
-    rng = random.Random(seed)
-    rep = Report("quadratic module")
-    rep.meta.update(seed=seed, samples=samples)
-    rep.merge(check_precrossed(q.pre, samples=samples, seed=seed), prefix="base.")
+    rep = sampled_report("quadratic module", samples, seed)
+    rep.merge(check_precrossed(q.pre, samples=samples, seed=rep.meta["seed"]), prefix="base.")
     g2, g3, g1 = q.pre.m2, q.q3, q.pre.m1
     boundary = _boundary_classes(q)
 
     def nil2_failures():
         for _ in range(samples):
-            x, y, z = (g2.random_element(rng) for _ in range(3))
+            x, y, z = (g2.random_element(rep.rng) for _ in range(3))
             if not g2.is_identity(peiffer_commutator(
                     q.pre, peiffer_commutator(q.pre, x, y), z)):
                 yield "<<x,y>,z> does not vanish"
@@ -569,25 +553,22 @@ def qm_check(q: QuadraticModule, samples: int = 200, seed: int | None = None) ->
     rep.first_failure("d2_d3_zero", ("d2 d3 != 0" for p in g3.generators()
                                      if not g1.is_identity(q.pre.d(q.d3(p)))))
 
+    sampled = dict(note=f"all generator pairs + {samples} samples", basis="sampled")
     rep.first_failure("axiom2_d3_omega_is_w",
                       ("d3 omega != w (Peiffer lift)"
-                       for x, y in generator_pairs(g2, g2, rng, samples)
+                       for x, y in generator_pairs(g2, g2, rep.rng, samples)
                        if not g2.eq(q.d3(q.omega_outer(q.braces(x), q.braces(y))),
-                                    peiffer_commutator(q.pre, x, y))),
-                      note=f"all generator pairs + {samples} samples", basis="sampled")
+                                    peiffer_commutator(q.pre, x, y))), **sampled)
 
     rep.first_failure("axiom3_action_formula",
                       ("q^{d2 x} != q + omega({d3 q}(x){x} + {x}(x){d3 q})"
-                       for p, x in generator_pairs(g3, g2, rng, samples)
+                       for p, x in generator_pairs(g3, g2, rep.rng, samples)
                        if not g3.eq(q.action3.apply(p, q.pre.d(x)),
                                     g3.op(g3.canon(p),
                                           q.omega_apply(_boundary_tensor(
-                                              boundary(p), q.braces(x)))))),
-                      note=f"all generator pairs + {samples} samples", basis="sampled")
-    rep.first_failure("axiom4_q3_commutators",
-                      _q3_commutator_failures(q, boundary,
-                                              generator_pairs(g3, g3, rng, samples)),
-                      note=f"all generator pairs + {samples} samples", basis="sampled")
+                                              boundary(p), q.braces(x)))))), **sampled)
+    rep.first_failure("axiom4_q3_commutators", _q3_commutator_failures(
+        q, boundary, generator_pairs(g3, g3, rep.rng, samples)), **sampled)
 
     rep.first_failure("d3_equivariant",
                       ("d3 not equivariant"

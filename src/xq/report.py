@@ -13,8 +13,10 @@ leave it out of the JSON.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import random
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable
@@ -80,6 +82,17 @@ def seed_from_env() -> int:
         raise ValueError(f"XQ_SEED must be an integer, got {raw!r}")
 
 
+def sampled_report(title: str, samples: int, seed: int | None,
+                   basis: str | None = None) -> Report:
+    """A report whose meta records `samples` and the seed, XQ_SEED's when
+    seed is None, for checks that draw from its `rng`."""
+    if seed is None:
+        seed = seed_from_env()
+    rep = Report(title, basis=basis)
+    rep.meta.update(seed=seed, samples=samples)
+    return rep
+
+
 class Undefined(ValueError):
     """A value a check needs is not defined by the structure, such as the
     action of -a when the endomorphism of a is not invertible."""
@@ -109,6 +122,12 @@ class Report:
     obstructions: list[dict] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
     basis: str | None = None  # the basis of checks added without one
+
+    @functools.cached_property
+    def rng(self) -> random.Random:
+        """The generator of a `sampled_report`, seeded with its meta's seed
+        on first use, so that a check that draws nothing builds none."""
+        return random.Random(self.meta["seed"])
 
     @property
     def ok(self) -> bool:

@@ -172,6 +172,18 @@ def test_negative_box_is_a_usage_error(capsys, command, flag):
     capsys.readouterr()
 
 
+def test_negative_sample_count_is_a_usage_error(structures_dir, capsys):
+    path = shipped(structures_dir, "cylinder_Q.json")
+    assert run(["check", path, "--samples", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "xq check: error: argument --samples: must be >= 0, got -1" in captured.err
+    assert "Traceback" not in captured.err
+    # no samples is not a usage error
+    assert run(["check", path, "--samples", "0"]) == 0
+    assert "  samples: 0\n" in capsys.readouterr().out
+
+
 def test_homotopic_pair_with_witness(structures_dir, tmp_path, capsys):
     witness_path = tmp_path / "witness.json"
     code = run(["homotopic", shipped(structures_dir, "retraction_pair.json"),

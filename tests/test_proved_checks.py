@@ -12,12 +12,14 @@ import pytest
 from xq import structfile as sf
 from xq.cli import run
 from xq.groups import FgAbelianGroup, FreeAbelianGroup, FreeGroup, FreeNil2Group, GroupHom
-from xq.quadratic import ReducedQuadraticModule, rqc4_check, rqm_check
+from xq.crossed import xc3_morphism_check
+from xq.quadratic import ReducedQuadraticModule, qcm_check, rqc4_check, rqm_check
 from xq.report import Check, Report
 
 from axiom_oracle import per_pair_axioms, sampled_axioms
 from hom_oracle import sampled_check_hom
-from test_check_firing import doubling
+from test_check_firing import doubling, scale
+from test_crossed import scale_morphism, small_xc3
 
 AXIOMS = ("axiom2_d3_omega_is_commutator", "axiom3_boundary_tensors_vanish",
           "axiom4_q3_commutators")
@@ -181,10 +183,13 @@ def test_nil2_into_free_group_verdict_matches_the_sampled_scan():
 
 def omega_calls_by_check(q, monkeypatch, **kwargs):
     """rqm_check(q, **kwargs), and the number of omega evaluations made
-    while each check was scanned."""
+    while each check was scanned, of a tensor (`omega_apply`) or of an outer
+    product (`omega_outer`)."""
     calls = []
-    omega_apply = q.omega_apply
+    omega_apply, omega_outer = q.omega_apply, q.omega_outer
     monkeypatch.setattr(q, "omega_apply", lambda t: calls.append(t) or omega_apply(t))
+    monkeypatch.setattr(q, "omega_outer",
+                        lambda u, v: calls.append((u, v)) or omega_outer(u, v))
     per_check = {}
     first_failure = Report.first_failure
 
@@ -259,3 +264,17 @@ def test_axiom_4_in_a_nonabelian_q3_is_tested_pair_by_pair(monkeypatch):
     # (t, t) passes and (t, u) fails: both evaluate omega, although the two
     # pairs have the same classes ({d3 t}, {d3 u}) = (0, 0)
     assert calls["axiom4_q3_commutators"] == 2
+
+
+def test_morphism_checks_record_the_seed_and_build_no_generator(monkeypatch):
+    # they sample nothing, so the report's generator is never built, while
+    # its meta still records XQ_SEED and the sample count
+    monkeypatch.setenv("XQ_SEED", "5")
+    for rep in (qcm_check(scale(doubling(), 1, 1)),
+                xc3_morphism_check(scale_morphism(small_xc3(), 1))):
+        assert rep.ok and rep.meta == {"seed": 5, "samples": 50}
+        assert "rng" not in vars(rep)
+    # a sampled check draws from the report's generator, seeded from XQ_SEED
+    rep = rqm_check(nonabelian_q3(), samples=3)
+    assert rep.meta == {"seed": 5, "samples": 3}
+    assert "rng" in vars(rep) and rep.rng.getstate() != random.Random(5).getstate()
