@@ -11,14 +11,12 @@ Group actions are right actions given on generators; conventions:
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, replace
 from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .groups import Group, GroupHom, generator_pairs, invert_hom
 from .intlinalg import Lattice, ZSystem
-from .report import Report, Undefined, sampled_report
+from .report import Check, Report, Undefined, sampled_report
 
 PRODUCT_LENGTH = 6  # check_crossed samples products of at most this many generators
 
@@ -131,16 +129,11 @@ class GroupAction:
         return rep
 
 
-@dataclass
 class PreCrossedModule:
     """d: m2 -> m1 with a right action of m1 on m2."""
 
-    m1: Group
-    m2: Group
-    d: GroupHom
-    action: GroupAction
-
-    def __post_init__(self):
+    def __init__(self, m1: Group, m2: Group, d: GroupHom, action: GroupAction):
+        self.m1, self.m2, self.d, self.action = m1, m2, d, action
         if self.d.source != self.m2 or self.d.target != self.m1:
             raise ValueError("boundary must map m2 to m1")
         if self.action.acting != self.m1 or self.action.acted != self.m2:
@@ -174,6 +167,7 @@ def check_crossed(m: PreCrossedModule, samples: int = 200,
     """Pre-crossed checks plus vanishing of all Peiffer commutators."""
     rep = check_precrossed(m, samples=samples, seed=seed)
     rep.title = "crossed module"
+    import random
     rng = random.Random(rep.meta["seed"] + 1)
     g, fmt = m.m2, m.m2.format_element
     gens = g.generators()
@@ -189,7 +183,6 @@ def check_crossed(m: PreCrossedModule, samples: int = 200,
     return rep
 
 
-@dataclass
 class CrossedComplex3:
     """M3 --d3--> M2 --d2--> M1 with m1 acting on m2 and m3.
 
@@ -197,21 +190,14 @@ class CrossedComplex3:
     cofibration q), used by morphism and homotopy conditions.
     """
 
-    m1: Group
-    m2: Group
-    m3: Group
-    d2: GroupHom
-    d3: GroupHom
-    action2: GroupAction
-    action3: GroupAction
-    under2: tuple = ()
-    under3: tuple = ()
-
-    def __post_init__(self):
-        if self.d3.source != self.m3 or self.d3.target != self.m2:
+    def __init__(self, m1: Group, m2: Group, m3: Group, d2: GroupHom, d3: GroupHom,
+                 action2: GroupAction, action3: GroupAction, under2=(), under3=()):
+        if d3.source != m3 or d3.target != m2:
             raise ValueError("d3 must map m3 to m2")
-        self.under2 = tuple(self.m2.canon(z) for z in self.under2)
-        self.under3 = tuple(self.m3.canon(z) for z in self.under3)
+        self.m1, self.m2, self.m3, self.d2, self.d3 = m1, m2, m3, d2, d3
+        self.action2, self.action3 = action2, action3
+        self.under2 = tuple(m2.canon(z) for z in under2)
+        self.under3 = tuple(m3.canon(z) for z in under3)
 
     def degree2_module(self) -> PreCrossedModule:
         return PreCrossedModule(self.m1, self.m2, self.d2, self.action2)
@@ -247,13 +233,10 @@ def xc3_check(x: CrossedComplex3, samples: int = 200,
     return rep
 
 
-@dataclass
 class XC3Morphism:
-    source: CrossedComplex3
-    target: CrossedComplex3
-    f1: GroupHom
-    f2: GroupHom
-    f3: GroupHom
+    def __init__(self, source: CrossedComplex3, target: CrossedComplex3,
+                 f1: GroupHom, f2: GroupHom, f3: GroupHom):
+        self.source, self.target, self.f1, self.f2, self.f3 = source, target, f1, f2, f3
 
 
 def xc3_morphism_check(m: XC3Morphism, samples: int = 50,
@@ -287,11 +270,11 @@ def xc3_morphism_check(m: XC3Morphism, samples: int = 50,
     return rep
 
 
-@dataclass
 class XC3Homotopy:
     """alpha: M2 -> M3' given by generator images (additive, f1-equivariant)."""
 
-    alpha: tuple
+    def __init__(self, alpha: tuple):
+        self.alpha = alpha
 
     def hom(self, source: CrossedComplex3, target: CrossedComplex3) -> GroupHom:
         return GroupHom(source.m2, target.m3, self.alpha)
@@ -482,7 +465,8 @@ class LinearHomotopy:
         if not verification.ok:
             raise RuntimeError("internal error: solver witness failed re-verification")
         self.rep.meta["method"] = "linear"
-        self.rep.checks.extend(replace(c, basis=None) for c in verification.checks)
+        self.rep.checks.extend(Check(c.check_id, c.passed, c.witness, c.note)
+                               for c in verification.checks)
         self.rep.witnesses.append(witness_json)
 
 

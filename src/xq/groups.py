@@ -11,14 +11,16 @@ closed-form multiples, so no exponent is ever spelled out letter by letter.
 
 from __future__ import annotations
 
-import random
 from itertools import chain, product
 from operator import mul
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from . import nil2
 from .intlinalg import Lattice, solve_left
 from .words import invert_word, join_words, word_from_pairs
+
+if TYPE_CHECKING:  # annotations only: generators are built where they are seeded
+    import random
 
 
 def is_int(v) -> bool:

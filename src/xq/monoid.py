@@ -14,7 +14,7 @@ the identity on both sides (forced by the bimodule axioms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import product
 
 from .report import Report
@@ -53,13 +53,46 @@ def monoid_M_table() -> list[list[str]]:
     return [[m_compose(m, mp) for mp in M_NAMES] for m in M_NAMES]
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class ExtMonoidElement:
-    m: str
-    v: tuple[int, int]
+    """(m, v): an immutable value, ordered by m, then v."""
+
+    __slots__ = ("m", "v")
+
+    def __init__(self, m: str, v: tuple[int, int]):
+        _set_m(self, m)
+        _set_v(self, v)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ExtMonoidElement is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return ExtMonoidElement, (self.m, self.v)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.v == other.v
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.v) < (other.m, other.v)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.v))
+
+    def __repr__(self) -> str:
+        return f"ExtMonoidElement(m={self.m!r}, v={self.v!r})"
 
     def __str__(self) -> str:
         return f"({self.m},({self.v[0]},{self.v[1]}))"
+
+
+# the slots' own setters, which the frozen __setattr__ leaves to __init__
+_set_m, _set_v = ExtMonoidElement.m.__set__, ExtMonoidElement.v.__set__
 
 
 def mbar_identity() -> ExtMonoidElement:

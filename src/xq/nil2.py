@@ -37,7 +37,6 @@ delta(B, k a)), with delta(B, k a)[i, j] = -k B_j a_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -53,12 +52,34 @@ def pair_index(n: int) -> dict[tuple[int, int], int]:
     return {p: k for k, p in enumerate(pair_list(n))}
 
 
-@dataclass(frozen=True)
 class Nil2Element:
-    """Normal form: base exponents plus basic commutator exponents."""
+    """Normal form: base exponents plus basic commutator exponents.  An
+    immutable value: equal normal forms are equal and hash alike."""
 
-    base: tuple[int, ...]
-    comm: tuple[int, ...]
+    __slots__ = ("base", "comm")
+
+    def __init__(self, base: tuple[int, ...], comm: tuple[int, ...]):
+        _set_base(self, base)
+        _set_comm(self, comm)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Nil2Element is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Nil2Element, (self.base, self.comm)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.comm == other.comm
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.comm))
+
+    def __repr__(self) -> str:
+        return f"Nil2Element(base={self.base!r}, comm={self.comm!r})"
 
     @property
     def n(self) -> int:
@@ -66,6 +87,10 @@ class Nil2Element:
 
     def is_central(self) -> bool:
         return all(a == 0 for a in self.base)
+
+
+# the slots' own setters, which the frozen __setattr__ leaves to __init__
+_set_base, _set_comm = Nil2Element.base.__set__, Nil2Element.comm.__set__
 
 
 def identity(n: int) -> Nil2Element:

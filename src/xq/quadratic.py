@@ -22,7 +22,6 @@ generator by generator.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -35,17 +34,12 @@ from .report import Report, Undefined, sampled_report
 from .tensor import TensorElement
 
 
-@dataclass
 class ReducedQuadraticModule:
     """omega: C (x) C -> Q3 over d3: Q3 -> Q2 with Q2 nil(2), C = Q2^ab."""
 
-    q2: Group
-    q3: Group
-    omega: tuple
-    d3: GroupHom
-
-    def __post_init__(self):
-        self.omega = _omega_table(self.omega, self.q3, self.q2.ngens)
+    def __init__(self, q2: Group, q3: Group, omega: tuple, d3: GroupHom):
+        self.q2, self.q3, self.d3 = q2, q3, d3
+        self.omega = _omega_table(omega, q3, q2.ngens)
         if self.d3.source != self.q3 or self.d3.target != self.q2:
             raise ValueError("d3 must map q3 to q2")
 
@@ -197,25 +191,36 @@ def _q3_commutator_failures(q, boundary, pairs):
     return ("(p, q) != omega({d3 p} (x) {d3 q})" for p, r in pairs if not holds(p, r))
 
 
-@dataclass
 class UnderCofibration:
     """Cofibration q: base >--> complex, one homomorphism per degree."""
 
-    base: "ReducedQuadraticComplex4"
-    q2: GroupHom
-    q3: GroupHom
-    q4: GroupHom
+    __slots__ = ("base", "q2", "q3", "q4")
+
+    def __init__(self, base: ReducedQuadraticComplex4, q2: GroupHom, q3: GroupHom,
+                 q4: GroupHom):
+        self.base, self.q2, self.q3, self.q4 = base, q2, q3, q4
 
 
-@dataclass
 class ReducedQuadraticComplex4:
     """A reduced quadratic module extended by an abelian Q4 --d4--> Q3."""
 
-    rqm: ReducedQuadraticModule
-    q4: Group
-    d4: GroupHom
-    under: UnderCofibration | None = None
-    name: str = "reduced quadratic 4-complex"
+    def __init__(self, rqm: ReducedQuadraticModule, q4: Group, d4: GroupHom,
+                 under: UnderCofibration | None = None,
+                 name: str = "reduced quadratic 4-complex"):
+        self.rqm, self.q4, self.d4, self.under, self.name = rqm, q4, d4, under, name
+
+    @property
+    def under(self) -> UnderCofibration | None:
+        """The cofibration from the under-object.  A complex that is its own
+        base (D) keeps only the cofibration's maps and builds it on each
+        read, so that it holds no reference to itself and is freed without
+        the cycle collector."""
+        u = self._under
+        return UnderCofibration(self, *u) if u.__class__ is tuple else u
+
+    @under.setter
+    def under(self, u: UnderCofibration | None) -> None:
+        self._under = (u.q2, u.q3, u.q4) if u is not None and u.base is self else u
 
     @property
     def q2(self) -> Group:
@@ -254,7 +259,8 @@ class Coordinates:
 
     def __init__(self, c: ReducedQuadraticComplex4):
         self._groups = {2: c.q2, 3: c.q3, 4: c.q4}
-        self._d3, self._d4, self._omega, self._under = c.d3, c.d4, c.rqm.omega, c.under
+        self._d3, self._d4, self._omega, u = c.d3, c.d4, c.rqm.omega, c.under
+        self._under = u and (u.q2, u.q3, u.q4)
 
     @functools.cached_property
     def generators(self) -> dict[int, list]:
@@ -277,8 +283,7 @@ class Coordinates:
     @functools.cached_property
     def under(self) -> dict[int, list]:
         """Degree -> the under-object's map at the base's generators."""
-        u = self._under
-        return {k: list(_at_generators(h)) for k, h in ((2, u.q2), (3, u.q3), (4, u.q4))}
+        return {k: list(_at_generators(h)) for k, h in zip((2, 3, 4), self._under)}
 
     @functools.cached_property
     def under_rows(self) -> dict[int, list]:
@@ -315,16 +320,15 @@ def complex_from_rqm(rqm: ReducedQuadraticModule, name: str = "reduced quadratic
     return ReducedQuadraticComplex4(rqm, q4, GroupHom.zero(q4, rqm.q3), name=name)
 
 
-@dataclass
 class QCMorphism:
     """(f2, f3, f4) between reduced quadratic 4-complexes (degree 1 trivial)."""
 
-    source: ReducedQuadraticComplex4
-    target: ReducedQuadraticComplex4
-    f2: GroupHom
-    f3: GroupHom
-    f4: GroupHom
-    tag: tuple | None = None
+    __slots__ = ("source", "target", "f2", "f3", "f4", "tag")
+
+    def __init__(self, source: ReducedQuadraticComplex4, target: ReducedQuadraticComplex4,
+                 f2: GroupHom, f3: GroupHom, f4: GroupHom, tag: tuple | None = None):
+        self.source, self.target, self.f2, self.f3, self.f4 = source, target, f2, f3, f4
+        self.tag = tag
 
     def maps_json(self) -> dict:
         return {"f2": self.f2.element_json(), "f3": self.f3.element_json(),
@@ -495,18 +499,13 @@ def rqc4_check(c: ReducedQuadraticComplex4, samples: int = 200,
 # general (pre-crossed base) quadratic modules: checker only
 
 
-@dataclass
 class QuadraticModule:
     """w-lifted quadratic module over a nil(2) pre-crossed module."""
 
-    pre: PreCrossedModule
-    q3: Group
-    d3: GroupHom
-    omega: tuple
-    action3: GroupAction
-
-    def __post_init__(self):
-        self.omega = _omega_table(self.omega, self.q3, self.pre.m2.ngens)
+    def __init__(self, pre: PreCrossedModule, q3: Group, d3: GroupHom, omega: tuple,
+                 action3: GroupAction):
+        self.pre, self.q3, self.d3, self.action3 = pre, q3, d3, action3
+        self.omega = _omega_table(omega, q3, pre.m2.ngens)
 
     def c_group(self) -> FgAbelianGroup:
         """C = (Q2^cr)^ab, derived mechanically: abelianize, then divide by
@@ -594,12 +593,13 @@ def qm_check(q: QuadraticModule, samples: int = 200, seed: int | None = None) ->
 # homotopy
 
 
-@dataclass
 class QCHomotopy:
     """Witness (alpha2, alpha3): generator images in Q3' and Q4'."""
 
-    alpha2: tuple
-    alpha3: tuple
+    __slots__ = ("alpha2", "alpha3")
+
+    def __init__(self, alpha2: tuple, alpha3: tuple):
+        self.alpha2, self.alpha3 = alpha2, alpha3
 
     def alpha3_hom(self, source: ReducedQuadraticComplex4,
                    target: ReducedQuadraticComplex4) -> GroupHom:

@@ -16,10 +16,11 @@ from __future__ import annotations
 import functools
 import json
 import os
-import random
-from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
+
+if TYPE_CHECKING:  # annotations only: `Report.rng` imports it to build a generator
+    import random
 
 SAFE_INT = 2 ** 53
 
@@ -98,13 +99,20 @@ class Undefined(ValueError):
     action of -a when the endomorphism of a is not invertible."""
 
 
-@dataclass
 class Check:
-    check_id: str
-    passed: bool
-    witness: str | None = None
-    note: str | None = None
-    basis: str | None = None
+    """One check's verdict; checks with the same fields are equal."""
+
+    __slots__ = ("check_id", "passed", "witness", "note", "basis")
+
+    def __init__(self, check_id: str, passed: bool, witness: str | None = None,
+                 note: str | None = None, basis: str | None = None):
+        self.check_id, self.passed, self.witness = check_id, passed, witness
+        self.note, self.basis = note, basis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {"id": self.check_id, "passed": self.passed}
@@ -113,20 +121,31 @@ class Check:
         return out
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list[Check] = field(default_factory=list)
-    axioms: list[str] = field(default_factory=list)
-    witnesses: list[dict] = field(default_factory=list)
-    obstructions: list[dict] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-    basis: str | None = None  # the basis of checks added without one
+    """Checks, axioms, witnesses, obstructions and meta under a title;
+    reports with equal fields are equal.  `basis` is the basis of checks
+    added without one."""
+
+    _FIELDS = ("title", "checks", "axioms", "witnesses", "obstructions", "meta", "basis")
+
+    def __init__(self, title: str, checks: Iterable[Check] = (), axioms: Iterable[str] = (),
+                 witnesses: Iterable[dict] = (), obstructions: Iterable[dict] = (),
+                 meta: dict | None = None, basis: str | None = None):
+        self.title, self.checks, self.axioms = title, list(checks), list(axioms)
+        self.witnesses, self.obstructions = list(witnesses), list(obstructions)
+        self.meta, self.basis = dict(meta or {}), basis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self._FIELDS)
 
     @functools.cached_property
     def rng(self) -> random.Random:
         """The generator of a `sampled_report`, seeded with its meta's seed
-        on first use, so that a check that draws nothing builds none."""
+        on first use, so that a check that draws nothing builds none and a
+        command that samples nothing does not import `random`."""
+        import random
         return random.Random(self.meta["seed"])
 
     @property
@@ -158,7 +177,7 @@ class Report:
 
     def merge(self, other: "Report", prefix: str = "") -> None:
         for c in other.checks:
-            self.checks.append(replace(c, check_id=prefix + c.check_id))
+            self.checks.append(Check(prefix + c.check_id, c.passed, c.witness, c.note, c.basis))
         for a in other.axioms:
             if a not in self.axioms:
                 self.axioms.append(a)

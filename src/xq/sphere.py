@@ -8,7 +8,6 @@ manifest attached to every report produced here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from .groups import FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, Group, GroupHom
 from .intlinalg import Lattice, ZSystem, vec_neg
 from .monoid import mbar_elements
@@ -150,8 +149,8 @@ def family_member(base: QCMorphism, r: int) -> QCMorphism:
     r-family: base with f3(e3) = r w(e,e), sharing its f2, f4 and forced
     omega-symbol images."""
     q3 = base.target.q3
-    return replace(base, f3=base.f3.with_image(0, q3.pow(q3.gen(0), r)),
-                   tag=base.tag[:2] + (r,))
+    return QCMorphism(base.source, base.target, base.f2,
+                      base.f3.with_image(0, q3.pow(q3.gen(0), r)), base.f4, base.tag[:2] + (r,))
 
 
 def retraction_shift(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex4) -> tuple:
@@ -314,11 +313,10 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     return out
 
 
-@dataclass
 class RetractionClass:
-    ab: tuple[int, int]
-    members: list[QCMorphism]
-    representative: QCMorphism
+    def __init__(self, ab: tuple[int, int], members: list[QCMorphism],
+                 representative: QCMorphism):
+        self.ab, self.members, self.representative = ab, members, representative
 
 
 class FamilyDecisions:
@@ -377,8 +375,9 @@ class FamilyDecisions:
         def shifted(t: int) -> QCMorphism:
             """g0 with t shift added to its f3 images, as the unknown t reads
             it; `op` and `pow` give canonical values, so they are kept."""
-            return replace(g0, f3=GroupHom.of_canonical(g0.source.q3, q3, [
-                q3.op(im, q3.pow(s, t)) for im, s in zip(g0.f3.images, shift)]))
+            return QCMorphism(g0.source, g0.target, g0.f2, GroupHom.of_canonical(
+                g0.source.q3, q3, [q3.op(im, q3.pow(s, t)) for im, s in zip(g0.f3.images, shift)]),
+                g0.f4, g0.tag)
 
         points = [(f"t = {t}", shifted(t), solutions.values_at(t))
                   for t in dict.fromkeys((t0, t0 + solutions.step))]

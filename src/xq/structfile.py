@@ -17,7 +17,6 @@ import marshal
 import os
 import re
 import stat
-from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
 from .crossed import (CrossedComplex3, GroupAction, PreCrossedModule,
@@ -495,14 +494,12 @@ FILE_KINDS = {
 STRUCTURE_KINDS = tuple(FILE_KINDS)
 
 
-@dataclass
 class StructureFile:
     """A parsed and semantically validated structure file; `sides` is the
     ComplexKind of a pair's, morphism's or homotopy's sides, else None."""
 
-    kind: str
-    value: Any = field(repr=False)
-    sides: ComplexKind | None = field(repr=False)
+    def __init__(self, kind: str, value: Any, sides: ComplexKind | None):
+        self.kind, self.value, self.sides = kind, value, sides
 
     def check(self, samples: int = 200, seed: int | None = None) -> Report:
         """Run the axiom/validity checks appropriate for this kind."""

@@ -2,20 +2,39 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 
-@dataclass(frozen=True)
 class TensorElement:
-    """Integer coefficient matrix over the basis {c_i (x) c_j}."""
+    """Integer coefficient matrix over the basis {c_i (x) c_j}.  An
+    immutable value: equal matrices are equal and hash alike."""
 
-    n: int
-    coeffs: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.n or any(len(r) != self.n for r in self.coeffs):
+    def __init__(self, n: int, coeffs: tuple[tuple[int, ...], ...]):
+        if len(coeffs) != n or any(len(r) != n for r in coeffs):
             raise ValueError("coefficient matrix must be n x n")
+        _set_n(self, n)
+        _set_coeffs(self, coeffs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"TensorElement is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return TensorElement, (self.n, self.coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"TensorElement(n={self.n!r}, coeffs={self.coeffs!r})"
 
     @staticmethod
     def basis(n: int, i: int, j: int) -> "TensorElement":
@@ -52,3 +71,7 @@ class TensorElement:
             for j, c in enumerate(row):
                 if c:
                     yield i, j, c
+
+
+# the slots' own setters, which the frozen __setattr__ leaves to __init__
+_set_n, _set_coeffs = TensorElement.n.__set__, TensorElement.coeffs.__set__

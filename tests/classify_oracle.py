@@ -10,17 +10,16 @@ itself included.  Members and classes are listed in input order.  It shares
 no shift unknown and no reasoning about r-families with the solver.
 """
 
-from dataclasses import dataclass
-
 from xq.quadratic import QCHomotopy, rq_homotopic
 from xq.sphere import RetractionClass
 
 
-@dataclass
 class GreedyClass(RetractionClass):
     """witnesses[k] is the homotopy from the representative to members[k]."""
 
-    witnesses: list[QCHomotopy]
+    def __init__(self, ab, members, representative, witnesses: list[QCHomotopy]):
+        super().__init__(ab, members, representative)
+        self.witnesses = witnesses
 
 
 def greedy_classes(morphisms):

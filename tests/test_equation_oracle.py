@@ -4,7 +4,6 @@ groups from coordinate tables, against the element-by-element scans of
 witnesses, on passing and perturbed morphisms and witnesses."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -72,8 +71,10 @@ def random_morphism(q, target, rng, size=5):
 
 def perturbed(m, degree, i, by):
     """m with `by` added to image i of its degree map."""
-    h = getattr(m, f"f{degree}")
-    return replace(m, **{f"f{degree}": h.with_image(i, h.target.op(h.images[i], by))})
+    maps = {k: getattr(m, k) for k in ("f2", "f3", "f4")}
+    h = maps[f"f{degree}"]
+    maps[f"f{degree}"] = h.with_image(i, h.target.op(h.images[i], by))
+    return QCMorphism(m.source, m.target, **maps, tag=m.tag)
 
 
 def perturbations(m, rng):

@@ -4,7 +4,6 @@ morphisms give, on passing and on corrupted witnesses, and classification
 evaluates the maps of the source complex a constant number of times."""
 
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -49,8 +48,8 @@ def twisted_identity(q):
     identity, g2 != f2 and omega' != 0, so alpha2 carries non-zero
     corrections."""
     q2 = q.q2
-    return replace(identity_morphism(q), f2=GroupHom(
-        q2, q2, [q2.gen(0), q2.gen(1), q2.op(q2.gen(2), q2.gen(0))]))
+    return QCMorphism(q, q, GroupHom(q2, q2, [q2.gen(0), q2.gen(1), q2.op(q2.gen(2), q2.gen(0))]),
+                      GroupHom.identity(q.q3), GroupHom.identity(q.q4))
 
 
 def broken_f3(q, d):
@@ -61,15 +60,14 @@ def broken_f3(q, d):
     m = retraction_candidate(q, d, 1, 0, 0)
     images = list(m.f3.images)
     images[1] = d.q3.pow(d.q3.gen(0), 3)
-    return replace(m, f3=GroupHom(q.q3, d.q3, images))
+    return QCMorphism(m.source, m.target, m.f2, GroupHom(q.q3, d.q3, images), m.f4, m.tag)
 
 
 def fresh_copy(m):
     """The same maps with new hom objects, so that nothing kept on the homs
     of m is read."""
-    return replace(m, f2=GroupHom(m.f2.source, m.f2.target, m.f2.images),
-                   f3=GroupHom(m.f3.source, m.f3.target, m.f3.images),
-                   f4=GroupHom(m.f4.source, m.f4.target, m.f4.images))
+    return QCMorphism(m.source, m.target, *(GroupHom(h.source, h.target, h.images)
+                                            for h in (m.f2, m.f3, m.f4)), m.tag)
 
 
 def shifted(values, i, by, group):

@@ -1,11 +1,10 @@
 import json
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 import xq
-from xq.quadratic import qcm_check, rq_homotopy_decision, rqc4_check
+from xq.quadratic import QCMorphism, qcm_check, rq_homotopy_decision, rqc4_check
 from xq.groups import CyclicGroup, FreeNil2Group
 from xq.intlinalg import Lattice
 from xq.sphere import (FamilyDecisions, classify_retractions, derive_reduced_q3,
@@ -282,7 +281,8 @@ def test_family_classification_matches_the_greedy_oracle_across_families(
 
 
 def test_classification_rejects_an_untagged_morphism(cylinder_q, sphere_d):
-    m = replace(retraction_candidate(cylinder_q, sphere_d, 0, 0, 0), tag=None)
+    c = retraction_candidate(cylinder_q, sphere_d, 0, 0, 0)
+    m = QCMorphism(c.source, c.target, c.f2, c.f3, c.f4, tag=None)
     with pytest.raises(ValueError, match="not a tagged retraction candidate"):
         classify_retractions([m])
 
