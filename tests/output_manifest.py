@@ -3,8 +3,9 @@ op's exit code, stdout, stderr and every file it writes.
 
 The ops are those of every workload of `bench/inputs.py` at seeds 1 to 3,
 then `s2xs2 classify --out` at the boxes 3/10, 3/20, 8/60 and 20/200,
-`s2xs2 count --out`, `s2xs2 monoid --table --out` and `check --out` of
-each shipped structure file.  They run in this process through
+`s2xs2 count --out`, `s2xs2 monoid --table --out`, `check --out` of
+each shipped structure file, and last the text-only `s2xs2 classify` at
+the boxes of `TEXT_BOXES` and `s2xs2 count`, which write no file.  They run in this process through
 `xq.cli.run`, in list order (a `check` of a witness reads the file an
 earlier `homotopic` wrote), with `XQ_SEED` unset.  The work directory and
 the repository root are replaced by `$WORK` and `$ROOT` in argv, in the
@@ -30,6 +31,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MANIFEST = os.path.join(ROOT, "tests", "golden", "outputs.sha256")
 SEEDS = (1, 2, 3)
 CLASSIFY_BOXES = ((3, 10), (3, 20), (8, 60), (20, 200))
+TEXT_BOXES = ((20, 200), (200, 2000))
 SHIPPED = ("sphere_D.json", "cylinder_Q.json", "retraction_pair.json",
            "retraction_pr1.json", "retraction_pr1_twisted.json", "retraction_pr2.json")
 WRITES = ("--out", "--witness")
@@ -62,6 +64,9 @@ def ops(work: str) -> list[tuple[str, list[str]]]:
                   ["s2xs2", "monoid", "--table", "--out", os.path.join(extra, "monoid.json")]]
     extra_ops += [["check", os.path.join(ROOT, "structures", name),
                    "--out", os.path.join(extra, f"check-{name}")] for name in SHIPPED]
+    extra_ops += [["s2xs2", "classify", "--ab-range", str(a), "--r-bound", str(r)]
+                  for a, r in TEXT_BOXES]
+    extra_ops += [["s2xs2", "count"]]
     out += [(f"extra/{i:03d}", argv) for i, argv in enumerate(extra_ops)]
     return out
 
