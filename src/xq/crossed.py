@@ -12,7 +12,7 @@ Group actions are right actions given on generators; conventions:
 from __future__ import annotations
 
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .groups import Group, GroupHom, generator_pairs, invert_hom
 from .intlinalg import Lattice, ZSystem
@@ -458,6 +458,21 @@ class LinearHomotopy:
         return [tuple(b.group.from_ab(u[b.var(x, 0):b.var(x, b.dim)])
                       for x in range(len(b.slots))) for b in self.blocks]
 
+    def values_json(self, u: Sequence[int], memo: dict) -> Iterator[list]:
+        """The JSON of `values(u)`, block by block, each value written by its
+        group's `element_to_json`.  `memo` maps each block met before, by its
+        slots and coordinates, and each value, by its coordinates, to that
+        JSON, so that each is converted once and its JSON object is shared;
+        keep one memo for the systems of one source and target, whose k-th
+        blocks have one group."""
+        for k, b in enumerate(self.blocks):
+            whole = (k, b.slots, *u[b.offset:b.offset + len(b.slots) * b.dim])
+            if whole not in memo:
+                values = [(k, None, *u[b.var(x, 0):b.var(x, b.dim)]) for x in range(len(b.slots))]
+                memo[whole] = [memo[v] if v in memo else memo.setdefault(
+                    v, b.group.element_to_json(b.group.from_ab(v[2:]))) for v in values]
+            yield memo[whole]
+
     def accept(self, verification: Report, witness_json: dict) -> None:
         """Record a witness built from `solve` once it re-verifies.  The
         re-verification's checks are listed without their basis, so decision
@@ -478,9 +493,9 @@ class ShiftedSolutions:
     basis has the step as the leading entry of its first row when step is
     not 0, and its other rows span the t = 0 kernel, which is the kernel
     of the system with t fixed.  At an admitted t the solutions are one
-    particular solution plus that kernel; so `values_at` reduces a solution
-    at t exactly as `solve` reduces one of that system, and returns the
-    same canonical values."""
+    particular solution plus that kernel; so `solution_at` reduces a
+    solution at t exactly as `solve` reduces one of that system, and
+    `lin.values` of it are the same canonical values."""
 
     def __init__(self, lin: LinearHomotopy, u0: Sequence[int], kernel):
         self.lin, self.u0, self.t0 = lin, u0, u0[0]
@@ -491,16 +506,16 @@ class ShiftedSolutions:
     def admits(self, t: int) -> bool:
         return (t - self.t0) % self.step == 0 if self.step else t == self.t0
 
-    def values_at(self, t: int) -> list[tuple] | None:
-        """The canonical values at t, block by block; None when t is not
-        admitted."""
+    def solution_at(self, t: int) -> tuple[int, ...] | None:
+        """The reduced solution at t, u0 + q step_row reduced by kernel0;
+        None when t is not admitted."""
         if not self.admits(t):
             return None
         u = self.u0
         if self.step:
             q = (t - self.t0) // self.step
             u = [a + q * b for a, b in zip(u, self.step_row)]
-        return self.lin.values(self.kernel0.reduce(u))
+        return self.kernel0.reduce(u)
 
 
 def xc3_homotopy_decision(f: XC3Morphism, g: XC3Morphism

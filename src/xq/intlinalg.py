@@ -15,7 +15,7 @@ canonical solution from that one reduction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -104,25 +104,24 @@ class Lattice:
     def basis(self) -> list[tuple[int, ...]]:
         return [tuple(r) for r in self.rows]
 
-    def coset_points(self, offset: Sequence[int], bound: int) -> Iterator[tuple[int, ...]]:
+    def coset_points(self, offset: Sequence[int], bound: int) -> list[tuple[int, ...]]:
         """The points of offset + L in [-bound, bound]^n, ascending, listed
         from the echelon basis without a pass over the box.  A basis row is
         0 before its pivot, so coordinate j is fixed by the rows with
         earlier pivots: it is stepped through its range by the row with
-        pivot j when there is one, and otherwise only checked."""
+        pivot j when there is one, and otherwise only checked.  The points
+        are extended one coordinate at a time, by a loop and not a recursive
+        closure, which would refer to itself and outlive the call."""
         rows = dict(zip(self.pivots, self.rows))
-
-        def walk(point: list[int], j: int) -> Iterator[tuple[int, ...]]:
-            if j == self.n:
-                yield tuple(point)
-            elif j in rows:
-                row, x = rows[j], point[j]
-                for k in range(-((x + bound) // row[j]), (bound - x) // row[j] + 1):
-                    yield from walk([a + k * b for a, b in zip(point, row)], j + 1)
-            elif -bound <= point[j] <= bound:
-                yield from walk(point, j + 1)
-
-        return walk(list(offset), 0)
+        points = [list(offset)]
+        for j in range(self.n):
+            row = rows.get(j)
+            if row is None:
+                points = [p for p in points if -bound <= p[j] <= bound]
+            else:
+                points = [[a + k * b for a, b in zip(p, row)] for p in points
+                          for k in range(-((p[j] + bound) // row[j]), (bound - p[j]) // row[j] + 1)]
+        return [tuple(p) for p in points]
 
 
 def hnf_with_transform(rows: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:

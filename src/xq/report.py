@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -23,6 +24,7 @@ if TYPE_CHECKING:  # annotations only: `Report.rng` imports it to build a genera
     import random
 
 SAFE_INT = 2 ** 53
+_INT, _STR, _ARRAY = frozenset((int,)), frozenset((str,)), frozenset((list, tuple))
 
 
 def canonical_json(obj: Any, quote_unsafe: bool = False) -> str:
@@ -31,17 +33,26 @@ def canonical_json(obj: Any, quote_unsafe: bool = False) -> str:
     are arrays, and a key or value of any other type raises TypeError.
     With `quote_unsafe`, as for reports, an integer outside the 53-bit safe
     range is written as its decimal string; structure files keep it a
-    number."""
+    number.  An array of ints, of strs or of arrays of ints is written in
+    one join, and any other array met again within the call, such as a
+    list that every witness shares, is written once and its text reused."""
     out: list[str] = []
-    _write(obj, out, "\n", quote_unsafe)
+    _write(obj, out, "\n", quote_unsafe, {})
     return "".join(out) + "\n"
 
 
-def _write(obj: Any, out: list[str], newline: str, quote_unsafe: bool) -> None:
+def _unsafe(values: list | tuple) -> bool:
+    return bool(values) and (min(values) <= -SAFE_INT or max(values) >= SAFE_INT)
+
+
+def _write(obj: Any, out: list[str], newline: str, quote_unsafe: bool, seen: dict) -> None:
     """Append the text of obj to out, `newline` being a line break and the
     indent of the line obj starts on.  One call per nesting level, so that
     any nesting a structure file may have (`structfile.MAX_NESTING`) can be
-    written back."""
+    written back.  `seen` maps the id of each array written so far but those
+    of one join to (newline, start, end), its text being out[start:end].
+    Every line break in that text is followed by at least that indent, so
+    `replace` moves the text to another newline."""
     inner = newline + "  "
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -57,22 +68,34 @@ def _write(obj: Any, out: list[str], newline: str, quote_unsafe: bool) -> None:
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             out.append(sep + encode_basestring_ascii(k) + ": ")
-            _write(v, out, inner, quote_unsafe)
+            _write(v, out, inner, quote_unsafe, seen)
             sep = "," + inner
         out.append(newline + "}" if obj else "{}")
-    elif isinstance(obj, (list, tuple)) and all(type(v) is int for v in obj) and not (
-            quote_unsafe and obj and (min(obj) <= -SAFE_INT or max(obj) >= SAFE_INT)):
-        out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]"
+    elif not isinstance(obj, (list, tuple)):  # floats and int subclasses as json
+        out.append(json.dumps(obj))           # writes them, or TypeError
+    elif (kinds := set(map(type, obj))) <= _STR or kinds <= _INT and not (
+            quote_unsafe and _unsafe(obj)):
+        atom = encode_basestring_ascii if kinds <= _STR else int.__repr__
+        out.append("[" + inner + ("," + inner).join(map(atom, obj)) + newline + "]"
                    if obj else "[]")
-    elif isinstance(obj, (list, tuple)):
-        sep = "[" + inner
-        for v in obj:
-            out.append(sep)
-            _write(v, out, inner, quote_unsafe)
-            sep = "," + inner
-        out.append(newline + "]")
-    else:  # floats and int subclasses as json writes them, or TypeError
-        out.append(json.dumps(obj))
+    elif id(obj) in seen:
+        old, start, end = seen[id(obj)]
+        out.append("".join(out[start:end]).replace(old, newline))
+    else:
+        start = len(out)
+        if kinds <= _ARRAY and set(map(type, cells := list(chain.from_iterable(obj)))) <= _INT \
+                and not (quote_unsafe and _unsafe(cells)):
+            out.append("[" + inner + ("," + inner).join([
+                "[" + inner + "  " + ("," + inner + "  ").join(map(int.__repr__, row)) + inner
+                + "]" if row else "[]" for row in obj]) + newline + "]")
+        else:
+            sep = "[" + inner
+            for v in obj:
+                out.append(sep)
+                _write(v, out, inner, quote_unsafe, seen)
+                sep = "," + inner
+            out.append(newline + "]")
+        seen[id(obj)] = (newline, start, len(out))
 
 
 def seed_from_env() -> int:
@@ -124,7 +147,9 @@ class Check:
 class Report:
     """Checks, axioms, witnesses, obstructions and meta under a title;
     reports with equal fields are equal.  `basis` is the basis of checks
-    added without one."""
+    added without one.  `witnesses` may be set to an iterable that builds
+    them, which `to_json_obj` drains into the list the report then keeps, so
+    that a report shown only as text builds none."""
 
     _FIELDS = ("title", "checks", "axioms", "witnesses", "obstructions", "meta", "basis")
 
@@ -191,6 +216,8 @@ class Report:
         """The report as a JSON object.  Its lists and dicts below the top
         level are the report's own, not copies, and its integers are not
         encoded: `to_json` quotes the unsafe ones as it writes."""
+        if not isinstance(self.witnesses, list):
+            self.witnesses = list(self.witnesses)
         out: dict[str, Any] = {
             "title": self.title,
             "ok": self.ok,

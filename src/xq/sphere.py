@@ -8,6 +8,8 @@ manifest attached to every report produced here.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .groups import FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, Group, GroupHom
 from .intlinalg import Lattice, ZSystem, vec_neg
 from .monoid import mbar_elements
@@ -145,7 +147,7 @@ def retraction_candidate(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex
 
 
 def family_member(base: QCMorphism, r: int) -> QCMorphism:
-    """The candidate (a, b, r), given base, the candidate (a, b, 0) of its
+    """The candidate (a, b, r), given base, a candidate (a, b, r') of its
     r-family: base with f3(e3) = r w(e,e), sharing its f2, f4 and forced
     omega-symbol images."""
     q3 = base.target.q3
@@ -183,7 +185,7 @@ def monomials(a: int, b: int) -> tuple[int, ...]:
 
 
 def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex4,
-                          ab_range: int = 2, r_bound: int = 1) -> list[QCMorphism]:
+                          ab_range: int = 2, r_bound: int = 1) -> list[Retraction]:
     """All morphisms Q -> D under D within the parameter box |a|, |b| <=
     ab_range, |r| <= r_bound, i.e. the candidates passing every morphism
     check (boundary squares, omega compatibility, and g q = id on the
@@ -225,8 +227,9 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     `Lattice.coset_points`.  On Q -> D the coset is (0, 1, 0, 0, 0, 0) +
     Z(1, -1, 0, 0, 0, 0) + Z(0, 0, 0, 0, 0, 1): the visited points are the
     (a, 1 - a) in the box, the kept ones (0, 1) and (1, 0), and every r
-    solves them.  A kept point's r are its r-family: one base, the
-    candidate (a, b, 0), and the members built from it (`family_member`).
+    solves them.  A kept point's r are its r-family, listed as
+    `Retraction`s by tag: from the candidate (a, b, 0) only the first three
+    members are built (`family_member`).
 
     A family is certified by `qcm_check` on its first three members (all,
     when it has fewer), independently of the fit.  At fixed (a, b) each
@@ -238,7 +241,8 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     Q's and D's coordinate tables once; per probe, a candidate and image
     products over them (`CoordinateEquations`); one `ZSystem` solve, one
     `reduce` per visited point, and per r-family one `retraction_candidate`
-    and 3 `qcm_check`s; the visited points and members grow with the box.
+    and 3 members built and checked; only the visited points and the member
+    tags grow with the box.
 
     Raises ValueError when the target has no abelian coordinates in degrees
     2, 3 or 4 or the fit misses its guard, and RuntimeError, naming the
@@ -304,25 +308,37 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
         if not rs:
             continue
         base = retraction_candidate(q, d, a, b, 0)
-        family = [family_member(base, r) for r in rs]
-        for m in family[:3]:
+        checked = [family_member(base, r) for r in rs[:3]]
+        for m in checked:
             if not qcm_check(m).ok:
                 raise RuntimeError(f"internal error: solved candidate {m.tag} "
                                    "fails the morphism checks")
-        out += family
+        out += [Retraction((a, b, r), checked[0]) for r in rs]
     return out
 
 
+class Retraction:
+    """A solved retraction candidate, by its tag (a, b, r).  `base` is
+    the morphism of the first member of its r-family, built and checked when
+    the family was solved; `family_member(base, r)` builds the member's."""
+
+    __slots__ = ("tag", "base")
+
+    def __init__(self, tag: tuple[int, int, int], base: QCMorphism):
+        self.tag, self.base = tag, base
+
+
 class RetractionClass:
-    def __init__(self, ab: tuple[int, int], members: list[QCMorphism],
-                 representative: QCMorphism):
+    def __init__(self, ab: tuple[int, int], members: list[Retraction],
+                 representative: Retraction):
         self.ab, self.members, self.representative = ab, members, representative
 
 
 class FamilyDecisions:
-    """Homotopy decisions between r-families of retractions (the candidates
-    that share (a, b)): one per ordered pair of families, made when first
-    needed and kept.
+    """Homotopy decisions between r-families of retractions (the
+    `Retraction`s that share (a, b)): one per ordered pair of families,
+    between their first members (`Retraction.base`), made when first needed
+    and kept.
 
     For retractions f = (a, b, r) and g = (a', b', r'), r and r' enter the
     homotopy system of `rq_homotopy_decision` only through -f3(e3) + g3(e3)
@@ -332,7 +348,8 @@ class FamilyDecisions:
     unknown t on g0 (`retraction_shift`), holds the system of every pair of
     their members: f ~ g exactly when t = (r' - r) - (r(g0) - r(f0)) admits
     a solution, and the witness at that t is the one the pair's own
-    decision would give.
+    decision would give.  Members are decided and their witnesses written
+    (`witness_json`) by tag, without building their morphisms.
 
     A decision that admits some t is verified once for all its members
     (`_certify`), not per witness: the canonical values at t0 and, when
@@ -342,24 +359,18 @@ class FamilyDecisions:
     and Q4' are abelian, so each equation the verifier checks reads phi(t,
     u) = c, phi a homomorphism of t and the values' coordinates u: it holds
     at integer affine combinations of points where it holds, plus kernel
-    rows.  `values_at(t)` is u0 + q step_row minus kernel rows, such a
+    rows.  `solution_at(t)` is u0 + q step_row minus kernel rows, such a
     point, though the floor in `Lattice.reduce` is not affine in q.  A
     failing certificate raises RuntimeError."""
 
-    def __init__(self, morphisms: list[QCMorphism]):
-        self.first: dict[tuple, QCMorphism] = {}
-        for m in morphisms:
-            if not (isinstance(m.tag, tuple) and len(m.tag) == 3):
-                raise ValueError(f"not a tagged retraction candidate: tag {m.tag!r}; "
-                                 "classify the output of retraction_candidate")
-            self.first.setdefault(m.tag[:2], m)
+    def __init__(self):
         self.made: dict[tuple, tuple] = {}
 
-    def decide(self, f: QCMorphism, g: QCMorphism) -> tuple:
+    def decide(self, f: Retraction, g: Retraction) -> tuple:
         """(`ShiftedSolutions` or None, report) for the families of f and g."""
-        key = (f.tag[:2], g.tag[:2])
+        key = (f.base, g.base)
         if key not in self.made:
-            f0, g0 = self.first[key[0]], self.first[key[1]]
+            f0, g0 = key
             shift = retraction_shift(f0.source, f0.target)
             decided = rq_homotopy_decision(f0, g0, shift)
             if decided[0] is not None:
@@ -379,7 +390,7 @@ class FamilyDecisions:
                 g0.source.q3, q3, [q3.op(im, q3.pow(s, t)) for im, s in zip(g0.f3.images, shift)]),
                 g0.f4, g0.tag)
 
-        points = [(f"t = {t}", shifted(t), solutions.values_at(t))
+        points = [(f"t = {t}", shifted(t), solutions.lin.values(solutions.solution_at(t)))
                   for t in dict.fromkeys((t0, t0 + solutions.step))]
         points += [(f"t = 0 kernel row {list(row)}", f0, solutions.lin.values(row))
                    for row in solutions.kernel0.basis()]
@@ -388,70 +399,114 @@ class FamilyDecisions:
                 raise RuntimeError("internal error: the homotopy certificate of r-families "
                                    f"{f0.tag[:2]} and {g0.tag[:2]} fails at {where}")
 
-    def _shift(self, f: QCMorphism, g: QCMorphism) -> int:
-        f0, g0 = self.first[f.tag[:2]], self.first[g.tag[:2]]
-        return (g.tag[2] - f.tag[2]) - (g0.tag[2] - f0.tag[2])
-
-    def homotopic(self, f: QCMorphism, g: QCMorphism) -> bool:
+    def homotopic(self, f: Retraction, g: Retraction) -> bool:
         solutions, _ = self.decide(f, g)
         return solutions is not None and solutions.admits(self._shift(f, g))
 
-    def witness(self, f: QCMorphism, g: QCMorphism) -> QCHomotopy:
-        """The canonical witness of f ~ g; RuntimeError if there is none, as
-        callers ask only for pairs they found homotopic."""
+    def _shift(self, f: Retraction, g: Retraction) -> int:
+        return (g.tag[2] - f.tag[2]) - (g.base.tag[2] - f.base.tag[2])
+
+    def _solution(self, f: Retraction, g: Retraction) -> tuple:
+        """The system of f's and g's families and its reduced solution at
+        their shift; RuntimeError if there is none, as callers ask only for
+        pairs they found homotopic."""
         solutions, _ = self.decide(f, g)
-        values = None if solutions is None else solutions.values_at(self._shift(f, g))
-        if values is None:
+        u = None if solutions is None else solutions.solution_at(self._shift(f, g))
+        if u is None:
             raise RuntimeError(f"internal error: {f.tag} and {g.tag} are in one "
                                "class but not homotopic")
-        return QCHomotopy(*values)
+        return solutions.lin, u
 
-    def report(self, f: QCMorphism, g: QCMorphism) -> Report:
-        """The report of `rq_homotopy_decision(f, g)`.  When no t admits a
-        homotopy, the family decision's refutation names no t, so its report
-        is that report; otherwise f and g are decided afresh."""
+    def witness(self, f: Retraction, g: Retraction) -> QCHomotopy:
+        """The canonical witness of f ~ g."""
+        lin, u = self._solution(f, g)
+        return QCHomotopy(*lin.values(u))
+
+    def witness_json(self, f: Retraction, g: Retraction, memo: dict) -> dict:
+        """`witness(f, g).to_json(target)`, written from the solution without
+        building the witness; each block and value is converted once per
+        memo (`LinearHomotopy.values_json`)."""
+        lin, u = self._solution(f, g)
+        return dict(zip(("alpha2", "alpha3"), lin.values_json(u, memo)))
+
+    def report(self, f: Retraction, g: Retraction) -> Report:
+        """The report of `rq_homotopy_decision` of f's and g's morphisms.
+        When no t admits a homotopy, the family decision's refutation names
+        no t, so its report is that report; otherwise f and g are decided
+        afresh."""
         solutions, rep = self.decide(f, g)
-        return rep if solutions is None else rq_homotopy_decision(f, g)[1]
+        return rep if solutions is None else rq_homotopy_decision(
+            family_member(f.base, f.tag[2]), family_member(g.base, g.tag[2]))[1]
 
 
-def classify_retractions(morphisms: list[QCMorphism],
+def classify_retractions(members: list[Retraction],
                          decisions: FamilyDecisions | None = None
                          ) -> list[RetractionClass]:
-    """Partition into homotopy classes, with one homotopy decision per pair
-    of r-families (`FamilyDecisions`) instead of one per member.
+    """Partition solved retractions into homotopy classes, with one homotopy
+    decision per pair of r-families (`FamilyDecisions`) and none per member.
 
-    The morphisms must be `retraction_candidate(q, d, a, b, r)`s of one
-    (q, d), tagged (a, b, r): the family argument needs members that share
-    (a, b) to differ only by r w(e,e) on e3.  An untagged morphism raises
-    ValueError.
+    The members must be `Retraction`s of `enumerate_retractions`: the family
+    argument needs members that share (a, b) to differ only by r w(e,e) on
+    e3.  Anything else raises ValueError.
 
-    A member joins the class of the first class opener it is homotopic to
-    and otherwise opens a class.  The representative of a class is its
-    first member with r = 0, or its first member when none has r = 0.
-    Members and classes are listed in input order.  As homotopy is an
-    equivalence relation, these are the classes and representatives of the
-    greedy loop that decides each member against the representatives, r = 0
-    members first; `decisions.witness(c.representative, m)` is the canonical
-    witness of a member m."""
+    Two members of one family are homotopic exactly when their r agree
+    modulo the step of the family's decision with itself (r itself when
+    the step is 0).  So what is partitioned is the pairs (family, residue
+    of r), each run of members of one family split by residue, and a class
+    is a union of such pairs: a pair's first member joins the class of the
+    first class opener it is homotopic to, or opens a class, and the rest of
+    the pair follows it.  On Q -> D the step is 1, and each family is one
+    class.  The representative of a class is its first member with r = 0,
+    or its first member when none has r = 0.  Members and classes are
+    listed in input order.  As homotopy is an equivalence relation, these
+    are the classes and representatives of the greedy loop that decides
+    each member against the representatives, r = 0 members first;
+    `decisions.witness(c.representative, m)` is the canonical witness of a
+    member m."""
+    if not set(map(type, members)) <= {Retraction}:
+        raise ValueError("not a tagged retraction candidate: classify Retractions")
     if decisions is None:
-        decisions = FamilyDecisions(morphisms)
-    classes: list[list[QCMorphism]] = []
-    for m in morphisms:
-        for members in classes:
-            if decisions.homotopic(members[0], m):
-                members.append(m)
-                break
-        else:
-            classes.append([m])
-    return [RetractionClass(members[0].tag[:2], members,
-                            next((m for m in members if m.tag[2] == 0), members[0]))
-            for members in classes]
+        decisions = FamilyDecisions()
+    classes: list[list[Retraction]] = []
+    for _, run in groupby(members, lambda m: m.base):
+        run = list(run)
+        # the step of the family's decision with itself; 0 when it admits no shift
+        step = getattr(decisions.decide(run[0], run[0])[0], "step", 0)
+        pairs: dict[int, list[Retraction]] = {}
+        for m in run:
+            pairs.setdefault(m.tag[2] % step if step else m.tag[2], []).append(m)
+        for pair in pairs.values():
+            opened = next((c for c in classes if decisions.homotopic(c[0], pair[0])), [])
+            if not opened:
+                classes.append(opened)
+            opened += pair
+    return [RetractionClass(c[0].tag[:2], c, next((m for m in c if m.tag[2] == 0), c[0]))
+            for c in classes]
+
+
+def class_witnesses(decisions: FamilyDecisions, classes: list[RetractionClass],
+                    listed: list[dict]):
+    """The canonical witness of each member from its class representative,
+    class by class, as a report writes it, with the representative's and the
+    member's tags from `listed`, the report's classes.  Built as drained,
+    from the family decisions, with one memo of converted values."""
+    memo: dict = {}
+    for c, entry in zip(classes, listed):
+        for m, tag in zip(c.members, entry["members"]):
+            yield {"pair": [entry["representative"], tag],
+                   **decisions.witness_json(c.representative, m, memo)}
 
 
 def classification_report(ab_range: int = 3, r_bound: int = 10) -> Report:
     """Full classification run: structures checked, retractions enumerated
     and classified, canonical witnesses and a cross-class obstruction
-    recorded, homology route compared."""
+    recorded, homology route compared.
+
+    The members are tags, and each class is a union of r-families, so the
+    text costs what it prints.  The witnesses are a generator
+    (`class_witnesses`) that only serializing the report drains
+    (`Report.to_json_obj`): text output builds none, and `--out` spends per
+    member about what its witness adds to the file."""
     rep = Report("classification of retraction classes under D")
     rep.axioms = list(AXIOMS)
     rep.meta.update(ab_range=ab_range, r_bound=r_bound)
@@ -461,10 +516,10 @@ def classification_report(ab_range: int = 3, r_bound: int = 10) -> Report:
         chk = rqc4_check(cx)
         first_fail = None if chk.ok else chk.failed()[0].check_id
         rep.add(f"structure_{name}_valid", chk.ok, first_fail)
-    morphisms = enumerate_retractions(q, d, ab_range, r_bound)
-    rep.meta["retractions"] = len(morphisms)
-    decisions = FamilyDecisions(morphisms)
-    classes = classify_retractions(morphisms, decisions)
+    members = enumerate_retractions(q, d, ab_range, r_bound)
+    rep.meta["retractions"] = len(members)
+    decisions = FamilyDecisions()
+    classes = classify_retractions(members, decisions)
     rep.add("two_classes", len(classes) == 2, f"found {len(classes)} classes")
     ab_set = sorted(c.ab for c in classes)
     rep.add("classes_are_projection_types", ab_set == [(0, 1), (1, 0)],
@@ -477,9 +532,7 @@ def classification_report(ab_range: int = 3, r_bound: int = 10) -> Report:
                             "representative": list(c.representative.tag),
                             "members": [list(m.tag) for m in c.members]}
                            for c in classes]
-    rep.witnesses = [{"pair": [list(c.representative.tag), list(m.tag)],
-                      **decisions.witness(c.representative, m).to_json(d)}
-                     for c in classes for m in c.members]
+    rep.witnesses = class_witnesses(decisions, classes, rep.meta["classes"])
     if len(classes) == 2:
         crep = decisions.report(classes[0].representative,
                                 classes[1].representative)

@@ -15,7 +15,8 @@ from xq.quadratic import (Alpha2, QCHomotopy, QCMorphism, ReducedQuadraticModule
                           UnderCofibration, alpha2_extend, complex_from_rqm,
                           rq_homotopy_decision, verify_rq_homotopy)
 from xq.report import Undefined
-from xq.sphere import FamilyDecisions, classify_retractions, enumerate_retractions
+from xq.sphere import (FamilyDecisions, classify_retractions, enumerate_retractions,
+                       family_member)
 
 from letter_oracle import alpha2_affine, alpha2_fold
 from test_shared_values import cases, identity_morphism, shipped, twisted_identity  # noqa: F401
@@ -115,10 +116,11 @@ def test_twisted_identity_matches_the_letter_fold(cylinder_q):
 def test_classification_witnesses_match_the_letter_fold(cylinder_q, sphere_d):
     """Every witness classification builds, from a class representative to
     a member, at the points its verification reads."""
-    morphisms = enumerate_retractions(cylinder_q, sphere_d, 2, 4)
-    decisions = FamilyDecisions(morphisms)
-    pairs = [(c.representative, m, decisions.witness(c.representative, m))
-             for c in classify_retractions(morphisms, decisions)
+    members = enumerate_retractions(cylinder_q, sphere_d, 2, 4)
+    decisions = FamilyDecisions()
+    pairs = [(family_member(c.representative.base, c.representative.tag[2]),
+              family_member(m.base, m.tag[2]), decisions.witness(c.representative, m))
+             for c in classify_retractions(members, decisions)
              for m in c.members if m is not c.representative]
     assert len(pairs) > 10
     rng = random.Random(44)

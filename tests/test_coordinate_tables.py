@@ -2,8 +2,11 @@
 and freed with it."""
 
 import gc
+import json
 import os
 import weakref
+
+import pytest
 
 from xq.cli import run
 from xq.quadratic import qcm_check, verify_rq_homotopy, rq_homotopy_decision
@@ -45,23 +48,37 @@ def test_a_checked_complex_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_a_homotopic_run_leaves_no_cycle_of_the_package(structures_dir, capsys):
-    """Every object of `xq` that one whole `homotopic` op builds, the
-    complexes read from the files included, is freed by reference counting."""
-    pair, f, g = (os.path.join(structures_dir, f"retraction_{name}.json")
-                  for name in ("pair", "pr1", "pr1_twisted"))
-    argv = ["homotopic", pair, "--f", f, "--g", g]
+def left_for_the_collector(argv: list[str]) -> list[str]:
+    """The classes of the `xq` objects that one whole op through `xq.cli.run`
+    leaves for the cycle collector; the op must succeed."""
     gc.collect()
     gc.disable()
     try:
         assert run(argv) == 0
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        left = sorted({type(o).__qualname__ for o in gc.garbage
+        return sorted({type(o).__qualname__ for o in gc.garbage
                        if type(o).__module__.startswith("xq.")})
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+def test_a_homotopic_run_leaves_no_cycle_of_the_package(structures_dir, capsys):
+    """Every object of `xq` that one whole `homotopic` op builds, the
+    complexes read from the files included, is freed by reference counting."""
+    pair, f, g = (os.path.join(structures_dir, f"retraction_{name}.json")
+                  for name in ("pair", "pr1", "pr1_twisted"))
+    assert left_for_the_collector(["homotopic", pair, "--f", f, "--g", g]) == []
     assert capsys.readouterr().out.endswith("\nOK\n")
-    assert left == []
+
+
+@pytest.mark.parametrize("command", ["count", "classify"])
+def test_a_classification_run_leaves_no_cycle_of_the_package(command, tmp_path, capsys):
+    """The same for `s2xs2 count --out` and `s2xs2 classify --out`: the
+    lattices that list the solved points, the family decisions and the
+    witnesses drained into the file are all freed by reference counting."""
+    out = tmp_path / "report.json"
+    assert left_for_the_collector(["s2xs2", command, "--out", str(out)]) == []
+    assert capsys.readouterr().out and json.loads(out.read_text())["witnesses"]

@@ -202,7 +202,7 @@ def test_zsystem_against_brute_force():
 
 def test_shifted_solutions_admit_exactly_the_solvable_shifts():
     # unknown 0 is the shift t; a t is admitted exactly when the system with
-    # t fixed has an integer solution, and values_at gives one
+    # t fixed has an integer solution, and solution_at gives one
     rng = random.Random(8)
     for _ in range(60):
         nv = rng.randint(1, 3)
@@ -214,9 +214,9 @@ def test_shifted_solutions_admit_exactly_the_solvable_shifts():
         if got is None:
             assert not brute
             continue
-        sols = ShiftedSolutions(SimpleNamespace(values=tuple), *got)
+        sols = ShiftedSolutions(SimpleNamespace(), *got)
         for t in range(-6, 7):
-            u = sols.values_at(t)
+            u = sols.solution_at(t)
             assert (u is not None) == sols.admits(t)
             if sols.admits(t):
                 assert u[0] == t and satisfies(u)

@@ -7,9 +7,10 @@ import xq
 from xq.quadratic import QCMorphism, qcm_check, rq_homotopy_decision, rqc4_check
 from xq.groups import CyclicGroup, FreeNil2Group
 from xq.intlinalg import Lattice
-from xq.sphere import (FamilyDecisions, classify_retractions, derive_reduced_q3,
-                       enumerate_retractions, retraction_candidate,
-                       solve_homology_constraints)
+from xq.report import Report
+from xq.sphere import (FamilyDecisions, class_witnesses, classify_retractions,
+                       derive_reduced_q3, enumerate_retractions, family_member,
+                       retraction_candidate, solve_homology_constraints)
 
 from classify_oracle import greedy_classes
 from test_enumeration import doubling_target
@@ -63,7 +64,7 @@ def test_enumeration_finds_exactly_six(cylinder_q, sphere_d):
         (1, 0, -1), (1, 0, 0), (1, 0, 1),
     ]
     for m in ms:
-        assert qcm_check(m, samples=20, seed=0).ok
+        assert qcm_check(family_member(m.base, m.tag[2]), samples=20, seed=0).ok
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (0, 0), (2, 0), (-1, 1)])
@@ -181,12 +182,14 @@ def test_a_relation_q3_needs_fails_structure_q_not_the_build(monkeypatch, capsys
 
 def test_classification_keeps_each_members_witness(cylinder_q, sphere_d):
     ms = enumerate_retractions(cylinder_q, sphere_d, ab_range=2, r_bound=2)
-    decisions = FamilyDecisions(ms)
+    decisions = FamilyDecisions()
     for c in classify_retractions(ms, decisions):
         assert [m.tag[2] for m in c.members] == [-2, -1, 0, 1, 2]
         for m in c.members:
             h = decisions.witness(c.representative, m)
-            assert xq.verify_rq_homotopy(c.representative, m, h).ok
+            rep = c.representative
+            assert xq.verify_rq_homotopy(family_member(rep.base, rep.tag[2]),
+                                         family_member(m.base, m.tag[2]), h).ok
 
 
 def test_classification_report_decides_each_pair_once(monkeypatch):
@@ -244,12 +247,12 @@ def test_classify_output_is_pinned_at_the_benchmark_boxes(box, tmp_path, capsys,
 
 def same_classes(target, ab_range, r_bound, cylinder_q):
     """The family classification and the greedy oracle agree on the
-    partition, representatives, member order and every witness; returns the
-    classes."""
+    partition, representatives, member order and every witness, and so does
+    the witness list a report writes; returns the classes."""
     ms = enumerate_retractions(cylinder_q, target, ab_range, r_bound)
-    decisions = FamilyDecisions(ms)
+    decisions = FamilyDecisions()
     classes = classify_retractions(ms, decisions)
-    expected = greedy_classes(ms)
+    expected = greedy_classes([family_member(m.base, m.tag[2]) for m in ms])
     assert [(c.ab, c.representative.tag, [m.tag for m in c.members]) for c in classes] == \
         [(c.ab, c.representative.tag, [m.tag for m in c.members]) for c in expected]
     # the witness of every member, the representative included, as the
@@ -257,6 +260,18 @@ def same_classes(target, ab_range, r_bound, cylinder_q):
     for c, e in zip(classes, expected):
         assert [decisions.witness(c.representative, m).to_json(target) for m in c.members] == \
             [w.to_json(target) for w in e.witnesses]
+    # the serialized witness list, member by member and in order, built as
+    # `classification_report` builds it and drained by the writer
+    listed = [{"representative": list(c.representative.tag),
+               "members": [list(m.tag) for m in c.members]} for c in classes]
+    rep = Report("witnesses")
+    rep.witnesses = class_witnesses(decisions, classes, listed)
+    assert json.loads(rep.to_json()).get("witnesses", []) == \
+        [{"pair": [list(c.representative.tag), list(m.tag)],
+          **decisions.witness(c.representative, m).to_json(target)}
+         for c in classes for m in c.members] == \
+        [{"pair": [list(e.representative.tag), list(m.tag)], **w.to_json(target)}
+         for e in expected for m, w in zip(e.members, e.witnesses)]
     return classes
 
 
@@ -338,7 +353,7 @@ def wrong_step(solutions):
 def test_a_family_decision_with_a_wrong_slope_is_rejected(
         monkeypatch, cylinder_q, sphere_d, corrupt):
     ms = enumerate_retractions(cylinder_q, sphere_d, 2, 2)
-    solutions, _ = FamilyDecisions(ms).decide(ms[0], ms[0])
+    solutions, _ = FamilyDecisions().decide(ms[0], ms[0])
     assert (solutions.t0, solutions.step, solutions.step_row) == (0, 1, (1, 0, 1, 0))
     corrupt_family_decisions(monkeypatch, corrupt)
     with pytest.raises(RuntimeError, match=r"r-families \(0, 1\) and \(0, 1\) fails at t = "):
@@ -348,7 +363,7 @@ def test_a_family_decision_with_a_wrong_slope_is_rejected(
 def test_a_family_decision_with_a_wrong_kernel_row_is_rejected(
         monkeypatch, cylinder_q, sphere_d):
     ms = enumerate_retractions(cylinder_q, sphere_d, 2, 2)
-    solutions, _ = FamilyDecisions(ms).decide(ms[0], ms[0])
+    solutions, _ = FamilyDecisions().decide(ms[0], ms[0])
     assert solutions.kernel0.basis() == [(0, 1, -1, 0)]
 
     def wrong_kernel_row(solutions):
@@ -378,3 +393,26 @@ def test_a_family_whose_third_member_fails_its_check_is_rejected(
     # the members after the third are covered by the argument, not checked
     monkeypatch.setattr(xq.sphere, "qcm_check", failing_at((1, 0, -7)))
     assert len(enumerate_retractions(cylinder_q, sphere_d, 3, 10)) == 42
+
+
+def test_text_output_builds_no_witness_and_no_member_morphism():
+    """A report shown only as text holds its witnesses as an undrained
+    generator: while it is alive, no `QCHomotopy` exists and each r-family
+    has kept at most its base and three checked members as morphisms."""
+    import gc
+
+    from xq.quadratic import QCHomotopy
+
+    def alive(cls):
+        return {id(o) for o in gc.get_objects() if type(o) is cls}
+
+    gc.collect()
+    before = alive(QCMorphism), alive(QCHomotopy)
+    rep = xq.classification_report(20, 200)
+    assert rep.text() and len(rep.meta["classes"]) == 2
+    gc.collect()
+    made = alive(QCMorphism) - before[0], alive(QCHomotopy) - before[1]
+    assert rep.meta["retractions"] == 802
+    assert len(made[0]) <= 4 * 2 and not made[1]
+    # nor the JSON of any witness
+    assert not [o for o in gc.get_objects() if type(o) is dict and "alpha2" in o]
