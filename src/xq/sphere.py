@@ -484,16 +484,15 @@ def classify_retractions(members: list[Retraction],
             for c in classes]
 
 
-def class_witnesses(decisions: FamilyDecisions, classes: list[RetractionClass],
-                    listed: list[dict]):
+def class_witnesses(decisions: FamilyDecisions, classes: list[RetractionClass]):
     """The canonical witness of each member from its class representative,
-    class by class, as a report writes it, with the representative's and the
-    member's tags from `listed`, the report's classes.  Built as drained,
-    from the family decisions, with one memo of converted values."""
+    class by class, as a report writes it.  Built as drained, from the
+    family decisions, with one memo of converted values."""
     memo: dict = {}
-    for c, entry in zip(classes, listed):
-        for m, tag in zip(c.members, entry["members"]):
-            yield {"pair": [entry["representative"], tag],
+    for c in classes:
+        representative = list(c.representative.tag)
+        for m in c.members:
+            yield {"pair": [representative, list(m.tag)],
                    **decisions.witness_json(c.representative, m, memo)}
 
 
@@ -532,7 +531,7 @@ def classification_report(ab_range: int = 3, r_bound: int = 10) -> Report:
                             "representative": list(c.representative.tag),
                             "members": [list(m.tag) for m in c.members]}
                            for c in classes]
-    rep.witnesses = class_witnesses(decisions, classes, rep.meta["classes"])
+    rep.witnesses = class_witnesses(decisions, classes)
     if len(classes) == 2:
         crep = decisions.report(classes[0].representative,
                                 classes[1].representative)

@@ -262,10 +262,8 @@ def same_classes(target, ab_range, r_bound, cylinder_q):
             [w.to_json(target) for w in e.witnesses]
     # the serialized witness list, member by member and in order, built as
     # `classification_report` builds it and drained by the writer
-    listed = [{"representative": list(c.representative.tag),
-               "members": [list(m.tag) for m in c.members]} for c in classes]
     rep = Report("witnesses")
-    rep.witnesses = class_witnesses(decisions, classes, listed)
+    rep.witnesses = class_witnesses(decisions, classes)
     assert json.loads(rep.to_json()).get("witnesses", []) == \
         [{"pair": [list(c.representative.tag), list(m.tag)],
           **decisions.witness(c.representative, m).to_json(target)}
@@ -397,22 +395,24 @@ def test_a_family_whose_third_member_fails_its_check_is_rejected(
 
 def test_text_output_builds_no_witness_and_no_member_morphism():
     """A report shown only as text holds its witnesses as an undrained
-    generator: while it is alive, no `QCHomotopy` exists and each r-family
-    has kept at most its base and three checked members as morphisms."""
+    generator: while it is alive, no `QCHomotopy` and no witness JSON has
+    been made, and each r-family has kept at most its base and three checked
+    members as morphisms."""
     import gc
 
     from xq.quadratic import QCHomotopy
 
-    def alive(cls):
-        return {id(o) for o in gc.get_objects() if type(o) is cls}
+    def alive():
+        objects = gc.get_objects()
+        return [{id(o) for o in objects if test(o)} for test in (
+            lambda o: type(o) is QCMorphism, lambda o: type(o) is QCHomotopy,
+            lambda o: type(o) is dict and "pair" in o and "alpha2" in o)]
 
     gc.collect()
-    before = alive(QCMorphism), alive(QCHomotopy)
+    before = alive()
     rep = xq.classification_report(20, 200)
     assert rep.text() and len(rep.meta["classes"]) == 2
     gc.collect()
-    made = alive(QCMorphism) - before[0], alive(QCHomotopy) - before[1]
+    morphisms, homotopies, witnesses = (now - then for now, then in zip(alive(), before))
     assert rep.meta["retractions"] == 802
-    assert len(made[0]) <= 4 * 2 and not made[1]
-    # nor the JSON of any witness
-    assert not [o for o in gc.get_objects() if type(o) is dict and "alpha2" in o]
+    assert len(morphisms) <= 4 * 2 and not homotopies and not witnesses
