@@ -15,6 +15,7 @@ canonical solution from that one reduction.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import repeat
 from typing import Iterable, Sequence
 
 
@@ -111,17 +112,19 @@ class Lattice:
         earlier pivots: it is stepped through its range by the row with
         pivot j when there is one, and otherwise only checked.  The points
         are extended one coordinate at a time, by a loop and not a recursive
-        closure, which would refer to itself and outlive the call."""
+        closure, which would refer to itself and outlive the call; the points
+        p + k row, k from lo to hi, are the zip of one range per coordinate."""
         rows = dict(zip(self.pivots, self.rows))
-        points = [list(offset)]
+        points = [tuple(offset)]
         for j in range(self.n):
-            row = rows.get(j)
-            if row is None:
-                points = [p for p in points if -bound <= p[j] <= bound]
-            else:
-                points = [[a + k * b for a, b in zip(p, row)] for p in points
-                          for k in range(-((p[j] + bound) // row[j]), (bound - p[j]) // row[j] + 1)]
-        return [tuple(p) for p in points]
+            row, stepped = rows.get(j), []
+            for p in points:
+                lo, hi = ((-((p[j] + bound) // row[j]), (bound - p[j]) // row[j] + 1) if row
+                          else (0, int(-bound <= p[j] <= bound)))
+                stepped += zip(*[range(a + lo * b, a + hi * b, b) if b else repeat(a, hi - lo)
+                                 for a, b in zip(p, row or repeat(0))])
+            points = stepped
+        return points
 
 
 def hnf_with_transform(rows: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:

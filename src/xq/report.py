@@ -41,10 +41,6 @@ def canonical_json(obj: Any, quote_unsafe: bool = False) -> str:
     return "".join(out) + "\n"
 
 
-def _unsafe(values: list | tuple) -> bool:
-    return bool(values) and (min(values) <= -SAFE_INT or max(values) >= SAFE_INT)
-
-
 def _write(obj: Any, out: list[str], newline: str, quote_unsafe: bool, seen: dict) -> None:
     """Append the text of obj to out, `newline` being a line break and the
     indent of the line obj starts on.  One call per nesting level, so that
@@ -74,7 +70,7 @@ def _write(obj: Any, out: list[str], newline: str, quote_unsafe: bool, seen: dic
     elif not isinstance(obj, (list, tuple)):  # floats and int subclasses as json
         out.append(json.dumps(obj))           # writes them, or TypeError
     elif (kinds := set(map(type, obj))) <= _STR or kinds <= _INT and not (
-            quote_unsafe and _unsafe(obj)):
+            quote_unsafe and max(map(abs, obj), default=0) >= SAFE_INT):
         atom = encode_basestring_ascii if kinds <= _STR else int.__repr__
         out.append("[" + inner + ("," + inner).join(map(atom, obj)) + newline + "]"
                    if obj else "[]")
@@ -84,7 +80,7 @@ def _write(obj: Any, out: list[str], newline: str, quote_unsafe: bool, seen: dic
     else:
         start = len(out)
         if kinds <= _ARRAY and set(map(type, cells := list(chain.from_iterable(obj)))) <= _INT \
-                and not (quote_unsafe and _unsafe(cells)):
+                and not (quote_unsafe and max(map(abs, cells), default=0) >= SAFE_INT):
             out.append("[" + inner + ("," + inner).join([
                 "[" + inner + "  " + ("," + inner + "  ").join(map(int.__repr__, row)) + inner
                 + "]" if row else "[]" for row in obj]) + newline + "]")
