@@ -5,11 +5,12 @@ The ops are those of every workload of `bench/inputs.py` at seeds 1 to 3,
 then `s2xs2 classify --out` at the boxes 3/10, 3/20, 8/60 and 20/200,
 `s2xs2 count --out`, `s2xs2 monoid --table --out`, `check --out` of
 each shipped structure file, and last the text-only `s2xs2 classify` at
-the boxes of `TEXT_BOXES` and `s2xs2 count`, which write no file.  They run in this process through
-`xq.cli.run`, in list order (a `check` of a witness reads the file an
-earlier `homotopic` wrote), with `XQ_SEED` unset.  The work directory and
-the repository root are replaced by `$WORK` and `$ROOT` in argv, in the
-streams and in the files, so the digests depend on neither.
+the boxes of `TEXT_BOXES` and `s2xs2 count`, which write no file.  They
+run in this process through `xq.cli.run`, in list order (a `check` of a
+witness reads the file an earlier `homotopic` wrote), with `XQ_SEED`
+unset.  The work directory and the repository root are replaced by `$WORK`
+and `$ROOT` in argv, in the streams and in the files, so the digests
+depend on neither.
 
     python3 tests/output_manifest.py          # rewrite tests/golden/outputs.sha256
     python3 tests/output_manifest.py --check  # compare, naming the first difference

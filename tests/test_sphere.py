@@ -185,11 +185,10 @@ def test_classification_keeps_each_members_witness(cylinder_q, sphere_d):
     decisions = FamilyDecisions()
     for c in classify_retractions(ms, decisions):
         assert [m.tag[2] for m in c.members] == [-2, -1, 0, 1, 2]
+        rep = family_member(c.representative.base, c.representative.tag[2])
         for m in c.members:
             h = decisions.witness(c.representative, m)
-            rep = c.representative
-            assert xq.verify_rq_homotopy(family_member(rep.base, rep.tag[2]),
-                                         family_member(m.base, m.tag[2]), h).ok
+            assert xq.verify_rq_homotopy(rep, family_member(m.base, m.tag[2]), h).ok
 
 
 def test_classification_report_decides_each_pair_once(monkeypatch):
