@@ -7,8 +7,8 @@ fixing the diagonal.  All arithmetic is exact (Python integers).
 """
 
 from .groups import (CyclicGroup, FgAbelianGroup, FreeAbelianGroup, FreeGroup,
-                     FreeNil2Group, Group, GroupHom, check_group_laws,
-                     group_from_json, invert_hom, trivial_group)
+                     FreeNil2Group, Group, GroupHom, group_from_json,
+                     invert_hom, trivial_group)
 from .nil2 import Nil2Element
 from .tensor import TensorElement
 from .report import Check, Report, seed_from_env
@@ -46,7 +46,7 @@ __all__ = [
     "Report", "StructureError", "StructureFile", "TensorElement",
     "UnderCofibration", "XC3Homotopy", "XC3Morphism", "alpha2_extend",
     "build_cylinder_Q", "build_sphere_D",
-    "build_structure", "check_crossed", "check_group_laws", "check_precrossed",
+    "build_structure", "check_crossed", "check_precrossed",
     "classification_report", "classify_retractions", "complex_from_rqm",
     "enumerate_retractions", "group_from_json", "invert_hom", "load_structure",
     "mbar_check_structure", "mbar_compose", "mbar_elements", "mbar_identity",

@@ -4,8 +4,10 @@ Exit codes: 0 all checks passed / homotopy found; 1 a check failed or no
 homotopy exists; 2 a usage error, an input file that cannot be read or is
 malformed, an output path that cannot be written, or a homotopy question
 outside the linear route (a target whose d3 is not central on generators).
-Sampling seeds default to the XQ_SEED environment variable so repeated runs
-are byte-identical.
+`check` decides every kind of structure file on generators, except a
+quadratic module over a pre-crossed base (kind qm), some of whose axioms
+are sampled; its seed defaults to the XQ_SEED environment variable, so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -186,9 +188,11 @@ def _parser() -> argparse.ArgumentParser:
                                      "axiom checks")
     c.add_argument("file")
     c.add_argument("--samples", type=_non_negative, default=200,
-                   help="sample count for randomized law checks (default 200)")
+                   help="sample count for the sampled axioms of a qm file "
+                        "(default 200); other kinds sample nothing")
     c.add_argument("--seed", type=int, default=None,
-                   help="override the XQ_SEED environment variable")
+                   help="seed for the sampled axioms of a qm file; overrides "
+                        "the XQ_SEED environment variable")
     c.add_argument("--out", help="write the JSON report here")
     c.set_defaults(command_name="check")
 

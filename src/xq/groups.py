@@ -493,9 +493,10 @@ def group_from_json(obj: dict) -> Group:
     raise ValueError(f"unknown group kind {kind!r}")
 
 
-def generator_pairs(left: Group, right: Group, rng: random.Random, samples: int) -> list:
-    """Every pair of generators of left x right, then `samples` random pairs,
-    all drawn at the call (left, then right, pair by pair)."""
+def generator_pairs(left: Group, right: Group, rng: random.Random | None = None,
+                    samples: int = 0) -> list:
+    """Every pair of generators of left x right, then `samples` random pairs
+    drawn from rng at the call (left, then right, pair by pair)."""
     return ([(x, y) for x in left.generators() for y in right.generators()]
             + [(left.random_element(rng), right.random_element(rng))
                for _ in range(samples)])
@@ -728,24 +729,3 @@ def invert_hom(h: GroupHom) -> GroupHom:
         return out
     raise ValueError(f"cannot invert a homomorphism on a {g.kind} group; "
                      "provide an explicit inverse table")
-
-
-def check_group_laws(g: Group, samples: int = 100, seed: int | None = None):
-    """Sampled sanity report: associativity, identity, inverses, and
-    idempotence of the canonical form."""
-    from .report import sampled_report
-
-    rep = sampled_report(f"group laws ({g.kind})", samples, seed, basis="sampled")
-    draws = [tuple(g.random_element(rep.rng) for _ in range(3)) for _ in range(samples)]
-    fmt, e = g.format_element, g.identity()
-    rep.first_failure("associativity_sampled",
-                      (fmt(x) for x, y, z in draws
-                       if not g.eq(g.op(g.op(x, y), z), g.op(x, g.op(y, z)))))
-    rep.first_failure("identity_sampled",
-                      (fmt(x) for x, _, _ in draws
-                       if not (g.eq(g.op(x, e), x) and g.eq(g.op(e, x), x))))
-    rep.first_failure("inverses_sampled", (fmt(x) for x, _, _ in draws
-                                           if not g.is_identity(g.op(x, g.inv(x)))))
-    rep.first_failure("canonical_form_idempotent",
-                      (fmt(x) for x, _, _ in draws if g.canon(x) != g.canon(g.canon(x))))
-    return rep

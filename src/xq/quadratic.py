@@ -76,20 +76,21 @@ def _omega_table(omega, q3: Group, n: int) -> tuple:
     return omega
 
 
-def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
-              seed: int | None = None) -> Report:
-    """Axioms of a reduced quadratic module, on generators and, where the
-    group classes leave an axiom unproved, on `samples` random elements.
+def rqm_check(q: ReducedQuadraticModule) -> Report:
+    """Axioms of a reduced quadratic module, decided on generators.
 
-    Axioms 2 to 4 are decided by all generator pairs, and draw no samples,
-    when the classes make them bilinear.  The argument needs d3 to be a
-    homomorphism and omega to be well defined on C; when either check before
-    them fails, the axioms are sampled.  Then x |-> {x} is a homomorphism
-    Q2 -> C and, when Q3 is abelian as presented, b(u, v) = omega(u (x) v)
-    is biadditive on C.
-      * Axiom 4: (p, r) is 0 in an abelian Q3, and omega({d3 p} (x) {d3 r})
-        is biadditive in (p, r), so it vanishes everywhere once it vanishes
-        on generator pairs.
+    Axioms 2 to 4 are decided by all generator pairs once d3 is a
+    homomorphism, omega is well defined on C and, when Q3 is not abelian as
+    presented, every omega value is central (`omega_central`; a value is
+    central once it commutes with the generators).  Then x |-> {x} is a
+    homomorphism Q2 -> C and b(u, v) = omega(u (x) v) is biadditive on C,
+    with central values.
+      * Axiom 4: for fixed r, p |-> omega({d3 p} (x) {d3 r}) is a
+        homomorphism into the centre, and so is p |-> (p, r) once Q3 is
+        nil(2).  If axiom 4 holds on generator pairs, the commutators of
+        generators are central, so Q3 modulo its centre is abelian and Q3
+        is nil(2); then both sides are biadditive in (p, r) and agree
+        everywhere.
       * Axiom 3: omega({d3 p} (x) {x} + {x} (x) {d3 p}) is biadditive in
         (p, x) and depends on x only through {x}, which is a sum of the
         classes of the generators; generator pairs decide it.
@@ -98,18 +99,22 @@ def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
         Q2 (commutators are central and bilinear in a nil(2) group), so
         they agree everywhere once they agree on the generators; the same
         holds in y for fixed x.
-    Such checks have basis "proved"; the others sample and are "sampled".
+    Such checks have basis "proved".  When a condition of the argument
+    fails, the report fails, and the axioms are scanned on generator pairs
+    with no basis.  A valid module loses nothing to the centrality check:
+    d3 omega_ij = (g_i, g_j) has class 0 in C, so axiom 4 gives (omega_ij,
+    r) = omega(0 (x) {d3 r}) = 0.
 
-    Axioms 3 and 4 scan the same pairs in the same order either way, but
-    decide each distinct pair of classes once, in a memo that lives for this
-    call only.  Axiom 3's verdict at (p, x) is omega of a tensor built from
-    ({d3 p}, {x}) alone, so pairs with the same two classes share it.  When
-    Q3 is abelian as presented, (p, r) is 0 and axiom 4's verdict at (p, r)
-    depends only on ({d3 p}, {d3 r}); otherwise it is tested pair by pair.
-    On Q, {d3 p} takes 2 values over the 10 generators of Q3, so axiom 3
-    evaluates omega 6 times instead of 30 and axiom 4 4 times instead of 100.
+    Axioms 3 and 4 decide each distinct pair of classes once, in a memo
+    that lives for this call only.  Axiom 3's verdict at (p, x) is omega of
+    a tensor built from ({d3 p}, {x}) alone, so pairs with the same two
+    classes share it.  When Q3 is abelian as presented, (p, r) is 0 and
+    axiom 4's verdict at (p, r) depends only on ({d3 p}, {d3 r}); otherwise
+    it is tested pair by pair.  On Q, {d3 p} takes 2 values over the 10
+    generators of Q3, so axiom 3 evaluates omega 6 times instead of 30 and
+    axiom 4 4 times instead of 100.
     """
-    rep = sampled_report("reduced quadratic module", samples, seed, basis="proved")
+    rep = Report("reduced quadratic module")
     g2, g3 = q.q2, q.q3
 
     gens = () if g2.is_nil2 else g2.generators()
@@ -117,43 +122,51 @@ def rqm_check(q: ReducedQuadraticModule, samples: int = 200,
                       ("triple commutator of generators does not vanish"
                        for x in gens for y in gens for z in gens
                        if not g2.is_identity(g2.commutator(g2.commutator(x, y), z))),
-                      note="structural" if g2.is_nil2 else "generator triples")
+                      note="structural" if g2.is_nil2 else "generator triples", basis="proved")
 
-    d3_hom = rep.add_hom("d3_is_homomorphism", q.d3)
-
+    premises = [rep.add_hom("d3_is_homomorphism", q.d3)]
     rel_rows = g2.ab_relation_rows()
-    omega_on_c = rep.first_failure("omega_well_defined_on_C",
-                      _omega_kills(q, rel_rows, g2, "omega does not kill the relation"),
-                      note="vacuous: C free" if not rel_rows else "relation rows")
+    premises.append(rep.first_failure(
+        "omega_well_defined_on_C",
+        _omega_kills(q, rel_rows, g2, "omega does not kill the relation"),
+        note="vacuous: C free" if not rel_rows else "relation rows", basis="proved"))
+    if not g3.is_abelian:
+        premises.append(rep.first_failure(
+            "omega_central", (f"omega at basis ({i},{j}) is {g3.format_element(w)}, which is "
+                              "not central in Q3" for i, j, w in _noncentral_omega(q.omega, g3)),
+            note="omega values against the generators of Q3", basis="proved"))
+    bilinear = all(c.passed for c in premises)
 
-    def scope(left: Group, right: Group, proved: bool):
-        """The pairs an axiom is checked on, and the note and basis to match."""
-        if proved:
-            return (generator_pairs(left, right, rep.rng, 0),
-                    dict(note="all generator pairs; bilinear", basis="proved"))
-        return (generator_pairs(left, right, rep.rng, samples),
-                dict(note=f"all generator pairs + {samples} samples", basis="sampled"))
+    def how(proved: bool) -> dict:
+        return (dict(note="all generator pairs; bilinear", basis="proved") if proved
+                else dict(note="all generator pairs"))
 
-    bilinear = g3.is_abelian and d3_hom.passed and omega_on_c.passed
     boundary = _boundary_classes(q)
-    pairs, how = scope(g2, g2, bilinear and g2.is_nil2)
     rep.first_failure("axiom2_d3_omega_is_commutator",
                       (f"d3 omega({{x}} (x) {{y}}) != (x, y) at "
                        f"x={g2.format_element(x)}, y={g2.format_element(y)}"
-                       for x, y in pairs
+                       for x, y in generator_pairs(g2, g2)
                        if not g2.eq(q.d3(q.omega_outer(q.braces(x), q.braces(y))),
-                                    g2.commutator(x, y))), **how)
-    pairs, how = scope(g3, g2, bilinear)
+                                    g2.commutator(x, y))), **how(bilinear and g2.is_nil2))
     vanishes = functools.cache(
         lambda bnd, bx: g3.is_identity(q.omega_apply(_boundary_tensor(bnd, bx))))
     rep.first_failure("axiom3_boundary_tensors_vanish",
                       ("omega({d3 p} (x) {x} + {x} (x) {d3 p}) != 0"
-                       for p, x in pairs if not vanishes(boundary(p), q.braces(x))),
-                      **how)
-    pairs, how = scope(g3, g3, bilinear)
+                       for p, x in generator_pairs(g3, g2)
+                       if not vanishes(boundary(p), q.braces(x))), **how(bilinear))
     rep.first_failure("axiom4_q3_commutators",
-                      _q3_commutator_failures(q, boundary, pairs), **how)
+                      _q3_commutator_failures(q, boundary, generator_pairs(g3, g3)),
+                      **how(bilinear))
     return rep
+
+
+def _noncentral_omega(omega, q3: Group):
+    """(i, j, omega_ij) for each omega value that does not commute with
+    every generator of q3, in row-major order; a value that commutes with
+    the generators is central."""
+    gens = q3.generators()
+    return ((i, j, w) for i, row in enumerate(omega) for j, w in enumerate(row)
+            if any(not q3.is_identity(q3.commutator(w, z)) for z in gens))
 
 
 def _omega_kills(q, rows, q2: Group, what: str):
@@ -465,29 +478,28 @@ def decide(rep: Report, checks) -> Report:
     return rep
 
 
-def qcm_check(m: QCMorphism, samples: int = 50, seed: int | None = None) -> Report:
+def qcm_check(m: QCMorphism) -> Report:
     """Boundary squares, omega compatibility, and under-object agreement:
     the equations of `qcm_equations`, decided in order (`decide`).  Per
     morphism a check in an abelian group costs its image products over the
     complexes' tables and one comparison of its sides."""
-    rep = sampled_report("quadratic complex morphism", samples, seed, basis="proved")
-    return decide(rep, qcm_equations(m))
+    return decide(Report("quadratic complex morphism", basis="proved"), qcm_equations(m))
 
 
-def rqc4_check(c: ReducedQuadraticComplex4, samples: int = 200,
-               seed: int | None = None) -> Report:
-    rep = rqm_check(c.rqm, samples=samples, seed=seed)
+def rqc4_check(c: ReducedQuadraticComplex4) -> Report:
+    rep = rqm_check(c.rqm)
     rep.title = c.name
     gens = c.q4.generators()
     rep.first_failure("q4_abelian",
                       (f"generators {c.q4.names[i]} and {c.q4.names[j]} do not commute"
                        for i, p in enumerate(gens) for j, r in enumerate(gens)
                        if not c.q4.is_identity(c.q4.commutator(p, r))),
-                      note="structural" if c.q4.is_abelian else "generator pairs")
+                      note="structural" if c.q4.is_abelian else "generator pairs",
+                      basis="proved")
     rep.add_hom("d4_is_homomorphism", c.d4)
     rep.first_failure("d3_d4_zero", (f"d3 d4 != 0 at generator {c.q4.names[i]}"
                                      for i, k in enumerate(gens)
-                                     if not c.q2.is_identity(c.d3(c.d4(k)))))
+                                     if not c.q2.is_identity(c.d3(c.d4(k)))), basis="proved")
     if c.under is not None:
         cof = QCMorphism(c.under.base, c, c.under.q2, c.under.q3, c.under.q4)
         sub = qcm_check(cof)
@@ -528,7 +540,7 @@ class QuadraticModule:
 
 def qm_check(q: QuadraticModule, samples: int = 200, seed: int | None = None) -> Report:
     rep = sampled_report("quadratic module", samples, seed)
-    rep.merge(check_precrossed(q.pre, samples=samples, seed=rep.meta["seed"]), prefix="base.")
+    rep.merge(check_precrossed(q.pre), prefix="base.")
     g2, g3, g1 = q.pre.m2, q.q3, q.pre.m1
     boundary = _boundary_classes(q)
 
@@ -646,9 +658,7 @@ class Alpha2:
         self.not_central = None if q3.is_abelian or self.zero else next(
             (f"omega' at basis ({i},{j}) is {q3.format_element(w)}, which is not "
              "central in the target degree-3 group, so alpha2 has no closed form"
-             for i, row in enumerate(tgt.rqm.omega) for j, w in enumerate(row)
-             if any(not q3.is_identity(q3.commutator(w, z)) for z in q3.generators())),
-            None)
+             for i, j, w in _noncentral_omega(tgt.rqm.omega, q3)), None)
 
     def tensor(self, x) -> TensorElement:
         """T(x) in C' (x) C'.  Over `count` repeats of a block whose class

@@ -1,14 +1,17 @@
 """Pass/fail reports for structure checkers and classification runs.
 
-Reports are deterministic: sampling seeds come from the XQ_SEED environment
-variable (default 0) and are recorded in the report metadata.  JSON output
+Reports are deterministic.  Only the checks of a quadratic module over a
+pre-crossed base (`qm_check`) sample; their seed comes from the XQ_SEED
+environment variable (default 0), and their report's metadata records it
+with the sample count (`sampled_report`).  JSON output
 is the canonical text of `canonical_json`, and integers outside the 53-bit
 safe range are rendered as decimal strings.
 
 A check may carry a basis: "proved" when its verdict holds for every element
 (the check covers a set, such as all generator pairs, that decides it), or
-"sampled" when the verdict rests on random samples.  Checks without a basis
-leave it out of the JSON.
+"sampled" when the verdict rests on random samples.  Checks without a basis,
+such as those that hold by construction or whose proof rests on a check that
+failed, leave it out of the JSON.
 """
 
 from __future__ import annotations

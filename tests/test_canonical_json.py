@@ -17,9 +17,11 @@ from xq.report import SAFE_INT, Report, canonical_json
 # sha256 of the files written by `xq homotopic structures/retraction_pair.json
 # --f .../retraction_pr1.json --g .../retraction_pr1_twisted.json --witness`
 # and `xq check structures/cylinder_Q.json --out`, recorded with the
-# standard library's indented encoder before `canonical_json` replaced it
+# standard library's indented encoder before `canonical_json` replaced it;
+# the report's pin was recorded again, as the same encoder's text, when the
+# report stopped recording a sample count and seed
 PINNED_WITNESS = "9808ec2b6b41a7f80769b1e99a37bc157f62f03c7468f57b2332c31cf835796d"
-PINNED_CHECK_Q = "fe35649b2b4694cfa508c896838653adb7871416eee9747d0ae5527f6c11719f"
+PINNED_CHECK_Q = "510ad32ae3a21a48725ddff260f8285f66eafa01d1091e71fd47b26d332bb973"
 
 # quote, backslash, control, non-ASCII and astral characters among plain ones
 CHARS = "aZ0 \"\\/\b\f\n\r\t\x00\x1f\x7fé €\U0001f600"

@@ -5,13 +5,13 @@ check ids and their witness texts, so a change to how a scan records its
 first failure cannot silently change what a report says.
 """
 
-import random
-
+from xq.cli import run
 from xq.crossed import (CrossedComplex3, GroupAction, PreCrossedModule,
                         XC3Homotopy, XC3Morphism, check_precrossed,
                         verify_xc3_homotopy, xc3_check, xc3_morphism_check)
 from xq.groups import (FgAbelianGroup, FreeAbelianGroup, FreeGroup,
                        FreeNil2Group, GroupHom)
+from xq.structfile import serialize_structure
 from xq.quadratic import (QCHomotopy, QCMorphism, QuadraticModule,
                           ReducedQuadraticComplex4, ReducedQuadraticModule,
                           UnderCofibration, qm_check, rqc4_check, rqm_check,
@@ -27,6 +27,15 @@ def negate(group):
     return [[group.inv(group.gen(0))]]
 
 
+def check_file(tmp_path, capsys, kind, body, samples=0):
+    """The exit code and stdout of `xq check --samples <samples>` on a file
+    of this kind and body."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(serialize_structure({"version": "1", "kind": kind, "body": body}))
+    code = run(["check", str(path), "--samples", str(samples)])
+    return code, capsys.readouterr().out
+
+
 # -- homomorphisms ----------------------------------------------------------------
 
 def test_check_hom_fires_on_non_commuting_images_of_an_abelian_source():
@@ -37,7 +46,7 @@ def test_check_hom_fires_on_non_commuting_images_of_an_abelian_source():
     h = GroupHom(src, tgt, tgt.generators())
     assert h.check_hom() == (False, "images of s and t do not commute in the target")
     rqm = ReducedQuadraticModule(tgt, src, ((src.identity(),) * 2,) * 2, h)
-    assert failed(rqm_check(rqm, samples=0, seed=0))["d3_is_homomorphism"] == \
+    assert failed(rqm_check(rqm))["d3_is_homomorphism"] == \
         "images of s and t do not commute in the target"
 
 
@@ -67,7 +76,7 @@ def scale(c, u, w):
 
 
 def test_rqm_axioms_3_and_4_fire_on_a_nonzero_omega_over_a_boundary():
-    rep = rqm_check(doubling(omega_value=True).rqm, samples=5, seed=0)
+    rep = rqm_check(doubling(omega_value=True).rqm)
     assert failed(rep) == {
         "axiom2_d3_omega_is_commutator":
             "d3 omega({x} (x) {y}) != (x, y) at x=x, y=x",
@@ -77,8 +86,32 @@ def test_rqm_axioms_3_and_4_fire_on_a_nonzero_omega_over_a_boundary():
     }
 
 
+def test_rqm_omega_central_fires_on_a_free_nil2_q3():
+    # Q2 = Z<x>, Q3 = free nil(2) on t, u, d3 = 0 and omega(x (x) x) = t
+    q2, q3 = FreeNil2Group(1, names=("x",)), FreeNil2Group(2, names=("t", "u"))
+    rep = rqm_check(ReducedQuadraticModule(q2, q3, ((q3.gen(0),),), GroupHom.zero(q3, q2)))
+    assert failed(rep) == {
+        "omega_central": "omega at basis (0,0) is t, which is not central in Q3",
+        "axiom4_q3_commutators": "(p, q) != omega({d3 p} (x) {d3 q})"}
+    # the argument for axioms 2 to 4 fails with it, so they carry no basis
+    assert [(c.note, c.basis) for c in rep.checks[-3:]] == [("all generator pairs", None)] * 3
+
+
+def test_rqm_omega_central_fires_where_every_generator_pair_passes():
+    # Q3 free on t, u with d3 = the identity on generators and omega(x (x) y)
+    # = (t, u) = -omega(y (x) x): axioms 2 to 4 hold on generator pairs, but
+    # omega is not central, so they do not follow, and indeed (t + t, u) is
+    # not 2 (t, u) in a free group
+    q2, q3 = FreeNil2Group(2, names=("x", "y")), FreeGroup(2, names=("t", "u"))
+    c, e = q3.commutator(*q3.generators()), q3.identity()
+    rep = rqm_check(ReducedQuadraticModule(q2, q3, ((e, c), (q3.inv(c), e)),
+                                           GroupHom(q3, q2, q2.generators())))
+    assert failed(rep) == {
+        "omega_central": "omega at basis (0,1) is -t - u + t + u, which is not central in Q3"}
+
+
 def test_rqc4_d3_d4_zero_fires():
-    rep = rqc4_check(doubling(d4_hits_t=True), samples=5, seed=0)
+    rep = rqc4_check(doubling(d4_hits_t=True))
     assert failed(rep) == {"d3_d4_zero": "d3 d4 != 0 at generator s"}
 
 
@@ -170,29 +203,78 @@ def test_precrossed_equivariance_fires():
     m2 = FreeAbelianGroup(1, names=("x",))
     m = PreCrossedModule(m1, m2, GroupHom(m2, m1, [m1.gen(0)]),
                          GroupAction(m1, m2, table=negate(m2)))
-    rep = check_precrossed(m, samples=5, seed=0)
+    rep = check_precrossed(m)
     assert failed(rep) == {"equivariance": "d(x^m) != -m + d(x) + m at x=x, m=a"}
 
 
 def test_action_endos_are_homs_fires():
-    # x0 has order 2 but its image x1 does not
+    # x0 has order 2 but its image x1 does not; the swap is invertible, so
+    # the action axioms hold as far as the inverse and relators go
     acting = FreeAbelianGroup(1, names=("a",))
     acted = FgAbelianGroup(2, [[2, 0]], names=("x0", "x1"))
-    action = GroupAction(acting, acted, table=[[acted.gen(1)], [acted.gen(1)]])
-    rep = action.check(random.Random(0), 0)
-    assert failed(rep) == {"action_endos_are_homs":
-                           "generator a: relation [2, 0] maps to a non-identity element"}
+    action = GroupAction(acting, acted, table=[[acted.gen(1)], [acted.gen(0)]])
+    assert failed(action.check()) == {
+        "action_endos_are_homs": "generator a: relation [2, 0] maps to a non-identity element"}
 
 
 def test_action_without_inverse_fails_when_sampled():
-    # the endomorphism of a is not invertible, so -a does not act
+    # the endomorphism of a is not invertible, so -a does not act; the
+    # action axioms are decided on generators, so this fails at any count
     acting = FreeAbelianGroup(1, names=("a",))
     acted = FgAbelianGroup(2, [[2, 0]], names=("x0", "x1"))
     action = GroupAction(acting, acted, table=[[acted.gen(1)], [acted.gen(1)]])
-    rep = action.check(random.Random(0), 5)
+    rep = action.check()
     assert failed(rep) == {
         "action_endos_are_homs": "generator a: relation [2, 0] maps to a non-identity element",
-        "action_axioms_sampled": "action of -a is not available: endomorphism is not invertible"}
+        "action_axioms": "action of -a is not available: endomorphism is not invertible"}
+    assert [c.basis for c in rep.checks] == ["proved", None]
+
+
+def swap_and_shear(acting_kind):
+    """A pre-crossed module body: a acts on Z^2 = <x, y> by swapping x and
+    y, b by the shear y -> x + y, and d = 0; the two automorphisms do not
+    commute, and their commutator does not commute with the swap."""
+    zero = [0, 0] if acting_kind == "free_abelian" else {"base": [0, 0], "comm": [0]}
+    return {"m1": {"kind": acting_kind, "rank": 2, "names": ["a", "b"]},
+            "m2": {"kind": "free_abelian", "rank": 2, "names": ["x", "y"]},
+            "d": {"images": [zero, zero]},
+            "action": {"table": [[[0, 1], [1, 0]], [[1, 0], [1, 1]]]}}
+
+
+def test_precrossed_action_axioms_fire_on_an_action_of_z2_that_is_not_one(tmp_path, capsys):
+    # Z^2 is abelian, so (a, b) must act trivially; it moves x
+    code, out = check_file(tmp_path, capsys, "precrossed", swap_and_shear("free_abelian"))
+    assert code == 1
+    assert "FAIL action_axioms (inverses and relators on generators) -- " \
+           "x^((a,b)) != x at x=x\n" in out
+
+
+def test_action_axioms_fire_on_a_triple_commutator_of_free_nil2(tmp_path, capsys):
+    # free nil(2) needs ((a, b), a) to act trivially; it moves x
+    code, out = check_file(tmp_path, capsys, "precrossed", swap_and_shear("free_nil2"))
+    assert code == 1
+    assert "FAIL action_axioms (inverses and relators on generators) -- " \
+           "x^(((a,b),a)) != x at x=x\n" in out
+
+
+def doubling_action_xc3():
+    """An xc3 body: the free generator a acts on M3 = Z by t -> 2t, which
+    has no inverse; d2 = d3 = 0 and the action on M2 = nil(2)<x> is
+    trivial."""
+    return {"m1": {"kind": "free", "rank": 1, "names": ["a"]},
+            "m2": {"kind": "free_nil2", "rank": 1, "names": ["x"]},
+            "m3": {"kind": "free_abelian", "rank": 1, "names": ["t"]},
+            "d2": {"images": [[]]}, "d3": {"images": [{"base": [0], "comm": []}]},
+            "action2": {"kind": "trivial"}, "action3": {"table": [[[2]]]},
+            "under2": [], "under3": []}
+
+
+def test_xc3_action_axioms_fire_on_a_doubling_action(tmp_path, capsys):
+    code, out = check_file(tmp_path, capsys, "xc3", doubling_action_xc3())
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL ")] == [
+        "FAIL degree3.action_axioms (inverses and relators on generators) -- "
+        "action of -a is not available: endomorphism is not invertible"]
 
 
 # -- crossed 3-complexes, their morphisms and homotopies ---------------------------
@@ -219,30 +301,29 @@ def xc3_map(x, f1=1, f2=1, f3=1):
 
 
 def test_xc3_d2_d3_zero_fires():
-    rep = xc3_check(rank1_xc3(d2_to_a=True), samples=5, seed=0)
+    rep = xc3_check(rank1_xc3(d2_to_a=True))
     assert failed(rep) == {"d2_d3_zero": "d2 d3 != 0 at t"}
 
 
 def test_xc3_im_d2_acts_trivially_fires():
-    rep = xc3_check(rank1_xc3(d2_to_a=True, d3_double=False, negate3=True),
-                    samples=5, seed=0)
+    rep = xc3_check(rank1_xc3(d2_to_a=True, d3_double=False, negate3=True))
     assert failed(rep) == {"im_d2_acts_trivially_on_m3": "im(d2) moves t"}
 
 
 def test_xc3_d3_equivariant_fires():
-    rep = xc3_check(rank1_xc3(negate3=True), samples=5, seed=0)
+    rep = xc3_check(rank1_xc3(negate3=True))
     assert failed(rep) == {"d3_equivariant": "d3 not equivariant at t"}
 
 
 def test_xc3_morphism_square_d2_fires():
     x = rank1_xc3(d2_to_a=True, d3_double=False)
-    rep = xc3_morphism_check(xc3_map(x, f2=2), samples=5, seed=0)
+    rep = xc3_morphism_check(xc3_map(x, f2=2))
     assert failed(rep) == {"square_d2": "f1 d2 != d2' f2 at x"}
 
 
 def test_xc3_morphism_equivariance_fires():
     x = rank1_xc3(d3_double=False, negate2=True, negate3=True)
-    rep = xc3_morphism_check(xc3_map(x, f1=0), samples=5, seed=0)
+    rep = xc3_morphism_check(xc3_map(x, f1=0))
     assert failed(rep) == {"f2_equivariant": "f2 not equivariant",
                            "f3_equivariant": "f3 not equivariant"}
 
@@ -251,7 +332,7 @@ def test_xc3_morphism_under_checks_fire():
     m2 = FreeNil2Group(1, names=("x",))
     m3 = FreeAbelianGroup(1, names=("t",))
     x = rank1_xc3(under2=(m2.gen(0),), under3=(m3.gen(0),))
-    rep = xc3_morphism_check(xc3_map(x, f2=3, f3=3), samples=5, seed=0)
+    rep = xc3_morphism_check(xc3_map(x, f2=3, f3=3))
     assert failed(rep) == {"under_degree2": "f2 moves under generator x",
                            "under_degree3": "f3 moves under generator t"}
 

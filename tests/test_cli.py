@@ -8,6 +8,8 @@ import pytest
 from xq.cli import run
 from xq.structfile import load_structure, serialize_structure
 
+from test_structure_kinds import _qm
+
 
 def shipped(structures_dir, name):
     return os.path.join(structures_dir, name)
@@ -49,11 +51,11 @@ def test_check_action_without_inverse_is_exit_1(tmp_path, capsys):
                     "action": {"table": [[[0, 1]], [[0, 1]]]}}}
     path = tmp_path / "bad_action.json"
     path.write_text(serialize_structure(raw))
-    code = run(["check", str(path), "--samples", "5"])
+    code = run(["check", str(path), "--samples", "0"])
     out = capsys.readouterr().out
     assert code == 1
-    assert ("FAIL action_axioms_sampled (5 samples) -- action of -a is not "
-            "available: endomorphism is not invertible") in out
+    assert ("FAIL action_axioms (inverses and relators on generators) -- action of -a "
+            "is not available: endomorphism is not invertible") in out
 
 
 def test_check_nil2_word_image_with_huge_exponent(structures_dir, tmp_path, capsys):
@@ -179,9 +181,10 @@ def test_negative_sample_count_is_a_usage_error(structures_dir, capsys):
     assert captured.out == ""
     assert "xq check: error: argument --samples: must be >= 0, got -1" in captured.err
     assert "Traceback" not in captured.err
-    # no samples is not a usage error
+    # no samples is not a usage error; an rqc4 file samples nothing, so its
+    # report records no sample count
     assert run(["check", path, "--samples", "0"]) == 0
-    assert "  samples: 0\n" in capsys.readouterr().out
+    assert "samples" not in capsys.readouterr().out
 
 
 def test_homotopic_pair_with_witness(structures_dir, tmp_path, capsys):
@@ -339,23 +342,30 @@ def test_homotopic_with_noncentral_d3_is_exit_2(tmp_path, capsys):
     assert "not central at generator t" in err
 
 
-def test_check_group_file_reads_the_seed_from_xq_seed(tmp_path, monkeypatch, capsys):
-    raw = {"version": "1", "kind": "group",
-           "body": {"group": {"kind": "free_nil2", "rank": 2}}}
-    path = tmp_path / "group.json"
-    path.write_text(serialize_structure(raw))
+def qm_file(tmp_path):
+    path = tmp_path / "qm.json"
+    path.write_text(serialize_structure({"version": "1", "kind": "qm", "body": _qm()}))
+    return str(path)
+
+
+def test_check_qm_file_reads_the_seed_from_xq_seed(tmp_path, monkeypatch, capsys):
+    # only a qm file's checks sample, so only its report records a seed
+    path = qm_file(tmp_path)
     monkeypatch.setenv("XQ_SEED", "7")
     out = tmp_path / "report.json"
-    assert run(["check", str(path), "--samples", "5", "--out", str(out)]) == 0
-    assert "  seed: 7" in capsys.readouterr().out
+    assert run(["check", path, "--samples", "5", "--out", str(out)]) == 0
+    assert "  samples: 5\n  seed: 7\n" in capsys.readouterr().out
     report = json.loads(out.read_text())
-    assert report["meta"]["seed"] == 7
-    assert {c["basis"] for c in report["checks"]} == {"sampled"}
+    assert report["meta"] == {"samples": 5, "seed": 7}
+    assert [c["id"] for c in report["checks"] if c.get("basis") == "sampled"] == [
+        "axiom1_nil2", "axiom2_d3_omega_is_w", "axiom3_action_formula",
+        "axiom4_q3_commutators"]
 
 
 def test_check_samples_0_draws_no_samples(tmp_path, monkeypatch, capsys):
     # d: free nil(2) -> free group has its nil(2) laws decided on generator
-    # triples; the action axioms and equivariance sample at the caller's count
+    # triples, and the pre-crossed checks on generators, at any count; a qm
+    # file over nil(2)<x> samples its axioms 1 to 3 at the caller's count
     import xq.groups
 
     draws = []
@@ -370,9 +380,11 @@ def test_check_samples_0_draws_no_samples(tmp_path, monkeypatch, capsys):
     path = tmp_path / "pre.json"
     path.write_text(serialize_structure(raw))
     out = tmp_path / "report.json"
-    assert run(["check", str(path), "--samples", "0", "--out", str(out)]) == 0
-    assert draws == []
+    assert run(["check", str(path), "--samples", "2", "--out", str(out)]) == 0
     checks = {c["id"]: c.get("basis") for c in json.loads(out.read_text())["checks"]}
     assert checks["d_is_homomorphism"] == "proved"
-    assert run(["check", str(path), "--samples", "2"]) == 0
-    assert len(draws) == 2 * 2 + 2  # action axioms, equivariance
+    assert draws == []
+    assert run(["check", qm_file(tmp_path), "--samples", "0"]) == 0
+    assert draws == []
+    assert run(["check", qm_file(tmp_path), "--samples", "2"]) == 0
+    assert len(draws) == 2 * 3 + 2 * 2 + 2  # axiom 1, axiom 2, axiom 3

@@ -8,23 +8,24 @@ import pytest
 from xq import cli
 from xq.structfile import serialize_structure
 
+from test_structure_kinds import _qm
+
 
 @pytest.fixture
-def group_file(tmp_path):
-    raw = {"version": "1", "kind": "group",
-           "body": {"group": {"kind": "free_nil2", "rank": 2}}}
-    path = tmp_path / "group.json"
-    path.write_text(serialize_structure(raw))
+def qm_file(tmp_path):
+    """A qm file, the one kind whose check samples and records its count."""
+    path = tmp_path / "qm.json"
+    path.write_text(serialize_structure({"version": "1", "kind": "qm", "body": _qm()}))
     return str(path)
 
 
 def test_samples_fall_back_to_the_default_after_an_explicit_value(
-        group_file, monkeypatch, capsys):
+        qm_file, monkeypatch, capsys):
     monkeypatch.delenv("XQ_SEED", raising=False)
-    assert cli.run(["check", group_file, "--samples", "0", "--seed", "3"]) == 0
+    assert cli.run(["check", qm_file, "--samples", "0", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "  samples: 0\n  seed: 3\n" in out
-    assert cli.run(["check", group_file]) == 0
+    assert cli.run(["check", qm_file]) == 0
     out = capsys.readouterr().out
     assert "  samples: 200\n  seed: 0\n" in out
 
@@ -36,30 +37,30 @@ def test_samples_fall_back_to_the_default_after_an_explicit_value(
     pytest.param(["--help"], 0, id="help"),
     pytest.param(["homotopic", "--help"], 0, id="subcommand-help"),
 ])
-def test_a_command_after_an_exit_still_runs(group_file, capsys, argv, code):
+def test_a_command_after_an_exit_still_runs(qm_file, capsys, argv, code):
     assert cli.run(argv) == code
     capsys.readouterr()
-    assert cli.run(["check", group_file, "--samples", "5"]) == 0
+    assert cli.run(["check", qm_file, "--samples", "5"]) == 0
     out, err = capsys.readouterr()
     assert "  samples: 5\n" in out
     assert out.endswith("OK\n")
     assert err == ""
 
 
-def test_a_replaced_handler_is_the_one_called(group_file, monkeypatch, capsys):
-    assert cli.run(["check", group_file, "--samples", "1"]) == 0
+def test_a_replaced_handler_is_the_one_called(qm_file, monkeypatch, capsys):
+    assert cli.run(["check", qm_file, "--samples", "1"]) == 0
     capsys.readouterr()
     seen = []
     monkeypatch.setattr(cli, "_cmd_check",
                         lambda args: seen.append(args.samples) or 7)
-    assert cli.run(["check", group_file, "--samples", "4"]) == 7
+    assert cli.run(["check", qm_file, "--samples", "4"]) == 7
     assert seen == [4]
     monkeypatch.undo()
-    assert cli.run(["check", group_file, "--samples", "1"]) == 0
+    assert cli.run(["check", qm_file, "--samples", "1"]) == 0
     assert capsys.readouterr().out.endswith("OK\n")
 
 
-def test_the_parser_is_built_once_across_calls(group_file, monkeypatch, capsys):
+def test_the_parser_is_built_once_across_calls(qm_file, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -71,8 +72,8 @@ def test_the_parser_is_built_once_across_calls(group_file, monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._parser.cache_clear()
     try:
-        for argv in (["check", group_file, "--samples", "1"], ["frobnicate"],
-                     ["--help"], ["check", group_file],
+        for argv in (["check", qm_file, "--samples", "1"], ["frobnicate"],
+                     ["--help"], ["check", qm_file],
                      ["s2xs2", "monoid"]):
             cli.run(argv)
         capsys.readouterr()

@@ -28,14 +28,14 @@ def zero_boundary_module():
 
 
 def test_conjugation_module_is_crossed():
-    rep = check_crossed(conjugation_module(), samples=300, seed=1)
+    rep = check_crossed(conjugation_module())
     assert rep.ok, rep.text()
 
 
 def test_zero_boundary_trivial_action_is_precrossed_only():
     m = zero_boundary_module()
-    assert check_precrossed(m, samples=200, seed=1).ok
-    rep = check_crossed(m, samples=200, seed=1)
+    assert check_precrossed(m).ok
+    rep = check_crossed(m)
     assert not rep.ok
     fail = [c for c in rep.failed()]
     assert [c.check_id for c in fail] == ["peiffer_commutators_vanish"]
@@ -48,14 +48,22 @@ def test_zero_boundary_trivial_action_is_precrossed_only():
 
 
 def test_action_axioms_catch_relation_violation():
-    # Z/2 cannot act on Z by doubling: the square of the endomorphism is x4
+    # Z/2 cannot act on Z by doubling: the square of the endomorphism is x4,
+    # and the inverse table does not invert it
     acting = FgAbelianGroup(1, [[2]])
     acted = FreeAbelianGroup(1)
     action = GroupAction(acting, acted, kind="table",
                          table=[[acted.pow(acted.gen(0), 2)]],
                          inverse_table=[[acted.gen(0)]])
-    rep = action.check(random.Random(3), 200)
-    assert not rep.ok
+    assert {c.check_id for c in action.check().failed()} == {
+        "action_inverse_table", "action_axioms"}
+    # nor by the shear x -> x + y, an automorphism of Z^2 of infinite order
+    acting = FgAbelianGroup(1, [[2]], names=("a",))
+    acted = FreeAbelianGroup(2, names=("x", "y"))
+    x, y = acted.generators()
+    rep = GroupAction(acting, acted, table=[[acted.op(x, y)], [y]]).check()
+    assert {c.check_id: c.witness for c in rep.failed()} == {
+        "action_axioms": "x^(2*a) != x at x=x"}
 
 
 def test_action_table_round_trip():
@@ -82,7 +90,7 @@ def test_action_table_round_trip():
     for sign in (1, -1):
         a = acting.pow(acting.gen(0), sign)
         assert acted.eq(rebuilt.apply(acted.gen(1), a), acted.gen(0))
-    assert rebuilt.check(random.Random(4), 100).ok
+    assert rebuilt.check().ok
     assert structure.check(samples=20, seed=4).ok
 
 
@@ -113,7 +121,7 @@ def small_xc3(under2=()):
 
 
 def test_small_xc3_passes_checks():
-    rep = xc3_check(small_xc3(), samples=200, seed=2)
+    rep = xc3_check(small_xc3())
     assert rep.ok, rep.text()
 
 
@@ -127,13 +135,13 @@ def scale_morphism(x, k):
 
 def test_xc3_morphism_check():
     x = small_xc3()
-    assert xc3_morphism_check(scale_morphism(x, 0), samples=50, seed=0).ok
-    assert xc3_morphism_check(scale_morphism(x, 2), samples=50, seed=0).ok
+    assert xc3_morphism_check(scale_morphism(x, 0)).ok
+    assert xc3_morphism_check(scale_morphism(x, 2)).ok
     # breaking the d3 square is caught
     bad = XC3Morphism(x, x, GroupHom.identity(x.m1),
                       GroupHom.identity(x.m2),
                       GroupHom(x.m3, x.m3, [x.m3.pow(x.m3.gen(0), 2)]))
-    rep = xc3_morphism_check(bad, samples=50, seed=0)
+    rep = xc3_morphism_check(bad)
     assert not rep.ok
 
 
@@ -163,7 +171,7 @@ def test_xc3_no_homotopy_for_even_difference():
     g = XC3Morphism(x, x, GroupHom.identity(x.m1),
                     GroupHom(x.m2, x.m2, [x.m2.pow(x.m2.gen(0), 2)]),
                     GroupHom(x.m3, x.m3, [x.m3.pow(x.m3.gen(0), 2)]))
-    assert xc3_morphism_check(g, samples=50, seed=0).ok
+    assert xc3_morphism_check(g).ok
     h, rep = xc3_homotopy_decision(f, g)
     assert h is None
     assert not rep.ok
@@ -210,7 +218,7 @@ def test_xc3_witness_reduces_killed_generators_first_then_by_descending_index():
     for c in (-3, 1, 5):
         f, g = (XC3Morphism(src, tgt, GroupHom.identity(m1), f2, GroupHom(t, s, [(k,)]))
                 for k in (0, c))
-        assert xc3_check(src, samples=5, seed=0).ok and xc3_morphism_check(g).ok
+        assert xc3_check(src).ok and xc3_morphism_check(g).ok
         h, rep = xc3_homotopy_decision(f, g)
         assert h is not None, rep.text()
         assert h.alpha == ((0,), (c,), (0,))
@@ -239,7 +247,7 @@ def test_xc3_homotopy_with_noncentral_d3_is_unsupported():
 
 def test_m3_abelian_names_the_first_non_commuting_pair():
     x = free_boundary_xc3(FreeGroup(2, names=("s", "t")))
-    rep = xc3_check(x, samples=5, seed=0)
+    rep = xc3_check(x)
     failed = {c.check_id: c.witness for c in rep.failed()}
     assert failed["m3_abelian"] == "generators s and t do not commute"
 
@@ -301,7 +309,10 @@ def test_action_by_runs_of_a_non_homomorphic_endomorphism():
     two_x = acted.pow(x, 2)
     assert action.apply(two_x, (2,)) == two_x
     assert letter_act(action, two_x, (2,)) == acted.identity()
-    rep = action.check(random.Random(0), 20)
+    # the action axioms rest on the endomorphisms being homomorphisms, so
+    # they pass here without a basis
+    rep = action.check()
     assert {c.check_id: c.witness for c in rep.failed()} == {
-        "action_endos_are_homs": "generator a: relation [0, 2] maps to a non-identity element",
-        "action_axioms_sampled": "(x+y)^a != x^a + y^a at x=5*x + y"}
+        "action_endos_are_homs": "generator a: relation [0, 2] maps to a non-identity element"}
+    assert [(c.check_id, c.basis) for c in rep.checks] == [
+        ("action_endos_are_homs", "proved"), ("action_axioms", None)]

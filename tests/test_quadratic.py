@@ -37,7 +37,7 @@ def scale_qcm(c, u, w):
 
 
 def test_doubling_complex_is_valid():
-    rep = rqc4_check(doubling_complex(), samples=200, seed=0)
+    rep = rqc4_check(doubling_complex())
     assert rep.ok, rep.text()
 
 
@@ -48,7 +48,7 @@ def test_rqm_axiom2_failure_has_witness():
     zero = q3.identity()
     rqm = ReducedQuadraticModule(q2, q3, ((zero, zero), (zero, zero)),
                                  GroupHom.zero(q3, q2))
-    rep = rqm_check(rqm, samples=50, seed=0)
+    rep = rqm_check(rqm)
     assert not rep.ok
     failed = {c.check_id for c in rep.failed()}
     assert "axiom2_d3_omega_is_commutator" in failed
@@ -56,12 +56,12 @@ def test_rqm_axiom2_failure_has_witness():
 
 def test_qcm_check_catches_broken_squares():
     c = doubling_complex()
-    assert qcm_check(scale_qcm(c, 3, 5), samples=30, seed=0).ok
+    assert qcm_check(scale_qcm(c, 3, 5)).ok
     bad = QCMorphism(c, c,
                      GroupHom(c.q2, c.q2, [c.q2.pow(c.q2.gen(0), 2)]),
                      GroupHom(c.q3, c.q3, [c.q3.gen(0)]),
                      GroupHom.identity(c.q4))
-    rep = qcm_check(bad, samples=30, seed=0)
+    rep = qcm_check(bad)
     assert not rep.ok
     assert any(c_.check_id == "square_d3" for c_ in rep.failed())
 
@@ -178,7 +178,7 @@ def test_quadratic_module_axiom2_failure():
 def test_qcm_check_report_lists_every_check_in_order():
     d = build_sphere_D()
     q = build_cylinder_Q(d)
-    rep = qcm_check(retraction_candidate(q, d, 1, 1, 0), samples=5, seed=0)
+    rep = qcm_check(retraction_candidate(q, d, 1, 1, 0))
     assert [(c.check_id, c.passed, c.witness) for c in rep.checks] == [
         ("f2_is_homomorphism", True, None),
         ("f3_is_homomorphism", False,
@@ -206,7 +206,7 @@ def test_rqm_axiom1_stops_at_first_failing_triple():
     at_next_check = []
     check_hom = rqm.d3.check_hom
     rqm.d3.check_hom = lambda *a: at_next_check.append(len(calls)) or check_hom(*a)
-    rep = rqm_check(rqm, samples=0, seed=0)
+    rep = rqm_check(rqm)
     failed = {c.check_id: c.witness for c in rep.failed()}
     assert failed["axiom1_q2_nil2"] == "triple commutator of generators does not vanish"
     # (x, y, z) = (g0, g0, g0), (g0, g0, g1) vanish; (g0, g1, g0) is the first
@@ -218,7 +218,7 @@ def test_q4_abelian_names_the_first_non_commuting_pair():
     d = build_sphere_D()
     q4 = FreeGroup(2, names=("k", "l"))
     c = ReducedQuadraticComplex4(d.rqm, q4, GroupHom.zero(q4, d.q3))
-    rep = rqc4_check(c, samples=5, seed=0)
+    rep = rqc4_check(c)
     failed = {c_.check_id: c_.witness for c_ in rep.failed()}
     assert failed == {"q4_abelian": "generators k and l do not commute"}
 
@@ -229,7 +229,7 @@ def test_omega_well_defined_names_the_first_failing_relation():
     q3 = FreeAbelianGroup(4)
     omega = tuple(tuple(q3.gen(2 * i + j) for j in range(2)) for i in range(2))
     rqm = ReducedQuadraticModule(q2, q3, omega, GroupHom.zero(q3, q2))
-    rep = rqm_check(rqm, samples=0, seed=0)
+    rep = rqm_check(rqm)
     failed = {c.check_id: c.witness for c in rep.failed()}
     assert failed["omega_well_defined_on_C"] == \
         "omega does not kill the relation [2, 0]"
@@ -256,7 +256,7 @@ def central_qcm(c, images):
 
 def test_rq_homotopy_with_central_nonzero_d3():
     c = central_boundary_complex()
-    assert rqc4_check(c, samples=50, seed=0).ok
+    assert rqc4_check(c).ok
     q2 = c.q2
     x, y = q2.generators()
     xy = q2.commutator(x, y)
@@ -264,14 +264,14 @@ def test_rq_homotopy_with_central_nonzero_d3():
     # central shifts in degree 2 are boundaries: a witness exists
     for images in ([q2.op(x, xy), y], [x, q2.op(y, q2.pow(xy, 3))]):
         g = central_qcm(c, images)
-        assert qcm_check(g, samples=20, seed=0).ok
+        assert qcm_check(g).ok
         h, rep = rq_homotopy_decision(f, g)
         assert h is not None, rep.text()
         assert rep.meta["method"] == "linear"
         assert verify_rq_homotopy(f, g, h).ok
     # x -> x + y differs from the identity by y, which is not central
     g = central_qcm(c, [q2.op(x, y), y])
-    assert qcm_check(g, samples=20, seed=0).ok
+    assert qcm_check(g).ok
     h, rep = rq_homotopy_decision(f, g)
     assert h is None
     assert [(c_.check_id, c_.witness) for c_ in rep.failed()] == [

@@ -145,9 +145,9 @@ def test_kept_values_check_as_fresh_calls(shipped, cylinder_q, sphere_d):
     ms = [bind(name) for name in MORPHISM_FILES]
     ms += [identity_morphism(cylinder_q), broken_f3(cylinder_q, sphere_d)]
     for m in ms + ms:
-        assert qcm_check(m, samples=5, seed=0).to_json() == \
-            qcm_check(fresh_copy(m), samples=5, seed=0).to_json()
-    assert [c.check_id for c in qcm_check(ms[-1], samples=5, seed=0).failed()] == \
+        assert qcm_check(m).to_json() == \
+            qcm_check(fresh_copy(m)).to_json()
+    assert [c.check_id for c in qcm_check(ms[-1]).failed()] == \
         ["f3_is_homomorphism"]
 
 

@@ -17,8 +17,8 @@ from test_enumeration import doubling_target
 
 
 def test_structures_valid(sphere_d, cylinder_q):
-    assert rqc4_check(sphere_d, samples=300, seed=0).ok
-    assert rqc4_check(cylinder_q, samples=300, seed=0).ok
+    assert rqc4_check(sphere_d).ok
+    assert rqc4_check(cylinder_q).ok
 
 
 def test_sphere_d_shape(sphere_d):
@@ -64,13 +64,13 @@ def test_enumeration_finds_exactly_six(cylinder_q, sphere_d):
         (1, 0, -1), (1, 0, 0), (1, 0, 1),
     ]
     for m in ms:
-        assert qcm_check(family_member(m.base, m.tag[2]), samples=20, seed=0).ok
+        assert qcm_check(family_member(m.base, m.tag[2])).ok
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (0, 0), (2, 0), (-1, 1)])
 def test_non_projection_candidates_are_rejected(cylinder_q, sphere_d, a, b):
     m = retraction_candidate(cylinder_q, sphere_d, a, b, 0)
-    rep = qcm_check(m, samples=20, seed=0)
+    rep = qcm_check(m)
     assert not rep.ok
     failing = {c.check_id for c in rep.failed()}
     # the failure is structural: a homomorphism or square condition
