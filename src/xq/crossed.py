@@ -11,7 +11,7 @@ Group actions are right actions given on generators; conventions:
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import nil2
 from .groups import Group, GroupHom, format_terms, generator_pairs, invert_hom
@@ -380,6 +380,14 @@ class CoordinateBlock(NamedTuple):
     def var(self, x: int, k: int) -> int:
         return self.offset + self.slots[x] * self.group.ngens + k
 
+    def to_json(self) -> dict:
+        """What turns a solution u into the values: the value on generator x
+        has the rank coordinates of u from offset + slots[x] rank, reduced
+        by the group's relation rows in their `Lattice` order; in an fg
+        abelian group that vector is the value's JSON."""
+        return {"offset": self.offset, "rank": self.dim, "slots": list(self.slots),
+                "relations": [list(row) for row in self.group.ab_relation_rows()]}
+
 
 class LinearHomotopy:
     """The equations of a homotopy f ~ g as one integer linear system, for
@@ -509,21 +517,6 @@ class LinearHomotopy:
         generators, block by block."""
         return [tuple(b.group.from_ab(u[b.var(x, 0):b.var(x, b.dim)])
                       for x in range(len(b.slots))) for b in self.blocks]
-
-    def values_json(self, u: Sequence[int], memo: dict) -> Iterator[list]:
-        """The JSON of `values(u)`, block by block, each value written by its
-        group's `element_to_json`.  `memo` maps each block met before, by its
-        slots and coordinates, and each value, by its coordinates, to that
-        JSON, so that each is converted once and its JSON object is shared;
-        keep one memo for the systems of one source and target, whose k-th
-        blocks have one group."""
-        for k, b in enumerate(self.blocks):
-            whole = (k, b.slots, *u[b.offset:b.offset + len(b.slots) * b.dim])
-            if whole not in memo:
-                values = [(k, None, *u[b.var(x, 0):b.var(x, b.dim)]) for x in range(len(b.slots))]
-                memo[whole] = [memo[v] if v in memo else memo.setdefault(
-                    v, b.group.element_to_json(b.group.from_ab(v[2:]))) for v in values]
-            yield memo[whole]
 
     def accept(self, verification: Report, witness_json: dict) -> None:
         """Record a witness built from `solve` once it re-verifies.  The

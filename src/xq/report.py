@@ -84,9 +84,10 @@ def _write(obj: Any, out: list[str], newline: str, quote_unsafe: bool, seen: dic
         start = len(out)
         if kinds <= _ARRAY and set(map(type, cells := list(chain.from_iterable(obj)))) <= _INT \
                 and not (quote_unsafe and max(map(abs, cells), default=0) >= SAFE_INT):
+            head, cell, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
             out.append("[" + inner + ("," + inner).join([
-                "[" + inner + "  " + ("," + inner + "  ").join(map(int.__repr__, row)) + inner
-                + "]" if row else "[]" for row in obj]) + newline + "]")
+                head + cell.join(map(int.__repr__, row)) + tail if row else "[]"
+                for row in obj]) + newline + "]")
         else:
             sep = "[" + inner
             for v in obj:
@@ -146,9 +147,7 @@ class Check:
 class Report:
     """Checks, axioms, witnesses, obstructions and meta under a title;
     reports with equal fields are equal.  `basis` is the basis of checks
-    added without one.  `witnesses` may be set to an iterable that builds
-    them, which `to_json_obj` drains into the list the report then keeps, so
-    that a report shown only as text builds none."""
+    added without one."""
 
     _FIELDS = ("title", "checks", "axioms", "witnesses", "obstructions", "meta", "basis")
 
@@ -215,8 +214,6 @@ class Report:
         """The report as a JSON object.  Its lists and dicts below the top
         level are the report's own, not copies, and its integers are not
         encoded: `to_json` quotes the unsafe ones as it writes."""
-        if not isinstance(self.witnesses, list):
-            self.witnesses = list(self.witnesses)
         out: dict[str, Any] = {
             "title": self.title,
             "ok": self.ok,

@@ -9,6 +9,7 @@ manifest attached to every report produced here.
 from __future__ import annotations
 
 from itertools import groupby
+from operator import attrgetter
 
 from .groups import FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, Group, GroupHom
 from .intlinalg import Lattice, ZSystem, vec_neg
@@ -348,8 +349,9 @@ class FamilyDecisions:
     unknown t on g0 (`retraction_shift`), holds the system of every pair of
     their members: f ~ g exactly when t = (r' - r) - (r(g0) - r(f0)) admits
     a solution, and the witness at that t is the one the pair's own
-    decision would give.  Members are decided and their witnesses written
-    (`witness_json`) by tag, without building their morphisms.
+    decision would give.  Members are decided by tag, without building
+    their morphisms, and one witness entry per pair of families
+    (`family_witness`) gives the witness of every pair of their members.
 
     A decision that admits some t is verified once for all its members
     (`_certify`), not per witness: the canonical values at t0 and, when
@@ -406,28 +408,28 @@ class FamilyDecisions:
     def _shift(self, f: Retraction, g: Retraction) -> int:
         return (g.tag[2] - f.tag[2]) - (g.base.tag[2] - f.base.tag[2])
 
-    def _solution(self, f: Retraction, g: Retraction) -> tuple:
-        """The system of f's and g's families and its reduced solution at
-        their shift; RuntimeError if there is none, as callers ask only for
-        pairs they found homotopic."""
+    def family_witness(self, f: Retraction, g: Retraction) -> dict:
+        """The witness entry of the families of f and g, which must be
+        homotopic: their decision's `ShiftedSolutions` and the layout of its
+        unknowns (`CoordinateBlock.to_json`), with the shift read as t =
+        r(g) - r(f) for members f and g of the two families.  That adds
+        r(g0) - r(f0) to unknown 0 and moves nothing else; t0 is then
+        reduced into [0, step) and u0 is the reduced solution there, so the
+        entry depends on the families alone.  The canonical witness of f ~ g
+        is read block by block from `kernel.reduce(u0 + q step_row)` at t =
+        t0 + q step (docs/structure-format.md)."""
         solutions, _ = self.decide(f, g)
-        u = None if solutions is None else solutions.solution_at(self._shift(f, g))
-        if u is None:
-            raise RuntimeError(f"internal error: {f.tag} and {g.tag} are in one "
-                               "class but not homotopic")
-        return solutions.lin, u
-
-    def witness(self, f: Retraction, g: Retraction) -> QCHomotopy:
-        """The canonical witness of f ~ g."""
-        lin, u = self._solution(f, g)
-        return QCHomotopy(*lin.values(u))
-
-    def witness_json(self, f: Retraction, g: Retraction, memo: dict) -> dict:
-        """`witness(f, g).to_json(target)`, written from the solution without
-        building the witness; each block and value is converted once per
-        memo (`LinearHomotopy.values_json`)."""
-        lin, u = self._solution(f, g)
-        return dict(zip(("alpha2", "alpha3"), lin.values_json(u, memo)))
+        delta = g.base.tag[2] - f.base.tag[2]
+        t0 = solutions.t0 + delta
+        if solutions.step:
+            t0 %= solutions.step
+        u0 = solutions.solution_at(t0 - delta)
+        return {"families": [list(f.tag[:2]), list(g.tag[:2])],
+                "t0": t0, "step": solutions.step, "u0": [t0, *u0[1:]],
+                "step_row": list(solutions.step_row) if solutions.step else None,
+                "kernel": [list(row) for row in solutions.kernel0.basis()],
+                "blocks": {name: block.to_json()
+                           for name, block in zip(("alpha2", "alpha3"), solutions.lin.blocks)}}
 
     def report(self, f: Retraction, g: Retraction) -> Report:
         """The report of `rq_homotopy_decision` of f's and g's morphisms.
@@ -460,9 +462,9 @@ def classify_retractions(members: list[Retraction],
     or its first member when none has r = 0.  Members and classes are
     listed in input order.  As homotopy is an equivalence relation, these
     are the classes and representatives of the greedy loop that decides
-    each member against the representatives, r = 0 members first;
-    `decisions.witness(c.representative, m)` is the canonical witness of a
-    member m."""
+    each member against the representatives, r = 0 members first; the
+    canonical witness of a member m follows from
+    `decisions.family_witness(c.representative, m)`."""
     if not set(map(type, members)) <= {Retraction}:
         raise ValueError("not a tagged retraction candidate: classify Retractions")
     if decisions is None:
@@ -484,16 +486,13 @@ def classify_retractions(members: list[Retraction],
             for c in classes]
 
 
-def class_witnesses(decisions: FamilyDecisions, classes: list[RetractionClass]):
-    """The canonical witness of each member from its class representative,
-    class by class, as a report writes it.  Built as drained, from the
-    family decisions, with one memo of converted values."""
-    memo: dict = {}
-    for c in classes:
-        representative = list(c.representative.tag)
-        for m in c.members:
-            yield {"pair": [representative, list(m.tag)],
-                   **decisions.witness_json(c.representative, m, memo)}
+def family_witnesses(decisions: FamilyDecisions, classes: list[RetractionClass]) -> list[dict]:
+    """One witness entry (`FamilyDecisions.family_witness`) per pair of a
+    class representative's family and a member's family, in class and
+    member order; the members of a family are consecutive in a class."""
+    pairs = {(c.representative.tag[:2], base.tag[:2]): (c.representative, next(run))
+             for c in classes for base, run in groupby(c.members, attrgetter("base"))}
+    return [decisions.family_witness(f, g) for f, g in pairs.values()]
 
 
 def classification_report(ab_range: int = 3, r_bound: int = 10) -> Report:
@@ -502,10 +501,9 @@ def classification_report(ab_range: int = 3, r_bound: int = 10) -> Report:
     recorded, homology route compared.
 
     The members are tags, and each class is a union of r-families, so the
-    text costs what it prints.  The witnesses are a generator
-    (`class_witnesses`) that only serializing the report drains
-    (`Report.to_json_obj`): text output builds none, and `--out` spends per
-    member about what its witness adds to the file."""
+    text costs what it prints.  The witnesses are one entry per pair of
+    families (`family_witnesses`), from which each member's follows, so
+    they cost the same at every box."""
     rep = Report("classification of retraction classes under D")
     rep.axioms = list(AXIOMS)
     rep.meta.update(ab_range=ab_range, r_bound=r_bound)
@@ -531,7 +529,7 @@ def classification_report(ab_range: int = 3, r_bound: int = 10) -> Report:
                             "representative": list(c.representative.tag),
                             "members": [list(m.tag) for m in c.members]}
                            for c in classes]
-    rep.witnesses = class_witnesses(decisions, classes)
+    rep.witnesses = family_witnesses(decisions, classes)
     if len(classes) == 2:
         crep = decisions.report(classes[0].representative,
                                 classes[1].representative)

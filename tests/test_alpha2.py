@@ -3,6 +3,7 @@ walked letter by letter (`letter_oracle`): the same values, the same affine
 form for the homotopy system, and the same reports; and the `Undefined`
 witness when an omega' value is not central."""
 
+import json
 import random
 
 import pytest
@@ -15,9 +16,9 @@ from xq.quadratic import (Alpha2, QCHomotopy, QCMorphism, ReducedQuadraticModule
                           UnderCofibration, alpha2_extend, complex_from_rqm,
                           rq_homotopy_decision, verify_rq_homotopy)
 from xq.report import Undefined
-from xq.sphere import (FamilyDecisions, classify_retractions, enumerate_retractions,
-                       family_member)
+from xq.sphere import classification_report, retraction_candidate
 
+from classify_oracle import derived_witnesses, homotopy_from_json
 from letter_oracle import alpha2_affine, alpha2_fold
 from test_shared_values import cases, identity_morphism, shipped, twisted_identity  # noqa: F401
 
@@ -114,14 +115,13 @@ def test_twisted_identity_matches_the_letter_fold(cylinder_q):
 
 
 def test_classification_witnesses_match_the_letter_fold(cylinder_q, sphere_d):
-    """Every witness classification builds, from a class representative to
-    a member, at the points its verification reads."""
-    members = enumerate_retractions(cylinder_q, sphere_d, 2, 4)
-    decisions = FamilyDecisions()
-    pairs = [(family_member(c.representative.base, c.representative.tag[2]),
-              family_member(m.base, m.tag[2]), decisions.witness(c.representative, m))
-             for c in classify_retractions(members, decisions)
-             for m in c.members if m is not c.representative]
+    """Every witness a classification report gives, from a class
+    representative to a member, at the points its verification reads."""
+    rep = classification_report(2, 4)
+    pairs = [(retraction_candidate(cylinder_q, sphere_d, *w["pair"][0]),
+              retraction_candidate(cylinder_q, sphere_d, *w["pair"][1]),
+              homotopy_from_json(w, sphere_d))
+             for w in derived_witnesses(json.loads(rep.to_json())) if w["pair"][0] != w["pair"][1]]
     assert len(pairs) > 10
     rng = random.Random(44)
     for f, g, w in pairs:

@@ -224,6 +224,57 @@ def test_xc3_witness_reduces_killed_generators_first_then_by_descending_index():
         assert h.alpha == ((0,), (c,), (0,))
 
 
+def test_xc3_homotopy_needs_f1_equal_to_g1():
+    x = small_xc3()
+    f = scale_morphism(x, 0)
+    g = XC3Morphism(x, x, GroupHom(x.m1, x.m1, [x.m1.pow(x.m1.gen(0), 2)]), f.f2, f.f3)
+    h, rep = xc3_homotopy_decision(f, g)
+    assert h is None
+    assert [(c.check_id, c.witness) for c in rep.checks] == \
+        [("f1_equals_g1", "homotopy requires f1 = g1")]
+    assert rep.obstructions == [{"reason": "f1 != g1"}]
+
+
+def test_xc3_homotopy_with_zero_d3_needs_f2_equal_to_g2():
+    # with d3' = 0 the degree-2 equation -f2 x + g2 x = d3' alpha(x) forces
+    # f2 = g2, and the decision stops there
+    m1 = FreeNil2Group(1, names=("a",))
+    m2, m3 = FreeAbelianGroup(1, names=("x",)), FreeAbelianGroup(1, names=("t",))
+    x = CrossedComplex3(m1, m2, m3, GroupHom.zero(m2, m1), GroupHom.zero(m3, m2),
+                        GroupAction.trivial(m1, m2), GroupAction.trivial(m1, m3))
+    f = XC3Morphism(x, x, GroupHom.identity(m1), GroupHom.identity(m2), GroupHom.identity(m3))
+    g = XC3Morphism(x, x, f.f1, GroupHom(m2, m2, [(-1,)]), f.f3)
+    assert xc3_check(x).ok and xc3_morphism_check(g).ok
+    h, rep = xc3_homotopy_decision(f, g)
+    assert h is None
+    assert [(c.check_id, c.witness) for c in rep.checks] == [(
+        "degree2_solvable",
+        "d3 = 0 in the target forces f2 = g2; the morphisms differ at generator x")]
+    assert rep.obstructions == [{"reason": rep.checks[0].witness}]
+
+
+def test_xc3_homotopy_respects_the_relations_of_m2():
+    # M3 = Z --x2--> M2 = Z/4 --0--> M1 = Z; g = (id, x -> 3x, t -> 3t).  The
+    # equations on generators alone are solved by alpha(x) = t, but 4x = 0
+    # in M2 forces 4 alpha(x) = 0 in Z, so alpha = 0, which fails the
+    # degree-2 equation 2x = d3 alpha(x): no homotopy
+    m1 = FreeNil2Group(1, names=("a",))
+    m2, m3 = CyclicGroup(4, names=("x",)), FreeAbelianGroup(1, names=("t",))
+    x = CrossedComplex3(m1, m2, m3, GroupHom.zero(m2, m1), GroupHom(m3, m2, [(2,)]),
+                        GroupAction.trivial(m1, m2), GroupAction.trivial(m1, m3))
+    f = XC3Morphism(x, x, GroupHom.identity(m1), GroupHom.identity(m2), GroupHom.identity(m3))
+    g = XC3Morphism(x, x, f.f1, GroupHom(m2, m2, [(3,)]), GroupHom(m3, m3, [(3,)]))
+    assert xc3_check(x).ok and xc3_morphism_check(g).ok
+    h, rep = xc3_homotopy_decision(f, g)
+    assert h is None
+    assert [c.check_id for c in rep.failed()] == ["solvable"]
+    # the witness that ignores 4x = 0 is not additive, so it verifies nothing
+    rep = verify_xc3_homotopy(f, g, XC3Homotopy(((1,),)))
+    assert [c.check_id for c in rep.failed()] == ["alpha_additive"]
+    h, rep = xc3_homotopy_decision(f, f)
+    assert h is not None and h.alpha == ((0,),)
+
+
 def free_boundary_xc3(m3=None):
     """M2 free of rank 2 on x, y with d3 = x on each generator of M3 (Z<t>
     by default) and trivial actions; d3 is not central, so this is not a

@@ -8,11 +8,12 @@ from xq.quadratic import QCMorphism, qcm_check, rq_homotopy_decision, rqc4_check
 from xq.groups import CyclicGroup, FreeNil2Group
 from xq.intlinalg import Lattice
 from xq.report import Report
-from xq.sphere import (FamilyDecisions, class_witnesses, classify_retractions,
-                       derive_reduced_q3, enumerate_retractions, family_member,
+from xq.sphere import (FamilyDecisions, classify_retractions, derive_reduced_q3,
+                       enumerate_retractions, family_member, family_witnesses,
                        retraction_candidate, solve_homology_constraints)
 
-from classify_oracle import greedy_classes
+from classify_oracle import (derived_witnesses, greedy_classes, homotopy_from_json,
+                             member_witnesses)
 from test_enumeration import doubling_target
 
 
@@ -180,15 +181,33 @@ def test_a_relation_q3_needs_fails_structure_q_not_the_build(monkeypatch, capsys
     assert "Traceback" not in captured.err
 
 
+def written(classes, decisions) -> dict:
+    """The JSON of a report holding the classes and their witness entries,
+    as `classification_report` writes them."""
+    rep = Report("classes")
+    rep.meta["classes"] = [{"representative": list(c.representative.tag),
+                            "members": [list(m.tag) for m in c.members]} for c in classes]
+    rep.witnesses = family_witnesses(decisions, classes)
+    return json.loads(rep.to_json())
+
+
+def assert_verified(witnesses, q, target):
+    """Every derived witness is a homotopy between the candidates its pair
+    names."""
+    for w in witnesses:
+        f, g = (retraction_candidate(q, target, *tag) for tag in w["pair"])
+        assert xq.verify_rq_homotopy(f, g, homotopy_from_json(w, target)).ok, w["pair"]
+
+
 def test_classification_keeps_each_members_witness(cylinder_q, sphere_d):
     ms = enumerate_retractions(cylinder_q, sphere_d, ab_range=2, r_bound=2)
     decisions = FamilyDecisions()
-    for c in classify_retractions(ms, decisions):
+    classes = classify_retractions(ms, decisions)
+    for c in classes:
         assert [m.tag[2] for m in c.members] == [-2, -1, 0, 1, 2]
-        rep = family_member(c.representative.base, c.representative.tag[2])
-        for m in c.members:
-            h = decisions.witness(c.representative, m)
-            assert xq.verify_rq_homotopy(rep, family_member(m.base, m.tag[2]), h).ok
+    witnesses = derived_witnesses(written(classes, decisions))
+    assert len(witnesses) == 10
+    assert_verified(witnesses, cylinder_q, sphere_d)
 
 
 def test_classification_report_decides_each_pair_once(monkeypatch):
@@ -211,9 +230,10 @@ def test_classification_report_decides_each_pair_once(monkeypatch):
         calls.clear()
         rep = xq.classification_report(ab_range=ab_range, r_bound=r_bound)
         assert len(calls) == 3
-    # the report is byte-identical to the one that decided every pair twice
+    # the report is byte-identical to the one that decided every pair twice,
+    # but for its witnesses, now one entry per pair of families
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == \
-        "863a0947f6e14da4783f58694c84cf3d85ba22fee057cbd34c042e4ee66b2405"
+        "eba2e670dd64ffbb7e1b4d69b6be33ce4ba9b91ec840cd68081d4500cc17c069"
     assert hashlib.sha256(rep.text().encode()).hexdigest() == \
         "184579fd57d83b7237ce9dfea7ac62b36ca8bd22dc0eb908a7593c2f83d1000a"
 
@@ -221,11 +241,11 @@ def test_classification_report_decides_each_pair_once(monkeypatch):
 PINNED_CLASSIFY = {
     # sha256 of the text and of the --out JSON of `xq s2xs2 classify`
     (3, 20): ("9a9cedf57c7a5e6bef210f54e98b9c91160fcb270c24bbfefe1c81b327784c09",
-              "4fb78d6c2f8519030414fbe3b349e86b9d56008b1c5158c6ce1daecc360b7882"),
+              "98f3324d6a725137d6ef8f07775f6f15f890ec3183d61096e8c6d5746657a38c"),
     (4, 14): ("6a45bb47f057e8286d5e6056f5fd9431381dd49ace998366c858e0d4ca6af9d0",
-              "f7e4bcd73942d8d393a890721c5045810b480bd34948b55f086939e0a5b0fa5e"),
+              "aa51ea5923271c0476b37176ad5fc2f88278dab6ef2719cdc88b9e5ddc710fec"),
     (5, 10): ("f04d0c96f98220f125f206bbd4be2dad4b427d87ad5317c00e8417a465e5827a",
-              "988ef16c4b234aede76d941aa3a9b368333aff5b4947e604c4b068148638303e"),
+              "5516e8108bd0884977f937ee37bc7a6b9b56364a54a14b0d2e5a045d07f3f810"),
 }
 
 
@@ -246,29 +266,18 @@ def test_classify_output_is_pinned_at_the_benchmark_boxes(box, tmp_path, capsys,
 
 def same_classes(target, ab_range, r_bound, cylinder_q):
     """The family classification and the greedy oracle agree on the
-    partition, representatives, member order and every witness, and so does
-    the witness list a report writes; returns the classes."""
+    partition, representatives and member order, and every member's witness
+    derived from the written witness entries, the representative's
+    included, is the oracle's and verifies; returns the classes."""
     ms = enumerate_retractions(cylinder_q, target, ab_range, r_bound)
     decisions = FamilyDecisions()
     classes = classify_retractions(ms, decisions)
     expected = greedy_classes([family_member(m.base, m.tag[2]) for m in ms])
     assert [(c.ab, c.representative.tag, [m.tag for m in c.members]) for c in classes] == \
         [(c.ab, c.representative.tag, [m.tag for m in c.members]) for c in expected]
-    # the witness of every member, the representative included, as the
-    # report shows it
-    for c, e in zip(classes, expected):
-        assert [decisions.witness(c.representative, m).to_json(target) for m in c.members] == \
-            [w.to_json(target) for w in e.witnesses]
-    # the serialized witness list, member by member and in order, built as
-    # `classification_report` builds it and drained by the writer
-    rep = Report("witnesses")
-    rep.witnesses = class_witnesses(decisions, classes)
-    assert json.loads(rep.to_json()).get("witnesses", []) == \
-        [{"pair": [list(c.representative.tag), list(m.tag)],
-          **decisions.witness(c.representative, m).to_json(target)}
-         for c in classes for m in c.members] == \
-        [{"pair": [list(e.representative.tag), list(m.tag)], **w.to_json(target)}
-         for e in expected for m, w in zip(e.members, e.witnesses)]
+    witnesses = derived_witnesses(written(classes, decisions))
+    assert witnesses == member_witnesses(expected, target)
+    assert_verified(witnesses, cylinder_q, target)
     return classes
 
 
@@ -278,18 +287,46 @@ def test_family_classification_matches_the_greedy_oracle(cylinder_q, sphere_d,
     same_classes(sphere_d, ab_range, r_bound, cylinder_q)
 
 
-@pytest.mark.parametrize("q2,family_sizes", [(FreeNil2Group(1), {1: 22}),
-                                             (CyclicGroup(6), {2: 16, 1: 8})],
+@pytest.mark.parametrize("q2,family_sizes,step", [(FreeNil2Group(1), {1: 22}, 0),
+                                                  (CyclicGroup(6), {2: 16, 1: 8}, 3)],
                          ids=["single", "progression"])
 def test_family_classification_matches_the_greedy_oracle_across_families(
-        cylinder_q, q2, family_sizes):
+        cylinder_q, q2, family_sizes, step):
     # 22 and 24 r-families, Z/6 ones of 2 members (r0 + 3Z in [-2, 2]); both
     # classes span families
-    classes = same_classes(doubling_target(q2), 3, 2, cylinder_q)
+    target = doubling_target(q2)
+    classes = same_classes(target, 3, 2, cylinder_q)
     by_family = Counter(m.tag[:2] for c in classes for m in c.members)
     assert Counter(by_family.values()) == family_sizes
     assert len(classes) == 2
     assert all(len({m.tag[:2] for m in c.members}) > 1 for c in classes)
+    # one witness entry per family, from its class representative's family
+    decisions = FamilyDecisions()
+    entries = family_witnesses(decisions, classify_retractions(
+        enumerate_retractions(cylinder_q, target, 3, 2), decisions))
+    assert len(entries) == len(by_family)
+    assert {e["step"] for e in entries} == {step}
+
+
+@pytest.mark.parametrize("box", [(0, 0), (3, 20)], ids=lambda box: "%d-%d" % box)
+def test_each_members_witness_follows_from_the_classify_file_alone(
+        box, tmp_path, capsys, cylinder_q, sphere_d):
+    from xq.cli import run
+
+    out = tmp_path / "classify.json"
+    run(["s2xs2", "classify", "--ab-range", str(box[0]), "--r-bound", str(box[1]),
+         "--out", str(out)])
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    witnesses = derived_witnesses(report)
+    ms = enumerate_retractions(cylinder_q, sphere_d, *box)
+    assert witnesses == member_witnesses(
+        greedy_classes([family_member(m.base, m.tag[2]) for m in ms]), sphere_d)
+    assert len(witnesses) == len(ms) == report["meta"]["retractions"]
+    assert_verified(witnesses, cylinder_q, sphere_d)
+    # one entry per r-family: each class is one family on D
+    assert [e["families"] for e in report.get("witnesses", [])] == \
+        [[c["ab"], c["ab"]] for c in report["classes"]]
 
 
 def test_classification_rejects_an_untagged_morphism(cylinder_q, sphere_d):
@@ -392,11 +429,12 @@ def test_a_family_whose_third_member_fails_its_check_is_rejected(
     assert len(enumerate_retractions(cylinder_q, sphere_d, 3, 10)) == 42
 
 
-def test_text_output_builds_no_witness_and_no_member_morphism():
-    """A report shown only as text holds its witnesses as an undrained
-    generator: while it is alive, no `QCHomotopy` and no witness JSON has
-    been made, and each r-family has kept at most its base and three checked
-    members as morphisms."""
+def test_a_report_builds_no_member_witness_and_no_member_morphism():
+    """A classification report holds one witness entry per pair of
+    r-families, the same entries at every box: while it is alive, no
+    `QCHomotopy` and no per-member witness JSON has been made, and each
+    r-family has kept at most its base and three checked members as
+    morphisms."""
     import gc
 
     from xq.quadratic import QCHomotopy
@@ -415,3 +453,5 @@ def test_text_output_builds_no_witness_and_no_member_morphism():
     morphisms, homotopies, witnesses = (now - then for now, then in zip(alive(), before))
     assert rep.meta["retractions"] == 802
     assert len(morphisms) <= 4 * 2 and not homotopies and not witnesses
+    assert [e["families"] for e in rep.witnesses] == [[[0, 1], [0, 1]], [[1, 0], [1, 0]]]
+    assert rep.witnesses == xq.classification_report(3, 10).witnesses
