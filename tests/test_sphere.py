@@ -115,8 +115,8 @@ def test_canonical_family_witnesses(cylinder_q, sphere_d, family, expect_index):
         other = retraction_candidate(cylinder_q, sphere_d, a, b, r)
         h, rep = rq_homotopy_decision(base, other)
         assert h is not None, rep.text()
-        # canonical witness: alpha2 supported on the generator the
-        # retraction kills, with coefficient r
+        # canonical witness: alpha2 supported on the one of e', e'' that
+        # the retraction sends to e, with coefficient r
         for i in range(3):
             expected = sphere_d.q3.pow(sphere_d.q3.gen(0),
                                        r if i == expect_index else 0)
