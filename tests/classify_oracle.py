@@ -88,10 +88,13 @@ def derived_witnesses(report: dict) -> list[dict]:
     """`member_witnesses`' list, derived from a classification report's
     JSON: its class lists under `meta` and its witness entries."""
     entries = {tuple(map(tuple, e["families"])): e for e in report.get("witnesses", [])}
-    return [{"pair": [rep, m], **entry_witness(entries[tuple(rep[:2]), tuple(m[:2])],
-                                               m[2] - rep[2])}
-            for c in report["meta"]["classes"] for rep in [c["representative"]]
-            for m in c["members"]]
+    out = []
+    for c in report["meta"]["classes"]:
+        rep = c["representative"]
+        for m in c["members"]:
+            entry = entries[tuple(rep[:2]), tuple(m[:2])]
+            out.append({"pair": [rep, m], **entry_witness(entry, m[2] - rep[2])})
+    return out
 
 
 def homotopy_from_json(witness: dict, target) -> QCHomotopy:

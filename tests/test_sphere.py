@@ -268,17 +268,19 @@ def same_classes(target, ab_range, r_bound, cylinder_q):
     """The family classification and the greedy oracle agree on the
     partition, representatives and member order, and every member's witness
     derived from the written witness entries, the representative's
-    included, is the oracle's and verifies; returns the classes."""
+    included, is the oracle's and verifies; returns the classes and the
+    written report."""
     ms = enumerate_retractions(cylinder_q, target, ab_range, r_bound)
     decisions = FamilyDecisions()
     classes = classify_retractions(ms, decisions)
     expected = greedy_classes([family_member(m.base, m.tag[2]) for m in ms])
     assert [(c.ab, c.representative.tag, [m.tag for m in c.members]) for c in classes] == \
         [(c.ab, c.representative.tag, [m.tag for m in c.members]) for c in expected]
-    witnesses = derived_witnesses(written(classes, decisions))
+    report = written(classes, decisions)
+    witnesses = derived_witnesses(report)
     assert witnesses == member_witnesses(expected, target)
     assert_verified(witnesses, cylinder_q, target)
-    return classes
+    return classes, report
 
 
 @pytest.mark.parametrize("ab_range,r_bound", [(0, 0), (1, 0), (2, 2), (3, 10), (3, 20)])
@@ -294,18 +296,14 @@ def test_family_classification_matches_the_greedy_oracle_across_families(
         cylinder_q, q2, family_sizes, step):
     # 22 and 24 r-families, Z/6 ones of 2 members (r0 + 3Z in [-2, 2]); both
     # classes span families
-    target = doubling_target(q2)
-    classes = same_classes(target, 3, 2, cylinder_q)
+    classes, report = same_classes(doubling_target(q2), 3, 2, cylinder_q)
     by_family = Counter(m.tag[:2] for c in classes for m in c.members)
     assert Counter(by_family.values()) == family_sizes
     assert len(classes) == 2
     assert all(len({m.tag[:2] for m in c.members}) > 1 for c in classes)
     # one witness entry per family, from its class representative's family
-    decisions = FamilyDecisions()
-    entries = family_witnesses(decisions, classify_retractions(
-        enumerate_retractions(cylinder_q, target, 3, 2), decisions))
-    assert len(entries) == len(by_family)
-    assert {e["step"] for e in entries} == {step}
+    assert len(report["witnesses"]) == len(by_family)
+    assert {e["step"] for e in report["witnesses"]} == {step}
 
 
 @pytest.mark.parametrize("box", [(0, 0), (3, 20)], ids=lambda box: "%d-%d" % box)
