@@ -146,8 +146,9 @@ def _cmd_classify(args) -> int:
     rep = classification_report(ab_range=args.ab_range, r_bound=args.r_bound)
     sys.stdout.write(rep.text())
     if args.out:
-        sf.write_text(args.out, rep.to_json(classes=rep.meta["classes"],
-                                            count=rep.meta["count"]))
+        # the file holds the class list and the count once, at the top level
+        classes, count = rep.meta.pop("classes"), rep.meta.pop("count")
+        sf.write_text(args.out, rep.to_json(classes=classes, count=count))
     return 0 if rep.ok else 1
 
 

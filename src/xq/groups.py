@@ -86,38 +86,28 @@ class Group:
             raise ValueError("names length must match the number of generators")
         self.names = names
         self._generators: tuple | None = None
+        # the relation lattice of the abelianization, modulo which the
+        # coordinates of a group abelian as presented are equal: zero but
+        # in `FgAbelianGroup`, which replaces it with its relations
+        self.lattice = Lattice(ngens)
 
     # -- element interface: every subclass provides identity(), gen(i),
     # op(x, y), inv(x), format_element(x), element_to_json(x),
     # element_from_json(obj), random_element(rng, size=6), to_json(), and
-    # the three below
-    def canon(self, x):
-        """Canonical form of x (idempotent); equal elements get equal forms."""
-        raise NotImplementedError
-
-    def word_runs(self, x) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-        """The canonical word of x as runs (block, count), read off the
-        normal form: each block, a few (generator, sign) pairs, stands
-        repeated count times, in order.  No exponent is expanded."""
-        raise NotImplementedError
-
-    def ab(self, x) -> tuple[int, ...]:
-        """Exponent vector of x in Z^ngens (image in the abelianization)."""
-        raise NotImplementedError
+    #   canon(x): the canonical form of x (idempotent), equal elements
+    #     getting equal forms;
+    #   word_runs(x): the canonical word of x as runs (block, count), read
+    #     off the normal form: each block, a few (generator, sign) pairs,
+    #     stands repeated count times, in order, no exponent expanded;
+    #   ab(x): the exponent vector of x in Z^ngens, its image in the
+    #     abelianization;
+    #   is_abelian, is_nil2: properties, True when the class satisfies the
+    #     abelian, or all nil(2), laws structurally.
 
     # -- shared helpers -----------------------------------------------------
-    @property
-    def is_abelian(self) -> bool:
-        return False
-
-    @property
-    def is_nil2(self) -> bool:
-        """True when the class satisfies all nil(2) laws structurally."""
-        return False
-
     def ab_relation_rows(self) -> list[tuple[int, ...]]:
         """Rows spanning the relation lattice of the abelianization."""
-        return []
+        return self.lattice.basis()
 
     def eq(self, x, y) -> bool:
         return self.canon(x) == self.canon(y)
@@ -426,9 +416,6 @@ class FgAbelianGroup(Group):
     def is_nil2(self) -> bool:
         return True
 
-    def ab_relation_rows(self) -> list[tuple[int, ...]]:
-        return self.lattice.basis()
-
     def element_to_json(self, x):
         return list(self.canon(x))
 
@@ -508,11 +495,6 @@ def coords_of(g: Group, x) -> Sequence[int]:
         return x.base
     return g.ab(x) if isinstance(g, FreeGroup) else x
 
-
-def relation_lattice(g: Group) -> Lattice:
-    """The lattice of `ab_relation_rows`, modulo which coordinates are equal
-    in a group abelian as presented."""
-    return g.lattice if isinstance(g, FgAbelianGroup) else Lattice(g.ngens, g.ab_relation_rows())
 
 
 class GroupHom:

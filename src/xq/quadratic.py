@@ -27,8 +27,7 @@ from typing import Sequence
 
 from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule,
                       ShiftedSolutions, check_precrossed, peiffer_commutator)
-from .groups import (FgAbelianGroup, Group, GroupHom, coords_of, generator_pairs,
-                     relation_lattice)
+from .groups import FgAbelianGroup, Group, GroupHom, coords_of, generator_pairs
 from .intlinalg import vec_neg, vec_sub
 from .report import Report, Undefined, sampled_report
 from .tensor import TensorElement
@@ -417,7 +416,7 @@ class CoordinateEquations:
         """The messages of the failing equations, lazily, in order; nothing
         is reduced when the sides are equal."""
         if self.lhs != self.rhs if self.rhs is not None else any(map(any, self.lhs)):
-            lattice = relation_lattice(self.grp)
+            lattice = self.grp.lattice
             yield from (self.message(j) for j, d in enumerate(self.columns())
                         if any(d) and any(lattice.reduce(d)))
 

@@ -37,21 +37,17 @@ def canonical_json(obj: Any, quote_unsafe: bool = False) -> str:
     With `quote_unsafe`, as for reports, an integer outside the 53-bit safe
     range is written as its decimal string; structure files keep it a
     number.  An array of ints, of strs or of arrays of ints is written in
-    one join, and any other array met again within the call, such as a
-    list that every witness shares, is written once and its text reused."""
+    one join."""
     out: list[str] = []
-    _write(obj, out, "\n", quote_unsafe, {})
+    _write(obj, out, "\n", quote_unsafe)
     return "".join(out) + "\n"
 
 
-def _write(obj: Any, out: list[str], newline: str, quote_unsafe: bool, seen: dict) -> None:
+def _write(obj: Any, out: list[str], newline: str, quote_unsafe: bool) -> None:
     """Append the text of obj to out, `newline` being a line break and the
     indent of the line obj starts on.  One call per nesting level, so that
     any nesting a structure file may have (`structfile.MAX_NESTING`) can be
-    written back.  `seen` maps the id of each array written so far but those
-    of one join to (newline, start, end), its text being out[start:end].
-    Every line break in that text is followed by at least that indent, so
-    `replace` moves the text to another newline."""
+    written back."""
     inner = newline + "  "
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -67,7 +63,7 @@ def _write(obj: Any, out: list[str], newline: str, quote_unsafe: bool, seen: dic
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             out.append(sep + encode_basestring_ascii(k) + ": ")
-            _write(v, out, inner, quote_unsafe, seen)
+            _write(v, out, inner, quote_unsafe)
             sep = "," + inner
         out.append(newline + "}" if obj else "{}")
     elif not isinstance(obj, (list, tuple)):  # floats and int subclasses as json
@@ -77,25 +73,19 @@ def _write(obj: Any, out: list[str], newline: str, quote_unsafe: bool, seen: dic
         atom = encode_basestring_ascii if kinds <= _STR else int.__repr__
         out.append("[" + inner + ("," + inner).join(map(atom, obj)) + newline + "]"
                    if obj else "[]")
-    elif id(obj) in seen:
-        old, start, end = seen[id(obj)]
-        out.append("".join(out[start:end]).replace(old, newline))
+    elif kinds <= _ARRAY and set(map(type, cells := list(chain.from_iterable(obj)))) <= _INT \
+            and not (quote_unsafe and max(map(abs, cells), default=0) >= SAFE_INT):
+        head, cell, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+        out.append("[" + inner + ("," + inner).join([
+            head + cell.join(map(int.__repr__, row)) + tail if row else "[]"
+            for row in obj]) + newline + "]")
     else:
-        start = len(out)
-        if kinds <= _ARRAY and set(map(type, cells := list(chain.from_iterable(obj)))) <= _INT \
-                and not (quote_unsafe and max(map(abs, cells), default=0) >= SAFE_INT):
-            head, cell, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
-            out.append("[" + inner + ("," + inner).join([
-                head + cell.join(map(int.__repr__, row)) + tail if row else "[]"
-                for row in obj]) + newline + "]")
-        else:
-            sep = "[" + inner
-            for v in obj:
-                out.append(sep)
-                _write(v, out, inner, quote_unsafe, seen)
-                sep = "," + inner
-            out.append(newline + "]")
-        seen[id(obj)] = (newline, start, len(out))
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write(v, out, inner, quote_unsafe)
+            sep = "," + inner
+        out.append(newline + "]")
 
 
 def seed_from_env() -> int:

@@ -86,10 +86,12 @@ def entry_witness(entry: dict, t: int) -> dict:
 
 def derived_witnesses(report: dict) -> list[dict]:
     """`member_witnesses`' list, derived from a classification report's
-    JSON: its class lists under `meta` and its witness entries."""
+    JSON: its class lists, at the top level of a `classify --out` file and
+    under `meta` of a `classification_report` or of `count --out`, and its
+    witness entries."""
     entries = {tuple(map(tuple, e["families"])): e for e in report.get("witnesses", [])}
     out = []
-    for c in report["meta"]["classes"]:
+    for c in report["classes"] if "classes" in report else report["meta"]["classes"]:
         rep = c["representative"]
         for m in c["members"]:
             entry = entries[tuple(rep[:2]), tuple(m[:2])]

@@ -43,8 +43,14 @@ def random_text(rng) -> str:
     return "".join(rng.choice(CHARS) for _ in range(rng.randint(0, 5)))
 
 
-def random_value(rng, depth: int):
-    """A seeded JSON value nested at most `depth` more levels."""
+def random_value(rng, depth: int, shared: list | None = None):
+    """A seeded JSON value nested at most `depth` more levels.  Arrays are
+    also drawn from `shared`, to which every array built is added, so one
+    list object may recur at other depths and under other parents."""
+    if shared is None:
+        shared = []
+    if shared and rng.randrange(8) == 0:
+        return rng.choice(shared)
     kind = rng.randrange(9 if depth > 0 else 5)
     if kind == 0:
         return random_text(rng)
@@ -55,9 +61,11 @@ def random_value(rng, depth: int):
     if kind == 3:
         return rng.choice(FLOATS)
     if kind == 4:  # a list of plain ints, possibly empty
-        return [rng.randint(-2 ** 70, 2 ** 70) for _ in range(rng.randint(0, 4))]
-    items = [random_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+        shared.append([rng.randint(-2 ** 70, 2 ** 70) for _ in range(rng.randint(0, 4))])
+        return shared[-1]
+    items = [random_value(rng, depth - 1, shared) for _ in range(rng.randint(0, 4))]
     if kind == 5:
+        shared.append(items)
         return items
     if kind == 6:
         return tuple(items)
@@ -66,9 +74,26 @@ def random_value(rng, depth: int):
 
 def test_random_corpus_matches_the_standard_library():
     rng = random.Random(41)
+    recurring = 0
     for _ in range(1500):
         obj = random_value(rng, 6)
         assert canonical_json(obj) == stdlib(obj)
+        recurring += any(len(d) > 1 for d in list_depths(obj).values())
+    # some values hold one list object at two depths or more
+    assert recurring >= 100
+
+
+def list_depths(obj, depth: int = 0) -> dict[int, set[int]]:
+    """The depths at which each list within obj occurs, by the list's id."""
+    out: dict[int, set[int]] = {id(obj): {depth}} if isinstance(obj, list) else {}
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return out
+    for v in obj:
+        for k, depths in list_depths(v, depth + 1).items():
+            out.setdefault(k, set()).update(depths)
+    return out
 
 
 def test_shipped_structures_match_the_standard_library(structures_dir):
@@ -197,15 +222,18 @@ def test_report_json_stringifies_unsafe_integers_and_leaves_the_report_alone():
 
 
 def test_classify_and_monoid_out_stringify_unsafe_integers(tmp_path, capsys, monkeypatch):
-    """`classify --out` and `monoid --out` add their entries to the report
-    and write the whole object through the report writer."""
+    """`classify --out` moves the class list and the count from meta to the
+    top level, `monoid --out` adds its tables, and each writes the whole
+    object through the report writer."""
     rep = unsafe_report("classify")
-    rep.meta.update(classes=[{"members": [[SAFE_INT, -SAFE_INT, 0]]}], count=SAFE_INT)
+    classes = [{"members": [[SAFE_INT, -SAFE_INT, 0]]}]
+    rep.meta.update(classes=classes, count=SAFE_INT)
     monkeypatch.setattr(cli, "classification_report", lambda **kw: rep)
     out = tmp_path / "c.json"
     assert run(["s2xs2", "classify", "--out", str(out)]) == 0
+    assert "classes" not in rep.meta and "count" not in rep.meta
     assert out.read_text() == stdlib(stringify_all(
-        {**rep.to_json_obj(), "classes": rep.meta["classes"], "count": SAFE_INT}))
+        {**rep.to_json_obj(), "classes": classes, "count": SAFE_INT}))
     assert json.loads(out.read_text())["count"] == str(SAFE_INT)
 
     mon = unsafe_report("monoid")

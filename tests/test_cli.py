@@ -241,6 +241,8 @@ def test_classify_deterministic_and_json(tmp_path, capsys):
     assert text1 == text2
     assert out1.read_text() == out2.read_text()
     report = json.loads(out1.read_text())
+    # the class list and the count are written once, at the top level
+    assert "classes" not in report["meta"] and "count" not in report["meta"]
     assert report["count"] == 16
     assert sorted(tuple(c["ab"]) for c in report["classes"]) == [(0, 1), (1, 0)]
     assert report["ok"] is True
