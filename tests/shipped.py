@@ -1,7 +1,8 @@
 """Canonical structure files shipped with the package.
 
-Run `python3 -m xq.shipped DIR` to (re)generate them; the test suite asserts
-that the files in structures/ match this generator byte for byte.
+Run `PYTHONPATH=src python3 tests/shipped.py [DIR]` to (re)generate them in
+DIR (default `structures`); `tests/test_structfile.py` asserts that the
+files in structures/ match this generator byte for byte.
 """
 
 from __future__ import annotations
@@ -9,9 +10,9 @@ from __future__ import annotations
 import os
 import sys
 
-from .sphere import build_cylinder_Q, build_sphere_D, retraction_candidate
-from .structfile import (morphism_structure, pair_structure, rqc4_structure,
-                         serialize_structure, write_text)
+from xq.sphere import build_cylinder_Q, build_sphere_D, retraction_candidate
+from xq.structfile import (morphism_structure, pair_structure, rqc4_structure,
+                           serialize_structure, write_text)
 
 
 def shipped_structures() -> dict[str, dict]:

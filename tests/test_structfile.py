@@ -6,8 +6,9 @@ import pytest
 from xq import structfile as sf
 from xq.groups import CyclicGroup, FgAbelianGroup, FreeNil2Group, GroupHom
 from xq.quadratic import QCMorphism, ReducedQuadraticModule, complex_from_rqm
-from xq.shipped import shipped_structures
 from xq.sphere import build_cylinder_Q, build_sphere_D, retraction_candidate
+
+from shipped import shipped_structures
 
 
 def test_shipped_files_are_fresh(structures_dir):
@@ -17,7 +18,7 @@ def test_shipped_files_are_fresh(structures_dir):
     for name, obj in expected.items():
         with open(os.path.join(structures_dir, name), encoding="utf-8") as fh:
             assert fh.read() == sf.serialize_structure(obj), \
-                f"{name} is stale; regenerate with python3 -m xq.shipped"
+                f"{name} is stale; regenerate with PYTHONPATH=src python3 tests/shipped.py"
 
 
 def test_shipped_files_load_and_pass_checks(structures_dir):
