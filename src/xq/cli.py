@@ -146,7 +146,8 @@ def _cmd_classify(args) -> int:
     rep = classification_report(ab_range=args.ab_range, r_bound=args.r_bound)
     sys.stdout.write(rep.text())
     if args.out:
-        # the file holds the class list and the count once, at the top level
+        # taken from meta after the text, which prints them among the meta
+        # lines, so that the file holds them once, at the top level
         classes, count = rep.meta.pop("classes"), rep.meta.pop("count")
         sf.write_text(args.out, rep.to_json(classes=classes, count=count))
     return 0 if rep.ok else 1

@@ -496,7 +496,6 @@ def coords_of(g: Group, x) -> Sequence[int]:
     return g.ab(x) if isinstance(g, FreeGroup) else x
 
 
-
 class GroupHom:
     """Homomorphism given by generator images; evaluated on the source's
     normal form.
