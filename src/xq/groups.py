@@ -504,9 +504,11 @@ class GroupHom:
     matrix product: the image-coordinate matrix, built on first use and
     kept on the map, times the coordinates of the argument, read back by
     `target.from_ab`.  Into any other target it is a fold over the normal
-    form.  Each map keeps one cache of the values it has computed, keyed
-    by element and shared by `__call__` and `at_generator`; a map derived
-    from it (`with_image`, `then`, `power`) starts with an empty one."""
+    form.  The coordinates of the values at the source's generators are
+    one matrix product in any target (`coords_at_generators`).  Each map
+    keeps one cache of the values it has computed, keyed by element and
+    shared by `__call__` and `at_generator`; a map derived from it
+    (`with_image`, `then`, `power`) starts with an empty one."""
 
     def __init__(self, source: Group, target: Group, images: Iterable):
         self._set(source, target, tuple(target.canon(x) for x in images))
@@ -526,6 +528,7 @@ class GroupHom:
         self.source, self.target, self.images = source, target, images
         self._values: dict = {}
         self._rows: list[tuple[int, ...]] | None = None
+        self._at: list[tuple[int, ...]] | None = None
 
     @staticmethod
     def identity(group: Group) -> "GroupHom":
@@ -585,10 +588,26 @@ class GroupHom:
         coordinate k of M cols[j]."""
         return [[sum(map(mul, row, c)) for c in cols] for row in self.matrix()]
 
+    def coords_at_generators(self) -> list[tuple[int, ...]]:
+        """The coordinates (`coords_of`) of the values at the source's
+        canonical generators, built on first use and kept: M times each
+        generator's coordinates, reduced modulo the target's relations
+        (`Group.lattice`).  The coordinates of a fold are the same integer
+        combination of its terms' (a commutator's are 0), so these are the
+        coordinates of `at_generator(i)` whether or not the images define a
+        homomorphism, and no value is evaluated as an element."""
+        if self._at is None:
+            src, rows, reduce = self.source, self.matrix(), self.target.lattice.reduce
+            gens = [coords_of(src, x) for x in src.generators()]
+            self._at = [reduce([sum(map(mul, row, c)) for row in rows]) for c in gens]
+        return self._at
+
     def at_generator(self, i: int):
-        """self(source.generators()[i]), the value at the canonical generator.
-        It is not `images[i]` when the generator's canonical form is not the
-        unit vector (an abelian source with relations) and the images do not
+        """self(source.generators()[i]), the value at the canonical generator,
+        as an element, for the equations and corrections that compare
+        elements; its coordinates are `coords_at_generators()[i]`.  It is not
+        `images[i]` when the generator's canonical form is not the unit
+        vector (an abelian source with relations) and the images do not
         define a homomorphism."""
         return self(self.source.generators()[i])
 

@@ -261,13 +261,17 @@ class ReducedQuadraticComplex4:
 
 class Coordinates:
     """A complex's fixed data in coordinates (`coords_of`) for the equations
-    of `qcm_equations` and `rq_homotopy_equations`, each block built on
-    first use and kept for every morphism and witness from or into the
-    complex.  As a source: its generators, its maps at generators and its
-    omega symbols, which a morphism's image matrix multiplies; as a target:
-    its omega forms and under-map values (d3 and d4 keep their matrices on
-    the maps).  It holds the complex's parts, not the complex, so that the
-    two form no reference cycle and are freed by reference counting."""
+    of `qcm_equations`, `rq_homotopy_equations` and `rq_homotopy_decision`,
+    each block built on first use and kept for every morphism and witness
+    from or into the complex.  As a source: its generators, its maps at
+    generators and its omega symbols, which a morphism's image matrix
+    multiplies; as a target: its omega forms and under-map values (d3 and
+    d4 keep their matrices on the maps).  Its maps at generators are their
+    `GroupHom.coords_at_generators`, matrix products that evaluate no
+    element; the one table of elements, `boundaries`, is built only for
+    the corrections of an alpha2 that has some.  It holds the complex's
+    parts, not the complex, so that the two form no reference cycle and
+    are freed by reference counting."""
 
     def __init__(self, c: ReducedQuadraticComplex4):
         self._groups = {2: c.q2, 3: c.q3, 4: c.q4}
@@ -281,21 +285,22 @@ class Coordinates:
 
     @functools.cached_property
     def boundaries(self) -> list:
-        """d3 at the generators of Q3, as elements (for `Alpha2`)."""
-        return [self._d3.at_generator(i) for i in range(self._d3.source.ngens)]
+        """d3 at the generators of Q3, as elements (for `Alpha2`'s
+        corrections)."""
+        return list(map(self._d3, self._groups[3].generators()))
 
-    @functools.cached_property
+    @property
     def d3(self) -> list:
-        return [coords_of(self._groups[2], x) for x in self.boundaries]
+        return self._d3.coords_at_generators()
 
-    @functools.cached_property
+    @property
     def d4(self) -> list:
-        return list(_at_generators(self._d4))
+        return self._d4.coords_at_generators()
 
     @functools.cached_property
     def under(self) -> dict[int, list]:
         """Degree -> the under-object's map at the base's generators."""
-        return {k: list(_at_generators(h)) for k, h in zip((2, 3, 4), self._under)}
+        return {k: h.coords_at_generators() for k, h in zip((2, 3, 4), self._under)}
 
     @functools.cached_property
     def under_rows(self) -> dict[int, list]:
@@ -350,13 +355,15 @@ class QCMorphism:
 def qcm_equations(m: QCMorphism):
     """The conditions on a morphism, in report order, as (check id, map,
     group, equations), the under-checks only when both sides carry
-    cofibrations from the same base.  The sides read the maps as evaluating
-    them on elements does, at the canonical generators.
+    cofibrations from the same base.  The sides read the maps at the
+    canonical generators, as evaluating them on elements does.
 
     In a group abelian as presented the equations of a check are one
     `CoordinateEquations`: the maps' image matrices times the blocks of
-    the complexes' `Coordinates`, which are tabled once per complex, so per
-    morphism an equation costs a few integer products.  A
+    the complexes' `Coordinates`, which are tabled once per complex, and
+    times a morphism's values at generators, which are its
+    `GroupHom.coords_at_generators`, so per morphism an equation costs a
+    few integer products and no element is evaluated.  A
     `*_is_homomorphism` check there has the relation rows as equations,
     which is all `GroupHom.check_hom` tests into such a target.  In any
     other group the equations are lazy (lhs, rhs, message) triples of
@@ -370,12 +377,12 @@ def qcm_equations(m: QCMorphism):
     yield _check(
         "square_d3", tgt.q2, src.q3.ngens,
         lambda i: f"f2 d3 != d3' f3 at generator {src.q3.names[i]}",
-        lambda: (m.f2.image_products(s.d3), _image(tgt.d3, _at_generators(m.f3))),
+        lambda: (m.f2.image_products(s.d3), _image(tgt.d3, m.f3.coords_at_generators)),
         lambda i: (m.f2(src.d3.at_generator(i)), tgt.d3(m.f3.at_generator(i))))
     yield _check(
         "square_d4", tgt.q3, src.q4.ngens,
         lambda i: f"f3 d4 != d4' f4 at generator {src.q4.names[i]}",
-        lambda: (m.f3.image_products(s.d4), _image(tgt.d4, _at_generators(m.f4))),
+        lambda: (m.f3.image_products(s.d4), _image(tgt.d4, m.f4.coords_at_generators)),
         lambda i: (m.f3(src.d4.at_generator(i)), tgt.d4(m.f4.at_generator(i))))
     yield _check(
         "square_omega", tgt.q3, n * n,
@@ -453,14 +460,9 @@ def _plus(a: list, b: list | None) -> list:
 
 
 def _image(h: GroupHom, cols) -> list | None:
-    """h's image matrix times the coordinate vectors cols, by rows; None,
-    for 0 and without reading cols, when the matrix is 0."""
-    return h.image_products(list(cols)) if any(map(any, h.matrix())) else None
-
-
-def _at_generators(h: GroupHom):
-    """The coordinates of h at the canonical generators, lazily."""
-    return (coords_of(h.target, h.at_generator(i)) for i in range(h.source.ngens))
+    """h's image matrix times the coordinate vectors cols(), by rows; None,
+    for 0 and without calling cols, when the matrix is 0."""
+    return h.image_products(cols()) if any(map(any, h.matrix())) else None
 
 
 def decide(rep: Report, checks) -> Report:
@@ -710,10 +712,14 @@ def rq_homotopy_equations(f: QCMorphism, g: QCMorphism, h: QCHomotopy):
     s = src.coords
     yield _hom_equations("alpha3_is_homomorphism", alpha3)
 
-    def alpha2_at(xs: list, columns: list) -> list:
-        """alpha2 at xs, of coordinates columns, by rows (`Alpha2`)."""
-        corrections = [coords_of(q3, alpha2.correction(x)) for x in xs]
-        return _plus(values.image_products(columns), _as_rows(corrections, q3.ngens)
+    def alpha2_at(columns: list, points) -> list:
+        """alpha2 at the elements points(), of coordinates columns, by rows
+        (`Alpha2`); the elements are read only for alpha2's corrections."""
+        fold = values.image_products(columns)
+        if alpha2.zero:
+            return fold
+        corrections = [coords_of(q3, alpha2.correction(x)) for x in points()]
+        return _plus(fold, _as_rows(corrections, q3.ngens)
                      if any(map(any, corrections)) else None)
 
     def moved(k: int, fk: GroupHom, gk: GroupHom, by) -> tuple:
@@ -725,14 +731,14 @@ def rq_homotopy_equations(f: QCMorphism, g: QCMorphism, h: QCHomotopy):
         "homotopy_degree2", q2, src.q2.ngens,
         lambda i: f"-f2 + g2 != d3' alpha2 at generator {src.q2.names[i]}",
         lambda: moved(2, f.f2, g.f2,
-                      _image(tgt.d3, (coords_of(q3, a) for a in values.images))),
+                      _image(tgt.d3, lambda: [coords_of(q3, a) for a in values.images])),
         lambda i: (q2.op(q2.inv(f.f2.at_generator(i)), g.f2.at_generator(i)),
                    tgt.d3(values.images[i])))
     yield _check(
         "homotopy_degree3", q3, src.q3.ngens,
         lambda i: f"-f3 + g3 != d4' alpha3 + alpha2 d3 at generator {src.q3.names[i]}",
         lambda: moved(3, f.f3, g.f3, _plus(
-            alpha2_at(s.boundaries, s.d3), _image(tgt.d4, _at_generators(alpha3)))),
+            alpha2_at(s.d3, lambda: s.boundaries), _image(tgt.d4, alpha3.coords_at_generators))),
         lambda i: (q3.op(q3.inv(f.f3.at_generator(i)), g.f3.at_generator(i)),
                    q3.op(tgt.d4(alpha3.at_generator(i)), alpha2(values, src.d3.at_generator(i)))))
     yield _check(
@@ -747,8 +753,8 @@ def rq_homotopy_equations(f: QCMorphism, g: QCMorphism, h: QCHomotopy):
     yield _check(
         "alpha2_vanishes_on_under", q3, base.q2.ngens,
         lambda j: f"alpha2 does not vanish on {base.q2.format_element(base.q2.generators()[j])}",
-        lambda: (alpha2_at([under.q2.at_generator(j) for j in range(base.q2.ngens)],
-                           s.under[2]), None),
+        lambda: (alpha2_at(s.under[2], lambda: [under.q2.at_generator(j)
+                                                for j in range(base.q2.ngens)]), None),
         lambda j: (alpha2(values, under.q2.at_generator(j)), q3.identity()))
     yield _check(
         "alpha3_vanishes_on_under", q4, base.q3.ngens,
@@ -788,6 +794,11 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = 
     its `ShiftedSolutions` (None when no t admits a homotopy): the
     canonical values of each member's witness, without another decision,
     for the caller to build and certify (`sphere.FamilyDecisions`).
+
+    The maps are read at the canonical generators, in coordinates
+    (`GroupHom.coords_at_generators` and the complexes' `Coordinates`),
+    f3, g3 and the shift as `verify_rq_homotopy` reads them; elements are
+    evaluated only for alpha2's corrections, when it has some.
     """
     lin = LinearHomotopy(f, g, "quadratic homotopy")
     src, tgt = f.source, f.target
@@ -797,28 +808,29 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = 
         return None, lin.rep
     alpha3 = lin.unknowns(src.q3.ngens, tgt.q4, 4)
 
-    form = Alpha2(f, g)
-    drow = [list(tgt.q3.ab(tgt.d4.at_generator(k))) for k in range(tgt.q4.ngens)]
-    for i in range(src.q3.ngens):
-        x = src.d3.at_generator(i)
-        rhs = tgt.q3.op_all(tgt.q3.inv(f.f3.images[i]), g.f3.images[i],
-                            tgt.q3.inv(form.correction(x)))
+    form, s, q3, drow = Alpha2(f, g), src.coords, tgt.q3, tgt.coords.d4
+    f3, g3 = f.f3.coords_at_generators(), g.f3.coords_at_generators()
+    by = None if t is None else GroupHom(src.q3, q3, shift).coords_at_generators()
+    for i, weights in enumerate(s.d3):
+        rhs = vec_sub(g3[i], f3[i])
+        if not form.zero:
+            rhs = vec_sub(rhs, coords_of(q3, form.correction(s.boundaries[i])))
         terms = [(alpha3.var(i, k), drow[k]) for k in range(alpha3.dim)]
         if t is not None:
-            terms.append((t, vec_neg(tgt.q3.ab(shift[i]))))
-        lin.add_sum(alpha2, src.q2.ab(x), tgt.q3.ab(rhs), terms)
-    for i in range(src.q4.ngens):
-        rhs = tgt.q4.op(tgt.q4.inv(f.f4.images[i]), g.f4.images[i])
-        lin.add_sum(alpha3, src.q3.ab(src.d4.at_generator(i)), tgt.q4.ab(rhs))
+            terms.append((t, vec_neg(by[i])))
+        lin.add_sum(alpha2, weights, q3.lattice.reduce(rhs), terms)
+    f4, g4 = f.f4.coords_at_generators(), g.f4.coords_at_generators()
+    for i, weights in enumerate(s.d4):
+        lin.add_sum(alpha3, weights, tgt.q4.lattice.reduce(vec_sub(g4[i], f4[i])))
     for row in src.q3.ab_relation_rows():
         lin.add_sum(alpha3, row)
     if src.under is not None:
         under = src.under
-        for j in range(under.base.q2.ngens):
-            x = under.q2.at_generator(j)
-            lin.add_sum(alpha2, src.q2.ab(x), tgt.q3.ab(tgt.q3.inv(form.correction(x))))
-        for j in range(under.base.q3.ngens):
-            lin.add_sum(alpha3, src.q3.ab(under.q3.at_generator(j)))
+        for j, weights in enumerate(s.under[2]):
+            lin.add_sum(alpha2, weights, None if form.zero else q3.ab(
+                q3.inv(form.correction(under.q2.at_generator(j)))))
+        for weights in s.under[3]:
+            lin.add_sum(alpha3, weights)
 
     solved = lin.solve()
     if solved is None:
