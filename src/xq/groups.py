@@ -40,6 +40,15 @@ def int_entries(values, what: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def int_arrays(objs, width: int) -> bool:
+    """Whether objs is a list of lists of `width` entries, each of type int
+    exactly (no bool, no int subclass): decided by one set of types and one
+    of lengths, built at C speed."""
+    return (type(objs) is list and set(map(type, objs)) <= {list}
+            and set(map(len, objs)) <= {width}
+            and set(map(type, chain.from_iterable(objs))) <= {int})
+
+
 def format_terms(terms: Iterable[tuple[int, str]]) -> str:
     """Render (coefficient, name) terms, zero coefficients left out, as
     "x - 3*y + z"; the empty sum is "0"."""
@@ -108,6 +117,11 @@ class Group:
     def ab_relation_rows(self) -> list[tuple[int, ...]]:
         """Rows spanning the relation lattice of the abelianization."""
         return self.lattice.basis()
+
+    def elements_from_json(self, objs) -> list:
+        """element_from_json of each entry of the JSON array objs; a class
+        reads at once the arrays it can, with the same values."""
+        return list(map(self.element_from_json, objs))
 
     def eq(self, x, y) -> bool:
         return self.canon(x) == self.canon(y)
@@ -320,6 +334,15 @@ class FreeNil2Group(Group):
             return nil2.Nil2Element(base, comm)
         return self.fold((self.gen(i), e) for i, e in word_pairs(obj, self.ngens))
 
+    def elements_from_json(self, objs) -> list:
+        """Objects of exactly the keys base and comm, arrays of full length,
+        are read at once; any other input element by element."""
+        if type(objs) is list and set(map(type, objs)) <= {dict} and set(map(len, objs)) <= {2}:
+            base, comm = [o.get("base") for o in objs], [o.get("comm") for o in objs]
+            if int_arrays(base, self.ngens) and int_arrays(comm, len(nil2.pair_list(self.ngens))):
+                return list(map(nil2.Nil2Element, map(tuple, base), map(tuple, comm)))
+        return super().elements_from_json(objs)
+
     def random_element(self, rng, size: int = 6):
         if not self.ngens:
             return self.identity()
@@ -422,6 +445,14 @@ class FgAbelianGroup(Group):
     def element_from_json(self, obj):
         return self.canon(int_entries(obj, "coordinate"))
 
+    def elements_from_json(self, objs) -> list:
+        """Arrays of ngens ints are checked at once and each is reduced once,
+        if the group has relations; any other input is read element by
+        element."""
+        if not int_arrays(objs, self.ngens):
+            return super().elements_from_json(objs)
+        return list(map(self.lattice.reduce if self.lattice.rows else tuple, objs))
+
     def random_element(self, rng, size: int = 6):
         return self.canon(tuple(rng.randint(-size, size) for _ in range(self.ngens)))
 
@@ -494,6 +525,15 @@ def coords_of(g: Group, x) -> Sequence[int]:
     if isinstance(g, FreeNil2Group):
         return x.base
     return g.ab(x) if isinstance(g, FreeGroup) else x
+
+
+def generator_coords(g: Group) -> list[tuple[int, ...]]:
+    """The coordinates (`coords_of`) of g's canonical generators: the unit
+    vectors when g has no relations, and then no generator is built."""
+    if g.lattice.rows:
+        return [coords_of(g, x) for x in g.generators()]
+    n = g.ngens
+    return [tuple(int(k == j) for k in range(n)) for j in range(n)]
 
 
 class GroupHom:
@@ -591,15 +631,22 @@ class GroupHom:
     def coords_at_generators(self) -> list[tuple[int, ...]]:
         """The coordinates (`coords_of`) of the values at the source's
         canonical generators, built on first use and kept: M times each
-        generator's coordinates, reduced modulo the target's relations
-        (`Group.lattice`).  The coordinates of a fold are the same integer
-        combination of its terms' (a commutator's are 0), so these are the
-        coordinates of `at_generator(i)` whether or not the images define a
-        homomorphism, and no value is evaluated as an element."""
+        generator's coordinates (`generator_coords`), reduced modulo the
+        target's relations (`Group.lattice`).  The coordinates of a fold are
+        the same integer combination of its terms' (a commutator's are 0), so
+        these are the coordinates of `at_generator(i)` whether or not the
+        images define a homomorphism, and no value is evaluated as an
+        element.  A source without relations has the unit vectors as
+        generator coordinates, so the values are M's columns, with no
+        product."""
         if self._at is None:
-            src, rows, reduce = self.source, self.matrix(), self.target.lattice.reduce
-            gens = [coords_of(src, x) for x in src.generators()]
-            self._at = [reduce([sum(map(mul, row, c)) for row in rows]) for c in gens]
+            src, t, reduce = self.source, self.target, self.target.lattice.reduce
+            if src.lattice.rows:
+                rows = self.matrix()
+                self._at = [reduce([sum(map(mul, row, c)) for row in rows])
+                            for c in generator_coords(src)]
+            else:
+                self._at = [reduce(coords_of(t, im)) for im in self.images]
         return self._at
 
     def at_generator(self, i: int):

@@ -27,7 +27,8 @@ from typing import Sequence
 
 from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule,
                       ShiftedSolutions, check_precrossed, peiffer_commutator)
-from .groups import FgAbelianGroup, Group, GroupHom, coords_of, generator_pairs
+from .groups import (FgAbelianGroup, Group, GroupHom, coords_of, generator_coords,
+                     generator_pairs)
 from .intlinalg import vec_neg, vec_sub
 from .report import Report, Undefined, sampled_report
 from .tensor import TensorElement
@@ -38,7 +39,7 @@ class ReducedQuadraticModule:
 
     def __init__(self, q2: Group, q3: Group, omega: tuple, d3: GroupHom):
         self.q2, self.q3, self.d3 = q2, q3, d3
-        self.omega = _omega_table(omega, q3, q2.ngens)
+        self.omega = _omega_table(omega, q2.ngens)
         if self.d3.source != self.q3 or self.d3.target != self.q2:
             raise ValueError("d3 must map q3 to q2")
 
@@ -67,9 +68,11 @@ class ReducedQuadraticModule:
         return self.q2.ab(x)
 
 
-def _omega_table(omega, q3: Group, n: int) -> tuple:
-    """omega's values on the n x n basis of C (x) C, canonical in q3."""
-    omega = tuple(tuple(q3.canon(e) for e in row) for row in omega)
+def _omega_table(omega, n: int) -> tuple:
+    """omega's values on the n x n basis of C (x) C, which must be canonical
+    in Q3 already, such as values of `element_from_json` or of Q3's
+    operations; they are not canonicalized again."""
+    omega = tuple(map(tuple, omega))
     if len(omega) != n or any(len(r) != n for r in omega):
         raise ValueError("omega must be given on the n x n basis of C (x) C")
     return omega
@@ -179,9 +182,11 @@ def _omega_kills(q, rows, q2: Group, what: str):
 
 
 def _boundary_classes(q):
-    """p |-> {d3 p}, computed once for each distinct p: axioms 3 and 4 meet
-    every generator of Q3 once per generator of Q2 or Q3."""
-    return functools.cache(lambda p: q.braces(q.d3(p)))
+    """p |-> {d3 p}: read from `d3.coords_at_generators()` at a generator of
+    Q3, which axioms 3 and 4 meet once per generator of Q2 or Q3, and
+    computed once for each other p, such as the samples of `qm_check`."""
+    at = dict(zip(q.q3.generators(), q.d3.coords_at_generators()))
+    return functools.cache(lambda p: at[p] if p in at else q.braces(q.d3(p)))
 
 
 def _boundary_tensor(bnd, bx) -> TensorElement:
@@ -280,8 +285,7 @@ class Coordinates:
 
     @functools.cached_property
     def generators(self) -> dict[int, list]:
-        return {k: [coords_of(grp, x) for x in grp.generators()]
-                for k, grp in self._groups.items()}
+        return {k: generator_coords(grp) for k, grp in self._groups.items()}
 
     @functools.cached_property
     def boundaries(self) -> list:
@@ -518,7 +522,7 @@ class QuadraticModule:
     def __init__(self, pre: PreCrossedModule, q3: Group, d3: GroupHom, omega: tuple,
                  action3: GroupAction):
         self.pre, self.q3, self.d3, self.action3 = pre, q3, d3, action3
-        self.omega = _omega_table(omega, q3, pre.m2.ngens)
+        self.omega = _omega_table(omega, pre.m2.ngens)
 
     def c_group(self) -> FgAbelianGroup:
         """C = (Q2^cr)^ab, derived mechanically: abelianize, then divide by

@@ -23,7 +23,7 @@ from .crossed import (CrossedComplex3, GroupAction, PreCrossedModule,
                       XC3Homotopy, XC3Morphism, check_crossed,
                       check_precrossed, verify_xc3_homotopy, xc3_check,
                       xc3_homotopy_decision, xc3_morphism_check)
-from .groups import Group, GroupHom, group_from_json, is_int
+from .groups import Group, GroupHom, group_from_json, int_arrays, is_int
 from .quadratic import (QCHomotopy, QCMorphism, QuadraticModule,
                         ReducedQuadraticComplex4, ReducedQuadraticModule,
                         UnderCofibration, qcm_check, qm_check,
@@ -165,6 +165,7 @@ def _build_group(obj, path) -> Group:
     kind, kpath = _get(obj, "kind", path)
     if not isinstance(kind, str):
         raise _err("group kind must be a string", kpath)
+    rels, relpath = _opt(obj, "relations", path)
     if kind == "cyclic":
         order, opath = _get(obj, "order", path)
         if not is_int(order) or order < 1:
@@ -173,9 +174,7 @@ def _build_group(obj, path) -> Group:
         rank, rpath = _get(obj, "rank", path)
         if not is_int(rank) or rank < 0:
             raise _err("rank must be a nonnegative integer", rpath)
-        rels, relpath = _opt(obj, "relations", path)
-        if rels is not None:
-            rels = _expect_list(rels, relpath)
+        if rels is not None and not int_arrays(_expect_list(rels, relpath), rank):
             for i, row in enumerate(rels):
                 row = _expect_list(row, f"{relpath}[{i}]")
                 if len(row) != rank or not all(map(is_int, row)):
@@ -187,9 +186,12 @@ def _build_group(obj, path) -> Group:
         if not all(isinstance(s, str) for s in names):
             raise _err("names must be strings", npath)
     try:
-        return group_from_json(obj)
+        group = group_from_json(obj)
     except ValueError as e:
         raise _err(str(e), path) from None
+    if rels and kind != "fg_abelian":
+        raise _err(f"a {kind} group takes no relations; fg_abelian ones do", relpath)
+    return group
 
 
 def _build_element(group: Group, obj, path):
@@ -199,6 +201,17 @@ def _build_element(group: Group, obj, path):
         raise _err(f"bad element: {e}", path) from None
 
 
+def _build_elements(group: Group, objs: list, path) -> list:
+    """The elements of the JSON array objs at path, read at once where the
+    group's class can (`Group.elements_from_json`); when that fails they are
+    read again one by one, so that the first bad one is reported at its own
+    path, as `_build_element` reports it."""
+    try:
+        return group.elements_from_json(objs)
+    except (ValueError, TypeError, IndexError, KeyError):
+        return [_build_element(group, e, f"{path}[{i}]") for i, e in enumerate(objs)]
+
+
 def _build_hom(obj, path, source: Group, target: Group) -> GroupHom:
     obj = _expect_dict(obj, path)
     images, ipath = _get(obj, "images", path)
@@ -206,9 +219,7 @@ def _build_hom(obj, path, source: Group, target: Group) -> GroupHom:
     if len(images) != source.ngens:
         raise _err(f"expected {source.ngens} images (one per source generator), "
                    f"found {len(images)}", ipath)
-    built = [_build_element(target, e, f"{ipath}[{i}]")
-             for i, e in enumerate(images)]
-    return GroupHom.of_canonical(source, target, built)
+    return GroupHom.of_canonical(source, target, _build_elements(target, images, ipath))
 
 
 def _build_action(obj, path, acting: Group, acted: Group) -> GroupAction:
@@ -234,8 +245,7 @@ def _build_action(obj, path, acting: Group, acted: Group) -> GroupAction:
             row = _expect_list(row, f"{tpath}[{x}]")
             if len(row) != acting.ngens:
                 raise _err(f"row must have {acting.ngens} entries", f"{tpath}[{x}]")
-            out.append([_build_element(acted, e, f"{tpath}[{x}][{a}]")
-                        for a, e in enumerate(row)])
+            out.append(_build_elements(acted, row, f"{tpath}[{x}]"))
         return out
 
     table = rows(*_get(obj, "table", path))
@@ -259,8 +269,7 @@ def _build_omega(obj, path, q2: Group, q3: Group) -> tuple:
         row = _expect_list(row, f"{path}[{i}]")
         if len(row) != n:
             raise _err(f"omega row must have {n} entries", f"{path}[{i}]")
-        rows.append(tuple(_build_element(q3, e, f"{path}[{i}][{j}]")
-                          for j, e in enumerate(row)))
+        rows.append(tuple(_build_elements(q3, row, f"{path}[{i}]")))
     return tuple(rows)
 
 
@@ -284,10 +293,8 @@ def _build_xc3(body, path) -> CrossedComplex3:
     action3 = _build_action(*_get(body, "action3", path), acting=m1, acted=m3)
     under2, u2path = _opt(body, "under2", path, [])
     under3, u3path = _opt(body, "under3", path, [])
-    u2 = tuple(_build_element(m2, e, f"{u2path}[{i}]")
-               for i, e in enumerate(_expect_list(under2, u2path)))
-    u3 = tuple(_build_element(m3, e, f"{u3path}[{i}]")
-               for i, e in enumerate(_expect_list(under3, u3path)))
+    u2 = tuple(_build_elements(m2, _expect_list(under2, u2path), u2path))
+    u3 = tuple(_build_elements(m3, _expect_list(under3, u3path), u3path))
     return CrossedComplex3(m1, m2, m3, d2, d3, action2, action3, u2, u3)
 
 
@@ -456,8 +463,7 @@ def _build_homotopy(body, path):
         if len(values) != n:
             raise _err(f"{name} needs {n} values", vpath)
         fields.append((getattr(target, tgt_degree), values, vpath))
-    h = spec.homotopy(*(tuple(_build_element(group, e, f"{vpath}[{i}]")
-                              for i, e in enumerate(values))
+    h = spec.homotopy(*(tuple(_build_elements(group, values, vpath))
                         for group, values, vpath in fields))
     return spec, (f, g, h)
 

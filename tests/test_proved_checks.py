@@ -4,17 +4,20 @@ to 4 proved on generator pairs agree with the sampled scans they replaced,
 and deciding axioms 3 and 4 once per pair of classes agrees with the
 pair-by-pair scan (`axiom_oracle.py`)."""
 
+import functools
 import json
 import os
 import random
 
 import pytest
 
+import xq.quadratic
 from xq import structfile as sf
 from xq.cli import run
 from xq.groups import FgAbelianGroup, FreeAbelianGroup, FreeGroup, FreeNil2Group, GroupHom
 from xq.crossed import xc3_morphism_check
-from xq.quadratic import ReducedQuadraticModule, qcm_check, qm_check, rqc4_check, rqm_check
+from xq.quadratic import (QuadraticModule, ReducedQuadraticModule, qcm_check, qm_check,
+                          rqc4_check, rqm_check)
 from xq.report import Check, Report
 
 from axiom_oracle import per_pair_axioms, sampled_axioms
@@ -339,3 +342,51 @@ def test_only_qm_checks_record_the_seed(monkeypatch):
     rep = qm_check(rank1_qm(), samples=3)
     assert rep.ok and rep.meta == {"seed": 5, "samples": 3}
     assert "rng" in vars(rep) and rep.rng.getstate() != random.Random(5).getstate()
+
+
+def modules_of(structure):
+    """The quadratic modules, reduced or not, of a read structure file."""
+    v, kind = structure.value, structure.kind
+    if kind in ("rqm", "qm"):
+        return [v]
+    if kind == "rqc4":
+        complexes = [v]
+    elif structure.sides is not sf.COMPLEX_KINDS["rqc4"]:
+        return []
+    elif kind == "pair":
+        complexes = [cx for _, cx in v]
+    else:
+        m = v if kind == "morphism" else v[0]
+        complexes = [m.source, m.target]
+    return [cx.rqm for cx in complexes + [cx.under.base for cx in complexes if cx.under]]
+
+
+def element_boundary_classes(q):
+    """p |-> {d3 p} with d3 evaluated at p as an element, generators too:
+    `quadratic._boundary_classes` before it read d3's image matrix."""
+    return functools.cache(lambda p: q.braces(q.d3(p)))
+
+
+def test_boundary_classes_at_generators_are_d3s_generator_coordinates(
+        structures_dir, tmp_path, sphere_d, cylinder_q, monkeypatch):
+    # Q with a d3 that is no homomorphism: Q3's canonical generator 1 is not
+    # a unit vector, so d3 there is not images[1]
+    q = cylinder_q.rqm
+    broken = ReducedQuadraticModule(q.q2, q.q3, q.omega, q.d3.with_image(1, q.q2.gen(0)))
+    modules = [sphere_d.rqm, q, broken, *(c.rqm for c in FIRING), nonabelian_q3(),
+               nonabelian_q3(True), nonhom_d3(), omega_not_on_c(), noncommuting_d3(),
+               noncentral_omega()]
+    for path in corpus(structures_dir, tmp_path):
+        with open(path, encoding="utf-8") as fh:
+            modules += modules_of(sf.load_structure(fh.read()))
+    assert {type(q).__name__ for q in modules} == {"ReducedQuadraticModule", "QuadraticModule"}
+    for q in modules:
+        boundary, gens = xq.quadratic._boundary_classes(q), q.q3.generators()
+        assert [boundary(p) for p in gens] == [q.braces(q.d3(p)) for p in gens]
+
+    def reports():
+        return [(qm_check(q, samples=30, seed=4) if isinstance(q, QuadraticModule)
+                 else rqm_check(q)).to_json() for q in modules]
+    got = reports()
+    monkeypatch.setattr(xq.quadratic, "_boundary_classes", element_boundary_classes)
+    assert reports() == got

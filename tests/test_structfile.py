@@ -4,7 +4,8 @@ import os
 import pytest
 
 from xq import structfile as sf
-from xq.groups import CyclicGroup, FgAbelianGroup, FreeNil2Group, GroupHom
+from xq.cli import run
+from xq.groups import CyclicGroup, FgAbelianGroup, FreeNil2Group, GroupHom, group_from_json
 from xq.quadratic import QCMorphism, ReducedQuadraticModule, complex_from_rqm
 from xq.sphere import build_cylinder_Q, build_sphere_D, retraction_candidate
 
@@ -108,6 +109,28 @@ def test_boolean_group_header_entries_are_rejected(group, path):
     with pytest.raises(sf.StructureError) as exc:
         sf.build_structure(raw)
     assert exc.value.path == path
+
+
+@pytest.mark.parametrize("group", [
+    {"kind": "free_abelian", "rank": 2, "relations": [[2, 0]]},
+    {"kind": "cyclic", "order": 3, "relations": [[3]]},
+    {"kind": "cyclic", "order": 3, "relations": [["x"]]},
+    {"kind": "free_nil2", "rank": 1, "relations": [[1]]},
+    {"kind": "free", "rank": 1, "relations": [[1]]},
+])
+def test_relations_on_a_group_kind_that_takes_none_are_rejected(group, tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"version": "1", "kind": "group", "body": {"group": group}}))
+    assert run(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: $.body.group.relations: a {group['kind']} group "
+                            "takes no relations; fg_abelian ones do\n")
+    # null and [] read as absent
+    for rels in (None, []):
+        raw = {"version": "1", "kind": "group", "body": {"group": {**group, "relations": rels}}}
+        without = {k: v for k, v in group.items() if k != "relations"}
+        assert sf.build_structure(raw).value == group_from_json(without)
 
 
 def test_wrong_image_count_path():
