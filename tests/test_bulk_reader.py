@@ -161,58 +161,96 @@ EDITS = {
     "alpha3-long": ("witness", ("body", "witness", "alpha3", 2), [1]),
 }
 
-# name -> the StructureError's (path, text), or the digest of the values
+# name -> the StructureError's (path, reason), or the digest of the values
 # read, recorded with the per-element reader
 MALFORMED = {
-    'alpha2-bool': ('$.body.witness.alpha2[1]', '$.body.witness.alpha2[1]: bad element: coordinate entries must be integers, found True'),
-    'alpha3-long': ('$.body.witness.alpha3[2]', '$.body.witness.alpha3[2]: bad element: element length does not match rank'),
-    'd3-comm-bool': ('$.body.source.body.d3.images[0]', '$.body.source.body.d3.images[0]: bad element: comm entries must be integers, found True'),
-    'd3-word': ('ok', 'e1f6e3e883e6120a'),
-    'f2-base-bool': ('$.body.maps.f2.images[1]', '$.body.maps.f2.images[1]: bad element: base entries must be integers, found True'),
-    'f2-base-float': ('$.body.maps.f2.images[1]', '$.body.maps.f2.images[1]: bad element: base entries must be integers, found 1.5'),
-    'f2-base-intenum': ('ok', '9a26528df93ec8b4'),
-    'f2-base-length': ('$.body.maps.f2.images[1]', '$.body.maps.f2.images[1]: bad element: element dimensions do not match the group rank'),
-    'f2-base-null': ('$.body.maps.f2.images[1]', '$.body.maps.f2.images[1]: bad element: base entries must be integers, found None'),
-    'f2-base-string': ('$.body.maps.f2.images[1]', "$.body.maps.f2.images[1]: bad element: base entries must be integers, found '1'"),
-    'f2-comm-length': ('$.body.maps.f2.images[1]', '$.body.maps.f2.images[1]: bad element: element dimensions do not match the group rank'),
-    'f2-extra-key': ('ok', 'e1f6e3e883e6120a'),
-    'f2-int': ('$.body.maps.f2.images[1]', '$.body.maps.f2.images[1]: bad element: a word must be an array of [generator, exponent] pairs'),
-    'f2-no-base': ('$.body.maps.f2.images[1]', '$.body.maps.f2.images[1]: bad element: element dimensions do not match the group rank'),
-    'f2-no-comm': ('ok', 'e1f6e3e883e6120a'),
-    'f2-word': ('ok', 'e1f6e3e883e6120a'),
-    'f2-word-bool': ('$.body.maps.f2.images[1]', '$.body.maps.f2.images[1]: bad element: word pair entries must be integers, found True'),
-    'f2-word-out-of-range': ('$.body.maps.f2.images[1]', '$.body.maps.f2.images[1]: bad element: generator index 1 out of range for rank 1'),
-    'f3-bool': ('$.body.maps.f3.images[1]', '$.body.maps.f3.images[1]: bad element: coordinate entries must be integers, found True'),
-    'f3-float': ('$.body.maps.f3.images[1]', '$.body.maps.f3.images[1]: bad element: coordinate entries must be integers, found 1.5'),
-    'f3-int': ('$.body.maps.f3.images[1]', '$.body.maps.f3.images[1]: bad element: coordinate must be an array of integers'),
-    'f3-intenum': ('ok', 'df16cf5d503cc61c'),
-    'f3-long': ('$.body.maps.f3.images[1]', '$.body.maps.f3.images[1]: bad element: element length does not match rank'),
-    'f3-null': ('$.body.maps.f3.images[1]', '$.body.maps.f3.images[1]: bad element: coordinate entries must be integers, found None'),
-    'f3-object': ('$.body.maps.f3.images[1]', '$.body.maps.f3.images[1]: bad element: coordinate must be an array of integers'),
-    'f3-short': ('$.body.maps.f3.images[1]', '$.body.maps.f3.images[1]: bad element: element length does not match rank'),
-    'f3-string': ('$.body.maps.f3.images[1]', "$.body.maps.f3.images[1]: bad element: coordinate entries must be integers, found '1'"),
-    'omega-bool': ('$.body.source.body.omega[1][2]', '$.body.source.body.omega[1][2]: bad element: coordinate entries must be integers, found True'),
-    'omega-float': ('$.body.source.body.omega[2][0]', '$.body.source.body.omega[2][0]: bad element: coordinate entries must be integers, found 1.5'),
-    'omega-int': ('$.body.source.body.omega[1][2]', '$.body.source.body.omega[1][2]: bad element: coordinate must be an array of integers'),
-    'omega-noncanonical': ('ok', '824bc50942b27f32'),
-    'omega-row-short': ('$.body.source.body.omega[1]', '$.body.source.body.omega[1]: omega row must have 3 entries'),
-    'omega-short': ('$.body.source.body.omega[1][2]', '$.body.source.body.omega[1][2]: bad element: element length does not match rank'),
-    'relation-bool': ('$.body.source.body.q3.relations[1]', '$.body.source.body.q3.relations[1]: relation rows must have 10 integer entries'),
-    'relation-short': ('$.body.source.body.q3.relations[1]', '$.body.source.body.q3.relations[1]: relation rows must have 10 integer entries'),
-    'relation-string': ('$.body.source.body.q3.relations[1]', '$.body.source.body.q3.relations[1]: expected an array, found str'),
-    'relations-string': ('$.body.source.body.q3.relations', '$.body.source.body.q3.relations: expected an array, found str'),
-    'under-float': ('$.body.source.body.under.q3.images[0]', '$.body.source.body.under.q3.images[0]: bad element: coordinate entries must be integers, found 1.5'),
+    'alpha2-bool': ('$.body.witness.alpha2[1]',
+        'bad element: coordinate entries must be integers, found True'),
+    'alpha3-long': ('$.body.witness.alpha3[2]',
+        'bad element: element length does not match rank'),
+    'd3-comm-bool': ('$.body.source.body.d3.images[0]',
+        'bad element: comm entries must be integers, found True'),
+    'd3-word': ('ok',
+        'e1f6e3e883e6120a'),
+    'f2-base-bool': ('$.body.maps.f2.images[1]',
+        'bad element: base entries must be integers, found True'),
+    'f2-base-float': ('$.body.maps.f2.images[1]',
+        'bad element: base entries must be integers, found 1.5'),
+    'f2-base-intenum': ('ok',
+        '9a26528df93ec8b4'),
+    'f2-base-length': ('$.body.maps.f2.images[1]',
+        'bad element: element dimensions do not match the group rank'),
+    'f2-base-null': ('$.body.maps.f2.images[1]',
+        'bad element: base entries must be integers, found None'),
+    'f2-base-string': ('$.body.maps.f2.images[1]',
+        "bad element: base entries must be integers, found '1'"),
+    'f2-comm-length': ('$.body.maps.f2.images[1]',
+        'bad element: element dimensions do not match the group rank'),
+    'f2-extra-key': ('ok',
+        'e1f6e3e883e6120a'),
+    'f2-int': ('$.body.maps.f2.images[1]',
+        'bad element: a word must be an array of [generator, exponent] pairs'),
+    'f2-no-base': ('$.body.maps.f2.images[1]',
+        'bad element: element dimensions do not match the group rank'),
+    'f2-no-comm': ('ok',
+        'e1f6e3e883e6120a'),
+    'f2-word': ('ok',
+        'e1f6e3e883e6120a'),
+    'f2-word-bool': ('$.body.maps.f2.images[1]',
+        'bad element: word pair entries must be integers, found True'),
+    'f2-word-out-of-range': ('$.body.maps.f2.images[1]',
+        'bad element: generator index 1 out of range for rank 1'),
+    'f3-bool': ('$.body.maps.f3.images[1]',
+        'bad element: coordinate entries must be integers, found True'),
+    'f3-float': ('$.body.maps.f3.images[1]',
+        'bad element: coordinate entries must be integers, found 1.5'),
+    'f3-int': ('$.body.maps.f3.images[1]',
+        'bad element: coordinate must be an array of integers'),
+    'f3-intenum': ('ok',
+        'df16cf5d503cc61c'),
+    'f3-long': ('$.body.maps.f3.images[1]',
+        'bad element: element length does not match rank'),
+    'f3-null': ('$.body.maps.f3.images[1]',
+        'bad element: coordinate entries must be integers, found None'),
+    'f3-object': ('$.body.maps.f3.images[1]',
+        'bad element: coordinate must be an array of integers'),
+    'f3-short': ('$.body.maps.f3.images[1]',
+        'bad element: element length does not match rank'),
+    'f3-string': ('$.body.maps.f3.images[1]',
+        "bad element: coordinate entries must be integers, found '1'"),
+    'omega-bool': ('$.body.source.body.omega[1][2]',
+        'bad element: coordinate entries must be integers, found True'),
+    'omega-float': ('$.body.source.body.omega[2][0]',
+        'bad element: coordinate entries must be integers, found 1.5'),
+    'omega-int': ('$.body.source.body.omega[1][2]',
+        'bad element: coordinate must be an array of integers'),
+    'omega-noncanonical': ('ok',
+        '824bc50942b27f32'),
+    'omega-row-short': ('$.body.source.body.omega[1]',
+        'omega row must have 3 entries'),
+    'omega-short': ('$.body.source.body.omega[1][2]',
+        'bad element: element length does not match rank'),
+    'relation-bool': ('$.body.source.body.q3.relations[1]',
+        'relation rows must have 10 integer entries'),
+    'relation-short': ('$.body.source.body.q3.relations[1]',
+        'relation rows must have 10 integer entries'),
+    'relation-string': ('$.body.source.body.q3.relations[1]',
+        'expected an array, found str'),
+    'relations-string': ('$.body.source.body.q3.relations',
+        'expected an array, found str'),
+    'under-float': ('$.body.source.body.under.q3.images[0]',
+        'bad element: coordinate entries must be integers, found 1.5'),
 }
 
 
 def read(raw):
-    """(path, text) of the StructureError building raw raises, or ("ok", a
+    """(path, reason) of the StructureError building raw raises, or ("ok", a
     digest of the values read: every map's images, omega and the
     relations of each side's Q3, and a witness's values)."""
     try:
         value = sf.build_structure(raw).value
     except sf.StructureError as e:
-        return e.path, str(e)
+        return e.path, e.reason
     m, h = (value, None) if raw["kind"] == "morphism" else value[::2]
     parts = [m.f2.images, m.f3.images, m.f4.images, h and (h.alpha2, h.alpha3)]
     for cx in (m.source, m.target):
