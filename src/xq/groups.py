@@ -446,12 +446,11 @@ class FgAbelianGroup(Group):
         return self.canon(int_entries(obj, "coordinate"))
 
     def elements_from_json(self, objs) -> list:
-        """Arrays of ngens ints are checked at once and each is reduced once,
-        if the group has relations; any other input is read element by
-        element."""
+        """Arrays of ngens ints are checked at once and each is reduced once;
+        any other input is read element by element."""
         if not int_arrays(objs, self.ngens):
             return super().elements_from_json(objs)
-        return list(map(self.lattice.reduce if self.lattice.rows else tuple, objs))
+        return list(map(self.lattice.reduce, objs))
 
     def random_element(self, rng, size: int = 6):
         return self.canon(tuple(rng.randint(-size, size) for _ in range(self.ngens)))
@@ -525,15 +524,6 @@ def coords_of(g: Group, x) -> Sequence[int]:
     if isinstance(g, FreeNil2Group):
         return x.base
     return g.ab(x) if isinstance(g, FreeGroup) else x
-
-
-def generator_coords(g: Group) -> list[tuple[int, ...]]:
-    """The coordinates (`coords_of`) of g's canonical generators: the unit
-    vectors when g has no relations, and then no generator is built."""
-    if g.lattice.rows:
-        return [coords_of(g, x) for x in g.generators()]
-    n = g.ngens
-    return [tuple(int(k == j) for k in range(n)) for j in range(n)]
 
 
 class GroupHom:
@@ -631,20 +621,20 @@ class GroupHom:
     def coords_at_generators(self) -> list[tuple[int, ...]]:
         """The coordinates (`coords_of`) of the values at the source's
         canonical generators, built on first use and kept: M times each
-        generator's coordinates (`generator_coords`), reduced modulo the
-        target's relations (`Group.lattice`).  The coordinates of a fold are
-        the same integer combination of its terms' (a commutator's are 0), so
-        these are the coordinates of `at_generator(i)` whether or not the
-        images define a homomorphism, and no value is evaluated as an
-        element.  A source without relations has the unit vectors as
-        generator coordinates, so the values are M's columns, with no
-        product."""
+        generator's coordinates, reduced modulo the target's relations
+        (`Group.lattice`).  The coordinates of a fold are the same integer
+        combination of its terms' (a commutator's are 0), so these are the
+        coordinates of `at_generator(i)` whether or not the images define a
+        homomorphism, and no value is evaluated as an element.  A source
+        without relations has the unit vectors as generator coordinates, so
+        the values are M's columns, read with no product and no generator
+        built."""
         if self._at is None:
             src, t, reduce = self.source, self.target, self.target.lattice.reduce
             if src.lattice.rows:
-                rows = self.matrix()
-                self._at = [reduce([sum(map(mul, row, c)) for row in rows])
-                            for c in generator_coords(src)]
+                gens = [coords_of(src, x) for x in src.generators()]
+                self._at = [reduce([sum(map(mul, row, c)) for row in self.matrix()])
+                            for c in gens]
             else:
                 self._at = [reduce(coords_of(t, im)) for im in self.images]
         return self._at

@@ -27,8 +27,7 @@ from typing import Sequence
 
 from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule,
                       ShiftedSolutions, check_precrossed, peiffer_commutator)
-from .groups import (FgAbelianGroup, Group, GroupHom, coords_of, generator_coords,
-                     generator_pairs)
+from .groups import FgAbelianGroup, Group, GroupHom, coords_of, generator_pairs
 from .intlinalg import vec_neg, vec_sub
 from .report import Report, Undefined, sampled_report
 from .tensor import TensorElement
@@ -39,7 +38,7 @@ class ReducedQuadraticModule:
 
     def __init__(self, q2: Group, q3: Group, omega: tuple, d3: GroupHom):
         self.q2, self.q3, self.d3 = q2, q3, d3
-        self.omega = _omega_table(omega, q2.ngens)
+        self.omega = _omega_table(omega, q3, q2.ngens)
         if self.d3.source != self.q3 or self.d3.target != self.q2:
             raise ValueError("d3 must map q3 to q2")
 
@@ -68,13 +67,16 @@ class ReducedQuadraticModule:
         return self.q2.ab(x)
 
 
-def _omega_table(omega, n: int) -> tuple:
+def _omega_table(omega, q3: Group, n: int) -> tuple:
     """omega's values on the n x n basis of C (x) C, which must be canonical
-    in Q3 already, such as values of `element_from_json` or of Q3's
-    operations; they are not canonicalized again."""
+    in q3 already, such as values of `element_from_json` or of q3's
+    operations: a value that `q3.canon` rejects or changes raises, and none
+    is replaced by its canonical form."""
     omega = tuple(map(tuple, omega))
     if len(omega) != n or any(len(r) != n for r in omega):
         raise ValueError("omega must be given on the n x n basis of C (x) C")
+    if any(q3.canon(e) != e for r in omega for e in r):
+        raise ValueError("omega values must be canonical in Q3")
     return omega
 
 
@@ -285,7 +287,8 @@ class Coordinates:
 
     @functools.cached_property
     def generators(self) -> dict[int, list]:
-        return {k: generator_coords(grp) for k, grp in self._groups.items()}
+        return {k: [coords_of(grp, x) for x in grp.generators()]
+                for k, grp in self._groups.items()}
 
     @functools.cached_property
     def boundaries(self) -> list:
@@ -522,7 +525,7 @@ class QuadraticModule:
     def __init__(self, pre: PreCrossedModule, q3: Group, d3: GroupHom, omega: tuple,
                  action3: GroupAction):
         self.pre, self.q3, self.d3, self.action3 = pre, q3, d3, action3
-        self.omega = _omega_table(omega, pre.m2.ngens)
+        self.omega = _omega_table(omega, q3, pre.m2.ngens)
 
     def c_group(self) -> FgAbelianGroup:
         """C = (Q2^cr)^ab, derived mechanically: abelianize, then divide by

@@ -23,7 +23,7 @@ from .crossed import (CrossedComplex3, GroupAction, PreCrossedModule,
                       XC3Homotopy, XC3Morphism, check_crossed,
                       check_precrossed, verify_xc3_homotopy, xc3_check,
                       xc3_homotopy_decision, xc3_morphism_check)
-from .groups import Group, GroupHom, group_from_json, int_arrays, is_int
+from .groups import Group, GroupHom, group_from_json, is_int
 from .quadratic import (QCHomotopy, QCMorphism, QuadraticModule,
                         ReducedQuadraticComplex4, ReducedQuadraticModule,
                         UnderCofibration, qcm_check, qm_check,
@@ -174,7 +174,8 @@ def _build_group(obj, path) -> Group:
         rank, rpath = _get(obj, "rank", path)
         if not is_int(rank) or rank < 0:
             raise _err("rank must be a nonnegative integer", rpath)
-        if rels is not None and not int_arrays(_expect_list(rels, relpath), rank):
+        if rels is not None:
+            rels = _expect_list(rels, relpath)
             for i, row in enumerate(rels):
                 row = _expect_list(row, f"{relpath}[{i}]")
                 if len(row) != rank or not all(map(is_int, row)):

@@ -54,6 +54,19 @@ def test_rqm_axiom2_failure_has_witness():
     assert "axiom2_d3_omega_is_commutator" in failed
 
 
+def test_omega_values_must_be_canonical_elements_of_q3():
+    q2 = FreeNil2Group(1)
+    z2 = FgAbelianGroup(1, [[2]])
+    d3 = GroupHom.zero(z2, q2)
+    assert ReducedQuadraticModule(q2, z2, (((1,),),), d3).omega == (((1,),),)
+    for bad, why in (((2,), "canonical in Q3"), ((1, 0), "length")):
+        with pytest.raises(ValueError, match=why):
+            ReducedQuadraticModule(q2, z2, ((bad,),), d3)
+    qm = free_truncated_qm()
+    with pytest.raises(ValueError, match="length"):
+        QuadraticModule(qm.pre, qm.q3, qm.d3, (((0, 0),) * 2,) * 2, qm.action3)
+
+
 def test_qcm_check_catches_broken_squares():
     c = doubling_complex()
     assert qcm_check(scale_qcm(c, 3, 5)).ok
