@@ -396,9 +396,12 @@ class LinearHomotopy:
     The unknowns are abelian coordinates of the homotopy's values on the
     source generators, one `CoordinateBlock` per degree.  `degree2` opens
     the first block with the equations -f2 x + g2 x = d3' alpha(x);
-    `add_sum` adds one equation sum_x w_x alpha(x) + terms = rhs; `solve`
-    returns the canonical solution and `accept` its re-verified witness.
-    Failed checks and obstructions go into `rep`.
+    `add_rows` adds the equations of one check as stated outside, terms in
+    the blocks' values at points plus a right-hand side (for the reduced
+    quadratic kind, those of `quadratic.rq_homotopy_system`, which the
+    verifier checks); `add_sum` adds one equation sum_x w_x alpha(x) +
+    terms = rhs; `solve` returns the canonical solution and `accept` its
+    re-verified witness.  Failed checks and obstructions go into `rep`.
 
     The canonical solution is the unique one that `Lattice.reduce` leaves
     in the numbering order of the unknowns, and the unknowns are numbered
@@ -484,13 +487,26 @@ class LinearHomotopy:
                 rhs: Sequence[int] | None = None, terms=()) -> None:
         """sum_x weights[x] alpha(x) + terms = rhs (default 0), in the
         coordinates of alpha modulo its group's relation rows."""
-        terms, dim = list(terms), alpha.dim
-        for x, w in enumerate(weights):
-            if w:
-                terms.extend((alpha.var(x, k), [w if j == k else 0 for j in range(dim)])
-                             for k in range(dim))
-        self.system.add(dim, terms, [0] * dim if rhs is None else list(rhs),
-                        alpha.group.ab_relation_rows())
+        self.add_rows(alpha.group, [(alpha, [weights], None)], rhs and [[r] for r in rhs], [terms])
+
+    def add_rows(self, group: Group, terms, rhs: list | None, extra: list | None = None) -> None:
+        """The equations sum over terms (alpha, weights, left) of left
+        alpha(x_j) + extra[j] = rhs[j], one per j, in the coordinates of
+        `group` modulo its relation rows: alpha is a block, x_j the point
+        whose coordinates are weights[j], left a map whose values at
+        generators multiply alpha's coordinates (None for none), and
+        extra[j] more (unknown, coefficients) terms.  rhs is by rows, None
+        for 0."""
+        dim, mod = group.ngens, group.ab_relation_rows()
+        terms = [(alpha.var, range(alpha.dim), weights, left.coords_at_generators() if left
+                  else [[int(i == k) for i in range(dim)] for k in range(dim)])
+                 for alpha, weights, left in terms]
+        for j in range(len(terms[0][2])):
+            row = [] if extra is None else list(extra[j])
+            for var, ks, weights, cols in terms:
+                row += [(var(x, k), [w * c for c in cols[k]])
+                        for x, w in enumerate(weights[j]) if w for k in ks]
+            self.system.add(dim, row, [0] * dim if rhs is None else [r[j] for r in rhs], mod)
 
     def shift_unknown(self) -> int:
         """The unknown t, numbered 0, the shift of a family g_t of right-hand

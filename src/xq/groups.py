@@ -632,9 +632,8 @@ class GroupHom:
         if self._at is None:
             src, t, reduce = self.source, self.target, self.target.lattice.reduce
             if src.lattice.rows:
-                gens = [coords_of(src, x) for x in src.generators()]
-                self._at = [reduce([sum(map(mul, row, c)) for row in self.matrix()])
-                            for c in gens]
+                rows = self.image_products([coords_of(src, x) for x in src.generators()])
+                self._at = list(map(reduce, zip(*rows))) if rows else [()] * src.ngens
             else:
                 self._at = [reduce(coords_of(t, im)) for im in self.images]
         return self._at

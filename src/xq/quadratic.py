@@ -268,8 +268,9 @@ class ReducedQuadraticComplex4:
 
 class Coordinates:
     """A complex's fixed data in coordinates (`coords_of`) for the equations
-    of `qcm_equations`, `rq_homotopy_equations` and `rq_homotopy_decision`,
-    each block built on first use and kept for every morphism and witness
+    of `qcm_equations` and `rq_homotopy_system`, the one statement of the
+    homotopy equations that the verifier and the decider both read, each
+    block built on first use and kept for every morphism and witness
     from or into the complex.  As a source: its generators, its maps at
     generators and its omega symbols, which a morphism's image matrix
     multiplies; as a target: its omega forms and under-map values (d3 and
@@ -621,10 +622,6 @@ class QCHomotopy:
     def __init__(self, alpha2: tuple, alpha3: tuple):
         self.alpha2, self.alpha3 = alpha2, alpha3
 
-    def alpha3_hom(self, source: ReducedQuadraticComplex4,
-                   target: ReducedQuadraticComplex4) -> GroupHom:
-        return GroupHom(source.q3, target.q4, self.alpha3)
-
     def to_json(self, target: ReducedQuadraticComplex4) -> dict:
         return {"alpha2": [target.q3.element_to_json(a) for a in self.alpha2],
                 "alpha3": [target.q4.element_to_json(a) for a in self.alpha3]}
@@ -708,66 +705,99 @@ def alpha2_extend(values: Sequence, f: QCMorphism, g: QCMorphism, x):
     return Alpha2(f, g)(GroupHom(f.source.q2, f.target.q3, values), x)
 
 
+def rq_homotopy_system(f: QCMorphism, g: QCMorphism, form: Alpha2 | None = None):
+    """The equations of a homotopy from f to g on generators, in report
+    order, as (check id, group, terms, rhs).  Equation j of a check reads
+
+        sum over terms (k, weights, left) of left alpha_k(x_j) = rhs_j
+
+    in the coordinates of the group, modulo its relations: alpha_2 and
+    alpha_3 are the homotopy's maps on the source groups of degrees 2 and 3,
+    x_j is the point whose coordinates are weights[j], and left is a map
+    whose image matrix multiplies the value (None for none).  rhs, by rows
+    and None for 0, is -f + g at the generators less alpha2's
+    corrections (`Alpha2`) at the points where the equations read alpha2;
+    it is given only in a group abelian as presented.  `verify_rq_homotopy`
+    evaluates these equations at a witness, and `rq_homotopy_decision`
+    solves them, with degree 2 replaced by `LinearHomotopy.degree2`.  form
+    is `Alpha2(f, g)`, built when not given."""
+    src, tgt = f.source, f.target
+    s, q3, form, under = src.coords, tgt.q3, form or Alpha2(f, g), src.under
+
+    def rhs(grp: Group, fk: GroupHom | None, gk: GroupHom | None, points=None) -> list | None:
+        """-fk + gk at the generators (0 without them) less alpha2's
+        corrections at the elements points()."""
+        if not grp.is_abelian:
+            return None
+        rows = None if fk is None else [list(map(sub, b, a)) for b, a in zip(*(
+            _as_rows(m.coords_at_generators(), grp.ngens) for m in (gk, fk)))]
+        if points is not None and not form.zero:
+            rows = _plus(_as_rows([vec_neg(coords_of(q3, form.correction(x))) for x in points()],
+                                  q3.ngens), rows)
+        return rows
+    yield "alpha3_is_homomorphism", tgt.q4, [(3, src.q3.ab_relation_rows(), None)], None
+    yield "homotopy_degree2", tgt.q2, [(2, s.generators[2], tgt.d3)], rhs(tgt.q2, f.f2, g.f2)
+    yield ("homotopy_degree3", q3, [(2, s.d3, None), (3, s.generators[3], tgt.d4)],
+           rhs(q3, f.f3, g.f3, lambda: s.boundaries))
+    yield "homotopy_degree4", tgt.q4, [(3, s.d4, None)], rhs(tgt.q4, f.f4, g.f4)
+    if under is not None:
+        yield ("alpha2_vanishes_on_under", q3, [(2, s.under[2], None)],
+               rhs(q3, None, None, lambda: map(under.q2.at_generator, range(under.base.q2.ngens))))
+        yield "alpha3_vanishes_on_under", tgt.q4, [(3, s.under[3], None)], None
+
+
+def _evaluate(terms, maps: dict, dim: int) -> list:
+    """The sum over terms (k, weights, left) of left maps[k](x_j) in a group
+    of rank dim, by rows: image products, with no element evaluated, and
+    none for a term whose left map has the zero matrix (`_image`)."""
+    out = None
+    for k, weights, left in terms:
+        rows = maps[k].image_products(weights) if left is None else _image(
+            left, lambda: list(zip(*maps[k].image_products(weights))) or [()] * len(weights))
+        out = rows if out is None else _plus(out, rows)
+    return out if out is not None else [[0] * len(terms[0][1])] * dim
+
+
 def rq_homotopy_equations(f: QCMorphism, g: QCMorphism, h: QCHomotopy):
-    """The equations of a homotopy witness on generators, in report order,
-    listed as `qcm_equations` lists a morphism's; in coordinates -f x + g x
-    = y reads g x = f x + y.  alpha2 is `Alpha2`, built once per call."""
+    """The checks of a homotopy witness, in report order, listed as
+    `qcm_equations` lists a morphism's: in a group abelian as presented the
+    equations of `rq_homotopy_system`, as `CoordinateEquations` of their
+    sides at the witness; in any other group alpha3 itself, for
+    `check_hom`, or lazy triples of elements, with alpha2 by `Alpha2`."""
     src, tgt = f.source, f.target
     q2, q3, q4 = tgt.q2, tgt.q3, tgt.q4
-    alpha3 = h.alpha3_hom(src, tgt)
     alpha2, values = Alpha2(f, g), GroupHom(src.q2, q3, h.alpha2)
-    s = src.coords
-    yield _hom_equations("alpha3_is_homomorphism", alpha3)
-
-    def alpha2_at(columns: list, points) -> list:
-        """alpha2 at the elements points(), of coordinates columns, by rows
-        (`Alpha2`); the elements are read only for alpha2's corrections."""
-        fold = values.image_products(columns)
-        if alpha2.zero:
-            return fold
-        corrections = [coords_of(q3, alpha2.correction(x)) for x in points()]
-        return _plus(fold, _as_rows(corrections, q3.ngens)
-                     if any(map(any, corrections)) else None)
-
-    def moved(k: int, fk: GroupHom, gk: GroupHom, by) -> tuple:
-        """(gk, fk + by) at the generators of degree k, by rows."""
-        x = s.generators[k]
-        return gk.image_products(x), _plus(fk.image_products(x), by)
-
-    yield _check(
-        "homotopy_degree2", q2, src.q2.ngens,
-        lambda i: f"-f2 + g2 != d3' alpha2 at generator {src.q2.names[i]}",
-        lambda: moved(2, f.f2, g.f2,
-                      _image(tgt.d3, lambda: [coords_of(q3, a) for a in values.images])),
-        lambda i: (q2.op(q2.inv(f.f2.at_generator(i)), g.f2.at_generator(i)),
-                   tgt.d3(values.images[i])))
-    yield _check(
-        "homotopy_degree3", q3, src.q3.ngens,
-        lambda i: f"-f3 + g3 != d4' alpha3 + alpha2 d3 at generator {src.q3.names[i]}",
-        lambda: moved(3, f.f3, g.f3, _plus(
-            alpha2_at(s.d3, lambda: s.boundaries), _image(tgt.d4, alpha3.coords_at_generators))),
-        lambda i: (q3.op(q3.inv(f.f3.at_generator(i)), g.f3.at_generator(i)),
-                   q3.op(tgt.d4(alpha3.at_generator(i)), alpha2(values, src.d3.at_generator(i)))))
-    yield _check(
-        "homotopy_degree4", q4, src.q4.ngens,
-        lambda i: f"-f4 + g4 != alpha3 d4 at generator {src.q4.names[i]}",
-        lambda: moved(4, f.f4, g.f4, alpha3.image_products(s.d4)),
-        lambda i: (q4.op(q4.inv(f.f4.at_generator(i)), g.f4.at_generator(i)),
-                   alpha3(src.d4.at_generator(i))))
-    if src.under is None:
-        return
-    base, under = src.under.base, src.under
-    yield _check(
-        "alpha2_vanishes_on_under", q3, base.q2.ngens,
-        lambda j: f"alpha2 does not vanish on {base.q2.format_element(base.q2.generators()[j])}",
-        lambda: (alpha2_at(s.under[2], lambda: [under.q2.at_generator(j)
-                                                for j in range(base.q2.ngens)]), None),
-        lambda j: (alpha2(values, under.q2.at_generator(j)), q3.identity()))
-    yield _check(
-        "alpha3_vanishes_on_under", q4, base.q3.ngens,
-        lambda j: f"alpha3 does not vanish on {base.q3.format_element(base.q3.generators()[j])}",
-        lambda: (alpha3.image_products(s.under[3]), None),
-        lambda j: (alpha3(under.q3.at_generator(j)), q4.identity()))
+    alpha3, under = GroupHom(src.q3, q4, h.alpha3), src.under
+    checks = {
+        "alpha3_is_homomorphism": (lambda j: f"relation {list(src.q3.ab_relation_rows()[j])} "
+                                   "maps to a non-identity element", None),
+        "homotopy_degree2": (
+            lambda i: f"-f2 + g2 != d3' alpha2 at generator {src.q2.names[i]}",
+            lambda i: (q2.op(q2.inv(f.f2.at_generator(i)), g.f2.at_generator(i)),
+                       tgt.d3(values.images[i]))),
+        "homotopy_degree3": (
+            lambda i: f"-f3 + g3 != d4' alpha3 + alpha2 d3 at generator {src.q3.names[i]}",
+            lambda i: (q3.op(q3.inv(f.f3.at_generator(i)), g.f3.at_generator(i)),
+                       q3.op(tgt.d4(alpha3.at_generator(i)),
+                             alpha2(values, src.d3.at_generator(i))))),
+        "homotopy_degree4": (
+            lambda i: f"-f4 + g4 != alpha3 d4 at generator {src.q4.names[i]}",
+            lambda i: (q4.op(q4.inv(f.f4.at_generator(i)), g.f4.at_generator(i)),
+                       alpha3(src.d4.at_generator(i)))),
+        "alpha2_vanishes_on_under": (
+            lambda j: "alpha2 does not vanish on "
+                      f"{under.base.q2.format_element(under.base.q2.generators()[j])}",
+            lambda j: (alpha2(values, under.q2.at_generator(j)), q3.identity())),
+        "alpha3_vanishes_on_under": (
+            lambda j: "alpha3 does not vanish on "
+                      f"{under.base.q3.format_element(under.base.q3.generators()[j])}",
+            lambda j: (alpha3(under.q3.at_generator(j)), q4.identity())),
+    }
+    for check_id, grp, terms, rhs in rq_homotopy_system(f, g, alpha2):
+        message, elements = checks[check_id]
+        yield (_check(check_id, grp, len(terms[0][1]), message, lambda: (
+            _evaluate(terms, {2: values, 3: alpha3}, grp.ngens), rhs), elements)
+               if grp.is_abelian or elements else (check_id, alpha3, grp, ()))
 
 
 def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy) -> Report:
@@ -785,64 +815,43 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = 
     """Decide f ~ g and produce the canonical verified witness or an
     obstruction, by the integer linear system of `LinearHomotopy`.
 
-    alpha2 enters the degree-3 equations through its affine form
-    alpha2(x) = sum_i {x}_i alpha2(g_i) + omega'(T(x)) (`Alpha2`), so the
-    system is linear.  Complete whenever the target has abelian coordinates
-    in degrees 3 and 4 and its d3 is central on generators (zero, or
-    landing in the centre, as on every abelian degree-2 target).  Raises ValueError otherwise, naming
-    the first generator whose d3' value is not central; the cylinder Q is
-    such a target (d3(e3) = -e + e' + e'').
+    The system is `rq_homotopy_system`'s, the equations the verifier
+    checks, each handed to `LinearHomotopy.add_rows` as it stands, with
+    degree 2 given by `LinearHomotopy.degree2`.  alpha2 enters them through
+    its affine form alpha2(x) = sum_i {x}_i alpha2(g_i) + omega'(T(x))
+    (`Alpha2`), so the system is linear.  Complete whenever the target has
+    abelian coordinates in degrees 3 and 4 and its d3 is central on
+    generators (zero, or landing in the centre, as on every abelian
+    degree-2 target).  Raises ValueError otherwise, naming the first
+    generator whose d3' value is not central; the cylinder Q is such a
+    target (d3(e3) = -e + e' + e'').
 
     With `shift`, one element of the target Q3 per source degree-3
     generator, the decision is about the family g_t that agrees with g
     except g_t3(h) = g3(h) + t shift(h).  g3 enters only the right-hand side
     -f3 h + g3 h of the degree-3 equations, which is affine in t as Q3' is
-    abelian, so t is one more unknown of the same system.  The result is
-    its `ShiftedSolutions` (None when no t admits a homotopy): the
-    canonical values of each member's witness, without another decision,
-    for the caller to build and certify (`sphere.FamilyDecisions`).
-
-    The maps are read at the canonical generators, in coordinates
-    (`GroupHom.coords_at_generators` and the complexes' `Coordinates`),
-    f3, g3 and the shift as `verify_rq_homotopy` reads them; elements are
-    evaluated only for alpha2's corrections, when it has some.
+    abelian, so t is one more unknown of the same system, with the shift at
+    the generators as its term.  The result is its `ShiftedSolutions` (None
+    when no t admits a homotopy): the canonical values of each member's
+    witness, without another decision, for the caller to build and certify
+    (`sphere.FamilyDecisions`).
     """
     lin = LinearHomotopy(f, g, "quadratic homotopy")
     src, tgt = f.source, f.target
-    t = None if shift is None else lin.shift_unknown()
+    if shift is not None:
+        t, by = lin.shift_unknown(), GroupHom(src.q3, tgt.q3, shift).image_products(
+            src.coords.generators[3])
+        shift = [[(t, [-r[j] for r in by])] for j in range(src.q3.ngens)]
     alpha2 = lin.degree2(tgt.d3, f.f2, g.f2)
     if alpha2 is None:
         return None, lin.rep
-    alpha3 = lin.unknowns(src.q3.ngens, tgt.q4, 4)
-
-    form, s, q3, drow = Alpha2(f, g), src.coords, tgt.q3, tgt.coords.d4
-    f3, g3 = f.f3.coords_at_generators(), g.f3.coords_at_generators()
-    by = None if t is None else GroupHom(src.q3, q3, shift).coords_at_generators()
-    for i, weights in enumerate(s.d3):
-        rhs = vec_sub(g3[i], f3[i])
-        if not form.zero:
-            rhs = vec_sub(rhs, coords_of(q3, form.correction(s.boundaries[i])))
-        terms = [(alpha3.var(i, k), drow[k]) for k in range(alpha3.dim)]
-        if t is not None:
-            terms.append((t, vec_neg(by[i])))
-        lin.add_sum(alpha2, weights, q3.lattice.reduce(rhs), terms)
-    f4, g4 = f.f4.coords_at_generators(), g.f4.coords_at_generators()
-    for i, weights in enumerate(s.d4):
-        lin.add_sum(alpha3, weights, tgt.q4.lattice.reduce(vec_sub(g4[i], f4[i])))
-    for row in src.q3.ab_relation_rows():
-        lin.add_sum(alpha3, row)
-    if src.under is not None:
-        under = src.under
-        for j, weights in enumerate(s.under[2]):
-            lin.add_sum(alpha2, weights, None if form.zero else q3.ab(
-                q3.inv(form.correction(under.q2.at_generator(j)))))
-        for weights in s.under[3]:
-            lin.add_sum(alpha3, weights)
-
+    blocks = {2: alpha2, 3: lin.unknowns(src.q3.ngens, tgt.q4, 4)}
+    for check_id, grp, terms, rhs in rq_homotopy_system(f, g):
+        if check_id != "homotopy_degree2":
+            lin.add_rows(grp, [(blocks[k], weights, left) for k, weights, left in terms], rhs,
+                         shift if check_id == "homotopy_degree3" else None)
     solved = lin.solve()
-    if solved is None:
-        return None, lin.rep
-    if t is not None:
+    if solved is None or shift is not None:
         return solved, lin.rep
     witness = QCHomotopy(*solved)
     lin.accept(verify_rq_homotopy(f, g, witness), witness.to_json(tgt))

@@ -342,7 +342,8 @@ class FamilyDecisions:
     and kept.
 
     For retractions f = (a, b, r) and g = (a', b', r'), r and r' enter the
-    homotopy system of `rq_homotopy_decision` only through -f3(e3) + g3(e3)
+    homotopy equations (`rq_homotopy_system`, which `rq_homotopy_decision`
+    solves and `verify_rq_homotopy` checks) only through -f3(e3) + g3(e3)
     = (r' - r) w(e,e); the rest is built from f2, g2 and the f3 images of
     the omega symbols, which (a, b) and (a', b') fix.  So the decision
     between the first members f0, g0 of two families, with the shift
@@ -358,12 +359,13 @@ class FamilyDecisions:
     step is not 0, at t0 + step, as homotopies from f0 to g0 shifted by t,
     and each t = 0 kernel row as a homotopy of f0 with itself (all pairs
     share the equations' linear part; for f0 with itself c = 0 below).  Q3'
-    and Q4' are abelian, so each equation the verifier checks reads phi(t,
-    u) = c, phi a homomorphism of t and the values' coordinates u: it holds
-    at integer affine combinations of points where it holds, plus kernel
-    rows.  `solution_at(t)` is u0 + q step_row minus kernel rows, such a
-    point, though the floor in `Lattice.reduce` is not affine in q.  A
-    failing certificate raises RuntimeError."""
+    and Q4' are abelian, so each equation the verifier checks, which is an
+    equation of the decided system, reads phi(t, u) = c, phi a
+    homomorphism of t and the values' coordinates u: it holds at integer
+    affine combinations of points where it holds, plus kernel rows.
+    `solution_at(t)` is u0 + q step_row minus kernel rows, such a point,
+    though the floor in `Lattice.reduce` is not affine in q.  A failing
+    certificate raises RuntimeError."""
 
     def __init__(self):
         self.made: dict[tuple, tuple] = {}

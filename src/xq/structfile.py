@@ -588,10 +588,16 @@ def structure_bytes(obj) -> bytes | None:
     Format 2 writes no back-references, so equal bytes are the same JSON
     values, of the same types, with keys in the same order; structures
     with equal bytes have equal `structure_key`.  Bytes that differ decide
-    nothing, since keys may come in another order."""
+    nothing, since keys may come in another order.  An int subclass, such as
+    an IntEnum entry, which marshal cannot write, is read as its int: such
+    a structure's bytes are its `structure_key`, encoded, which no marshal
+    bytes equal."""
     if not (isinstance(obj, dict) and "kind" in obj and "body" in obj):
         return None
-    return marshal.dumps((obj["kind"], obj["body"]), 2)
+    try:
+        return marshal.dumps((obj["kind"], obj["body"]), 2)
+    except ValueError:
+        return structure_key(obj).encode()
 
 
 def structure_key(obj) -> str | None:

@@ -1,11 +1,13 @@
-"""The value semantics of the element types and of reports: repr, equality,
-hashing, immutability, order, construction checks and copies."""
+"""The value semantics of the element types, of groups and of reports: repr,
+equality, hashing, immutability, order, construction checks and copies."""
 
 import copy
 import pickle
 
 import pytest
 
+from xq.groups import (CyclicGroup, FgAbelianGroup, FreeAbelianGroup, FreeGroup,
+                       FreeNil2Group)
 from xq.monoid import ExtMonoidElement, mbar_elements
 from xq.nil2 import Nil2Element
 from xq.report import Check, Report
@@ -95,3 +97,31 @@ def test_reports_and_checks_compare_by_value_and_deep_copy():
         hash(rep)
     with pytest.raises(TypeError):
         hash(rep.checks[0])
+
+
+# (group, a group with the same descriptor built another way, a group with
+# another descriptor, repr)
+GROUPS = (
+    (FgAbelianGroup(2, [[2, 0]]), FgAbelianGroup(2, [[4, 0], [2, 0]], names=("x", "y")),
+     FgAbelianGroup(2, [[3, 0]]), "<FgAbelianGroup ngens=2>"),
+    (FreeAbelianGroup(2), FreeAbelianGroup(2, names=("u", "v")), FgAbelianGroup(2),
+     "<FreeAbelianGroup ngens=2>"),
+    (CyclicGroup(5), CyclicGroup(5), CyclicGroup(6), "<CyclicGroup ngens=1>"),
+    (FreeNil2Group(3), FreeNil2Group(3, names=("a", "b", "c")), FreeNil2Group(2),
+     "<FreeNil2Group ngens=3>"),
+    (FreeGroup(2), FreeGroup(2), FreeNil2Group(2), "<FreeGroup ngens=2>"),
+)
+
+
+@pytest.mark.parametrize("g, same, other, text", GROUPS,
+                         ids=[type(v[0]).__name__ for v in GROUPS])
+def test_a_group_is_equal_and_hashes_by_its_descriptor(g, same, other, text):
+    """Groups with equal descriptors (the same kind, rank and relation
+    lattice, whatever the names or the relation rows given) are equal and
+    hash equal, so they are one dictionary key; the repr names the class
+    and the rank."""
+    assert g is not same and g.descriptor() == same.descriptor()
+    assert g == same and hash(g) == hash(same) == hash(g.descriptor())
+    assert g != other and other != g
+    assert {g: 1, same: 2} == {g: 2}
+    assert repr(g) == repr(same) == text
