@@ -1,7 +1,14 @@
 """Pre-crossed and crossed modules, 3-dimensional crossed complexes,
-Peiffer commutators, and homotopy of complex morphisms, including the
-integer linear system (`LinearHomotopy`) that decides homotopy here and for
-reduced quadratic complexes.
+Peiffer commutators, and homotopy of complex morphisms.
+
+It also holds what checks and decides equations for both kinds of complex,
+crossed and reduced quadratic: the frame of equations in coordinates
+(`CoordinateEquations`, decided by `decide`, and `system_checks`, which
+reads a homotopy's system of equations (check id, group, terms, rhs) at a
+witness) and the integer linear system (`LinearHomotopy`) that solves such
+a system.  Each kind states its homotopy equations once, as such a system
+(`xc3_homotopy_system`, `quadratic.rq_homotopy_system`): its verifier
+evaluates them and its decider solves them.
 
 Group actions are right actions given on generators; conventions:
     x^m        action of m on x,
@@ -11,10 +18,11 @@ Group actions are right actions given on generators; conventions:
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import NamedTuple, Sequence
 
 from . import nil2
-from .groups import Group, GroupHom, format_terms, generator_pairs, invert_hom
+from .groups import Group, GroupHom, coords_of, format_terms, generator_pairs, invert_hom
 from .intlinalg import Lattice, ZSystem
 from .report import Check, Report, Undefined
 
@@ -328,38 +336,191 @@ class XC3Homotopy:
     def __init__(self, alpha: tuple):
         self.alpha = alpha
 
-    def hom(self, source: CrossedComplex3, target: CrossedComplex3) -> GroupHom:
-        return GroupHom(source.m2, target.m3, self.alpha)
-
     def to_json(self, target: CrossedComplex3) -> dict:
         return {"alpha": [target.m3.element_to_json(a) for a in self.alpha]}
 
 
-def verify_xc3_homotopy(f: XC3Morphism, g: XC3Morphism, h: XC3Homotopy) -> Report:
+class CoordinateEquations:
+    """The equations of one check in a group abelian as presented: lhs and
+    rhs are matrices by rows, one row per coordinate and one column per
+    equation, rhs None for 0.  Equation j holds when column j of lhs - rhs
+    lies in the relation lattice; `message(j)` reports it when not."""
+
+    def __init__(self, grp: Group, lhs: list, rhs: list | None, message):
+        self.grp, self.lhs, self.rhs, self.message = grp, lhs, rhs, message
+
+    def columns(self) -> list:
+        """lhs - rhs of each equation (none in a group of rank 0)."""
+        if self.rhs is None:
+            return list(zip(*self.lhs))
+        return list(zip(*(map(sub, a, b) for a, b in zip(self.lhs, self.rhs))))
+
+    def failures(self):
+        """The messages of the failing equations, lazily, in order; nothing
+        is reduced when the sides are equal."""
+        if self.lhs != self.rhs if self.rhs is not None else any(map(any, self.lhs)):
+            lattice = self.grp.lattice
+            yield from (self.message(j) for j, d in enumerate(self.columns())
+                        if any(d) and any(lattice.reduce(d)))
+
+
+def _check(check_id: str, grp: Group, count: int, message, coords, elements, h=None) -> tuple:
+    """A check of `count` equations in grp: `CoordinateEquations` of the
+    matrices coords() when grp is abelian as presented, else lazy triples
+    of the elements elements(i).  The check that h is a homomorphism names
+    h, and is h alone, for `GroupHom.check_hom`, where it has no
+    elements."""
+    if grp.is_abelian:
+        return check_id, h, grp, CoordinateEquations(grp, *coords(), message)
+    return check_id, h, grp, () if elements is None else (
+        (*elements(i), message(i)) for i in range(count))
+
+
+def _as_rows(columns: list, dim: int) -> list:
+    """The matrix with these columns of `dim` coordinates, by rows."""
+    return [list(r) for r in zip(*columns)] if columns else [[] for _ in range(dim)]
+
+
+def _plus(a: list, b: list | None) -> list:
+    """a + b for matrices by rows, b None for 0."""
+    return a if b is None else [list(map(add, x, y)) for x, y in zip(a, b)]
+
+
+def _image(h: GroupHom, cols) -> list | None:
+    """h's image matrix times the coordinate vectors cols(), by rows; None,
+    for 0 and without calling cols, when the matrix is 0."""
+    return h.image_products(cols()) if any(map(any, h.matrix())) else None
+
+
+def _differences(grp: Group, f: GroupHom, g: GroupHom) -> list | None:
+    """-f + g at the generators of their source, in the coordinates of grp
+    by rows (`GroupHom.coords_at_generators`); None when grp is not abelian
+    as presented."""
+    if not grp.is_abelian:
+        return None
+    return _as_rows([tuple(map(sub, b, a)) for b, a in zip(
+        g.coords_at_generators(), f.coords_at_generators())], grp.ngens)
+
+
+def _difference_at(grp: Group, f: GroupHom, g: GroupHom, i: int):
+    """-f + g at the source's generator i, as an element of grp."""
+    return grp.op(grp.inv(f.at_generator(i)), g.at_generator(i))
+
+
+def _evaluate(terms, maps: dict, dim: int) -> list:
+    """The sum over terms (k, weights, left) of left maps[k](x_j) in a group
+    of rank dim, by rows: image products, with no element evaluated, and
+    none for a term whose left map has the zero matrix (`_image`)."""
+    out = None
+    for k, weights, left in terms:
+        rows = maps[k].image_products(weights) if left is None else _image(
+            left, lambda: list(zip(*maps[k].image_products(weights))) or [()] * len(weights))
+        out = rows if out is None else _plus(out, rows)
+    return out if out is not None else [[0] * len(terms[0][1])] * dim
+
+
+def system_checks(system, maps: dict, checks: dict, hom: GroupHom):
+    """The checks of maps from the equations (check id, group, terms, rhs)
+    of a `system`, in order, for `decide`: `_check` of their sides at
+    `maps`, the map of each term's key, with checks[check id] = (message,
+    elements).  A check not in `checks` says that `hom` is a homomorphism:
+    its points are the relation rows of hom's source, and that hom kills
+    them is all that `GroupHom.check_hom` tests into an abelian target."""
+    for check_id, grp, terms, rhs in system:
+        rows = terms[0][1]
+        message, elements = checks.get(check_id) or (
+            lambda j, rows=rows: f"relation {list(rows[j])} maps to a non-identity element", None)
+        yield _check(check_id, grp, len(rows), message,
+                     lambda: (_evaluate(terms, maps, grp.ngens), rhs), elements,
+                     None if elements else hom)
+
+
+def decide(rep: Report, checks) -> Report:
+    """Record (check id, map, group, equations) checks in order: equations
+    by their first failure, the check of a given map h (that it is a
+    homomorphism) as proved, by them or, without them, by
+    `Report.add_hom`."""
+    for check_id, h, grp, equations in checks:
+        if isinstance(equations, CoordinateEquations):
+            rep.first_failure(check_id, equations.failures(), basis="proved" if h else None)
+        elif h is not None:
+            rep.add_hom(check_id, h)
+        else:
+            rep.first_failure(check_id, (msg for lhs, rhs, msg in equations
+                                         if not grp.eq(lhs, rhs)))
+    return rep
+
+
+def xc3_homotopy_system(f: XC3Morphism, g: XC3Morphism):
+    """The equations of a homotopy alpha from f to g on generators, in
+    report order, as (check id, group, terms, rhs), in the shape of
+    `quadratic.rq_homotopy_system`.  Equation j of a check reads
+
+        sum over terms (2, weights, left) of left alpha(x_j) = rhs_j
+
+    in the coordinates of the group, modulo its relations: alpha is the
+    homotopy's map on the source M2, x_j the point whose coordinates are
+    weights[j], and left a map whose image matrix multiplies the value
+    (None for none).  rhs, by rows and None for 0, is -f + g at the
+    generators; it is given only in a group abelian as presented.
+
+    A homotopy is a derivation, and into an abelian M3' an additive alpha
+    factors through M2's abelianization, so every equation is linear in
+    the coordinates of alpha's values on the generators: f1-equivariance
+    alpha(x^a) = alpha(x)^(f1 a) has as left map the action of f1 a on M3'
+    (for each generator a of M1), where reading it may raise `Undefined`.
+    `verify_xc3_homotopy` evaluates these equations at a witness, and
+    `xc3_homotopy_decision` solves them, with degree 2 replaced by
+    `LinearHomotopy.degree2`."""
+    src, tgt = f.source, f.target
+    m1, m2, m3 = src.m1, src.m2, tgt.m3
+    gens = [coords_of(m2, x) for x in m2.generators()]
+    yield "alpha_additive", m3, [(2, m2.ab_relation_rows(), None)], None
+    yield "degree2_equation", tgt.m2, [(2, gens, tgt.d3)], _differences(tgt.m2, f.f2, g.f2)
+    yield ("degree3_equation", m3, [(2, src.d3.coords_at_generators(), None)],
+           _differences(m3, f.f3, g.f3))
+    yield ("alpha_vanishes_on_under", m3, [(2, [coords_of(m2, z) for z in src.under2], None)],
+           None)
+    # equation a * m2.ngens + x: alpha(x^a) - alpha(x)^(f1 a) = 0
+    moved = [coords_of(m2, src.action2.apply(x, a)) for a in m1.generators()
+             for x in m2.generators()]
+    yield "alpha_equivariant", m3, [(2, moved, None)] + [
+        (2, [[-c for c in v] if b == a else [0] * m2.ngens for b in range(m1.ngens) for v in gens],
+         None if tgt.action3.kind == "trivial" else GroupHom.of_canonical(m3, m3, [
+             tgt.action3.apply(t, f.f1.at_generator(a)) for t in m3.generators()]))
+        for a in range(m1.ngens)], None
+
+
+def verify_xc3_homotopy(f: XC3Morphism, g: XC3Morphism, h: XC3Homotopy, system=None) -> Report:
+    """Re-check a homotopy witness equation by equation on generators: f1 =
+    g1, then the equations of `xc3_homotopy_system` at alpha, decided as
+    `decide` decides them (`system_checks`).  `system` is the list of those
+    equations when the caller holds it already, as the decider does for its
+    re-verification.  An action of f1 a that the structure leaves undefined
+    fails the last check, f1-equivariance, with the `Undefined` message."""
     rep = Report("crossed complex homotopy certificate")
     src, tgt = f.source, f.target
-    rep.add("f1_equals_g1", all(tgt.m1.eq(a, b) for a, b in
-                                zip(f.f1.images, g.f1.images)))
-    alpha = h.hom(src, tgt)
-    rep.add_hom("alpha_additive", alpha)
-    rep.first_failure("degree2_equation",
-                      (f"-f2 + g2 != d3' alpha at generator {src.m2.names[i]}"
-                       for i, x in enumerate(src.m2.generators())
-                       if not tgt.m2.eq(tgt.m2.op(tgt.m2.inv(f.f2(x)), g.f2(x)),
-                                        tgt.d3(alpha(x)))))
-    rep.first_failure("degree3_equation",
-                      (f"-f3 + g3 != alpha d3 at generator {src.m3.names[i]}"
-                       for i, t in enumerate(src.m3.generators())
-                       if not tgt.m3.eq(tgt.m3.op(tgt.m3.inv(f.f3(t)), g.f3(t)),
-                                        alpha(src.d3(t)))))
-    rep.first_failure("alpha_vanishes_on_under",
-                      (f"alpha does not vanish on {src.m2.format_element(z)}"
-                       for z in src.under2 if not tgt.m3.is_identity(alpha(z))))
-    rep.first_failure("alpha_equivariant",
-                      ("alpha not f1-equivariant"
-                       for x in src.m2.generators() for a in src.m1.generators()
-                       if not tgt.m3.eq(alpha(src.action2.apply(x, a)),
-                                        tgt.action3.apply(alpha(x), f.f1(a)))))
+    rep.add("f1_equals_g1", all(map(tgt.m1.eq, f.f1.images, g.f1.images)))
+    alpha, m3, n = GroupHom(src.m2, tgt.m3, h.alpha), tgt.m3, src.m2.ngens
+    checks = {
+        "degree2_equation": (
+            lambda i: f"-f2 + g2 != d3' alpha at generator {src.m2.names[i]}",
+            lambda i: (_difference_at(tgt.m2, f.f2, g.f2, i), tgt.d3(alpha.at_generator(i)))),
+        "degree3_equation": (
+            lambda i: f"-f3 + g3 != alpha d3 at generator {src.m3.names[i]}",
+            lambda i: (_difference_at(m3, f.f3, g.f3, i), alpha(src.d3.at_generator(i)))),
+        "alpha_vanishes_on_under": (
+            lambda j: f"alpha does not vanish on {src.m2.format_element(src.under2[j])}",
+            lambda j: (alpha(src.under2[j]), m3.identity())),
+        "alpha_equivariant": (
+            lambda _: "alpha not f1-equivariant",
+            lambda j: (alpha(src.action2.apply(src.m2.gen(j % n), src.m1.gen(j // n))),
+                       tgt.action3.apply(alpha.at_generator(j % n), f.f1.at_generator(j // n)))),
+    }
+    try:
+        decide(rep, system_checks(system or xc3_homotopy_system(f, g), {2: alpha}, checks, alpha))
+    except Undefined as exc:
+        rep.add("alpha_equivariant", False, str(exc))
     return rep
 
 
@@ -396,12 +557,12 @@ class LinearHomotopy:
     The unknowns are abelian coordinates of the homotopy's values on the
     source generators, one `CoordinateBlock` per degree.  `degree2` opens
     the first block with the equations -f2 x + g2 x = d3' alpha(x);
-    `add_rows` adds the equations of one check as stated outside, terms in
-    the blocks' values at points plus a right-hand side (for the reduced
-    quadratic kind, those of `quadratic.rq_homotopy_system`, which the
-    verifier checks); `add_sum` adds one equation sum_x w_x alpha(x) +
-    terms = rhs; `solve` returns the canonical solution and `accept` its
-    re-verified witness.  Failed checks and obstructions go into `rep`.
+    `add_rows` adds the equations of one check of the kind's system
+    (`xc3_homotopy_system`, `quadratic.rq_homotopy_system`) as the system
+    states them, terms in the blocks' values at points plus a right-hand
+    side, the same equations that the verifier checks (`system_checks`);
+    `solve` returns the canonical solution and `accept` its re-verified
+    witness.  Failed checks and obstructions go into `rep`.
 
     The canonical solution is the unique one that `Lattice.reduce` leaves
     in the numbering order of the unknowns, and the unknowns are numbered
@@ -449,13 +610,14 @@ class LinearHomotopy:
     def degree2(self, d3t: GroupHom, f2: GroupHom, g2: GroupHom
                 ) -> CoordinateBlock | None:
         """The block of alpha, with values in the source of d3', under the
-        equations -f2 x + g2 x = d3' alpha(x) in coordinates on the centre
-        of the degree-2 target (`Group.central_coords`).  None, with the
+        equations -f2 x + g2 x = d3' alpha(x) at the canonical generators x,
+        where the verifiers read them, in coordinates on the centre of the
+        degree-2 target (`Group.central_coords`).  None, with the
         obstruction recorded, when f2 and g2 differ while d3' = 0, or when
         -f2 x + g2 x is not central.  Raises ValueError naming the first
         generator whose d3' value is not central."""
         grp, names = d3t.target, f2.source.names
-        diffs = [grp.op(grp.inv(a), b) for a, b in zip(f2.images, g2.images)]
+        diffs = [_difference_at(grp, f2, g2, x) for x in range(len(f2.images))]
         zero = d3t.is_zero()
         if zero:
             x = next((x for x, c in enumerate(diffs) if not grp.is_identity(c)), None)
@@ -468,7 +630,7 @@ class LinearHomotopy:
         if zero:
             return alpha
         dimc, rowsc = len(grp.central_coords(grp.identity())), grp.ab_relation_rows()
-        boundary = [grp.central_coords(d3t(h)) for h in d3t.source.generators()]
+        boundary = [grp.central_coords(d3t.at_generator(h)) for h in range(d3t.source.ngens)]
         k = next((k for k, row in enumerate(boundary) if row is None), None)
         if k is not None:
             raise ValueError(f"d3' is not central at generator {d3t.source.names[k]}, "
@@ -483,24 +645,19 @@ class LinearHomotopy:
                                    for k in range(alpha.dim)], list(ex), rowsc)
         return alpha
 
-    def add_sum(self, alpha: CoordinateBlock, weights: Sequence[int],
-                rhs: Sequence[int] | None = None, terms=()) -> None:
-        """sum_x weights[x] alpha(x) + terms = rhs (default 0), in the
-        coordinates of alpha modulo its group's relation rows."""
-        self.add_rows(alpha.group, [(alpha, [weights], None)], rhs and [[r] for r in rhs], [terms])
-
-    def add_rows(self, group: Group, terms, rhs: list | None, extra: list | None = None) -> None:
-        """The equations sum over terms (alpha, weights, left) of left
-        alpha(x_j) + extra[j] = rhs[j], one per j, in the coordinates of
-        `group` modulo its relation rows: alpha is a block, x_j the point
-        whose coordinates are weights[j], left a map whose values at
-        generators multiply alpha's coordinates (None for none), and
+    def add_rows(self, group: Group, terms, rhs: list | None, blocks: dict, extra=None) -> None:
+        """The equations of one check of a homotopy's system, as it states
+        them: sum over terms (k, weights, left) of left alpha_k(x_j) +
+        extra[j] = rhs[j], one per j, in the coordinates of `group` modulo
+        its relation rows, where alpha_k is the block blocks[k], x_j the
+        point whose coordinates are weights[j], left a map whose values at
+        generators multiply alpha_k's coordinates (None for none), and
         extra[j] more (unknown, coefficients) terms.  rhs is by rows, None
         for 0."""
         dim, mod = group.ngens, group.ab_relation_rows()
-        terms = [(alpha.var, range(alpha.dim), weights, left.coords_at_generators() if left
-                  else [[int(i == k) for i in range(dim)] for k in range(dim)])
-                 for alpha, weights, left in terms]
+        terms = [(blocks[k].var, range(blocks[k].dim), weights, left.coords_at_generators()
+                  if left else [[int(i == c) for i in range(dim)] for c in range(dim)])
+                 for k, weights, left in terms]
         for j in range(len(terms[0][2])):
             row = [] if extra is None else list(extra[j])
             for var, ks, weights, cols in terms:
@@ -591,33 +748,23 @@ def xc3_homotopy_decision(f: XC3Morphism, g: XC3Morphism
     value on a generator is not central.
     """
     lin = LinearHomotopy(f, g, "crossed complex homotopy")
-    src, tgt = f.source, f.target
-    if not all(tgt.m1.eq(a, b) for a, b in zip(f.f1.images, g.f1.images)):
+    tgt = f.target
+    if not all(map(tgt.m1.eq, f.f1.images, g.f1.images)):
         lin.refute("f1_equals_g1", "homotopy requires f1 = g1", "f1 != g1")
         return None, lin.rep
     alpha = lin.degree2(tgt.d3, f.f2, g.f2)
     if alpha is None:
         return None, lin.rep
-    for i, t in enumerate(src.m3.generators()):
-        rhs = tgt.m3.op(tgt.m3.inv(f.f3.images[i]), g.f3.images[i])
-        lin.add_sum(alpha, src.m2.ab(src.d3(t)), tgt.m3.ab(rhs))
-    for z in src.under2:
-        lin.add_sum(alpha, src.m2.ab(z))
-    for row in src.m2.ab_relation_rows():
-        lin.add_sum(alpha, row)
-    for a in range(src.m1.ngens):
-        am = src.m1.gen(a)
-        fa = f.f1(am)
-        cols = [tgt.m3.ab(tgt.action3.apply(h, fa)) for h in tgt.m3.generators()]
-        for x in range(src.m2.ngens):
-            w = src.m2.ab(src.action2.apply(src.m2.gen(x), am))
-            lin.add_sum(alpha, w, terms=[(alpha.var(x, k), [-c for c in cols[k]])
-                                         for k in range(alpha.dim)])
+    system = list(xc3_homotopy_system(f, g))
+    for check_id, grp, terms, rhs in system:
+        # degree 2 is degree2's, and a check without points has no equation
+        if check_id != "degree2_equation" and terms[0][1]:
+            lin.add_rows(grp, terms, rhs, {2: alpha})
     values = lin.solve()
     if values is None:
         return None, lin.rep
     witness = XC3Homotopy(values[0])
-    lin.accept(verify_xc3_homotopy(f, g, witness), witness.to_json(tgt))
+    lin.accept(verify_xc3_homotopy(f, g, witness, system), witness.to_json(tgt))
     return witness, lin.rep
 
 

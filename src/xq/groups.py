@@ -627,15 +627,15 @@ class GroupHom:
         coordinates of `at_generator(i)` whether or not the images define a
         homomorphism, and no value is evaluated as an element.  A source
         without relations has the unit vectors as generator coordinates, so
-        the values are M's columns, read with no product and no generator
-        built."""
+        the values are M's columns, read with no product, no reduction (the
+        images are canonical) and no generator built."""
         if self._at is None:
-            src, t, reduce = self.source, self.target, self.target.lattice.reduce
+            src, t = self.source, self.target
             if src.lattice.rows:
                 rows = self.image_products([coords_of(src, x) for x in src.generators()])
-                self._at = list(map(reduce, zip(*rows))) if rows else [()] * src.ngens
+                self._at = list(map(t.lattice.reduce, zip(*rows))) if rows else [()] * src.ngens
             else:
-                self._at = [reduce(coords_of(t, im)) for im in self.images]
+                self._at = [tuple(coords_of(t, im)) for im in self.images]
         return self._at
 
     def at_generator(self, i: int):
@@ -644,8 +644,9 @@ class GroupHom:
         elements; its coordinates are `coords_at_generators()[i]`.  It is not
         `images[i]` when the generator's canonical form is not the unit
         vector (an abelian source with relations) and the images do not
-        define a homomorphism."""
-        return self(self.source.generators()[i])
+        define a homomorphism; from a source without relations it is
+        `images[i]`, with nothing evaluated."""
+        return self(self.source.generators()[i]) if self.source.lattice.rows else self.images[i]
 
     def with_image(self, i: int, x) -> "GroupHom":
         """This map with generator i sent to x; only x is canonicalized, the

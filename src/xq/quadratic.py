@@ -22,11 +22,12 @@ generator by generator.
 from __future__ import annotations
 
 import functools
-from operator import add, mul, sub
+from operator import mul
 from typing import Sequence
 
-from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule,
-                      ShiftedSolutions, check_precrossed, peiffer_commutator)
+from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule, ShiftedSolutions,
+                      _as_rows, _check, _difference_at, _differences, _image, _plus,
+                      check_precrossed, decide, peiffer_commutator, system_checks)
 from .groups import FgAbelianGroup, Group, GroupHom, coords_of, generator_pairs
 from .intlinalg import vec_neg, vec_sub
 from .report import Report, Undefined, sampled_report
@@ -372,15 +373,16 @@ def qcm_equations(m: QCMorphism):
     times a morphism's values at generators, which are its
     `GroupHom.coords_at_generators`, so per morphism an equation costs a
     few integer products and no element is evaluated.  A
-    `*_is_homomorphism` check there has the relation rows as equations,
-    which is all `GroupHom.check_hom` tests into such a target.  In any
-    other group the equations are lazy (lhs, rhs, message) triples of
-    elements, and a `*_is_homomorphism` check gives the map, for
-    `check_hom`.
+    `*_is_homomorphism` check is read by `system_checks`, as a homotopy's
+    is: there it has the relation rows as equations, which is all
+    `GroupHom.check_hom` tests into such a target.  In any other group the
+    equations are lazy (lhs, rhs, message) triples of elements, and a
+    `*_is_homomorphism` check gives the map, for `check_hom`.
     """
     src, tgt = m.source, m.target
     for name, h in (("f2", m.f2), ("f3", m.f3), ("f4", m.f4)):
-        yield _hom_equations(f"{name}_is_homomorphism", h)
+        yield from system_checks([(f"{name}_is_homomorphism", h.target,
+                                   [(0, h.source.ab_relation_rows(), None)], None)], {0: h}, {}, h)
     s, t, n = src.coords, tgt.coords, src.q2.ngens
     yield _check(
         "square_d3", tgt.q2, src.q3.ngens,
@@ -410,81 +412,6 @@ def qcm_equations(m: QCMorphism):
             lambda _, deg=deg: f"f does not commute with the cofibration in degree {deg}",
             lambda deg=deg, fh=fh: (fh.image_products(s.under[deg]), t.under_rows[deg]),
             lambda j, fh=fh, qs=qs, qt=qt: (fh(qs.at_generator(j)), qt.at_generator(j)))
-
-
-class CoordinateEquations:
-    """The equations of one check in a group abelian as presented: lhs and
-    rhs are matrices by rows, one row per coordinate and one column per
-    equation, rhs None for 0.  Equation j holds when column j of lhs - rhs
-    lies in the relation lattice; `message(j)` reports it when not."""
-
-    def __init__(self, grp: Group, lhs: list, rhs: list | None, message):
-        self.grp, self.lhs, self.rhs, self.message = grp, lhs, rhs, message
-
-    def columns(self) -> list:
-        """lhs - rhs of each equation (none in a group of rank 0)."""
-        if self.rhs is None:
-            return list(zip(*self.lhs))
-        return list(zip(*(map(sub, a, b) for a, b in zip(self.lhs, self.rhs))))
-
-    def failures(self):
-        """The messages of the failing equations, lazily, in order; nothing
-        is reduced when the sides are equal."""
-        if self.lhs != self.rhs if self.rhs is not None else any(map(any, self.lhs)):
-            lattice = self.grp.lattice
-            yield from (self.message(j) for j, d in enumerate(self.columns())
-                        if any(d) and any(lattice.reduce(d)))
-
-
-def _check(check_id: str, grp: Group, count: int, message, coords, elements) -> tuple:
-    """A check of `count` equations in grp: `CoordinateEquations` of the
-    matrices coords() when grp is abelian as presented, else lazy triples
-    of the elements elements(i)."""
-    if grp.is_abelian:
-        return check_id, None, grp, CoordinateEquations(grp, *coords(), message)
-    return check_id, None, grp, ((*elements(i), message(i)) for i in range(count))
-
-
-def _hom_equations(check_id: str, h: GroupHom) -> tuple:
-    """The check that h is a homomorphism: its relation rows in coordinates
-    into an abelian target (where `GroupHom.check_hom` tests nothing more),
-    else the map itself."""
-    rows, t = h.source.ab_relation_rows(), h.target
-    if not t.is_abelian:
-        return check_id, h, t, ()
-    return check_id, None, t, CoordinateEquations(
-        t, h.image_products(rows), None,
-        lambda j: f"relation {list(rows[j])} maps to a non-identity element")
-
-
-def _as_rows(columns: list, dim: int) -> list:
-    """The matrix with these columns of `dim` coordinates, by rows."""
-    return [list(r) for r in zip(*columns)] if columns else [[] for _ in range(dim)]
-
-
-def _plus(a: list, b: list | None) -> list:
-    """a + b for matrices by rows, b None for 0."""
-    return a if b is None else [list(map(add, x, y)) for x, y in zip(a, b)]
-
-
-def _image(h: GroupHom, cols) -> list | None:
-    """h's image matrix times the coordinate vectors cols(), by rows; None,
-    for 0 and without calling cols, when the matrix is 0."""
-    return h.image_products(cols()) if any(map(any, h.matrix())) else None
-
-
-def decide(rep: Report, checks) -> Report:
-    """Record (check id, map, group, equations) checks in order: a given
-    map by `Report.add_hom`, equations by their first failure."""
-    for check_id, h, grp, equations in checks:
-        if h is not None:
-            rep.add_hom(check_id, h)
-        elif isinstance(equations, CoordinateEquations):
-            rep.first_failure(check_id, equations.failures())
-        else:
-            rep.first_failure(check_id, (msg for lhs, rhs, msg in equations
-                                         if not grp.eq(lhs, rhs)))
-    return rep
 
 
 def qcm_check(m: QCMorphism) -> Report:
@@ -727,11 +654,8 @@ def rq_homotopy_system(f: QCMorphism, g: QCMorphism, form: Alpha2 | None = None)
     def rhs(grp: Group, fk: GroupHom | None, gk: GroupHom | None, points=None) -> list | None:
         """-fk + gk at the generators (0 without them) less alpha2's
         corrections at the elements points()."""
-        if not grp.is_abelian:
-            return None
-        rows = None if fk is None else [list(map(sub, b, a)) for b, a in zip(*(
-            _as_rows(m.coords_at_generators(), grp.ngens) for m in (gk, fk)))]
-        if points is not None and not form.zero:
+        rows = None if fk is None else _differences(grp, fk, gk)
+        if grp.is_abelian and points is not None and not form.zero:
             rows = _plus(_as_rows([vec_neg(coords_of(q3, form.correction(x))) for x in points()],
                                   q3.ngens), rows)
         return rows
@@ -746,44 +670,31 @@ def rq_homotopy_system(f: QCMorphism, g: QCMorphism, form: Alpha2 | None = None)
         yield "alpha3_vanishes_on_under", tgt.q4, [(3, s.under[3], None)], None
 
 
-def _evaluate(terms, maps: dict, dim: int) -> list:
-    """The sum over terms (k, weights, left) of left maps[k](x_j) in a group
-    of rank dim, by rows: image products, with no element evaluated, and
-    none for a term whose left map has the zero matrix (`_image`)."""
-    out = None
-    for k, weights, left in terms:
-        rows = maps[k].image_products(weights) if left is None else _image(
-            left, lambda: list(zip(*maps[k].image_products(weights))) or [()] * len(weights))
-        out = rows if out is None else _plus(out, rows)
-    return out if out is not None else [[0] * len(terms[0][1])] * dim
-
-
-def rq_homotopy_equations(f: QCMorphism, g: QCMorphism, h: QCHomotopy):
-    """The checks of a homotopy witness, in report order, listed as
-    `qcm_equations` lists a morphism's: in a group abelian as presented the
-    equations of `rq_homotopy_system`, as `CoordinateEquations` of their
-    sides at the witness; in any other group alpha3 itself, for
-    `check_hom`, or lazy triples of elements, with alpha2 by `Alpha2`."""
+def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy) -> Report:
+    """Re-check a homotopy witness equation by equation on generators, as
+    `qcm_check` decides a morphism's equations: in a group abelian as
+    presented the equations of `rq_homotopy_system`, as
+    `CoordinateEquations` of their sides at the witness (`system_checks`);
+    in any other group alpha3 itself, for `check_hom`, or lazy triples of
+    elements, with alpha2 by `Alpha2`.  The source's tables are built once
+    for every witness from it; per call the values are canonicalized into
+    alpha2 and alpha3, `Alpha2` is built, and each check costs as in
+    `qcm_check`."""
     src, tgt = f.source, f.target
     q2, q3, q4 = tgt.q2, tgt.q3, tgt.q4
     alpha2, values = Alpha2(f, g), GroupHom(src.q2, q3, h.alpha2)
     alpha3, under = GroupHom(src.q3, q4, h.alpha3), src.under
     checks = {
-        "alpha3_is_homomorphism": (lambda j: f"relation {list(src.q3.ab_relation_rows()[j])} "
-                                   "maps to a non-identity element", None),
         "homotopy_degree2": (
             lambda i: f"-f2 + g2 != d3' alpha2 at generator {src.q2.names[i]}",
-            lambda i: (q2.op(q2.inv(f.f2.at_generator(i)), g.f2.at_generator(i)),
-                       tgt.d3(values.images[i]))),
+            lambda i: (_difference_at(q2, f.f2, g.f2, i), tgt.d3(values.images[i]))),
         "homotopy_degree3": (
             lambda i: f"-f3 + g3 != d4' alpha3 + alpha2 d3 at generator {src.q3.names[i]}",
-            lambda i: (q3.op(q3.inv(f.f3.at_generator(i)), g.f3.at_generator(i)),
-                       q3.op(tgt.d4(alpha3.at_generator(i)),
-                             alpha2(values, src.d3.at_generator(i))))),
+            lambda i: (_difference_at(q3, f.f3, g.f3, i), q3.op(
+                tgt.d4(alpha3.at_generator(i)), alpha2(values, src.d3.at_generator(i))))),
         "homotopy_degree4": (
             lambda i: f"-f4 + g4 != alpha3 d4 at generator {src.q4.names[i]}",
-            lambda i: (q4.op(q4.inv(f.f4.at_generator(i)), g.f4.at_generator(i)),
-                       alpha3(src.d4.at_generator(i)))),
+            lambda i: (_difference_at(q4, f.f4, g.f4, i), alpha3(src.d4.at_generator(i)))),
         "alpha2_vanishes_on_under": (
             lambda j: "alpha2 does not vanish on "
                       f"{under.base.q2.format_element(under.base.q2.generators()[j])}",
@@ -793,21 +704,8 @@ def rq_homotopy_equations(f: QCMorphism, g: QCMorphism, h: QCHomotopy):
                       f"{under.base.q3.format_element(under.base.q3.generators()[j])}",
             lambda j: (alpha3(under.q3.at_generator(j)), q4.identity())),
     }
-    for check_id, grp, terms, rhs in rq_homotopy_system(f, g, alpha2):
-        message, elements = checks[check_id]
-        yield (_check(check_id, grp, len(terms[0][1]), message, lambda: (
-            _evaluate(terms, {2: values, 3: alpha3}, grp.ngens), rhs), elements)
-               if grp.is_abelian or elements else (check_id, alpha3, grp, ()))
-
-
-def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy) -> Report:
-    """Re-check a homotopy witness equation by equation on generators: the
-    equations of `rq_homotopy_equations`, decided as `qcm_check` decides a
-    morphism's.  The source's tables are built once for every witness from
-    it; per call the values are canonicalized into alpha2 and alpha3,
-    `Alpha2` is built, and each check costs as in `qcm_check`."""
-    return decide(Report("quadratic homotopy certificate", basis="proved"),
-                  rq_homotopy_equations(f, g, h))
+    return decide(Report("quadratic homotopy certificate", basis="proved"), system_checks(
+        rq_homotopy_system(f, g, alpha2), {2: values, 3: alpha3}, checks, alpha3))
 
 
 def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = None
@@ -848,8 +746,7 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = 
     blocks = {2: alpha2, 3: lin.unknowns(src.q3.ngens, tgt.q4, 4)}
     for check_id, grp, terms, rhs in rq_homotopy_system(f, g):
         if check_id != "homotopy_degree2":
-            lin.add_rows(grp, [(blocks[k], weights, left) for k, weights, left in terms], rhs,
-                         shift if check_id == "homotopy_degree3" else None)
+            lin.add_rows(grp, terms, rhs, blocks, shift if check_id == "homotopy_degree3" else None)
     solved = lin.solve()
     if solved is None or shift is not None:
         return solved, lin.rep

@@ -7,7 +7,7 @@ then `s2xs2 classify --out` at the boxes 3/10, 3/20, 8/60 and 20/200,
 each shipped structure file, the text-only `s2xs2 classify` at the boxes
 of `TEXT_BOXES` and `s2xs2 count`, which write no file, and last
 `homotopic` and `check` of crossed 3-complexes with non-trivial actions
-(`_crossed_ops`).  They
+(`crossed_cases`).  They
 run in this process through `xq.cli.run`, in list order (a `check` of a
 witness reads the file an earlier `homotopic` wrote), with `XQ_SEED`
 unset.  The work directory and the repository root are replaced by `$WORK`
@@ -41,7 +41,7 @@ SHIPPED = ("sphere_D.json", "cylinder_Q.json", "retraction_pair.json",
 WRITES = ("--out", "--witness")
 
 
-def _bench_inputs():
+def bench_inputs():
     """`bench/inputs.py`, loaded under a name of its own."""
     spec = importlib.util.spec_from_file_location(
         "xq_bench_inputs", os.path.join(ROOT, "bench", "inputs.py"))
@@ -52,7 +52,7 @@ def _bench_inputs():
 
 def ops(work: str) -> list[tuple[str, list[str]]]:
     """(op id, argv) of every op, its input files written into `work`."""
-    inputs = _bench_inputs()
+    inputs = bench_inputs()
     out = []
     for workload in inputs.WORKLOADS:
         for seed in SEEDS:
@@ -80,19 +80,44 @@ def _nil2(*base: int) -> dict:
     return {"base": list(base), "comm": [0] * (len(base) * (len(base) - 1) // 2)}
 
 
-def _crossed_ops(work: str) -> list[list[str]]:
-    """`homotopic --out` of crossed 3-complexes with non-trivial actions, with
-    `--witness` and a `check` of it where a homotopy is found, their input
-    files written into `work/crossed`:
+def crossed_cases() -> list:
+    """(name, side, maps, pairs) of the crossed 3-complexes with non-trivial
+    actions: side is the complex as a structure, maps(*m) the maps of the
+    morphism m from it to itself, and pairs its (f, g, homotopic) pairs.
 
     - swap: M1 = nil(2)<a>, M2 = Z^2 = <x, y> with a swapping x and y by a
       table, M3 = Z<t> acted on trivially, d3(t) = x + y and d2 = 0; the
       morphism (p, q) is (id, [[p, q], [q, p]], t -> (p + q) t), and (1, 0)
       is homotopic to (3, 2) by alpha = (2t, 2t) but not to (2, 0);
-    - conjugation: the identity crossed module of nil(2)<a, b> acting on
-      itself by conjugation, M3 = Z<t> and d3 = 0, so degree 2 is not
-      abelian as presented; the identity is homotopic to itself by the zero
-      witness, and not to (id, id, t -> 3t)."""
+    - conj: the identity crossed module of nil(2)<a, b> acting on itself by
+      conjugation, M3 = Z<t> and d3 = 0, so degree 2 is not abelian as
+      presented; the morphism (k,) is (id, id, t -> k t), and the identity
+      is homotopic to itself by the zero witness, and not to (3,)."""
+    def complex3(m1, m2, d2, action2, d3):
+        return {"kind": "xc3", "body": {
+            "m1": m1, "m2": m2, "m3": {"kind": "free_abelian", "rank": 1, "names": ["t"]},
+            "d2": {"images": d2}, "d3": {"images": [d3]}, "action2": action2,
+            "action3": {"kind": "trivial"}, "under2": [], "under3": []}}
+
+    nil2_a = {"kind": "free_nil2", "rank": 1, "names": ["a"]}
+    nil2_ab = {"kind": "free_nil2", "rank": 2, "names": ["a", "b"]}
+    identity = {"images": [_nil2(1, 0), _nil2(0, 1)]}
+    return [
+        ("swap", complex3(nil2_a, {"kind": "free_abelian", "rank": 2, "names": ["x", "y"]},
+                          [_nil2(0)] * 2, {"table": [[[0, 1]], [[1, 0]]]}, [1, 1]),
+         lambda p, q: {"f1": {"images": [_nil2(1)]},
+                       "f2": {"images": [[p, q], [q, p]]}, "f3": {"images": [[p + q]]}},
+         [((1, 0), (3, 2), True), ((1, 0), (2, 0), False)]),
+        ("conj", complex3(nil2_ab, nil2_ab, identity["images"], {"kind": "conjugation"},
+                          _nil2(0, 0)),
+         lambda k: {"f1": identity, "f2": identity, "f3": {"images": [[k]]}},
+         [((1,), (1,), True), ((1,), (3,), False)])]
+
+
+def _crossed_ops(work: str) -> list[list[str]]:
+    """`homotopic --out` of each pair of `crossed_cases`, with `--witness`
+    and a `check` of the witness where a homotopy is found, their input
+    files written into `work/crossed`."""
     crossed = os.path.join(work, "crossed")
     os.makedirs(crossed)
 
@@ -102,28 +127,8 @@ def _crossed_ops(work: str) -> list[list[str]]:
             json.dump({"version": "1", "kind": kind, "body": body}, fh)
         return path
 
-    def complex3(m1, m2, d2, action2, d3):
-        return {"kind": "xc3", "body": {
-            "m1": m1, "m2": m2, "m3": {"kind": "free_abelian", "rank": 1, "names": ["t"]},
-            "d2": {"images": d2}, "d3": {"images": [d3]}, "action2": action2,
-            "action3": {"kind": "trivial"}, "under2": [], "under3": []}}
-
-    nil2_a = {"kind": "free_nil2", "rank": 1, "names": ["a"]}
-    nil2_ab = {"kind": "free_nil2", "rank": 2, "names": ["a", "b"]}
-    swap = complex3(nil2_a, {"kind": "free_abelian", "rank": 2, "names": ["x", "y"]},
-                    [_nil2(0)] * 2, {"table": [[[0, 1]], [[1, 0]]]}, [1, 1])
-    conj = complex3(nil2_ab, nil2_ab, [_nil2(1, 0), _nil2(0, 1)],
-                    {"kind": "conjugation"}, _nil2(0, 0))
     ops = []
-    for name, side, maps, pairs in (
-            ("swap", swap,
-             lambda p, q: {"f1": {"images": [_nil2(1)]},
-                           "f2": {"images": [[p, q], [q, p]]}, "f3": {"images": [[p + q]]}},
-             (((1, 0), (3, 2), True), ((1, 0), (2, 0), False))),
-            ("conj", conj,
-             lambda k: {"f1": {"images": [_nil2(1, 0), _nil2(0, 1)]},
-                        "f2": {"images": [_nil2(1, 0), _nil2(0, 1)]}, "f3": {"images": [[k]]}},
-             (((1,), (1,), True), ((1,), (3,), False)))):
+    for name, side, maps, pairs in crossed_cases():
         pair = write(f"{name}-pair", "pair", {"source": side, "target": side})
         for f, g, found in pairs:
             f_path, g_path = (write(f"{name}-" + "-".join(map(str, m)), "morphism",

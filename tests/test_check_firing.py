@@ -353,3 +353,17 @@ def test_verify_xc3_alpha_equivariant_fires():
     f = xc3_map(x)
     rep = verify_xc3_homotopy(f, f, XC3Homotopy((x.m3.gen(0),)))
     assert failed(rep) == {"alpha_equivariant": "alpha not f1-equivariant"}
+
+
+def test_verify_xc3_alpha_equivariant_fires_on_an_undefined_action():
+    # a acts on M3 = Z by t -> 2t, which has no inverse, and f1(a) = -a, so
+    # the action of f1(a) on M3 that equivariance reads is undefined
+    m1, m2 = FreeGroup(1, names=("a",)), FreeNil2Group(1, names=("x",))
+    m3 = FreeAbelianGroup(1, names=("t",))
+    x = CrossedComplex3(m1, m2, m3, GroupHom.zero(m2, m1), GroupHom.zero(m3, m2),
+                        GroupAction.trivial(m1, m2), GroupAction(m1, m3, table=[[(2,)]]))
+    f = XC3Morphism(x, x, GroupHom(m1, m1, [m1.inv(m1.gen(0))]), GroupHom.identity(m2),
+                    GroupHom.identity(m3))
+    rep = verify_xc3_homotopy(f, f, XC3Homotopy((m3.identity(),)))
+    assert failed(rep) == {
+        "alpha_equivariant": "action of -a is not available: endomorphism is not invertible"}

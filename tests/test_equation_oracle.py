@@ -10,10 +10,11 @@ import pytest
 from equation_oracle import scan_qcm_check, scan_verify_rq_homotopy
 from test_enumeration import doubling_target
 from test_shared_values import identity_morphism, twisted_identity
+from xq.crossed import CoordinateEquations
 from xq.groups import CyclicGroup, FreeAbelianGroup, FreeNil2Group, GroupHom
-from xq.quadratic import (CoordinateEquations, QCHomotopy, QCMorphism,
-                          ReducedQuadraticComplex4, ReducedQuadraticModule, qcm_check,
-                          qcm_equations, rq_homotopy_decision, verify_rq_homotopy)
+from xq.quadratic import (QCHomotopy, QCMorphism, ReducedQuadraticComplex4,
+                          ReducedQuadraticModule, qcm_check, qcm_equations,
+                          rq_homotopy_decision, verify_rq_homotopy)
 from xq.sphere import retraction_candidate
 
 
@@ -242,11 +243,14 @@ def test_random_witnesses_into_a_non_abelian_degree_3_match_the_scan(cylinder_q)
 
 def test_a_non_abelian_target_degree_is_compared_as_elements(cylinder_q):
     """Into Q, degree 2 is free nil(2) of rank 3: its checks are element
-    equations, the others coordinate equations."""
+    equations, the others coordinate equations; a homomorphism check names
+    its map either way, and f2's is the map alone."""
+    checks = list(qcm_equations(identity_morphism(cylinder_q)))
     kinds = {check_id: isinstance(eqs, CoordinateEquations)
-             for check_id, h, _, eqs in qcm_equations(identity_morphism(cylinder_q)) if h is None}
+             for check_id, _, _, eqs in checks if eqs != ()}
     assert kinds == {"f3_is_homomorphism": True, "f4_is_homomorphism": True,
                      "square_d3": False, "square_d4": True, "square_omega": True,
                      "under_degree2": False, "under_degree3": True, "under_degree4": True}
-    assert [check_id for check_id, h, _, _ in qcm_equations(identity_morphism(cylinder_q))
-            if h is not None] == ["f2_is_homomorphism"]
+    assert [check_id for check_id, _, _, eqs in checks if eqs == ()] == ["f2_is_homomorphism"]
+    assert [check_id for check_id, h, _, _ in checks if h is not None] == [
+        "f2_is_homomorphism", "f3_is_homomorphism", "f4_is_homomorphism"]
