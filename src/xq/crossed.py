@@ -468,7 +468,8 @@ def xc3_homotopy_system(f: XC3Morphism, g: XC3Morphism):
     factors through M2's abelianization, so every equation is linear in
     the coordinates of alpha's values on the generators: f1-equivariance
     alpha(x^a) = alpha(x)^(f1 a) has as left map the action of f1 a on M3'
-    (for each generator a of M1), where reading it may raise `Undefined`.
+    (for each generator a of M1; None, the identity, for a trivial
+    action), where reading it may raise `Undefined`.
     `verify_xc3_homotopy` evaluates these equations at a witness, and
     `xc3_homotopy_decision` solves them, with degree 2 replaced by
     `LinearHomotopy.degree2`."""
