@@ -6,8 +6,8 @@ then `s2xs2 classify --out` at the boxes 3/10, 3/20, 8/60 and 20/200,
 `s2xs2 count --out`, `s2xs2 monoid --table --out`, `check --out` of
 each shipped structure file, the text-only `s2xs2 classify` at the boxes
 of `TEXT_BOXES` and `s2xs2 count`, which write no file, and last
-`homotopic` and `check` of crossed 3-complexes with non-trivial actions
-(`crossed_cases`).  They
+`homotopic` and `check` of crossed 3-complexes with non-trivial actions,
+their morphisms and a crossed module (`crossed_cases`).  They
 run in this process through `xq.cli.run`, in list order (a `check` of a
 witness reads the file an earlier `homotopic` wrote), with `XQ_SEED`
 unset.  The work directory and the repository root are replaced by `$WORK`
@@ -116,8 +116,11 @@ def crossed_cases() -> list:
 
 def _crossed_ops(work: str) -> list[list[str]]:
     """`homotopic --out` of each pair of `crossed_cases`, with `--witness`
-    and a `check` of the witness where a homotopy is found, their input
-    files written into `work/crossed`."""
+    and a `check` of the witness where a homotopy is found, then `check
+    --out` of each morphism file of those pairs, of the swap morphism
+    (id, x, y -> x, t -> t), which fails square_d3 and f2_equivariant, of
+    both complexes as xc3 files and of the crossed module of conj; their
+    input files are written into `work/crossed`."""
     crossed = os.path.join(work, "crossed")
     os.makedirs(crossed)
 
@@ -127,20 +130,30 @@ def _crossed_ops(work: str) -> list[list[str]]:
             json.dump({"version": "1", "kind": kind, "body": body}, fh)
         return path
 
-    ops = []
+    ops, checked, cases = [], {}, {}
     for name, side, maps, pairs in crossed_cases():
+        cases[name] = side, maps
         pair = write(f"{name}-pair", "pair", {"source": side, "target": side})
         for f, g, found in pairs:
             f_path, g_path = (write(f"{name}-" + "-".join(map(str, m)), "morphism",
                                     {"source": side, "target": side, "maps": maps(*m)})
                               for m in (f, g))
+            checked.update(dict.fromkeys((f_path, g_path)))
             stem = os.path.join(crossed, "-".join([name, *map(str, f + g)]))
             ops.append(["homotopic", pair, "--f", f_path, "--g", g_path,
                         "--out", stem + "-report.json"]
                        + (["--witness", stem + "-witness.json"] if found else []))
             if found:
                 ops.append(["check", stem + "-witness.json", "--out", stem + "-check.json"])
-    return ops
+    (swap, swap_maps), (conj, _) = cases["swap"], cases["conj"]
+    broken = {**swap_maps(1, 0), "f2": {"images": [[1, 0], [1, 0]]}}
+    checked.update(dict.fromkeys((
+        write("swap-broken", "morphism", {"source": swap, "target": swap, "maps": broken}),
+        write("swap-complex", "xc3", swap["body"]), write("conj-complex", "xc3", conj["body"]),
+        write("conj-module", "crossed", {key: conj["body"][key] for key in ("m1", "m2")}
+              | {"d": conj["body"]["d2"], "action": conj["body"]["action2"]}))))
+    return ops + [["check", path, "--out", path[:-len(".json")] + "-check.json"]
+                  for path in checked]
 
 
 def _placeholders(text: str, work: str) -> str:
