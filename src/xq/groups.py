@@ -530,15 +530,11 @@ class GroupHom:
     """Homomorphism given by generator images; evaluated on the source's
     normal form.
 
-    Into a target that is abelian as presented, a value is one integer
-    matrix product: the image-coordinate matrix, built on first use and
-    kept on the map, times the coordinates of the argument, read back by
-    `target.from_ab`.  Into any other target it is a fold over the normal
-    form.  The coordinates of the values at the source's generators are
-    one matrix product in any target (`coords_at_generators`).  Each map
-    keeps one cache of the values it has computed, keyed by element and
-    shared by `__call__` and `at_generator`; a map derived from it
-    (`with_image`, `then`, `power`) starts with an empty one."""
+    A value is the fold of the images over the normal form of the argument,
+    in any target, and is computed afresh on each call.  The coordinates of
+    the values at the source's generators are one matrix product in any
+    target (`coords_at_generators`): the image-coordinate matrix, built on
+    first use and kept on the map, times the generators' coordinates."""
 
     def __init__(self, source: Group, target: Group, images: Iterable):
         self._set(source, target, tuple(target.canon(x) for x in images))
@@ -556,7 +552,6 @@ class GroupHom:
         if len(images) != source.ngens:
             raise ValueError("one image per source generator required")
         self.source, self.target, self.images = source, target, images
-        self._values: dict = {}
         self._rows: list[tuple[int, ...]] | None = None
         self._at: list[tuple[int, ...]] | None = None
 
@@ -569,33 +564,21 @@ class GroupHom:
         return GroupHom(source, target, [target.identity()] * source.ngens)
 
     def __call__(self, x):
-        """The value at x, kept in the map's cache unless x is unhashable
-        (a list, say).
-
-        Into an abelian target it is `target.from_ab` of the images'
-        coordinate matrix times the coordinates of x.  Otherwise it is the
-        fold of the images over the canonical word of x, in one pass of
-        `target.fold` over the normal form: a run of k equal letters, a
-        free-group syllable or an abelian coordinate, is the term (image, k),
-        and c basic commutators -g_i - g_j + g_i + g_j are ((image_i,
-        image_j), c).  By associativity the value is the same element in any
-        target, whether or not the images define a homomorphism, and in an
-        abelian target the fold is the matrix product."""
-        try:
-            value = self._values.get(x)
-        except TypeError:
-            return self._fold_canonical(self.source.canon(x))
-        if value is None:
-            value = self._values[x] = self._fold_canonical(self.source.canon(x))
-        return value
+        """The value at x: the fold of the images over the canonical word of
+        x, in one pass of `target.fold` over the normal form.  A run of k
+        equal letters, a free-group syllable or an abelian coordinate, is the
+        term (image, k), and c basic commutators -g_i - g_j + g_i + g_j are
+        ((image_i, image_j), c).  By associativity the value is the same
+        element in any target, whether or not the images define a
+        homomorphism; in a target abelian as presented the fold sums the
+        terms and reduces once, so it is the images' coordinate matrix times
+        the coordinates of x."""
+        return self._fold_canonical(self.source.canon(x))
 
     def _fold_canonical(self, x):
         """The value of `__call__` at x, already in the source's normal form,
-        not cached."""
+        with x not canonicalized again."""
         src, t, images = self.source, self.target, self.images
-        if t.is_abelian:
-            c = coords_of(src, x)
-            return t.from_ab([sum(map(mul, row, c)) for row in self.matrix()])
         if isinstance(src, FreeNil2Group):
             runs, comm = enumerate(x.base), x.comm
         else:
