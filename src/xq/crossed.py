@@ -408,13 +408,14 @@ def _difference_at(grp: Group, f: GroupHom, g: GroupHom, i: int):
 
 
 def _evaluate(terms, maps: dict, dim: int) -> list:
-    """The sum over terms (k, weights, left) of left maps[k](x_j) in a group
-    of rank dim, by rows: image products, with no element evaluated, and
-    none for a term whose left map has the zero matrix (`_image`)."""
+    """The sum over terms (k, weights, left) of left()(maps[k](x_j)) in a
+    group of rank dim, by rows: image products, with no element evaluated,
+    none for a term whose left map has the zero matrix (`_image`), and no
+    left map built when there are no points."""
     out = None
-    for k, weights, left in terms:
+    for k, weights, left in terms if terms[0][1] else ():
         rows = maps[k].image_products(weights) if left is None else _image(
-            left, lambda: list(zip(*maps[k].image_products(weights))) or [()] * len(weights))
+            left(), lambda: list(zip(*maps[k].image_products(weights))) or [()] * len(weights))
         out = rows if out is None else _plus(out, rows)
     return out if out is not None else [[0] * len(terms[0][1])] * dim
 
@@ -460,16 +461,17 @@ def xc3_homotopy_system(f: XC3Morphism, g: XC3Morphism):
 
     in the coordinates of the group, modulo its relations: alpha is the
     homotopy's map on the source M2, x_j the point whose coordinates are
-    weights[j], and left a map whose image matrix multiplies the value
-    (None for none).  rhs, by rows and None for 0, is -f + g at the
-    generators; it is given only in a group abelian as presented.
+    weights[j], and left() a map whose image matrix multiplies the value
+    (None for none), built only where the equations are read.  rhs, by rows
+    and None for 0, is -f + g at the generators; it is given only in a
+    group abelian as presented.
 
     A homotopy is a derivation, and into an abelian M3' an additive alpha
     factors through M2's abelianization, so every equation is linear in
     the coordinates of alpha's values on the generators: f1-equivariance
     alpha(x^a) = alpha(x)^(f1 a) has as left map the action of f1 a on M3'
     (for each generator a of M1; None, the identity, for a trivial
-    action), where reading it may raise `Undefined`.
+    action), where building it may raise `Undefined`.
     `verify_xc3_homotopy` evaluates these equations at a witness, and
     `xc3_homotopy_decision` solves them, with degree 2 replaced by
     `LinearHomotopy.degree2`."""
@@ -477,7 +479,8 @@ def xc3_homotopy_system(f: XC3Morphism, g: XC3Morphism):
     m1, m2, m3 = src.m1, src.m2, tgt.m3
     gens = [coords_of(m2, x) for x in m2.generators()]
     yield "alpha_additive", m3, [(2, m2.ab_relation_rows(), None)], None
-    yield "degree2_equation", tgt.m2, [(2, gens, tgt.d3)], _differences(tgt.m2, f.f2, g.f2)
+    yield ("degree2_equation", tgt.m2, [(2, gens, lambda: tgt.d3)],
+           _differences(tgt.m2, f.f2, g.f2))
     yield ("degree3_equation", m3, [(2, src.d3.coords_at_generators(), None)],
            _differences(m3, f.f3, g.f3))
     yield ("alpha_vanishes_on_under", m3, [(2, [coords_of(m2, z) for z in src.under2], None)],
@@ -487,7 +490,7 @@ def xc3_homotopy_system(f: XC3Morphism, g: XC3Morphism):
              for x in m2.generators()]
     yield "alpha_equivariant", m3, [(2, moved, None)] + [
         (2, [[-c for c in v] if b == a else [0] * m2.ngens for b in range(m1.ngens) for v in gens],
-         None if tgt.action3.kind == "trivial" else GroupHom.of_canonical(m3, m3, [
+         None if tgt.action3.kind == "trivial" else lambda a=a: GroupHom.of_canonical(m3, m3, [
              tgt.action3.apply(t, f.f1.at_generator(a)) for t in m3.generators()]))
         for a in range(m1.ngens)], None
 
@@ -648,15 +651,15 @@ class LinearHomotopy:
 
     def add_rows(self, group: Group, terms, rhs: list | None, blocks: dict, extra=None) -> None:
         """The equations of one check of a homotopy's system, as it states
-        them: sum over terms (k, weights, left) of left alpha_k(x_j) +
+        them: sum over terms (k, weights, left) of left()(alpha_k(x_j)) +
         extra[j] = rhs[j], one per j, in the coordinates of `group` modulo
         its relation rows, where alpha_k is the block blocks[k], x_j the
-        point whose coordinates are weights[j], left a map whose values at
-        generators multiply alpha_k's coordinates (None for none), and
-        extra[j] more (unknown, coefficients) terms.  rhs is by rows, None
-        for 0."""
+        point whose coordinates are weights[j], left() a map whose values at
+        generators multiply alpha_k's coordinates (None for none), built
+        here, and extra[j] more (unknown, coefficients) terms.  rhs is by
+        rows, None for 0."""
         dim, mod = group.ngens, group.ab_relation_rows()
-        terms = [(blocks[k].var, range(blocks[k].dim), weights, left.coords_at_generators()
+        terms = [(blocks[k].var, range(blocks[k].dim), weights, left().coords_at_generators()
                   if left else [[int(i == c) for i in range(dim)] for c in range(dim)])
                  for k, weights, left in terms]
         for j in range(len(terms[0][2])):

@@ -640,7 +640,7 @@ def rq_homotopy_system(f: QCMorphism, g: QCMorphism, form: Alpha2 | None = None)
 
     in the coordinates of the group, modulo its relations: alpha_2 and
     alpha_3 are the homotopy's maps on the source groups of degrees 2 and 3,
-    x_j is the point whose coordinates are weights[j], and left is a map
+    x_j is the point whose coordinates are weights[j], and left() is a map
     whose image matrix multiplies the value (None for none).  rhs, by rows
     and None for 0, is -f + g at the generators less alpha2's
     corrections (`Alpha2`) at the points where the equations read alpha2;
@@ -660,8 +660,9 @@ def rq_homotopy_system(f: QCMorphism, g: QCMorphism, form: Alpha2 | None = None)
                                   q3.ngens), rows)
         return rows
     yield "alpha3_is_homomorphism", tgt.q4, [(3, src.q3.ab_relation_rows(), None)], None
-    yield "homotopy_degree2", tgt.q2, [(2, s.generators[2], tgt.d3)], rhs(tgt.q2, f.f2, g.f2)
-    yield ("homotopy_degree3", q3, [(2, s.d3, None), (3, s.generators[3], tgt.d4)],
+    yield ("homotopy_degree2", tgt.q2, [(2, s.generators[2], lambda: tgt.d3)],
+           rhs(tgt.q2, f.f2, g.f2))
+    yield ("homotopy_degree3", q3, [(2, s.d3, None), (3, s.generators[3], lambda: tgt.d4)],
            rhs(q3, f.f3, g.f3, lambda: s.boundaries))
     yield "homotopy_degree4", tgt.q4, [(3, s.d4, None)], rhs(tgt.q4, f.f4, g.f4)
     if under is not None:

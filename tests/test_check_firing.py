@@ -6,9 +6,11 @@ first failure cannot silently change what a report says.
 """
 
 from xq.cli import run
+from xq import structfile as sf
 from xq.crossed import (CrossedComplex3, GroupAction, PreCrossedModule,
                         XC3Homotopy, XC3Morphism, check_precrossed,
-                        verify_xc3_homotopy, xc3_check, xc3_morphism_check)
+                        verify_xc3_homotopy, xc3_check, xc3_homotopy_decision,
+                        xc3_morphism_check)
 from xq.groups import (FgAbelianGroup, FreeAbelianGroup, FreeGroup,
                        FreeNil2Group, GroupHom)
 from xq.structfile import serialize_structure
@@ -367,3 +369,22 @@ def test_verify_xc3_alpha_equivariant_fires_on_an_undefined_action():
     rep = verify_xc3_homotopy(f, f, XC3Homotopy((m3.identity(),)))
     assert failed(rep) == {
         "alpha_equivariant": "action of -a is not available: endomorphism is not invertible"}
+
+
+def test_an_equivariance_check_without_equations_reads_no_action(tmp_path, capsys):
+    # as above, but M2 = Z^0: alpha_equivariant has no equation, so the
+    # undefined action of f1(a) = -a on M3 is never read, and the empty
+    # witness is a homotopy from f to itself
+    side = {"kind": "xc3", "body": {
+        "m1": {"kind": "free", "rank": 1, "names": ["a"]},
+        "m2": {"kind": "free_abelian", "rank": 0},
+        "m3": {"kind": "free_abelian", "rank": 1, "names": ["t"]},
+        "d2": {"images": []}, "d3": {"images": [[]]},
+        "action2": {"kind": "trivial"}, "action3": {"table": [[[2]]]}}}
+    maps = {"f1": {"images": [[[0, -1]]]}, "f2": {"images": []}, "f3": {"images": [[1]]}}
+    code, out = check_file(tmp_path, capsys, "homotopy", {
+        "source": side, "target": side, "f": maps, "g": maps, "witness": {"alpha": []}})
+    assert (code, out.splitlines()[-2:]) == (0, ["PASS alpha_equivariant", "OK"])
+    f = sf.load_structure((tmp_path / "homotopy.json").read_text()).value[0]
+    witness, rep = xc3_homotopy_decision(f, f)
+    assert witness.alpha == () and rep.ok
