@@ -671,7 +671,8 @@ def rq_homotopy_system(f: QCMorphism, g: QCMorphism, form: Alpha2 | None = None)
         yield "alpha3_vanishes_on_under", tgt.q4, [(3, s.under[3], None)], None
 
 
-def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy) -> Report:
+def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy,
+                       alpha2: Alpha2 | None = None, system=None) -> Report:
     """Re-check a homotopy witness equation by equation on generators, as
     `qcm_check` decides a morphism's equations: in a group abelian as
     presented the equations of `rq_homotopy_system`, as
@@ -679,11 +680,13 @@ def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy) -> Report:
     in any other group alpha3 itself, for `check_hom`, or lazy triples of
     elements, with alpha2 by `Alpha2`.  The source's tables are built once
     for every witness from it; per call the values are canonicalized into
-    alpha2 and alpha3, `Alpha2` is built, and each check costs as in
-    `qcm_check`."""
+    alpha2 and alpha3, and each check costs as in `qcm_check`.  alpha2 is
+    `Alpha2(f, g)` and system the list of `rq_homotopy_system(f, g,
+    alpha2)`, each built here when the caller does not hold it already, as
+    the decider does for its re-verification."""
     src, tgt = f.source, f.target
     q2, q3, q4 = tgt.q2, tgt.q3, tgt.q4
-    alpha2, values = Alpha2(f, g), GroupHom(src.q2, q3, h.alpha2)
+    alpha2, values = alpha2 or Alpha2(f, g), GroupHom(src.q2, q3, h.alpha2)
     alpha3, under = GroupHom(src.q3, q4, h.alpha3), src.under
     checks = {
         "homotopy_degree2": (
@@ -706,7 +709,7 @@ def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy) -> Report:
             lambda j: (alpha3(under.q3.at_generator(j)), q4.identity())),
     }
     return decide(Report("quadratic homotopy certificate", basis="proved"), system_checks(
-        rq_homotopy_system(f, g, alpha2), {2: values, 3: alpha3}, checks, alpha3))
+        system or rq_homotopy_system(f, g, alpha2), {2: values, 3: alpha3}, checks, alpha3))
 
 
 def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = None
@@ -716,7 +719,8 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = 
 
     The system is `rq_homotopy_system`'s, the equations the verifier
     checks, each handed to `LinearHomotopy.add_rows` as it stands, with
-    degree 2 given by `LinearHomotopy.degree2`.  alpha2 enters them through
+    degree 2 given by `LinearHomotopy.degree2`; the same list, with its
+    `Alpha2`, is handed to the re-verification.  alpha2 enters them through
     its affine form alpha2(x) = sum_i {x}_i alpha2(g_i) + omega'(T(x))
     (`Alpha2`), so the system is linear.  Complete whenever the target has
     abelian coordinates in degrees 3 and 4 and its d3 is central on
@@ -745,14 +749,16 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = 
     if alpha2 is None:
         return None, lin.rep
     blocks = {2: alpha2, 3: lin.unknowns(src.q3.ngens, tgt.q4, 4)}
-    for check_id, grp, terms, rhs in rq_homotopy_system(f, g):
+    form = Alpha2(f, g)
+    system = list(rq_homotopy_system(f, g, form))
+    for check_id, grp, terms, rhs in system:
         if check_id != "homotopy_degree2":
             lin.add_rows(grp, terms, rhs, blocks, shift if check_id == "homotopy_degree3" else None)
     solved = lin.solve()
     if solved is None or shift is not None:
         return solved, lin.rep
     witness = QCHomotopy(*solved)
-    lin.accept(verify_rq_homotopy(f, g, witness), witness.to_json(tgt))
+    lin.accept(verify_rq_homotopy(f, g, witness, form, system), witness.to_json(tgt))
     return witness, lin.rep
 
 
