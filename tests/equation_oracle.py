@@ -1,5 +1,6 @@
-"""The element-by-element scans that `qcm_check` and `verify_rq_homotopy`
-made before they read coordinate tables, kept as oracles.
+"""The element-by-element scans that `qcm_check`, `verify_rq_homotopy` and
+`verify_xc3_homotopy` made before they read coordinate tables, kept as
+oracles.
 
 Every map is evaluated as an element (`GroupHom.__call__`), each equation's
 two sides are compared by `Group.eq`, and the homomorphism checks go
@@ -83,4 +84,32 @@ def scan_verify_rq_homotopy(f, g, h):
                           (f"alpha3 does not vanish on {base.q3.format_element(z)}"
                            for z in base.q3.generators()
                            if not q4.is_identity(alpha3(under.q3(z)))))
+    return rep
+
+
+def scan_verify_xc3_homotopy(f, g, h):
+    rep = Report("crossed complex homotopy certificate")
+    src, tgt = f.source, f.target
+    rep.add("f1_equals_g1", all(tgt.m1.eq(a, b) for a, b in
+                                zip(f.f1.images, g.f1.images)))
+    alpha = GroupHom(src.m2, tgt.m3, h.alpha)
+    rep.add_hom("alpha_additive", alpha)
+    rep.first_failure("degree2_equation",
+                      (f"-f2 + g2 != d3' alpha at generator {src.m2.names[i]}"
+                       for i, x in enumerate(src.m2.generators())
+                       if not tgt.m2.eq(tgt.m2.op(tgt.m2.inv(f.f2(x)), g.f2(x)),
+                                        tgt.d3(alpha(x)))))
+    rep.first_failure("degree3_equation",
+                      (f"-f3 + g3 != alpha d3 at generator {src.m3.names[i]}"
+                       for i, t in enumerate(src.m3.generators())
+                       if not tgt.m3.eq(tgt.m3.op(tgt.m3.inv(f.f3(t)), g.f3(t)),
+                                        alpha(src.d3(t)))))
+    rep.first_failure("alpha_vanishes_on_under",
+                      (f"alpha does not vanish on {src.m2.format_element(z)}"
+                       for z in src.under2 if not tgt.m3.is_identity(alpha(z))))
+    rep.first_failure("alpha_equivariant",
+                      ("alpha not f1-equivariant"
+                       for x in src.m2.generators() for a in src.m1.generators()
+                       if not tgt.m3.eq(alpha(src.action2.apply(x, a)),
+                                        tgt.action3.apply(alpha(x), f.f1(a)))))
     return rep

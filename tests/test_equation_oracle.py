@@ -1,17 +1,22 @@
-"""`qcm_check` and `verify_rq_homotopy`, which decide equations in abelian
-groups from coordinate tables, against the element-by-element scans of
-`equation_oracle.py`: the same checks, verdicts and first-failure
-witnesses, on passing and perturbed morphisms and witnesses."""
+"""`qcm_check`, `verify_rq_homotopy` and `verify_xc3_homotopy`, which
+decide equations in abelian groups from coordinate tables, against the
+element-by-element scans of `equation_oracle.py`: the same checks,
+verdicts and first-failure witnesses, on passing and perturbed morphisms
+and witnesses."""
 
 import random
 
 import pytest
 
-from equation_oracle import scan_qcm_check, scan_verify_rq_homotopy
+import output_manifest
+from equation_oracle import scan_qcm_check, scan_verify_rq_homotopy, scan_verify_xc3_homotopy
+from test_check_firing import rank1_xc3, xc3_map
 from test_enumeration import doubling_target
+from test_homotopy_system import bound, torsion_complex
 from test_shared_values import identity_morphism, twisted_identity
-from xq.crossed import CoordinateEquations
-from xq.groups import CyclicGroup, FreeAbelianGroup, FreeNil2Group, GroupHom
+from xq.crossed import (CoordinateEquations, XC3Homotopy, XC3Morphism, verify_xc3_homotopy,
+                        xc3_check, xc3_homotopy_decision)
+from xq.groups import CyclicGroup, FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, GroupHom
 from xq.quadratic import (QCHomotopy, QCMorphism, ReducedQuadraticComplex4,
                           ReducedQuadraticModule, qcm_check, qcm_equations,
                           rq_homotopy_decision, verify_rq_homotopy)
@@ -254,3 +259,89 @@ def test_a_non_abelian_target_degree_is_compared_as_elements(cylinder_q):
     assert [check_id for check_id, _, _, eqs in checks if eqs == ()] == ["f2_is_homomorphism"]
     assert [check_id for check_id, h, _, _ in checks if h is not None] == [
         "f2_is_homomorphism", "f3_is_homomorphism", "f4_is_homomorphism"]
+
+
+# -- crossed 3-complexes ---------------------------------------------------------
+
+def xc3_cases():
+    """(complex, morphisms) of crossed 3-complexes whose `xc3_check` passes:
+    Z --x2--> Z --0--> Z with trivial actions, with x under the
+    cofibration, and with a acting by -1 in degrees 2 and 3; the output
+    manifest's swap and conj complexes; M3 = Z^2/<(1, 1)> with d2 = d3 = 0;
+    and M2 = Z^2/<(1, 1)> with d3(t) = x.  The morphisms include homotopic
+    and non-homotopic pairs, and maps that kill no relation."""
+    scales = [(1, 1, 1), (1, 3, 3), (1, -1, -1), (1, 2, 2), (3, 5, 5)]
+    out = []
+    for x in (rank1_xc3(), rank1_xc3(under2=(FreeNil2Group(1).gen(0),)),
+              rank1_xc3(negate2=True, negate3=True)):
+        out.append((x, [xc3_map(x, *m) for m in scales]))
+    for _, side, maps, pairs in output_manifest.crossed_cases():
+        raw = {"version": "1", "kind": "pair", "body": {"source": side, "target": side}}
+        morphisms = {m: None for f, g, _ in pairs for m in (f, g)}
+        built = bound(raw, *(maps(*m) for m in morphisms))
+        out.append((built[0].source, built))
+    m2, m3 = FreeNil2Group(1, names=("x",)), FgAbelianGroup(2, [[1, 1]], names=("s", "t"))
+    x = torsion_complex(m2, m3, [m2.identity()] * 2)
+    f = XC3Morphism(x, x, GroupHom.identity(x.m1), GroupHom.identity(m2), GroupHom.identity(m3))
+    out.append((x, [f] + [XC3Morphism(x, x, f.f1, f.f2, GroupHom(m3, m3, images))
+                          for images in ([(5, 0), (0, 1)], [(2, 0), (1, 0)])]))
+    m2, m3 = FgAbelianGroup(2, [[1, 1]], names=("x", "y")), FreeAbelianGroup(1, names=("t",))
+    x = torsion_complex(m2, m3, [(1, 0)])
+    f = XC3Morphism(x, x, GroupHom.identity(x.m1), GroupHom.identity(m2), GroupHom.identity(m3))
+    out.append((x, [f, XC3Morphism(x, x, f.f1, GroupHom(m2, m2, [(5, 0), (0, 1)]), f.f3)]))
+    return out
+
+
+def random_xc3_morphism(x, f1, rng):
+    """A morphism from x to itself with degree-1 map f1 and random images in
+    degrees 2 and 3, not always a morphism of complexes."""
+    def element(grp):
+        return grp.fold((gen, rng.randint(-3, 3)) for gen in grp.generators())
+    return XC3Morphism(x, x, f1, GroupHom(x.m2, x.m2, [element(x.m2) for _ in x.m2.generators()]),
+                       GroupHom(x.m3, x.m3, [element(x.m3) for _ in x.m3.generators()]))
+
+
+def xc3_witnesses(f, g, rng):
+    """The decider's witness for (f, g) when there is one, that witness with
+    one value moved, once per generator and then at random ones, and random
+    witnesses."""
+    m2, m3 = f.source.m2, f.target.m3
+    try:
+        found = xc3_homotopy_decision(f, g)[0]
+    except ValueError:
+        found = None
+    if found is not None:
+        yield found
+        for i in list(range(m2.ngens)) + [rng.randrange(m2.ngens) for _ in range(3)]:
+            by = m3.pow(m3.gen(rng.randrange(m3.ngens)), rng.choice((-1, 1, 2)))
+            yield XC3Homotopy(found.alpha[:i] + (m3.op(found.alpha[i], by),) + found.alpha[i + 1:])
+    for _ in range(3):
+        yield XC3Homotopy(tuple(m3.random_element(rng) for _ in range(m2.ngens)))
+
+
+def test_crossed_witnesses_match_the_scan():
+    """The crossed verifier reads the equations of `xc3_homotopy_system`;
+    the scan evaluates every map at every generator and at every action of
+    one, as elements.  They agree on every listed and random pair, for the
+    decider's witnesses, mutated ones and random ones.  Complexes whose
+    action is not by automorphisms are left out: there reading the action
+    of f1(a) as the matrix of an automorphism and scanning it letter by
+    letter may differ."""
+    rng, fired, passed = random.Random(3801), set(), 0
+    for x, morphisms in xc3_cases():
+        assert xc3_check(x).ok
+        pairs = [(f, g) for f in morphisms for g in morphisms]
+        for _ in range(4):
+            f = random_xc3_morphism(x, rng.choice(morphisms).f1, rng)
+            g = random_xc3_morphism(x, f.f1 if rng.random() < 0.8 else
+                                    rng.choice(morphisms).f1, rng)
+            pairs += [(f, g), (f, f)]
+        for f, g in pairs:
+            for h in xc3_witnesses(f, g, rng):
+                got = checks(verify_xc3_homotopy(f, g, h))
+                assert got == checks(scan_verify_xc3_homotopy(f, g, h)), (f, g, h.alpha)
+                fired.update(failed(got))
+                passed += not failed(got)
+    assert passed > 0
+    assert fired == {"f1_equals_g1", "alpha_additive", "degree2_equation", "degree3_equation",
+                     "alpha_vanishes_on_under", "alpha_equivariant"}
