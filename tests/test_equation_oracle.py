@@ -306,10 +306,7 @@ def xc3_witnesses(f, g, rng):
     one value moved, once per generator and then at random ones, and random
     witnesses."""
     m2, m3 = f.source.m2, f.target.m3
-    try:
-        found = xc3_homotopy_decision(f, g)[0]
-    except ValueError:
-        found = None
+    found = xc3_homotopy_decision(f, g)[0]
     if found is not None:
         yield found
         for i in list(range(m2.ngens)) + [rng.randrange(m2.ngens) for _ in range(3)]:
