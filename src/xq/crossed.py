@@ -300,34 +300,66 @@ class XC3Morphism:
         self.source, self.target, self.f1, self.f2, self.f3 = source, target, f1, f2, f3
 
 
-def xc3_morphism_check(m: XC3Morphism) -> Report:
-    rep = Report("crossed complex morphism")
-    for name, h in (("f1", m.f1), ("f2", m.f2), ("f3", m.f3)):
-        rep.add_hom(f"{name}_is_homomorphism", h)
-    src, tgt = m.source, m.target
-    rep.first_failure("square_d2", (f"f1 d2 != d2' f2 at {src.m2.format_element(x)}"
-                                    for x in src.m2.generators()
-                                    if not tgt.m1.eq(m.f1(src.d2(x)), tgt.d2(m.f2(x)))))
-    rep.first_failure("square_d3", (f"f2 d3 != d3' f3 at {src.m3.format_element(t)}"
-                                    for t in src.m3.generators()
-                                    if not tgt.m2.eq(m.f2(src.d3(t)), tgt.d3(m.f3(t)))))
-    rep.first_failure("f2_equivariant",
-                      ("f2 not equivariant"
-                       for x in src.m2.generators() for a in src.m1.generators()
-                       if not tgt.m2.eq(m.f2(src.action2.apply(x, a)),
-                                        tgt.action2.apply(m.f2(x), m.f1(a)))))
-    rep.first_failure("f3_equivariant",
-                      ("f3 not equivariant"
-                       for t in src.m3.generators() for a in src.m1.generators()
-                       if not tgt.m3.eq(m.f3(src.action3.apply(t, a)),
-                                        tgt.action3.apply(m.f3(t), m.f1(a)))))
-    for deg, fk, s, zs, t, ws in ((2, m.f2, src.m2, src.under2, tgt.m2, tgt.under2),
-                                  (3, m.f3, src.m3, src.under3, tgt.m3, tgt.under3)):
+def xc3_morphism_equations(m: XC3Morphism):
+    """The conditions on a morphism of 3-complexes, in report order, as
+    (check id, map, group, equations), in the shape of
+    `quadratic.qcm_equations`: that f1, f2 and f3 are homomorphisms
+    (`hom_checks`), the squares of d2 and d3 at the source's generators,
+    f2- and f3-equivariance at the pairs of generators (`_equivariance`),
+    and, when both sides list as many, the under-values.
+
+    In a group abelian as presented a check is one `CoordinateEquations`:
+    the maps' image matrices times coordinates, the source's boundaries at
+    generators and the maps' values there read by
+    `GroupHom.coords_at_generators`, so no element is evaluated.  In any
+    other group, and where the action of some f1(a) is undefined, the
+    equations are lazy (lhs, rhs, message) triples of elements (`_check`),
+    the pairs of an equivariance check in the order of a scan, x before
+    a."""
+    src, tgt, f1, f2, f3 = m.source, m.target, m.f1, m.f2, m.f3
+    yield from hom_checks({"f1": f1, "f2": f2, "f3": f3})
+    yield _square("square_d2", tgt.m1,
+                  lambda i: f"f1 d2 != d2' f2 at {src.m2.format_element(src.m2.gen(i))}",
+                  f1, src.d2, tgt.d2, f2)
+    yield _square("square_d3", tgt.m2,
+                  lambda i: f"f2 d3 != d3' f3 at {src.m3.format_element(src.m3.gen(i))}",
+                  f2, src.d3, tgt.d3, f3)
+    for k, fk, s, t in ((2, f2, src.action2, tgt.action2), (3, f3, src.action3, tgt.action3)):
+        yield from system_checks(
+            [(f"f{k}_equivariant", t.acted, _equivariance(k, s, t, f1), None)], {k: fk},
+            {f"f{k}_equivariant": (
+                lambda _, k=k: f"f{k} not equivariant",
+                lambda j, fk=fk, s=s, t=t: _acted_pair(fk, f1, s, t, *divmod(j, s.acting.ngens)))})
+    for k, fk, s, t, zs, ws in ((2, f2, src.m2, tgt.m2, src.under2, tgt.under2),
+                                (3, f3, src.m3, tgt.m3, src.under3, tgt.under3)):
         if zs and len(zs) == len(ws):
-            rep.first_failure(f"under_degree{deg}",
-                              (f"f{deg} moves under generator {s.format_element(z)}"
-                               for z, w in zip(zs, ws) if not t.eq(fk(z), w)))
-    return rep
+            yield _check(
+                f"under_degree{k}", t, len(zs),
+                lambda j, k=k, s=s, zs=zs: f"f{k} moves under generator {s.format_element(zs[j])}",
+                lambda: (fk.image_products([coords_of(s, z) for z in zs]),
+                         _as_rows([coords_of(t, w) for w in ws], t.ngens)),
+                lambda j, fk=fk, zs=zs, ws=ws: (fk(zs[j]), ws[j]))
+
+
+def xc3_morphism_check(m: XC3Morphism) -> Report:
+    """The conditions of `xc3_morphism_equations`, decided in order
+    (`decide`).
+
+    Generators decide them once the maps are homomorphisms, d2, d3, d2' and
+    d3' are, and M1 and M1' act by automorphisms.  f1 d2 and d2' f2 are
+    then homomorphisms M2 -> M1', which agree everywhere once they agree on
+    the generators; so do f2 d3 and d3' f3.  For fixed a, x |-> f2(x^a)
+    and x |-> f2(x)^(f1 a) are homomorphisms, so generators x decide them,
+    and the a for which they agree for all x form a subgroup, as for
+    equivariance in `check_precrossed`: f2(x^(a+b)) = f2(x^a)^(f1 b) =
+    f2(x)^(f1 (a+b)), and x^a = y gives f2(y^(-a)) = f2(y)^(f1 (-a)).  So
+    generators a decide them too, and the same holds for f3.  The
+    under-values are finitely many and all compared.  The checks of the
+    maps are proved; the others rest on the complexes' own checks
+    (`xc3_check`), which this one does not run, so they carry no basis.
+    In coordinates the action of f1(a) is the matrix of its values at
+    generators, which is the action when it is one by homomorphisms."""
+    return decide(Report("crossed complex morphism"), xc3_morphism_equations(m))
 
 
 class XC3Homotopy:
@@ -367,11 +399,17 @@ class CoordinateEquations:
 def _check(check_id: str, grp: Group, count: int, message, coords, elements, h=None) -> tuple:
     """A check of `count` equations in grp: `CoordinateEquations` of the
     matrices coords() when grp is abelian as presented, else lazy triples
-    of the elements elements(i).  The check that h is a homomorphism names
-    h, and is h alone, for `GroupHom.check_hom`, where it has no
-    elements."""
+    of the elements elements(i), and so too where coords() needs a value
+    that the structure leaves undefined (`Undefined`, such as the action of
+    -a when the endomorphism of a has no inverse): the triples meet it at
+    the first equation that reads it, as a scan of the elements does.  The
+    check that h is a homomorphism names h, and is h alone, for
+    `GroupHom.check_hom`, where it has no elements."""
     if grp.is_abelian:
-        return check_id, h, grp, CoordinateEquations(grp, *coords(), message)
+        try:
+            return check_id, h, grp, CoordinateEquations(grp, *coords(), message)
+        except Undefined:  # left to the triples below
+            pass
     return check_id, h, grp, () if elements is None else (
         (*elements(i), message(i)) for i in range(count))
 
@@ -407,6 +445,50 @@ def _difference_at(grp: Group, f: GroupHom, g: GroupHom, i: int):
     return grp.op(grp.inv(f.at_generator(i)), g.at_generator(i))
 
 
+def _square(check_id: str, grp: Group, message, fa: GroupHom, d: GroupHom, dt: GroupHom,
+            fb: GroupHom) -> tuple:
+    """The check that fa d = dt fb at the generators of d's source, in grp,
+    for `decide`: fa's image matrix times d's values at generators against
+    dt's times fb's (`_image`), or the two sides as elements."""
+    return _check(check_id, grp, d.source.ngens, message,
+                  lambda: (fa.image_products(d.coords_at_generators()),
+                           _image(dt, fb.coords_at_generators)),
+                  lambda i: (fa(d.at_generator(i)), dt(fb.at_generator(i))))
+
+
+def _equivariance(key, source: GroupAction, target: GroupAction, f1: GroupHom) -> list:
+    """The terms (`_evaluate`) of the equations h(x^a) - h(x)^(f1 a) = 0,
+    equation a * n + x for the n generators x of the group `source` acts
+    on and the generators a of the acting group, h the map of `key` into
+    the group `target` acts on.  The first term is h at x^a, and the term
+    of a is h at -x with the action of f1(a) as its left map: None, the
+    identity, for a trivial action, else a function that builds the map
+    with the action's values at generators, whose image matrix is the
+    action in coordinates when it is one by homomorphisms, and that may
+    raise `Undefined`.  When both actions are trivial every equation reads
+    h(x) - h(x) = 0, and none is listed."""
+    acted, acting, grp = source.acted, source.acting, target.acted
+    if source.kind == target.kind == "trivial":  # h(x) = h(x): no equation
+        return [(key, [], None)]
+    gens = [coords_of(acted, x) for x in acted.generators()]
+    moved = [coords_of(acted, source.apply(x, a)) for a in acting.generators()
+             for x in acted.generators()]
+    return [(key, moved, None)] + [
+        (key, [[-c for c in v] if b == a else [0] * acted.ngens
+               for b in range(acting.ngens) for v in gens],
+         None if target.kind == "trivial" else lambda a=a: GroupHom.of_canonical(grp, grp, [
+             target.apply(t, f1.at_generator(a)) for t in grp.generators()]))
+        for a in range(acting.ngens)]
+
+
+def _acted_pair(h: GroupHom, f1: GroupHom, source: GroupAction, target: GroupAction,
+                x: int, a: int) -> tuple:
+    """h(x^a) and h(x)^(f1 a), as elements, at the generators x of the
+    group that source acts on and a of the acting one."""
+    return (h(source.apply(source.acted.gen(x), source.acting.gen(a))),
+            target.apply(h.at_generator(x), f1.at_generator(a)))
+
+
 def _evaluate(terms, maps: dict, dim: int) -> list:
     """The sum over terms (k, weights, left) of left()(maps[k](x_j)) in a
     group of rank dim, by rows: image products, with no element evaluated,
@@ -420,20 +502,30 @@ def _evaluate(terms, maps: dict, dim: int) -> list:
     return out if out is not None else [[0] * len(terms[0][1])] * dim
 
 
-def system_checks(system, maps: dict, checks: dict, hom: GroupHom):
+def system_checks(system, maps: dict, checks: dict):
     """The checks of maps from the equations (check id, group, terms, rhs)
     of a `system`, in order, for `decide`: `_check` of their sides at
     `maps`, the map of each term's key, with checks[check id] = (message,
-    elements).  A check not in `checks` says that `hom` is a homomorphism:
-    its points are the relation rows of hom's source, and that hom kills
-    them is all that `GroupHom.check_hom` tests into an abelian target."""
+    elements).  A check not in `checks` says that the map of its one term
+    is a homomorphism: its points are the relation rows of the map's
+    source, and that the map kills them is all that `GroupHom.check_hom`
+    tests into an abelian target."""
     for check_id, grp, terms, rhs in system:
         rows = terms[0][1]
         message, elements = checks.get(check_id) or (
             lambda j, rows=rows: f"relation {list(rows[j])} maps to a non-identity element", None)
         yield _check(check_id, grp, len(rows), message,
                      lambda: (_evaluate(terms, maps, grp.ngens), rhs), elements,
-                     None if elements else hom)
+                     None if elements else maps[terms[0][0]])
+
+
+def hom_checks(maps: dict):
+    """The checks that each map of `maps`, by name, is a homomorphism, in
+    order, for `decide`, read by `system_checks`: into a target abelian as
+    presented its equations are the relation rows of the map's source."""
+    return system_checks([(f"{name}_is_homomorphism", h.target,
+                           [(name, h.source.ab_relation_rows(), None)], None)
+                          for name, h in maps.items()], maps, {})
 
 
 def decide(rep: Report, checks) -> Report:
@@ -470,13 +562,14 @@ def xc3_homotopy_system(f: XC3Morphism, g: XC3Morphism):
     factors through M2's abelianization, so every equation is linear in
     the coordinates of alpha's values on the generators: f1-equivariance
     alpha(x^a) = alpha(x)^(f1 a) has as left map the action of f1 a on M3'
-    (for each generator a of M1; None, the identity, for a trivial
-    action), where building it may raise `Undefined`.
+    (`_equivariance`, which a morphism's equivariance shares; for each
+    generator a of M1), where building it may raise `Undefined`, and it has
+    no equation when M1 acts trivially on M2 and on M3'.
     `verify_xc3_homotopy` evaluates these equations at a witness, and
     `xc3_homotopy_decision` solves them, with degree 2 replaced by
     `LinearHomotopy.degree2`."""
     src, tgt = f.source, f.target
-    m1, m2, m3 = src.m1, src.m2, tgt.m3
+    m2, m3 = src.m2, tgt.m3
     gens = [coords_of(m2, x) for x in m2.generators()]
     yield "alpha_additive", m3, [(2, m2.ab_relation_rows(), None)], None
     yield ("degree2_equation", tgt.m2, [(2, gens, lambda: tgt.d3)],
@@ -485,14 +578,7 @@ def xc3_homotopy_system(f: XC3Morphism, g: XC3Morphism):
            _differences(m3, f.f3, g.f3))
     yield ("alpha_vanishes_on_under", m3, [(2, [coords_of(m2, z) for z in src.under2], None)],
            None)
-    # equation a * m2.ngens + x: alpha(x^a) - alpha(x)^(f1 a) = 0
-    moved = [coords_of(m2, src.action2.apply(x, a)) for a in m1.generators()
-             for x in m2.generators()]
-    yield "alpha_equivariant", m3, [(2, moved, None)] + [
-        (2, [[-c for c in v] if b == a else [0] * m2.ngens for b in range(m1.ngens) for v in gens],
-         None if tgt.action3.kind == "trivial" else lambda a=a: GroupHom.of_canonical(m3, m3, [
-             tgt.action3.apply(t, f.f1.at_generator(a)) for t in m3.generators()]))
-        for a in range(m1.ngens)], None
+    yield "alpha_equivariant", m3, _equivariance(2, src.action2, tgt.action3, f.f1), None
 
 
 def verify_xc3_homotopy(f: XC3Morphism, g: XC3Morphism, h: XC3Homotopy, system=None) -> Report:
@@ -501,7 +587,8 @@ def verify_xc3_homotopy(f: XC3Morphism, g: XC3Morphism, h: XC3Homotopy, system=N
     `decide` decides them (`system_checks`).  `system` is the list of those
     equations when the caller holds it already, as the decider does for its
     re-verification.  An action of f1 a that the structure leaves undefined
-    fails the last check, f1-equivariance, with the `Undefined` message."""
+    fails the last check, f1-equivariance, at the first equation that reads
+    it, with the `Undefined` message (`_check`)."""
     rep = Report("crossed complex homotopy certificate")
     src, tgt = f.source, f.target
     rep.add("f1_equals_g1", all(map(tgt.m1.eq, f.f1.images, g.f1.images)))
@@ -518,14 +605,9 @@ def verify_xc3_homotopy(f: XC3Morphism, g: XC3Morphism, h: XC3Homotopy, system=N
             lambda j: (alpha(src.under2[j]), m3.identity())),
         "alpha_equivariant": (
             lambda _: "alpha not f1-equivariant",
-            lambda j: (alpha(src.action2.apply(src.m2.gen(j % n), src.m1.gen(j // n))),
-                       tgt.action3.apply(alpha.at_generator(j % n), f.f1.at_generator(j // n)))),
+            lambda j: _acted_pair(alpha, f.f1, src.action2, tgt.action3, j % n, j // n)),
     }
-    try:
-        decide(rep, system_checks(system or xc3_homotopy_system(f, g), {2: alpha}, checks, alpha))
-    except Undefined as exc:
-        rep.add("alpha_equivariant", False, str(exc))
-    return rep
+    return decide(rep, system_checks(system or xc3_homotopy_system(f, g), {2: alpha}, checks))
 
 
 class CoordinateBlock(NamedTuple):

@@ -26,8 +26,9 @@ from operator import mul
 from typing import Sequence
 
 from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule, ShiftedSolutions,
-                      _as_rows, _check, _difference_at, _differences, _image, _plus,
-                      check_precrossed, decide, peiffer_commutator, system_checks)
+                      _as_rows, _check, _difference_at, _differences, _plus, _square,
+                      check_precrossed, decide, hom_checks, peiffer_commutator,
+                      system_checks)
 from .groups import FgAbelianGroup, Group, GroupHom, coords_of, generator_pairs
 from .intlinalg import vec_neg, vec_sub
 from .report import Report, Undefined, sampled_report
@@ -35,11 +36,13 @@ from .tensor import TensorElement
 
 
 class ReducedQuadraticModule:
-    """omega: C (x) C -> Q3 over d3: Q3 -> Q2 with Q2 nil(2), C = Q2^ab."""
+    """omega: C (x) C -> Q3 over d3: Q3 -> Q2 with Q2 nil(2), C = Q2^ab.
+    `canonical` says that the omega values are canonical in Q3 already
+    (`_omega_table`)."""
 
-    def __init__(self, q2: Group, q3: Group, omega: tuple, d3: GroupHom):
+    def __init__(self, q2: Group, q3: Group, omega: tuple, d3: GroupHom, canonical: bool = False):
         self.q2, self.q3, self.d3 = q2, q3, d3
-        self.omega = _omega_table(omega, q3, q2.ngens)
+        self.omega = _omega_table(omega, q3, q2.ngens, canonical)
         if self.d3.source != self.q3 or self.d3.target != self.q2:
             raise ValueError("d3 must map q3 to q2")
 
@@ -68,15 +71,18 @@ class ReducedQuadraticModule:
         return self.q2.ab(x)
 
 
-def _omega_table(omega, q3: Group, n: int) -> tuple:
+def _omega_table(omega, q3: Group, n: int, canonical: bool = False) -> tuple:
     """omega's values on the n x n basis of C (x) C, which must be canonical
     in q3 already, such as values of `element_from_json` or of q3's
     operations: a value that `q3.canon` rejects or changes raises, and none
-    is replaced by its canonical form."""
+    is replaced by its canonical form.  A caller whose values are canonical
+    by construction says so with `canonical`, and they are not reduced
+    again: the structure file reader, whose `Group.elements_from_json` has
+    reduced each one."""
     omega = tuple(map(tuple, omega))
     if len(omega) != n or any(len(r) != n for r in omega):
         raise ValueError("omega must be given on the n x n basis of C (x) C")
-    if any(q3.canon(e) != e for r in omega for e in r):
+    if not canonical and any(q3.canon(e) != e for r in omega for e in r):
         raise ValueError("omega values must be canonical in Q3")
     return omega
 
@@ -373,27 +379,20 @@ def qcm_equations(m: QCMorphism):
     times a morphism's values at generators, which are its
     `GroupHom.coords_at_generators`, so per morphism an equation costs a
     few integer products and no element is evaluated.  A
-    `*_is_homomorphism` check is read by `system_checks`, as a homotopy's
-    is: there it has the relation rows as equations, which is all
-    `GroupHom.check_hom` tests into such a target.  In any other group the
-    equations are lazy (lhs, rhs, message) triples of elements, and a
-    `*_is_homomorphism` check gives the map, for `check_hom`.
+    `*_is_homomorphism` check is read by `hom_checks` through
+    `system_checks`, as a homotopy's is: there it has the relation rows as
+    equations, which is all `GroupHom.check_hom` tests into such a target.
+    In any other group the equations are lazy (lhs, rhs, message) triples
+    of elements, and a `*_is_homomorphism` check gives the map, for
+    `check_hom`.
     """
     src, tgt = m.source, m.target
-    for name, h in (("f2", m.f2), ("f3", m.f3), ("f4", m.f4)):
-        yield from system_checks([(f"{name}_is_homomorphism", h.target,
-                                   [(0, h.source.ab_relation_rows(), None)], None)], {0: h}, {}, h)
+    yield from hom_checks({"f2": m.f2, "f3": m.f3, "f4": m.f4})
     s, t, n = src.coords, tgt.coords, src.q2.ngens
-    yield _check(
-        "square_d3", tgt.q2, src.q3.ngens,
-        lambda i: f"f2 d3 != d3' f3 at generator {src.q3.names[i]}",
-        lambda: (m.f2.image_products(s.d3), _image(tgt.d3, m.f3.coords_at_generators)),
-        lambda i: (m.f2(src.d3.at_generator(i)), tgt.d3(m.f3.at_generator(i))))
-    yield _check(
-        "square_d4", tgt.q3, src.q4.ngens,
-        lambda i: f"f3 d4 != d4' f4 at generator {src.q4.names[i]}",
-        lambda: (m.f3.image_products(s.d4), _image(tgt.d4, m.f4.coords_at_generators)),
-        lambda i: (m.f3(src.d4.at_generator(i)), tgt.d4(m.f4.at_generator(i))))
+    yield _square("square_d3", tgt.q2, lambda i: f"f2 d3 != d3' f3 at generator {src.q3.names[i]}",
+                  m.f2, src.d3, tgt.d3, m.f3)
+    yield _square("square_d4", tgt.q3, lambda i: f"f3 d4 != d4' f4 at generator {src.q4.names[i]}",
+                  m.f3, src.d4, tgt.d4, m.f4)
     yield _check(
         "square_omega", tgt.q3, n * n,
         lambda k: f"f3 omega != omega' (f2^ab (x) f2^ab) at basis ({k // n},{k % n})",
@@ -709,7 +708,7 @@ def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy,
             lambda j: (alpha3(under.q3.at_generator(j)), q4.identity())),
     }
     return decide(Report("quadratic homotopy certificate", basis="proved"), system_checks(
-        system or rq_homotopy_system(f, g, alpha2), {2: values, 3: alpha3}, checks, alpha3))
+        system or rq_homotopy_system(f, g, alpha2), {2: values, 3: alpha3}, checks))
 
 
 def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = None

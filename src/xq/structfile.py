@@ -305,7 +305,7 @@ def _build_rqm(body, path) -> ReducedQuadraticModule:
     d3 = _build_hom(*_get(body, "d3", path), source=q3, target=q2)
     omega = _build_omega(*_get(body, "omega", path), q2=q2, q3=q3)
     try:
-        return ReducedQuadraticModule(q2, q3, omega, d3)
+        return ReducedQuadraticModule(q2, q3, omega, d3, canonical=True)
     except ValueError as e:
         raise _err(str(e), path) from None
 

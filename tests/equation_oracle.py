@@ -1,6 +1,6 @@
-"""The element-by-element scans that `qcm_check`, `verify_rq_homotopy` and
-`verify_xc3_homotopy` made before they read coordinate tables, kept as
-oracles.
+"""The element-by-element scans that `qcm_check`, `verify_rq_homotopy`,
+`verify_xc3_homotopy` and `xc3_morphism_check` made before they read
+coordinate tables, kept as oracles.
 
 Every map is evaluated as an element (`GroupHom.__call__`), each equation's
 two sides are compared by `Group.eq`, and the homomorphism checks go
@@ -112,4 +112,34 @@ def scan_verify_xc3_homotopy(f, g, h):
                        for x in src.m2.generators() for a in src.m1.generators()
                        if not tgt.m3.eq(alpha(src.action2.apply(x, a)),
                                         tgt.action3.apply(alpha(x), f.f1(a)))))
+    return rep
+
+
+def scan_xc3_morphism_check(m):
+    rep = Report("crossed complex morphism")
+    for name, h in (("f1", m.f1), ("f2", m.f2), ("f3", m.f3)):
+        rep.add_hom(f"{name}_is_homomorphism", h)
+    src, tgt = m.source, m.target
+    rep.first_failure("square_d2", (f"f1 d2 != d2' f2 at {src.m2.format_element(x)}"
+                                    for x in src.m2.generators()
+                                    if not tgt.m1.eq(m.f1(src.d2(x)), tgt.d2(m.f2(x)))))
+    rep.first_failure("square_d3", (f"f2 d3 != d3' f3 at {src.m3.format_element(t)}"
+                                    for t in src.m3.generators()
+                                    if not tgt.m2.eq(m.f2(src.d3(t)), tgt.d3(m.f3(t)))))
+    rep.first_failure("f2_equivariant",
+                      ("f2 not equivariant"
+                       for x in src.m2.generators() for a in src.m1.generators()
+                       if not tgt.m2.eq(m.f2(src.action2.apply(x, a)),
+                                        tgt.action2.apply(m.f2(x), m.f1(a)))))
+    rep.first_failure("f3_equivariant",
+                      ("f3 not equivariant"
+                       for t in src.m3.generators() for a in src.m1.generators()
+                       if not tgt.m3.eq(m.f3(src.action3.apply(t, a)),
+                                        tgt.action3.apply(m.f3(t), m.f1(a)))))
+    for deg, fk, s, zs, t, ws in ((2, m.f2, src.m2, src.under2, tgt.m2, tgt.under2),
+                                  (3, m.f3, src.m3, src.under3, tgt.m3, tgt.under3)):
+        if zs and len(zs) == len(ws):
+            rep.first_failure(f"under_degree{deg}",
+                              (f"f{deg} moves under generator {s.format_element(z)}"
+                               for z, w in zip(zs, ws) if not t.eq(fk(z), w)))
     return rep

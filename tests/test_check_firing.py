@@ -388,3 +388,45 @@ def test_an_equivariance_check_without_equations_reads_no_action(tmp_path, capsy
     f = sf.load_structure((tmp_path / "homotopy.json").read_text()).value[0]
     witness, rep = xc3_homotopy_decision(f, f)
     assert witness.alpha == () and rep.ok
+
+
+def undefined_action_xc3(m2_rank=1):
+    """An xc3 side: free<g0> acts on M2 = Z by t -> 2t, which has no
+    inverse (on M2 = Z^0 when m2_rank is 0); M3 = 0, d2 = d3 = 0."""
+    return {"kind": "xc3", "body": {
+        "m1": {"kind": "free", "rank": 1},
+        "m2": {"kind": "free_abelian", "rank": m2_rank},
+        "m3": {"kind": "free_abelian", "rank": 0},
+        "d2": {"images": [[]] * m2_rank}, "d3": {"images": []},
+        "action2": {"table": [[[2]]] * m2_rank}, "action3": {"kind": "trivial"}}}
+
+
+def test_a_morphism_check_fails_equivariance_on_an_undefined_action(tmp_path, capsys):
+    # f1(g0) = -g0, so f2-equivariance reads the action of -g0 on M2, which
+    # is undefined: the check fails with that message, as the scan of the
+    # elements did, and `check` exits 1
+    side = undefined_action_xc3()
+    maps = {"f1": {"images": [[[0, -1]]]}, "f2": {"images": [[1]]}, "f3": {"images": []}}
+    code, out = check_file(tmp_path, capsys, "morphism",
+                           {"source": side, "target": side, "maps": maps})
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        "FAIL f2_equivariant -- action of -g0 is not available: endomorphism is not invertible",
+        "PASS f3_equivariant", "FAILED (1 of 7 checks)"]
+    m = sf.load_structure((tmp_path / "morphism.json").read_text()).value
+    assert failed(xc3_morphism_check(m)) == {
+        "f2_equivariant": "action of -g0 is not available: endomorphism is not invertible"}
+
+
+def test_a_morphism_equivariance_check_without_equations_reads_no_action(tmp_path, capsys):
+    # as above, but the source's M2 is Z^0: f2-equivariance has no equation,
+    # so the target's undefined action of -g0 is never built
+    maps = {"f1": {"images": [[[0, -1]]]}, "f2": {"images": []}, "f3": {"images": []}}
+    code, out = check_file(tmp_path, capsys, "morphism", {
+        "source": undefined_action_xc3(m2_rank=0), "target": undefined_action_xc3(),
+        "maps": maps})
+    assert (code, out.splitlines()[-3:]) == (0, ["PASS f2_equivariant", "PASS f3_equivariant",
+                                                 "OK"])
+    m = sf.load_structure((tmp_path / "morphism.json").read_text()).value
+    assert xc3_morphism_check(m).ok
+    assert m.target.action2._endos == {}  # no endomorphism of the action was built

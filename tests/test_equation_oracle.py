@@ -1,21 +1,23 @@
-"""`qcm_check`, `verify_rq_homotopy` and `verify_xc3_homotopy`, which
-decide equations in abelian groups from coordinate tables, against the
-element-by-element scans of `equation_oracle.py`: the same checks,
-verdicts and first-failure witnesses, on passing and perturbed morphisms
-and witnesses."""
+"""`qcm_check`, `verify_rq_homotopy`, `verify_xc3_homotopy` and
+`xc3_morphism_check`, which decide equations in abelian groups from
+coordinate tables, against the element-by-element scans of
+`equation_oracle.py`: the same checks, verdicts and first-failure
+witnesses, on passing and perturbed morphisms and witnesses."""
 
 import random
 
 import pytest
 
 import output_manifest
-from equation_oracle import scan_qcm_check, scan_verify_rq_homotopy, scan_verify_xc3_homotopy
+from equation_oracle import (scan_qcm_check, scan_verify_rq_homotopy, scan_verify_xc3_homotopy,
+                             scan_xc3_morphism_check)
 from test_check_firing import rank1_xc3, xc3_map
 from test_enumeration import doubling_target
 from test_homotopy_system import bound, torsion_complex
 from test_shared_values import identity_morphism, twisted_identity
-from xq.crossed import (CoordinateEquations, XC3Homotopy, XC3Morphism, verify_xc3_homotopy,
-                        xc3_check, xc3_homotopy_decision)
+from xq.crossed import (CoordinateEquations, CrossedComplex3, GroupAction, XC3Homotopy,
+                        XC3Morphism, verify_xc3_homotopy, xc3_check, xc3_homotopy_decision,
+                        xc3_morphism_check)
 from xq.groups import CyclicGroup, FgAbelianGroup, FreeAbelianGroup, FreeNil2Group, GroupHom
 from xq.quadratic import (QCHomotopy, QCMorphism, ReducedQuadraticComplex4,
                           ReducedQuadraticModule, qcm_check, qcm_equations,
@@ -342,3 +344,75 @@ def test_crossed_witnesses_match_the_scan():
     assert passed > 0
     assert fired == {"f1_equals_g1", "alpha_additive", "degree2_equation", "degree3_equation",
                      "alpha_vanishes_on_under", "alpha_equivariant"}
+
+
+def xc3_morphism_cases():
+    """The complexes of `xc3_cases` and four more, so that every check of a
+    morphism can fail: M1 = Z^2/<(1, 1)>, which has relations for f1 to
+    break; d2(x) = a, so that square_d2 is decided in coordinates; M2 =
+    Z^2/<(1, 1)> with d2(x) = a and d2(y) = -a, so that it reads f2 at the
+    canonical generators, (0, -1) and (0, 1), and not at its images; and t
+    under the cofibration too."""
+    out = xc3_cases()
+    m1, m2 = FgAbelianGroup(2, [[1, 1]], names=("a", "b")), FreeNil2Group(1, names=("x",))
+    m3 = FreeAbelianGroup(1, names=("t",))
+    x = CrossedComplex3(m1, m2, m3, GroupHom.zero(m2, m1),
+                        GroupHom(m3, m2, [m2.pow(m2.gen(0), 2)]),
+                        GroupAction.trivial(m1, m2), GroupAction.trivial(m1, m3))
+    f = XC3Morphism(x, x, GroupHom.identity(m1), GroupHom.identity(m2), GroupHom.identity(m3))
+    out.append((x, [f, XC3Morphism(x, x, GroupHom(m1, m1, [(5, 0), (0, 1)]), f.f2, f.f3)]))
+    m1, m2 = FreeNil2Group(1, names=("a",)), FgAbelianGroup(2, [[1, 1]], names=("x", "y"))
+    x = CrossedComplex3(m1, m2, m3, GroupHom(m2, m1, [m1.gen(0), m1.inv(m1.gen(0))]),
+                        GroupHom.zero(m3, m2), GroupAction.trivial(m1, m2),
+                        GroupAction.trivial(m1, m3))
+    f = XC3Morphism(x, x, GroupHom.identity(m1), GroupHom.identity(m2), GroupHom.identity(m3))
+    out.append((x, [f, XC3Morphism(x, x, f.f1, GroupHom(m2, m2, [(5, 0), (0, 1)]), f.f3)]))
+    m2 = FreeNil2Group(1, names=("x",))
+    for x in (rank1_xc3(d2_to_a=True, d3_double=False),
+              rank1_xc3(under2=(m2.gen(0),), under3=(m3.gen(0),), negate2=True, negate3=True)):
+        out.append((x, [xc3_map(x, *m) for m in ((1, 1, 1), (3, 3, 3), (1, 3, 1), (2, 1, 1))]))
+    return out
+
+
+def perturbed_xc3(m, rng):
+    """m with one image of f1, f2 or f3 moved by a generator multiple, once
+    per degree whose target has generators."""
+    maps = [m.f1, m.f2, m.f3]
+    for k, h in enumerate(maps):
+        if h.images and h.target.ngens:
+            i = rng.randrange(len(h.images))
+            by = h.target.pow(h.target.gen(rng.randrange(h.target.ngens)),
+                              rng.choice((-2, -1, 1, 3)))
+            moved = h.with_image(i, h.target.op(h.images[i], by))
+            yield XC3Morphism(m.source, m.target, *maps[:k], moved, *maps[k + 1:])
+
+
+def test_crossed_morphisms_match_the_scan():
+    """The morphism check reads the equations of `xc3_morphism_equations`;
+    the scan evaluates every map at every generator and at every action of
+    one, as elements.  They agree on the listed morphisms, on each of them
+    with one image moved, and on random ones, whose f1 is random too, on
+    every complex of `test_crossed_witnesses_match_the_scan` and on those of
+    `xc3_morphism_cases`.  As there, complexes whose action is not by
+    automorphisms are left out."""
+    rng, fired, passed = random.Random(3901), set(), 0
+    for x, morphisms in xc3_morphism_cases():
+        assert xc3_check(x).ok
+        cases = list(morphisms)
+        for m in morphisms:
+            cases += perturbed_xc3(m, rng)
+        for _ in range(6):
+            f1 = rng.choice(morphisms).f1 if rng.random() < 0.5 else GroupHom(
+                x.m1, x.m1, [x.m1.fold((g, rng.randint(-3, 3)) for g in x.m1.generators())
+                             for _ in x.m1.generators()])
+            cases.append(random_xc3_morphism(x, f1, rng))
+        for m in cases:
+            got = checks(xc3_morphism_check(m))
+            assert got == checks(scan_xc3_morphism_check(m)), [m.f1.images, m.f2.images,
+                                                                m.f3.images]
+            fired.update(failed(got))
+            passed += not failed(got)
+    assert passed > 0
+    assert fired == {"f1_is_homomorphism", "f2_is_homomorphism", "f3_is_homomorphism",
+                     "square_d2", "square_d3", "f2_equivariant", "f3_equivariant",
+                     "under_degree2", "under_degree3"}

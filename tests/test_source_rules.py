@@ -199,6 +199,17 @@ def xc3_decider_equations(tree: ast.AST) -> list[str]:
         if "xc3_homotopy_system" not in names]
 
 
+def xc3_morphism_scans(tree: ast.AST) -> list[str]:
+    """xc3_morphism_check decides the equations of xc3_morphism_equations
+    (`decide`), as qcm_check decides those of qcm_equations: neither of the
+    two records a first failure of its own or scans .generators()."""
+    check = names_read(tree, "xc3_morphism_check")
+    return [f"xc3_morphism_check does not read {name}"
+            for name in ("decide", "xc3_morphism_equations") if name not in check] + [
+        f"{function} names {name}" for function in ("xc3_morphism_check", "xc3_morphism_equations")
+        for name in sorted(names_read(tree, function) & {"first_failure", "generators"})]
+
+
 # rule -> (module it reads, or None for every module; a module that breaks it)
 TREE_RULES = {
     outer_omega_callers: (None, """
@@ -228,6 +239,14 @@ TREE_RULES = {
         def xc3_homotopy_decision(f, g):
             for t in f.source.m3.generators():
                 lin.add_sum(alpha, f.source.m2.ab(f.source.d3(t)))
+        """),
+    xc3_morphism_scans: ("crossed.py", """
+        def xc3_morphism_equations(m):
+            yield from hom_checks({"f1": m.f1, "f2": m.f2, "f3": m.f3})
+        def xc3_morphism_check(m):
+            rep = decide(Report("crossed complex morphism"), xc3_morphism_equations(m))
+            rep.first_failure("square_d2", (x for x in m.source.m2.generators()))
+            return rep
         """),
 }
 
