@@ -22,7 +22,7 @@ generator by generator.
 from __future__ import annotations
 
 import functools
-from operator import mul
+from operator import attrgetter, mul
 from typing import Sequence
 
 from .crossed import (GroupAction, LinearHomotopy, PreCrossedModule, ShiftedSolutions,
@@ -69,6 +69,31 @@ class ReducedQuadraticModule:
     def braces(self, x) -> tuple[int, ...]:
         """{x}: coordinates of x in C = Q2^ab."""
         return self.q2.ab(x)
+
+    @functools.cached_property
+    def omega_coords(self) -> list:
+        """omega on c_i (x) c_j in the coordinates of Q3 (`coords_of`), in
+        row-major order, built on first use and kept with omega, for the
+        equations of every morphism from a complex of this module."""
+        return [coords_of(self.q3, w) for row in self.omega for w in row]
+
+    @functools.cached_property
+    def omega_forms(self) -> list:
+        """For each coordinate k of Q3, the matrix of omega_ij's k-th one."""
+        n, omega = len(self.omega), self.omega_coords
+        return [[[w[k] for w in omega[i * n:(i + 1) * n]] for i in range(n)]
+                for k in range(self.q3.ngens)]
+
+    def omega_rows(self, vectors: list) -> list:
+        """omega({u} (x) {v}) for all pairs of vectors, in row-major order,
+        as the rows of a matrix with one column per pair: coordinate k is
+        u B_k v, B_k the k-th of `omega_forms`, as the fold of u_i v_j
+        omega_ij (`omega_outer`) before reduction."""
+        out = []
+        for form in self.omega_forms:
+            images = [[sum(map(mul, row, v)) for row in form] for v in vectors]
+            out.append([sum(map(mul, u, bv)) for u in vectors for bv in images])
+        return out
 
 
 def _omega_table(omega, q3: Group, n: int, canonical: bool = False) -> tuple:
@@ -266,84 +291,6 @@ class ReducedQuadraticComplex4:
     def braces(self, x) -> tuple[int, ...]:
         return self.rqm.braces(x)
 
-    @functools.cached_property
-    def coords(self) -> "Coordinates":
-        """This complex's coordinate tables, built block by block on first
-        use and kept for as long as the complex."""
-        return Coordinates(self)
-
-
-class Coordinates:
-    """A complex's fixed data in coordinates (`coords_of`) for the equations
-    of `qcm_equations` and `rq_homotopy_system`, the one statement of the
-    homotopy equations that the verifier and the decider both read, each
-    block built on first use and kept for every morphism and witness
-    from or into the complex.  As a source: its generators, its maps at
-    generators and its omega symbols, which a morphism's image matrix
-    multiplies; as a target: its omega forms and under-map values (d3 and
-    d4 keep their matrices on the maps).  Its maps at generators are their
-    `GroupHom.coords_at_generators`, matrix products that evaluate no
-    element; the one table of elements, `boundaries`, is built only for
-    the corrections of an alpha2 that has some.  It holds the complex's
-    parts, not the complex, so that the two form no reference cycle and
-    are freed by reference counting."""
-
-    def __init__(self, c: ReducedQuadraticComplex4):
-        self._groups = {2: c.q2, 3: c.q3, 4: c.q4}
-        self._d3, self._d4, self._omega, u = c.d3, c.d4, c.rqm.omega, c.under
-        self._under = u and (u.q2, u.q3, u.q4)
-
-    @functools.cached_property
-    def generators(self) -> dict[int, list]:
-        return {k: [coords_of(grp, x) for x in grp.generators()]
-                for k, grp in self._groups.items()}
-
-    @functools.cached_property
-    def boundaries(self) -> list:
-        """d3 at the generators of Q3, as elements (for `Alpha2`'s
-        corrections)."""
-        return list(map(self._d3, self._groups[3].generators()))
-
-    @property
-    def d3(self) -> list:
-        return self._d3.coords_at_generators()
-
-    @property
-    def d4(self) -> list:
-        return self._d4.coords_at_generators()
-
-    @functools.cached_property
-    def under(self) -> dict[int, list]:
-        """Degree -> the under-object's map at the base's generators."""
-        return {k: h.coords_at_generators() for k, h in zip((2, 3, 4), self._under)}
-
-    @functools.cached_property
-    def under_rows(self) -> dict[int, list]:
-        return {k: _as_rows(cols, self._groups[k].ngens) for k, cols in self.under.items()}
-
-    @functools.cached_property
-    def omega(self) -> list:
-        """omega on c_i (x) c_j, in row-major order."""
-        return [coords_of(self._groups[3], w) for row in self._omega for w in row]
-
-    @functools.cached_property
-    def omega_forms(self) -> list:
-        """For each coordinate k of Q3, the matrix of omega_ij's k-th one."""
-        n = len(self._omega)
-        return [[[w[k] for w in self.omega[i * n:(i + 1) * n]] for i in range(n)]
-                for k in range(self._groups[3].ngens)]
-
-    def omega_outer(self, vectors: list) -> list:
-        """omega({u} (x) {v}) for all pairs of vectors, in row-major order,
-        as the rows of a matrix with one column per pair: coordinate k is
-        u B_k v, B_k the k-th of `omega_forms`, as the fold of u_i v_j
-        omega_ij (`ReducedQuadraticModule.omega_outer`) before reduction."""
-        out = []
-        for form in self.omega_forms:
-            images = [[sum(map(mul, row, v)) for row in form] for v in vectors]
-            out.append([sum(map(mul, u, bv)) for u in vectors for bv in images])
-        return out
-
 
 def complex_from_rqm(rqm: ReducedQuadraticModule, name: str = "reduced quadratic 4-complex"
                      ) -> ReducedQuadraticComplex4:
@@ -370,15 +317,16 @@ class QCMorphism:
 def qcm_equations(m: QCMorphism):
     """The conditions on a morphism, in report order, as (check id, map,
     group, equations), the under-checks only when both sides carry
-    cofibrations from the same base.  The sides read the maps at the
-    canonical generators, as evaluating them on elements does.
+    cofibrations from bases that agree in Q2, Q3 and Q4.  The sides read
+    the maps at the canonical generators, as evaluating them on elements
+    does.
 
     In a group abelian as presented the equations of a check are one
-    `CoordinateEquations`: the maps' image matrices times the blocks of
-    the complexes' `Coordinates`, which are tabled once per complex, and
-    times a morphism's values at generators, which are its
-    `GroupHom.coords_at_generators`, so per morphism an equation costs a
-    few integer products and no element is evaluated.  A
+    `CoordinateEquations`: the maps' image matrices times the maps' values
+    at generators, which each map keeps (`GroupHom.coords_at_generators`),
+    and times omega's coordinates, which the source's module keeps
+    (`ReducedQuadraticModule.omega_coords`), so per morphism an equation
+    costs a few integer products and no element is evaluated.  A
     `*_is_homomorphism` check is read by `hom_checks` through
     `system_checks`, as a homotopy's is: there it has the relation rows as
     equations, which is all `GroupHom.check_hom` tests into such a target.
@@ -388,7 +336,7 @@ def qcm_equations(m: QCMorphism):
     """
     src, tgt = m.source, m.target
     yield from hom_checks({"f2": m.f2, "f3": m.f3, "f4": m.f4})
-    s, t, n = src.coords, tgt.coords, src.q2.ngens
+    n = src.q2.ngens
     yield _square("square_d3", tgt.q2, lambda i: f"f2 d3 != d3' f3 at generator {src.q3.names[i]}",
                   m.f2, src.d3, tgt.d3, m.f3)
     yield _square("square_d4", tgt.q3, lambda i: f"f3 d4 != d4' f4 at generator {src.q4.names[i]}",
@@ -396,20 +344,19 @@ def qcm_equations(m: QCMorphism):
     yield _check(
         "square_omega", tgt.q3, n * n,
         lambda k: f"f3 omega != omega' (f2^ab (x) f2^ab) at basis ({k // n},{k % n})",
-        lambda: (m.f3.image_products(s.omega),
-                 t.omega_outer([coords_of(tgt.q2, im) for im in m.f2.images])),
+        lambda: (m.f3.image_products(src.rqm.omega_coords),
+                 tgt.rqm.omega_rows([coords_of(tgt.q2, im) for im in m.f2.images])),
         lambda k: (m.f3(src.rqm.omega[k // n][k % n]),
                    tgt.rqm.omega_outer(*(tgt.braces(m.f2.images[i]) for i in divmod(k, n)))))
-    if (src.under is None or tgt.under is None
-            or src.under.base.q2 != tgt.under.base.q2):
+    su, tu, degrees = src.under, tgt.under, attrgetter("q2", "q3", "q4")
+    if su is None or tu is None or su.base is not tu.base and degrees(su.base) != degrees(tu.base):
         return
-    for deg, fh, grp, qs, qt in ((2, m.f2, tgt.q2, src.under.q2, tgt.under.q2),
-                                 (3, m.f3, tgt.q3, src.under.q3, tgt.under.q3),
-                                 (4, m.f4, tgt.q4, src.under.q4, tgt.under.q4)):
+    for deg, fh, qs, qt in zip((2, 3, 4), (m.f2, m.f3, m.f4), degrees(su), degrees(tu)):
         yield _check(
-            f"under_degree{deg}", grp, qs.source.ngens,
+            f"under_degree{deg}", qt.target, qs.source.ngens,
             lambda _, deg=deg: f"f does not commute with the cofibration in degree {deg}",
-            lambda deg=deg, fh=fh: (fh.image_products(s.under[deg]), t.under_rows[deg]),
+            lambda fh=fh, qs=qs, qt=qt: (fh.image_products(qs.coords_at_generators()),
+                                         _as_rows(qt.coords_at_generators(), qt.target.ngens)),
             lambda j, fh=fh, qs=qs, qt=qt: (fh(qs.at_generator(j)), qt.at_generator(j)))
 
 
@@ -417,7 +364,7 @@ def qcm_check(m: QCMorphism) -> Report:
     """Boundary squares, omega compatibility, and under-object agreement:
     the equations of `qcm_equations`, decided in order (`decide`).  Per
     morphism a check in an abelian group costs its image products over the
-    complexes' tables and one comparison of its sides."""
+    maps' values at generators and one comparison of its sides."""
     return decide(Report("quadratic complex morphism", basis="proved"), qcm_equations(m))
 
 
@@ -648,7 +595,8 @@ def rq_homotopy_system(f: QCMorphism, g: QCMorphism, form: Alpha2 | None = None)
     solves them, with degree 2 replaced by `LinearHomotopy.degree2`.  form
     is `Alpha2(f, g)`, built when not given."""
     src, tgt = f.source, f.target
-    s, q3, form, under = src.coords, tgt.q3, form or Alpha2(f, g), src.under
+    q3, form, under = tgt.q3, form or Alpha2(f, g), src.under
+    at2, at3 = ([coords_of(grp, x) for x in grp.generators()] for grp in (src.q2, src.q3))
 
     def rhs(grp: Group, fk: GroupHom | None, gk: GroupHom | None, points=None) -> list | None:
         """-fk + gk at the generators (0 without them) less alpha2's
@@ -659,15 +607,16 @@ def rq_homotopy_system(f: QCMorphism, g: QCMorphism, form: Alpha2 | None = None)
                                   q3.ngens), rows)
         return rows
     yield "alpha3_is_homomorphism", tgt.q4, [(3, src.q3.ab_relation_rows(), None)], None
-    yield ("homotopy_degree2", tgt.q2, [(2, s.generators[2], lambda: tgt.d3)],
-           rhs(tgt.q2, f.f2, g.f2))
-    yield ("homotopy_degree3", q3, [(2, s.d3, None), (3, s.generators[3], lambda: tgt.d4)],
-           rhs(q3, f.f3, g.f3, lambda: s.boundaries))
-    yield "homotopy_degree4", tgt.q4, [(3, s.d4, None)], rhs(tgt.q4, f.f4, g.f4)
+    yield "homotopy_degree2", tgt.q2, [(2, at2, lambda: tgt.d3)], rhs(tgt.q2, f.f2, g.f2)
+    yield ("homotopy_degree3", q3, [(2, src.d3.coords_at_generators(), None),
+                                    (3, at3, lambda: tgt.d4)],
+           rhs(q3, f.f3, g.f3, lambda: map(src.d3.at_generator, range(src.q3.ngens))))
+    yield ("homotopy_degree4", tgt.q4, [(3, src.d4.coords_at_generators(), None)],
+           rhs(tgt.q4, f.f4, g.f4))
     if under is not None:
-        yield ("alpha2_vanishes_on_under", q3, [(2, s.under[2], None)],
+        yield ("alpha2_vanishes_on_under", q3, [(2, under.q2.coords_at_generators(), None)],
                rhs(q3, None, None, lambda: map(under.q2.at_generator, range(under.base.q2.ngens))))
-        yield "alpha3_vanishes_on_under", tgt.q4, [(3, s.under[3], None)], None
+        yield "alpha3_vanishes_on_under", tgt.q4, [(3, under.q3.coords_at_generators(), None)], None
 
 
 def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy,
@@ -677,12 +626,13 @@ def verify_rq_homotopy(f: QCMorphism, g: QCMorphism, h: QCHomotopy,
     presented the equations of `rq_homotopy_system`, as
     `CoordinateEquations` of their sides at the witness (`system_checks`);
     in any other group alpha3 itself, for `check_hom`, or lazy triples of
-    elements, with alpha2 by `Alpha2`.  The source's tables are built once
-    for every witness from it; per call the values are canonicalized into
-    alpha2 and alpha3, and each check costs as in `qcm_check`.  alpha2 is
-    `Alpha2(f, g)` and system the list of `rq_homotopy_system(f, g,
-    alpha2)`, each built here when the caller does not hold it already, as
-    the decider does for its re-verification."""
+    elements, with alpha2 by `Alpha2`.  The maps' values at generators are
+    built once and kept on the maps for every witness; per call the values
+    are canonicalized into alpha2 and alpha3, and each check costs as in
+    `qcm_check`.  alpha2 is `Alpha2(f, g)` and system the list of
+    `rq_homotopy_system(f, g, alpha2)`, each built here when the caller
+    does not hold it already, as the decider does for its
+    re-verification."""
     src, tgt = f.source, f.target
     q2, q3, q4 = tgt.q2, tgt.q3, tgt.q4
     alpha2, values = alpha2 or Alpha2(f, g), GroupHom(src.q2, q3, h.alpha2)
@@ -742,7 +692,7 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = 
     src, tgt = f.source, f.target
     if shift is not None:
         t, by = lin.shift_unknown(), GroupHom(src.q3, tgt.q3, shift).image_products(
-            src.coords.generators[3])
+            [coords_of(src.q3, x) for x in src.q3.generators()])
         shift = [[(t, [-r[j] for r in by])] for j in range(src.q3.ngens)]
     alpha2 = lin.degree2(tgt.d3, f.f2, g.f2)
     if alpha2 is None:

@@ -139,9 +139,10 @@ def retraction_candidate(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex
                          a: int, b: int, r: int) -> QCMorphism:
     """The candidate retraction with f2 = (e, a e, b e) and f3(e3) = r w(e,e);
     the omega-symbol images are forced by omega compatibility, read from D's
-    omega table (`Coordinates.omega_outer`), so D3 must be abelian."""
+    omega forms (`ReducedQuadraticModule.omega_rows`), so D3 must be
+    abelian."""
     f2 = GroupHom(q.q2, d.q2, [d.q2.pow(d.q2.gen(0), k) for k in (1, a, b)])
-    forced = zip(*d.coords.omega_outer([d.braces(x) for x in f2.images]))
+    forced = zip(*d.rqm.omega_rows([d.braces(x) for x in f2.images]))
     f3 = GroupHom(q.q3, d.q3, [d.q3.pow(d.q3.gen(0), r)] + list(map(d.q3.from_ab, forced)))
     f4 = GroupHom.zero(q.q4, d.q4)
     return QCMorphism(q, d, f2, f3, f4, tag=(a, b, r))
@@ -239,11 +240,11 @@ def enumerate_retractions(q: ReducedQuadraticComplex4, d: ReducedQuadraticComple
     every member r1 + k s.  Only at members: torsion in the rows can kill
     s S but not S (the Z/6 doubling target of the tests has s = 3).  The
     third member guards the claim that the defect is affine in r.  Cost:
-    Q's and D's coordinate tables once; per probe, a candidate and image
-    products over them (`CoordinateEquations`); one `ZSystem` solve, one
-    `reduce` per visited point, and per r-family one `retraction_candidate`
-    and 3 members built and checked; only the visited points and the member
-    tags grow with the box.
+    the coordinates of Q's and D's maps and omega once; per probe, a
+    candidate and image products over them (`CoordinateEquations`); one
+    `ZSystem` solve, one `reduce` per visited point, and per r-family one
+    `retraction_candidate` and 3 members built and checked; only the
+    visited points and the member tags grow with the box.
 
     Raises ValueError when the target has no abelian coordinates in degrees
     2, 3 or 4 or the fit misses its guard, and RuntimeError, naming the

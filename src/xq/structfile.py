@@ -393,8 +393,9 @@ def _build_complex(kind: str, body, path, built: dict):
 
     `built` maps the `structure_bytes` of each complex the file has built
     to it, so a body that recurs, such as D as a pair's target and as Q's
-    under.base, is one object and its tables fill once.  A body that fails
-    to build is not kept: its first occurrence raises, at its own path."""
+    under.base, is one object and the coordinates kept on its maps and
+    omega fill once.  A body that fails to build is not kept: its first
+    occurrence raises, at its own path."""
     data = structure_bytes({"kind": kind, "body": body})
     cx = built.get(data)
     if cx is None:

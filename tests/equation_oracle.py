@@ -1,11 +1,11 @@
 """The element-by-element scans that `qcm_check`, `verify_rq_homotopy`,
 `verify_xc3_homotopy` and `xc3_morphism_check` made before they read
-coordinate tables, kept as oracles.
+coordinates, kept as oracles.
 
 Every map is evaluated as an element (`GroupHom.__call__`), each equation's
 two sides are compared by `Group.eq`, and the homomorphism checks go
-through `GroupHom.check_hom`.  No coordinate table is read, so the oracle
-cannot share a mistake in the tables.  Both return reports with the check
+through `GroupHom.check_hom`.  No coordinate is read, so the oracle
+cannot share a mistake in them.  Both return reports with the check
 ids, messages, first-failure witnesses and bases of the checks under test.
 """
 

@@ -6,9 +6,10 @@ the exponents, so tests feed them small elements.  Also the sampled scan of
 the nil(2) laws that `GroupHom.check_hom` ran before generator triples were
 shown to decide them.  And the coordinates of maps at generators read
 from values evaluated as elements, kept as a reference for
-`GroupHom.coords_at_generators` and the tables of `quadratic.Coordinates`."""
+`GroupHom.coords_at_generators` and for what the equations of a complex's
+morphisms and homotopies read in coordinates."""
 
-from xq.groups import coords_of
+from xq.groups import GroupHom, coords_of
 
 from letter_oracle import word_of
 
@@ -57,13 +58,24 @@ def coords_at_generators_by_elements(hom):
 
 
 def coordinate_tables_by_elements(c):
-    """The tables of `quadratic.Coordinates` that read the maps of complex c
-    at generators, built by evaluating each map at each generator as an
-    element: name -> table."""
-    boundaries = [c.d3.at_generator(i) for i in range(c.q3.ngens)]
+    """What the equations of `quadratic.qcm_equations` and
+    `quadratic.rq_homotopy_system` read of complex c, built by evaluating
+    each map at each generator as an element and abelianizing each value:
+    name -> table.  d3 at the generators as elements (`boundaries`, the
+    points of alpha2's corrections), the maps' coordinates at generators,
+    the generators' own, the under-maps' by columns and by rows, and omega
+    in the coordinates of Q3, by basis pair and as one form per
+    coordinate."""
+    boundaries = [c.d3(x) for x in c.q3.generators()]
+    omega = [[c.q3.ab(w) for w in row] for row in c.rqm.omega]
     tables = {"boundaries": boundaries,
-              "d3": [coords_of(c.q2, x) for x in boundaries],
-              "d4": coords_at_generators_by_elements(c.d4)}
+              "d3": [c.q2.ab(x) for x in boundaries],
+              "d4": coords_at_generators_by_elements(c.d4),
+              "generators": {k: coords_at_generators_by_elements(GroupHom.identity(grp))
+                             for k, grp in ((2, c.q2), (3, c.q3), (4, c.q4))},
+              "omega_coords": [w for row in omega for w in row],
+              "omega_forms": [[[w[k] for w in row] for row in omega]
+                              for k in range(c.q3.ngens)]}
     if c.under is not None:
         maps = (c.under.q2, c.under.q3, c.under.q4)
         tables["under"] = {k: coords_at_generators_by_elements(h)

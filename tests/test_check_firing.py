@@ -141,6 +141,47 @@ def test_verify_rq_homotopy_alpha3_under_fires():
     assert failed(rep) == {"alpha3_vanishes_on_under": "alpha3 does not vanish on t"}
 
 
+def zero_rqc4(q3, under=None):
+    """The rqc4 structure with Q2 = nil(2)<e>, this Q3 (free abelian or
+    free nil(2)) and Q4 = 0, whose d3 and omega are 0; `under` is (base,
+    the under-map's Q3 images), its Q2 map sending e to e."""
+    nil2 = q3["kind"] == "free_nil2"
+    zero3 = {"base": [0] * q3["rank"], "comm": [0] * (q3["rank"] * (q3["rank"] - 1) // 2)} \
+        if nil2 else [0] * q3["rank"]
+    body = {"q2": {"kind": "free_nil2", "rank": 1}, "q3": q3,
+            "q4": {"kind": "free_abelian", "rank": 0}, "omega": [[zero3]],
+            "d3": {"images": [{"base": [0], "comm": []}] * q3["rank"]}, "d4": {"images": []}}
+    if under is not None:
+        base, images3 = under
+        body["under"] = {"base": base, "q2": {"images": [{"base": [1], "comm": []}]},
+                         "q3": {"images": images3}, "q4": {"images": []}}
+    return {"kind": "rqc4", "body": body}
+
+
+def test_a_morphism_under_different_bases_has_no_under_checks(tmp_path, capsys):
+    # the sides' cofibrations come from bases that agree in Q2 but not in
+    # Q3 (Z^2 and Z), so f has no square with them to commute and the
+    # check reads no under-map: once with the sides' Q3 free nil(2)
+    # (equations of elements, the larger base the source's) and once with
+    # it abelian (equations in coordinates, the smaller base the source's)
+    rank1, rank2 = ({"kind": "free_abelian", "rank": n} for n in (1, 2))
+    bases = [zero_rqc4(rank2)["body"], zero_rqc4(rank1)["body"]]
+    nil2 = {"kind": "free_nil2", "rank": 2}
+    x, y = {"base": [1, 0], "comm": [0]}, {"base": [0, 1], "comm": [0]}
+    crash = (zero_rqc4(nil2, (bases[0], [x, y])), zero_rqc4(nil2, (bases[1], [x])), [x, y])
+    silent = (zero_rqc4(rank2, (bases[1], [[1, 0]])),
+              zero_rqc4(rank2, (bases[0], [[1, 0], [0, 1]])), [[1, 0], [0, 1]])
+    for source, target, f3 in (crash, silent):
+        maps = {"f2": {"images": [{"base": [1], "comm": []}]}, "f3": {"images": f3},
+                "f4": {"images": []}}
+        code, out = check_file(tmp_path, capsys, "morphism",
+                               {"source": source, "target": target, "maps": maps})
+        assert (code, out.splitlines()) == (0, [
+            "quadratic complex morphism", "PASS f2_is_homomorphism", "PASS f3_is_homomorphism",
+            "PASS f4_is_homomorphism", "PASS square_d3", "PASS square_d4", "PASS square_omega",
+            "OK"])
+
+
 # -- quadratic modules over a pre-crossed base ---------------------------------
 
 def rank1_qm(d_to_a=False, d3_to_x=False, omega_w=False, negate3=False, q2=None):

@@ -1,5 +1,5 @@
-"""The coordinate tables of a complex are built once, kept on the complex,
-and freed with it."""
+"""The coordinates that the equations read are built once, kept on each
+map and on each module's omega, and freed with the complex."""
 
 import gc
 import json
@@ -14,21 +14,27 @@ from xq.sphere import build_cylinder_Q, build_sphere_D, family_member, retractio
 from xq.structfile import rqc4_body
 
 
+def kept_blocks(q, d):
+    """The coordinates that the checks and decisions of morphisms Q -> D
+    read: each map of Q's at its generators, and omega's of both modules."""
+    maps = (q.d3, q.d4, q.under.q2, q.under.q3, q.under.q4)
+    return ([h.coords_at_generators() for h in maps]
+            + [q.rqm.omega_coords, d.rqm.omega_coords, d.rqm.omega_forms])
+
+
 def test_each_block_is_built_once_per_complex(sphere_d):
     q = build_cylinder_Q(sphere_d)
     base = retraction_candidate(q, sphere_d, 1, 0, 0)
     assert qcm_check(base).ok
-    blocks = {name: getattr(q.coords, name) for name in ("generators", "d3", "d4", "omega",
-                                                          "under")}
-    omega_forms = sphere_d.coords.omega_forms
+    blocks = kept_blocks(q, sphere_d)
     for r in (1, -4, 9):
         m = family_member(base, r)
         assert qcm_check(m).ok
         w, _ = rq_homotopy_decision(base, m)
         assert verify_rq_homotopy(base, m, w).ok
-    assert all(getattr(q.coords, name) is block for name, block in blocks.items())
-    assert sphere_d.coords.omega_forms is omega_forms
-    assert build_cylinder_Q(sphere_d).coords is not q.coords
+    assert all(a is b for a, b in zip(kept_blocks(q, sphere_d), blocks, strict=True))
+    rebuilt = kept_blocks(build_cylinder_Q(sphere_d), sphere_d)
+    assert all(a is not b for a, b in zip(rebuilt[:6], blocks))
 
 
 def test_a_checked_complex_is_freed_without_the_cycle_collector():
@@ -37,7 +43,10 @@ def test_a_checked_complex_is_freed_without_the_cycle_collector():
     d = build_sphere_D()
     q = build_cylinder_Q(d)
     m = retraction_candidate(q, d, 0, 1, 0)
-    assert qcm_check(m).ok and q.coords.under and d.coords.under
+    assert qcm_check(m).ok
+    assert all(h.coords_at_generators() is h.coords_at_generators()
+               for c in (q, d) for h in (c.under.q2, c.under.q3, c.under.q4))
+    assert q.rqm.omega_coords and d.rqm.omega_forms
     assert d.under.base is d and rqc4_body(d)["under"]["base"] == "self"
     gone = [weakref.ref(d), weakref.ref(q)]
     gc.disable()
@@ -67,11 +76,17 @@ def left_for_the_collector(argv: list[str]) -> list[str]:
 
 def test_a_homotopic_run_leaves_no_cycle_of_the_package(structures_dir, capsys):
     """Every object of `xq` that one whole `homotopic` op builds, the
-    complexes read from the files included, is freed by reference counting."""
+    complexes read from the files included, is freed by reference counting;
+    and so is every object of `check` of each shipped structure file, the
+    coordinates that its equations keep on maps and modules included."""
     pair, f, g = (os.path.join(structures_dir, f"retraction_{name}.json")
                   for name in ("pair", "pr1", "pr1_twisted"))
-    assert left_for_the_collector(["homotopic", pair, "--f", f, "--g", g]) == []
-    assert capsys.readouterr().out.endswith("\nOK\n")
+    shipped = sorted(os.listdir(structures_dir))
+    assert len(shipped) == 6
+    for argv in [["homotopic", pair, "--f", f, "--g", g]] + [
+            ["check", os.path.join(structures_dir, name)] for name in shipped]:
+        assert left_for_the_collector(argv) == [], argv
+        assert capsys.readouterr().out.endswith("\nOK\n"), argv
 
 
 @pytest.mark.parametrize("command", ["count", "classify"])

@@ -1,6 +1,6 @@
 """`qcm_check`, `verify_rq_homotopy`, `verify_xc3_homotopy` and
-`xc3_morphism_check`, which decide equations in abelian groups from
-coordinate tables, against the element-by-element scans of
+`xc3_morphism_check`, which decide equations in abelian groups in
+coordinates, against the element-by-element scans of
 `equation_oracle.py`: the same checks, verdicts and first-failure
 witnesses, on passing and perturbed morphisms and witnesses."""
 

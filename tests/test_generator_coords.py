@@ -1,19 +1,23 @@
 """Maps read at generators through their image matrices
 (`GroupHom.coords_at_generators`): the same coordinates as evaluating each
-generator as an element and abelianizing it (`hom_oracle`), in the tables
-of `quadratic.Coordinates` too; the element table of d3 is built only for a
-witness whose alpha2 has corrections; and the homotopy decision reads f3,
-g3 and the shift where the verifier reads them."""
+generator as an element and abelianizing it (`hom_oracle`), in what the
+equations of a complex's morphisms and homotopies read too, omega's
+coordinates on the module included; d3 is evaluated at elements only for
+a witness whose alpha2 has corrections; and the homotopy decision reads
+f3, g3 and the shift where the verifier reads them."""
 
 import json
 import os
 import random
 
+import pytest
+
 import xq.quadratic
 from xq import structfile as sf
 from xq.cli import run
+from xq.crossed import _as_rows
 from xq.groups import (CyclicGroup, FgAbelianGroup, FreeAbelianGroup, FreeGroup,
-                       FreeNil2Group, GroupHom)
+                       FreeNil2Group, GroupHom, coords_of)
 from xq.quadratic import (QCHomotopy, ReducedQuadraticComplex4, ReducedQuadraticModule,
                           UnderCofibration, rq_homotopy_decision, verify_rq_homotopy)
 from xq.sphere import build_cylinder_Q, retraction_candidate, retraction_shift
@@ -126,12 +130,30 @@ def random_complex(rng, base=None):
     return c
 
 
+def tables_the_equations_read(c):
+    """What `qcm_equations` and `rq_homotopy_system` read of complex c, by
+    the names of `coordinate_tables_by_elements`."""
+    tables = {"boundaries": [c.d3.at_generator(i) for i in range(c.q3.ngens)],
+              "d3": c.d3.coords_at_generators(), "d4": c.d4.coords_at_generators(),
+              "generators": {k: [coords_of(grp, x) for x in grp.generators()]
+                             for k, grp in ((2, c.q2), (3, c.q3), (4, c.q4))},
+              "omega_coords": c.rqm.omega_coords, "omega_forms": c.rqm.omega_forms}
+    if c.under is not None:
+        maps = (c.under.q2, c.under.q3, c.under.q4)
+        tables["under"] = {k: h.coords_at_generators() for k, h in zip((2, 3, 4), maps)}
+        tables["under_rows"] = {k: _as_rows(h.coords_at_generators(), h.target.ngens)
+                                for k, h in zip((2, 3, 4), maps)}
+    return tables
+
+
 def assert_tables_match(c, seen):
-    tables = coordinate_tables_by_elements(c)
-    for name, table in tables.items():
-        assert getattr(c.coords, name) == table, name
-    assert c.coords.generators == {k: coords_at_generators_by_elements(GroupHom.identity(grp))
-                                   for k, grp in ((2, c.q2), (3, c.q3), (4, c.q4))}
+    assert tables_the_equations_read(c) == coordinate_tables_by_elements(c)
+    # omega of the outer products of the classes of Q2's generators and of
+    # d3's values, in coordinates, is omega_outer's fold once reduced
+    vectors = [c.q2.ab(x) for x in c.q2.generators() + [c.d3(x) for x in c.q3.generators()]]
+    rows = c.rqm.omega_rows(vectors)
+    assert [c.q3.lattice.reduce(col) for col in zip(*rows)] == (
+        [c.q3.ab(c.rqm.omega_outer(u, v)) for u in vectors for v in vectors] if rows else [])
     maps = [c.d3, c.d4] + ([c.under.q2, c.under.q3, c.under.q4] if c.under else [])
     for hom in maps:
         kinds_met(hom, seen)
@@ -177,7 +199,18 @@ def check_file(path):
     return structure.value
 
 
-def test_a_homotopy_with_equal_f2_builds_no_element_table(structures_dir, tmp_path, capsys):
+class NoElements(GroupHom):
+    """A map that evaluates no element.  Put in the place of a source's d3,
+    it shows that the homotopy equations read d3 in coordinates alone."""
+
+    def __call__(self, x):
+        raise AssertionError("d3 evaluated at an element")
+
+    at_generator = __call__
+
+
+def test_a_homotopy_with_equal_f2_builds_no_element_table(structures_dir, tmp_path, capsys,
+                                                          monkeypatch):
     paths = [bench_witness(structures_dir, tmp_path, name, slot, r)
              for name, slot in (("retraction_pr1.json", 1), ("retraction_pr2.json", 2))
              for r in (10, -10 ** 5)]
@@ -186,17 +219,23 @@ def test_a_homotopy_with_equal_f2_builds_no_element_table(structures_dir, tmp_pa
     witness = str(tmp_path / "w.json")
     assert run(["homotopic", pair, "--f", pr1, "--g", twisted, "--witness", witness]) == 0
     for path in paths + [witness]:
-        f, g, _ = check_file(path)
+        f, g, h = check_file(path)
         assert f.f2.images == g.f2.images
-        assert "boundaries" not in vars(f.source.coords)
+        monkeypatch.setattr(f.source.d3, "__class__", NoElements)
+        assert verify_rq_homotopy(f, g, h).ok
     # the decision itself, on the pair's complexes
     with open(pair, encoding="utf-8") as fh:
         (_, source), (_, target) = sf.load_structure(fh.read()).value
     f, g = (sf.bind_maps(sf.parse_structure(open(p, encoding="utf-8").read())["body"]["maps"],
                          "$.body.maps", "rqc4", source, target) for p in (pr1, twisted))
+    monkeypatch.setattr(source.d3, "__class__", NoElements)
     w, rep = rq_homotopy_decision(f, g)
     assert w is not None and rep.ok
-    assert "boundaries" not in vars(source.coords)
+    # where alpha2 has corrections, the equations read d3 at elements
+    zero = QCHomotopy((source.q3.identity(),) * source.q2.ngens,
+                      (source.q4.identity(),) * source.q3.ngens)
+    with pytest.raises(AssertionError, match="d3 evaluated at an element"):
+        verify_rq_homotopy(identity_morphism(source), twisted_identity(source), zero)
     capsys.readouterr()
 
 
@@ -214,14 +253,14 @@ def test_a_witness_with_corrections_builds_the_element_table(sphere_d, monkeypat
                                 (q.q4.identity(),) * q.q3.ngens))
     pairs = [(ident, twist), (twist, ident)]
     closed = [verify_rq_homotopy(f, g, h).to_json() for f, g in pairs for h in witnesses]
-    assert "boundaries" in vars(q.coords)
     # the element scan agrees; the zero witness fails degree 3 by the
     # corrections alone
     assert closed == [scan_verify_rq_homotopy(f, g, h).to_json() for f, g in pairs
                       for h in witnesses]
     assert "homotopy_degree3" in [c.check_id for c in
                                   verify_rq_homotopy(ident, twist, witnesses[-1]).failed()]
-    assert q.coords.boundaries == [letter_eval(q.d3, x) for x in q.q3.generators()]
+    assert [q.d3.at_generator(i) for i in range(q.q3.ngens)] == [
+        letter_eval(q.d3, x) for x in q.q3.generators()]
     monkeypatch.setattr(xq.quadratic, "Alpha2", LetterAlpha2)
     assert [verify_rq_homotopy(f, g, h).to_json() for f, g in pairs for h in witnesses] == closed
 

@@ -54,7 +54,9 @@ LETTER_SPELLING = {
 #   lattice, so none is built per check;
 # - both homotopy deciders hand their system's rows to
 #   LinearHomotopy.add_rows as stated, so the one-equation wrapper stays
-#   gone.
+#   gone;
+# - each map keeps its coordinates at generators and each reduced
+#   quadratic module omega's, so no complex keeps a table of coordinates.
 # pattern -> a line it must find
 DELETED_HELPERS = {
     r"solve_one_unknown": "solve_one_unknown(a, b)",
@@ -81,6 +83,8 @@ DELETED_HELPERS = {
     r"id\(obj\) in seen": "if id(obj) in seen:",
     r"relation_lattice": "g.relation_lattice()",
     r"add_sum": "lin.add_sum(alpha, row)",
+    r"class Coordinates\b": "class Coordinates:",
+    r"\.coords\b": "s, t = src.coords, tgt.coords",
 }
 
 
@@ -167,14 +171,30 @@ def xgcd_callers(tree: ast.AST) -> list[str]:
 
 
 def coordinate_tables_at_generator(tree: ast.AST) -> list[str]:
-    """The coordinate tables of a complex read its maps at generators
-    through their image matrices (GroupHom.coords_at_generators): no method
-    of quadratic.Coordinates names at_generator."""
-    return sorted({f.name for cls in tree.body
-                   if isinstance(cls, ast.ClassDef) and cls.name == "Coordinates"
-                   for f in cls.body if isinstance(f, ast.FunctionDef)
-                   for n in ast.walk(f) if isinstance(n, ast.Attribute)
-                   and n.attr == "at_generator"})
+    """The equations in coordinates read the maps at generators through
+    their image matrices (GroupHom.coords_at_generators): no omega cache of
+    ReducedQuadraticModule, no coordinate side of a check of qcm_equations
+    (the coords argument of _check) and no term of rq_homotopy_system names
+    at_generator."""
+    def at_generator(node) -> bool:
+        return any(isinstance(n, ast.Attribute) and n.attr == "at_generator"
+                   for n in ast.walk(node))
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "ReducedQuadraticModule":
+            found += [f"{node.name}.{f.name}" for f in node.body
+                      if isinstance(f, ast.FunctionDef)
+                      and f.name in ("omega_coords", "omega_forms", "omega_rows")
+                      and at_generator(f)]
+        elif isinstance(node, ast.FunctionDef) and node.name == "qcm_equations":
+            found += [f"qcm_equations: {ast.unparse(call.args[0])}" for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and ast.unparse(call.func) == "_check"
+                      and len(call.args) > 4 and at_generator(call.args[4])]
+        elif isinstance(node, ast.FunctionDef) and node.name == "rq_homotopy_system":
+            found += [f"rq_homotopy_system: {ast.unparse(y.value.elts[0])}" for y in ast.walk(node)
+                      if isinstance(y, ast.Yield) and isinstance(y.value, ast.Tuple)
+                      and len(y.value.elts) > 2 and at_generator(y.value.elts[2])]
+    return found
 
 
 def element_by_element_readers(tree: ast.AST) -> list[str]:
@@ -225,9 +245,13 @@ TREE_RULES = {
             return xgcd(a, b)
         """),
     coordinate_tables_at_generator: ("quadratic.py", """
-        class Coordinates:
-            def d3(self):
+        class ReducedQuadraticModule:
+            def omega_coords(self):
                 return [self.d3.at_generator(i) for i in range(3)]
+        def qcm_equations(m):
+            yield _check("square_omega", g, 1, msg, lambda: ([m.f3.at_generator(0)], None), None)
+        def rq_homotopy_system(f, g):
+            yield "homotopy_degree4", g, [(3, [f.source.d4.at_generator(0)], None)], None
         """),
     element_by_element_readers: ("structfile.py", """
         def _build_hom(obj, path, source, target):
