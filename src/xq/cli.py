@@ -240,9 +240,6 @@ def run(argv: list[str] | None = None) -> int:
         return int(e.code) if e.code else 0
     try:
         return globals()[f"_cmd_{args.command_name}"](args)
-    except sf.StructureError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

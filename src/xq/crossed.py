@@ -852,7 +852,3 @@ def xc3_homotopy_decision(f: XC3Morphism, g: XC3Morphism
     witness = XC3Homotopy(values[0])
     lin.accept(verify_xc3_homotopy(f, g, witness, system), witness.to_json(tgt))
     return witness, lin.rep
-
-
-def xc3_homotopic(f: XC3Morphism, g: XC3Morphism) -> XC3Homotopy | None:
-    return xc3_homotopy_decision(f, g)[0]

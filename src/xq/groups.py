@@ -490,10 +490,6 @@ class CyclicGroup(FgAbelianGroup):
         return {"kind": "cyclic", "order": self.order, "names": list(self.names)}
 
 
-def trivial_group() -> FgAbelianGroup:
-    return FgAbelianGroup(0, (), ())
-
-
 def group_from_json(obj: dict) -> Group:
     kind = obj.get("kind")
     names = obj.get("names")

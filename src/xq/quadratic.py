@@ -285,19 +285,6 @@ class ReducedQuadraticComplex4:
     def d3(self) -> GroupHom:
         return self.rqm.d3
 
-    def omega_apply(self, t: TensorElement):
-        return self.rqm.omega_apply(t)
-
-    def braces(self, x) -> tuple[int, ...]:
-        return self.rqm.braces(x)
-
-
-def complex_from_rqm(rqm: ReducedQuadraticModule, name: str = "reduced quadratic 4-complex"
-                     ) -> ReducedQuadraticComplex4:
-    """View a reduced quadratic module as a 4-complex with Q4 = 0."""
-    q4 = FgAbelianGroup(0)
-    return ReducedQuadraticComplex4(rqm, q4, GroupHom.zero(q4, rqm.q3), name=name)
-
 
 class QCMorphism:
     """(f2, f3, f4) between reduced quadratic 4-complexes (degree 1 trivial)."""
@@ -347,7 +334,7 @@ def qcm_equations(m: QCMorphism):
         lambda: (m.f3.image_products(src.rqm.omega_coords),
                  tgt.rqm.omega_rows([coords_of(tgt.q2, im) for im in m.f2.images])),
         lambda k: (m.f3(src.rqm.omega[k // n][k % n]),
-                   tgt.rqm.omega_outer(*(tgt.braces(m.f2.images[i]) for i in divmod(k, n)))))
+                   tgt.rqm.omega_outer(*(tgt.q2.ab(m.f2.images[i]) for i in divmod(k, n)))))
     su, tu, degrees = src.under, tgt.under, attrgetter("q2", "q3", "q4")
     if su is None or tu is None or su.base is not tu.base and degrees(su.base) != degrees(tu.base):
         return
@@ -527,7 +514,7 @@ class Alpha2:
 
     def __init__(self, f: QCMorphism, g: QCMorphism):
         tgt = f.target
-        self.src2, self.q3, self.omega_apply = f.source.q2, tgt.q3, tgt.omega_apply
+        self.src2, self.q3, self.omega_apply = f.source.q2, tgt.q3, tgt.rqm.omega_apply
         self.n = tgt.q2.ngens
         self.fv = [tgt.q2.ab(im) for im in f.f2.images]
         self.dv = [vec_sub(tgt.q2.ab(b), a) for a, b in zip(self.fv, g.f2.images)]
@@ -709,7 +696,3 @@ def rq_homotopy_decision(f: QCMorphism, g: QCMorphism, shift: Sequence | None = 
     witness = QCHomotopy(*solved)
     lin.accept(verify_rq_homotopy(f, g, witness, form, system), witness.to_json(tgt))
     return witness, lin.rep
-
-
-def rq_homotopic(f: QCMorphism, g: QCMorphism) -> QCHomotopy | None:
-    return rq_homotopy_decision(f, g)[0]

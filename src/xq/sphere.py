@@ -142,7 +142,7 @@ def retraction_candidate(q: ReducedQuadraticComplex4, d: ReducedQuadraticComplex
     omega forms (`ReducedQuadraticModule.omega_rows`), so D3 must be
     abelian."""
     f2 = GroupHom(q.q2, d.q2, [d.q2.pow(d.q2.gen(0), k) for k in (1, a, b)])
-    forced = zip(*d.rqm.omega_rows([d.braces(x) for x in f2.images]))
+    forced = zip(*d.rqm.omega_rows([d.q2.ab(x) for x in f2.images]))
     f3 = GroupHom(q.q3, d.q3, [d.q3.pow(d.q3.gen(0), r)] + list(map(d.q3.from_ab, forced)))
     f4 = GroupHom.zero(q.q4, d.q4)
     return QCMorphism(q, d, f2, f3, f4, tag=(a, b, r))

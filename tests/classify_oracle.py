@@ -4,7 +4,7 @@ that classification reports write.
 
 Candidates with r = 0 are taken first (a stable sort), and each is decided
 against the representative of every class opened so far, one
-`rq_homotopic` call per pair, so the member that opens a class, its
+`rq_homotopy_decision` call per pair, so the member that opens a class, its
 representative, is the one with r = 0 when present.  Every member keeps the
 witness of its homotopy from the representative, the representative's with
 itself included.  Members and classes are listed in input order.  It shares
@@ -16,7 +16,7 @@ r-families; `derived_witnesses` derives that same list from a report's JSON
 alone, as docs/structure-format.md describes.
 """
 
-from xq.quadratic import QCHomotopy, rq_homotopic
+from xq.quadratic import QCHomotopy, rq_homotopy_decision
 from xq.sphere import RetractionClass
 
 
@@ -34,12 +34,13 @@ def greedy_classes(morphisms):
     opened = []  # representative, [(index, witness)]
     for k in order:
         for representative, entries in opened:
-            witness = rq_homotopic(representative, morphisms[k])
+            witness = rq_homotopy_decision(representative, morphisms[k])[0]
             if witness is not None:
                 entries.append((k, witness))
                 break
         else:
-            opened.append((morphisms[k], [(k, rq_homotopic(morphisms[k], morphisms[k]))]))
+            itself = rq_homotopy_decision(morphisms[k], morphisms[k])[0]
+            opened.append((morphisms[k], [(k, itself)]))
     for _, entries in opened:
         entries.sort(key=lambda e: e[0])
     opened.sort(key=lambda o: o[1][0][0])

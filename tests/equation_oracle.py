@@ -29,7 +29,7 @@ def scan_qcm_equations(m):
     n = src.q2.ngens
     yield "square_omega", None, tgt.q3, (
         (m.f3(src.rqm.omega[i][j]),
-         tgt.rqm.omega_outer(tgt.braces(m.f2.images[i]), tgt.braces(m.f2.images[j])),
+         tgt.rqm.omega_outer(tgt.q2.ab(m.f2.images[i]), tgt.q2.ab(m.f2.images[j])),
          f"f3 omega != omega' (f2^ab (x) f2^ab) at basis ({i},{j})")
         for i in range(n) for j in range(n))
     if (src.under is None or tgt.under is None

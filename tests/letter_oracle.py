@@ -56,9 +56,9 @@ def alpha2_steps(word, f, g):
     for i, s in word:
         dvec = vec_sub(g2ab[i], f2ab[i])
         step = f2ab[i] if s > 0 else vec_neg(f2ab[i])
-        corr = tgt.omega_apply(TensorElement.outer(run, step))
+        corr = tgt.rqm.omega_apply(TensorElement.outer(run, step))
         if s < 0:
-            corr = tgt.q3.op(tgt.omega_apply(TensorElement.outer(dvec, f2ab[i])), corr)
+            corr = tgt.q3.op(tgt.rqm.omega_apply(TensorElement.outer(dvec, f2ab[i])), corr)
         yield i, s, corr
         run = [a + s * b for a, b in zip(run, dvec)]
 

@@ -12,8 +12,8 @@ import xq.quadratic
 from xq import nil2
 from xq.groups import (FgAbelianGroup, FreeAbelianGroup, FreeGroup, FreeNil2Group,
                        GroupHom)
-from xq.quadratic import (Alpha2, QCHomotopy, QCMorphism, ReducedQuadraticModule,
-                          UnderCofibration, alpha2_extend, complex_from_rqm,
+from xq.quadratic import (Alpha2, QCHomotopy, QCMorphism, ReducedQuadraticComplex4,
+                          ReducedQuadraticModule, UnderCofibration, alpha2_extend,
                           rq_homotopy_decision, verify_rq_homotopy)
 from xq.report import Undefined
 from xq.sphere import classification_report, retraction_candidate
@@ -136,7 +136,9 @@ def rq_complex(q2, q3, omega, d3_images=None, under=False):
     """A 4-complex with Q4 = 0 on the given groups, d3 zero unless given;
     with `under`, the identity cofibration from itself."""
     d3 = GroupHom(q3, q2, d3_images) if d3_images else GroupHom.zero(q3, q2)
-    c = complex_from_rqm(ReducedQuadraticModule(q2, q3, omega, d3))
+    q4 = FgAbelianGroup(0)
+    c = ReducedQuadraticComplex4(ReducedQuadraticModule(q2, q3, omega, d3), q4,
+                                 GroupHom.zero(q4, q3))
     if under:
         c.under = UnderCofibration(c, GroupHom.identity(q2), GroupHom.identity(q3),
                                    GroupHom.identity(c.q4))

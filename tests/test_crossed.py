@@ -6,7 +6,7 @@ import pytest
 from xq.crossed import (CrossedComplex3, GroupAction, PreCrossedModule,
                         XC3Homotopy, XC3Morphism, check_crossed,
                         check_precrossed, peiffer_commutator,
-                        verify_xc3_homotopy, xc3_check, xc3_homotopic,
+                        verify_xc3_homotopy, xc3_check,
                         xc3_homotopy_decision, xc3_morphism_check)
 from xq.groups import (CyclicGroup, FgAbelianGroup, FreeAbelianGroup, FreeGroup,
                        FreeNil2Group, GroupHom)
@@ -155,7 +155,7 @@ def test_xc3_homotopy_found_and_verified():
         # the witness is unique here: alpha(x) = k t
         assert x.m3.eq(h.alpha[0], x.m3.pow(x.m3.gen(0), k))
         assert verify_xc3_homotopy(f, g, h).ok
-        assert xc3_homotopic(g, f) is not None  # symmetric case solves too
+        assert xc3_homotopy_decision(g, f)[0] is not None  # symmetric case solves too
 
 
 def test_xc3_homotopy_reflexive_witness_is_zero():

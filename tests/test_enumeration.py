@@ -9,6 +9,7 @@ from xq.groups import CyclicGroup, FreeAbelianGroup, FreeNil2Group, GroupHom
 from xq.intlinalg import Lattice, ZSystem
 from xq.quadratic import (ReducedQuadraticComplex4, ReducedQuadraticModule,
                           qcm_check, rqc4_check)
+from xq.report import Check, Report
 
 from scan_oracle import scan_members, scan_retractions
 
@@ -126,7 +127,7 @@ def test_fit_guard_fires_on_a_cubic_defect(monkeypatch, cylinder_q, sphere_d):
         m = original(q, d, a, b, r)
         images = list(m.f2.images)
         images[1] = d.q2.pow(d.q2.gen(0), a ** 3)
-        m.f2 = xq.GroupHom(q.q2, d.q2, images)
+        m.f2 = GroupHom(q.q2, d.q2, images)
         return m
 
     monkeypatch.setattr(sphere, "retraction_candidate", cubic)
@@ -137,8 +138,7 @@ def test_fit_guard_fires_on_a_cubic_defect(monkeypatch, cylinder_q, sphere_d):
 def test_solved_candidate_failing_the_check_is_an_internal_error(
         monkeypatch, cylinder_q, sphere_d):
     monkeypatch.setattr(sphere, "qcm_check",
-                        lambda m, **_: xq.Report("always failing",
-                                                 [xq.Check("c", False)]))
+                        lambda m, **_: Report("always failing", [Check("c", False)]))
     with pytest.raises(RuntimeError, match=r"\(0, 1, 0\)"):
         sphere.enumerate_retractions(cylinder_q, sphere_d, 1, 0)
 

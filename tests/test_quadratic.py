@@ -7,10 +7,9 @@ from xq.groups import (FgAbelianGroup, FreeAbelianGroup, FreeGroup,
                        FreeNil2Group, GroupHom)
 from xq.quadratic import (QCHomotopy, QCMorphism, QuadraticModule,
                           ReducedQuadraticComplex4, ReducedQuadraticModule,
-                          alpha2_extend, qcm_check, qm_check, rq_homotopic,
+                          alpha2_extend, qcm_check, qm_check,
                           rq_homotopy_decision, rqc4_check, rqm_check,
                           verify_rq_homotopy)
-from xq.quadratic import complex_from_rqm
 from xq.sphere import (build_cylinder_Q, build_sphere_D, derive_reduced_q3,
                        retraction_candidate)
 from xq.tensor import TensorElement
@@ -124,11 +123,11 @@ def test_alpha2_extension_rule():
     q = build_cylinder_Q(d)
     f = retraction_candidate(q, d, 1, 0, 0)
     g = retraction_candidate(q, d, 1, 0, 1)
-    h = rq_homotopic(f, g)
+    h = rq_homotopy_decision(f, g)[0]
     assert h is not None
     src2, tgt = q.q2, d
     rng = random.Random(5)
-    omega_p = tgt.omega_apply
+    omega_p = tgt.rqm.omega_apply
     for _ in range(200):
         x = src2.random_element(rng)
         y = src2.random_element(rng)
@@ -255,13 +254,15 @@ def central_boundary_complex():
     rels, boundaries = derive_reduced_q3(q2, [])
     q3 = FgAbelianGroup(4, rels, names=[f"w({a},{b})" for a in "xy" for b in "xy"])
     omega = tuple(tuple(q3.gen(2 * i + j) for j in range(2)) for i in range(2))
-    return complex_from_rqm(ReducedQuadraticModule(q2, q3, omega,
-                                                   GroupHom(q3, q2, boundaries)))
+    q4 = FgAbelianGroup(0)
+    return ReducedQuadraticComplex4(ReducedQuadraticModule(q2, q3, omega,
+                                                           GroupHom(q3, q2, boundaries)),
+                                    q4, GroupHom.zero(q4, q3))
 
 
 def central_qcm(c, images):
     """The morphism with f2 given on x, y and f3 forced by omega."""
-    f3 = [c.omega_apply(TensorElement.outer(c.braces(images[i]), c.braces(images[j])))
+    f3 = [c.rqm.omega_apply(TensorElement.outer(c.q2.ab(images[i]), c.q2.ab(images[j])))
           for i in range(2) for j in range(2)]
     return QCMorphism(c, c, GroupHom(c.q2, c.q2, images),
                       GroupHom(c.q3, c.q3, f3), GroupHom.identity(c.q4))

@@ -12,8 +12,11 @@ import ast
 import pathlib
 import re
 import textwrap
+import types
 
 import pytest
+
+import xq
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "xq"
 
@@ -56,7 +59,10 @@ LETTER_SPELLING = {
 #   LinearHomotopy.add_rows as stated, so the one-equation wrapper stays
 #   gone;
 # - each map keeps its coordinates at generators and each reduced
-#   quadratic module omega's, so no complex keeps a table of coordinates.
+#   quadratic module omega's, so no complex keeps a table of coordinates;
+# - the homotopy deciders, the complex with Q4 = 0 and the trivial group
+#   are written out where they are used, so the one-line wrappers that
+#   kept only the witness or spelled out one constructor stay gone.
 # pattern -> a line it must find
 DELETED_HELPERS = {
     r"solve_one_unknown": "solve_one_unknown(a, b)",
@@ -85,6 +91,10 @@ DELETED_HELPERS = {
     r"add_sum": "lin.add_sum(alpha, row)",
     r"class Coordinates\b": "class Coordinates:",
     r"\.coords\b": "s, t = src.coords, tgt.coords",
+    r"\brq_homotopic\b": "witness = rq_homotopic(f, g)",
+    r"\bxc3_homotopic\b": "def xc3_homotopic(f, g):",
+    r"complex_from_rqm": "cx = complex_from_rqm(rqm)",
+    r"trivial_group": "q4 = trivial_group()",
 }
 
 
@@ -230,6 +240,18 @@ def xc3_morphism_scans(tree: ast.AST) -> list[str]:
         for name in sorted(names_read(tree, function) & {"first_failure", "generators"})]
 
 
+def complex_forwarders(tree: ast.AST) -> list[str]:
+    """A reduced quadratic 4-complex forwards nothing of its module's
+    omega: its readers call cx.rqm.omega_apply and cx.q2.ab, so
+    ReducedQuadraticComplex4 defines neither omega_apply nor braces."""
+    return [f"{node.name}.{name}" for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "ReducedQuadraticComplex4"
+            for item in node.body
+            for name in ([item.name] if isinstance(item, ast.FunctionDef) else
+                         [t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)])
+            if name in ("omega_apply", "braces")]
+
+
 # rule -> (module it reads, or None for every module; a module that breaks it)
 TREE_RULES = {
     outer_omega_callers: (None, """
@@ -272,6 +294,12 @@ TREE_RULES = {
             rep.first_failure("square_d2", (x for x in m.source.m2.generators()))
             return rep
         """),
+    complex_forwarders: ("quadratic.py", """
+        class ReducedQuadraticComplex4:
+            omega_apply = ReducedQuadraticModule.omega_apply
+            def braces(self, x):
+                return self.rqm.braces(x)
+        """),
 }
 
 
@@ -312,3 +340,19 @@ def test_naming_a_kind_specific_check_in_the_command_line_module_fires():
     assert kind_names(f"{KEPT_IMPORT}\n{KEPT_IMPORT}, xc3_morphism_check\n"
                       "    rep = xc3_homotopy_decision(f, g)\n") == [
         f"2: {KEPT_IMPORT}, xc3_morphism_check", "3:     rep = xc3_homotopy_decision(f, g)"]
+
+
+# `import xq` binds the names README's library quick start uses, and
+# qcm_check, which the benchmark's tracer replaces at every binding site
+PACKAGE_NAMES = {
+    "FreeNil2Group", "build_cylinder_Q", "build_sphere_D", "classification_report",
+    "classify_retractions", "enumerate_retractions", "qcm_check", "retraction_candidate",
+    "rq_homotopy_decision", "rqc4_check", "verify_rq_homotopy",
+}
+
+
+def test_import_xq_binds_the_quick_start_names_and_nothing_else():
+    assert sorted(xq.__all__) == sorted(PACKAGE_NAMES)
+    assert all(callable(getattr(xq, name, None)) for name in xq.__all__)
+    assert {name for name, value in vars(xq).items() if not name.startswith("_")
+            and not isinstance(value, types.ModuleType)} == PACKAGE_NAMES

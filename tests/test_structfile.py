@@ -6,7 +6,8 @@ import pytest
 from xq import structfile as sf
 from xq.cli import run
 from xq.groups import CyclicGroup, FgAbelianGroup, FreeNil2Group, GroupHom, group_from_json
-from xq.quadratic import QCMorphism, ReducedQuadraticModule, complex_from_rqm
+from xq.quadratic import (QCMorphism, ReducedQuadraticComplex4, ReducedQuadraticModule,
+                          rq_homotopy_decision)
 from xq.sphere import build_cylinder_Q, build_sphere_D, retraction_candidate
 
 from shipped import shipped_structures
@@ -215,8 +216,7 @@ def test_homotopy_witness_length_checked():
     q = build_cylinder_Q(d)
     f = retraction_candidate(q, d, 1, 0, 0)
     g = retraction_candidate(q, d, 1, 0, 1)
-    from xq.quadratic import rq_homotopic
-    h = rq_homotopic(f, g)
+    h = rq_homotopy_decision(f, g)[0]
     raw = {"version": "1", "kind": "homotopy",
            "body": dict(sf.pair_structure(f.source, f.target)["body"],
                         f=f.maps_json(), g=g.maps_json(),
@@ -252,7 +252,9 @@ def test_integers_beyond_2_53_round_trip_as_bare_integers(q3):
     d3 = GroupHom(q3, q2, [q2.element_from_json({"base": [big, -big], "comm": [big]})]
                   * q3.ngens)
     w = q3.canon((big,) + (0,) * (q3.ngens - 1))
-    cx = complex_from_rqm(ReducedQuadraticModule(q2, q3, ((w, w), (w, w)), d3))
+    q4 = FgAbelianGroup(0)
+    cx = ReducedQuadraticComplex4(ReducedQuadraticModule(q2, q3, ((w, w), (w, w)), d3), q4,
+                                  GroupHom.zero(q4, q3))
     text = sf.serialize_structure(sf.rqc4_structure(cx))
     assert str(big) in text and f'"{big}"' not in text
     back = sf.load_structure(text).value
